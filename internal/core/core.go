@@ -219,7 +219,7 @@ func (s *Solver) record(rep *mom.SolveReport) {
 // solve runs the resilient chain on one assembled system and folds its
 // accounting into the solver stats.
 func (s *Solver) solve(ctx context.Context, sys *mom.System) (*mom.Solution, error) {
-	_, sp := trace.StartSpan(ctx, "mom.solve")
+	ctx, sp := trace.StartSpan(ctx, "mom.solve")
 	start := time.Now()
 	sol, err := sys.SolveResilient(ctx, mom.SolveOptions{
 		Tol:      s.SolveTol,

@@ -9,6 +9,7 @@ import (
 	"roughsim/internal/rng"
 	"roughsim/internal/surface"
 	"roughsim/internal/telemetry"
+	"roughsim/internal/trace"
 	"roughsim/internal/units"
 )
 
@@ -33,9 +34,16 @@ func TestSolverFFTFastPath(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s.Metrics = reg
 
-	k, err := s.LossFactorCtx(context.Background(), surf, f)
+	tr := trace.New("fft-fast-path")
+	k, err := s.LossFactorCtx(trace.ContextWithSpan(context.Background(), tr.Root()), surf, f)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The fft-gmres stage runs inside the resilient chain, so its span
+	// nests under the mom.solve span of each of the two solves.
+	parents := spanParents(tr.Summary().Spans, "mom.fft.solve")
+	if len(parents) != 2 || parents[0] != "mom.solve" || parents[1] != "mom.solve" {
+		t.Fatalf("mom.fft.solve parents = %v, want [mom.solve mom.solve]", parents)
 	}
 
 	st := s.Stats()
@@ -73,6 +81,19 @@ func TestSolverFFTFastPath(t *testing.T) {
 	if got := ds.Stats().StageWins[mom.StageFFT]; got != 0 {
 		t.Fatalf("disabled FFT stage still won %d solves", got)
 	}
+}
+
+// spanParents returns the parent span name of every span called name
+// in the tree under root, in depth-first order.
+func spanParents(root *trace.SpanSummary, name string) []string {
+	var out []string
+	for _, c := range root.Children {
+		if c.Name == name {
+			out = append(out, root.Name)
+		}
+		out = append(out, spanParents(c, name)...)
+	}
+	return out
 }
 
 // TestSolverFFTRejectionAccounting checks that an over-bound surface is

@@ -1,14 +1,12 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"roughsim"
 	"roughsim/internal/campaign"
@@ -26,14 +24,12 @@ import (
 // campaign.Runner.
 type cellRunner struct{ s *Server }
 
+// Submit enqueues a cell as a plain queue job, outside the durable
+// registry: the campaign record already covers it, and its result is
+// durable in the cache, so it writes no per-job journal records.
 func (r cellRunner) Submit(cfg roughsim.SweepConfig) (campaign.Handle, error) {
-	id := jobs.NewID()
-	// Cell jobs skip the per-job journal protocol: the campaign record
-	// already covers them, and their results are durable in the cache.
-	r.s.markUnjournaled(id)
-	job, err := r.s.queue.SubmitOpts(r.s.runSweep(cfg), r.s.submitOptions(id, 0))
+	job, err := r.s.queue.SubmitOpts(r.s.runSweep(cfg), r.s.submitOptions("", 0))
 	if err != nil {
-		r.s.clearUnjournaled(id)
 		if errors.Is(err, jobs.ErrQueueFull) {
 			// Backpressure, not failure: the engine parks and retries.
 			return nil, fmt.Errorf("%w: %v", campaign.ErrBusy, err)
@@ -79,28 +75,6 @@ func (h cellHandle) Result() (*roughsim.SweepResult, error) {
 	return res, nil
 }
 
-func (s *Server) markUnjournaled(id string) {
-	s.unjMu.Lock()
-	s.unjournaled[id] = struct{}{}
-	s.unjMu.Unlock()
-}
-
-func (s *Server) isUnjournaled(id string) bool {
-	s.unjMu.Lock()
-	_, ok := s.unjournaled[id]
-	s.unjMu.Unlock()
-	return ok
-}
-
-// clearUnjournaled removes the mark, reporting whether it was set.
-func (s *Server) clearUnjournaled(id string) bool {
-	s.unjMu.Lock()
-	_, ok := s.unjournaled[id]
-	delete(s.unjournaled, id)
-	s.unjMu.Unlock()
-	return ok
-}
-
 // campaignCellDone journals one finished cell. The chaos point sits
 // BEFORE the append and after the cell's points are durable in the
 // result cache — "crash at the n-th campaign cell" then leaves a
@@ -144,10 +118,7 @@ func (s *Server) campaignTerminal(id string, st campaign.Status, cerr error) {
 
 func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 	var cfg roughsim.CampaignConfig
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
-		writeDecodeError(w, err)
+	if !decodeBody(w, r, &cfg) {
 		return
 	}
 	cfg = cfg.WithDefaults()
@@ -174,8 +145,7 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if wait, ok := s.brk.Allow(); !ok {
-		writeRetryError(w, http.StatusTooManyRequests, wait,
-			fmt.Errorf("circuit breaker open: exact-solve tier is failing; retry after cooldown"))
+		writeRetryError(w, http.StatusTooManyRequests, wait, errBreakerOpen)
 		return
 	}
 	id, err := cfg.ID()
@@ -189,20 +159,11 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, c.Aggregate(false))
 		return
 	}
-	if s.journal != nil {
-		raw, err := json.Marshal(cfg)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, fmt.Errorf("encode campaign for journal: %w", err))
-			return
-		}
-		// Journal-before-start: an acknowledged campaign always survives
-		// a crash.
-		if err := s.journal.Append(journal.Record{
-			Op: journal.OpCampaignSubmitted, JobID: id, Key: id, Config: raw,
-		}); err != nil {
-			writeError(w, http.StatusInternalServerError, fmt.Errorf("journal campaign: %w", err))
-			return
-		}
+	// Journal-before-start: an acknowledged campaign always survives a
+	// crash.
+	if err := s.journalSubmit(journal.OpCampaignSubmitted, id, id, cfg); err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
 	}
 	c, created, err := s.camps.Start(cfg)
 	if err != nil {
@@ -256,65 +217,18 @@ func (s *Server) handleCampaignDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCampaignEvents streams SSE aggregate progress: one "progress"
-// event per observed change, then a final "done" event carrying the
-// per-cell detail. Same event discipline as the sweep /stream handler.
+// event per change of status or cell counts, then a final "done" event
+// carrying the per-cell detail.
 func (s *Server) handleCampaignEvents(w http.ResponseWriter, r *http.Request) {
 	c, ok := s.campaignByID(w, r)
 	if !ok {
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusNotImplemented, fmt.Errorf("streaming unsupported"))
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	rc := http.NewResponseController(w)
-	defer rc.SetWriteDeadline(time.Time{})
-	emit := func(event string, v any) error {
-		b, _ := json.Marshal(v)
-		rc.SetWriteDeadline(time.Now().Add(s.cfg.StreamWriteTimeout))
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b); err != nil {
-			return err
-		}
-		fl.Flush()
-		return nil
-	}
-	var last campaign.Aggregate
-	first := true
-	for {
-		ch := c.Changed()
+	s.stream(w, r, c.ID, c.Changed, func() (any, any, bool) {
 		agg := c.Aggregate(false)
-		if first || campaignProgressed(last, agg) {
-			if err := emit("progress", agg); err != nil {
-				s.streamClosed(c.ID, err)
-				return
-			}
-			last, first = agg, false
-			continue
-		}
-		if agg.Status.Terminal() {
-			if err := emit("done", c.Aggregate(true)); err != nil {
-				s.streamClosed(c.ID, err)
-			}
-			return
-		}
-		select {
-		case <-ch:
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-func campaignProgressed(a, b campaign.Aggregate) bool {
-	return a.Status != b.Status ||
-		a.CellsDone != b.CellsDone || a.CellsRunning != b.CellsRunning ||
-		a.CellsFailed != b.CellsFailed || a.CellsCached != b.CellsCached ||
-		a.CellsCanceled != b.CellsCanceled
+		return agg, [6]any{agg.Status, agg.CellsDone, agg.CellsRunning, agg.CellsFailed,
+			agg.CellsCached, agg.CellsCanceled}, agg.Status.Terminal()
+	}, func() any { return c.Aggregate(true) })
 }
 
 // handleCampaignResult serves the combined artifact with content

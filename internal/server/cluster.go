@@ -111,10 +111,7 @@ func (s *Server) leaseJournaler(op journal.Op) func(taskID, worker string, paylo
 			s.log.Warn("cluster: lease expired; column re-queued",
 				"job", t.JobID, "node", t.Node, "worker", worker)
 		}
-		if s.journal == nil || t.JobID == "" {
-			return
-		}
-		s.journal.Append(journal.Record{
+		s.journalJob(journal.Record{
 			Op: op, JobID: t.JobID, Key: taskID, Worker: worker,
 		}.WithAnchor(t.Node))
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -17,12 +18,17 @@ import (
 	"roughsim/internal/sweepengine"
 )
 
-// This file is the durability and overload tier of roughsimd:
+// This file is the durability and overload tier of roughsimd — the one
+// durable-job spine sweeps, S-parameter generations and campaigns share:
 //
-//   - every accepted sweep job is journaled (WAL) before the 202 leaves
-//     the server, and unfinished jobs are re-enqueued — under their
-//     original IDs, so client-held status URLs survive — when the
-//     daemon reboots against the same journal;
+//   - a durable job is journaled (WAL) before the 202 leaves the server,
+//     and unfinished jobs and campaigns are resumed — under their
+//     original IDs, so client-held status URLs survive — when the daemon
+//     reboots against the same journal (one replay table, keyed by the
+//     submission op);
+//   - the live registry is the one place that decides whether a job's
+//     lifecycle is journaled: only the durable submit and replay paths
+//     fill it, so campaign cells and surrogate builds never write records;
 //   - completed collocation-node columns are checkpointed through a
 //     content-addressed cache as the sweep runs, so a crashed sweep
 //     resumes without re-solving finished work (bitwise identically);
@@ -30,20 +36,11 @@ import (
 //     breaker shed exact-solve load with 429/503 + Retry-After while
 //     the surrogate/cache fast path keeps serving.
 
-// colCodec (de)serializes checkpoint columns ([]float64) for the
-// checkpoint cache's disk tier. encoding/json prints float64s in their
-// shortest round-trip form, so persisted columns reload bit-exactly.
-func colCodec() rescache.Codec {
-	return rescache.Codec{
-		Encode: func(v any) ([]byte, error) { return json.Marshal(v) },
-		Decode: func(b []byte) (any, error) {
-			var col []float64
-			if err := json.Unmarshal(b, &col); err != nil {
-				return nil, err
-			}
-			return col, nil
-		},
-	}
+// liveKey identifies what a durable job computes: its submission op and
+// content address.
+type liveKey struct {
+	op  journal.Op
+	key rescache.Key
 }
 
 // retryBackoff is the between-attempt schedule of transiently failed
@@ -65,161 +62,257 @@ func (s *Server) submitOptions(id string, attempt int) jobs.SubmitOptions {
 	}
 }
 
-// submitSweep journals, then enqueues, one sweep job. The journal
-// append is durable (fsynced) before the queue sees the job, so an
-// acknowledged 202 always survives a crash: either the job completes
-// and a terminal record follows, or a restart replays it. A submission
-// the queue then refuses is closed out in the journal immediately.
-func (s *Server) submitSweep(cfg roughsim.SweepConfig) (*jobs.Job, error) {
-	id := jobs.NewID()
-	if s.journal != nil {
-		raw, err := json.Marshal(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("server: encode config for journal: %w", err)
-		}
-		if err := s.journal.Append(journal.Record{
-			Op: journal.OpSubmitted, JobID: id, Key: cfg.Key().String(), Config: raw,
-		}); err != nil {
-			return nil, fmt.Errorf("server: journal submit: %w", err)
-		}
+// decodeBody decodes a JSON request body into v — 1 MiB cap, unknown
+// fields rejected — and writes the 413/400 itself when that fails.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		writeDecodeError(w, err)
+		return false
 	}
-	job, err := s.queue.SubmitOpts(s.runSweep(cfg), s.submitOptions(id, 0))
-	if err != nil {
-		if s.journal != nil {
-			s.journal.Append(journal.Record{
-				Op: journal.OpCanceled, JobID: id,
-				Error: "submission rejected: " + err.Error(),
-			})
-		}
-		return nil, err
-	}
-	return job, nil
+	return true
 }
 
-// replayPending re-enqueues the unfinished jobs a journal replay
-// surfaced, preserving their original job IDs and spent attempt counts,
-// then resumes unfinished campaigns under their original campaign IDs.
-// Called from New before the listener is up, so replayed work races
-// nothing.
-func (s *Server) replayPending(rep journal.Replay) {
-	for _, p := range rep.Jobs {
-		if p.Op == journal.OpSparamsSubmitted {
-			s.replaySParams(p)
-			continue
-		}
-		var cfg roughsim.SweepConfig
-		if err := json.Unmarshal(p.Config, &cfg); err != nil {
-			s.log.Warn("journal replay: undecodable config", "job", p.JobID, "err", err)
-			s.journal.Append(journal.Record{
-				Op: journal.OpFailed, JobID: p.JobID,
-				Error: "replay: undecodable config: " + err.Error(),
-				Kind:  resilience.KindInvalidInput.String(),
-			})
-			continue
-		}
-		cfg = cfg.WithDefaults()
-		if _, err := s.queue.SubmitOpts(s.runSweep(cfg), s.submitOptions(p.JobID, p.Attempts)); err != nil {
-			s.log.Warn("journal replay: resubmit failed", "job", p.JobID, "err", err)
-			s.journal.Append(journal.Record{
-				Op: journal.OpFailed, JobID: p.JobID,
-				Error: "replay rejected: " + err.Error(),
-			})
-			continue
-		}
-		s.metrics.Counter("journal.jobs_replayed").Inc()
-		s.log.Info("journal replay: job re-enqueued",
-			"job", p.JobID, "attempts_spent", p.Attempts, "anchors_done", p.AnchorsDone)
+// journalSubmit durably records one submission, config embedded, before
+// the work it describes starts (a no-op without a journal).
+func (s *Server) journalSubmit(op journal.Op, id, key string, cfg any) error {
+	if s.journal == nil {
+		return nil
 	}
-	for _, pc := range rep.Campaigns {
-		var cfg roughsim.CampaignConfig
-		if err := json.Unmarshal(pc.Config, &cfg); err != nil {
-			s.log.Warn("journal replay: undecodable campaign config", "campaign", pc.ID, "err", err)
-			s.journal.Append(journal.Record{
-				Op: journal.OpCampaignFailed, JobID: pc.ID,
-				Error: "replay: undecodable config: " + err.Error(),
-				Kind:  resilience.KindInvalidInput.String(),
-			})
-			continue
+	raw, err := json.Marshal(cfg)
+	if err != nil {
+		return fmt.Errorf("server: encode %s config for journal: %w", op, err)
+	}
+	if err := s.journal.Append(journal.Record{Op: op, JobID: id, Key: key, Config: raw}); err != nil {
+		return fmt.Errorf("server: journal %s: %w", op, err)
+	}
+	return nil
+}
+
+// submitDurable journals, then enqueues, one durable job under op. The
+// journal append is durable (fsynced) before the queue sees the job, so
+// an acknowledged 202 always survives a crash: either the job completes
+// and a terminal record follows, or a restart replays it. A submission
+// the queue then refuses is closed out in the journal immediately.
+func (s *Server) submitDurable(op journal.Op, key rescache.Key, cfg any, run jobs.Runner) (*jobs.Job, error) {
+	id := jobs.NewID()
+	if err := s.journalSubmit(op, id, key.String(), cfg); err != nil {
+		return nil, err
+	}
+	job, err := s.enqueue(id, 0, liveKey{op, key}, run)
+	if err != nil && s.journal != nil {
+		s.journal.Append(journal.Record{
+			Op: journal.OpCanceled, JobID: id,
+			Error: "submission rejected: " + err.Error(),
+		})
+	}
+	return job, err
+}
+
+// enqueue registers a durable job as live and submits it under id with
+// attempt attempts already spent. Registration precedes the submit: the
+// job's started record, written by a worker, must find it.
+func (s *Server) enqueue(id string, attempt int, lk liveKey, run jobs.Runner) (*jobs.Job, error) {
+	s.liveMu.Lock()
+	s.live[id] = lk
+	s.liveByKey[lk] = id
+	s.liveMu.Unlock()
+	job, err := s.queue.SubmitOpts(run, s.submitOptions(id, attempt))
+	if err != nil {
+		s.untrack(id)
+	}
+	return job, err
+}
+
+// untrack drops a job from the live registry (no-op for other jobs).
+func (s *Server) untrack(id string) {
+	s.liveMu.Lock()
+	if lk, ok := s.live[id]; ok {
+		delete(s.live, id)
+		if s.liveByKey[lk] == id {
+			delete(s.liveByKey, lk)
 		}
-		c, _, err := s.camps.Start(cfg)
-		if err != nil {
-			s.log.Warn("journal replay: campaign restart failed", "campaign", pc.ID, "err", err)
+	}
+	s.liveMu.Unlock()
+}
+
+// liveJob returns the live durable job computing key under op, if any.
+func (s *Server) liveJob(op journal.Op, key rescache.Key) (*jobs.Job, bool) {
+	s.liveMu.Lock()
+	id, ok := s.liveByKey[liveKey{op, key}]
+	s.liveMu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	return s.queue.Get(id)
+}
+
+// journalJob appends one lifecycle record of a running or finishing job
+// — started, anchor-done, lease granted/expired, terminal — if and only
+// if the job is live in the durable registry.
+func (s *Server) journalJob(rec journal.Record) {
+	if s.journal == nil {
+		return
+	}
+	s.liveMu.Lock()
+	_, ok := s.live[rec.JobID]
+	s.liveMu.Unlock()
+	if ok {
+		s.journal.Append(rec)
+	}
+}
+
+// writeSubmitError maps a queue submission failure to its status: a
+// full queue is overload (429 + Retry-After), a draining one an outage.
+func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, jobs.ErrQueueFull):
+		writeRetryError(w, http.StatusTooManyRequests, s.drainEstimate(s.queue.Depth()), err)
+	case errors.Is(err, jobs.ErrClosed):
+		writeError(w, http.StatusServiceUnavailable, err)
+	default:
+		writeError(w, http.StatusInternalServerError, err)
+	}
+}
+
+// replayer resumes one kind of journaled submission: failOp closes a
+// record that cannot resume, counter counts the ones that do.
+type replayer struct {
+	failOp  journal.Op
+	counter string
+	resume  func(s *Server, p journal.Pending) error
+}
+
+// replayers is the replay table, keyed by submission op.
+var replayers = map[journal.Op]replayer{
+	journal.OpSubmitted:         {journal.OpFailed, "journal.jobs_replayed", replaySweep},
+	journal.OpSparamsSubmitted:  {journal.OpFailed, "journal.jobs_replayed", replaySParams},
+	journal.OpCampaignSubmitted: {journal.OpCampaignFailed, "journal.campaigns_replayed", replayCampaign},
+}
+
+// decodeConfig decodes a journaled config. One that no longer decodes
+// is invalid input: replaying it again could never succeed.
+func decodeConfig[C any](raw json.RawMessage) (C, error) {
+	var cfg C
+	if err := json.Unmarshal(raw, &cfg); err != nil {
+		return cfg, resilience.Errorf(resilience.KindInvalidInput, "undecodable config", "%v", err)
+	}
+	return cfg, nil
+}
+
+func replaySweep(s *Server, p journal.Pending) error {
+	cfg, err := decodeConfig[roughsim.SweepConfig](p.Config)
+	if err != nil {
+		return err
+	}
+	cfg = cfg.WithDefaults()
+	_, err = s.enqueue(p.JobID, p.Attempts, liveKey{p.Op, cfg.Key()}, s.runSweep(cfg))
+	return err
+}
+
+// replaySParams needs no idempotence of its own: the runner's store
+// re-check completes the job without computing anything if the
+// artifact landed before the crash.
+func replaySParams(s *Server, p journal.Pending) error {
+	cfg, err := decodeConfig[roughsim.SParamConfig](p.Config)
+	if err != nil {
+		return err
+	}
+	cfg = cfg.WithDefaults()
+	key := cfg.Key()
+	_, err = s.enqueue(p.JobID, p.Attempts, liveKey{p.Op, key}, s.runSParams(cfg, key))
+	return err
+}
+
+func replayCampaign(s *Server, p journal.Pending) error {
+	cfg, err := decodeConfig[roughsim.CampaignConfig](p.Config)
+	if err != nil {
+		return err
+	}
+	c, _, err := s.camps.Start(cfg)
+	if err != nil {
+		return err
+	}
+	if c.ID != p.JobID {
+		// The content-address schema changed underneath the journal:
+		// close out the orphaned record so it cannot replay forever — the
+		// campaign continues under its recomputed ID.
+		s.journal.Append(journal.Record{
+			Op: journal.OpCampaignCanceled, JobID: p.JobID,
+			Error: "replay: campaign key schema changed; resumed as " + c.ID,
+		})
+	}
+	return nil
+}
+
+// replayPending resumes everything a journal replay surfaced — jobs
+// under their original IDs and spent attempt counts, then campaigns
+// under their original campaign IDs — closing out each record that
+// cannot resume. Called from New before the listener is up, so replayed
+// work races nothing.
+func (s *Server) replayPending(rep journal.Replay) {
+	pending := rep.Jobs
+	for _, c := range rep.Campaigns {
+		pending = append(pending, journal.Pending{
+			JobID: c.ID, Key: c.Key, Op: journal.OpCampaignSubmitted,
+			Config: c.Config, AnchorsDone: c.CellsDone,
+		})
+	}
+	for _, p := range pending {
+		r := replayers[p.Op]
+		if err := r.resume(s, p); err != nil {
+			s.log.Warn("journal replay: not resumed", "op", p.Op, "id", p.JobID, "err", err)
 			s.journal.Append(journal.Record{
-				Op: journal.OpCampaignFailed, JobID: pc.ID,
-				Error: "replay rejected: " + err.Error(),
+				Op: r.failOp, JobID: p.JobID,
+				Error: "replay: " + err.Error(),
 				Kind:  resilience.Classify(err).String(),
 			})
 			continue
 		}
-		if c.ID != pc.ID {
-			// The content-address schema changed underneath the journal:
-			// close out the orphaned record so it cannot replay forever —
-			// the campaign continues under its recomputed ID.
-			s.journal.Append(journal.Record{
-				Op: journal.OpCampaignCanceled, JobID: pc.ID,
-				Error: "replay: campaign key schema changed; resumed as " + c.ID,
-			})
-		}
-		s.metrics.Counter("journal.campaigns_replayed").Inc()
-		s.log.Info("journal replay: campaign resumed",
-			"campaign", pc.ID, "cells_done_before_crash", pc.CellsDone)
+		s.metrics.Counter(r.counter).Inc()
+		s.log.Info("journal replay: resumed", "op", p.Op, "id", p.JobID,
+			"attempts_spent", p.Attempts, "done_before_crash", p.AnchorsDone)
 	}
 }
 
-// journalStarted records a worker pickup (advances the attempt count a
-// future replay seeds the job with).
-func (s *Server) journalStarted(meta jobs.Meta, ok bool) {
-	if s.journal == nil || !ok || s.isUnjournaled(meta.JobID) {
-		return
+// journalStarted records the worker pickup of the job running under ctx
+// (advances the attempt count a future replay seeds the job with).
+func (s *Server) journalStarted(ctx context.Context) {
+	if meta, ok := jobs.MetaFrom(ctx); ok {
+		s.journalJob(journal.Record{Op: journal.OpStarted, JobID: meta.JobID, Attempt: meta.Attempt})
 	}
-	s.journal.Append(journal.Record{
-		Op: journal.OpStarted, JobID: meta.JobID, Attempt: meta.Attempt,
-	})
 }
 
 // observeTerminal is the queue's terminal-job observer: it funnels
 // every real outcome into the journal (so replay drops finished jobs),
-// the circuit breaker, and checkpoint cleanup. Cancellations produced
-// by the drain itself are shutdown artifacts, not outcomes — they are
-// deliberately NOT journaled as terminal, so a restart replays the job.
+// the circuit breaker, the live registry and checkpoint cleanup.
+// Cancellations produced by the drain itself are shutdown artifacts,
+// not outcomes — they are deliberately NOT journaled as terminal, so a
+// restart replays the job.
 func (s *Server) observeTerminal(j *jobs.Job) {
 	info := j.Snapshot()
 	if info.Status == jobs.StatusCanceled && s.queue.Draining() {
 		return
 	}
-	// An S-parameter generation job's in-flight tracking ends with the
-	// job, whatever the outcome.
-	s.clearSParams(j.ID)
-	// Campaign cell jobs carry no per-job journal records (the campaign
-	// record is their durability); breaker accounting and checkpoint
-	// cleanup still apply.
-	unj := s.clearUnjournaled(j.ID)
-	journaled := s.journal != nil && !unj
+	rec := journal.Record{JobID: j.ID}
 	switch info.Status {
 	case jobs.StatusSucceeded:
 		s.brk.Record(true)
-		if journaled {
-			s.journal.Append(journal.Record{Op: journal.OpCompleted, JobID: j.ID})
-		}
-		s.purgeCheckpoints(j.ID)
+		rec.Op = journal.OpCompleted
 	case jobs.StatusFailed:
 		s.brk.Record(false)
-		if journaled {
-			_, err := j.Result()
-			rec := journal.Record{Op: journal.OpFailed, JobID: j.ID}
-			if err != nil {
-				rec.Error = err.Error()
-				rec.Kind = resilience.Classify(err).String()
-			}
-			s.journal.Append(rec)
+		rec.Op = journal.OpFailed
+		if _, err := j.Result(); err != nil {
+			rec.Error = err.Error()
+			rec.Kind = resilience.Classify(err).String()
 		}
-		s.purgeCheckpoints(j.ID)
 	case jobs.StatusCanceled:
-		if journaled {
-			s.journal.Append(journal.Record{Op: journal.OpCanceled, JobID: j.ID})
-		}
-		s.purgeCheckpoints(j.ID)
+		rec.Op = journal.OpCanceled
 	}
+	s.journalJob(rec)
+	s.untrack(j.ID)
+	s.purgeCheckpoints(j.ID)
 }
 
 // ckptStore adapts the checkpoint cache to sweepengine.Checkpoint for
@@ -266,11 +359,7 @@ func (c *ckptStore) Save(node int, col []float64) {
 	n := c.s.ckptSeq.Add(1)
 	c.s.chaos.Crash("sweep.checkpoint", n)
 	c.s.ckpts.Put(c.cfg.CheckpointKey(node), col)
-	if c.s.journal != nil && c.jobID != "" {
-		c.s.journal.Append(journal.Record{
-			Op: journal.OpAnchorDone, JobID: c.jobID,
-		}.WithAnchor(node))
-	}
+	c.s.journalJob(journal.Record{Op: journal.OpAnchorDone, JobID: c.jobID}.WithAnchor(node))
 }
 
 // purgeCheckpoints deletes every checkpoint column a finished job may
@@ -297,6 +386,9 @@ func (s *Server) purgeCheckpoints(jobID string) {
 	}
 }
 
+// errBreakerOpen sheds new exact-solve work while the breaker is open.
+var errBreakerOpen = errors.New("circuit breaker open: exact-solve tier is failing; retry after cooldown")
+
 // admit is the overload gate in front of the queue: under high queue
 // pressure only cheap work (a couple of frequencies — the GET /k
 // fallback shape) is still admitted, and an open circuit breaker
@@ -304,7 +396,7 @@ func (s *Server) purgeCheckpoints(jobID string) {
 // Retry-After hint; err is non-nil when the request must be shed.
 func (s *Server) admit(cost int) (retry time.Duration, err error) {
 	if wait, ok := s.brk.Allow(); !ok {
-		return wait, fmt.Errorf("circuit breaker open: exact-solve tier is failing; retry after cooldown")
+		return wait, errBreakerOpen
 	}
 	depth, capacity := s.queue.Depth(), s.queue.Cap()
 	if depth >= capacity {

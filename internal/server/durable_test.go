@@ -11,7 +11,10 @@ import (
 	"time"
 
 	"roughsim"
+	"roughsim/internal/campaign"
 	"roughsim/internal/jobs"
+	"roughsim/internal/journal"
+	"roughsim/internal/resilience"
 	"roughsim/internal/telemetry"
 )
 
@@ -244,6 +247,119 @@ func TestJournalReplayAcrossRestart(t *testing.T) {
 		t.Fatalf("clean journal replayed %d jobs, want 0", got)
 	}
 	ts3.shutdown(t)
+}
+
+// TestReplayUndecodableConfigs: a journaled submission whose config no
+// longer decodes must not wedge boot. Replay closes it with its
+// terminal record, classified invalid input, so the next boot replays
+// nothing.
+func TestReplayUndecodableConfigs(t *testing.T) {
+	cases := []struct {
+		op       journal.Op
+		terminal journal.Op
+	}{
+		{journal.OpSubmitted, journal.OpFailed},
+		{journal.OpSparamsSubmitted, journal.OpFailed},
+		{journal.OpCampaignSubmitted, journal.OpCampaignFailed},
+	}
+	for _, tc := range cases {
+		t.Run(string(tc.op), func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := durableConfig(dir, telemetry.NewRegistry())
+			jnl, _, err := journal.Open(cfg.JournalPath, telemetry.NewRegistry())
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A JSON array decodes into none of the config structs.
+			if err := jnl.Append(journal.Record{
+				Op: tc.op, JobID: "undecodable", Config: json.RawMessage(`[1,2,3]`),
+			}); err != nil {
+				t.Fatal(err)
+			}
+			jnl.Close()
+
+			startServer(t, cfg).shutdown(t)
+			recs, err := journal.ReadAll(cfg.JournalPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var closed bool
+			for _, r := range recs {
+				if r.JobID == "undecodable" && r.Op == tc.terminal {
+					closed = true
+					if r.Kind != resilience.KindInvalidInput.String() {
+						t.Fatalf("%s record kind = %q, want %q", r.Op, r.Kind, resilience.KindInvalidInput)
+					}
+				}
+			}
+			if !closed {
+				t.Fatalf("no %s record closes the undecodable submission: %+v", tc.terminal, recs)
+			}
+
+			m := telemetry.NewRegistry()
+			cfg.Metrics = m
+			startServer(t, cfg).shutdown(t)
+			if n := m.Counter("journal.jobs_replayed").Value() + m.Counter("journal.campaigns_replayed").Value(); n != 0 {
+				t.Fatalf("second boot replayed %d records, want 0", n)
+			}
+		})
+	}
+}
+
+// TestJournalRecordsOnlyDurableJobs: campaign cells and surrogate builds
+// are queue jobs the journal never sees submitted, so no record may
+// name them — every record belongs to a campaign or to a job submitted
+// under submitted or sparams-submitted.
+func TestJournalRecordsOnlyDurableJobs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solver run")
+	}
+	dir := t.TempDir()
+	cfg := durableConfig(dir, telemetry.NewRegistry())
+	ts := startServer(t, cfg)
+
+	sweep := tinyConfig()
+	camp := roughsim.CampaignConfig{Acc: sweep.Acc, Cells: []roughsim.SurfaceSpec{sweep.Spec}, Freqs: []float64{5e9}}
+	code, body := ts.do(t, "POST", "/v1/campaigns", camp)
+	if code != http.StatusAccepted {
+		t.Fatalf("campaign submit: %d %s", code, body)
+	}
+	var agg campaign.Aggregate
+	if err := json.Unmarshal(body, &agg); err != nil {
+		t.Fatal(err)
+	}
+	if agg = waitCampaign(t, ts.base, agg.ID); agg.Status != campaign.StatusSucceeded {
+		t.Fatalf("campaign ended %s: %s", agg.Status, agg.Error)
+	}
+
+	code, body = ts.do(t, "POST", "/v1/surrogates", tinySurrogateConfig())
+	if code != http.StatusAccepted {
+		t.Fatalf("surrogate submit: %d %s", code, body)
+	}
+	var build struct {
+		Job jobs.Info `json:"job"`
+	}
+	if err := json.Unmarshal(body, &build); err != nil {
+		t.Fatal(err)
+	}
+	ts.waitResult(t, build.Job.ID)
+	ts.shutdown(t)
+
+	recs, err := journal.ReadAll(cfg.JournalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owners := map[string]bool{agg.ID: true}
+	for _, r := range recs {
+		if r.Op == journal.OpSubmitted || r.Op == journal.OpSparamsSubmitted {
+			owners[r.JobID] = true
+		}
+	}
+	for _, r := range recs {
+		if !owners[r.JobID] {
+			t.Errorf("%s record for job %s, which the journal never saw submitted", r.Op, r.JobID)
+		}
+	}
 }
 
 func waitFor(t *testing.T, d time.Duration, cond func() bool) {

@@ -48,7 +48,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -68,6 +67,7 @@ import (
 	"roughsim/internal/journal"
 	"roughsim/internal/rescache"
 	"roughsim/internal/resilience"
+	"roughsim/internal/sparams"
 	"roughsim/internal/surrogate"
 	"roughsim/internal/telemetry"
 	"roughsim/internal/trace"
@@ -253,14 +253,19 @@ type Server struct {
 	// camps is the campaign engine (batch parameter studies fanning out
 	// through the same queue under their own concurrency cap).
 	camps *campaign.Engine
-	// unjournaled marks campaign cell jobs: their durability is the
-	// campaign's journal record plus the result cache, so the per-job
-	// journal protocol skips them.
-	unjMu       sync.Mutex
-	unjournaled map[string]struct{}
 	// campCellSeq orders campaign cell completions server-wide (the
 	// campaign.cell chaos occurrence key).
 	campCellSeq atomic.Uint64
+
+	// live is the registry of durable jobs — sweeps and S-parameter
+	// generations submitted or replayed through the durable path — from
+	// submission to terminal, and the one place that decides whether a
+	// job's lifecycle is journaled (see durable.go). liveByKey indexes
+	// the same jobs by what they compute, so an identical S-parameter
+	// request joins the live job instead of queueing a duplicate.
+	liveMu    sync.Mutex
+	live      map[string]liveKey
+	liveByKey map[liveKey]string
 
 	// leases is the coordinator-side claim/renew/complete ledger of the
 	// distributed compute plane (nil unless Role is coordinator); ring
@@ -269,15 +274,10 @@ type Server struct {
 	ring   *cluster.Ring
 
 	// sparArts is the content-addressed store of validated S-parameter
-	// artifacts (POST /v1/sparams); sparInFlight/sparJobs track live
-	// generation jobs both ways (address → job for request coalescing,
-	// job → address for terminal cleanup); sparSeq orders artifact
-	// persists server-wide (the sparams.artifact chaos occurrence key).
-	sparArts     *rescache.Cache
-	sparMu       sync.Mutex
-	sparInFlight map[rescache.Key]string
-	sparJobs     map[string]rescache.Key
-	sparSeq      atomic.Uint64
+	// artifacts (POST /v1/sparams); sparSeq orders artifact persists
+	// server-wide (the sparams.artifact chaos occurrence key).
+	sparArts *rescache.Cache
+	sparSeq  atomic.Uint64
 }
 
 // sweepFlight is one in-flight sweep computation.
@@ -289,18 +289,31 @@ type sweepFlight struct {
 
 const simCacheCap = 32
 
-// pointCodec (de)serializes SweepPoints for the cache's disk tier.
-func pointCodec() rescache.Codec {
+// jsonCodec (de)serializes values of type T for a store's disk tier.
+// encoding/json prints float64s in their shortest round-trip form, so
+// persisted values reload bit-exactly.
+func jsonCodec[T any]() rescache.Codec {
 	return rescache.Codec{
 		Encode: func(v any) ([]byte, error) { return json.Marshal(v) },
 		Decode: func(b []byte) (any, error) {
-			var p roughsim.SweepPoint
-			if err := json.Unmarshal(b, &p); err != nil {
+			var v T
+			if err := json.Unmarshal(b, &v); err != nil {
 				return nil, err
 			}
-			return p, nil
+			return v, nil
 		},
 	}
+}
+
+// newStore builds one content-addressed store: a memory tier always,
+// plus a disk tier under CacheDir/sub when CacheDir is set.
+func newStore(cfg Config, sub string, codec rescache.Codec) (*rescache.Cache, error) {
+	opt := rescache.Options{Metrics: cfg.Metrics}
+	if cfg.CacheDir != "" {
+		opt.Dir = filepath.Join(cfg.CacheDir, sub)
+		opt.Codec = codec
+	}
+	return rescache.New(cfg.CacheSize, opt)
 }
 
 // New builds the server (starting its worker pool).
@@ -309,66 +322,45 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.Cluster.validate(); err != nil {
 		return nil, err
 	}
+	cache, err := newStore(cfg, "", jsonCodec[roughsim.SweepPoint]())
+	if err != nil {
+		return nil, err
+	}
+	// The checkpoint store always exists (in-process retries resume from
+	// it); its disk tier is what crash recovery needs.
+	ckpts, err := newStore(cfg, "checkpoints", jsonCodec[[]float64]())
+	if err != nil {
+		return nil, err
+	}
+	// On disk, admitted artifacts survive restarts and crash replays find
+	// pre-crash artifacts.
+	sparArts, err := newStore(cfg, "sparams", jsonCodec[*sparams.Artifact]())
+	if err != nil {
+		return nil, err
+	}
 	queue, err := jobs.NewQueue(cfg.Workers, cfg.QueueDepth, cfg.JobTimeout, cfg.Metrics)
 	if err != nil {
 		return nil, err
 	}
-	cacheOpt := rescache.Options{Metrics: cfg.Metrics}
-	if cfg.CacheDir != "" {
-		cacheOpt.Dir = cfg.CacheDir
-		cacheOpt.Codec = pointCodec()
-	}
-	cache, err := rescache.New(cfg.CacheSize, cacheOpt)
-	if err != nil {
-		queue.Drain(context.Background())
-		return nil, err
-	}
-	// The checkpoint cache always exists (in-process retries resume from
-	// it); the disk tier — what crash recovery needs — rides along with
-	// the result cache's CacheDir.
-	ckptOpt := rescache.Options{Metrics: cfg.Metrics}
-	if cfg.CacheDir != "" {
-		ckptOpt.Dir = filepath.Join(cfg.CacheDir, "checkpoints")
-		ckptOpt.Codec = colCodec()
-	}
-	ckpts, err := rescache.New(cfg.CacheSize, ckptOpt)
-	if err != nil {
-		queue.Drain(context.Background())
-		return nil, err
-	}
-	// The artifact store follows the same tiering as results: memory
-	// always, disk under CacheDir/sparams so admitted artifacts survive
-	// restarts (and crash replays find pre-crash artifacts).
-	sparOpt := rescache.Options{Metrics: cfg.Metrics}
-	if cfg.CacheDir != "" {
-		sparOpt.Dir = filepath.Join(cfg.CacheDir, "sparams")
-		sparOpt.Codec = artifactCodec()
-	}
-	sparArts, err := rescache.New(cfg.CacheSize, sparOpt)
-	if err != nil {
-		queue.Drain(context.Background())
-		return nil, err
-	}
 	s := &Server{
-		cfg:          cfg,
-		queue:        queue,
-		cache:        cache,
-		metrics:      cfg.Metrics,
-		tracer:       trace.NewRecorder(cfg.TraceCapacity),
-		log:          cfg.Log,
-		mux:          http.NewServeMux(),
-		tables:       roughsim.NewTableCache(cfg.TableCacheSize, cfg.Metrics),
-		surrogates:   surrogate.NewRegistry(cfg.SurrogateCap, cfg.SurrogateDir, cfg.Metrics),
-		sims:         map[rescache.Key]*roughsim.Simulation{},
-		flights:      map[rescache.Key]*sweepFlight{},
-		ckpts:        ckpts,
-		ckptCfgs:     map[string]roughsim.SweepConfig{},
-		brk:          newBreaker(cfg.Breaker, cfg.Metrics),
-		chaos:        cfg.Chaos,
-		unjournaled:  map[string]struct{}{},
-		sparArts:     sparArts,
-		sparInFlight: map[rescache.Key]string{},
-		sparJobs:     map[string]rescache.Key{},
+		cfg:        cfg,
+		queue:      queue,
+		cache:      cache,
+		metrics:    cfg.Metrics,
+		tracer:     trace.NewRecorder(cfg.TraceCapacity),
+		log:        cfg.Log,
+		mux:        http.NewServeMux(),
+		tables:     roughsim.NewTableCache(cfg.TableCacheSize, cfg.Metrics),
+		surrogates: surrogate.NewRegistry(cfg.SurrogateCap, cfg.SurrogateDir, cfg.Metrics),
+		sims:       map[rescache.Key]*roughsim.Simulation{},
+		flights:    map[rescache.Key]*sweepFlight{},
+		ckpts:      ckpts,
+		ckptCfgs:   map[string]roughsim.SweepConfig{},
+		brk:        newBreaker(cfg.Breaker, cfg.Metrics),
+		chaos:      cfg.Chaos,
+		live:       map[string]liveKey{},
+		liveByKey:  map[liveKey]string{},
+		sparArts:   sparArts,
 	}
 	queue.SetTracer(s.tracer)
 	// The observer (journal terminal records, breaker outcomes,
@@ -536,6 +528,14 @@ type statusPayload struct {
 	Trace *trace.StageSummary `json:"trace,omitempty"`
 }
 
+// acceptedPayload is the 202 body of a content-addressed submission (an
+// S-parameter artifact, a surrogate build): the address the result
+// lands under plus the job to poll.
+type acceptedPayload struct {
+	Key string        `json:"key"`
+	Job statusPayload `json:"job"`
+}
+
 func (s *Server) status(j *jobs.Job) statusPayload {
 	return statusPayload{Info: j.Snapshot(), Trace: j.Trace().Stages()}
 }
@@ -572,8 +572,7 @@ func (s *Server) simFor(cfg roughsim.SweepConfig) (*roughsim.Simulation, error) 
 // (and, through the server-wide table cache, across jobs).
 func (s *Server) runSweep(cfg roughsim.SweepConfig) jobs.Runner {
 	return func(ctx context.Context, progress func(done, total int)) (any, error) {
-		meta, hasMeta := jobs.MetaFrom(ctx)
-		s.journalStarted(meta, hasMeta)
+		s.journalStarted(ctx)
 		total := len(cfg.Freqs)
 		progress(0, total)
 		key := cfg.Key()
@@ -688,10 +687,7 @@ func (s *Server) validate(cfg roughsim.SweepConfig) error {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var cfg roughsim.SweepConfig
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
-		writeDecodeError(w, err)
+	if !decodeBody(w, r, &cfg) {
 		return
 	}
 	cfg = cfg.WithDefaults()
@@ -708,17 +704,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeRetryError(w, http.StatusTooManyRequests, retry, err)
 		return
 	}
-	job, err := s.submitSweep(cfg)
-	switch {
-	case errors.Is(err, jobs.ErrQueueFull):
-		// Overload, not outage: tell the client when to come back.
-		writeRetryError(w, http.StatusTooManyRequests, s.drainEstimate(s.queue.Depth()), err)
-		return
-	case errors.Is(err, jobs.ErrClosed):
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, err)
+	job, err := s.submitDurable(journal.OpSubmitted, cfg.Key(), cfg, s.runSweep(cfg))
+	if err != nil {
+		s.writeSubmitError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, s.status(job))
@@ -796,13 +784,27 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, v)
 }
 
-// handleStream serves Server-Sent Events: one "progress" event per
-// observed change plus a final "done" event with the terminal status.
+// handleStream serves a job's progress as Server-Sent Events: one
+// "progress" event per change of progress or status, then a final
+// "done" event with the terminal status.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.job(w, r)
 	if !ok {
 		return
 	}
+	s.stream(w, r, j.ID, j.Changed, func() (any, any, bool) {
+		info := j.Snapshot()
+		return info, [2]any{info.Done, info.Status}, info.Status.Terminal()
+	}, func() any { return s.status(j) })
+}
+
+// stream is the one SSE loop, shared by jobs and campaigns: snapshot
+// returns the progress payload, the comparable mark whose change is
+// worth an event, and whether the resource is terminal; changed returns
+// the broadcast channel closed at the resource's next change; final is
+// the "done" event payload.
+func (s *Server) stream(w http.ResponseWriter, r *http.Request, id string,
+	changed func() <-chan struct{}, snapshot func() (v, mark any, terminal bool), final func() any) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusNotImplemented, fmt.Errorf("streaming unsupported"))
@@ -832,25 +834,31 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		fl.Flush()
 		return nil
 	}
-	// Event-driven: the handler sleeps on the job's broadcast channel and
-	// wakes only on actual state changes — no polling tick. Subscribing
-	// before snapshotting makes missed updates impossible: any change
-	// after the snapshot closes the channel we are about to select on.
-	var last jobs.Info
+	// closed accounts a write that failed because the client went away.
+	closed := func(err error) {
+		s.metrics.Counter("stream.client_gone").Inc()
+		s.log.Warn("stream write failed", "job", id, "err", err)
+	}
+	// Event-driven: the handler sleeps on the broadcast channel and wakes
+	// only on actual state changes — no polling tick. Subscribing before
+	// snapshotting makes missed updates impossible: any change after the
+	// snapshot closes the channel we are about to select on. The first
+	// snapshot always differs from the nil mark, so it is always sent.
+	var last any
 	for {
-		ch := j.Changed()
-		info := j.Snapshot()
-		if info.Done != last.Done || info.Status != last.Status {
-			if err := emit("progress", info); err != nil {
-				s.streamClosed(info.ID, err)
+		ch := changed()
+		v, mark, terminal := snapshot()
+		if mark != last {
+			if err := emit("progress", v); err != nil {
+				closed(err)
 				return
 			}
-			last = info
+			last = mark
 			continue // drain further changes before sleeping
 		}
-		if info.Status.Terminal() {
-			if err := emit("done", statusPayload{Info: info, Trace: j.Trace().Stages()}); err != nil {
-				s.streamClosed(info.ID, err)
+		if terminal {
+			if err := emit("done", final()); err != nil {
+				closed(err)
 			}
 			return
 		}
@@ -860,13 +868,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-// streamClosed accounts an SSE write that failed because the client
-// went away (the terminal-event error the old loop silently dropped).
-func (s *Server) streamClosed(jobID string, err error) {
-	s.metrics.Counter("stream.client_gone").Inc()
-	s.log.Warn("stream write failed", "job", jobID, "err", err)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -37,39 +36,13 @@ import (
 // artifact landed is a pure store read — zero solver executions — on
 // this process or any restart sharing the disk tier.
 
-// sparamsAcceptedPayload is the POST /v1/sparams 202 body: the content
-// address the artifact will land under plus the job to poll.
-type sparamsAcceptedPayload struct {
-	Key string `json:"key"`
-	Job any    `json:"job"`
-}
-
-// artifactCodec (de)serializes sparams.Artifacts for the store's disk
-// tier. Config is a json.RawMessage, so the echoed request survives the
-// round trip verbatim.
-func artifactCodec() rescache.Codec {
-	return rescache.Codec{
-		Encode: func(v any) ([]byte, error) { return json.Marshal(v) },
-		Decode: func(b []byte) (any, error) {
-			var a sparams.Artifact
-			if err := json.Unmarshal(b, &a); err != nil {
-				return nil, err
-			}
-			return &a, nil
-		},
-	}
-}
-
 func (s *Server) sparamsRequestCounter(outcome string) *telemetry.Counter {
 	return s.metrics.CounterL("sparams.requests", telemetry.L("outcome", outcome))
 }
 
 func (s *Server) handleSParamsSubmit(w http.ResponseWriter, r *http.Request) {
 	var cfg roughsim.SParamConfig
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
-		writeDecodeError(w, err)
+	if !decodeBody(w, r, &cfg) {
 		return
 	}
 	cfg = cfg.WithDefaults()
@@ -98,29 +71,22 @@ func (s *Server) handleSParamsSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// An identical request already generating: share its job instead of
 	// queueing a duplicate.
-	if job, ok := s.sparFlight(key); ok {
+	if job, ok := s.liveJob(journal.OpSparamsSubmitted, key); ok {
 		s.sparamsRequestCounter("joined").Inc()
-		writeJSON(w, http.StatusAccepted, sparamsAcceptedPayload{Key: key.String(), Job: s.status(job)})
+		writeJSON(w, http.StatusAccepted, acceptedPayload{Key: key.String(), Job: s.status(job)})
 		return
 	}
 	if retry, err := s.admit(cfg.Points); err != nil {
 		writeRetryError(w, http.StatusTooManyRequests, retry, err)
 		return
 	}
-	job, err := s.submitSParams(cfg, key)
-	switch {
-	case errors.Is(err, jobs.ErrQueueFull):
-		writeRetryError(w, http.StatusTooManyRequests, s.drainEstimate(s.queue.Depth()), err)
-		return
-	case errors.Is(err, jobs.ErrClosed):
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, err)
+	job, err := s.submitDurable(journal.OpSparamsSubmitted, key, cfg, s.runSParams(cfg, key))
+	if err != nil {
+		s.writeSubmitError(w, err)
 		return
 	}
 	s.sparamsRequestCounter("accepted").Inc()
-	writeJSON(w, http.StatusAccepted, sparamsAcceptedPayload{Key: key.String(), Job: s.status(job)})
+	writeJSON(w, http.StatusAccepted, acceptedPayload{Key: key.String(), Job: s.status(job)})
 }
 
 // handleSParamsGet serves an artifact by its 64-hex content address
@@ -136,8 +102,8 @@ func (s *Server) handleSParamsGet(w http.ResponseWriter, r *http.Request) {
 	}
 	art, ok := s.artifact(key)
 	if !ok {
-		if job, live := s.sparFlight(key); live {
-			writeJSON(w, http.StatusAccepted, sparamsAcceptedPayload{Key: key.String(), Job: s.status(job)})
+		if job, live := s.liveJob(journal.OpSparamsSubmitted, key); live {
+			writeJSON(w, http.StatusAccepted, acceptedPayload{Key: key.String(), Job: s.status(job)})
 			return
 		}
 		writeError(w, http.StatusNotFound, fmt.Errorf("no S-parameter artifact %s (submit it via POST /v1/sparams)", key))
@@ -165,110 +131,13 @@ func wantsTouchstone(r *http.Request) bool {
 
 // artifact reads the store (memory tier, then disk).
 func (s *Server) artifact(key rescache.Key) (*sparams.Artifact, bool) {
-	if s.sparArts == nil {
-		return nil, false
-	}
 	v, ok := s.sparArts.Get(key)
 	if !ok {
 		return nil, false
 	}
+	// A disk entry reading JSON null decodes to a nil artifact.
 	art, ok := v.(*sparams.Artifact)
-	return art, ok
-}
-
-// sparFlight returns the live generation job for an address, if any.
-func (s *Server) sparFlight(key rescache.Key) (*jobs.Job, bool) {
-	s.sparMu.Lock()
-	id, ok := s.sparInFlight[key]
-	s.sparMu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	return s.queue.Get(id)
-}
-
-// registerSParams tracks a submitted generation job both ways: by
-// address (request coalescing) and by job ID (terminal cleanup).
-func (s *Server) registerSParams(key rescache.Key, jobID string) {
-	s.sparMu.Lock()
-	s.sparInFlight[key] = jobID
-	s.sparJobs[jobID] = key
-	s.sparMu.Unlock()
-}
-
-// clearSParams drops the in-flight tracking of a terminal job (no-op
-// for other jobs).
-func (s *Server) clearSParams(jobID string) {
-	s.sparMu.Lock()
-	if key, ok := s.sparJobs[jobID]; ok {
-		delete(s.sparJobs, jobID)
-		if s.sparInFlight[key] == jobID {
-			delete(s.sparInFlight, key)
-		}
-	}
-	s.sparMu.Unlock()
-}
-
-// submitSParams journals (OpSparamsSubmitted), then enqueues, one
-// generation job — the same durable-submit protocol as sweeps, under a
-// distinct op so a replay dispatches it back here.
-func (s *Server) submitSParams(cfg roughsim.SParamConfig, key rescache.Key) (*jobs.Job, error) {
-	id := jobs.NewID()
-	if s.journal != nil {
-		raw, err := json.Marshal(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("server: encode sparams config for journal: %w", err)
-		}
-		if err := s.journal.Append(journal.Record{
-			Op: journal.OpSparamsSubmitted, JobID: id, Key: key.String(), Config: raw,
-		}); err != nil {
-			return nil, fmt.Errorf("server: journal submit: %w", err)
-		}
-	}
-	s.registerSParams(key, id)
-	job, err := s.queue.SubmitOpts(s.runSParams(cfg, key), s.submitOptions(id, 0))
-	if err != nil {
-		s.clearSParams(id)
-		if s.journal != nil {
-			s.journal.Append(journal.Record{
-				Op: journal.OpCanceled, JobID: id,
-				Error: "submission rejected: " + err.Error(),
-			})
-		}
-		return nil, err
-	}
-	return job, nil
-}
-
-// replaySParams re-enqueues one journaled S-parameter job under its
-// original ID. The runner's store re-check makes replay idempotent: if
-// the artifact landed before the crash, the job completes without
-// computing anything.
-func (s *Server) replaySParams(p journal.Pending) {
-	var cfg roughsim.SParamConfig
-	if err := json.Unmarshal(p.Config, &cfg); err != nil {
-		s.log.Warn("journal replay: undecodable sparams config", "job", p.JobID, "err", err)
-		s.journal.Append(journal.Record{
-			Op: journal.OpFailed, JobID: p.JobID,
-			Error: "replay: undecodable config: " + err.Error(),
-		})
-		return
-	}
-	cfg = cfg.WithDefaults()
-	key := cfg.Key()
-	s.registerSParams(key, p.JobID)
-	if _, err := s.queue.SubmitOpts(s.runSParams(cfg, key), s.submitOptions(p.JobID, p.Attempts)); err != nil {
-		s.clearSParams(p.JobID)
-		s.log.Warn("journal replay: sparams resubmit failed", "job", p.JobID, "err", err)
-		s.journal.Append(journal.Record{
-			Op: journal.OpFailed, JobID: p.JobID,
-			Error: "replay rejected: " + err.Error(),
-		})
-		return
-	}
-	s.metrics.Counter("journal.jobs_replayed").Inc()
-	s.log.Info("journal replay: sparams job re-enqueued",
-		"job", p.JobID, "attempts_spent", p.Attempts)
+	return art, ok && art != nil
 }
 
 // runSParams is the generation job body: resolve → correct → cascade →
@@ -276,8 +145,7 @@ func (s *Server) replaySParams(p journal.Pending) {
 // generate/validate tail.
 func (s *Server) runSParams(cfg roughsim.SParamConfig, key rescache.Key) jobs.Runner {
 	return func(ctx context.Context, progress func(done, total int)) (any, error) {
-		meta, hasMeta := jobs.MetaFrom(ctx)
-		s.journalStarted(meta, hasMeta)
+		s.journalStarted(ctx)
 		grid := cfg.Grid()
 		total := len(grid) + 1
 		progress(0, total)

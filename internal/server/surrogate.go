@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"roughsim"
-	"roughsim/internal/jobs"
+	"roughsim/internal/journal"
 	"roughsim/internal/rescache"
 	"roughsim/internal/surrogate"
 	"roughsim/internal/telemetry"
@@ -28,13 +28,6 @@ import (
 //	GET    /v1/surrogates/{key}  one admission record
 //	DELETE /v1/surrogates/{key}  evict from memory and disk
 //	GET    /k?key=…&f=…          closed-form E[K], Var[K] (admitted), or fallback
-
-// surrogateBuildPayload is the POST /v1/surrogates response: the
-// content address to poll plus the admission job.
-type surrogateBuildPayload struct {
-	Key string `json:"key"`
-	Job any    `json:"job"`
-}
 
 // kPayload is the GET /k success body (the fast path and the
 // exact-cache fallback share it).
@@ -72,10 +65,7 @@ func (s *Server) surrogateSource(cfg roughsim.SurrogateConfig) (surrogate.Source
 // without queueing.
 func (s *Server) handleSurrogateSubmit(w http.ResponseWriter, r *http.Request) {
 	var cfg roughsim.SurrogateConfig
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
-		writeDecodeError(w, err)
+	if !decodeBody(w, r, &cfg) {
 		return
 	}
 	cfg = cfg.WithDefaults()
@@ -107,18 +97,11 @@ func (s *Server) handleSurrogateSubmit(w http.ResponseWriter, r *http.Request) {
 		progress(1, 1)
 		return rec, nil
 	})
-	switch {
-	case errors.Is(err, jobs.ErrQueueFull):
-		writeRetryError(w, http.StatusTooManyRequests, s.drainEstimate(s.queue.Depth()), err)
-		return
-	case errors.Is(err, jobs.ErrClosed):
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, err)
+	if err != nil {
+		s.writeSubmitError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, surrogateBuildPayload{Key: spec.Key.String(), Job: s.status(job)})
+	writeJSON(w, http.StatusAccepted, acceptedPayload{Key: spec.Key.String(), Job: s.status(job)})
 }
 
 // handleSurrogateList serves every admission record the registry holds.
@@ -237,16 +220,9 @@ func (s *Server) fallbackK(w http.ResponseWriter, rec *surrogate.Record, f float
 		writeRetryError(w, http.StatusTooManyRequests, retry, err)
 		return
 	}
-	job, err := s.submitSweep(sweep)
-	switch {
-	case errors.Is(err, jobs.ErrQueueFull):
-		writeRetryError(w, http.StatusTooManyRequests, s.drainEstimate(s.queue.Depth()), err)
-		return
-	case errors.Is(err, jobs.ErrClosed):
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, err)
+	job, err := s.submitDurable(journal.OpSubmitted, sweep.Key(), sweep, s.runSweep(sweep))
+	if err != nil {
+		s.writeSubmitError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, kFallbackPayload{Key: rec.Key, Reason: reason, Job: s.status(job)})
