@@ -191,24 +191,6 @@ func TestGMRESZeroRHS(t *testing.T) {
 	}
 }
 
-func TestBiCGSTAB(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	n := 60
-	a := randomMatrix(rng, n)
-	for i := 0; i < n; i++ {
-		a.Add(i, i, complex(15, 5))
-	}
-	b := randomVec(rng, n)
-	mv := func(y, x []complex128) { copy(y, a.MulVec(x)) }
-	x, _, err := BiCGSTAB(n, mv, b, nil, IterOpts{Tol: 1e-10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := residual(a, x, b); r > 1e-8 {
-		t.Fatalf("BiCGSTAB residual %g", r)
-	}
-}
-
 func TestDotAxpyProperties(t *testing.T) {
 	// ⟨x, x⟩ = ‖x‖² and Axpy linearity, property-based.
 	f := func(seed int64) bool {

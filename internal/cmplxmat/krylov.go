@@ -11,16 +11,15 @@ import (
 // length n) without retaining the slices.
 type MatVec func(y, x []complex128)
 
-// IterOpts controls the Krylov solvers.
+// IterOpts controls the Krylov solver (GMRES).
 type IterOpts struct {
 	Tol     float64 // relative residual target (default 1e-10)
 	MaxIter int     // total matvec budget (default 10·n, at least 200)
 	Restart int     // GMRES restart length (default min(n, 60))
-	// Check, when non-nil, is consulted at every GMRES restart boundary
-	// (and every BiCGSTAB iteration); a non-nil return aborts the solve
-	// with that error and the best iterate so far. Callers use it to
-	// honor context cancellation inside long solves without threading a
-	// context through this package.
+	// Check, when non-nil, is consulted at every GMRES restart boundary;
+	// a non-nil return aborts the solve with that error and the best
+	// iterate so far. Callers use it to honor context cancellation inside
+	// long solves without threading a context through this package.
 	Check func() error
 }
 
@@ -197,78 +196,4 @@ func givens(a, b complex128) (c, s complex128) {
 	c = complex(na/r, 0)
 	s = alpha * cmplx.Conj(b) / complex(r, 0)
 	return c, s
-}
-
-// BiCGSTAB solves A·x = b with the stabilized bi-conjugate gradient
-// method. Cheaper per iteration than GMRES but less robust; the MoM
-// solver uses it as an optional alternative.
-func BiCGSTAB(n int, mv MatVec, b, x0 []complex128, opts IterOpts) ([]complex128, float64, error) {
-	opts = opts.withDefaults(n)
-	x := make([]complex128, n)
-	if x0 != nil {
-		copy(x, x0)
-	}
-	r := make([]complex128, n)
-	mv(r, x)
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
-	bnorm := Norm2(b)
-	if bnorm == 0 {
-		return x, 0, nil
-	}
-	rhat := append([]complex128(nil), r...)
-	var rho, alpha, omega complex128 = 1, 1, 1
-	vv := make([]complex128, n)
-	p := make([]complex128, n)
-	s := make([]complex128, n)
-	t := make([]complex128, n)
-	relres := Norm2(r) / bnorm
-	for it := 0; it < opts.MaxIter; it++ {
-		if opts.Check != nil {
-			if err := opts.Check(); err != nil {
-				return x, relres, err
-			}
-		}
-		if relres <= opts.Tol {
-			return x, relres, nil
-		}
-		rhoNew := Dot(rhat, r)
-		if rhoNew == 0 {
-			return x, relres, fmt.Errorf("%w: BiCGSTAB breakdown (rho=0)", ErrNoConvergence)
-		}
-		beta := (rhoNew / rho) * (alpha / omega)
-		rho = rhoNew
-		for i := range p {
-			p[i] = r[i] + beta*(p[i]-omega*vv[i])
-		}
-		mv(vv, p)
-		den := Dot(rhat, vv)
-		if den == 0 {
-			return x, relres, fmt.Errorf("%w: BiCGSTAB breakdown (rhat·v=0)", ErrNoConvergence)
-		}
-		alpha = rho / den
-		for i := range s {
-			s[i] = r[i] - alpha*vv[i]
-		}
-		if Norm2(s)/bnorm <= opts.Tol {
-			Axpy(alpha, p, x)
-			relres = Norm2(s) / bnorm
-			return x, relres, nil
-		}
-		mv(t, s)
-		tt := Dot(t, t)
-		if tt == 0 {
-			return x, relres, fmt.Errorf("%w: BiCGSTAB breakdown (t=0)", ErrNoConvergence)
-		}
-		omega = Dot(t, s) / tt
-		for i := range x {
-			x[i] += alpha*p[i] + omega*s[i]
-		}
-		for i := range r {
-			r[i] = s[i] - omega*t[i]
-		}
-		relres = Norm2(r) / bnorm
-	}
-	return x, relres, fmt.Errorf("%w: relres=%.3e", ErrNoConvergence, relres)
 }

@@ -1,9 +1,9 @@
 // Package cmplxmat implements the dense complex linear algebra the MoM
 // solver needs: matrices in row-major storage, LU factorization with
-// partial pivoting, triangular solves, and Krylov iterative solvers
-// (restarted GMRES and BiCGSTAB) that work against any matrix-vector
-// product, so the FFT-accelerated MoM operator can plug in without
-// materializing the matrix.
+// partial pivoting, triangular solves, and a restarted GMRES Krylov
+// solver that works against any matrix-vector product, so the
+// FFT-accelerated MoM operator can plug in without materializing the
+// matrix.
 package cmplxmat
 
 import (

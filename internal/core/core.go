@@ -10,9 +10,9 @@
 // verified against the numerical flat solve in the tests.
 //
 // Rough solves run through the resilient fallback chain of
-// mom.SolveResilient (GMRES → preconditioned GMRES → BiCGSTAB → dense
-// LU) with per-stage accounting aggregated on the Solver, and every
-// entry point takes a context for cancellation and timeouts.
+// mom.SolveResilient (fft-gmres when the surface is admitted → GMRES →
+// dense LU) with per-stage accounting aggregated on the Solver, and
+// every entry point takes a context for cancellation and timeouts.
 package core
 
 import (
@@ -99,8 +99,6 @@ type Solver struct {
 	// SolveTol is the accepted relative residual of the resilient solve
 	// chain (default 1e-8).
 	SolveTol float64
-	// Policy controls per-stage retries of the fallback chain.
-	Policy resilience.Policy
 	// Injector deterministically fails solver stages for testing; nil
 	// injects nothing.
 	Injector *resilience.Injector
@@ -223,7 +221,6 @@ func (s *Solver) solve(ctx context.Context, sys *mom.System) (*mom.Solution, err
 	start := time.Now()
 	sol, err := sys.SolveResilient(ctx, mom.SolveOptions{
 		Tol:      s.SolveTol,
-		Policy:   s.Policy,
 		Injector: s.Injector,
 		Key:      atomic.AddUint64(&s.key, 1) - 1,
 		Metrics:  s.Metrics,
@@ -450,8 +447,8 @@ func (s *Solver) LossFactor(surf *surface.Surface, f float64) (float64, error) {
 }
 
 // LossFactorCtx is LossFactor honoring cancellation and deadlines: the
-// context is checked before assembly and between the stages of the
-// fallback chain.
+// context is checked before assembly, between the stages of the
+// fallback chain and between the restarts of its GMRES stages.
 func (s *Solver) LossFactorCtx(ctx context.Context, surf *surface.Surface, f float64) (float64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err

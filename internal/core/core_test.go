@@ -117,9 +117,58 @@ func TestSolveStatsAccounting(t *testing.T) {
 	if st.StageFailures[mom.StageGMRES] != st.Solves {
 		t.Fatalf("GMRES failures = %d, want %d", st.StageFailures[mom.StageGMRES], st.Solves)
 	}
-	if st.StageWins[mom.StageGMRESPrecond] != st.Solves {
-		t.Fatalf("preconditioned-GMRES wins = %d, want %d (wins: %v)",
-			st.StageWins[mom.StageGMRESPrecond], st.Solves, st.StageWins)
+	if st.StageWins[mom.StageDenseLU] != st.Solves {
+		t.Fatalf("dense LU wins = %d, want %d (wins: %v)",
+			st.StageWins[mom.StageDenseLU], st.Solves, st.StageWins)
+	}
+}
+
+// TestProductionSolvesNeverFallBack pins the evidence behind the
+// three-stage solve chain: across a small CF × σ × η × grid matrix on
+// the production (tabulated, lazily assembled) path, every solve is won
+// by a first-line stage — dense GMRES at grid 8, fft-gmres at grid 20
+// with small σ — and none falls through to dense LU.
+func TestProductionSolvesNeverFallBack(t *testing.T) {
+	f := 5 * units.GHz
+	cases := []struct {
+		name     string
+		corr     surface.Corr
+		eta      float64
+		M        int
+		fftFirst bool // the rough surface passes the FFT admissibility gates
+	}{
+		{"gauss-s0.2-e0.5-g8", surface.NewGaussianCorr(0.2*um, 0.5*um), 0.5 * um, 8, false},
+		{"gauss-s1.5-e2-g8", surface.NewGaussianCorr(1.5*um, 2*um), 2 * um, 8, false},
+		{"exp-s0.5-e1-g8", surface.NewExpCorr(0.5*um, 1*um), 1 * um, 8, false},
+		{"measured-s1-e1-g8", surface.NewMeasuredCorr(1*um, 1*um, 0.53*um), 1 * um, 8, false},
+		{"gauss-s0.015-e1-g20", surface.NewGaussianCorr(0.015*um, 1*um), 1 * um, 20, true},
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			L := 5 * tc.eta
+			s, err := NewSolverTabulated(PaperMaterial(), L, tc.M, 14*tc.corr.Sigma(), mom.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			surf := surface.NewKL(tc.corr, L, tc.M).SampleTruncated(rng.New(uint64(31+i)), 4)
+			if _, err := s.LossFactorCtx(context.Background(), surf, f); err != nil {
+				t.Fatal(err)
+			}
+			st := s.Stats()
+			if st.Fallbacks != 0 {
+				t.Fatalf("%d of %d solves fell back (wins %v, failures %v)",
+					st.Fallbacks, st.Solves, st.StageWins, st.StageFailures)
+			}
+			for stage := range st.StageWins {
+				if stage != mom.StageFFT && stage != mom.StageGMRES {
+					t.Fatalf("stage %q won a production solve (wins %v)", stage, st.StageWins)
+				}
+			}
+			if tc.fftFirst && st.StageWins[mom.StageFFT] != st.Solves {
+				t.Fatalf("fft-gmres won %d of %d solves on an admitted surface (wins %v, skips %v)",
+					st.StageWins[mom.StageFFT], st.Solves, st.StageWins, st.StageSkips)
+			}
+		})
 	}
 }
 

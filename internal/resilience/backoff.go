@@ -6,8 +6,8 @@ import (
 )
 
 // Backoff is a deterministic exponential-backoff-with-jitter schedule
-// for retrying transient failures (queue re-enqueues, fallback-chain
-// retries). The zero value disables waiting entirely, so existing call
+// for retrying transient failures (queue re-enqueues, cluster client
+// requests). The zero value disables waiting entirely, so existing call
 // sites keep their immediate-retry behavior.
 type Backoff struct {
 	// Base is the delay after the first failed attempt; 0 disables
@@ -58,7 +58,3 @@ func (b Backoff) Delay(attempt int, key uint64) time.Duration {
 func Retryable(k Kind) bool {
 	return k == KindConvergence || k == KindNumerical
 }
-
-// Permanent is the complement of Retryable: the failure
-// classifications for which retry budget must not be spent.
-func Permanent(k Kind) bool { return !Retryable(k) }

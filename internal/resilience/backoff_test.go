@@ -1,8 +1,6 @@
 package resilience
 
 import (
-	"context"
-	"errors"
 	"testing"
 	"time"
 )
@@ -56,70 +54,13 @@ func pow2(n int) float64 {
 }
 
 func TestPermanentComplementOfRetryable(t *testing.T) {
-	for _, k := range []Kind{KindUnknown, KindConvergence, KindSingular,
-		KindInvalidInput, KindNumerical, KindPanic, KindCanceled} {
-		if Retryable(k) == Permanent(k) {
-			t.Fatalf("kind %v both retryable and permanent", k)
-		}
-	}
 	if !Retryable(KindConvergence) || !Retryable(KindNumerical) {
 		t.Fatal("convergence and numerical failures must be retryable")
 	}
-	if !Permanent(KindInvalidInput) || !Permanent(KindSingular) || !Permanent(KindCanceled) {
-		t.Fatal("invalid input, singular and canceled must be permanent")
-	}
-}
-
-// Execute must honor the policy backoff between same-stage retries and
-// remain promptly cancelable while sleeping.
-func TestPolicyBackoffBetweenRetries(t *testing.T) {
-	calls := 0
-	p := Policy{Retries: 2, Backoff: Backoff{Base: 20 * time.Millisecond}}
-	start := time.Now()
-	_, err := p.Execute(context.Background(), "op", nil, 0, []Stage{{
-		Name: "s",
-		Run: func(context.Context) error {
-			calls++
-			if calls < 3 {
-				return New(KindConvergence, "op.s", errors.New("transient"))
-			}
-			return nil
-		},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 3 {
-		t.Fatalf("calls = %d, want 3", calls)
-	}
-	// Two retries: 20ms + 40ms of scheduled backoff.
-	if elapsed := time.Since(start); elapsed < 55*time.Millisecond {
-		t.Fatalf("retries completed in %v; backoff not applied", elapsed)
-	}
-}
-
-func TestPolicyBackoffCancelableMidSleep(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	p := Policy{Retries: 1, Backoff: Backoff{Base: time.Hour}}
-	done := make(chan error, 1)
-	go func() {
-		_, err := p.Execute(ctx, "op", nil, 0, []Stage{{
-			Name: "s",
-			Run: func(context.Context) error {
-				return New(KindConvergence, "op.s", errors.New("transient"))
-			},
-		}})
-		done <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
+	for _, k := range []Kind{KindUnknown, KindSingular, KindInvalidInput, KindPanic, KindCanceled} {
+		if Retryable(k) {
+			t.Fatalf("kind %v must be permanent", k)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Execute did not abort the backoff sleep on cancel")
 	}
 }
 

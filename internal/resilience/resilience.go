@@ -2,9 +2,10 @@
 // solver and the stochastic drivers: a typed classification of the
 // failure modes a long stochastic sweep meets in practice (iterative-
 // solver non-convergence, singular assemblies, invalid input, NaN/Inf
-// contamination, worker panics, cancellation), a configurable
-// retry-with-fallback policy for running a chain of solver stages, and
-// a deterministic fault-injection hook so every recovery path can be
+// contamination, worker panics, cancellation), a runner that executes a
+// fallback chain of solver stages once each, in order, the retry
+// vocabulary (Retryable, Backoff) the job queue uses, and a
+// deterministic fault-injection hook so every recovery path can be
 // exercised in tests without depending on numerically fragile inputs.
 //
 // Production surface-integral codes treat iterative breakdown as an
@@ -16,7 +17,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"roughsim/internal/cmplxmat"
 )
@@ -159,8 +159,7 @@ type Attempt struct {
 	// Skipped marks a stage that was never executed because a
 	// deterministic admissibility check rejected it up front (e.g. the
 	// FFT-operator stage on an over-bound surface). Skipped attempts are
-	// recorded for observability but are not execution failures: retry
-	// budget is never spent on them.
+	// recorded for observability but are not execution failures.
 	Skipped bool
 }
 
@@ -184,73 +183,35 @@ func (r *Report) Failed() int {
 	return n
 }
 
-// Policy configures how a fallback chain is executed.
-type Policy struct {
-	// Retries is the number of extra attempts per stage before falling
-	// through to the next one. Default 0: each stage runs once.
-	Retries int
-	// RetryOn reports whether a failure kind is worth retrying; nil
-	// retries convergence and numerical failures only (see Retryable —
-	// retrying an invalid input or a singular matrix cannot help).
-	RetryOn func(Kind) bool
-	// Backoff is the wait schedule between retries of one stage (not
-	// between stages: falling through to the next solver immediately is
-	// the point of a fallback chain). The zero value keeps retries
-	// immediate.
-	Backoff Backoff
-}
-
-func (p Policy) retryable(k Kind) bool {
-	if p.RetryOn != nil {
-		return p.RetryOn(k)
-	}
-	return Retryable(k)
-}
-
-// Execute runs the stages in order until one succeeds, consulting the
-// injector (which may be nil) before each attempt. The returned Report
+// Execute runs the stages in order until one succeeds, each at most
+// once: every stage is deterministic and so is the injector, so running
+// a failed stage again could only repeat its failure. The injector
+// (which may be nil) is consulted before each stage. The returned Report
 // records every attempt; on total failure the returned error carries the
 // classification of the last attempt and wraps its cause. Cancellation
-// is checked between attempts and returned as ctx.Err().
-func (p Policy) Execute(ctx context.Context, op string, inj *Injector, key uint64, stages []Stage) (Report, error) {
+// is checked between stages and returned as ctx.Err().
+func Execute(ctx context.Context, op string, inj *Injector, key uint64, stages []Stage) (Report, error) {
 	var rep Report
 	var lastErr error
 	for _, st := range stages {
-		for attempt := 0; attempt <= p.Retries; attempt++ {
-			if err := ctx.Err(); err != nil {
-				return rep, err
-			}
-			var err error
-			injected := false
-			if f := inj.Fault(st.Name, key); f != nil {
-				err = New(f.Kind, op+"."+st.Name, f)
-				injected = true
-			} else {
-				err = st.Run(ctx)
-			}
-			if err == nil {
-				rep.Attempts = append(rep.Attempts, Attempt{Stage: st.Name})
-				rep.Winner = st.Name
-				return rep, nil
-			}
-			kind := Classify(err)
-			rep.Attempts = append(rep.Attempts, Attempt{Stage: st.Name, Kind: kind, Err: err, Injected: injected})
-			lastErr = err
-			if !p.retryable(kind) {
-				break
-			}
-			if attempt < p.Retries {
-				if d := p.Backoff.Delay(attempt+1, key); d > 0 {
-					t := time.NewTimer(d)
-					select {
-					case <-ctx.Done():
-						t.Stop()
-						return rep, ctx.Err()
-					case <-t.C:
-					}
-				}
-			}
+		if err := ctx.Err(); err != nil {
+			return rep, err
 		}
+		var err error
+		injected := false
+		if f := inj.Fault(st.Name, key); f != nil {
+			err = New(f.Kind, op+"."+st.Name, f)
+			injected = true
+		} else {
+			err = st.Run(ctx)
+		}
+		if err == nil {
+			rep.Attempts = append(rep.Attempts, Attempt{Stage: st.Name})
+			rep.Winner = st.Name
+			return rep, nil
+		}
+		rep.Attempts = append(rep.Attempts, Attempt{Stage: st.Name, Kind: Classify(err), Err: err, Injected: injected})
+		lastErr = err
 	}
 	return rep, New(Classify(lastErr), op,
 		fmt.Errorf("all %d fallback stages failed: %w", len(stages), lastErr))

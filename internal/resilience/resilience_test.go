@@ -129,8 +129,7 @@ func TestPolicyExecuteFallbackOrder(t *testing.T) {
 		{Name: "c", Run: func(ctx context.Context) error { ran = append(ran, "c"); return nil }},
 		{Name: "d", Run: func(ctx context.Context) error { t.Fatal("stage after winner must not run"); return nil }},
 	}
-	var p Policy
-	rep, err := p.Execute(context.Background(), "test", nil, 0, stages)
+	rep, err := Execute(context.Background(), "test", nil, 0, stages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +149,7 @@ func TestPolicyExecuteAllFail(t *testing.T) {
 		{Name: "a", Run: func(ctx context.Context) error { return cmplxmat.ErrNoConvergence }},
 		{Name: "b", Run: func(ctx context.Context) error { return cmplxmat.ErrSingular }},
 	}
-	var p Policy
-	rep, err := p.Execute(context.Background(), "test", nil, 0, stages)
+	rep, err := Execute(context.Background(), "test", nil, 0, stages)
 	if err == nil || rep.Winner != "" {
 		t.Fatal("expected failure when every stage fails")
 	}
@@ -173,8 +171,7 @@ func TestPolicyExecuteInjection(t *testing.T) {
 		{Name: "a", Run: func(ctx context.Context) error { calls++; return nil }},
 		{Name: "b", Run: func(ctx context.Context) error { return nil }},
 	}
-	var p Policy
-	rep, err := p.Execute(context.Background(), "test", inj, 42, stages)
+	rep, err := Execute(context.Background(), "test", inj, 42, stages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,52 +183,13 @@ func TestPolicyExecuteInjection(t *testing.T) {
 	}
 }
 
-func TestPolicyExecuteRetries(t *testing.T) {
-	fails := 2
-	stages := []Stage{
-		{Name: "a", Run: func(ctx context.Context) error {
-			if fails > 0 {
-				fails--
-				return cmplxmat.ErrNoConvergence
-			}
-			return nil
-		}},
-	}
-	p := Policy{Retries: 2}
-	rep, err := p.Execute(context.Background(), "test", nil, 0, stages)
-	if err != nil {
-		t.Fatalf("retries should have recovered the flaky stage: %v", err)
-	}
-	if rep.Winner != "a" || len(rep.Attempts) != 3 {
-		t.Fatalf("report: %+v", rep)
-	}
-}
-
-func TestPolicyExecuteNoRetryOnInvalidInput(t *testing.T) {
-	calls := 0
-	stages := []Stage{
-		{Name: "a", Run: func(ctx context.Context) error {
-			calls++
-			return Errorf(KindInvalidInput, "a", "bad geometry")
-		}},
-	}
-	p := Policy{Retries: 5}
-	if _, err := p.Execute(context.Background(), "test", nil, 0, stages); err == nil {
-		t.Fatal("expected failure")
-	}
-	if calls != 1 {
-		t.Fatalf("invalid-input must not be retried, ran %d times", calls)
-	}
-}
-
 func TestPolicyExecuteCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	stages := []Stage{
 		{Name: "a", Run: func(ctx context.Context) error { t.Fatal("must not run"); return nil }},
 	}
-	var p Policy
-	_, err := p.Execute(ctx, "test", nil, 0, stages)
+	_, err := Execute(ctx, "test", nil, 0, stages)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("expected context.Canceled, got %v", err)
 	}
