@@ -2,9 +2,9 @@ package cluster
 
 import (
 	"context"
-	"sync"
 
 	"roughsim"
+	"roughsim/internal/memo"
 	"roughsim/internal/telemetry"
 )
 
@@ -17,9 +17,7 @@ import (
 type Columns struct {
 	metrics *telemetry.Registry
 	tables  *roughsim.TableCache
-
-	mu   sync.Mutex
-	sims map[string]*roughsim.Simulation
+	sims    *memo.LRU[string, *roughsim.Simulation]
 }
 
 const simCacheCap = 32
@@ -33,7 +31,7 @@ func NewColumns(m *telemetry.Registry) *Columns {
 	return &Columns{
 		metrics: m,
 		tables:  roughsim.NewTableCache(0, m),
-		sims:    map[string]*roughsim.Simulation{},
+		sims:    memo.NewLRU[string, *roughsim.Simulation](simCacheCap, memo.Hooks{}),
 	}
 }
 
@@ -50,21 +48,14 @@ func (c *Columns) Solve(ctx context.Context, t Task) ([]float64, error) {
 	return sim.SweepColumn(ctx, cfg.Freqs, t.Node, t.Ps)
 }
 
+// simFor waits out a build in progress for the same config.
 func (c *Columns) simFor(cfg roughsim.SweepConfig) (*roughsim.Simulation, error) {
-	key := cfg.KeyAt(1).String()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if sim, ok := c.sims[key]; ok {
-		return sim, nil
-	}
-	sim, err := roughsim.NewSimulation(cfg.Stack, cfg.Spec, cfg.Acc)
-	if err != nil {
-		return nil, err
-	}
-	sim.WithMetrics(c.metrics).WithTableCache(c.tables)
-	if len(c.sims) >= simCacheCap {
-		c.sims = map[string]*roughsim.Simulation{}
-	}
-	c.sims[key] = sim
-	return sim, nil
+	sim, _, err := c.sims.Do(context.Background(), cfg.KeyAt(1).String(), func() (*roughsim.Simulation, error) {
+		sim, err := roughsim.NewSimulation(cfg.Stack, cfg.Spec, cfg.Acc)
+		if err != nil {
+			return nil, err
+		}
+		return sim.WithMetrics(c.metrics).WithTableCache(c.tables), nil
+	})
+	return sim, err
 }

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"roughsim/internal/cmplxmat"
+	"roughsim/internal/memo"
 	"roughsim/internal/mom"
 	"roughsim/internal/resilience"
 	"roughsim/internal/surface"
@@ -116,24 +117,14 @@ type Solver struct {
 	// jobs at overlapping frequencies build each table exactly once.
 	tables *mom.TableCache
 
-	mu        sync.Mutex
-	flatPabs  map[flatKey]float64
-	flatCalls map[flatKey]*flatCall
-	stats     SolveStats
-}
+	// flat and flat2D cache the flat-reference Pabs of every frequency
+	// seen, for surfaces and profiles. Concurrent callers at one
+	// frequency share a single solve: the 2d+1 collocation nodes at a new
+	// frequency would otherwise each solve the same flat system.
+	flat, flat2D *memo.LRU[float64, float64]
 
-type flatKey struct {
-	f  float64
-	tw bool // 2D (profile) reference
-}
-
-// flatCall is one in-flight flat-reference solve; waiters share it
-// instead of duplicating the solve (N concurrent collocation nodes at a
-// new frequency would otherwise each solve the same flat system).
-type flatCall struct {
-	done chan struct{}
-	v    float64
-	err  error
+	mu    sync.Mutex
+	stats SolveStats
 }
 
 // NewSolver builds a Solver for an L-periodic patch with an M×M grid.
@@ -142,9 +133,14 @@ func NewSolver(mat Material, L float64, M int, opt mom.Options) (*Solver, error)
 		return nil, resilience.Errorf(resilience.KindInvalidInput, "core.NewSolver",
 			"needs L > 0, M ≥ 2 (got L=%g, M=%d)", L, M)
 	}
-	return &Solver{Mat: mat, L: L, M: M, Opt: opt,
-		flatPabs: map[flatKey]float64{}, flatCalls: map[flatKey]*flatCall{},
-		tables: mom.NewTableCache(0, nil)}, nil
+	s := &Solver{Mat: mat, L: L, M: M, Opt: opt, tables: mom.NewTableCache(0, nil),
+		flat2D: memo.NewLRU[float64, float64](math.MaxInt, memo.Hooks{})}
+	s.flat = memo.NewLRU[float64, float64](math.MaxInt, memo.Hooks{
+		Hit:      func() { s.Metrics.Counter("core.flat_hits").Inc() },
+		Shared:   func() { s.Metrics.Counter("core.flat_shared").Inc() },
+		Computed: func() { s.Metrics.Counter("core.flat_solves").Inc() },
+	})
+	return s, nil
 }
 
 // NewSolverTabulated builds a Solver that assembles through per-frequency
@@ -359,42 +355,12 @@ func (s *Solver) FlatPabs(f float64) (float64, error) {
 }
 
 // FlatPabsCtx is FlatPabs honoring cancellation. Concurrent callers at
-// the same frequency share a single solve (errors are not cached: every
-// waiter of a failed solve receives the error and the next call
-// retries). A waiter whose own ctx expires stops waiting with its ctx
-// error while the computation continues for the others.
+// the same frequency share a single solve with the memo semantics:
+// errors are not cached, and a waiter whose own ctx expires stops
+// waiting while the solve continues for the others.
 func (s *Solver) FlatPabsCtx(ctx context.Context, f float64) (float64, error) {
-	key := flatKey{f, false}
-	s.mu.Lock()
-	if v, ok := s.flatPabs[key]; ok {
-		s.mu.Unlock()
-		s.Metrics.Counter("core.flat_hits").Inc()
-		return v, nil
-	}
-	if cl, ok := s.flatCalls[key]; ok {
-		s.mu.Unlock()
-		s.Metrics.Counter("core.flat_shared").Inc()
-		select {
-		case <-cl.done:
-			return cl.v, cl.err
-		case <-ctx.Done():
-			return 0, ctx.Err()
-		}
-	}
-	cl := &flatCall{done: make(chan struct{})}
-	s.flatCalls[key] = cl
-	s.mu.Unlock()
-	s.Metrics.Counter("core.flat_solves").Inc()
-
-	cl.v, cl.err = s.flatSolve(ctx, f)
-	s.mu.Lock()
-	delete(s.flatCalls, key)
-	if cl.err == nil {
-		s.flatPabs[key] = cl.v
-	}
-	s.mu.Unlock()
-	close(cl.done)
-	return cl.v, cl.err
+	v, _, err := s.flat.Do(ctx, f, func() (float64, error) { return s.flatSolve(ctx, f) })
+	return v, err
 }
 
 // flatSolve runs the flat-reference assembly and solve at f.
@@ -495,20 +461,14 @@ func (s *Solver) SweepLossFactor(ctx context.Context, surf *surface.Surface, fre
 
 // FlatPabs2D is the profile (2D SWM) flat reference.
 func (s *Solver) FlatPabs2D(f float64) (float64, error) {
-	s.mu.Lock()
-	if v, ok := s.flatPabs[flatKey{f, true}]; ok {
-		s.mu.Unlock()
-		return v, nil
-	}
-	s.mu.Unlock()
-	sol, err := mom.Assemble2D(surface.NewFlatProfile(s.L, s.M), s.Mat.Params(f), s.Opt).Solve()
-	if err != nil {
-		return 0, fmt.Errorf("core: 2D flat reference at f=%g: %w", f, err)
-	}
-	s.mu.Lock()
-	s.flatPabs[flatKey{f, true}] = sol.Pabs
-	s.mu.Unlock()
-	return sol.Pabs, nil
+	v, _, err := s.flat2D.Do(context.Background(), f, func() (float64, error) {
+		sol, err := mom.Assemble2D(surface.NewFlatProfile(s.L, s.M), s.Mat.Params(f), s.Opt).Solve()
+		if err != nil {
+			return 0, fmt.Errorf("core: 2D flat reference at f=%g: %w", f, err)
+		}
+		return sol.Pabs, nil
+	})
+	return v, err
 }
 
 // LossFactor2D returns K for a 1-D profile (surface uniform along y)

@@ -1,12 +1,11 @@
 package mom
 
 import (
-	"container/list"
 	"context"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"roughsim/internal/memo"
 	"roughsim/internal/telemetry"
 	"roughsim/internal/trace"
 )
@@ -24,36 +23,21 @@ type TableKey struct {
 	Sub   int
 }
 
-// TableCache is a bounded, concurrency-safe cache of Green's-function
+// TableCache is a bounded, concurrency-safe LRU of Green's-function
 // table sets, shared across sweep frequencies, solvers and (in
 // roughsimd) jobs. Concurrent requests for the same key are
-// single-flighted: one caller builds (outside the cache lock, so builds
-// for distinct frequencies proceed in parallel), the rest wait and
-// share the result. Eviction is LRU by table count.
+// single-flighted (see internal/memo): one caller builds, outside the
+// cache lock so builds for distinct frequencies proceed in parallel, and
+// the rest wait out the build and share the result.
 //
 // Telemetry (tables.hits / tables.misses / tables.shared /
 // tables.built / tables.evictions counters, tables.build_seconds
 // histogram, tables.entries gauge) goes to the registry set via
 // SetMetrics; a nil registry disables instrumentation.
 type TableCache struct {
-	capacity int
-	metrics  atomic.Pointer[telemetry.Registry]
-	builds   atomic.Int64
-
-	mu    sync.Mutex
-	ll    *list.List // front = most recently used
-	items map[TableKey]*list.Element
-	calls map[TableKey]*tableCall
-}
-
-type tableEntry struct {
-	key TableKey
-	ts  *TableSet
-}
-
-type tableCall struct {
-	done chan struct{}
-	ts   *TableSet
+	metrics atomic.Pointer[telemetry.Registry]
+	builds  atomic.Int64
+	sets    *memo.LRU[TableKey, *TableSet]
 }
 
 // DefaultTableCacheCap bounds a cache built with capacity ≤ 0. Table
@@ -67,12 +51,18 @@ func NewTableCache(capacity int, m *telemetry.Registry) *TableCache {
 	if capacity <= 0 {
 		capacity = DefaultTableCacheCap
 	}
-	c := &TableCache{
-		capacity: capacity,
-		ll:       list.New(),
-		items:    map[TableKey]*list.Element{},
-		calls:    map[TableKey]*tableCall{},
-	}
+	c := &TableCache{}
+	c.sets = memo.NewLRU[TableKey, *TableSet](capacity, memo.Hooks{
+		Hit:      func() { c.reg().Counter("tables.hits").Inc() },
+		Shared:   func() { c.reg().Counter("tables.shared").Inc() },
+		Computed: func() { c.reg().Counter("tables.misses").Inc() },
+		Resized: func(evicted, size int) {
+			if evicted > 0 {
+				c.reg().Counter("tables.evictions").Add(int64(evicted))
+			}
+			c.reg().Gauge("tables.entries").Set(float64(size))
+		},
+	})
 	c.SetMetrics(m)
 	return c
 }
@@ -88,11 +78,7 @@ func (c *TableCache) SetMetrics(r *telemetry.Registry) {
 func (c *TableCache) reg() *telemetry.Registry { return c.metrics.Load() }
 
 // Len returns the number of cached table sets.
-func (c *TableCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
+func (c *TableCache) Len() int { return c.sets.Len() }
 
 // Builds returns how many table sets this cache has constructed — the
 // quantity the dedup tests assert on (one build per distinct key, no
@@ -113,58 +99,21 @@ func (c *TableCache) Get(p Params, L float64, M int, zspan float64, opt Options)
 func (c *TableCache) GetCtx(ctx context.Context, p Params, L float64, M int, zspan float64, opt Options) *TableSet {
 	opt = opt.withDefaults()
 	key := TableKey{P: p, L: L, M: M, ZSpan: zspan, Near: opt.NearRadius, Sub: opt.NearSubdiv}
-
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		ts := el.Value.(*tableEntry).ts
-		c.mu.Unlock()
-		c.reg().Counter("tables.hits").Inc()
-		return ts
+	// The wait is not bounded by ctx: waiters wait out the build.
+	ts, _, err := c.sets.Do(context.Background(), key, func() (*TableSet, error) {
+		_, sp := trace.StartSpan(ctx, "tables.build")
+		sp.SetAttr("grid", M)
+		start := time.Now()
+		ts := NewTableSet(p, L, M, zspan, opt)
+		sp.End()
+		c.builds.Add(1)
+		c.reg().Counter("tables.built").Inc()
+		c.reg().Histogram("tables.build_seconds").Observe(time.Since(start).Seconds())
+		return ts, nil
+	})
+	if err != nil {
+		// Only a build that panicked fails; its waiters re-raise the panic.
+		panic(err)
 	}
-	if cl, ok := c.calls[key]; ok {
-		c.mu.Unlock()
-		c.reg().Counter("tables.shared").Inc()
-		<-cl.done
-		return cl.ts
-	}
-	cl := &tableCall{done: make(chan struct{})}
-	c.calls[key] = cl
-	c.mu.Unlock()
-	c.reg().Counter("tables.misses").Inc()
-
-	_, sp := trace.StartSpan(ctx, "tables.build")
-	sp.SetAttr("grid", M)
-	start := time.Now()
-	ts := NewTableSet(p, L, M, zspan, opt)
-	sp.End()
-	c.builds.Add(1)
-	c.reg().Counter("tables.built").Inc()
-	c.reg().Histogram("tables.build_seconds").Observe(time.Since(start).Seconds())
-
-	c.mu.Lock()
-	delete(c.calls, key)
-	c.insertLocked(key, ts)
-	c.mu.Unlock()
-	cl.ts = ts
-	close(cl.done)
 	return ts
-}
-
-// insertLocked adds the table to the LRU, evicting past capacity.
-// Caller holds c.mu.
-func (c *TableCache) insertLocked(key TableKey, ts *TableSet) {
-	if el, ok := c.items[key]; ok {
-		el.Value.(*tableEntry).ts = ts
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.ll.PushFront(&tableEntry{key: key, ts: ts})
-	for c.ll.Len() > c.capacity {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.items, back.Value.(*tableEntry).key)
-		c.reg().Counter("tables.evictions").Inc()
-	}
-	c.reg().Gauge("tables.entries").Set(float64(c.ll.Len()))
 }

@@ -9,20 +9,20 @@
 //   - an optional on-disk tier (one JSON-codec file per key, written
 //     atomically via rename), surviving process restarts.
 //
-// Concurrent requests for the same key are single-flighted: one caller
-// computes, the rest wait and share the result, so a burst of identical
-// sweep jobs costs one solver execution. Hit/miss/eviction and
-// single-flight sharing counts are published through telemetry.
+// Concurrent requests for the same key are single-flighted (see
+// internal/memo): one caller computes, the rest wait and share the
+// result, so a burst of identical sweep jobs costs one solver execution.
+// Hit/miss/eviction and single-flight sharing counts are published
+// through telemetry.
 package rescache
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 
+	"roughsim/internal/memo"
 	"roughsim/internal/telemetry"
 )
 
@@ -46,29 +46,10 @@ type Options struct {
 // Cache is a two-tier single-flight result cache, safe for concurrent
 // use.
 type Cache struct {
-	capacity int
-	opt      Options
+	opt Options
+	mem *memo.LRU[Key, any]
 
-	mu    sync.Mutex
-	ll    *list.List // front = most recently used
-	items map[Key]*list.Element
-	calls map[Key]*call
-
-	hits, misses, diskHits, evictions, shared, diskErrors *telemetry.Counter
-	quarantined                                           *telemetry.Counter
-	entries                                               *telemetry.Gauge
-}
-
-type entry struct {
-	key Key
-	val any
-}
-
-// call is one in-flight computation; waiters block on done.
-type call struct {
-	done chan struct{}
-	val  any
-	err  error
+	misses, diskHits, diskErrors, quarantined *telemetry.Counter
 }
 
 // New builds a cache holding up to capacity entries in memory.
@@ -80,55 +61,40 @@ func New(capacity int, opt Options) (*Cache, error) {
 		return nil, fmt.Errorf("rescache: disk tier %q needs a codec", opt.Dir)
 	}
 	m := opt.Metrics
-	return &Cache{
-		capacity:    capacity,
+	c := &Cache{
 		opt:         opt,
-		ll:          list.New(),
-		items:       map[Key]*list.Element{},
-		calls:       map[Key]*call{},
-		hits:        m.Counter("cache.hits"),
 		misses:      m.Counter("cache.misses"),
 		diskHits:    m.Counter("cache.disk_hits"),
-		evictions:   m.Counter("cache.evictions"),
-		shared:      m.Counter("cache.singleflight_shared"),
 		diskErrors:  m.Counter("cache.disk_errors"),
 		quarantined: m.Counter("cache.quarantined"),
-		entries:     m.Gauge("cache.entries"),
-	}, nil
+	}
+	evictions, entries := m.Counter("cache.evictions"), m.Gauge("cache.entries")
+	c.mem = memo.NewLRU[Key, any](capacity, memo.Hooks{
+		Hit:      m.Counter("cache.hits").Inc,
+		Shared:   m.Counter("cache.singleflight_shared").Inc,
+		Computed: c.misses.Inc,
+		Resized: func(evicted, size int) {
+			evictions.Add(int64(evicted))
+			entries.Set(float64(size))
+		},
+	})
+	return c, nil
 }
 
 // Len returns the number of entries in the memory tier.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
+func (c *Cache) Len() int { return c.mem.Len() }
 
 // Get probes the memory tier, then the disk tier, without computing.
 // A disk hit is promoted into the memory tier. The batched sweep path
 // uses Get to split a sweep into cached and missing points before
 // handing the missing ones to the engine as one unit.
 func (c *Cache) Get(key Key) (any, bool) {
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		v := el.Value.(*entry).val
-		c.mu.Unlock()
-		c.hits.Inc()
+	if v, ok := c.mem.Get(key); ok {
 		return v, true
 	}
-	c.mu.Unlock()
-	if c.opt.Dir != "" {
-		if b, err := os.ReadFile(c.path(key)); err == nil {
-			if v, derr := c.opt.Codec.Decode(b); derr == nil {
-				c.diskHits.Inc()
-				c.mu.Lock()
-				c.insertLocked(key, v)
-				c.mu.Unlock()
-				return v, true
-			}
-			c.quarantine(key)
-		}
+	if v, ok := c.readDisk(key); ok {
+		c.mem.Add(key, v)
+		return v, true
 	}
 	c.misses.Inc()
 	return nil, false
@@ -137,103 +103,50 @@ func (c *Cache) Get(key Key) (any, bool) {
 // Put inserts a computed value into the memory tier (and the disk tier
 // when enabled), as if GetOrCompute had computed it.
 func (c *Cache) Put(key Key, v any) {
-	if c.opt.Dir != "" {
-		if err := c.writeDisk(key, v); err != nil {
-			c.diskErrors.Inc()
-		}
-	}
-	c.mu.Lock()
-	c.insertLocked(key, v)
-	c.mu.Unlock()
+	c.writeDisk(key, v)
+	c.mem.Add(key, v)
 }
 
 // GetOrCompute returns the value for key, computing it at most once
-// across all concurrent callers. cached reports whether the value came
-// from a tier or a shared in-flight computation rather than this
-// caller's own compute. Errors are never cached: every waiter of a
-// failed computation receives the error and the next request recomputes.
-//
-// The computation runs under the first caller's ctx; a waiter whose own
-// ctx expires stops waiting with its ctx error while the computation
-// (and the other waiters) continue unaffected.
+// across all concurrent callers: the disk tier is tried first, then
+// compute runs under the first caller's ctx. cached reports whether the
+// value came from a tier or a shared in-flight computation rather than
+// this caller's own compute. Errors are never cached, and a waiter
+// whose own ctx expires stops waiting with its ctx error (see memo).
 func (c *Cache) GetOrCompute(ctx context.Context, key Key, compute func(context.Context) (any, error)) (v any, cached bool, err error) {
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		v = el.Value.(*entry).val
-		c.mu.Unlock()
-		c.hits.Inc()
-		return v, true, nil
-	}
-	if cl, ok := c.calls[key]; ok {
-		c.mu.Unlock()
-		c.shared.Inc()
-		select {
-		case <-cl.done:
-			return cl.val, true, cl.err
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
+	fromDisk := false
+	v, o, err := c.mem.Do(ctx, key, func() (any, error) {
+		if v, ok := c.readDisk(key); ok {
+			fromDisk = true
+			return v, nil
 		}
-	}
-	cl := &call{done: make(chan struct{})}
-	c.calls[key] = cl
-	c.mu.Unlock()
-	c.misses.Inc()
-
-	v, fromDisk, err := c.load(ctx, key, compute)
-	cl.val, cl.err = v, err
-	close(cl.done)
-
-	c.mu.Lock()
-	delete(c.calls, key)
-	if err == nil {
-		c.insertLocked(key, v)
-	}
-	c.mu.Unlock()
-	return v, fromDisk, err
+		v, err := compute(ctx)
+		if err != nil {
+			return nil, err
+		}
+		c.writeDisk(key, v)
+		return v, nil
+	})
+	return v, o != memo.Computed || fromDisk, err
 }
 
-// load tries the disk tier, then computes (and writes the disk tier
-// back on success).
-func (c *Cache) load(ctx context.Context, key Key, compute func(context.Context) (any, error)) (any, bool, error) {
-	if c.opt.Dir != "" {
-		if b, err := os.ReadFile(c.path(key)); err == nil {
-			if v, derr := c.opt.Codec.Decode(b); derr == nil {
-				c.diskHits.Inc()
-				return v, true, nil
-			}
-			// A corrupt file falls through to recompute (and rewrite).
-			c.quarantine(key)
-		}
+// readDisk probes the disk tier. A corrupt entry is quarantined and
+// reads as a miss, so the next compute rewrites it.
+func (c *Cache) readDisk(key Key) (any, bool) {
+	if c.opt.Dir == "" {
+		return nil, false
 	}
-	v, err := compute(ctx)
+	b, err := os.ReadFile(c.path(key))
 	if err != nil {
-		return nil, false, err
+		return nil, false
 	}
-	if c.opt.Dir != "" {
-		if werr := c.writeDisk(key, v); werr != nil {
-			c.diskErrors.Inc()
-		}
+	v, err := c.opt.Codec.Decode(b)
+	if err != nil {
+		c.quarantine(key)
+		return nil, false
 	}
-	return v, false, nil
-}
-
-// insertLocked adds the value to the memory tier, evicting from the
-// back past capacity. Caller holds c.mu.
-func (c *Cache) insertLocked(key Key, v any) {
-	if el, ok := c.items[key]; ok {
-		el.Value.(*entry).val = v
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.ll.PushFront(&entry{key: key, val: v})
-	for c.ll.Len() > c.capacity {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.items, back.Value.(*entry).key)
-		c.evictions.Inc()
-	}
-	c.entries.Set(float64(c.ll.Len()))
+	c.diskHits.Inc()
+	return v, true
 }
 
 // Delete removes key from both tiers. The durable-sweep path uses it to
@@ -241,13 +154,7 @@ func (c *Cache) insertLocked(key Key, v any) {
 // itself durably cached, so checkpoint space is bounded by in-flight
 // work rather than history.
 func (c *Cache) Delete(key Key) {
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.Remove(el)
-		delete(c.items, key)
-		c.entries.Set(float64(c.ll.Len()))
-	}
-	c.mu.Unlock()
+	c.mem.Remove(key)
 	if c.opt.Dir != "" {
 		if err := os.Remove(c.path(key)); err != nil && !os.IsNotExist(err) {
 			c.diskErrors.Inc()
@@ -274,13 +181,19 @@ func (c *Cache) quarantine(key Key) {
 	c.quarantined.Inc()
 }
 
-// writeDisk persists one value atomically (temp file + fsync + rename,
-// see WriteFileAtomic), so a crash mid-write never leaves a truncated
-// entry for load to trust.
-func (c *Cache) writeDisk(key Key, v any) error {
-	b, err := c.opt.Codec.Encode(v)
-	if err != nil {
-		return err
+// writeDisk persists one value atomically when the disk tier is
+// enabled (temp file + fsync + rename, see WriteFileAtomic), so a crash
+// mid-write never leaves a truncated entry for readDisk to trust. A
+// failure is counted, not returned: the memory tier still serves v.
+func (c *Cache) writeDisk(key Key, v any) {
+	if c.opt.Dir == "" {
+		return
 	}
-	return WriteFileAtomic(c.opt.Dir, key.String()+".json", b)
+	b, err := c.opt.Codec.Encode(v)
+	if err == nil {
+		err = WriteFileAtomic(c.opt.Dir, key.String()+".json", b)
+	}
+	if err != nil {
+		c.diskErrors.Inc()
+	}
 }

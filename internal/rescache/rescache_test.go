@@ -10,7 +10,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"roughsim/internal/resilience"
 	"roughsim/internal/telemetry"
 )
 
@@ -365,5 +367,53 @@ func TestCorruptDiskEntryIsQuarantined(t *testing.T) {
 	}
 	if _, ok := c.Get(key); ok {
 		t.Fatal("Delete left the memory entry")
+	}
+}
+
+// TestPanickingComputeReleasesKey: a compute that panics must not wedge
+// its key. The panic re-raises in the computing goroutine (where the job
+// queue turns it into a failed job), a waiter gets a panic-kind error,
+// and the next request for the key computes afresh.
+func TestPanickingComputeReleasesKey(t *testing.T) {
+	m := telemetry.NewRegistry()
+	c, err := New(4, Options{Metrics: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	started := make(chan struct{})
+	release := make(chan struct{})
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		c.GetOrCompute(context.Background(), keyOf(1), func(context.Context) (any, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-started
+	waited := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		_, _, err := c.GetOrCompute(ctx, keyOf(1), func(context.Context) (any, error) { return 2.0, nil })
+		waited <- err
+	}()
+	for m.Counter("cache.singleflight_shared").Value() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if p := <-panicked; p != "boom" {
+		t.Fatalf("computing goroutine recovered %v, want the original panic", p)
+	}
+	if err := <-waited; resilience.Classify(err) != resilience.KindPanic {
+		t.Fatalf("waiter err = %v, want a panic-kind error", err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	v, cached, err := c.GetOrCompute(ctx, keyOf(1), func(context.Context) (any, error) { return 3.0, nil })
+	if err != nil || cached || v.(float64) != 3 {
+		t.Fatalf("after panic: v=%v cached=%v err=%v, want a fresh compute", v, cached, err)
 	}
 }

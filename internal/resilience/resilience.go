@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"roughsim/internal/cmplxmat"
+	"roughsim/internal/memo"
 )
 
 // Kind classifies a failure by its cause.
@@ -115,8 +116,9 @@ func (e *Error) Error() string {
 func (e *Error) Unwrap() error { return e.Err }
 
 // Classify walks the error chain and returns the failure kind:
-// an embedded *Error's kind, context cancellation, or the known solver
-// sentinels (cmplxmat.ErrNoConvergence, cmplxmat.ErrSingular).
+// an embedded *Error's kind, a panic shared by memo waiters, context
+// cancellation, or the known solver sentinels (cmplxmat.ErrNoConvergence,
+// cmplxmat.ErrSingular).
 func Classify(err error) Kind {
 	if err == nil {
 		return KindUnknown
@@ -131,6 +133,10 @@ func Classify(err error) Kind {
 			return KindPanic
 		}
 		return inj.Kind
+	}
+	var pe *memo.PanicError
+	if errors.As(err, &pe) {
+		return KindPanic
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return KindCanceled

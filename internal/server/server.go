@@ -65,6 +65,7 @@ import (
 	"roughsim/internal/cluster"
 	"roughsim/internal/jobs"
 	"roughsim/internal/journal"
+	"roughsim/internal/memo"
 	"roughsim/internal/rescache"
 	"roughsim/internal/resilience"
 	"roughsim/internal/sparams"
@@ -213,17 +214,14 @@ type Server struct {
 	tables *roughsim.TableCache
 
 	// sims memoizes constructed simulations (KL modes are expensive)
-	// keyed by the frequency-independent part of the config. Bounded by
-	// simCacheCap with whole-map reset — solver configs are few in
-	// practice.
-	simMu sync.Mutex
-	sims  map[rescache.Key]*roughsim.Simulation
+	// keyed by the frequency-independent part of the config, in an LRU
+	// of simCacheCap entries — solver configs are few in practice.
+	sims *memo.LRU[rescache.Key, *roughsim.Simulation]
 
-	// flights single-flight identical concurrent sweep jobs (keyed by
-	// the whole-sweep content address): one job computes, the rest wait
-	// and share the result.
-	flightMu sync.Mutex
-	flights  map[rescache.Key]*sweepFlight
+	// flights single-flights identical concurrent sweep jobs by the
+	// whole-sweep content address; it keeps no result (capacity 0):
+	// finished points live in the result cache.
+	flights *memo.LRU[rescache.Key, *roughsim.SweepResult]
 
 	// journal is the write-ahead job journal (nil when disabled); see
 	// durable.go for the submit/replay protocol.
@@ -278,13 +276,6 @@ type Server struct {
 	// server-wide (the sparams.artifact chaos occurrence key).
 	sparArts *rescache.Cache
 	sparSeq  atomic.Uint64
-}
-
-// sweepFlight is one in-flight sweep computation.
-type sweepFlight struct {
-	done chan struct{}
-	res  *roughsim.SweepResult
-	err  error
 }
 
 const simCacheCap = 32
@@ -352,15 +343,17 @@ func New(cfg Config) (*Server, error) {
 		mux:        http.NewServeMux(),
 		tables:     roughsim.NewTableCache(cfg.TableCacheSize, cfg.Metrics),
 		surrogates: surrogate.NewRegistry(cfg.SurrogateCap, cfg.SurrogateDir, cfg.Metrics),
-		sims:       map[rescache.Key]*roughsim.Simulation{},
-		flights:    map[rescache.Key]*sweepFlight{},
-		ckpts:      ckpts,
-		ckptCfgs:   map[string]roughsim.SweepConfig{},
-		brk:        newBreaker(cfg.Breaker, cfg.Metrics),
-		chaos:      cfg.Chaos,
-		live:       map[string]liveKey{},
-		liveByKey:  map[liveKey]string{},
-		sparArts:   sparArts,
+		sims:       memo.NewLRU[rescache.Key, *roughsim.Simulation](simCacheCap, memo.Hooks{}),
+		flights: memo.NewLRU[rescache.Key, *roughsim.SweepResult](0, memo.Hooks{
+			Shared: cfg.Metrics.Counter("cache.singleflight_shared").Inc,
+		}),
+		ckpts:     ckpts,
+		ckptCfgs:  map[string]roughsim.SweepConfig{},
+		brk:       newBreaker(cfg.Breaker, cfg.Metrics),
+		chaos:     cfg.Chaos,
+		live:      map[string]liveKey{},
+		liveByKey: map[liveKey]string{},
+		sparArts:  sparArts,
 	}
 	queue.SetTracer(s.tracer)
 	// The observer (journal terminal records, breaker outcomes,
@@ -541,27 +534,20 @@ func (s *Server) status(j *jobs.Job) statusPayload {
 }
 
 // simFor returns (building on first use) the Simulation for the
-// frequency-independent part of cfg.
+// frequency-independent part of cfg. Callers wait out a build in
+// progress for the same config.
 func (s *Server) simFor(cfg roughsim.SweepConfig) (*roughsim.Simulation, error) {
 	// Key the sim cache by the config at a fixed pseudo-frequency: KeyAt
 	// already canonicalizes exactly the frequency-independent fields
 	// plus f, so a constant f keys the solver config alone.
-	key := cfg.KeyAt(1)
-	s.simMu.Lock()
-	defer s.simMu.Unlock()
-	if sim, ok := s.sims[key]; ok {
-		return sim, nil
-	}
-	sim, err := roughsim.NewSimulation(cfg.Stack, cfg.Spec, cfg.Acc)
-	if err != nil {
-		return nil, err
-	}
-	sim.WithMetrics(s.metrics).WithTableCache(s.tables)
-	if len(s.sims) >= simCacheCap {
-		s.sims = map[rescache.Key]*roughsim.Simulation{}
-	}
-	s.sims[key] = sim
-	return sim, nil
+	sim, _, err := s.sims.Do(context.Background(), cfg.KeyAt(1), func() (*roughsim.Simulation, error) {
+		sim, err := roughsim.NewSimulation(cfg.Stack, cfg.Spec, cfg.Acc)
+		if err != nil {
+			return nil, err
+		}
+		return sim.WithMetrics(s.metrics).WithTableCache(s.tables), nil
+	})
+	return sim, err
 }
 
 // runSweep is the job body: the whole sweep executes as one planned
@@ -575,35 +561,16 @@ func (s *Server) runSweep(cfg roughsim.SweepConfig) jobs.Runner {
 		s.journalStarted(ctx)
 		total := len(cfg.Freqs)
 		progress(0, total)
-		key := cfg.Key()
-		s.flightMu.Lock()
-		if fl, ok := s.flights[key]; ok {
-			s.flightMu.Unlock()
-			s.metrics.Counter("cache.singleflight_shared").Inc()
-			select {
-			case <-fl.done:
-				if fl.err != nil {
-					return nil, fl.err
-				}
-				progress(total, total)
-				return fl.res, nil
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
+		res, o, err := s.flights.Do(ctx, cfg.Key(), func() (*roughsim.SweepResult, error) {
+			return s.computeSweep(ctx, cfg, progress)
+		})
+		if err != nil {
+			return nil, err
 		}
-		fl := &sweepFlight{done: make(chan struct{})}
-		s.flights[key] = fl
-		s.flightMu.Unlock()
-
-		fl.res, fl.err = s.computeSweep(ctx, cfg, progress)
-		s.flightMu.Lock()
-		delete(s.flights, key)
-		s.flightMu.Unlock()
-		close(fl.done)
-		if fl.err != nil {
-			return nil, fl.err
+		if o == memo.Shared {
+			progress(total, total)
 		}
-		return fl.res, nil
+		return res, nil
 	}
 }
 

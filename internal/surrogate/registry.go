@@ -1,14 +1,13 @@
 package surrogate
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
+	"roughsim/internal/memo"
 	"roughsim/internal/rescache"
 	"roughsim/internal/telemetry"
 )
@@ -44,35 +43,17 @@ type Record struct {
 
 // Registry is the content-addressed surrogate store: a bounded memory
 // LRU of admission records over an optional persistent disk tier of
-// admitted models, with single-flight builds. Safe for concurrent use.
+// admitted models, with single-flight builds (see internal/memo). Safe
+// for concurrent use.
 type Registry struct {
-	capacity int
-	dir      string
-	metrics  *telemetry.Registry
+	dir     string
+	metrics *telemetry.Registry
+	recs    *memo.LRU[rescache.Key, *Record]
 
-	hits, misses, shared     *telemetry.Counter
+	hits, misses             *telemetry.Counter
 	admitted, rejected       *telemetry.Counter
 	evictions, diskErrors    *telemetry.Counter
-	entries                  *telemetry.Gauge
 	buildSeconds, evalObserv *telemetry.Histogram
-
-	mu     sync.Mutex
-	ll     *list.List // front = most recently used
-	items  map[rescache.Key]*list.Element
-	builds map[rescache.Key]*buildFlight
-}
-
-type regEntry struct {
-	key rescache.Key
-	rec *Record
-}
-
-// buildFlight is one in-flight admission pipeline run.
-type buildFlight struct {
-	done chan struct{}
-	rec  *Record
-	err  error
-	spec FitSpec
 }
 
 const defaultCapacity = 64
@@ -84,21 +65,27 @@ func NewRegistry(capacity int, dir string, m *telemetry.Registry) *Registry {
 	if capacity <= 0 {
 		capacity = defaultCapacity
 	}
-	return &Registry{
-		capacity:     capacity,
+	r := &Registry{
 		dir:          dir,
 		metrics:      m,
 		hits:         m.CounterL("surrogate.requests", telemetry.L("outcome", "hit")),
 		misses:       m.CounterL("surrogate.requests", telemetry.L("outcome", "miss")),
-		shared:       m.Counter("surrogate.builds_shared"),
 		admitted:     m.CounterL("surrogate.admission", telemetry.L("outcome", "admitted")),
 		rejected:     m.CounterL("surrogate.admission", telemetry.L("outcome", "rejected")),
 		evictions:    m.Counter("surrogate.evictions"),
 		diskErrors:   m.Counter("surrogate.disk_errors"),
-		entries:      m.Gauge("surrogate.entries"),
 		buildSeconds: m.Histogram("surrogate.build_seconds"),
 		evalObserv:   m.Histogram("surrogate.eval_seconds"),
 	}
+	entries := m.Gauge("surrogate.entries")
+	r.recs = memo.NewLRU[rescache.Key, *Record](capacity, memo.Hooks{
+		Shared: m.Counter("surrogate.builds_shared").Inc,
+		Resized: func(evicted, size int) {
+			r.evictions.Add(int64(evicted))
+			entries.Set(float64(size))
+		},
+	})
+	return r
 }
 
 // ObserveEval feeds the serve-path latency histogram (the sub-ms p99
@@ -106,23 +93,13 @@ func NewRegistry(capacity int, dir string, m *telemetry.Registry) *Registry {
 func (r *Registry) ObserveEval(seconds float64) { r.evalObserv.Observe(seconds) }
 
 // Len returns the number of memory-resident records.
-func (r *Registry) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.ll == nil {
-		return 0
-	}
-	return r.ll.Len()
-}
+func (r *Registry) Len() int { return r.recs.Len() }
 
 // Get resolves key for the serve path, counting a hit only when an
 // admitted model is present (memory first, then the persistent tier);
 // anything else — absent, building, rejected, torn disk entry — counts
 // as a miss the caller must fall back from.
-func (r *Registry) Get(key rescache.Key) (*Record, bool) {
-	rec, ok := r.lookup(key, true)
-	return rec, ok
-}
+func (r *Registry) Get(key rescache.Key) (*Record, bool) { return r.lookup(key, true) }
 
 // Peek is Get without touching the hit/miss accounting — the status
 // and listing endpoints use it so polling does not skew serve metrics.
@@ -130,42 +107,24 @@ func (r *Registry) Peek(key rescache.Key) (*Record, bool) {
 	return r.lookup(key, false)
 }
 
+// lookup resolves key from memory, where a running build reads as its
+// StatusBuilding record, then from the persistent tier.
 func (r *Registry) lookup(key rescache.Key, count bool) (*Record, bool) {
-	r.mu.Lock()
-	if el, ok := r.items[key]; ok {
-		r.ll.MoveToFront(el)
-		rec := el.Value.(*regEntry).rec
-		r.mu.Unlock()
-		if count {
-			if rec.Status == StatusAdmitted {
-				r.hits.Inc()
-			} else {
-				r.misses.Inc()
-			}
+	rec, ok := r.recs.Get(key)
+	if !ok {
+		if rec = r.loadDisk(key); rec != nil {
+			r.recs.Add(key, rec)
+			ok = true
 		}
-		return rec, true
-	}
-	if fl, ok := r.builds[key]; ok {
-		r.mu.Unlock()
-		if count {
-			r.misses.Inc()
-		}
-		return &Record{Key: key.String(), Status: StatusBuilding, Tol: fl.spec.Tol, Spec: fl.spec}, true
-	}
-	r.mu.Unlock()
-	if rec := r.loadDisk(key); rec != nil {
-		r.mu.Lock()
-		r.insertLocked(key, rec)
-		r.mu.Unlock()
-		if count {
-			r.hits.Inc()
-		}
-		return rec, true
 	}
 	if count {
-		r.misses.Inc()
+		if ok && rec.Status == StatusAdmitted {
+			r.hits.Inc()
+		} else {
+			r.misses.Inc()
+		}
 	}
-	return nil, false
+	return rec, ok
 }
 
 // GetOrBuild returns the admission record for spec.Key, running the
@@ -178,40 +137,10 @@ func (r *Registry) GetOrBuild(ctx context.Context, src Source, spec FitSpec) (*R
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	key := spec.Key
-	r.mu.Lock()
-	if el, ok := r.items[key]; ok {
-		r.ll.MoveToFront(el)
-		rec := el.Value.(*regEntry).rec
-		r.mu.Unlock()
-		return rec, nil
-	}
-	if fl, ok := r.builds[key]; ok {
-		r.mu.Unlock()
-		r.shared.Inc()
-		select {
-		case <-fl.done:
-			return fl.rec, fl.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	fl := &buildFlight{done: make(chan struct{}), spec: spec}
-	if r.builds == nil {
-		r.builds = map[rescache.Key]*buildFlight{}
-	}
-	r.builds[key] = fl
-	r.mu.Unlock()
-
-	rec, err := r.build(ctx, src, spec)
-	fl.rec, fl.err = rec, err
-	r.mu.Lock()
-	delete(r.builds, key)
-	if err == nil {
-		r.insertLocked(key, rec)
-	}
-	r.mu.Unlock()
-	close(fl.done)
+	building := &Record{Key: spec.Key.String(), Status: StatusBuilding, Tol: spec.Tol, Spec: spec}
+	rec, _, err := r.recs.DoPending(ctx, spec.Key, building, func() (*Record, error) {
+		return r.build(ctx, src, spec)
+	})
 	return rec, err
 }
 
@@ -255,37 +184,16 @@ func (r *Registry) build(ctx context.Context, src Source, spec FitSpec) (*Record
 	return rec, nil
 }
 
-// List snapshots every memory-resident record plus in-flight builds,
-// most recently used first.
-func (r *Registry) List() []*Record {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]*Record, 0, 8)
-	if r.ll != nil {
-		for el := r.ll.Front(); el != nil; el = el.Next() {
-			out = append(out, el.Value.(*regEntry).rec)
-		}
-	}
-	for _, fl := range r.builds {
-		out = append(out, &Record{Key: fl.spec.Key.String(), Status: StatusBuilding, Tol: fl.spec.Tol, Spec: fl.spec})
-	}
-	return out
-}
+// List snapshots every memory-resident record, most recently used
+// first, then the StatusBuilding records of in-flight builds.
+func (r *Registry) List() []*Record { return r.recs.Values() }
 
 // Evict removes the record from the memory tier and deletes the
 // persisted model, reporting whether anything was removed. An
 // in-flight build is not interrupted (its record lands afterwards and
 // can be evicted again).
 func (r *Registry) Evict(key rescache.Key) bool {
-	r.mu.Lock()
-	removed := false
-	if el, ok := r.items[key]; ok {
-		r.ll.Remove(el)
-		delete(r.items, key)
-		r.entries.Set(float64(r.ll.Len()))
-		removed = true
-	}
-	r.mu.Unlock()
+	removed := r.recs.Remove(key)
 	if r.dir != "" {
 		if err := os.Remove(filepath.Join(r.dir, r.filename(key))); err == nil {
 			removed = true
@@ -295,28 +203,6 @@ func (r *Registry) Evict(key rescache.Key) bool {
 		r.evictions.Inc()
 	}
 	return removed
-}
-
-// insertLocked adds rec under key, evicting LRU records past capacity.
-// Caller holds r.mu.
-func (r *Registry) insertLocked(key rescache.Key, rec *Record) {
-	if r.ll == nil {
-		r.ll = list.New()
-		r.items = map[rescache.Key]*list.Element{}
-	}
-	if el, ok := r.items[key]; ok {
-		el.Value.(*regEntry).rec = rec
-		r.ll.MoveToFront(el)
-		return
-	}
-	r.items[key] = r.ll.PushFront(&regEntry{key: key, rec: rec})
-	for r.ll.Len() > r.capacity {
-		back := r.ll.Back()
-		r.ll.Remove(back)
-		delete(r.items, back.Value.(*regEntry).key)
-		r.evictions.Inc()
-	}
-	r.entries.Set(float64(r.ll.Len()))
 }
 
 func (r *Registry) filename(key rescache.Key) string {

@@ -1,13 +1,12 @@
 // Package sweepengine executes a whole K(f) frequency sweep as one
 // planned unit instead of N independent per-frequency runs.
 //
-// The point-at-a-time path (Simulation.RunSweep) repeats three kinds of
-// work at every frequency: it re-samples the KL collocation surfaces
-// (which do not depend on frequency at all), it rebuilds the
-// Green's-function tables (now shared through mom.TableCache), and it
-// re-assembles the dense MoM system for every surface even though the
-// matrix entries vary smoothly with frequency. The engine removes all
-// three:
+// Solving each frequency on its own would repeat three kinds of work at
+// every frequency: re-sampling the KL collocation surfaces (which do not
+// depend on frequency at all), rebuilding the Green's-function tables,
+// and re-assembling the dense MoM system for every surface even though
+// the matrix entries vary smoothly with frequency. The engine removes
+// all three:
 //
 //   - Surface reuse. The Smolyak collocation nodes ξ and their
 //     synthesized surfaces are computed once per sweep and shared by
@@ -30,7 +29,7 @@
 //     interpolation so the leading kernel error cancels in the ratio
 //     K = Pr/Ps. Narrow or short sweeps, where anchors would not
 //     amortize, fall back to the exact per-frequency path, which is
-//     bitwise identical to the point-at-a-time baseline.
+//     bitwise identical to one first-order SSCM run per frequency.
 //
 // A point-level scheduler spreads the independent (frequency × node)
 // units over the worker budget with prompt context cancellation.
@@ -239,8 +238,8 @@ func (e *Engine) anchorCount(fmin, fmax float64) int {
 }
 
 // exactSweep evaluates every (frequency, node) unit through the
-// operator prepare-and-solve path — the same path the point-at-a-time
-// baseline takes, so results stay bitwise identical to it — scheduling
+// operator prepare-and-solve path — the same path core.Solver's
+// LossFactor takes, so results stay bitwise identical to it — scheduling
 // the independent units across the worker budget. Returns vals[freq][node]. Flat nodes cost nothing
 // (K ≡ 1), checkpointed nodes load their completed column instead of
 // solving, and each remaining node's column is checkpointed the moment

@@ -17,7 +17,8 @@ go test -race -short ./internal/montecarlo/... ./internal/sscm/... \
     ./internal/server/... ./internal/jobs/... ./internal/rescache/... \
     ./internal/telemetry/... ./internal/sweepengine/... \
     ./internal/surrogate/... ./internal/trace/... ./internal/journal/... \
-    ./internal/campaign/... ./internal/cluster/... ./internal/sparams/...
+    ./internal/campaign/... ./internal/cluster/... ./internal/sparams/... \
+    ./internal/memo/...
 # The journal and retry machinery also get a full (non-short) race pass:
 # WAL replay and backoff-requeue races only show up off the fast paths.
 go test -race -count=1 ./internal/journal/... ./internal/jobs/... ./internal/cluster/...

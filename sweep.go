@@ -252,22 +252,6 @@ type SweepResult struct {
 	Points []SweepPoint `json:"points"`
 }
 
-// PointAt computes one frequency's SweepPoint: E[K] via first-order
-// SSCM plus the SPM2 and empirical baselines.
-func (s *Simulation) PointAt(ctx context.Context, f float64) (SweepPoint, error) {
-	k, err := s.MeanLossFactorCtx(ctx, f)
-	if err != nil {
-		return SweepPoint{}, err
-	}
-	return SweepPoint{
-		FreqHz:     f,
-		SkinDepthM: s.stack.SkinDepth(f),
-		KSWM:       k,
-		KSPM2:      s.SPM2LossFactor(f),
-		KEmpirical: s.EmpiricalLossFactor(f),
-	}, nil
-}
-
 // RunSweep executes the configured sweep directly (no cache, no queue
 // — the CLI path) through the batched sweep engine, which reuses
 // surfaces and tables across frequencies and interpolates matrices
@@ -282,26 +266,4 @@ func RunSweep(ctx context.Context, cfg SweepConfig) (*SweepResult, error) {
 		return nil, err
 	}
 	return sim.RunSweepBatched(ctx, cfg.Freqs)
-}
-
-// RunSweep computes the SweepResult over freqs one frequency at a time
-// — the point-at-a-time baseline the batched engine is benchmarked
-// against — checking ctx between frequencies. Prefer RunSweepBatched.
-func (s *Simulation) RunSweep(ctx context.Context, freqs []float64) (*SweepResult, error) {
-	cfg := SweepConfig{Stack: s.stack, Spec: s.spec, Acc: s.acc, Freqs: freqs}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	res := &SweepResult{Config: cfg, Points: make([]SweepPoint, 0, len(freqs))}
-	for _, f := range freqs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		pt, err := s.PointAt(ctx, f)
-		if err != nil {
-			return nil, fmt.Errorf("roughsim: sweep at f=%g: %w", f, err)
-		}
-		res.Points = append(res.Points, pt)
-	}
-	return res, nil
 }

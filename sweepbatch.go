@@ -133,9 +133,10 @@ func (s *Simulation) SweepColumn(ctx context.Context, freqs []float64, node int,
 
 // RunSweepBatched computes the SweepResult over freqs through the
 // batched sweep engine. For narrow or short sweeps (where the engine's
-// exact path runs) the K values are bitwise identical to RunSweep; for
-// broadband sweeps the matrix-interpolated path agrees to within solver
-// tolerance at a fraction of the wall-clock.
+// exact path runs) the K values are bitwise identical to one
+// first-order SSCM run per frequency; for broadband sweeps the
+// matrix-interpolated path agrees to within solver tolerance at a
+// fraction of the wall-clock.
 func (s *Simulation) RunSweepBatched(ctx context.Context, freqs []float64) (*SweepResult, error) {
 	pts, err := s.SweepPoints(ctx, freqs, nil)
 	if err != nil {
