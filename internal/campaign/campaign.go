@@ -284,31 +284,25 @@ func (e *Engine) Remove(id string) error {
 	return nil
 }
 
-// plan expands and deduplicates the campaign's cells (the campaign.plan
-// trace span).
+// plan expands and deduplicates the campaign's cells under the
+// campaign.plan span (a no-op when the engine has no tracer).
 func (e *Engine) plan(id string, cfg roughsim.CampaignConfig) (*Campaign, error) {
-	start := time.Now()
-	var tr *trace.Trace
-	var sp *trace.Span
-	if e.opt.Tracer != nil {
-		tr = e.opt.Tracer.New(id)
-		sp = tr.Root().StartChild("campaign.plan")
-	}
+	submitted := time.Now()
+	tr := e.opt.Tracer.New(id)
+	sp := tr.Root().StartChild("campaign.plan")
 	expanded, err := cfg.ExpandCells()
-	if err != nil {
-		if tr != nil {
-			sp.End()
-			tr.Finish()
-		}
-		return nil, err
+	var freqs []float64
+	if err == nil {
+		freqs, err = cfg.Frequencies()
 	}
-	freqs, err := cfg.Frequencies()
 	if err != nil {
+		sp.End()
+		tr.Finish()
 		return nil, err
 	}
 	c := &Campaign{
 		ID: id, Config: cfg, eng: e, freqs: freqs, trace: tr,
-		status: StatusRunning, submitted: start,
+		status: StatusRunning, submitted: submitted,
 		cancelCh: make(chan struct{}), done: make(chan struct{}),
 	}
 	seen := map[rescache.Key]int{}
@@ -326,15 +320,12 @@ func (e *Engine) plan(id string, cfg roughsim.CampaignConfig) (*Campaign, error)
 		})
 	}
 	c.results = make([]*roughsim.SweepResult, len(c.cells))
-	if sp != nil {
-		sp.SetAttr("cells", len(c.cells))
-		sp.SetAttr("duplicates_folded", c.dupsFolded)
-		sp.End()
-	}
+	sp.SetAttr("cells", len(c.cells))
+	sp.SetAttr("duplicates_folded", c.dupsFolded)
+	sp.End()
 	m := e.opt.Metrics
 	m.Counter("campaign.cells_total").Add(int64(len(c.cells)))
 	m.Counter("campaign.cells_deduped").Add(int64(c.dupsFolded))
-	m.Histogram("campaign.plan_seconds").Observe(time.Since(start).Seconds())
 	return c, nil
 }
 
@@ -443,21 +434,17 @@ func cellStatusFor(err error) CellStatus {
 	return CellFailed
 }
 
-// startCellSpan opens the campaign.cell span for one cell.
+// startCellSpan opens the campaign.cell span for one cell (nil when the
+// campaign is untraced; spans are nil-safe).
 func (c *Campaign) startCellSpan(i int) *trace.Span {
-	if c.trace == nil {
-		return nil
-	}
 	sp := c.trace.Root().StartChild("campaign.cell")
 	sp.SetAttr("cell", i)
 	return sp
 }
 
 func (c *Campaign) endSpan(sp *trace.Span, st CellStatus) {
-	if sp != nil {
-		sp.SetAttr("status", string(st))
-		sp.End()
-	}
+	sp.SetAttr("status", string(st))
+	sp.End()
 }
 
 func (c *Campaign) setRunning(i int, jobID string) {

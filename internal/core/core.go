@@ -21,7 +21,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"roughsim/internal/cmplxmat"
 	"roughsim/internal/memo"
@@ -32,13 +31,6 @@ import (
 	"roughsim/internal/trace"
 	"roughsim/internal/units"
 )
-
-// observeStage records a stage duration into the labeled per-stage
-// histogram every instrumented tier shares (sweep.stage_seconds) — the
-// series the CI smoke test asserts on after a sweep.
-func observeStage(m *telemetry.Registry, stage string, seconds float64) {
-	m.HistogramL("sweep.stage_seconds", nil, telemetry.L("stage", stage)).Observe(seconds)
-}
 
 // Material describes the two-medium stack of the paper's experiments.
 type Material struct {
@@ -104,8 +96,9 @@ type Solver struct {
 	// injects nothing.
 	Injector *resilience.Injector
 
-	// Metrics, when non-nil, receives solve.* telemetry (latency
-	// histogram, fallback-stage counters, flat-reference cache hits).
+	// Metrics, when non-nil, receives solve.* telemetry (fallback-stage
+	// counters, flat-reference cache hits). Stage timings are the trace
+	// spans below; a traced caller's sink turns them into histograms.
 	// Set it before the first solve; it is read without locking.
 	Metrics *telemetry.Registry
 
@@ -214,19 +207,14 @@ func (s *Solver) record(rep *mom.SolveReport) {
 // accounting into the solver stats.
 func (s *Solver) solve(ctx context.Context, sys *mom.System) (*mom.Solution, error) {
 	ctx, sp := trace.StartSpan(ctx, "mom.solve")
-	start := time.Now()
+	defer sp.End()
 	sol, err := sys.SolveResilient(ctx, mom.SolveOptions{
 		Tol:      s.SolveTol,
 		Injector: s.Injector,
 		Key:      atomic.AddUint64(&s.key, 1) - 1,
-		Metrics:  s.Metrics,
 	})
-	elapsed := time.Since(start).Seconds()
-	s.Metrics.Histogram("solve.seconds").Observe(elapsed)
-	observeStage(s.Metrics, "mom.solve", elapsed)
 	if err != nil {
 		sp.SetAttr("error", err.Error())
-		sp.End()
 		s.Metrics.Counter("solve.errors").Inc()
 		return nil, err
 	}
@@ -234,7 +222,6 @@ func (s *Solver) solve(ctx context.Context, sys *mom.System) (*mom.Solution, err
 		sp.SetAttr("winner", sol.Report.Winner)
 		sp.SetAttr("attempts", len(sol.Report.Attempts))
 	}
-	sp.End()
 	s.record(sol.Report)
 	return sol, nil
 }
@@ -280,11 +267,7 @@ func (s *Solver) AssembleSurfaceCtx(ctx context.Context, surf *surface.Surface, 
 	}
 	ctx, sp := trace.StartSpan(ctx, "mom.assemble")
 	sp.SetAttr("f", f)
-	start := time.Now()
-	defer func() {
-		observeStage(s.Metrics, "mom.assemble", time.Since(start).Seconds())
-		sp.End()
-	}()
+	defer sp.End()
 	if s.ZSpan > 0 {
 		return mom.AssembleTabulated(surf, s.Mat.Params(f), s.tableFor(ctx, f), opt)
 	}
@@ -324,13 +307,9 @@ func (s *Solver) PrepareSurfaceCtx(ctx context.Context, surf *surface.Surface, f
 	}
 	_, sp := trace.StartSpan(ctx, "mom.fft.build")
 	sp.SetAttr("f", f)
-	start := time.Now()
 	sys := mom.NewOperatorSystem(surf, s.Mat.Params(f), opt, ts, dense)
-	elapsed := time.Since(start).Seconds()
 	if sys.FFTAdmitted() {
 		s.Metrics.Counter("solve.fft_admitted").Inc()
-		s.Metrics.Histogram("mom.fft.build_seconds").Observe(elapsed)
-		observeStage(s.Metrics, "mom.fft.build", elapsed)
 	} else {
 		s.Metrics.Counter("solve.fft_rejected").Inc()
 		if rej := sys.FFTRejection(); rej != nil {
@@ -367,11 +346,7 @@ func (s *Solver) FlatPabsCtx(ctx context.Context, f float64) (float64, error) {
 func (s *Solver) flatSolve(ctx context.Context, f float64) (float64, error) {
 	ctx, sp := trace.StartSpan(ctx, "flat.reference")
 	sp.SetAttr("f", f)
-	start := time.Now()
-	defer func() {
-		observeStage(s.Metrics, "flat.reference", time.Since(start).Seconds())
-		sp.End()
-	}()
+	defer sp.End()
 	sys, err := s.PrepareSurfaceCtx(ctx, surface.NewFlat(s.L, s.M), f, 0)
 	if err != nil {
 		return 0, fmt.Errorf("core: flat reference at f=%g: %w", f, err)

@@ -2,11 +2,9 @@ package mom
 
 import (
 	"context"
-	"time"
 
 	"roughsim/internal/cmplxmat"
 	"roughsim/internal/resilience"
-	"roughsim/internal/telemetry"
 	"roughsim/internal/trace"
 )
 
@@ -30,10 +28,6 @@ type SolveOptions struct {
 	// Key identifies this solve to the fault injector (e.g. a sample
 	// index).
 	Key uint64
-	// Metrics, when non-nil, receives the chain's stage timings
-	// (mom.fft.solve_seconds for the FFT stage). The registry is
-	// nil-safe, so leaving it unset disables instrumentation.
-	Metrics *telemetry.Registry
 }
 
 // SolveReport is the per-stage accounting of one resilient solve.
@@ -119,12 +113,10 @@ func (sys *System) SolveResilient(ctx context.Context, opt SolveOptions) (*Solut
 		op := sys.fft
 		stages = append(stages, resilience.Stage{Name: StageFFT, Run: func(c context.Context) error {
 			_, sp := trace.StartSpan(c, "mom.fft.solve")
-			start := time.Now()
 			cand, _, err := op.solveVec(c, sys.RHS, tol)
 			if err == nil {
 				err = verify(cand, op.MatVec)
 			}
-			opt.Metrics.Histogram("mom.fft.solve_seconds").Observe(time.Since(start).Seconds())
 			if err != nil {
 				sp.SetAttr("error", err.Error())
 			}

@@ -3,7 +3,6 @@ package mom
 import (
 	"context"
 	"sync/atomic"
-	"time"
 
 	"roughsim/internal/memo"
 	"roughsim/internal/telemetry"
@@ -31,9 +30,9 @@ type TableKey struct {
 // the rest wait out the build and share the result.
 //
 // Telemetry (tables.hits / tables.misses / tables.shared /
-// tables.built / tables.evictions counters, tables.build_seconds
-// histogram, tables.entries gauge) goes to the registry set via
-// SetMetrics; a nil registry disables instrumentation.
+// tables.built / tables.evictions counters, tables.entries gauge) goes
+// to the registry set via SetMetrics; a nil registry disables
+// instrumentation. Build time is the tables.build span.
 type TableCache struct {
 	metrics atomic.Pointer[telemetry.Registry]
 	builds  atomic.Int64
@@ -103,12 +102,10 @@ func (c *TableCache) GetCtx(ctx context.Context, p Params, L float64, M int, zsp
 	ts, _, err := c.sets.Do(context.Background(), key, func() (*TableSet, error) {
 		_, sp := trace.StartSpan(ctx, "tables.build")
 		sp.SetAttr("grid", M)
-		start := time.Now()
 		ts := NewTableSet(p, L, M, zspan, opt)
 		sp.End()
 		c.builds.Add(1)
 		c.reg().Counter("tables.built").Inc()
-		c.reg().Histogram("tables.build_seconds").Observe(time.Since(start).Seconds())
 		return ts, nil
 	})
 	if err != nil {

@@ -338,7 +338,7 @@ func New(cfg Config) (*Server, error) {
 		queue:      queue,
 		cache:      cache,
 		metrics:    cfg.Metrics,
-		tracer:     trace.NewRecorder(cfg.TraceCapacity),
+		tracer:     trace.NewRecorder(cfg.TraceCapacity).WithSink(spanSink(cfg.Metrics)),
 		log:        cfg.Log,
 		mux:        http.NewServeMux(),
 		tables:     roughsim.NewTableCache(cfg.TableCacheSize, cfg.Metrics),

@@ -14,7 +14,6 @@ import (
 	"roughsim/internal/rescache"
 	"roughsim/internal/surrogate"
 	"roughsim/internal/telemetry"
-	"roughsim/internal/trace"
 )
 
 // This file is the surrogate fast path of roughsimd: admitted K(f)
@@ -174,10 +173,8 @@ func (s *Server) handleK(w http.ResponseWriter, r *http.Request) {
 	}
 	if rec.Status == surrogate.StatusAdmitted && rec.Model.InBand(f) {
 		start := time.Now()
-		_, span := trace.StartSpan(r.Context(), "surrogate.eval")
 		mean, merr := rec.Model.Mean(f)
 		variance, verr := rec.Model.Variance(f)
-		span.End()
 		if merr == nil && verr == nil {
 			s.surrogates.ObserveEval(time.Since(start).Seconds())
 			writeJSON(w, http.StatusOK, kPayload{

@@ -4,13 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"math"
-	"time"
 
 	"roughsim/internal/rescache"
 	"roughsim/internal/resilience"
 	"roughsim/internal/sscm"
 	"roughsim/internal/sweepengine"
-	"roughsim/internal/telemetry"
 	"roughsim/internal/trace"
 )
 
@@ -99,17 +97,17 @@ func (s FitSpec) Validate() error {
 // Fit builds (but does not validate or admit) the broadband model:
 // exact collocation solves at the Chebyshev anchor frequencies, one PC
 // projection per anchor, coefficients stored per anchor for
-// barycentric interpolation at query time.
-func Fit(ctx context.Context, src Source, spec FitSpec, m *telemetry.Registry) (*Model, error) {
+// barycentric interpolation at query time, under a "surrogate.model_fit"
+// span (the engine's nested per-frequency projections are "surrogate.fit").
+func Fit(ctx context.Context, src Source, spec FitSpec) (*Model, error) {
 	spec = spec.WithDefaults()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	sctx, span := trace.StartSpan(ctx, "surrogate.fit")
+	sctx, span := trace.StartSpan(ctx, "surrogate.model_fit")
 	span.SetAttr("anchors", spec.Anchors)
 	span.SetAttr("order", spec.Order)
 	defer span.End()
-	start := time.Now()
 
 	xs := sweepengine.ChebAnchors(spec.Anchors, math.Sqrt(spec.FMinHz), math.Sqrt(spec.FMaxHz))
 	freqs := make([]float64, len(xs))
@@ -144,7 +142,6 @@ func Fit(ctx context.Context, src Source, spec FitSpec, m *telemetry.Registry) (
 		}
 		model.Coeffs[a] = res.Coeffs
 	}
-	m.Histogram("surrogate.fit_seconds").Observe(time.Since(start).Seconds())
 	return model, nil
 }
 
@@ -156,12 +153,11 @@ func Fit(ctx context.Context, src Source, spec FitSpec, m *telemetry.Registry) (
 // errors are taken against max(|exact|, 1) — K is O(1) by construction
 // (K = 1 for a flat surface), so the floor only guards degenerate
 // near-zero references.
-func Validate(ctx context.Context, src Source, model *Model, spec FitSpec, m *telemetry.Registry) (float64, error) {
+func Validate(ctx context.Context, src Source, model *Model, spec FitSpec) (float64, error) {
 	spec = spec.WithDefaults()
 	sctx, span := trace.StartSpan(ctx, "surrogate.validate")
 	span.SetAttr("holdout", spec.Holdout)
 	defer span.End()
-	start := time.Now()
 
 	hx := sweepengine.ChebAnchors(spec.Holdout, math.Sqrt(spec.FMinHz), math.Sqrt(spec.FMaxHz))
 	freqs := make([]float64, len(hx))
@@ -210,6 +206,5 @@ func Validate(ctx context.Context, src Source, model *Model, spec FitSpec, m *te
 	}
 	model.SolvePoints += len(freqs) * len(nodes)
 	span.SetAttr("max_rel_err", maxErr)
-	m.Histogram("surrogate.validate_seconds").Observe(time.Since(start).Seconds())
 	return maxErr, nil
 }

@@ -9,7 +9,6 @@ import (
 
 	"roughsim/internal/rescache"
 	"roughsim/internal/sscm"
-	"roughsim/internal/telemetry"
 )
 
 // funcSource evaluates an analytic K(f, ξ) at the collocation nodes —
@@ -59,7 +58,7 @@ func testSpec() FitSpec {
 func fitSmooth(t *testing.T) (*Model, *funcSource) {
 	t.Helper()
 	src := &funcSource{dim: 2, k: smoothK}
-	m, err := Fit(context.Background(), src, testSpec(), nil)
+	m, err := Fit(context.Background(), src, testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +102,7 @@ func TestModelReproducesSeparableK(t *testing.T) {
 
 func TestModelValidateMeasuresTinyError(t *testing.T) {
 	m, src := fitSmooth(t)
-	maxErr, err := Validate(context.Background(), src, m, testSpec(), nil)
+	maxErr, err := Validate(context.Background(), src, m, testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,12 +179,12 @@ func TestFitSpecValidation(t *testing.T) {
 		"inverted band": {FMinHz: 2e9, FMaxHz: 1e9},
 		"huge band":     {FMinHz: 1, FMaxHz: 1e16},
 	} {
-		if _, err := Fit(context.Background(), src, spec, nil); err == nil {
+		if _, err := Fit(context.Background(), src, spec); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
-	// Telemetry is optional (nil registry) and defaults apply.
-	m, err := Fit(context.Background(), src, testSpec(), telemetry.NewRegistry())
+	// Defaults apply.
+	m, err := Fit(context.Background(), src, testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

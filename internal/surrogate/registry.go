@@ -46,9 +46,8 @@ type Record struct {
 // admitted models, with single-flight builds (see internal/memo). Safe
 // for concurrent use.
 type Registry struct {
-	dir     string
-	metrics *telemetry.Registry
-	recs    *memo.LRU[rescache.Key, *Record]
+	dir  string
+	recs *memo.LRU[rescache.Key, *Record]
 
 	hits, misses             *telemetry.Counter
 	admitted, rejected       *telemetry.Counter
@@ -67,7 +66,6 @@ func NewRegistry(capacity int, dir string, m *telemetry.Registry) *Registry {
 	}
 	r := &Registry{
 		dir:          dir,
-		metrics:      m,
 		hits:         m.CounterL("surrogate.requests", telemetry.L("outcome", "hit")),
 		misses:       m.CounterL("surrogate.requests", telemetry.L("outcome", "miss")),
 		admitted:     m.CounterL("surrogate.admission", telemetry.L("outcome", "admitted")),
@@ -152,11 +150,11 @@ func (r *Registry) build(ctx context.Context, src Source, spec FitSpec) (*Record
 		return rec, nil
 	}
 	start := time.Now()
-	model, err := Fit(ctx, src, spec, r.metrics)
+	model, err := Fit(ctx, src, spec)
 	if err != nil {
 		return nil, err
 	}
-	maxErr, err := Validate(ctx, src, model, spec, r.metrics)
+	maxErr, err := Validate(ctx, src, model, spec)
 	if err != nil {
 		return nil, err
 	}

@@ -42,7 +42,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"roughsim/internal/cmplxmat"
 	"roughsim/internal/core"
@@ -53,12 +52,6 @@ import (
 	"roughsim/internal/telemetry"
 	"roughsim/internal/trace"
 )
-
-// observeStage feeds the shared per-stage histogram (see core's
-// counterpart — the series name must match across tiers).
-func (e *Engine) observeStage(stage string, seconds float64) {
-	e.Metrics.HistogramL("sweep.stage_seconds", nil, telemetry.L("stage", stage)).Observe(seconds)
-}
 
 // Engine plans and executes batched sweeps over a prebuilt solver and
 // surface process. Configure the exported fields before Run; the zero
@@ -138,7 +131,6 @@ func (e *Engine) Run(ctx context.Context, freqs []float64) (*Result, error) {
 	// sweep, not per point. Exactly flat realizations (the grid's
 	// center node) need no solve at all: K = Pabs/Pabs ≡ 1.
 	_, synthSpan := trace.StartSpan(ctx, "sweep.synthesize")
-	synthStart := time.Now()
 	surfs := make([]*surface.Surface, len(nodes))
 	flat := make([]bool, len(nodes))
 	nflat := 0
@@ -158,7 +150,6 @@ func (e *Engine) Run(ctx context.Context, freqs []float64) (*Result, error) {
 	synthSpan.SetAttr("nodes", len(nodes))
 	synthSpan.SetAttr("flat", nflat)
 	synthSpan.End()
-	e.observeStage("sweep.synthesize", time.Since(synthStart).Seconds())
 
 	fmin, fmax := freqs[0], freqs[0]
 	for _, f := range freqs[1:] {
@@ -172,19 +163,15 @@ func (e *Engine) Run(ctx context.Context, freqs []float64) (*Result, error) {
 		sctx, span := trace.StartSpan(ctx, "sweep.interp")
 		span.SetAttr("freqs", len(freqs))
 		span.SetAttr("anchors", anchors)
-		start := time.Now()
 		vals, err = e.interpSweep(sctx, freqs, fmin, fmax, anchors, surfs, flat)
 		span.End()
-		e.observeStage("sweep.interp", time.Since(start).Seconds())
 	} else {
 		anchors = 0
 		e.Metrics.Counter("sweep.exact_freqs").Add(int64(len(freqs)))
 		sctx, span := trace.StartSpan(ctx, "sweep.exact")
 		span.SetAttr("freqs", len(freqs))
-		start := time.Now()
 		vals, err = e.exactSweep(sctx, freqs, surfs, flat)
 		span.End()
-		e.observeStage("sweep.exact", time.Since(start).Seconds())
 	}
 	if err != nil {
 		return nil, err
@@ -192,7 +179,6 @@ func (e *Engine) Run(ctx context.Context, freqs []float64) (*Result, error) {
 
 	// Fit the PC surrogate per frequency from the collocation values.
 	_, fitSpan := trace.StartSpan(ctx, "surrogate.fit")
-	fitStart := time.Now()
 	res := &Result{Mean: make([]float64, len(freqs)), Values: vals, AnchorsUsed: anchors}
 	for fi := range freqs {
 		r, err := sscm.FromValues(e.Dim, order, vals[fi])
@@ -203,7 +189,6 @@ func (e *Engine) Run(ctx context.Context, freqs []float64) (*Result, error) {
 		res.Mean[fi] = r.PCE.Mean()
 	}
 	fitSpan.End()
-	e.observeStage("surrogate.fit", time.Since(fitStart).Seconds())
 	e.progress(len(freqs), len(freqs))
 	return res, nil
 }

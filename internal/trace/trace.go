@@ -19,7 +19,8 @@
 //
 // One trace is created per sweep job (ID = job ID) by the jobs queue;
 // the server serves the full span tree at /debug/trace/{id} and folds
-// the compact per-stage rollup into job status payloads.
+// the compact per-stage rollup into job status payloads. A Recorder's
+// sink feeds every ended span's duration to metrics: one clock.
 package trace
 
 import (
@@ -68,18 +69,19 @@ type stageAgg struct {
 type Trace struct {
 	id    string
 	begin time.Time
+	sink  func(name string, d time.Duration)
 
 	mu      sync.Mutex
 	root    *Span
 	nspans  int
 	dropped int64
-	stages  map[string]*stageAgg
+	stages  map[string]stageAgg
 }
 
 // New starts a trace whose root span is named "job". The root ends at
 // Finish.
 func New(id string) *Trace {
-	tr := &Trace{id: id, begin: time.Now(), stages: map[string]*stageAgg{}}
+	tr := &Trace{id: id, begin: time.Now(), stages: map[string]stageAgg{}}
 	tr.root = &Span{tr: tr, name: "job", start: tr.begin}
 	tr.nspans = 1
 	return tr
@@ -125,26 +127,29 @@ func (s *Span) StartChild(name string) *Span {
 	return c
 }
 
-// End stops the span's clock and folds it into the trace's per-stage
-// aggregate (idempotent, nil-safe).
+// End stops the span's clock, folds it into the trace's per-stage
+// aggregate and hands its duration to the trace's sink, outside the
+// trace lock (idempotent: only the first End counts; nil-safe).
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
 	tr := s.tr
 	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	if !s.end.IsZero() {
+		tr.mu.Unlock()
 		return
 	}
 	s.end = time.Now()
+	d := s.end.Sub(s.start)
 	agg := tr.stages[s.name]
-	if agg == nil {
-		agg = &stageAgg{}
-		tr.stages[s.name] = agg
-	}
 	agg.count++
-	agg.dur += s.end.Sub(s.start)
+	agg.dur += d
+	tr.stages[s.name] = agg
+	tr.mu.Unlock()
+	if tr.sink != nil {
+		tr.sink(s.name, d)
+	}
 }
 
 // SetAttr annotates the span (nil-safe). A repeated key keeps the last
@@ -313,6 +318,16 @@ type Recorder struct {
 	capacity int
 	order    []string // oldest first
 	byID     map[string]*Trace
+	sink     func(name string, d time.Duration)
+}
+
+// WithSink makes every trace r creates from now on call sink once per
+// ended span, detached overflow spans included, on the ending goroutine
+// after the trace lock is released: sink may read the trace and must be
+// safe for concurrent use. Call it before the first New; it returns r.
+func (r *Recorder) WithSink(sink func(name string, d time.Duration)) *Recorder {
+	r.sink = sink
+	return r
 }
 
 // DefaultRecorderCap bounds a recorder built with capacity ≤ 0.
@@ -334,6 +349,7 @@ func (r *Recorder) New(id string) *Trace {
 		return nil
 	}
 	tr := New(id)
+	tr.sink = r.sink
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.byID[id]; !ok {

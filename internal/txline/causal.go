@@ -79,17 +79,19 @@ func NewCausalRoughness(freqs, k []float64) (*CausalRoughness, error) {
 // K returns the interpolated real factor at f (clamped to the sample
 // range, matching the saturating physics).
 func (c *CausalRoughness) K(f float64) float64 {
-	n := len(c.freqs)
-	if f <= c.freqs[0] {
+	return c.kAt(sort.SearchFloat64s(c.freqs, f), f)
+}
+
+// kAt is K(f) given i = sort.SearchFloat64s(c.freqs, f).
+func (c *CausalRoughness) kAt(i int, f float64) float64 {
+	switch i {
+	case 0:
 		return c.k[0]
-	}
-	if f >= c.freqs[n-1] {
+	case len(c.freqs):
 		return c.kInf
 	}
-	i := sort.SearchFloat64s(c.freqs, f)
-	lo, hi := i-1, i
-	t := (f - c.freqs[lo]) / (c.freqs[hi] - c.freqs[lo])
-	return c.k[lo]*(1-t) + c.k[hi]*t
+	t := (f - c.freqs[i-1]) / (c.freqs[i] - c.freqs[i-1])
+	return c.k[i-1]*(1-t) + c.k[i]*t
 }
 
 // Factor returns the complex causal correction K_c(f) = K(f) + j·X(f).
@@ -109,26 +111,30 @@ func (c *CausalRoughness) Factor(f float64) complex128 {
 // (1/f)·ln|(νmax−f)/(νmax+f)|·… evaluated in closed form, and g vanishes
 // beyond the sampled band so the integration range is finite.
 func (c *CausalRoughness) hilbert(f float64) float64 {
-	fMax := c.freqs[len(c.freqs)-1]
 	// Integration covers (0, νmax]; above νmax, g ≡ 0.
-	nuMax := fMax
-	g := func(nu float64) float64 { return c.K(nu) - c.kInf }
+	nuMax := c.freqs[len(c.freqs)-1]
 	gf := 0.0
 	if f < nuMax {
-		gf = g(f)
+		gf = c.K(f) - c.kInf
 	}
 	const n = 4000
 	var sum float64
 	// Linear grid is adequate: the integrand is smooth after the
 	// singularity extraction and the band is at most a few decades.
 	h := nuMax / n
+	// ν rises monotonically, so K(ν)'s sample index j is walked forward
+	// instead of binary-searched at each of the n nodes.
+	j := 0
 	for i := 0; i < n; i++ {
 		nu := (float64(i) + 0.5) * h
 		den := nu*nu - f*f
 		if math.Abs(den) < 1e-12*f*f+1e-300 {
 			continue
 		}
-		sum += (g(nu) - gf) / den * h
+		for j < len(c.freqs) && c.freqs[j] < nu {
+			j++
+		}
+		sum += (c.kAt(j, nu) - c.kInf - gf) / den * h
 	}
 	x := 2 * f / math.Pi * sum
 	// Closed-form principal value of ∫₀^{νmax} dν/(ν²−f²)

@@ -119,6 +119,51 @@ func TestKramersKronigDebyeReference(t *testing.T) {
 	}
 }
 
+// TestHilbertMatchesPerNodeLookup: hilbert's forward interval walk must
+// reproduce, bit for bit, the quadrature that looks up K(ν) per node.
+func TestHilbertMatchesPerNodeLookup(t *testing.T) {
+	freqs := []float64{0.3e9, 0.5e9, 1e9, 1.7e9, 2e9, 3.1e9, 4e9, 6e9, 9e9}
+	ks := []float64{1.02, 1.05, 1.11, 1.19, 1.23, 1.31, 1.36, 1.43, 1.47}
+	c, err := NewCausalRoughness(freqs, ks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perNode := func(f float64) float64 {
+		nuMax := freqs[len(freqs)-1]
+		g := func(nu float64) float64 { return c.K(nu) - c.kInf }
+		gf := 0.0
+		if f < nuMax {
+			gf = g(f)
+		}
+		const n = 4000
+		var sum float64
+		h := nuMax / n
+		for i := 0; i < n; i++ {
+			nu := (float64(i) + 0.5) * h
+			den := nu*nu - f*f
+			if math.Abs(den) < 1e-12*f*f+1e-300 {
+				continue
+			}
+			sum += (g(nu) - gf) / den * h
+		}
+		x := 2 * f / math.Pi * sum
+		if gf != 0 && math.Abs(nuMax-f) > 1e-12*f {
+			x += 2 * f / math.Pi * gf * (1 / (2 * f) * math.Log(math.Abs((nuMax-f)/(nuMax+f))))
+		}
+		return x
+	}
+	for _, f := range []float64{0.1e9, 0.3e9, 0.75e9, 2e9, 2.5e9, 5.13e9, 9e9, 12e9} {
+		if got, want := c.hilbert(f), perNode(f); got != want {
+			t.Errorf("hilbert(%g) = %.17g, per-node lookup %.17g", f, got, want)
+		}
+	}
+	for i, f := range freqs {
+		if c.K(f) != ks[i] {
+			t.Errorf("K(%g) = %.17g, want the sample %.17g", f, c.K(f), ks[i])
+		}
+	}
+}
+
 func TestCausalInterpolation(t *testing.T) {
 	c, err := NewCausalRoughness(
 		[]float64{1e9, 2e9, 3e9, 4e9},

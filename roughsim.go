@@ -143,9 +143,10 @@ type Simulation struct {
 }
 
 // WithMetrics threads a telemetry registry through the simulation: the
-// underlying solver publishes solve.* metrics and every SSCM /
-// Monte-Carlo run publishes its driver metrics there. Call it before
-// the first solve; it returns the receiver for chaining.
+// underlying solver publishes solve.* counters and every SSCM /
+// Monte-Carlo run publishes its driver metrics there. Stage timings
+// come from trace spans and need a roughsimd trace. Call it before the
+// first solve; it returns the receiver for chaining.
 func (s *Simulation) WithMetrics(r *telemetry.Registry) *Simulation {
 	s.metrics = r
 	s.solver.Metrics = r

@@ -132,11 +132,11 @@ func FitSurrogate(ctx context.Context, cfg SurrogateConfig) (*Surrogate, error) 
 	if err != nil {
 		return nil, err
 	}
-	model, err := surrogate.Fit(ctx, sim, spec, nil)
+	model, err := surrogate.Fit(ctx, sim, spec)
 	if err != nil {
 		return nil, err
 	}
-	maxErr, err := surrogate.Validate(ctx, sim, model, spec, nil)
+	maxErr, err := surrogate.Validate(ctx, sim, model, spec)
 	if err != nil {
 		return nil, err
 	}
