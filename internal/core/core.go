@@ -244,20 +244,10 @@ func (s *Solver) tableFor(ctx context.Context, f float64) *mom.TableSet {
 	return s.tables.GetCtx(ctx, s.Mat.Params(f), s.L, s.M, s.ZSpan, s.Opt)
 }
 
-// assemble picks the exact or tabulated path.
-func (s *Solver) assemble(ctx context.Context, surf *surface.Surface, f float64) (*mom.System, error) {
-	return s.AssembleSurfaceCtx(ctx, surf, f, 0)
-}
-
-// AssembleSurface assembles the MoM system for surf at f through the
+// AssembleSurfaceCtx assembles the MoM system for surf at f through the
 // solver's configured path (tabulated when ZSpan > 0). workers > 0
 // overrides the solver's assembly parallelism — the batched sweep
-// engine splits its worker budget across concurrent points.
-func (s *Solver) AssembleSurface(surf *surface.Surface, f float64, workers int) (*mom.System, error) {
-	return s.AssembleSurfaceCtx(context.Background(), surf, f, workers)
-}
-
-// AssembleSurfaceCtx is AssembleSurface with trace propagation: the
+// engine splits its worker budget across concurrent points. The
 // assembly runs under a "mom.assemble" span (and any table build it
 // forces under a nested "tables.build" span) of the context's trace.
 func (s *Solver) AssembleSurfaceCtx(ctx context.Context, surf *surface.Surface, f float64, workers int) (*mom.System, error) {
@@ -272,11 +262,6 @@ func (s *Solver) AssembleSurfaceCtx(ctx context.Context, surf *surface.Surface, 
 		return mom.AssembleTabulated(surf, s.Mat.Params(f), s.tableFor(ctx, f), opt)
 	}
 	return mom.Assemble(surf, s.Mat.Params(f), opt), nil
-}
-
-// PrepareSurface is PrepareSurfaceCtx without trace propagation.
-func (s *Solver) PrepareSurface(surf *surface.Surface, f float64, workers int) (*mom.System, error) {
-	return s.PrepareSurfaceCtx(context.Background(), surf, f, workers)
 }
 
 // PrepareSurfaceCtx builds the system for surf at f through the
@@ -363,10 +348,8 @@ func (s *Solver) flatSolve(ctx context.Context, f float64) (float64, error) {
 // contribution to the double-layer diagonal must stay well below the ½
 // jump term. It returns the worst curvature diagonal term.
 func CheckResolution(surf *surface.Surface) (worstCurv float64, err error) {
-	fxx, fyy, _ := surf.SecondDerivs()
-	h := surf.Step()
-	for i := range fxx {
-		if v := math.Abs((fxx[i] + fyy[i]) * h * math.Log(1+math.Sqrt2) / (4 * math.Pi)); v > worstCurv {
+	for _, c := range mom.CurvatureDiagonal(surf) {
+		if v := math.Abs(c); v > worstCurv {
 			worstCurv = v
 		}
 	}

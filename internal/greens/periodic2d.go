@@ -78,7 +78,7 @@ func (g *Periodic2D) EvalRegularized() complex128 {
 }
 
 func (g *Periodic2D) eval(dx, dz float64, wantGrad, regularized bool) (complex128, [2]complex128) {
-	dx = wrapPeriod(dx, g.L)
+	dx = WrapPeriod(dx, g.L)
 	if g.useEwald {
 		vs, gs := g.spatialEwald(dx, dz, wantGrad, regularized)
 		vp, gp := g.spectral(dx, dz, wantGrad)

@@ -100,8 +100,8 @@ func (g *Periodic3D) EvalRegularized() complex128 {
 func (g *Periodic3D) eval(dx, dy, dz float64, wantGrad, regularized bool) (complex128, [3]complex128) {
 	// Reduce the lateral offset to the first period: makes periodicity
 	// exact and keeps the truncated image window symmetric.
-	dx = wrapPeriod(dx, g.L)
-	dy = wrapPeriod(dy, g.L)
+	dx = WrapPeriod(dx, g.L)
+	dy = WrapPeriod(dy, g.L)
 	var grad [3]complex128
 	if g.useEwald {
 		vs, gs := g.spatialEwald(dx, dy, dz, wantGrad, regularized)
@@ -219,8 +219,8 @@ func (g *Periodic3D) spatialImage(rx, ry, dz float64, wantGrad bool) (complex128
 // shell before fitting and add it back exactly. Only meaningful when
 // UsesEwald() is true.
 func (g *Periodic3D) SpatialShell(dx, dy, dz float64) (complex128, [3]complex128) {
-	dx = wrapPeriod(dx, g.L)
-	dy = wrapPeriod(dy, g.L)
+	dx = WrapPeriod(dx, g.L)
+	dy = WrapPeriod(dy, g.L)
 	var sum complex128
 	var grad [3]complex128
 	for p := -1; p <= 1; p++ {
@@ -269,8 +269,8 @@ func (g *Periodic3D) spectral(dx, dy, dz float64, wantGrad bool) (complex128, [3
 	return sum, grad
 }
 
-// wrapPeriod maps x into [−L/2, L/2).
-func wrapPeriod(x, l float64) float64 {
+// WrapPeriod maps x into [−L/2, L/2).
+func WrapPeriod(x, l float64) float64 {
 	x = math.Mod(x, l)
 	if x >= l/2 {
 		x -= l

@@ -4,12 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/cmplx"
-	"sync"
 
 	"roughsim/internal/cmplxmat"
 	"roughsim/internal/fft"
-	"roughsim/internal/greens"
 	"roughsim/internal/resilience"
 	"roughsim/internal/specfun"
 	"roughsim/internal/surface"
@@ -44,8 +41,8 @@ type FFTOperator struct {
 	h    float64
 	l    float64
 	beta complex128
+	surf *surface.Surface
 
-	f            []float64
 	fpow         [][]float64
 	jnx, jny     []float64
 	spec         [2]kernelFamilies // spectral kernels (FFT of c_q·h²)
@@ -65,67 +62,25 @@ type nearEntry struct {
 	s1, s2, d1, d2 complex128 // exact − polynomial-model corrections
 }
 
-// kernelSource evaluates one medium's periodic Green's function (and
-// its Δ-gradient) at the lattice geometries the operator build needs.
-// Two implementations exist: exact Ewald/image evaluation, and the
-// Chebyshev-in-Δz Green's tables a tabulated solver already owns — the
-// latter makes the operator build near-free on the production path.
-type kernelSource interface {
-	// gridEval evaluates at the wrapped grid offset (ix, iy) ∈ [0, m)²
-	// and height difference dz.
-	gridEval(ix, iy int, dz float64) (complex128, [3]complex128)
-	// nearEval evaluates at cell offset (cx, cy) ∈ [−near, near] with
-	// sub-cell indices (sx, sy) and height difference dz.
-	nearEval(cx, cy, sx, sy int, dz float64) (complex128, [3]complex128)
-	// regularized is the medium's regularized self value (see
-	// greens.Periodic3D.EvalRegularized).
-	regularized() complex128
-}
-
-// exactSource evaluates through the Ewald/image machinery directly.
-type exactSource struct {
-	g   *greens.Periodic3D
-	h   float64
-	sub int
-}
-
-func (e exactSource) gridEval(ix, iy int, dz float64) (complex128, [3]complex128) {
-	return e.g.EvalGrad(float64(ix)*e.h, float64(iy)*e.h, dz)
-}
-
-func (e exactSource) nearEval(cx, cy, sx, sy int, dz float64) (complex128, [3]complex128) {
-	ox := ((float64(sx)+0.5)/float64(e.sub) - 0.5) * e.h
-	oy := ((float64(sy)+0.5)/float64(e.sub) - 0.5) * e.h
-	return e.g.EvalGrad(float64(cx)*e.h-ox, float64(cy)*e.h-oy, dz)
-}
-
-func (e exactSource) regularized() complex128 { return e.g.EvalRegularized() }
-
-// tabSource evaluates through a solver's Green's tables.
-type tabSource struct{ t *tabulated }
-
-func (s tabSource) gridEval(ix, iy int, dz float64) (complex128, [3]complex128) {
-	return s.t.evalFar(ix, iy, dz)
-}
-
-func (s tabSource) nearEval(cx, cy, sx, sy int, dz float64) (complex128, [3]complex128) {
-	return s.t.evalNear(s.t.nearIndex(cx, sx), s.t.nearIndex(cy, sy), dz)
-}
-
-func (s tabSource) regularized() complex128 { return s.t.g.EvalRegularized() }
-
 // fftModelEstimate is the a-priori relative model error of the order-P
-// polynomial kernel expansion for a surface of height range 2·zmax on a
-// grid whose closest uncorrected pair sits at lateral distance rhoMin:
-// the expansion error decays like (Δz-range/ρ)^{P+1} and the near
-// corrections fix every pair inside rhoMin exactly, so the worst
-// surviving pair dominates. The solve chain admits the operator only
-// when this estimate is below Options.FFTModelTol.
-func fftModelEstimate(zmax, rhoMin float64, order int) float64 {
-	if zmax == 0 {
+// polynomial kernel expansion (P = Options.FFTOrder) for a surface: the
+// expansion error decays like (Δz-range/ρ)^{P+1} and the near
+// corrections fix every pair inside fftReach's rhoMin exactly, so the
+// worst surviving pair dominates. The solve chain admits the operator
+// only when this estimate is below Options.FFTModelTol.
+func fftModelEstimate(s *surface.Surface, opt Options) float64 {
+	zrange, rhoMin := fftReach(s, opt)
+	if zrange == 0 {
 		return 0
 	}
-	return math.Pow(2*zmax/rhoMin, float64(order+1))
+	return math.Pow(zrange/rhoMin, float64(opt.FFTOrder+1))
+}
+
+// fftReach returns the surface's height range 2·max|f| and rhoMin, the
+// lateral distance of the closest pair the polynomial model must
+// represent (every closer pair is corrected exactly).
+func fftReach(s *surface.Surface, opt Options) (zrange, rhoMin float64) {
+	return 2 * surfaceZMax(s), float64(opt.NearRadius+1) * s.Step()
 }
 
 // surfaceZMax returns max|f| over the surface heights.
@@ -150,12 +105,8 @@ func NewFFTOperator(s *surface.Surface, p Params, order int, opt Options) (*FFTO
 	if err := checkFFTAdmissible(s, order, opt); err != nil {
 		return nil, err
 	}
-	h := s.Step()
-	g1 := greens.NewPeriodic3D(p.K1, s.L)
-	g2 := greens.NewPeriodic3D(p.K2, s.L)
-	return buildFFTOperator(s, p, order, opt,
-		exactSource{g: g1, h: h, sub: opt.NearSubdiv},
-		exactSource{g: g2, h: h, sub: opt.NearSubdiv})
+	src1, src2 := exactSources(s, p, opt)
+	return buildFFTOperator(s, p, order, opt, src1, src2), nil
 }
 
 // NewFFTOperatorTabulated is NewFFTOperator evaluating the kernels
@@ -169,21 +120,11 @@ func NewFFTOperatorTabulated(s *surface.Surface, p Params, ts *TableSet, order i
 	if err := checkFFTAdmissible(s, order, opt); err != nil {
 		return nil, err
 	}
-	if s.M != ts.M || s.L != ts.L {
-		return nil, resilience.Errorf(resilience.KindInvalidInput, "mom.fftop",
-			"surface grid %gx%d does not match table %gx%d", s.L, s.M, ts.L, ts.M)
-	}
-	if opt.NearSubdiv != ts.Sub || opt.NearRadius != ts.Near {
-		return nil, resilience.Errorf(resilience.KindInvalidInput, "mom.fftop",
-			"options (near=%d sub=%d) do not match table (near=%d sub=%d)",
-			opt.NearRadius, opt.NearSubdiv, ts.Near, ts.Sub)
-	}
 	zmax := surfaceZMax(s)
-	if need := math.Max(2.2*zmax, fitSpan(zmax, s.Step())); need > ts.ZSpan {
-		return nil, resilience.Errorf(resilience.KindNumerical, "mom.fftop",
-			"operator fit span %g exceeds table span %g", need, ts.ZSpan)
+	if err := ts.compatible(s, opt, math.Max(2.2*zmax, fitSpan(zmax, s.Step()))); err != nil {
+		return nil, err
 	}
-	return buildFFTOperator(s, p, order, opt, tabSource{ts.g1}, tabSource{ts.g2})
+	return buildFFTOperator(s, p, order, opt, ts.g1, ts.g2), nil
 }
 
 // checkFFTAdmissible applies the operator's deterministic admissibility
@@ -193,11 +134,9 @@ func checkFFTAdmissible(s *surface.Surface, order int, opt Options) error {
 		return resilience.Errorf(resilience.KindInvalidInput, "mom.fftop",
 			"FFT operator order must be ≥ 1 (got %d)", order)
 	}
-	zmax := surfaceZMax(s)
-	rhoMin := float64(opt.NearRadius+1) * s.Step()
-	if 2*zmax > 0.8*rhoMin {
+	if zrange, rhoMin := fftReach(s, opt); zrange > 0.8*rhoMin {
 		return resilience.Errorf(resilience.KindNumerical, "mom.fftop",
-			"height range %.3g exceeds FFT-operator convergence bound %.3g (σ too large for this grid; use dense/tabulated assembly)", 2*zmax, 0.8*rhoMin)
+			"height range %.3g exceeds FFT-operator convergence bound %.3g (σ too large for this grid; use dense/tabulated assembly)", zrange, 0.8*rhoMin)
 	}
 	return nil
 }
@@ -217,25 +156,20 @@ func fitSpan(zmax, h float64) float64 {
 // sources. The kernel fits and near corrections — the two costly loops —
 // are spread over Options.Workers; both are bitwise deterministic in the
 // worker count because every slot is computed independently.
-func buildFFTOperator(s *surface.Surface, p Params, order int, opt Options, src1, src2 kernelSource) (*FFTOperator, error) {
+func buildFFTOperator(s *surface.Surface, p Params, order int, opt Options, src1, src2 kernelSource) *FFTOperator {
+	g := newCellGeom(s, opt.NearSubdiv)
 	m := s.M
 	n := m * m
-	h := s.Step()
-	zmax := surfaceZMax(s)
+	h := g.h
 
-	op := &FFTOperator{N: n, Order: order, m: m, h: h, l: s.L, beta: p.Beta, f: s.H}
-	fx, fy := s.Gradients()
-	fxx, fyy, _ := s.SecondDerivs()
+	op := &FFTOperator{N: n, Order: order, m: m, h: h, l: s.L, beta: p.Beta, surf: s}
 	op.jnx = make([]float64, n)
 	op.jny = make([]float64, n)
-	for i := range fx {
-		op.jnx[i] = -fx[i]
-		op.jny[i] = -fy[i]
+	for i := range g.fx {
+		op.jnx[i] = -g.fx[i]
+		op.jny[i] = -g.fy[i]
 	}
-	op.curv = make([]float64, n)
-	for i := range op.curv {
-		op.curv[i] = (fxx[i] + fyy[i]) * h * math.Log(1+math.Sqrt2) / (4 * math.Pi)
-	}
+	op.curv = CurvatureDiagonal(s)
 	op.fpow = make([][]float64, order+1)
 	for q := 0; q <= order; q++ {
 		op.fpow[q] = make([]float64, n)
@@ -244,7 +178,7 @@ func buildFFTOperator(s *surface.Surface, p Params, order int, opt Options, src1
 		}
 	}
 
-	zfit := fitSpan(zmax, h)
+	zfit := fitSpan(surfaceZMax(s), h)
 	for med, src := range []kernelSource{src1, src2} {
 		rk := fitKernels(src, m, h, order, zfit, opt.Workers)
 		op.realK[med] = rk
@@ -262,12 +196,11 @@ func buildFFTOperator(s *surface.Surface, p Params, order int, opt Options, src1
 		op.spec[med] = sp
 	}
 
-	selfSing := complex(h*math.Log(1+math.Sqrt2)/math.Pi, 0)
-	op.diag1 = selfSing + complex(h*h, 0)*src1.regularized()
-	op.diag2 = selfSing + complex(h*h, 0)*src2.regularized()
+	op.diag1 = selfTerm(h, src1)
+	op.diag2 = selfTerm(h, src2)
 
-	op.buildNearCorrections(s, src1, src2, opt)
-	return op, nil
+	op.buildNearCorrections(g, src1, src2, opt)
+	return op
 }
 
 // fitKernels samples G and ∇G at Chebyshev z-nodes for every lateral
@@ -278,10 +211,7 @@ func buildFFTOperator(s *surface.Surface, p Params, order int, opt Options, src1
 // deterministic results.
 func fitKernels(src kernelSource, m int, h float64, order int, zfit float64, workers int) kernelFamilies {
 	n := m * m
-	nodes := make([]float64, order+1)
-	for s := range nodes {
-		nodes[s] = zfit * math.Cos((float64(s)+0.5)*math.Pi/float64(order+1))
-	}
+	nodes := chebNodes(order+1, zfit)
 	inv := vandermondeInverse(nodes)
 
 	var kf kernelFamilies
@@ -296,47 +226,37 @@ func fitKernels(src kernelSource, m int, h float64, order int, zfit float64, wor
 		kf.gz[q] = make([]complex128, n)
 	}
 	area := complex(h*h, 0)
-	var wg sync.WaitGroup
-	offsets := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sampG := make([]complex128, order+1)
-			sampX := make([]complex128, order+1)
-			sampY := make([]complex128, order+1)
-			sampZ := make([]complex128, order+1)
-			for idx := range offsets {
-				iy, ix := idx/m, idx%m
-				for s, z := range nodes {
-					v, gr := src.gridEval(ix, iy, z)
-					sampG[s] = v * area
-					sampX[s] = gr[0] * area
-					sampY[s] = gr[1] * area
-					sampZ[s] = gr[2] * area
-				}
-				for q := 0; q <= order; q++ {
-					var cg, cx, cy, cz complex128
-					for s := 0; s <= order; s++ {
-						w := complex(inv[q][s], 0)
-						cg += w * sampG[s]
-						cx += w * sampX[s]
-						cy += w * sampY[s]
-						cz += w * sampZ[s]
-					}
-					kf.g[q][idx] = cg
-					kf.gx[q][idx] = cx
-					kf.gy[q][idx] = cy
-					kf.gz[q][idx] = cz
-				}
+	parallelFor(n-1, workers, func() func(int) {
+		sampG := make([]complex128, order+1)
+		sampX := make([]complex128, order+1)
+		sampY := make([]complex128, order+1)
+		sampZ := make([]complex128, order+1)
+		return func(k int) {
+			idx := k + 1 // (0,0) stays zero: supplied by near corrections
+			iy, ix := idx/m, idx%m
+			for s, z := range nodes {
+				v, gr := src.gridEval(ix, iy, z)
+				sampG[s] = v * area
+				sampX[s] = gr[0] * area
+				sampY[s] = gr[1] * area
+				sampZ[s] = gr[2] * area
 			}
-		}()
-	}
-	for idx := 1; idx < n; idx++ { // (0,0) stays zero: supplied by near corrections
-		offsets <- idx
-	}
-	close(offsets)
-	wg.Wait()
+			for q := 0; q <= order; q++ {
+				var cg, cx, cy, cz complex128
+				for s := 0; s <= order; s++ {
+					w := complex(inv[q][s], 0)
+					cg += w * sampG[s]
+					cx += w * sampX[s]
+					cy += w * sampY[s]
+					cz += w * sampZ[s]
+				}
+				kf.g[q][idx] = cg
+				kf.gx[q][idx] = cx
+				kf.gy[q][idx] = cy
+				kf.gz[q][idx] = cz
+			}
+		}
+	})
 	return kf
 }
 
@@ -393,7 +313,7 @@ func (op *FFTOperator) modelEntry(med, i, j int) (sv, dv complex128) {
 	px := ((i%m-j%m)%m + m) % m
 	py := ((i/m-j/m)%m + m) % m
 	idx := py*m + px
-	dz := op.f[i] - op.f[j]
+	dz := op.surf.H[i] - op.surf.H[j]
 	rk := op.realK[med]
 	var zp complex128 = 1
 	for q := 0; q <= op.Order; q++ {
@@ -417,22 +337,21 @@ const nearChebOrder = 16
 // near-correction loop queries the same few hundred lateral points at
 // N·win²·sub² different heights; fitting each point once turns ~10⁶
 // exact kernel evaluations (Ewald sums for the dielectric medium) into
-// a few thousand plus cheap Clenshaw evaluations.
+// a few thousand plus cheap Clenshaw evaluations. It is the
+// nearEvaluator the near-correction quadrature reads.
 type nearChebCache struct {
-	dim  int     // per-axis index count = (2·near+1)·sub
-	span float64 // |Δz| half-range the fit covers (0 for flat surfaces)
-	c    [][4][]complex128
+	near, sub int
+	dim       int     // per-axis index count = (2·near+1)·sub
+	span      float64 // |Δz| half-range the fit covers (0 for flat surfaces)
+	c         [][4][]complex128
 }
 
-func (nc *nearChebCache) eval(ax, ay int, dz float64) (complex128, [3]complex128) {
-	e := &nc.c[ax*nc.dim+ay]
+func (nc *nearChebCache) nearEval(cx, cy, sx, sy int, dz float64) (complex128, [3]complex128) {
 	var t float64
 	if nc.span > 0 {
 		t = dz / nc.span
 	}
-	return clenshaw(e[0], t), [3]complex128{
-		clenshaw(e[1], t), clenshaw(e[2], t), clenshaw(e[3], t),
-	}
+	return chebEval(&nc.c[((cy+nc.near)*nc.sub+sy)*nc.dim+(cx+nc.near)*nc.sub+sx], t)
 }
 
 // fitNearCheb samples src at Chebyshev Δz-nodes for every near lateral
@@ -441,53 +360,28 @@ func (nc *nearChebCache) eval(ax, ay int, dz float64) (complex128, [3]complex128
 // cached value bitwise identical to a direct evaluation. The (0,0) cell
 // block is skipped: it can sit at ρ = 0 (singular) and the correction
 // loop never queries it because the self pair is excluded.
-func fitNearCheb(src kernelSource, opt Options, span float64, workers int) *nearChebCache {
+func fitNearCheb(src nearEvaluator, opt Options, span float64) *nearChebCache {
 	near, sub := opt.NearRadius, opt.NearSubdiv
 	dim := (2*near + 1) * sub
-	nc := &nearChebCache{dim: dim, span: span, c: make([][4][]complex128, dim*dim)}
+	nc := &nearChebCache{near: near, sub: sub, dim: dim, span: span, c: make([][4][]complex128, dim*dim)}
 	nn := nearChebOrder + 1
 	if span == 0 {
 		nn = 1
 	}
-	nodes := make([]float64, nn)
-	for k := range nodes {
-		nodes[k] = span * math.Cos((float64(k)+0.5)*math.Pi/float64(nn))
-	}
-	var wg sync.WaitGroup
-	pts := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			samp := [4][]complex128{}
-			for q := range samp {
-				samp[q] = make([]complex128, nn)
+	nodes := chebNodes(nn, span)
+	parallelFor(dim*dim, opt.Workers, func() func(int) {
+		return func(idx int) {
+			ax, ay := idx%dim, idx/dim
+			cx, sx := ax/sub-near, ax%sub
+			cy, sy := ay/sub-near, ay%sub
+			if cx == 0 && cy == 0 {
+				return
 			}
-			for idx := range pts {
-				ax, ay := idx/dim, idx%dim
-				cx, sx := ax/sub-near, ax%sub
-				cy, sy := ay/sub-near, ay%sub
-				if cx == 0 && cy == 0 {
-					continue
-				}
-				for k, z := range nodes {
-					v, gr := src.nearEval(cx, cy, sx, sy, z)
-					samp[0][k] = v
-					samp[1][k] = gr[0]
-					samp[2][k] = gr[1]
-					samp[3][k] = gr[2]
-				}
-				for q := range samp {
-					nc.c[idx][q] = chebCoeffs(samp[q])
-				}
-			}
-		}()
-	}
-	for idx := 0; idx < dim*dim; idx++ {
-		pts <- idx
-	}
-	close(pts)
-	wg.Wait()
+			nc.c[idx] = chebFit(nodes, func(z float64) (complex128, [3]complex128) {
+				return src.nearEval(cx, cy, sx, sy, z)
+			})
+		}
+	})
 	return nc
 }
 
@@ -497,87 +391,52 @@ func fitNearCheb(src kernelSource, opt Options, span float64, workers int) *near
 // row's window is computed independently into a preallocated slot, so
 // the loop parallelizes over the worker budget with a bitwise
 // deterministic result.
-func (op *FFTOperator) buildNearCorrections(s *surface.Surface, src1, src2 kernelSource, opt Options) {
+func (op *FFTOperator) buildNearCorrections(g *cellGeom, src1, src2 kernelSource, opt Options) {
 	m := op.m
-	h := op.h
-	fx, fy := s.Gradients()
-	fxx, fyy, fxy := s.SecondDerivs()
-	sub := opt.NearSubdiv
-	subArea := complex(h*h/float64(sub*sub), 0)
-	win := 2*opt.NearRadius + 1
+	r := opt.NearRadius
+	win := 2*r + 1
 	op.nearEntries = make([]nearEntry, op.N*win*win)
 
 	// Exact bound on |Δz| seen by the correction loop: the height
 	// difference range plus the largest quadratic-surface sub-cell shift.
 	var fmin, fmax float64
-	for _, v := range s.H {
+	for _, v := range g.f {
 		fmin = math.Min(fmin, v)
 		fmax = math.Max(fmax, v)
 	}
 	var maxShift float64
-	ho := h / 2
-	for j := range s.H {
-		sh := (math.Abs(fx[j])+math.Abs(fy[j]))*ho +
-			0.5*(math.Abs(fxx[j])+math.Abs(fyy[j]))*ho*ho + math.Abs(fxy[j])*ho*ho
+	ho := g.h / 2
+	for j := range g.f {
+		sh := (math.Abs(g.fx[j])+math.Abs(g.fy[j]))*ho +
+			0.5*(math.Abs(g.fxx[j])+math.Abs(g.fyy[j]))*ho*ho + math.Abs(g.fxy[j])*ho*ho
 		maxShift = math.Max(maxShift, sh)
 	}
 	span := (fmax - fmin) + maxShift
 
-	nc1 := fitNearCheb(src1, opt, span, opt.Workers)
-	nc2 := fitNearCheb(src2, opt, span, opt.Workers)
+	nc1 := fitNearCheb(src1, opt, span)
+	nc2 := fitNearCheb(src2, opt, span)
 
-	var wg sync.WaitGroup
-	rows := make(chan int)
-	for w := 0; w < opt.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range rows {
-				iy, ix := i/m, i%m
-				for dyC := -opt.NearRadius; dyC <= opt.NearRadius; dyC++ {
-					for dxC := -opt.NearRadius; dxC <= opt.NearRadius; dxC++ {
-						jx := ((ix-dxC)%m + m) % m
-						jy := ((iy-dyC)%m + m) % m
-						j := jy*m + jx
-						var s1, s2, d1, d2 complex128
-						if j != i {
-							dzc := s.H[i] - s.H[j]
-							for sy := 0; sy < sub; sy++ {
-								oy := ((float64(sy)+0.5)/float64(sub) - 0.5) * h
-								ay := (dyC+opt.NearRadius)*sub + sy
-								for sx := 0; sx < sub; sx++ {
-									ox := ((float64(sx)+0.5)/float64(sub) - 0.5) * h
-									ddz := dzc - (fx[j]*ox + fy[j]*oy +
-										0.5*fxx[j]*ox*ox + 0.5*fyy[j]*oy*oy + fxy[j]*ox*oy)
-									ax := (dxC+opt.NearRadius)*sub + sx
-									v1, gr1 := nc1.eval(ax, ay, ddz)
-									v2, gr2 := nc2.eval(ax, ay, ddz)
-									s1 += v1 * subArea
-									s2 += v2 * subArea
-									snx := -(fx[j] + fxx[j]*ox + fxy[j]*oy)
-									sny := -(fy[j] + fyy[j]*oy + fxy[j]*ox)
-									d1 += -(complex(snx, 0)*gr1[0] + complex(sny, 0)*gr1[1] + gr1[2]) * subArea
-									d2 += -(complex(snx, 0)*gr2[0] + complex(sny, 0)*gr2[1] + gr2[2]) * subArea
-								}
-							}
-						}
-						t1s, t1d := op.modelEntry(0, i, j)
-						t2s, t2d := op.modelEntry(1, i, j)
-						op.nearEntries[i*win*win+(dyC+opt.NearRadius)*win+(dxC+opt.NearRadius)] = nearEntry{
-							i: i, j: j,
-							s1: s1 - t1s, s2: s2 - t2s,
-							d1: d1 - t1d, d2: d2 - t2d,
-						}
+	parallelFor(op.N, opt.Workers, func() func(int) {
+		return func(i int) {
+			iy, ix := i/m, i%m
+			for dyC := -r; dyC <= r; dyC++ {
+				for dxC := -r; dxC <= r; dxC++ {
+					j := ((iy-dyC)%m+m)%m*m + ((ix-dxC)%m+m)%m
+					var s1, s2, d1, d2 complex128
+					if j != i {
+						s1, s2, d1, d2 = g.nearQuadrature(nc1, nc2, j, dxC, dyC, g.f[i]-g.f[j])
+					}
+					t1s, t1d := op.modelEntry(0, i, j)
+					t2s, t2d := op.modelEntry(1, i, j)
+					op.nearEntries[i*win*win+(dyC+r)*win+(dxC+r)] = nearEntry{
+						i: i, j: j,
+						s1: s1 - t1s, s2: s2 - t2s,
+						d1: d1 - t1d, d2: d2 - t2d,
 					}
 				}
 			}
-		}()
-	}
-	for i := 0; i < op.N; i++ {
-		rows <- i
-	}
-	close(rows)
-	wg.Wait()
+		}
+	})
 }
 
 // MatVec applies the full 2N×2N system (9) to x = [Ψ; U], writing y.
@@ -706,13 +565,7 @@ func (op *FFTOperator) Solve(ctx context.Context, rhs []complex128, tol float64)
 	if err != nil {
 		return nil, rr, err
 	}
-	sol := &Solution{Psi: x[:op.N], U: x[op.N : 2*op.N]}
-	var p float64
-	for i := 0; i < op.N; i++ {
-		p += real(sol.Psi[i])*real(sol.U[i]) + imag(sol.Psi[i])*imag(sol.U[i])
-	}
-	sol.Pabs = op.h * op.h / 2 * p
-	return sol, rr, nil
+	return solutionFrom(x, op.h), rr, nil
 }
 
 // solveVec is the raw preconditioned GMRES run behind Solve; the solve
@@ -767,10 +620,4 @@ func (op *FFTOperator) blockJacobi() func(y, x []complex128) {
 }
 
 // RHS builds the incident-field right-hand side for the operator's surface.
-func (op *FFTOperator) RHS(p Params) []complex128 {
-	rhs := make([]complex128, 2*op.N)
-	for i := 0; i < op.N; i++ {
-		rhs[i] = cmplx.Exp(complex(0, -1) * p.K1 * complex(op.f[i], 0))
-	}
-	return rhs
-}
+func (op *FFTOperator) RHS(p Params) []complex128 { return RHSVector(op.surf, p) }

@@ -1,0 +1,239 @@
+package mom
+
+import (
+	"math"
+	"sync"
+	"sync/atomic"
+
+	"roughsim/internal/greens"
+	"roughsim/internal/surface"
+)
+
+// kernelSource evaluates one medium's periodic Green's function (and its
+// Δ-gradient) at the lattice geometries the MoM rule needs. It is the
+// only way 3D code reads a Green's function: dense assembly, the Green's
+// table build and the FFT operator build all go through it. exactSource
+// runs the Ewald/image sums and is the reference; *tabulated reads a
+// TableSet's Chebyshev-in-Δz tables and is the production path.
+type kernelSource interface {
+	nearEvaluator
+	// gridEval evaluates at the wrapped grid offset (ix, iy) ∈ [0, m)²
+	// and height difference dz.
+	gridEval(ix, iy int, dz float64) (complex128, [3]complex128)
+	// regularized is the medium's regularized self value (see
+	// greens.Periodic3D.EvalRegularized).
+	regularized() complex128
+}
+
+// nearEvaluator is the part of a kernel the near-field quadrature reads.
+// Besides the kernel sources, the FFT operator's nearChebCache is one.
+type nearEvaluator interface {
+	// nearEval evaluates at cell offset (cx, cy) ∈ [−near, near] with
+	// sub-cell indices (sx, sy) and height difference dz.
+	nearEval(cx, cy, sx, sy int, dz float64) (complex128, [3]complex128)
+}
+
+// exactSource evaluates through the Ewald/image machinery directly.
+type exactSource struct {
+	g   *greens.Periodic3D
+	h   float64
+	sub int
+}
+
+// exactSources returns both media's reference kernel sources for a
+// surface's grid.
+func exactSources(s *surface.Surface, p Params, opt Options) (exactSource, exactSource) {
+	h := s.Step()
+	return exactSource{g: greens.NewPeriodic3D(p.K1, s.L), h: h, sub: opt.NearSubdiv},
+		exactSource{g: greens.NewPeriodic3D(p.K2, s.L), h: h, sub: opt.NearSubdiv}
+}
+
+func (e exactSource) gridEval(ix, iy int, dz float64) (complex128, [3]complex128) {
+	return e.g.EvalGrad(float64(ix)*e.h, float64(iy)*e.h, dz)
+}
+
+func (e exactSource) nearEval(cx, cy, sx, sy int, dz float64) (complex128, [3]complex128) {
+	return e.g.EvalGrad(float64(cx)*e.h-subOffset(sx, e.sub, e.h), float64(cy)*e.h-subOffset(sy, e.sub, e.h), dz)
+}
+
+func (e exactSource) regularized() complex128 { return e.g.EvalRegularized() }
+
+// subOffset is the position of sub-cell s of sub along one axis,
+// relative to the cell center.
+func subOffset(s, sub int, h float64) float64 {
+	return ((float64(s)+0.5)/float64(sub) - 0.5) * h
+}
+
+// selfTerm is the single-layer self-cell entry: the static singular
+// integral ∫_cell 1/(4πR) dA over a square cell of side h with the
+// observation point at its center, (1/4π)·4h·asinh(1) = h·ln(1+√2)/π,
+// plus the regularized remainder over the cell area.
+func selfTerm(h float64, src kernelSource) complex128 {
+	return complex(h*math.Log(1+math.Sqrt2)/math.Pi, 0) + complex(h*h, 0)*src.regularized()
+}
+
+// CurvatureDiagonal returns the double-layer self term of every cell.
+// The flat-cell principal value vanishes by odd symmetry, but the
+// surface curvature leaves a first-order residue: for the local graph
+// z ≈ (f_xx·x² + f_yy·y²)/2, n̂′·∇′G_static = (f_xx·x²+f_yy·y²)/(8πρ³),
+// and integrating over the square cell gives (f_xx+f_yy)·h·ln(1+√2)/(4π).
+// This term is the same order as the roughness perturbation itself and
+// is required for SWM → SPM2 convergence (see the spm2 cross-test).
+func CurvatureDiagonal(s *surface.Surface) []float64 {
+	fxx, fyy, _ := s.SecondDerivs()
+	h := s.Step()
+	curv := make([]float64, len(fxx))
+	for i := range curv {
+		curv[i] = (fxx[i] + fyy[i]) * h * math.Log(1+math.Sqrt2) / (4 * math.Pi)
+	}
+	return curv
+}
+
+// cellGeom is the per-surface geometry the MoM quadrature rules read:
+// heights and the local first- and second-order surface derivatives.
+type cellGeom struct {
+	sub                   int
+	h                     float64
+	f                     []float64
+	fx, fy, fxx, fyy, fxy []float64
+}
+
+func newCellGeom(s *surface.Surface, sub int) *cellGeom {
+	g := &cellGeom{sub: sub, h: s.Step(), f: s.H}
+	g.fx, g.fy = s.Gradients()
+	g.fxx, g.fyy, g.fxy = s.SecondDerivs()
+	return g
+}
+
+// nearQuadrature integrates source cell j, at cell offset (cx, cy) and
+// center height difference dzc from the observation point, by
+// sub×sub-point quadrature over its local second-order surface:
+// staircase plaquettes with a constant normal would bias near
+// interactions at the same order as the roughness perturbation. It
+// returns both media's single- and double-layer entries.
+func (g *cellGeom) nearQuadrature(src1, src2 nearEvaluator, j, cx, cy int, dzc float64) (s1, s2, d1, d2 complex128) {
+	subArea := complex(g.h*g.h/float64(g.sub*g.sub), 0)
+	fx, fy, fxx, fyy, fxy := g.fx[j], g.fy[j], g.fxx[j], g.fyy[j], g.fxy[j]
+	for sy := 0; sy < g.sub; sy++ {
+		oy := subOffset(sy, g.sub, g.h)
+		for sx := 0; sx < g.sub; sx++ {
+			ox := subOffset(sx, g.sub, g.h)
+			ddz := dzc - (fx*ox + fy*oy + 0.5*fxx*ox*ox + 0.5*fyy*oy*oy + fxy*ox*oy)
+			v1, gr1 := src1.nearEval(cx, cy, sx, sy, ddz)
+			v2, gr2 := src2.nearEval(cx, cy, sx, sy, ddz)
+			s1 += v1 * subArea
+			s2 += v2 * subArea
+			// Local (Jacobian-weighted) normal at the sub-point;
+			// ∂G/∂n′ = J·n̂·∇′G = −J·n̂·∇_Δ G.
+			snx := -(fx + fxx*ox + fxy*oy)
+			sny := -(fy + fyy*oy + fxy*ox)
+			d1 += -(complex(snx, 0)*gr1[0] + complex(sny, 0)*gr1[1] + gr1[2]) * subArea
+			d2 += -(complex(snx, 0)*gr2[0] + complex(sny, 0)*gr2[1] + gr2[2]) * subArea
+		}
+	}
+	return s1, s2, d1, d2
+}
+
+// farPoint is the one-point rule for source cell j at wrapped grid
+// offset (px, py): one medium's single- and double-layer entries.
+func (g *cellGeom) farPoint(src kernelSource, j, px, py int, dzc float64) (sv, dv complex128) {
+	area := complex(g.h*g.h, 0)
+	v, gr := src.gridEval(px, py, dzc)
+	jnx, jny := -g.fx[j], -g.fy[j] // J·n̂ at the source cell
+	return v * area, -(complex(jnx, 0)*gr[0] + complex(jny, 0)*gr[1] + gr[2]) * area
+}
+
+// parallelFor calls a body for every i in [0, n), spread over up to
+// workers goroutines. newBody runs once per worker, so a body can own
+// scratch buffers. Every index is handled independently, so results
+// written to per-index slots are bitwise deterministic in workers.
+func parallelFor(n, workers int, newBody func() func(i int)) {
+	workers = min(workers, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			body := newBody()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				body(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// wrapOffset maps a cell-index difference to its periodic image in
+// (−m/2, m/2].
+func wrapOffset(d, m int) int {
+	d = ((d % m) + m) % m
+	if d > m/2 {
+		d -= m
+	}
+	return d
+}
+
+func absInt(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
+}
+
+// chebNodes returns the n Chebyshev nodes of [−span, span].
+func chebNodes(n int, span float64) []float64 {
+	x := make([]float64, n)
+	for k := 0; k < n; k++ {
+		x[k] = span * math.Cos((float64(k)+0.5)*math.Pi/float64(n))
+	}
+	return x
+}
+
+// chebFit samples a kernel's value and Δ-gradient at Chebyshev nodes and
+// returns the four expansion coefficient vectors (G, Gx, Gy, Gz).
+func chebFit(nodes []float64, eval func(z float64) (complex128, [3]complex128)) [4][]complex128 {
+	var smp [4][]complex128
+	for q := range smp {
+		smp[q] = make([]complex128, len(nodes))
+	}
+	for k, z := range nodes {
+		v, gr := eval(z)
+		smp[0][k], smp[1][k], smp[2][k], smp[3][k] = v, gr[0], gr[1], gr[2]
+	}
+	for q := range smp {
+		smp[q] = chebCoeffs(smp[q])
+	}
+	return smp
+}
+
+// chebEval evaluates a chebFit result at t ∈ [−1, 1].
+func chebEval(c *[4][]complex128, t float64) (complex128, [3]complex128) {
+	return clenshaw(c[0], t), [3]complex128{clenshaw(c[1], t), clenshaw(c[2], t), clenshaw(c[3], t)}
+}
+
+// chebCoeffs converts samples at the standard Chebyshev nodes into
+// expansion coefficients (plain O(n²) transform; n is small).
+func chebCoeffs(samples []complex128) []complex128 {
+	n := len(samples)
+	out := make([]complex128, n)
+	for j := 0; j < n; j++ {
+		var s complex128
+		for k := 0; k < n; k++ {
+			s += samples[k] * complex(math.Cos(float64(j)*(float64(k)+0.5)*math.Pi/float64(n)), 0)
+		}
+		out[j] = s * complex(2/float64(n), 0)
+	}
+	out[0] /= 2
+	return out
+}
+
+// clenshaw evaluates a Chebyshev expansion at t ∈ [−1, 1].
+func clenshaw(c []complex128, t float64) complex128 {
+	var b1, b2 complex128
+	tt := complex(2*t, 0)
+	for j := len(c) - 1; j >= 1; j-- {
+		b1, b2 = c[j]+tt*b1-b2, b1
+	}
+	return c[0] + complex(t, 0)*b1 - b2
+}

@@ -17,18 +17,19 @@
 // static kernel over a square cell has a closed form), near cells use
 // subdivided quadrature, and far cells one-point quadrature — adequate at
 // the paper's Δ = η/8 resolution and verified against analytic flat-
-// surface transmission in the tests.
+// surface transmission in the tests. That rule is written once
+// (kernel.go) and reads the Green's functions through kernelSource, so
+// exact and tabulated dense assembly, the table build and the FFT
+// operator build differ only in where the kernel values come from.
 package mom
 
 import (
 	"fmt"
-	"math"
 	"math/cmplx"
 	"runtime"
 	"sync"
 
 	"roughsim/internal/cmplxmat"
-	"roughsim/internal/greens"
 	"roughsim/internal/resilience"
 	"roughsim/internal/surface"
 )
@@ -137,9 +138,7 @@ func NewOperatorSystem(s *surface.Surface, p Params, opt Options, ts *TableSet, 
 			"grid of %d cells below FFT-stage threshold %d", n, opt.FFTMinCells)
 		return sys
 	}
-	zmax := surfaceZMax(s)
-	rhoMin := float64(opt.NearRadius+1) * s.Step()
-	if est := fftModelEstimate(zmax, rhoMin, opt.FFTOrder); est > opt.FFTModelTol {
+	if est := fftModelEstimate(s, opt); est > opt.FFTModelTol {
 		sys.fftRej = resilience.Errorf(resilience.KindNumerical, "mom.fftop",
 			"a-priori kernel-model error %.2e exceeds tolerance %.2e", est, opt.FFTModelTol)
 		return sys
@@ -199,147 +198,60 @@ func (sys *System) Materialize() error {
 	return sys.denseErr
 }
 
-// Assemble builds the dense 2N×2N system for a surface realization.
+// Assemble builds the dense 2N×2N system for a surface realization,
+// evaluating the kernels exactly: the reference for AssembleTabulated.
 func Assemble(s *surface.Surface, p Params, opt Options) *System {
 	opt = opt.withDefaults()
-	m := s.M
-	n := m * m
-	h := s.Step()
-	fx, fy := s.Gradients()
-	fxx, fyy, fxy := s.SecondDerivs()
-
-	g1 := greens.NewPeriodic3D(p.K1, s.L)
-	g2 := greens.NewPeriodic3D(p.K2, s.L)
-
-	a := cmplxmat.New(2*n, 2*n)
-	rhs := make([]complex128, 2*n)
-
-	// Self-cell static singular integral: ∫_cell 1/(4πR) dA for a square
-	// cell of side h with the observation point at its center:
-	// (1/4π)·4h·asinh(1) = h·ln(1+√2)/π.
-	selfSing := complex(h*math.Log(1+math.Sqrt2)/math.Pi, 0)
-	reg1 := g1.EvalRegularized()
-	reg2 := g2.EvalRegularized()
-	s1Self := selfSing + complex(h*h, 0)*reg1
-	s2Self := selfSing + complex(h*h, 0)*reg2
-
-	area := complex(h*h, 0)
-	sub := opt.NearSubdiv
-	subArea := complex(h*h/float64(sub*sub), 0)
-
-	var wg sync.WaitGroup
-	rows := make(chan int)
-	for w := 0; w < opt.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range rows {
-				iy, ix := i/m, i%m
-				xi := float64(ix) * h
-				yi := float64(iy) * h
-				zi := s.H[i]
-				row1 := a.Row(i)
-				row2 := a.Row(n + i)
-				for j := 0; j < n; j++ {
-					jy, jx := j/m, j%m
-					var s1, s2, d1, d2 complex128
-					jn := [3]float64{-fx[j], -fy[j], 1} // J·n̂ at source cell
-					if j == i {
-						s1, s2 = s1Self, s2Self
-						// PV double-layer self term: the flat-cell part
-						// vanishes by odd symmetry, but the surface
-						// curvature leaves a first-order residue. For
-						// the local graph z ≈ (f_xx·x² + f_yy·y²)/2,
-						// n̂′·∇′G_static = (f_xx·x²+f_yy·y²)/(8πρ³), and
-						// integrating over the square cell gives
-						// (f_xx+f_yy)·h·ln(1+√2)/(4π). This term is the
-						// same order as the roughness perturbation
-						// itself and is required for SWM → SPM2
-						// convergence (see the spm2 cross-test).
-						curv := complex((fxx[i]+fyy[i])*h*math.Log(1+math.Sqrt2)/(4*math.Pi), 0)
-						d1 = curv
-						d2 = curv
-					} else {
-						dxc := xi - float64(jx)*h
-						dyc := yi - float64(jy)*h
-						dzc := zi - s.H[j]
-						if nearCell(ix-jx, iy-jy, m, opt.NearRadius) {
-							// Subdivided source-cell quadrature with the
-							// local second-order surface geometry:
-							// staircase plaquettes with a constant
-							// normal bias near interactions at the same
-							// order as the roughness perturbation.
-							for sy := 0; sy < sub; sy++ {
-								oy := ((float64(sy)+0.5)/float64(sub) - 0.5) * h
-								for sx := 0; sx < sub; sx++ {
-									ox := ((float64(sx)+0.5)/float64(sub) - 0.5) * h
-									ddx := dxc - ox
-									ddy := dyc - oy
-									ddz := dzc - (fx[j]*ox + fy[j]*oy +
-										0.5*fxx[j]*ox*ox + 0.5*fyy[j]*oy*oy + fxy[j]*ox*oy)
-									v1, gr1 := g1.EvalGrad(ddx, ddy, ddz)
-									v2, gr2 := g2.EvalGrad(ddx, ddy, ddz)
-									s1 += v1 * subArea
-									s2 += v2 * subArea
-									// Local normal (Jacobian-weighted)
-									// at the sub-point.
-									snx := -(fx[j] + fxx[j]*ox + fxy[j]*oy)
-									sny := -(fy[j] + fyy[j]*oy + fxy[j]*ox)
-									// ∂G/∂n′ = J·n̂·∇′G = −J·n̂·∇_Δ G.
-									d1 += -(complex(snx, 0)*gr1[0] + complex(sny, 0)*gr1[1] + gr1[2]) * subArea
-									d2 += -(complex(snx, 0)*gr2[0] + complex(sny, 0)*gr2[1] + gr2[2]) * subArea
-								}
-							}
-						} else {
-							v1, gr1 := g1.EvalGrad(dxc, dyc, dzc)
-							v2, gr2 := g2.EvalGrad(dxc, dyc, dzc)
-							s1 = v1 * area
-							s2 = v2 * area
-							d1 = -(complex(jn[0], 0)*gr1[0] + complex(jn[1], 0)*gr1[1] + complex(jn[2], 0)*gr1[2]) * area
-							d2 = -(complex(jn[0], 0)*gr2[0] + complex(jn[1], 0)*gr2[1] + complex(jn[2], 0)*gr2[2]) * area
-						}
-					}
-					// Block (1,1): ½I − D₁ ; block (1,2): β·S₁.
-					row1[j] = -d1
-					row1[n+j] = p.Beta * s1
-					// Block (2,1): ½I + D₂ ; block (2,2): −S₂.
-					row2[j] = d2
-					row2[n+j] = -s2
-				}
-				row1[i] += 0.5
-				row2[i] += 0.5
-				// Incident field at the surface point: exp(−j·k₁·f_i).
-				rhs[i] = cmplx.Exp(complex(0, -1) * p.K1 * complex(zi, 0))
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		rows <- i
-	}
-	close(rows)
-	wg.Wait()
-
-	return &System{N: n, Matrix: a, RHS: rhs, Step: h}
+	src1, src2 := exactSources(s, p, opt)
+	return assemble(s, p, src1, src2, opt)
 }
 
-// nearCell reports whether the periodic cell-index offset is within the
-// near-field radius.
-func nearCell(dx, dy, m, r int) bool {
-	dx = ((dx % m) + m) % m
-	dy = ((dy % m) + m) % m
-	if dx > m/2 {
-		dx -= m
-	}
-	if dy > m/2 {
-		dy -= m
-	}
-	if dx < 0 {
-		dx = -dx
-	}
-	if dy < 0 {
-		dy = -dy
-	}
-	return dx <= r && dy <= r
+// assemble builds the dense system reading the two media's kernels
+// through src1 and src2: the analytic self cell, subdivided quadrature
+// inside NearRadius and the one-point rule beyond, row by row over
+// Options.Workers.
+func assemble(s *surface.Surface, p Params, src1, src2 kernelSource, opt Options) *System {
+	g := newCellGeom(s, opt.NearSubdiv)
+	m := s.M
+	n := m * m
+	a := cmplxmat.New(2*n, 2*n)
+	s1Self, s2Self := selfTerm(g.h, src1), selfTerm(g.h, src2)
+	curv := CurvatureDiagonal(s)
+	parallelFor(n, opt.Workers, func() func(int) {
+		return func(i int) {
+			iy, ix := i/m, i%m
+			row1 := a.Row(i)
+			row2 := a.Row(n + i)
+			for j := 0; j < n; j++ {
+				cx := wrapOffset(ix-j%m, m)
+				cy := wrapOffset(iy-j/m, m)
+				dzc := s.H[i] - s.H[j]
+				var s1, s2, d1, d2 complex128
+				switch {
+				case j == i:
+					s1, s2 = s1Self, s2Self
+					d1 = complex(curv[i], 0)
+					d2 = d1
+				case absInt(cx) <= opt.NearRadius && absInt(cy) <= opt.NearRadius:
+					s1, s2, d1, d2 = g.nearQuadrature(src1, src2, j, cx, cy, dzc)
+				default:
+					// The grid kernels are indexed by the positive
+					// wrapped offset.
+					s1, d1 = g.farPoint(src1, j, (cx+m)%m, (cy+m)%m, dzc)
+					s2, d2 = g.farPoint(src2, j, (cx+m)%m, (cy+m)%m, dzc)
+				}
+				// Block (1,1): ½I − D₁ ; block (1,2): β·S₁.
+				row1[j] = -d1
+				row1[n+j] = p.Beta * s1
+				// Block (2,1): ½I + D₂ ; block (2,2): −S₂.
+				row2[j] = d2
+				row2[n+j] = -s2
+			}
+			row1[i] += 0.5
+			row2[i] += 0.5
+		}
+	})
+	return &System{N: n, Matrix: a, RHS: RHSVector(s, p), Step: g.h}
 }
 
 // Solution carries the solved surface fields.
@@ -361,7 +273,7 @@ func (sys *System) Solve() (*Solution, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mom: dense solve: %w", err)
 	}
-	return sys.solutionFrom(x), nil
+	return solutionFrom(x, sys.Step), nil
 }
 
 // SolveGMRES solves the system iteratively with the dense matvec —
@@ -376,27 +288,30 @@ func (sys *System) SolveGMRES(tol float64) (*Solution, float64, error) {
 	if err != nil {
 		return nil, rr, fmt.Errorf("mom: GMRES: %w", err)
 	}
-	return sys.solutionFrom(x), rr, nil
+	return solutionFrom(x, sys.Step), rr, nil
 }
 
-func (sys *System) solutionFrom(x []complex128) *Solution {
-	n := sys.N
-	sol := &Solution{Psi: x[:n], U: x[n : 2*n]}
+// solutionFrom splits a solved x = [Ψ; U] on a grid of step h and
+// evaluates its absorbed power.
+func solutionFrom(x []complex128, h float64) *Solution {
+	n := len(x) / 2
+	sol := &Solution{Psi: x[:n], U: x[n:]}
 	var p float64
 	for i := 0; i < n; i++ {
 		ps := sol.Psi[i]
 		u := sol.U[i]
 		p += real(ps)*real(u) + imag(ps)*imag(u) // Re{ψ*·u}
 	}
-	sol.Pabs = sys.Step * sys.Step / 2 * p
+	sol.Pabs = h * h / 2 * p
 	return sol
 }
 
 // RHSVector returns the incident-field right-hand side of the SWM
 // system for surf: e^{−jk₁·f_i} on the ψ block, zero on the u block —
-// the same vector Assemble fills. It is the only frequency-dependent
-// part of the system outside the matrix, so the batched sweep engine
-// recomputes it exactly at frequencies whose matrix is interpolated.
+// the vector dense assembly and the FFT operator both use. It is the
+// only frequency-dependent part of the system outside the matrix, so the
+// batched sweep engine recomputes it exactly at frequencies whose matrix
+// is interpolated.
 func RHSVector(s *surface.Surface, p Params) []complex128 {
 	rhs := make([]complex128, 2*len(s.H))
 	for i, z := range s.H {

@@ -157,7 +157,7 @@ func (sys *System) SolveResilient(ctx context.Context, opt SolveOptions) (*Solut
 	if err != nil {
 		return nil, err
 	}
-	sol := sys.solutionFrom(x)
+	sol := solutionFrom(x, sys.Step)
 	sol.Report = report
 	return sol, nil
 }

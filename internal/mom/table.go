@@ -1,13 +1,11 @@
 package mom
 
 import (
-	"fmt"
 	"math"
 	"math/cmplx"
-	"sync"
 
-	"roughsim/internal/cmplxmat"
 	"roughsim/internal/greens"
+	"roughsim/internal/resilience"
 	"roughsim/internal/surface"
 )
 
@@ -31,13 +29,14 @@ type TableSet struct {
 	Near  int // near-field radius the tables cover
 
 	g1, g2 *tabulated
-	// Exact evaluators retained for self terms.
+	// Exact evaluators the tables were sampled from.
 	exact1, exact2 *greens.Periodic3D
 }
 
 const chebDegree = 32 // interpolation nodes per offset
 
-// tabulated interpolates one medium's G and ∇G.
+// tabulated interpolates one medium's G and ∇G; it is the production
+// kernelSource.
 //
 // What is stored is the smooth remainder G − G_free(central image): the
 // free-space term e^{jkR}/(4πR) of the nearest image is sharply peaked
@@ -77,40 +76,30 @@ func NewTableSet(p Params, L float64, M int, zspan float64, opt Options) *TableS
 	return ts
 }
 
-func chebNodes(n int, span float64) []float64 {
-	x := make([]float64, n)
-	for k := 0; k < n; k++ {
-		x[k] = span * math.Cos((float64(k)+0.5)*math.Pi/float64(n))
+// compatible reports, as a typed error, whether the tables can serve a
+// surface: the same grid (resilience.KindInvalidInput), the same
+// near-field options (KindInvalidInput) and a Δz span of at least need
+// (KindNumerical).
+func (ts *TableSet) compatible(s *surface.Surface, opt Options, need float64) error {
+	if s.M != ts.M || s.L != ts.L {
+		return resilience.Errorf(resilience.KindInvalidInput, "mom.tables",
+			"surface grid %gx%d does not match table %gx%d", s.L, s.M, ts.L, ts.M)
 	}
-	return x
+	if opt.NearSubdiv != ts.Sub || opt.NearRadius != ts.Near {
+		return resilience.Errorf(resilience.KindInvalidInput, "mom.tables",
+			"options (near=%d sub=%d) do not match table (near=%d sub=%d)",
+			opt.NearRadius, opt.NearSubdiv, ts.Near, ts.Sub)
+	}
+	if need > ts.ZSpan {
+		return resilience.Errorf(resilience.KindNumerical, "mom.tables",
+			"needed Δz span %g exceeds table span %g", need, ts.ZSpan)
+	}
+	return nil
 }
 
-// chebCoeffs converts samples at the standard Chebyshev nodes into
-// expansion coefficients (plain O(n²) transform; n is small).
-func chebCoeffs(samples []complex128) []complex128 {
-	n := len(samples)
-	out := make([]complex128, n)
-	for j := 0; j < n; j++ {
-		var s complex128
-		for k := 0; k < n; k++ {
-			s += samples[k] * complex(math.Cos(float64(j)*(float64(k)+0.5)*math.Pi/float64(n)), 0)
-		}
-		out[j] = s * complex(2/float64(n), 0)
-	}
-	out[0] /= 2
-	return out
-}
-
-// clenshaw evaluates a Chebyshev expansion at t ∈ [−1, 1].
-func clenshaw(c []complex128, t float64) complex128 {
-	var b1, b2 complex128
-	tt := complex(2*t, 0)
-	for j := len(c) - 1; j >= 1; j-- {
-		b1, b2 = c[j]+tt*b1-b2, b1
-	}
-	return c[0] + complex(t, 0)*b1 - b2
-}
-
+// newTabulated samples g through exactSource at Chebyshev Δz-nodes for
+// every far and near lateral offset, minus the exactly evaluated sharp
+// part, and fits the remainder.
 func newTabulated(g *greens.Periodic3D, L float64, M int, zspan float64, opt Options) *tabulated {
 	h := L / float64(M)
 	t := &tabulated{m: M, sub: opt.NearSubdiv, near: opt.NearRadius, h: h, zspan: zspan, k: g.K, l: L, g: g}
@@ -125,79 +114,44 @@ func newTabulated(g *greens.Periodic3D, L float64, M int, zspan float64, opt Opt
 		// and interpolate only the tiny (≲e^{−2·Im(k)·L}) remainder.
 		t.subShells = 1
 	}
+	exact := exactSource{g: g, h: h, sub: opt.NearSubdiv}
 	nodes := chebNodes(chebDegree, zspan)
+	// fit tabulates the remainder at lateral offset (dx, dy) of the
+	// exact kernel eval.
+	fit := func(dx, dy float64, eval func(z float64) (complex128, [3]complex128)) [4][]complex128 {
+		return chebFit(nodes, func(z float64) (complex128, [3]complex128) {
+			v, gr := eval(z)
+			fv, fg := t.freeImages(dx, dy, z)
+			return v - fv, [3]complex128{gr[0] - fg[0], gr[1] - fg[1], gr[2] - fg[2]}
+		})
+	}
 
 	// Far table: one entry per wrapped grid offset. The near offsets are
 	// also filled (they are cheap and keep indexing uniform), but
 	// assembly never reads the (0,0) entry (self terms stay exact).
 	t.far = make([][4][]complex128, M*M)
-	t.nearDim = (2*opt.NearRadius + 1) * opt.NearSubdiv
-	t.nearTab = make([][4][]complex128, t.nearDim*t.nearDim)
-
-	var wg sync.WaitGroup
-	workers := opt.Workers
-	jobs := make(chan int)
-	samples := func(dx, dy float64) [4][]complex128 {
-		var smp [4][]complex128
-		for q := 0; q < 4; q++ {
-			smp[q] = make([]complex128, chebDegree)
+	parallelFor(M*M-1, opt.Workers, func() func(int) {
+		return func(k int) {
+			idx := k + 1 // the self offset (0, 0) is never read
+			iy, ix := idx/M, idx%M
+			t.far[idx] = fit(float64(ix)*h, float64(iy)*h, func(z float64) (complex128, [3]complex128) {
+				return exact.gridEval(ix, iy, z)
+			})
 		}
-		for k, z := range nodes {
-			v, gr := g.EvalGrad(dx, dy, z)
-			fv, fg := t.freeImages(dx, dy, z)
-			smp[0][k] = v - fv
-			smp[1][k] = gr[0] - fg[0]
-			smp[2][k] = gr[1] - fg[1]
-			smp[3][k] = gr[2] - fg[2]
-		}
-		for q := 0; q < 4; q++ {
-			smp[q] = chebCoeffs(smp[q])
-		}
-		return smp
-	}
-
-	// Far offsets.
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				iy, ix := idx/M, idx%M
-				if ix == 0 && iy == 0 {
-					continue // self cell handled exactly
-				}
-				t.far[idx] = samples(float64(ix)*h, float64(iy)*h)
-			}
-		}()
-	}
-	for idx := 0; idx < M*M; idx++ {
-		jobs <- idx
-	}
-	close(jobs)
-	wg.Wait()
+	})
 
 	// Near sub-offsets: lateral values (i + (s+0.5)/sub − 0.5 − …)·h
 	// relative to the observation point, spanning the near window.
-	wg = sync.WaitGroup{}
-	jobs = make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				ax := idx % t.nearDim
-				ay := idx / t.nearDim
-				dx := t.nearOffset(ax)
-				dy := t.nearOffset(ay)
-				t.nearTab[idx] = samples(dx, dy)
-			}
-		}()
-	}
-	for idx := 0; idx < t.nearDim*t.nearDim; idx++ {
-		jobs <- idx
-	}
-	close(jobs)
-	wg.Wait()
+	t.nearDim = (2*opt.NearRadius + 1) * opt.NearSubdiv
+	t.nearTab = make([][4][]complex128, t.nearDim*t.nearDim)
+	parallelFor(len(t.nearTab), opt.Workers, func() func(int) {
+		return func(idx int) {
+			ax, ay := idx%t.nearDim, idx/t.nearDim
+			t.nearTab[idx] = fit(t.nearOffset(ax), t.nearOffset(ay), func(z float64) (complex128, [3]complex128) {
+				return exact.nearEval(ax/t.sub-t.near, ay/t.sub-t.near, ax%t.sub, ay%t.sub, z)
+			})
+		}
+	})
 	return t
 }
 
@@ -205,10 +159,7 @@ func newTabulated(g *greens.Periodic3D, L float64, M int, zspan float64, opt Opt
 // observation sits at cell offset c ∈ [−near, near] with sub-cell shift
 // o ∈ sub points, combined as (c − o) where o = ((s+0.5)/sub − 0.5)·h.
 func (t *tabulated) nearOffset(a int) float64 {
-	c := a/t.sub - t.near
-	s := a % t.sub
-	o := ((float64(s)+0.5)/float64(t.sub) - 0.5) * t.h
-	return float64(c)*t.h - o
+	return float64(a/t.sub-t.near)*t.h - subOffset(a%t.sub, t.sub, t.h)
 }
 
 // nearIndex is the inverse of nearOffset for cell offset c and sub index s.
@@ -224,8 +175,8 @@ func (t *tabulated) freeImages(dx, dy, dz float64) (complex128, [3]complex128) {
 	if t.ewaldCentral {
 		return t.g.SpatialShell(dx, dy, dz)
 	}
-	dx = wrapLen(dx, t.l)
-	dy = wrapLen(dy, t.l)
+	dx = greens.WrapPeriod(dx, t.l)
+	dy = greens.WrapPeriod(dy, t.l)
 	var v complex128
 	var grad [3]complex128
 	for p := -t.subShells; p <= t.subShells; p++ {
@@ -244,179 +195,41 @@ func (t *tabulated) freeImages(dx, dy, dz float64) (complex128, [3]complex128) {
 	return v, grad
 }
 
-// wrapLen maps x into [−L/2, L/2).
-func wrapLen(x, l float64) float64 {
-	x = math.Mod(x, l)
-	if x >= l/2 {
-		x -= l
-	} else if x < -l/2 {
-		x += l
-	}
-	return x
+// gridEval interpolates G and ∇G at wrapped grid offset (ix, iy) and
+// height difference dz.
+func (t *tabulated) gridEval(ix, iy int, dz float64) (complex128, [3]complex128) {
+	return t.eval(&t.far[iy*t.m+ix], float64(ix)*t.h, float64(iy)*t.h, dz)
 }
 
-// evalFar interpolates G and ∇G at wrapped grid offset (ix, iy) and
-// height difference dz.
-func (t *tabulated) evalFar(ix, iy int, dz float64) (complex128, [3]complex128) {
-	e := &t.far[iy*t.m+ix]
-	tt := dz / t.zspan
-	fv, fg := t.freeImages(float64(ix)*t.h, float64(iy)*t.h, dz)
-	return clenshaw(e[0], tt) + fv, [3]complex128{
-		clenshaw(e[1], tt) + fg[0],
-		clenshaw(e[2], tt) + fg[1],
-		clenshaw(e[3], tt) + fg[2],
-	}
+func (t *tabulated) nearEval(cx, cy, sx, sy int, dz float64) (complex128, [3]complex128) {
+	return t.evalNear(t.nearIndex(cx, sx), t.nearIndex(cy, sy), dz)
 }
+
+func (t *tabulated) regularized() complex128 { return t.g.EvalRegularized() }
 
 // evalNear interpolates at near-table axis indices (ax, ay).
 func (t *tabulated) evalNear(ax, ay int, dz float64) (complex128, [3]complex128) {
-	e := &t.nearTab[ay*t.nearDim+ax]
-	tt := dz / t.zspan
-	fv, fg := t.freeImages(t.nearOffset(ax), t.nearOffset(ay), dz)
-	return clenshaw(e[0], tt) + fv, [3]complex128{
-		clenshaw(e[1], tt) + fg[0],
-		clenshaw(e[2], tt) + fg[1],
-		clenshaw(e[3], tt) + fg[2],
-	}
+	return t.eval(&t.nearTab[ay*t.nearDim+ax], t.nearOffset(ax), t.nearOffset(ay), dz)
+}
+
+// eval adds the sharp part at lateral offset (dx, dy) back to the
+// interpolated remainder e.
+func (t *tabulated) eval(e *[4][]complex128, dx, dy, dz float64) (complex128, [3]complex128) {
+	v, gr := chebEval(e, dz/t.zspan)
+	fv, fg := t.freeImages(dx, dy, dz)
+	return v + fv, [3]complex128{gr[0] + fg[0], gr[1] + fg[1], gr[2] + fg[2]}
 }
 
 // AssembleTabulated builds the dense system using the tables; it is
 // numerically interchangeable with Assemble (the tests bound the
-// difference) at a fraction of the cost per surface.
+// difference) at a fraction of the cost per surface. A mismatched grid
+// or options, or a surface whose heights exceed the table span, is
+// rejected with a typed error (see TableSet.compatible).
 func AssembleTabulated(s *surface.Surface, p Params, ts *TableSet, opt Options) (*System, error) {
 	opt = opt.withDefaults()
-	if s.M != ts.M || s.L != ts.L {
-		return nil, fmt.Errorf("mom: surface grid %gx%d does not match table %gx%d", s.L, s.M, ts.L, ts.M)
-	}
-	if opt.NearSubdiv != ts.Sub || opt.NearRadius != ts.Near {
-		return nil, fmt.Errorf("mom: options (near=%d sub=%d) do not match table (near=%d sub=%d)",
-			opt.NearRadius, opt.NearSubdiv, ts.Near, ts.Sub)
-	}
-	m := s.M
-	n := m * m
-	h := s.Step()
-	var zmax float64
-	for _, v := range s.H {
-		if a := math.Abs(v); a > zmax {
-			zmax = a
-		}
-	}
 	// Tilted sub-cells can push |Δz| slightly past 2·max|f|.
-	if 2.2*zmax > ts.ZSpan {
-		return nil, fmt.Errorf("mom: surface height range %g exceeds table span %g", 2.2*zmax, ts.ZSpan)
+	if err := ts.compatible(s, opt, 2.2*surfaceZMax(s)); err != nil {
+		return nil, err
 	}
-
-	fx, fy := s.Gradients()
-	fxx, fyy, fxy := s.SecondDerivs()
-
-	a := cmplxmat.New(2*n, 2*n)
-	rhs := make([]complex128, 2*n)
-
-	selfSing := complex(h*math.Log(1+math.Sqrt2)/math.Pi, 0)
-	s1Self := selfSing + complex(h*h, 0)*ts.exact1.EvalRegularized()
-	s2Self := selfSing + complex(h*h, 0)*ts.exact2.EvalRegularized()
-
-	area := complex(h*h, 0)
-	sub := opt.NearSubdiv
-	subArea := complex(h*h/float64(sub*sub), 0)
-
-	var wg sync.WaitGroup
-	rows := make(chan int)
-	for w := 0; w < opt.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range rows {
-				assembleRowTabulated(a, rhs, s, p, ts, i,
-					fx, fy, fxx, fyy, fxy,
-					s1Self, s2Self, area, subArea, opt)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		rows <- i
-	}
-	close(rows)
-	wg.Wait()
-	return &System{N: n, Matrix: a, RHS: rhs, Step: h}, nil
-}
-
-func assembleRowTabulated(a *cmplxmat.Matrix, rhs []complex128, s *surface.Surface, p Params, ts *TableSet, i int,
-	fx, fy, fxx, fyy, fxy []float64, s1Self, s2Self, area, subArea complex128, opt Options) {
-
-	m := s.M
-	n := m * m
-	h := s.Step()
-	iy, ix := i/m, i%m
-	zi := s.H[i]
-	row1 := a.Row(i)
-	row2 := a.Row(n + i)
-	sub := opt.NearSubdiv
-	for j := 0; j < n; j++ {
-		jy, jx := j/m, j%m
-		var s1v, s2v, d1, d2 complex128
-		if j == i {
-			s1v, s2v = s1Self, s2Self
-			curv := complex((fxx[i]+fyy[i])*h*math.Log(1+math.Sqrt2)/(4*math.Pi), 0)
-			d1, d2 = curv, curv
-		} else {
-			dzc := zi - s.H[j]
-			cx := wrapOffset(ix-jx, m)
-			cy := wrapOffset(iy-jy, m)
-			if absInt(cx) <= opt.NearRadius && absInt(cy) <= opt.NearRadius {
-				for sy := 0; sy < sub; sy++ {
-					oy := ((float64(sy)+0.5)/float64(sub) - 0.5) * h
-					ayi := ts.g1.nearIndex(cy, sy)
-					for sx := 0; sx < sub; sx++ {
-						ox := ((float64(sx)+0.5)/float64(sub) - 0.5) * h
-						axi := ts.g1.nearIndex(cx, sx)
-						ddz := dzc - (fx[j]*ox + fy[j]*oy +
-							0.5*fxx[j]*ox*ox + 0.5*fyy[j]*oy*oy + fxy[j]*ox*oy)
-						v1, gr1 := ts.g1.evalNear(axi, ayi, ddz)
-						v2, gr2 := ts.g2.evalNear(axi, ayi, ddz)
-						s1v += v1 * subArea
-						s2v += v2 * subArea
-						snx := -(fx[j] + fxx[j]*ox + fxy[j]*oy)
-						sny := -(fy[j] + fyy[j]*oy + fxy[j]*ox)
-						d1 += -(complex(snx, 0)*gr1[0] + complex(sny, 0)*gr1[1] + gr1[2]) * subArea
-						d2 += -(complex(snx, 0)*gr2[0] + complex(sny, 0)*gr2[1] + gr2[2]) * subArea
-					}
-				}
-			} else {
-				// Far: the table is indexed by the positive wrapped
-				// offset (ix−jx mod m, iy−jy mod m).
-				px := ((ix-jx)%m + m) % m
-				py := ((iy-jy)%m + m) % m
-				v1, gr1 := ts.g1.evalFar(px, py, dzc)
-				v2, gr2 := ts.g2.evalFar(px, py, dzc)
-				s1v = v1 * area
-				s2v = v2 * area
-				jnx, jny := -fx[j], -fy[j]
-				d1 = -(complex(jnx, 0)*gr1[0] + complex(jny, 0)*gr1[1] + gr1[2]) * area
-				d2 = -(complex(jnx, 0)*gr2[0] + complex(jny, 0)*gr2[1] + gr2[2]) * area
-			}
-		}
-		row1[j] = -d1
-		row1[n+j] = p.Beta * s1v
-		row2[j] = d2
-		row2[n+j] = -s2v
-	}
-	row1[i] += 0.5
-	row2[i] += 0.5
-	rhs[i] = cmplx.Exp(complex(0, -1) * p.K1 * complex(zi, 0))
-}
-
-func wrapOffset(d, m int) int {
-	d = ((d % m) + m) % m
-	if d > m/2 {
-		d -= m
-	}
-	return d
-}
-
-func absInt(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
+	return assemble(s, p, ts.g1, ts.g2, opt), nil
 }

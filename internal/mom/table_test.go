@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"roughsim/internal/greens"
+	"roughsim/internal/resilience"
 	"roughsim/internal/rng"
 	"roughsim/internal/surface"
 	"roughsim/internal/units"
@@ -110,7 +111,7 @@ func TestTableInterpolationErrorAcrossSkinDepthRange(t *testing.T) {
 			for _, off := range [][2]int{{1, 0}, {0, 3}, {2, 2}, {4, 1}, {3, 6}, {7, 7}} {
 				ix, iy := off[0], off[1]
 				for _, dz := range dzs {
-					v, gr := tb.evalFar(ix, iy, dz)
+					v, gr := tb.gridEval(ix, iy, dz)
 					check("far", float64(ix)*tb.h, float64(iy)*tb.h, v, gr, dz)
 				}
 			}
@@ -134,18 +135,30 @@ func TestTabulatedRejectsMismatch(t *testing.T) {
 	p := paramsAt(5 * units.GHz)
 	ts := NewTableSet(p, 5*um, 8, 2*um, Options{})
 	// Wrong grid.
-	if _, err := AssembleTabulated(surface.NewFlat(5*um, 10), p, ts, Options{}); err == nil {
+	_, err := AssembleTabulated(surface.NewFlat(5*um, 10), p, ts, Options{})
+	if err == nil {
 		t.Fatal("expected grid mismatch error")
+	}
+	if k := resilience.Classify(err); k != resilience.KindInvalidInput {
+		t.Fatalf("grid mismatch classified %v, want invalid-input", k)
 	}
 	// Height out of span.
 	s := surface.NewFlat(5*um, 8)
 	s.H[0] = 3 * um
-	if _, err := AssembleTabulated(s, p, ts, Options{}); err == nil {
+	_, err = AssembleTabulated(s, p, ts, Options{})
+	if err == nil {
 		t.Fatal("expected span error")
 	}
+	if k := resilience.Classify(err); k != resilience.KindNumerical {
+		t.Fatalf("span error classified %v, want numerical", k)
+	}
 	// Option mismatch.
-	if _, err := AssembleTabulated(surface.NewFlat(5*um, 8), p, ts, Options{NearSubdiv: 2}); err == nil {
+	_, err = AssembleTabulated(surface.NewFlat(5*um, 8), p, ts, Options{NearSubdiv: 2})
+	if err == nil {
 		t.Fatal("expected option mismatch error")
+	}
+	if k := resilience.Classify(err); k != resilience.KindInvalidInput {
+		t.Fatalf("option mismatch classified %v, want invalid-input", k)
 	}
 }
 

@@ -19,6 +19,9 @@ go test -race -short ./internal/montecarlo/... ./internal/sscm/... \
     ./internal/surrogate/... ./internal/trace/... ./internal/journal/... \
     ./internal/campaign/... ./internal/cluster/... ./internal/sparams/... \
     ./internal/memo/...
+# Fast paper-fidelity gate: reduced-resolution K values of Figs. 3–7 and
+# the Table I counts, pinned (the full exhibit tests skip under -short).
+go test -short -count=1 -run TestPaperFidelity ./internal/experiments/
 # The journal and retry machinery also get a full (non-short) race pass:
 # WAL replay and backoff-requeue races only show up off the fast paths.
 go test -race -count=1 ./internal/journal/... ./internal/jobs/... ./internal/cluster/...
