@@ -674,10 +674,14 @@ func TestObserverFiresOncePerTerminalJob(t *testing.T) {
 
 	var mu sync.Mutex
 	seen := map[string][]Status{}
+	// Room for duplicate calls too, so a regression fails the assertions
+	// below instead of blocking a queue worker.
+	fired := make(chan struct{}, 8)
 	q.SetObserver(func(j *Job) {
 		mu.Lock()
 		seen[j.ID] = append(seen[j.ID], j.Snapshot().Status)
 		mu.Unlock()
+		fired <- struct{}{}
 	})
 
 	var calls atomic.Int64
@@ -698,6 +702,16 @@ func TestObserverFiresOncePerTerminalJob(t *testing.T) {
 	}
 	await(t, ok)
 	await(t, bad)
+	// A job's done channel closes before the observer runs, so wait for
+	// both observer calls before asserting.
+	deadline := time.After(10 * time.Second)
+	for range 2 {
+		select {
+		case <-fired:
+		case <-deadline:
+			t.Fatal("observer did not fire for both terminal jobs")
+		}
+	}
 	mu.Lock()
 	defer mu.Unlock()
 	if got := seen[ok.ID]; len(got) != 1 || got[0] != StatusSucceeded {

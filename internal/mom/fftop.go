@@ -206,58 +206,42 @@ func buildFFTOperator(s *surface.Surface, p Params, order int, opt Options, src1
 // fitKernels samples G and ∇G at Chebyshev z-nodes for every lateral
 // grid offset and converts the samples into polynomial coefficients in
 // Δz (already scaled by the cell area h²). The (0,0) offset is zeroed;
-// near corrections supply it exactly. The per-offset fits are
-// independent, so they run across the worker budget with bitwise
-// deterministic results.
+// near corrections supply it exactly. One offset per symmetry orbit is
+// fitted, from one node of each ±Δz pair (fitOrbits, sampleMirrored),
+// across the worker budget with bitwise deterministic results.
 func fitKernels(src kernelSource, m int, h float64, order int, zfit float64, workers int) kernelFamilies {
-	n := m * m
 	nodes := chebNodes(order+1, zfit)
 	inv := vandermondeInverse(nodes)
-
-	var kf kernelFamilies
-	kf.g = make([][]complex128, order+1)
-	kf.gx = make([][]complex128, order+1)
-	kf.gy = make([][]complex128, order+1)
-	kf.gz = make([][]complex128, order+1)
-	for q := range kf.g {
-		kf.g[q] = make([]complex128, n)
-		kf.gx[q] = make([]complex128, n)
-		kf.gy[q] = make([]complex128, n)
-		kf.gz[q] = make([]complex128, n)
-	}
 	area := complex(h*h, 0)
-	parallelFor(n-1, workers, func() func(int) {
-		sampG := make([]complex128, order+1)
-		sampX := make([]complex128, order+1)
-		sampY := make([]complex128, order+1)
-		sampZ := make([]complex128, order+1)
-		return func(k int) {
-			idx := k + 1 // (0,0) stays zero: supplied by near corrections
-			iy, ix := idx/m, idx%m
-			for s, z := range nodes {
-				v, gr := src.gridEval(ix, iy, z)
-				sampG[s] = v * area
-				sampX[s] = gr[0] * area
-				sampY[s] = gr[1] * area
-				sampZ[s] = gr[2] * area
-			}
-			for q := 0; q <= order; q++ {
-				var cg, cx, cy, cz complex128
-				for s := 0; s <= order; s++ {
-					w := complex(inv[q][s], 0)
-					cg += w * sampG[s]
-					cx += w * sampX[s]
-					cy += w * sampY[s]
-					cz += w * sampZ[s]
+	fits := fitOrbits(m, workers, gridMirror(m), isOrigin, func(ix, iy int) [4][]complex128 {
+		smp := sampleMirrored(nodes, func(z float64) (complex128, [3]complex128) {
+			v, gr := src.gridEval(ix, iy, z)
+			return v * area, [3]complex128{gr[0] * area, gr[1] * area, gr[2] * area}
+		})
+		var c [4][]complex128
+		for f := range c {
+			c[f] = make([]complex128, order+1)
+			for q := range c[f] {
+				for s, v := range smp[f] {
+					c[f][q] += complex(inv[q][s], 0) * v
 				}
-				kf.g[q][idx] = cg
-				kf.gx[q][idx] = cx
-				kf.gy[q][idx] = cy
-				kf.gz[q][idx] = cz
 			}
 		}
+		return c
 	})
-	return kf
+	family := func(f int) [][]complex128 {
+		out := make([][]complex128, order+1)
+		for q := range out {
+			out[q] = make([]complex128, m*m)
+			for idx, c := range fits {
+				if c[f] != nil { // (0,0) stays zero
+					out[q][idx] = c[f][q]
+				}
+			}
+		}
+		return out
+	}
+	return kernelFamilies{g: family(0), gx: family(1), gy: family(2), gz: family(3)}
 }
 
 // vandermondeInverse returns the inverse of V[s][q] = nodes[s]^q, so
@@ -355,32 +339,25 @@ func (nc *nearChebCache) nearEval(cx, cy, sx, sy int, dz float64) (complex128, [
 }
 
 // fitNearCheb samples src at Chebyshev Δz-nodes for every near lateral
-// point and converts the samples to coefficient vectors. span == 0
-// (flat surface) degenerates to a single node at Δz = 0, making the
-// cached value bitwise identical to a direct evaluation. The (0,0) cell
-// block is skipped: it can sit at ρ = 0 (singular) and the correction
-// loop never queries it because the self pair is excluded.
-func fitNearCheb(src nearEvaluator, opt Options, span float64) *nearChebCache {
+// point (one per symmetry orbit, see fitOrbits) and converts the samples
+// to coefficient vectors. span == 0 (flat surface) degenerates to a
+// single node at Δz = 0, making the cached value bitwise identical to a
+// direct evaluation. The (0,0) cell block is skipped: it can sit at
+// ρ = 0 (singular) and the correction loop never queries it because the
+// self pair is excluded.
+func fitNearCheb(src nearEvaluator, m int, opt Options, span float64) *nearChebCache {
 	near, sub := opt.NearRadius, opt.NearSubdiv
-	dim := (2*near + 1) * sub
-	nc := &nearChebCache{near: near, sub: sub, dim: dim, span: span, c: make([][4][]complex128, dim*dim)}
+	nc := &nearChebCache{near: near, sub: sub, dim: (2*near + 1) * sub, span: span}
 	nn := nearChebOrder + 1
 	if span == 0 {
 		nn = 1
 	}
 	nodes := chebNodes(nn, span)
-	parallelFor(dim*dim, opt.Workers, func() func(int) {
-		return func(idx int) {
-			ax, ay := idx%dim, idx/dim
-			cx, sx := ax/sub-near, ax%sub
-			cy, sy := ay/sub-near, ay%sub
-			if cx == 0 && cy == 0 {
-				return
-			}
-			nc.c[idx] = chebFit(nodes, func(z float64) (complex128, [3]complex128) {
-				return src.nearEval(cx, cy, sx, sy, z)
-			})
-		}
+	centralCell := func(ax, ay int) bool { return ax/sub == near && ay/sub == near }
+	nc.c = fitOrbits(nc.dim, opt.Workers, nearMirror(near, sub, m), centralCell, func(ax, ay int) [4][]complex128 {
+		return chebFit(nodes, func(z float64) (complex128, [3]complex128) {
+			return src.nearEval(ax/sub-near, ay/sub-near, ax%sub, ay%sub, z)
+		})
 	})
 	return nc
 }
@@ -413,8 +390,8 @@ func (op *FFTOperator) buildNearCorrections(g *cellGeom, src1, src2 kernelSource
 	}
 	span := (fmax - fmin) + maxShift
 
-	nc1 := fitNearCheb(src1, opt, span)
-	nc2 := fitNearCheb(src2, opt, span)
+	nc1 := fitNearCheb(src1, m, opt, span)
+	nc2 := fitNearCheb(src2, m, opt, span)
 
 	parallelFor(op.N, opt.Workers, func() func(int) {
 		return func(i int) {

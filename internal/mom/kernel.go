@@ -164,6 +164,108 @@ func parallelFor(n, workers int, newBody func() func(i int)) {
 	wg.Wait()
 }
 
+// fitOrbits fills one coefficient set (G, Gx, Gy, Gz) per slot iy·n+ix
+// of an n×n lattice of lateral offsets, fitting only one representative
+// of each orbit of the kernel's D4 symmetry. At normal incidence on a
+// square lattice the periodic Green's function is even in x, even in y
+// and symmetric under x↔y, so a slot is an exact image of its
+// representative: a transposed slot exchanges Gx and Gy, and a slot
+// whose x (y) index is mirror's image of the representative's negates
+// Gx (Gy). mirror is the involution that negates an axis offset; an
+// index it fixes is never negated (ix = M/2 of the grid lattice wraps to
+// −L/2 from both sides, where the truncated image window is not
+// symmetric), so such offsets are only ever filled by their own fit.
+// Slots of one orbit share the vectors they do not negate. Slots skip
+// reports — the set must be closed under the symmetry — stay empty.
+//
+// The representatives are fitted over the worker budget, each into its
+// own slot, and the images scattered serially afterwards, so the result
+// is bitwise deterministic in workers.
+func fitOrbits(n, workers int, mirror func(int) int, skip func(ix, iy int) bool, fit func(ix, iy int) [4][]complex128) [][4][]complex128 {
+	slots := make([][4][]complex128, n*n)
+	var reps []int
+	for idx := range slots {
+		if rx, ry, _, _, _ := orbitRep(idx%n, idx/n, mirror); ry*n+rx == idx && !skip(rx, ry) {
+			reps = append(reps, idx)
+		}
+	}
+	parallelFor(len(reps), workers, func() func(int) {
+		return func(k int) { slots[reps[k]] = fit(reps[k]%n, reps[k]/n) }
+	})
+	negs := make([][4][]complex128, len(slots)) // a representative's negated vectors
+	negated := func(rep, q int) []complex128 {
+		if negs[rep][q] == nil {
+			negs[rep][q] = make([]complex128, len(slots[rep][q]))
+			for k, v := range slots[rep][q] {
+				negs[rep][q][k] = -v
+			}
+		}
+		return negs[rep][q]
+	}
+	for idx := range slots {
+		ix, iy := idx%n, idx/n
+		rx, ry, swap, negX, negY := orbitRep(ix, iy, mirror)
+		rep := ry*n + rx
+		if rep == idx || skip(ix, iy) {
+			continue
+		}
+		qx, qy := 1, 2 // the representative's vectors that become Gx, Gy
+		if swap {
+			qx, qy = 2, 1
+		}
+		c := slots[rep]
+		c[1], c[2] = c[qx], c[qy]
+		if negX {
+			c[1] = negated(rep, qx)
+		}
+		if negY {
+			c[2] = negated(rep, qy)
+		}
+		slots[idx] = c
+	}
+	return slots
+}
+
+// orbitRep returns the representative of slot (ix, iy)'s orbit — each
+// index folded to the smaller of itself and its mirror image, then the
+// pair ordered rx ≤ ry — and the map from it back to the slot: a
+// transpose, then the x and y reflections.
+func orbitRep(ix, iy int, mirror func(int) int) (rx, ry int, swap, negX, negY bool) {
+	if m := mirror(ix); m < ix {
+		ix, negX = m, true
+	}
+	if m := mirror(iy); m < iy {
+		iy, negY = m, true
+	}
+	if ix > iy {
+		return iy, ix, true, negX, negY
+	}
+	return ix, iy, false, negX, negY
+}
+
+// isOrigin and never are fitOrbits skip sets.
+func isOrigin(ix, iy int) bool { return ix == 0 && iy == 0 }
+
+func never(int, int) bool { return false }
+
+// gridMirror reflects a wrapped grid offset index: i → (m−i) mod m.
+func gridMirror(m int) func(int) int {
+	return func(i int) int { return (m - i) % m }
+}
+
+// nearMirror reflects a near-window axis index (see
+// tabulated.nearOffset): a → dim−1−a negates the offset. A window that
+// reaches half a period (grids of a few cells) holds period-wrapped
+// offsets, one of which may sit at exactly L/2 and wrap onto −L/2 from
+// both sides, so it is fitted without reflections.
+func nearMirror(near, sub, m int) func(int) int {
+	dim := (2*near + 1) * sub
+	if dim-1 >= m*sub { // the largest offset, (dim−1)/(2·sub)·h, reaches L/2
+		return func(a int) int { return a }
+	}
+	return func(a int) int { return dim - 1 - a }
+}
+
 // wrapOffset maps a cell-index difference to its periodic image in
 // (−m/2, m/2].
 func wrapOffset(d, m int) int {
@@ -190,17 +292,32 @@ func chebNodes(n int, span float64) []float64 {
 	return x
 }
 
-// chebFit samples a kernel's value and Δ-gradient at Chebyshev nodes and
-// returns the four expansion coefficient vectors (G, Gx, Gy, Gz).
-func chebFit(nodes []float64, eval func(z float64) (complex128, [3]complex128)) [4][]complex128 {
+// sampleMirrored samples a kernel's value and Δ-gradient (G, Gx, Gy, Gz)
+// at nodes symmetric about zero, nodes[n−1−k] = −nodes[k] as chebNodes
+// returns them. The kernel is even in Δz but for Gz, which is odd, so
+// only the first ⌈n/2⌉ nodes are evaluated and the rest mirrored.
+func sampleMirrored(nodes []float64, eval func(z float64) (complex128, [3]complex128)) [4][]complex128 {
+	n := len(nodes)
 	var smp [4][]complex128
 	for q := range smp {
-		smp[q] = make([]complex128, len(nodes))
+		smp[q] = make([]complex128, n)
 	}
-	for k, z := range nodes {
-		v, gr := eval(z)
+	for k := 0; k < (n+1)/2; k++ {
+		v, gr := eval(nodes[k])
 		smp[0][k], smp[1][k], smp[2][k], smp[3][k] = v, gr[0], gr[1], gr[2]
+		r := n - 1 - k
+		smp[0][r], smp[1][r], smp[2][r] = v, gr[0], gr[1]
+		if r != k {
+			smp[3][r] = -gr[2]
+		}
 	}
+	return smp
+}
+
+// chebFit samples a kernel at Chebyshev nodes (see sampleMirrored) and
+// returns the four expansion coefficient vectors (G, Gx, Gy, Gz).
+func chebFit(nodes []float64, eval func(z float64) (complex128, [3]complex128)) [4][]complex128 {
+	smp := sampleMirrored(nodes, eval)
 	for q := range smp {
 		smp[q] = chebCoeffs(smp[q])
 	}
@@ -216,16 +333,36 @@ func chebEval(c *[4][]complex128, t float64) (complex128, [3]complex128) {
 // expansion coefficients (plain O(n²) transform; n is small).
 func chebCoeffs(samples []complex128) []complex128 {
 	n := len(samples)
+	cos := chebCosines(n)
 	out := make([]complex128, n)
 	for j := 0; j < n; j++ {
 		var s complex128
-		for k := 0; k < n; k++ {
-			s += samples[k] * complex(math.Cos(float64(j)*(float64(k)+0.5)*math.Pi/float64(n)), 0)
+		for k, c := range cos[j*n : (j+1)*n] {
+			s += samples[k] * complex(c, 0)
 		}
 		out[j] = s * complex(2/float64(n), 0)
 	}
 	out[0] /= 2
 	return out
+}
+
+// chebCosineCache maps a node count n to its chebCosines matrix.
+var chebCosineCache sync.Map
+
+// chebCosines returns the n×n transform matrix cos(j·(k+½)·π/n) that
+// chebCoeffs applies, row j at [j·n, (j+1)·n), computed once per n.
+func chebCosines(n int) []float64 {
+	if c, ok := chebCosineCache.Load(n); ok {
+		return c.([]float64)
+	}
+	c := make([]float64, n*n)
+	for j := 0; j < n; j++ {
+		for k := 0; k < n; k++ {
+			c[j*n+k] = math.Cos(float64(j) * (float64(k) + 0.5) * math.Pi / float64(n))
+		}
+	}
+	v, _ := chebCosineCache.LoadOrStore(n, c)
+	return v.([]float64)
 }
 
 // clenshaw evaluates a Chebyshev expansion at t ∈ [−1, 1].

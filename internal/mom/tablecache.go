@@ -39,9 +39,11 @@ type TableCache struct {
 	sets    *memo.LRU[TableKey, *TableSet]
 }
 
-// DefaultTableCacheCap bounds a cache built with capacity ≤ 0. Table
-// sets are a few MB each at production grids, so the default keeps the
-// worst case well under typical service memory.
+// DefaultTableCacheCap bounds a cache built with capacity ≤ 0. An M=20
+// table set with the default near-field options holds about 0.85 MB
+// (the slots of a symmetry orbit share coefficient vectors; 2 MB at
+// M=40), so the default keeps the worst case well under typical service
+// memory.
 const DefaultTableCacheCap = 32
 
 // NewTableCache builds a cache holding up to capacity table sets

@@ -143,9 +143,11 @@ func TestRegistrySingleFlight(t *testing.T) {
 			recs[i], errs[i] = reg.GetOrBuild(context.Background(), src, spec)
 		}(i)
 	}
-	// Wait for the build flight to register, then let it run.
+	// Wait for the build flight to start and every other caller to join
+	// it (on a loaded host a late caller would otherwise find the
+	// finished record), then let it run.
 	deadline := time.Now().Add(5 * time.Second)
-	for src.calls.Load() == 0 && time.Now().Before(deadline) {
+	for (src.calls.Load() == 0 || counterValue(m, "surrogate.builds_shared") < callers-1) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	close(release)
