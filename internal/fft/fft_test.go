@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -49,14 +50,67 @@ func maxDiff(a, b []complex128) float64 {
 }
 
 func TestForwardMatchesNaive(t *testing.T) {
+	// Every length up to 128: 5-smooth lengths run the mixed-radix plans
+	// (each radix mix of 4, 2, 3 and 5), the rest Bluestein.
 	rng := rand.New(rand.NewSource(21))
-	// Powers of two exercise radix-2; others exercise Bluestein.
-	for _, n := range []int{1, 2, 4, 8, 16, 64, 3, 5, 7, 12, 15, 33, 100} {
+	var worst float64
+	for n := 1; n <= 128; n++ {
 		x := randVec(rng, n)
-		got := Forward(x)
-		want := naiveDFT(x, false)
-		if d := maxDiff(got, want); d > 1e-9*float64(n) {
-			t.Errorf("n=%d: max diff %g", n, d)
+		for _, inverse := range []bool{false, true} {
+			var got []complex128
+			if inverse {
+				got = Inverse(x)
+			} else {
+				got = Forward(x)
+			}
+			d := maxDiff(got, naiveDFT(x, inverse))
+			if d > 1e-11 {
+				t.Errorf("n=%d inverse=%v: max diff %g", n, inverse, d)
+			}
+			worst = max(worst, d)
+		}
+	}
+	t.Logf("worst deviation from the naive DFT over n ≤ 128: %.3g", worst)
+}
+
+// TestPlansSharedAcrossGoroutines runs transforms of fresh lengths (so
+// the plans are built concurrently) from eight goroutines and checks
+// every result bitwise against a sequential run; under -race it also
+// checks the shared plan cache and its pooled buffers.
+func TestPlansSharedAcrossGoroutines(t *testing.T) {
+	lengths := []int{150, 160, 162, 139, 149, 211}
+	rng := rand.New(rand.NewSource(29))
+	inputs := make([][]complex128, len(lengths))
+	for i, n := range lengths {
+		inputs[i] = randVec(rng, n)
+	}
+	run := func(x []complex128) []complex128 {
+		f := Forward(x)
+		return append(f, Inverse(f)...)
+	}
+	const workers = 8
+	got := make([][][]complex128, workers)
+	var wg sync.WaitGroup
+	for w := range got {
+		got[w] = make([][]complex128, len(lengths))
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := range lengths {
+				i := (w + r) % len(lengths)
+				got[w][i] = run(inputs[i])
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i, x := range inputs {
+		want := run(x)
+		for w := range got {
+			for k := range want {
+				if got[w][i][k] != want[k] {
+					t.Fatalf("worker %d, length %d: bin %d = %v, sequential %v", w, len(x), k, got[w][i][k], want[k])
+				}
+			}
 		}
 	}
 }
@@ -105,25 +159,28 @@ func TestDeltaFunctionTransform(t *testing.T) {
 
 func TestForward2DMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	ny, nx := 6, 10
-	x := randVec(rng, ny*nx)
-	got := Forward2D(x, ny, nx)
-	// Naive 2D.
-	want := make([]complex128, ny*nx)
-	for ky := 0; ky < ny; ky++ {
-		for kx := 0; kx < nx; kx++ {
-			var s complex128
-			for jy := 0; jy < ny; jy++ {
-				for jx := 0; jx < nx; jx++ {
-					ang := -2 * math.Pi * (float64(ky*jy)/float64(ny) + float64(kx*jx)/float64(nx))
-					s += x[jy*nx+jx] * cmplx.Rect(1, ang)
+	// Non-square shapes: one 5-smooth (mixed-radix rows and columns), one
+	// with a factor 7 (Bluestein columns, read with the row stride).
+	for _, sh := range [][2]int{{6, 10}, {12, 20}, {14, 9}} {
+		ny, nx := sh[0], sh[1]
+		x := randVec(rng, ny*nx)
+		got := Forward2D(x, ny, nx)
+		want := make([]complex128, ny*nx)
+		for ky := 0; ky < ny; ky++ {
+			for kx := 0; kx < nx; kx++ {
+				var s complex128
+				for jy := 0; jy < ny; jy++ {
+					for jx := 0; jx < nx; jx++ {
+						ang := -2 * math.Pi * (float64(ky*jy)/float64(ny) + float64(kx*jx)/float64(nx))
+						s += x[jy*nx+jx] * cmplx.Rect(1, ang)
+					}
 				}
+				want[ky*nx+kx] = s
 			}
-			want[ky*nx+kx] = s
 		}
-	}
-	if d := maxDiff(got, want); d > 1e-8 {
-		t.Fatalf("2D FFT max diff %g", d)
+		if d := maxDiff(got, want); d > 1e-10 {
+			t.Errorf("%d×%d: 2D FFT max diff %g", ny, nx, d)
+		}
 	}
 }
 

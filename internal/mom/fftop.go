@@ -428,98 +428,62 @@ func (op *FFTOperator) MatVec(y, x []complex128) {
 	// the gz family against plain v. The forward transforms of the
 	// q-weighted input fields depend only on the input vector, so they
 	// are computed once and shared by both media.
-	fwdS := func(v []complex128) [][]complex128 {
-		srcs := make([][]complex128, op.Order+1)
-		for q := 0; q <= op.Order; q++ {
-			pv := make([]complex128, n)
-			sign := 1.0
-			if q%2 == 1 {
-				sign = -1
-			}
-			for i := range pv {
-				pv[i] = complex(sign*op.fpow[q][i], 0) * v[i]
-			}
-			srcs[q] = fft.Forward2D(pv, m, m)
+	srcS := make([][]complex128, op.Order+1) // FFT[(−f)^q ⊙ u]
+	srcD := make([][3][]complex128, op.Order+1)
+	pv := make([]complex128, n)
+	px := make([]complex128, n)
+	py := make([]complex128, n)
+	for q := 0; q <= op.Order; q++ {
+		sign := 1.0
+		if q%2 == 1 {
+			sign = -1
 		}
-		return srcs
-	}
-	applyS := func(med int, srcs [][]complex128) []complex128 {
-		sp := op.spec[med]
-		out := make([]complex128, n)
-		for l := 0; l <= op.Order; l++ {
-			acc := make([]complex128, n)
-			for q := 0; l+q <= op.Order; q++ {
-				b := complex(specfun.Binomial(l+q, l), 0)
-				kh := sp.g[l+q]
-				sq := srcs[q]
-				for idx := range acc {
-					acc[idx] += b * kh[idx] * sq[idx]
-				}
-			}
-			conv := fft.Inverse2D(acc, m, m)
-			for i := range out {
-				out[i] += conv[i] * complex(op.fpow[l][i], 0)
-			}
+		for i := range pv {
+			pv[i] = complex(sign*op.fpow[q][i], 0) * u[i]
 		}
-		return out
-	}
-	fwdD := func(v []complex128) (plain, wx, wy [][]complex128) {
-		plain = make([][]complex128, op.Order+1)
-		wx = make([][]complex128, op.Order+1)
-		wy = make([][]complex128, op.Order+1)
-		for q := 0; q <= op.Order; q++ {
-			pv := make([]complex128, n)
-			px := make([]complex128, n)
-			py := make([]complex128, n)
-			sign := 1.0
-			if q%2 == 1 {
-				sign = -1
-			}
-			for i := range pv {
-				base := complex(sign*op.fpow[q][i], 0) * v[i]
-				pv[i] = base
-				px[i] = base * complex(op.jnx[i], 0)
-				py[i] = base * complex(op.jny[i], 0)
-			}
-			plain[q] = fft.Forward2D(pv, m, m)
-			wx[q] = fft.Forward2D(px, m, m)
-			wy[q] = fft.Forward2D(py, m, m)
+		srcS[q] = fft.Forward2D(pv, m, m)
+		for i := range pv {
+			base := complex(sign*op.fpow[q][i], 0) * psi[i]
+			pv[i] = base
+			px[i] = base * complex(op.jnx[i], 0)
+			py[i] = base * complex(op.jny[i], 0)
 		}
-		return plain, wx, wy
-	}
-	applyD := func(med int, plain, wx, wy [][]complex128) []complex128 {
-		sp := op.spec[med]
-		out := make([]complex128, n)
-		for l := 0; l <= op.Order; l++ {
-			acc := make([]complex128, n)
-			for q := 0; l+q <= op.Order; q++ {
-				b := complex(specfun.Binomial(l+q, l), 0)
-				gx := sp.gx[l+q]
-				gy := sp.gy[l+q]
-				gz := sp.gz[l+q]
-				for idx := range acc {
-					acc[idx] += b * -(gx[idx]*wx[q][idx] + gy[idx]*wy[q][idx] + gz[idx]*plain[q][idx])
-				}
-			}
-			conv := fft.Inverse2D(acc, m, m)
-			for i := range out {
-				out[i] += conv[i] * complex(op.fpow[l][i], 0)
-			}
-		}
-		return out
+		srcD[q] = [3][]complex128{fft.Forward2D(pv, m, m), fft.Forward2D(px, m, m), fft.Forward2D(py, m, m)}
 	}
 
-	srcs := fwdS(u)
-	plain, wx, wy := fwdD(psi)
-	s1u := applyS(0, srcs)
-	s2u := applyS(1, srcs)
-	d1p := applyD(0, plain, wx, wy)
-	d2p := applyD(1, plain, wx, wy)
+	// Each medium's rows only ever need cS·S·u + cD·D·ψ — β·S₁u − D₁ψ
+	// and D₂ψ − S₂u — and the inverse transform is linear, so per order l
+	// the S and D spectral products accumulate into one array that is
+	// inverse-transformed once.
+	apply := func(med int, cS, cD complex128) []complex128 {
+		sp := op.spec[med]
+		out := make([]complex128, n)
+		acc := make([]complex128, n)
+		for l := 0; l <= op.Order; l++ {
+			clear(acc)
+			for q := 0; l+q <= op.Order; q++ {
+				b := complex(specfun.Binomial(l+q, l), 0)
+				bS, bD := b*cS, b*cD
+				g, gx, gy, gz := sp.g[l+q], sp.gx[l+q], sp.gy[l+q], sp.gz[l+q]
+				s, plain, wx, wy := srcS[q], srcD[q][0], srcD[q][1], srcD[q][2]
+				for idx := range acc {
+					acc[idx] += bS*g[idx]*s[idx] - bD*(gx[idx]*wx[idx]+gy[idx]*wy[idx]+gz[idx]*plain[idx])
+				}
+			}
+			conv := fft.Inverse2D(acc, m, m)
+			for i := range out {
+				out[i] += conv[i] * complex(op.fpow[l][i], 0)
+			}
+		}
+		return out
+	}
+	top := apply(0, op.beta, -1) // β·S₁u − D₁ψ
+	bottom := apply(1, -1, 1)    // D₂ψ − S₂u
 
 	for i := 0; i < n; i++ {
 		cv := complex(op.curv[i], 0)
-		y[i] = 0.5*psi[i] - d1p[i] - cv*psi[i] + op.beta*(s1u[i]+op.diag1*u[i])
-		y[n+i] = 0.5*psi[i] + d2p[i] + cv*psi[i] - s2u[i] - op.diag2*u[i]
+		y[i] = 0.5*psi[i] - cv*psi[i] + op.beta*op.diag1*u[i] + top[i]
+		y[n+i] = 0.5*psi[i] + cv*psi[i] - op.diag2*u[i] + bottom[i]
 	}
 	for _, e := range op.nearEntries {
 		y[e.i] += -e.d1*psi[e.j] + op.beta*e.s1*u[e.j]

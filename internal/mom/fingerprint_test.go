@@ -55,10 +55,11 @@ func fingerprintSurface(m int) (*surface.Surface, float64) {
 // shows up here before it can move a sweep result, a checkpoint or a
 // distributed column.
 func TestKernelFingerprints(t *testing.T) {
-	// Recorded when the kernel fits became symmetry-reduced (one fit per
-	// D4 orbit of lateral offsets, one node per ±Δz pair). The dense
-	// system is only fingerprinted at M=8, the regime where production
-	// assembles it; M=20 is the FFT operator's.
+	// Tables recorded when the kernel fits became symmetry-reduced (one
+	// fit per D4 orbit of lateral offsets, one node per ±Δz pair); the
+	// dense and MatVec hashes since moved with the surface realization and
+	// the transforms. The dense system is only fingerprinted at M=8, the
+	// regime where production assembles it; M=20 is the FFT operator's.
 	cases := []struct {
 		m                     int
 		fGHz                  float64
@@ -66,20 +67,20 @@ func TestKernelFingerprints(t *testing.T) {
 	}{
 		{8, 3,
 			"c2e4d7862c045ba06b0a8c13b7b99d8675799316d42b92a64684050a37229718",
-			"f9822f0b53ee687152620abf8542c052eebb9d21ba5ae022735c1494032a75f1",
-			"a0617d0a1ec063b1647ced7d596c42d31f97c2c22fc80e540bda0910950b51d7"},
+			"cd7e30a0319bfdcd963e5ef5055cbd135c65848759e29b5aa44a6a81230bee10",
+			"b50ae82db0eacb1f8dcabec7b946addcb01b37f23c42a2290ea279012fe95388"},
 		{8, 9,
 			"3a7d421950440596695642ef57779eae61491764d982738f9e74609e6a5c4bc3",
-			"dc5b9ae32bc39ddd1f4e7a49003cb3e14148d5f2433108bc64ea5175fb4800d4",
-			"37015cfa5aa0ad8f8731b5cf9cff4694313aab223c159c59bb8b191235714bdf"},
+			"efb2efd320281f06b3cd0681f0c7cb923527f253ea04f318bc3c0501d1757efc",
+			"19905063f69b59bb912c4d92c024883c3e0cf4591bf5b644b6874c63056f228d"},
 		{20, 3,
 			"e6d58c4bbf38acbe8f33cefa29f0507b866cdad1da50bfcaf6e24361222cf842",
 			"-",
-			"f380505fd0624cdbd59d4d73ace72e2a790241fcdd8a547c1cc6261a0d47c2d6"},
+			"cd4794a76061a96ca88567cce85e9c239858c1e730f17d4dc8371a89381a95f6"},
 		{20, 9,
 			"34a6bb431a41499ccf75e83b215a00029175b353ccdf689f6f5c35d58db0c253",
 			"-",
-			"5bb14e29d30971236db24b864d6352be8d8d1094145517d8bcbd062cdb8b25a3"},
+			"32e227afc4a084929f09973f1202ab8bbb03c39e899104a87cd076a0ac511680"},
 	}
 	for _, tc := range cases {
 		surf, zspan := fingerprintSurface(tc.m)
@@ -91,19 +92,21 @@ func TestKernelFingerprints(t *testing.T) {
 				t.Errorf("M=%d f=%g GHz: %s fingerprint %s, want %s", tc.m, tc.fGHz, what, got, want)
 			}
 		}
-		// The symmetry reduction moved the production kernels at rounding
-		// level; sampled entries stay pinned to the values recorded before
-		// it, relative to the largest entry.
+		// Changes that should move the production kernels only at rounding
+		// level keep sampled entries pinned to recorded values, relative to
+		// the largest entry: dense entries, which see the transforms only
+		// through the surface's eigenvalues and gradients, at 1e-16, MatVec
+		// entries, which sum 2-D transforms, at 1e-13.
 		fi := map[float64]int{3: 0, 9: 1}[tc.fGHz]
-		pinned := func(what string, got, want []complex128, scale float64) {
+		pinned := func(what string, got, want []complex128, scale, tol float64) {
 			var worst float64
 			for k := range want {
 				worst = math.Max(worst, cmplx.Abs(got[k]-want[k])/scale)
 			}
-			if worst > 1e-13 {
-				t.Errorf("M=%d f=%g GHz: %s entries moved %.3g of max |entry| from the pre-symmetry kernels", tc.m, tc.fGHz, what, worst)
+			if worst > tol {
+				t.Errorf("M=%d f=%g GHz: %s entries moved %.3g of max |entry| from the recorded ones", tc.m, tc.fGHz, what, worst)
 			}
-			t.Logf("M=%d f=%g GHz: %s entries within %.3g of max |entry| of the pre-symmetry kernels", tc.m, tc.fGHz, what, worst)
+			t.Logf("M=%d f=%g GHz: %s entries within %.3g of max |entry| of the recorded ones", tc.m, tc.fGHz, what, worst)
 		}
 		check("table", tc.tables, bitsHash(tableCoeffs(ts)...))
 		if tc.dense != "-" {
@@ -118,7 +121,7 @@ func TestKernelFingerprints(t *testing.T) {
 					got = append(got, sys.Matrix.Row(row)[col])
 				}
 			}
-			pinned("dense", got, preSymmetryDense[fi][:], sys.Matrix.MaxAbs())
+			pinned("dense", got, orbitKLDense[fi][:], sys.Matrix.MaxAbs(), 1e-16)
 		}
 		op, err := NewFFTOperatorTabulated(surf, p, ts, 6, Options{})
 		if err != nil {
@@ -140,14 +143,14 @@ func TestKernelFingerprints(t *testing.T) {
 			for _, v := range y {
 				scale = math.Max(scale, cmplx.Abs(v))
 			}
-			pinned("matvec", got, preSymmetryMatVec[fi][:], scale)
+			pinned("matvec", got, orbitKLMatVec[fi][:], scale, 1e-13)
 		}
 	}
 
 	// The exact Ewald assembly is a reference path, not a production one:
 	// it may move at rounding level. Log how far sampled entries (self,
 	// near and far cells in all four blocks of one row pair) are from the
-	// values recorded before its offsets were period-wrapped.
+	// recorded values.
 	surf, _ := fingerprintSurface(8)
 	n := surf.M * surf.M
 	for k, fGHz := range []float64{3, 9} {
@@ -166,107 +169,109 @@ func TestKernelFingerprints(t *testing.T) {
 }
 
 // exactSamples are Assemble entries of the M=8 fingerprint surface at
-// 3 and 9 GHz (see TestKernelFingerprints for the positions).
+// 3 and 9 GHz (see TestKernelFingerprints for the positions), recorded
+// when KL modes began reading one eigenvalue per symmetry orbit.
 var exactSamples = [2][16]complex128{{
-	0.5048967237503537,
-	0.0013757893118036644 - 1.6782973744446276e-08i,
-	-0.00041151046795115826 - 3.849680193874633e-08i,
-	-3.2966232925451085e-05 - 7.58338911756184e-09i,
+	0.5015946793532916,
+	-7.432908257265348e-05 - 1.8663919497851203e-08i,
+	-0.00011923920444998234 + 1.1708444900625216e-09i,
+	-3.296623290942938e-05 - 7.583389117562056e-09i,
 	6.661573079254857e-13 - 1.558190061843462e-15i,
-	6.661573079236456e-13 - 2.829930327708894e-16i,
-	6.661573079173546e-13 + 5.053057395920053e-17i,
+	6.661573079233992e-13 - 2.8291503947405e-16i,
+	6.661573079252839e-13 + 5.045818990251628e-17i,
 	6.661573079251741e-13 + 1.0357915408861908e-16i,
-	0.49510327624964634,
-	-0.0013712895544023302 - 0.00024162359951684147i,
-	0.00011724311246136165 + 0.0001719555290889146i,
-	-3.903685789078402e-06 + 4.1087996823080064e-06i,
+	0.49840532064670834,
+	-7.449990143029457e-06 + 1.4033232281331943e-05i,
+	6.65206074944267e-05 + 7.456866335736407e-05i,
+	-3.903685789071901e-06 + 4.108799682285382e-06i,
 	-1.4902848364428604e-07 - 2.584187957074493e-08i,
-	-2.7095423805281867e-08 - 1.4227966185050958e-08i,
-	8.476454682825367e-11 - 3.802171628306582e-09i,
+	-2.7088154341174998e-08 - 1.422707927786431e-08i,
+	8.288203911936247e-11 - 3.8047917016865664e-09i,
 	1.7306691659387901e-09 - 3.078054010152738e-10i,
 }, {
-	0.5048967237503537,
-	0.0013757893472460684 - 5.0348921232840345e-08i,
-	-0.0004115104624314496 - 1.1549040581243697e-07i,
-	-3.296622820895998e-05 - 2.2750167352656912e-08i,
+	0.5015946793532916,
+	-7.432907015609153e-05 - 5.5991758493001576e-08i,
+	-0.0001192392150411993 + 3.5125334701822267e-09i,
+	-3.296622819293826e-05 - 2.2750167352656846e-08i,
 	6.661573079254855e-13 - 4.674570249907902e-15i,
-	6.661573079089064e-13 - 8.48979131039415e-16i,
-	6.661573078522894e-13 + 1.5159172408785276e-16i,
+	6.661573079066891e-13 - 8.487451511469538e-16i,
+	6.661573079236528e-13 + 1.5137457192482808e-16i,
 	6.661573079226633e-13 + 3.107374811210104e-16i,
-	0.49510327624964634,
-	-0.0011264421394542286 - 0.00049816660366163i,
-	-3.730570763639352e-05 + 9.714665071761558e-05i,
-	-2.611643676598931e-07 - 1.011896969096457e-06i,
+	0.49840532064670834,
+	-1.411779280897363e-05 + 1.7812224881306944e-05i,
+	-1.3719266231821603e-05 + 4.9923070207725636e-05i,
+	-2.611643676598932e-07 - 1.0118969690964573e-06i,
 	-1.3001112507248452e-07 - 4.535508011404396e-08i,
-	-1.4520419379912566e-08 - 1.5673735980639885e-08i,
-	1.0473168429410054e-09 - 7.874615564260869e-10i,
+	-1.451387392671269e-08 - 1.567168408588851e-08i,
+	1.0477622466467022e-09 - 7.890907209984085e-10i,
 	-8.726890567512966e-11 + 1.8310200270840055e-10i,
 }}
 
-// preSymmetryDense are AssembleTabulated entries of the M=8 fingerprint
+// orbitKLDense are AssembleTabulated entries of the M=8 fingerprint
 // surface at 3 and 9 GHz, rows 9 and n+9 × columns 10, 14, 27, 45, 62,
-// n+9, n+27, n+62, recorded before the kernel fits were
-// symmetry-reduced.
-var preSymmetryDense = [2][16]complex128{{
-	0.0013757893118036696 - 1.6782973744445945e-08i,
-	-0.00018501054990328544 - 5.575726861700317e-08i,
-	-0.0004115104679511559 - 3.849680193874694e-08i,
-	-3.296623292543267e-05 - 7.583389117561083e-09i,
-	-0.00036756718815057554 - 5.5293357589726906e-08i,
+// n+9, n+27, n+62, recorded when KL modes began reading one eigenvalue
+// per symmetry orbit, while 2-D transforms of non-power-of-two lengths
+// still ran Bluestein's algorithm.
+var orbitKLDense = [2][16]complex128{{
+	-7.432908257265137e-05 - 1.866391949785093e-08i,
+	0.0002586175822771445 + 8.914708834064835e-09i,
+	-0.00011923920444998589 + 1.170844490063001e-09i,
+	-3.296623290941081e-05 - 7.583389117561341e-09i,
+	6.269973656769489e-05 - 8.224055691917908e-12i,
 	6.661573079254857e-13 - 1.558190061843462e-15i,
-	6.661573079173538e-13 + 5.0530573959200365e-17i,
-	6.661573079088033e-13 + 8.015985396961048e-17i,
-	-0.0013712895544023295 - 0.0002416235995168413i,
-	-6.34044573732655e-05 - 2.244496586204204e-06i,
-	0.00011724311246136177 + 0.0001719555290889147i,
-	-3.903685789078403e-06 + 4.108799682307999e-06i,
-	1.4887866387455261e-05 + 0.00012032721395176658i,
+	6.661573079252841e-13 + 5.04581899025164e-17i,
+	6.661573079254882e-13 + 8.006163970280451e-17i,
+	-7.449990143028804e-06 + 1.4033232281332033e-05i,
+	-0.00011481976360393797 - 0.00014509742709252333i,
+	6.65206074944267e-05 + 7.456866335736408e-05i,
+	-3.903685789071898e-06 + 4.108799682285375e-06i,
+	-1.3295812596260343e-05 - 4.387951165663993e-05i,
 	-1.4902848364428604e-07 - 2.584187957074493e-08i,
-	8.476454682825255e-11 - 3.802171628306583e-09i,
-	1.396538489101314e-09 - 1.937901881556959e-09i,
+	8.288203911936206e-11 - 3.804791701686566e-09i,
+	1.396321336098229e-09 - 1.940560572648621e-09i,
 }, {
-	0.0013757893472460723 - 5.034892123283955e-08i,
-	-0.000185010510974941 - 1.672718058396498e-07i,
-	-0.0004115104624314525 - 1.1549040581243845e-07i,
-	-3.296622820894296e-05 - 2.275016735265527e-08i,
-	-0.00036756716665175036 - 1.65880072758102e-07i,
+	-7.432907015609079e-05 - 5.599175849300106e-08i,
+	0.0002586175939215147 + 2.674412650214862e-08i,
+	-0.00011923921504120208 + 3.512533470183617e-09i,
+	-3.296622819292111e-05 - 2.2750167352654785e-08i,
+	6.269974393113931e-05 - 2.4672167075837584e-11i,
 	6.661573079254855e-13 - 4.674570249907902e-15i,
-	6.661573078522881e-13 + 1.51591724087852e-16i,
-	6.661573077753274e-13 + 2.404795719412187e-16i,
-	-0.0011264421394542286 - 0.0004981666036616301i,
-	5.601038555836871e-06 - 3.84515663680233e-05i,
-	-3.73057076363935e-05 + 9.714665071761565e-05i,
-	-2.6116436765989293e-07 - 1.0118969690964573e-06i,
-	-3.843411450230188e-05 + 1.5608728519404864e-05i,
+	6.661573079236529e-13 + 1.5137457192482872e-16i,
+	6.66157307925488e-13 + 2.401849291648787e-16i,
+	-1.4117792808973697e-05 + 1.7812224881306896e-05i,
+	4.394552408042595e-05 - 8.797412618528505e-05i,
+	-1.371926623182161e-05 + 4.992307020772563e-05i,
+	-2.611643676598929e-07 - 1.0118969690964581e-06i,
+	1.4958830344075087e-05 - 5.861060934941778e-06i,
 	-1.3001112507248452e-07 - 4.535508011404396e-08i,
-	1.047316842941006e-09 - 7.874615564260878e-10i,
-	4.767815745050143e-10 + 1.4107340934519158e-10i,
+	1.0477622466467024e-09 - 7.890907209984085e-10i,
+	4.776254873402124e-10 + 1.4069744292428159e-10i,
 }}
 
-// preSymmetryMatVec are tabulated FFT-operator MatVec entries of the M=20
+// orbitKLMatVec are tabulated FFT-operator MatVec entries of the M=20
 // fingerprint surface at 3 and 9 GHz (order 6, the fingerprint input
 // vector), at indices 0, 21, 137, 250, 399, 400, 421, 537, 650, 799,
-// recorded before the kernel fits were symmetry-reduced.
-var preSymmetryMatVec = [2][10]complex128{{
-	0.42121505581436897 + 0.27062912671441014i,
-	0.4604906563440757 + 0.27794844026680876i,
-	-0.21815901759026263 + 0.05525192417060306i,
-	-0.07947146174105525 - 0.04202400180641964i,
-	-0.4349412262049697 + 0.25573003798190924i,
-	0.4202616406732956 + 0.2696807954359626i,
-	0.4595473054158613 + 0.2771726221253807i,
-	-0.21800966319228868 + 0.05518449845996611i,
-	-0.07921189972076832 - 0.04191402363605946i,
-	-0.434076127470786 + 0.2543900123388595i,
+// recorded with orbitKLDense.
+var orbitKLMatVec = [2][10]complex128{{
+	0.42109795893556573 + 0.27067001981699623i,
+	0.4605043161657645 + 0.27792190817337387i,
+	-0.21813053434033558 + 0.055241039011607575i,
+	-0.07946449137828472 - 0.04202832945950224i,
+	-0.4348614855375716 + 0.25568353565290525i,
+	0.4203793667518142 + 0.2696417528907759i,
+	0.4595322204973764 + 0.2771986408044084i,
+	-0.21803615554309294 + 0.0551973349108708i,
+	-0.07921898183068779 - 0.041909174877903625i,
+	-0.43415620967060214 + 0.2544354150106523i,
 }, {
-	0.4212150560391088 + 0.27062912672744444i,
-	0.46049065645408915 + 0.2779484403563634i,
-	-0.2181590201369116 + 0.05525192425395593i,
-	-0.07947146014183008 - 0.042024001855561925i,
-	-0.4349412266325642 + 0.25573003801473915i,
-	0.4202703277720711 + 0.2696982142087825i,
-	0.4595578345207174 + 0.2771951031838674i,
-	-0.21801443778023094 + 0.05520653153942219i,
-	-0.07920459583633092 - 0.04191689708155305i,
-	-0.43408610413195314 + 0.2543745617530596i,
+	0.421097959151687 + 0.27067001983604094i,
+	0.46050431628431976 + 0.2779219082559199i,
+	-0.2181305370326622 + 0.055241039109035384i,
+	-0.07946448999489937 - 0.04202832950415621i,
+	-0.43486148596004415 + 0.25568353568498187i,
+	0.4203893014805306 + 0.26966269591210756i,
+	0.45954039474569464 + 0.2772196184816648i,
+	-0.2180416372629985 + 0.05522183074601886i,
+	-0.0792117536815775 - 0.04191170148207579i,
+	-0.434167149039423 + 0.25441809366861134i,
 }}

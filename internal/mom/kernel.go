@@ -324,9 +324,24 @@ func chebFit(nodes []float64, eval func(z float64) (complex128, [3]complex128)) 
 	return smp
 }
 
-// chebEval evaluates a chebFit result at t ∈ [−1, 1].
+// chebEval evaluates a chebFit result at t ∈ [−1, 1] by the Clenshaw
+// recurrence. The four series (G, Gx, Gy, Gz) share one loop; each runs
+// the operations it would run alone, in the same order, so sharing the
+// loop changes no bit.
 func chebEval(c *[4][]complex128, t float64) (complex128, [3]complex128) {
-	return clenshaw(c[0], t), [3]complex128{clenshaw(c[1], t), clenshaw(c[2], t), clenshaw(c[3], t)}
+	g := c[0]
+	n := len(g)
+	gx, gy, gz := c[1][:n], c[2][:n], c[3][:n]
+	var g1, g2, x1, x2, y1, y2, z1, z2 complex128
+	tt := complex(2*t, 0)
+	for j := n - 1; j >= 1; j-- {
+		g1, g2 = g[j]+tt*g1-g2, g1
+		x1, x2 = gx[j]+tt*x1-x2, x1
+		y1, y2 = gy[j]+tt*y1-y2, y1
+		z1, z2 = gz[j]+tt*z1-z2, z1
+	}
+	ct := complex(t, 0)
+	return g[0] + ct*g1 - g2, [3]complex128{gx[0] + ct*x1 - x2, gy[0] + ct*y1 - y2, gz[0] + ct*z1 - z2}
 }
 
 // chebCoeffs converts samples at the standard Chebyshev nodes into
@@ -363,14 +378,4 @@ func chebCosines(n int) []float64 {
 	}
 	v, _ := chebCosineCache.LoadOrStore(n, c)
 	return v.([]float64)
-}
-
-// clenshaw evaluates a Chebyshev expansion at t ∈ [−1, 1].
-func clenshaw(c []complex128, t float64) complex128 {
-	var b1, b2 complex128
-	tt := complex(2*t, 0)
-	for j := len(c) - 1; j >= 1; j-- {
-		b1, b2 = c[j]+tt*b1-b2, b1
-	}
-	return c[0] + complex(t, 0)*b1 - b2
 }

@@ -163,23 +163,28 @@ func TestTabulatedRejectsMismatch(t *testing.T) {
 }
 
 func TestChebyshevInterpolationMachinery(t *testing.T) {
-	// Interpolate a known smooth complex function and check accuracy.
+	// Interpolate four known smooth complex functions, one per series,
+	// and check the accuracy of each.
 	span := 3.0
 	nodes := chebNodes(chebDegree, span)
-	smp := make([]complex128, chebDegree)
-	f := func(z float64) complex128 {
+	f := func(s int, z float64) complex128 {
 		// Smooth on [−span, span]: nearest pole at z = −5.
-		return cmplx.Exp(complex(0, 1.3*z)) / complex(5+z, 0)
+		return cmplx.Exp(complex(0, (0.4+0.3*float64(s))*z)) / complex(5+z, 0)
 	}
-	for k, z := range nodes {
-		smp[k] = f(z)
+	var coef [4][]complex128
+	for s := range coef {
+		smp := make([]complex128, chebDegree)
+		for k, z := range nodes {
+			smp[k] = f(s, z)
+		}
+		coef[s] = chebCoeffs(smp)
 	}
-	coef := chebCoeffs(smp)
 	for _, z := range []float64{-2.9, -1.1, 0, 0.37, 2.5} {
-		got := clenshaw(coef, z/span)
-		want := f(z)
-		if cmplx.Abs(got-want) > 1e-9*(1+cmplx.Abs(want)) {
-			t.Fatalf("chebyshev interp at %g: %v vs %v", z, got, want)
+		v, gr := chebEval(&coef, z/span)
+		for s, got := range []complex128{v, gr[0], gr[1], gr[2]} {
+			if want := f(s, z); cmplx.Abs(got-want) > 1e-9*(1+cmplx.Abs(want)) {
+				t.Fatalf("chebyshev interp of series %d at %g: %v vs %v", s, z, got, want)
+			}
 		}
 	}
 }

@@ -64,6 +64,7 @@ func newKLFromStencil(stencil []float64, L float64, M int) *KL {
 		cs[i] = complex(v, 0)
 	}
 	spec := fft.Forward2D(cs, M, M)
+	rep := orbitRep(stencil, M)
 
 	kl := &KL{L: L, M: M}
 	seen := make([]bool, n)
@@ -73,7 +74,7 @@ func newKLFromStencil(stencil []float64, L float64, M int) *KL {
 			if seen[idx] {
 				continue
 			}
-			lam := real(spec[idx])
+			lam := real(spec[rep(ix, iy)])
 			if lam < 0 {
 				// Tiny negative values can appear for periodized CFs;
 				// clamp (they are below double round-off of the trace).
@@ -103,6 +104,38 @@ func newKLFromStencil(stencil []float64, L float64, M int) *KL {
 		kl.total += m.Lambda
 	}
 	return kl
+}
+
+// orbitRep returns, for a spectral bin (ix, iy), the index of the bin
+// whose eigenvalue stands for its whole symmetry orbit. A stencil even in
+// an axis has a spectrum even in it, and a stencil equal to its transpose
+// a spectrum symmetric under kx↔ky; the symmetries are checked bitwise.
+// Mathematically degenerate eigenvalues such as (1,0)/(0,1) then read one
+// value and are bitwise equal, so the stable mode sort keeps generation
+// order inside a degenerate group instead of ordering it by transform
+// rounding noise.
+func orbitRep(stencil []float64, M int) func(ix, iy int) int {
+	evenX, evenY, transposed := true, true, true
+	for iy := 0; iy < M; iy++ {
+		for ix := 0; ix < M; ix++ {
+			v := stencil[iy*M+ix]
+			evenX = evenX && v == stencil[iy*M+(M-ix)%M]
+			evenY = evenY && v == stencil[(M-iy)%M*M+ix]
+			transposed = transposed && v == stencil[ix*M+iy]
+		}
+	}
+	return func(ix, iy int) int {
+		if evenX {
+			ix = min(ix, M-ix)
+		}
+		if evenY {
+			iy = min(iy, M-iy)
+		}
+		if transposed && ix > iy {
+			ix, iy = iy, ix
+		}
+		return iy*M + ix
+	}
 }
 
 func minImage(i, m int) float64 {

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Tier-1 verification: build, vet, full test suite, then the race
 # detector over the concurrent packages (worker pools, fallback chain,
-# solver cache) in short mode so the whole script stays a few minutes.
+# solver cache, the shared FFT plans) in short mode so the whole script
+# stays a few minutes.
 set -eux
 
 go build ./...
@@ -18,7 +19,7 @@ go test -race -short ./internal/montecarlo/... ./internal/sscm/... \
     ./internal/telemetry/... ./internal/sweepengine/... \
     ./internal/surrogate/... ./internal/trace/... ./internal/journal/... \
     ./internal/campaign/... ./internal/cluster/... ./internal/sparams/... \
-    ./internal/memo/...
+    ./internal/memo/... ./internal/fft/...
 # Fast paper-fidelity gate: reduced-resolution K values of Figs. 3–7 and
 # the Table I counts, pinned (the full exhibit tests skip under -short).
 go test -short -count=1 -run TestPaperFidelity ./internal/experiments/
