@@ -65,8 +65,12 @@ func benchParams() mom.Params {
 	}
 }
 
-func benchSurface(m int) *surface.Surface {
-	c := surface.NewGaussianCorr(1e-6, 1e-6)
+func benchSurface(m int) *surface.Surface { return benchSurfaceSigma(m, 1e-6) }
+
+// benchSurfaceSigma is a KL realization of a Gaussian surface of RMS
+// height sigma and correlation length 1 µm on a 5 µm patch.
+func benchSurfaceSigma(m int, sigma float64) *surface.Surface {
+	c := surface.NewGaussianCorr(sigma, 1e-6)
 	kl := surface.NewKL(c, 5e-6, m)
 	return kl.SampleTruncated(rng.New(3), 8)
 }
@@ -81,19 +85,30 @@ func BenchmarkAssembleExact(b *testing.B) {
 	}
 }
 
-// BenchmarkAssembleTabulated measures table-accelerated assembly (the
-// per-surface cost once a frequency's tables exist — the SSCM/MC inner
-// loop).
+// BenchmarkAssembleTabulated measures one-worker table-accelerated
+// assembly — the per-surface cost once a frequency's tables exist, the
+// SSCM/MC inner loop — at 5 GHz with the 14σ table span the solver
+// uses: at the campaign-g8 bench workload's cell (M=8, σ = 0.33 µm) and
+// at the paper's roughness (M=24, σ = η = 1 µm).
 func BenchmarkAssembleTabulated(b *testing.B) {
-	s := benchSurface(12)
-	p := benchParams()
-	ts := mom.NewTableSet(p, 5e-6, 12, 12e-6, mom.Options{})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mom.AssembleTabulated(s, p, ts, mom.Options{}); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name  string
+		m     int
+		sigma float64
+	}{{"campaign-M8", 8, 0.33e-6}, {"paper-M24", 24, 1e-6}} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := benchSurfaceSigma(bc.m, bc.sigma)
+			p := benchParams()
+			opt := mom.Options{Workers: 1}
+			ts := mom.NewTableSet(p, 5e-6, bc.m, 14*bc.sigma, opt)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := mom.AssembleTabulated(s, p, ts, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

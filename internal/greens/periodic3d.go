@@ -211,30 +211,6 @@ func (g *Periodic3D) spatialImage(rx, ry, dz float64, wantGrad bool) (complex128
 	return v, grad, false
 }
 
-// SpatialShell returns the first-shell (p, q ∈ [−1, 1]) terms of the
-// spatial Ewald series and their Δ-gradient at the period-wrapped
-// offset — the only parts of the Ewald-mode Green's function that vary
-// on the sub-period scale (at offsets near ±L/2 the neighbor images are
-// equidistant with the central one). Tabulation layers subtract the
-// shell before fitting and add it back exactly. Only meaningful when
-// UsesEwald() is true.
-func (g *Periodic3D) SpatialShell(dx, dy, dz float64) (complex128, [3]complex128) {
-	dx = WrapPeriod(dx, g.L)
-	dy = WrapPeriod(dy, g.L)
-	var sum complex128
-	var grad [3]complex128
-	for p := -1; p <= 1; p++ {
-		for q := -1; q <= 1; q++ {
-			v, gr, _ := g.spatialImage(dx-float64(p)*g.L, dy-float64(q)*g.L, dz, true)
-			sum += v
-			for i := range grad {
-				grad[i] += gr[i]
-			}
-		}
-	}
-	return sum, grad
-}
-
 // spectral evaluates the reciprocal-space part of the Ewald split:
 // Σ_mn e^{j·k_t·Δρ}/(4L²γ)·[e^{+γΔz}·erfc(γ/(2E)+ΔzE) + e^{−γΔz}·erfc(γ/(2E)−ΔzE)],
 // with γ = sqrt(|k_t|² − k²) on the decaying/outgoing branch.

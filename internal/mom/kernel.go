@@ -134,13 +134,21 @@ func (g *cellGeom) nearQuadrature(src1, src2 nearEvaluator, j, cx, cy int, dzc f
 	return s1, s2, d1, d2
 }
 
-// farPoint is the one-point rule for source cell j at wrapped grid
-// offset (px, py): one medium's single- and double-layer entries.
-func (g *cellGeom) farPoint(src kernelSource, j, px, py int, dzc float64) (sv, dv complex128) {
+// farPair is the one-point rule for the far pair (i, j), with source
+// cell j at wrapped grid offset (px, py) and height difference dzc from
+// observation cell i: one medium's single-layer entry sv, which both
+// orders share, the double-layer entry dij of j seen from i and dji of i
+// seen from j. The kernel is even under Δ → −Δ and its Δ-gradient odd,
+// so one kernel read serves both orders.
+func (g *cellGeom) farPair(src kernelSource, i, j, px, py int, dzc float64) (sv, dij, dji complex128) {
 	area := complex(g.h*g.h, 0)
 	v, gr := src.gridEval(px, py, dzc)
-	jnx, jny := -g.fx[j], -g.fy[j] // J·n̂ at the source cell
-	return v * area, -(complex(jnx, 0)*gr[0] + complex(jny, 0)*gr[1] + gr[2]) * area
+	// flux is J·n̂·∇_Δ G with J·n̂ = (−f_x, −f_y, 1) at cell c; the
+	// double-layer entry is ∂G/∂n′·area = −J·n̂·∇_Δ G·area.
+	flux := func(c int) complex128 {
+		return complex(-g.fx[c], 0)*gr[0] + complex(-g.fy[c], 0)*gr[1] + gr[2]
+	}
+	return v * area, -flux(j) * area, flux(i) * area
 }
 
 // parallelFor calls a body for every i in [0, n), spread over up to

@@ -209,7 +209,11 @@ func Assemble(s *surface.Surface, p Params, opt Options) *System {
 // assemble builds the dense system reading the two media's kernels
 // through src1 and src2: the analytic self cell, subdivided quadrature
 // inside NearRadius and the one-point rule beyond, row by row over
-// Options.Workers.
+// Options.Workers. A far pair's kernel is read once for both of its
+// entries (farPair): row i's worker fills its far columns j > i and
+// their transposed slots in row j, and skips the far columns j < i that
+// row j's worker fills, so every slot is still written by exactly one
+// computation and the matrix is bitwise deterministic in Workers.
 func assemble(s *surface.Surface, p Params, src1, src2 kernelSource, opt Options) *System {
 	g := newCellGeom(s, opt.NearSubdiv)
 	m := s.M
@@ -220,8 +224,16 @@ func assemble(s *surface.Surface, p Params, src1, src2 kernelSource, opt Options
 	parallelFor(n, opt.Workers, func() func(int) {
 		return func(i int) {
 			iy, ix := i/m, i%m
-			row1 := a.Row(i)
-			row2 := a.Row(n + i)
+			// set writes the four block entries of observation cell
+			// obs and source cell src.
+			set := func(obs, src int, s1, s2, d1, d2 complex128) {
+				// Block (1,1): ½I − D₁ ; block (1,2): β·S₁.
+				a.Set(obs, src, -d1)
+				a.Set(obs, n+src, p.Beta*s1)
+				// Block (2,1): ½I + D₂ ; block (2,2): −S₂.
+				a.Set(n+obs, src, d2)
+				a.Set(n+obs, n+src, -s2)
+			}
 			for j := 0; j < n; j++ {
 				cx := wrapOffset(ix-j%m, m)
 				cy := wrapOffset(iy-j/m, m)
@@ -234,21 +246,26 @@ func assemble(s *surface.Surface, p Params, src1, src2 kernelSource, opt Options
 					d2 = d1
 				case absInt(cx) <= opt.NearRadius && absInt(cy) <= opt.NearRadius:
 					s1, s2, d1, d2 = g.nearQuadrature(src1, src2, j, cx, cy, dzc)
-				default:
+				case 2*cx == m || 2*cy == m:
+					// Index M/2 wraps to −L/2 from both sides, where the
+					// tables' gradient is not exactly odd (see
+					// fitOrbits), so each order reads its own kernel.
 					// The grid kernels are indexed by the positive
 					// wrapped offset.
-					s1, d1 = g.farPoint(src1, j, (cx+m)%m, (cy+m)%m, dzc)
-					s2, d2 = g.farPoint(src2, j, (cx+m)%m, (cy+m)%m, dzc)
+					s1, d1, _ = g.farPair(src1, i, j, (cx+m)%m, (cy+m)%m, dzc)
+					s2, d2, _ = g.farPair(src2, i, j, (cx+m)%m, (cy+m)%m, dzc)
+				case j < i:
+					continue // row j's worker fills this slot
+				default:
+					var d1t, d2t complex128
+					s1, d1, d1t = g.farPair(src1, i, j, (cx+m)%m, (cy+m)%m, dzc)
+					s2, d2, d2t = g.farPair(src2, i, j, (cx+m)%m, (cy+m)%m, dzc)
+					set(j, i, s1, s2, d1t, d2t)
 				}
-				// Block (1,1): ½I − D₁ ; block (1,2): β·S₁.
-				row1[j] = -d1
-				row1[n+j] = p.Beta * s1
-				// Block (2,1): ½I + D₂ ; block (2,2): −S₂.
-				row2[j] = d2
-				row2[n+j] = -s2
+				set(i, j, s1, s2, d1, d2)
 			}
-			row1[i] += 0.5
-			row2[i] += 0.5
+			a.Add(i, i, 0.5)
+			a.Add(n+i, i, 0.5)
 		}
 	})
 	return &System{N: n, Matrix: a, RHS: RHSVector(s, p), Step: g.h}

@@ -6,6 +6,9 @@ import (
 	"math/cmplx"
 	"testing"
 
+	"roughsim/internal/cmplxmat"
+	"roughsim/internal/rng"
+	"roughsim/internal/surface"
 	"roughsim/internal/units"
 )
 
@@ -289,6 +292,81 @@ func TestSymmetricFitsMatchFullBuild(t *testing.T) {
 			})
 			t.Logf("%s: far %.2g, near %.2g, cache %.2g, kernels %.2g of max |component|",
 				name, far.diff/far.scale, near.diff/near.scale, cache.diff/cache.scale, kern.diff/kern.scale)
+		}
+	}
+}
+
+// perPairAssemble is assemble reading the kernel once per entry: every
+// far pair is read in both orders.
+func perPairAssemble(s *surface.Surface, p Params, src1, src2 kernelSource, opt Options) *cmplxmat.Matrix {
+	g := newCellGeom(s, opt.NearSubdiv)
+	m := s.M
+	n := m * m
+	a := cmplxmat.New(2*n, 2*n)
+	s1Self, s2Self := selfTerm(g.h, src1), selfTerm(g.h, src2)
+	curv := CurvatureDiagonal(s)
+	for i := 0; i < n; i++ {
+		iy, ix := i/m, i%m
+		row1, row2 := a.Row(i), a.Row(n+i)
+		for j := 0; j < n; j++ {
+			cx := wrapOffset(ix-j%m, m)
+			cy := wrapOffset(iy-j/m, m)
+			dzc := s.H[i] - s.H[j]
+			var s1, s2, d1, d2 complex128
+			switch {
+			case j == i:
+				s1, s2 = s1Self, s2Self
+				d1 = complex(curv[i], 0)
+				d2 = d1
+			case absInt(cx) <= opt.NearRadius && absInt(cy) <= opt.NearRadius:
+				s1, s2, d1, d2 = g.nearQuadrature(src1, src2, j, cx, cy, dzc)
+			default:
+				s1, d1, _ = g.farPair(src1, i, j, (cx+m)%m, (cy+m)%m, dzc)
+				s2, d2, _ = g.farPair(src2, i, j, (cx+m)%m, (cy+m)%m, dzc)
+			}
+			row1[j] = -d1
+			row1[n+j] = p.Beta * s1
+			row2[j] = d2
+			row2[n+j] = -s2
+		}
+		row1[i] += 0.5
+		row2[i] += 0.5
+	}
+	return a
+}
+
+// TestFarPairFillMatchesPerPair checks assemble's one kernel read per far
+// pair against reading the kernel for every entry, exact and tabulated,
+// on an odd grid and on an even one (whose M/2 line is read per entry):
+// G(−Δ) = G(Δ) and ∇_Δ G(−Δ) = −∇_Δ G(Δ) hold to rounding, so the
+// matrices agree to rounding, and entries a pair's own read fills agree
+// bit for bit.
+func TestFarPairFillMatchesPerPair(t *testing.T) {
+	p := paramsAt(5 * units.GHz)
+	opt := Options{}.withDefaults()
+	for _, m := range []int{9, 10} {
+		surf := surface.NewKL(surface.NewGaussianCorr(1*um, 1*um), 5*um, m).Sample(rng.New(7))
+		ts := NewTableSet(p, surf.L, m, 8*um, opt)
+		e1, e2 := exactSources(surf, p, opt)
+		for name, src := range map[string][2]kernelSource{"exact": {e1, e2}, "tabulated": {ts.g1, ts.g2}} {
+			got := assemble(surf, p, src[0], src[1], opt).Matrix
+			want := perPairAssemble(surf, p, src[0], src[1], opt)
+			n := m * m
+			var worst float64
+			for r := 0; r < 2*n; r++ {
+				for c := 0; c < 2*n; c++ {
+					g, w := got.At(r, c), want.At(r, c)
+					worst = math.Max(worst, cmplx.Abs(g-w))
+					if r%n <= c%n && g != w {
+						t.Fatalf("M=%d %s: entry (%d,%d) = %v, per-pair %v", m, name, r, c, g, w)
+					}
+				}
+			}
+			worst /= want.MaxAbs()
+			t.Logf("M=%d %s: symmetric fill within %.3g of max |entry| of the per-pair fill", m, name, worst)
+			if !(worst <= 1e-15) {
+				t.Errorf("M=%d %s: symmetric fill deviates %.3g of max |entry| from the per-pair fill", m, name, worst)
+			}
 		}
 	}
 }

@@ -2,7 +2,6 @@ package mom
 
 import (
 	"math"
-	"math/cmplx"
 
 	"roughsim/internal/greens"
 	"roughsim/internal/resilience"
@@ -38,15 +37,23 @@ const chebDegree = 32 // interpolation nodes per offset
 // tabulated interpolates one medium's G and ∇G; it is the production
 // kernelSource.
 //
-// What is stored is the smooth remainder G − G_free(central image): the
-// free-space term e^{jkR}/(4πR) of the nearest image is sharply peaked
-// in Δz for small lateral offsets (scale ~ρ, far below any reasonable
-// node count), so it is subtracted before fitting and added back exactly
-// (one complex exponential) at evaluation time. The remainder — distant
-// images plus the spectral part — varies on the lattice scale L and is
-// captured by the chebDegree-node fit to ~1e−13 relative in the
-// dielectric and ~3e−10 in the conductor across 1–9 GHz
-// (TestTableInterpolationErrorAcrossSkinDepthRange).
+// What is stored is the smooth remainder G − G_free(3×3 shell): the
+// free-space terms e^{jkR}/(4πR) of the central image and its eight
+// neighbours are sharply peaked in Δz for small lateral offsets (scale
+// ~ρ, far below any reasonable node count; near ±L/2 a neighbour is as
+// close as the central image), so they are subtracted before fitting and
+// added back exactly at evaluation time (see freeImages). The remainder
+// varies on the lattice scale L: its nearest complex-Δz singularity, the
+// next image shell, sits at ±i·1.5L or farther. How well the
+// chebDegree-node fit resolves it depends on the Δz span against L:
+//   - at a 2 µm span on L = 5 µm, kernel values are within ~1.7e−13
+//     relative in the dielectric and ~3e−10 in the conductor across
+//     1–9 GHz (TestTableInterpolationErrorAcrossSkinDepthRange);
+//   - AssembleTabulated entries are within ~1e−16 of max |entry| of
+//     Assemble's at σ ≤ 0.33 µm (ZSpan = 14σ ≤ 4.6 µm, L = 5 µm), and
+//     within ~2e−8 at the paper's σ = η = 1 µm on L = 4 µm (ZSpan
+//     14 µm, TestTabulatedMatchesExactAtPaperSigma), where the span is
+//     3.5 periods and the next shell bounds the fit.
 type tabulated struct {
 	m, sub, near int
 	h            float64
@@ -54,8 +61,6 @@ type tabulated struct {
 	k            complex128
 	l            float64
 	g            *greens.Periodic3D
-	subShells    int // free-space image shells evaluated exactly (direct mode)
-	ewaldCentral bool
 	// far[(dy*m+dx)] and nearTab[subOffsetIndex] hold Chebyshev
 	// coefficients for (G, Gx, Gy, Gz); the slots of one symmetry orbit
 	// share vectors (see fitOrbits), so they are read-only.
@@ -109,17 +114,6 @@ func (ts *TableSet) compatible(s *surface.Surface, opt Options, need float64) er
 func newTabulated(g *greens.Periodic3D, L float64, M int, zspan float64, opt Options) *tabulated {
 	h := L / float64(M)
 	t := &tabulated{m: M, sub: opt.NearSubdiv, near: opt.NearRadius, h: h, zspan: zspan, k: g.K, l: L, g: g}
-	if g.UsesEwald() {
-		// The spatial central Ewald term is the only sub-period-scale
-		// part (it carries the |Δz| kink at small lateral offsets);
-		// evaluate it exactly and interpolate the smooth remainder.
-		t.ewaldCentral = true
-	} else {
-		// Direct-sum media (strong loss): the whole first image shell
-		// still carries phase across the Δz span; evaluate it exactly
-		// and interpolate only the tiny (≲e^{−2·Im(k)·L}) remainder.
-		t.subShells = 1
-	}
 	nodes := chebNodes(chebDegree, zspan)
 	t.nearDim = (2*opt.NearRadius + 1) * opt.NearSubdiv
 
@@ -177,32 +171,44 @@ func (t *tabulated) nearIndex(c, s int) int {
 	return (c+t.near)*t.sub + s
 }
 
-// freeImages returns the exactly evaluated sharp part of the kernel:
-// the spatial central Ewald term (Ewald-mode media) or the free-space
-// image sum over the central subShells shells (direct-mode media), with
-// Δ-gradients, at the period-wrapped lateral offset.
+// freeImages returns the exactly evaluated sharp part of the kernel: the
+// free-space image sum Σ_{|p|,|q|≤1} e^{jkR}/(4πR) over the central 3×3
+// shell, with its Δ-gradient, at the period-wrapped lateral offset. It
+// runs in real arithmetic: with k = k′ + jk″,
+// e^{jkR}/(4πR) = e^{−k″R}·(cos k′R + j·sin k′R)/(4πR), and its
+// R-derivative is that value times jk − 1/R.
 func (t *tabulated) freeImages(dx, dy, dz float64) (complex128, [3]complex128) {
-	if t.ewaldCentral {
-		return t.g.SpatialShell(dx, dy, dz)
-	}
 	dx = greens.WrapPeriod(dx, t.l)
 	dy = greens.WrapPeriod(dy, t.l)
-	var v complex128
-	var grad [3]complex128
-	for p := -t.subShells; p <= t.subShells; p++ {
-		for q := -t.subShells; q <= t.subShells; q++ {
+	kr, ki := real(t.k), imag(t.k)
+	var vr, vi, gxr, gxi, gyr, gyi, gzr, gzi float64
+	for p := -1; p <= 1; p++ {
+		for q := -1; q <= 1; q++ {
 			rx := dx - float64(p)*t.l
 			ry := dy - float64(q)*t.l
 			r := math.Sqrt(rx*rx + ry*ry + dz*dz)
-			ekr := cmplx.Exp(complex(0, 1) * t.k * complex(r, 0))
-			v += ekr / complex(4*math.Pi*r, 0)
-			dvdr := ekr * (complex(0, 1)*t.k*complex(r, 0) - 1) / complex(4*math.Pi*r*r, 0)
-			grad[0] += dvdr * complex(rx/r, 0)
-			grad[1] += dvdr * complex(ry/r, 0)
-			grad[2] += dvdr * complex(dz/r, 0)
+			inv := 1 / r
+			a := inv * (1 / (4 * math.Pi))
+			if ki != 0 {
+				a *= math.Exp(-ki * r)
+			}
+			sn, cs := math.Sincos(kr * r)
+			ar, ai := a*cs, a*sn
+			vr += ar
+			vi += ai
+			// (dv/dR)/R = v·(jk − 1/R)/R.
+			c := -(ki + inv)
+			dr := (ar*c - ai*kr) * inv
+			di := (ar*kr + ai*c) * inv
+			gxr += dr * rx
+			gxi += di * rx
+			gyr += dr * ry
+			gyi += di * ry
+			gzr += dr * dz
+			gzi += di * dz
 		}
 	}
-	return v, grad
+	return complex(vr, vi), [3]complex128{complex(gxr, gxi), complex(gyr, gyi), complex(gzr, gzi)}
 }
 
 // gridEval interpolates G and ∇G at wrapped grid offset (ix, iy) and

@@ -18,29 +18,54 @@ func TestTabulatedMatchesExactAssembly(t *testing.T) {
 	m := 10
 	kl := surface.NewKL(c, L, m)
 	surf := kl.Sample(rng.New(21))
-	f := 5 * units.GHz
-	p := paramsAt(f)
-	opt := Options{}
-
-	exact := Assemble(surf, p, opt)
-	ts := NewTableSet(p, L, m, 8*um, opt)
-	tab, err := AssembleTabulated(surf, p, ts, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Entrywise matrix agreement relative to the matrix scale.
-	scale := exact.Matrix.MaxAbs()
-	var worst float64
-	for i := range exact.Matrix.Data {
-		if d := cmplx.Abs(exact.Matrix.Data[i]-tab.Matrix.Data[i]) / scale; d > worst {
-			worst = d
-		}
-	}
+	worst, dPabs := tabulatedVsExact(t, surf, paramsAt(5*units.GHz), 8*um)
 	if worst > 1e-7 {
 		t.Fatalf("tabulated matrix deviates: worst rel %g", worst)
 	}
+	if dPabs > 1e-6 {
+		t.Fatalf("tabulated Pabs deviates from exact: rel %g", dPabs)
+	}
+}
 
+// TestTabulatedMatchesExactAtPaperSigma holds the tables to the exact
+// kernel at the paper's roughness, σ = η = 1 µm, with the 14σ Δz span the
+// solver gives the tables, on the fidelity gate's L = 4η patch. A long
+// span is where a remainder that is not smooth on the span's scale shows:
+// with the central Ewald shell as the sharp part the tables missed by
+// 6.0e-7 of max |entry| (Pabs by 1.9e-5); with the free-space shell
+// they miss by 2.2e-8 (Pabs by 8e-8).
+func TestTabulatedMatchesExactAtPaperSigma(t *testing.T) {
+	const sigma = 1 * um
+	L := 4 * um
+	m := 8
+	surf := surface.NewKL(surface.NewGaussianCorr(sigma, 1*um), L, m).Sample(rng.New(21))
+	for _, fGHz := range []float64{1, 9} {
+		worst, dPabs := tabulatedVsExact(t, surf, paramsAt(fGHz*units.GHz), 14*sigma)
+		t.Logf("f=%g GHz: worst entry %.3g of max |entry|, Pabs rel %.3g", fGHz, worst, dPabs)
+		if worst > 5e-8 {
+			t.Errorf("f=%g GHz: tabulated matrix deviates %g of max |entry| from exact", fGHz, worst)
+		}
+		if dPabs > 1e-6 {
+			t.Errorf("f=%g GHz: tabulated Pabs deviates from exact: rel %g", fGHz, dPabs)
+		}
+	}
+}
+
+// tabulatedVsExact assembles surf exactly and from tables spanning zspan
+// and returns the worst entry difference relative to max |entry| and the
+// relative difference of the solved absorbed powers.
+func tabulatedVsExact(t *testing.T, surf *surface.Surface, p Params, zspan float64) (worst, dPabs float64) {
+	t.Helper()
+	opt := Options{}
+	exact := Assemble(surf, p, opt)
+	tab, err := AssembleTabulated(surf, p, NewTableSet(p, surf.L, surf.M, zspan, opt), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scale := exact.Matrix.MaxAbs()
+	for i := range exact.Matrix.Data {
+		worst = math.Max(worst, cmplx.Abs(exact.Matrix.Data[i]-tab.Matrix.Data[i])/scale)
+	}
 	se, err := exact.Solve()
 	if err != nil {
 		t.Fatal(err)
@@ -49,9 +74,7 @@ func TestTabulatedMatchesExactAssembly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := math.Abs(se.Pabs-st.Pabs) / se.Pabs; d > 1e-6 {
-		t.Fatalf("tabulated Pabs %g vs exact %g (rel %g)", st.Pabs, se.Pabs, d)
-	}
+	return worst, math.Abs(se.Pabs-st.Pabs) / se.Pabs
 }
 
 func TestTableInterpolationErrorAcrossSkinDepthRange(t *testing.T) {

@@ -1,7 +1,6 @@
 package mom
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 
@@ -11,59 +10,60 @@ import (
 )
 
 // TestNewTabulatedHonorsWorkers is the regression test for the table
-// builder ignoring Options.Workers: building with Workers=1 and with
-// the full CPU count must produce bitwise-identical tables (each worker
-// writes disjoint columns), and therefore bitwise-identical assembled
-// systems.
+// builder ignoring Options.Workers: tables built over any worker count
+// must be bitwise identical (each worker writes disjoint slots), and so
+// must exact and tabulated dense systems, whose workers also fill the
+// transposed slots of far pairs in other rows (see assemble). An odd and
+// an even grid cover the M/2 line, whose pairs are not mirrored.
 func TestNewTabulatedHonorsWorkers(t *testing.T) {
 	c := surface.NewGaussianCorr(1*um, 1*um)
 	L := 5 * um
-	m := 6
-	kl := surface.NewKL(c, L, m)
-	surf := kl.Sample(rng.New(7))
 	p := paramsAt(5 * units.GHz)
-
-	one := NewTableSet(p, L, m, 8*um, Options{Workers: 1})
-	all := NewTableSet(p, L, m, 8*um, Options{Workers: runtime.NumCPU()})
-
-	for mi, pair := range [][2]*tabulated{{one.g1, all.g1}, {one.g2, all.g2}} {
-		a, b := pair[0], pair[1]
-		for i := range a.far {
-			for q := 0; q < 4; q++ {
-				for k := range a.far[i][q] {
-					if a.far[i][q][k] != b.far[i][q][k] {
-						t.Fatalf("medium %d far table differs at [%d][%d][%d]", mi+1, i, q, k)
+	for _, m := range []int{9, 10} {
+		surf := surface.NewKL(c, L, m).Sample(rng.New(7))
+		var ref *TableSet
+		var refExact, refTab *System
+		for _, w := range []int{1, 3, 7} {
+			opt := Options{Workers: w}
+			ts := NewTableSet(p, L, m, 8*um, opt)
+			tab, err := AssembleTabulated(surf, p, ts, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exact := Assemble(surf, p, opt)
+			if ref == nil {
+				ref, refExact, refTab = ts, exact, tab
+				continue
+			}
+			for mi, pair := range [][2]*tabulated{{ref.g1, ts.g1}, {ref.g2, ts.g2}} {
+				for name, tabs := range map[string][2][][4][]complex128{
+					"far":  {pair[0].far, pair[1].far},
+					"near": {pair[0].nearTab, pair[1].nearTab},
+				} {
+					for i := range tabs[0] {
+						for q := 0; q < 4; q++ {
+							for k := range tabs[0][i][q] {
+								if tabs[0][i][q][k] != tabs[1][i][q][k] {
+									t.Fatalf("M=%d Workers=%d: medium %d %s table differs at [%d][%d][%d]", m, w, mi+1, name, i, q, k)
+								}
+							}
+						}
 					}
 				}
 			}
-		}
-		for i := range a.nearTab {
-			for q := 0; q < 4; q++ {
-				for k := range a.nearTab[i][q] {
-					if a.nearTab[i][q][k] != b.nearTab[i][q][k] {
-						t.Fatalf("medium %d near table differs at [%d][%d][%d]", mi+1, i, q, k)
+			for name, sys := range map[string][2]*System{"tabulated": {refTab, tab}, "exact": {refExact, exact}} {
+				a, b := sys[0], sys[1]
+				for i := range a.Matrix.Data {
+					if a.Matrix.Data[i] != b.Matrix.Data[i] {
+						t.Fatalf("M=%d Workers=%d: %s matrix differs at %d: %v vs %v", m, w, name, i, a.Matrix.Data[i], b.Matrix.Data[i])
+					}
+				}
+				for i := range a.RHS {
+					if a.RHS[i] != b.RHS[i] {
+						t.Fatalf("M=%d Workers=%d: %s RHS differs at %d", m, w, name, i)
 					}
 				}
 			}
-		}
-	}
-
-	s1, err := AssembleTabulated(surf, p, one, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sn, err := AssembleTabulated(surf, p, all, Options{Workers: runtime.NumCPU()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range s1.Matrix.Data {
-		if s1.Matrix.Data[i] != sn.Matrix.Data[i] {
-			t.Fatalf("assembled matrix differs at %d: %v vs %v", i, s1.Matrix.Data[i], sn.Matrix.Data[i])
-		}
-	}
-	for i := range s1.RHS {
-		if s1.RHS[i] != sn.RHS[i] {
-			t.Fatalf("assembled RHS differs at %d", i)
 		}
 	}
 }

@@ -21,8 +21,11 @@ go test -race -short ./internal/montecarlo/... ./internal/sscm/... \
     ./internal/campaign/... ./internal/cluster/... ./internal/sparams/... \
     ./internal/memo/... ./internal/fft/...
 # Fast paper-fidelity gate: reduced-resolution K values of Figs. 3–7 and
-# the Table I counts, pinned (the full exhibit tests skip under -short).
-go test -short -count=1 -run TestPaperFidelity ./internal/experiments/
+# the Table I counts, pinned (the full exhibit tests skip under -short),
+# beside the reduced cross-method agreement checks: SWM against SPM2 on a
+# small sinusoid, and 2nd-order SSCM against Monte Carlo.
+go test -short -count=1 -run 'TestPaperFidelity|TestFig7SSCMMatchesMC' ./internal/experiments/
+go test -short -count=1 -run TestSWMConvergesToSPM2Kernel ./internal/spm2/
 # The journal and retry machinery also get a full (non-short) race pass:
 # WAL replay and backoff-requeue races only show up off the fast paths.
 go test -race -count=1 ./internal/journal/... ./internal/jobs/... ./internal/cluster/...
