@@ -112,12 +112,65 @@ func BenchmarkAssembleTabulated(b *testing.B) {
 	}
 }
 
-// BenchmarkTableBuild measures the one-time per-frequency table cost.
+// BenchmarkTableBuild measures the one-time per-frequency table cost at
+// 5 GHz: one worker at the sweep-m20 bench workload's grid and span
+// (M=20, ZSpan = 14σ = 210 nm), and over all workers at M=12 with a
+// 12 µm span.
 func BenchmarkTableBuild(b *testing.B) {
 	p := benchParams()
+	for _, bc := range []struct {
+		name    string
+		m       int
+		zspan   float64
+		workers int
+	}{{"sweep-m20", 20, 14 * sweepSigma, 1}, {"M12", 12, 12e-6, 0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				mom.NewTableSet(p, 5e-6, bc.m, bc.zspan, mom.Options{Workers: bc.workers})
+			}
+		})
+	}
+}
+
+// sweepSigma is the sweep-m20 bench workload's RMS height (η = 1 µm).
+const sweepSigma = 15e-9
+
+// sweepNodeSurface is the sweep-m20 bench workload's first non-flat
+// collocation surface: a first-order d=2 SSCM node of the M=20 KL
+// expansion on a 5 µm patch.
+func sweepNodeSurface(b *testing.B) *surface.Surface {
+	nodes, err := sscm.Nodes(2, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	kl := surface.NewKL(surface.NewGaussianCorr(sweepSigma, 1e-6), 5e-6, 20)
+	for _, xi := range nodes {
+		for _, v := range xi {
+			if v != 0 {
+				return kl.Synthesize(xi)
+			}
+		}
+	}
+	b.Fatal("no non-flat collocation node")
+	return nil
+}
+
+// BenchmarkFFTBuildTabulated measures one-worker construction of the
+// tabulated FFT operator at sweep-m20's physics and 5 GHz — kernel fits
+// and the near-correction loop, the tables already built — the cost the
+// sweep pays per node surface and frequency, at the default order 6.
+func BenchmarkFFTBuildTabulated(b *testing.B) {
+	s := sweepNodeSurface(b)
+	p := benchParams()
+	opt := mom.Options{Workers: 1}
+	ts := mom.NewTableSet(p, s.L, s.M, 14*sweepSigma, opt)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mom.NewTableSet(p, 5e-6, 12, 12e-6, mom.Options{})
+		if _, err := mom.NewFFTOperatorTabulated(s, p, ts, 6, opt); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -9,11 +9,16 @@
 //
 //   - Ewald split (spectral + spatial parts, both involving the
 //     complementary error function of complex argument): exponentially
-//     convergent, used for the dielectric medium where |k|·L ≪ 1.
-//   - Direct image sum: for the conductor medium k = (1+j)/δ the kernel
-//     decays like exp(−R/δ) within a couple of image shells, while the
-//     Ewald split suffers catastrophic cancellation once |k/(2E)|² ≫ 1,
-//     so the direct sum is both faster and more accurate there.
+//     convergent, used for the dielectric medium where |k|·L ≪ 1. The
+//     spectral part is folded by the lattice symmetry: at normal
+//     incidence a mode's z-factor depends only on m² + n², so the 49
+//     modes reduce to 10 z-factors with real cosine phases.
+//   - Direct image sum (ImageSum, in real arithmetic): for the conductor
+//     medium k = (1+j)/δ the kernel decays like exp(−R/δ) within a
+//     couple of image shells, while the Ewald split suffers catastrophic
+//     cancellation once |k/(2E)|² ≫ 1, so the direct sum is both faster
+//     and more accurate there. The MoM Green's tables subtract its
+//     central 3×3 shell as their sharp part.
 //
 // NewPeriodic3D picks the strategy automatically from Im(k)·L.
 package greens
@@ -35,9 +40,13 @@ type Periodic3D struct {
 	E float64    // Ewald splitting parameter
 
 	useEwald bool
-	nSpec    int // spectral modes per dimension: m,n ∈ [−nSpec, nSpec]
+	nSpec    int // spectral modes per dimension: m,n ∈ [−nSpec, nSpec], at most maxSpec
 	nSpat    int // spatial image shells: p,q ∈ [−nSpat, nSpat]
 }
+
+// maxSpec bounds nSpec: the folded spectral sum keeps its per-axis
+// phases in fixed arrays.
+const maxSpec = 8
 
 // ewaldLossThreshold: above Im(k)·L ≈ 3 the direct image sum already
 // converges to ~e^{−3} per shell and the Ewald split starts to lose
@@ -111,41 +120,63 @@ func (g *Periodic3D) eval(dx, dy, dz float64, wantGrad, regularized bool) (compl
 		}
 		return vs + vp, grad
 	}
-	return g.direct(dx, dy, dz, wantGrad, regularized)
+	return g.direct(dx, dy, dz, regularized)
 }
 
-// direct sums the image series term by term (conductor medium).
-func (g *Periodic3D) direct(dx, dy, dz float64, wantGrad, regularized bool) (complex128, [3]complex128) {
-	var sum complex128
-	var grad [3]complex128
-	k := g.K
-	for p := -g.nSpat; p <= g.nSpat; p++ {
-		for q := -g.nSpat; q <= g.nSpat; q++ {
-			rx := dx - float64(p)*g.L
-			ry := dy - float64(q)*g.L
+// direct sums the image series (conductor medium) with ImageSum, adding
+// the regularized self limit at the lattice point.
+func (g *Periodic3D) direct(dx, dy, dz float64, regularized bool) (complex128, [3]complex128) {
+	v, grad := ImageSum(g.K, g.L, g.nSpat, dx, dy, dz)
+	if dx == 0 && dy == 0 && dz == 0 {
+		if !regularized {
+			panic("greens: Eval at a lattice point; use EvalRegularized")
+		}
+		// lim (e^{jkR} − 1)/(4πR) = jk/(4π).
+		v += complex(0, 1) * g.K / (4 * math.Pi)
+	}
+	return v, grad
+}
+
+// ImageSum returns the free-space image sum
+// Σ_{|p|,|q|≤shells} e^{jkR}/(4πR), R = |Δ − x̂pL − ŷqL|, with its
+// Δ-gradient, skipping an image at R = 0. The offset should be wrapped
+// to the first period (WrapPeriod) so the truncated window is centered.
+// It runs in real arithmetic: with k = k′ + jk″,
+// e^{jkR}/(4πR) = e^{−k″R}·(cos k′R + j·sin k′R)/(4πR), and its
+// R-derivative is that value times jk − 1/R.
+func ImageSum(k complex128, l float64, shells int, dx, dy, dz float64) (complex128, [3]complex128) {
+	kr, ki := real(k), imag(k)
+	var vr, vi, gxr, gxi, gyr, gyi, gzr, gzi float64
+	for p := -shells; p <= shells; p++ {
+		for q := -shells; q <= shells; q++ {
+			rx := dx - float64(p)*l
+			ry := dy - float64(q)*l
 			r := math.Sqrt(rx*rx + ry*ry + dz*dz)
 			if r == 0 {
-				if !regularized {
-					panic("greens: Eval at a lattice point; use EvalRegularized")
-				}
-				// lim (e^{jkR} − 1)/(4πR) = jk/(4π).
-				sum += complex(0, 1) * k / (4 * math.Pi)
 				continue
 			}
-			ekr := cmplx.Exp(complex(0, 1) * k * complex(r, 0))
-			v := ekr / complex(4*math.Pi*r, 0)
-			sum += v
-			if wantGrad {
-				// d/dR [e^{jkR}/(4πR)] = e^{jkR}(jkR−1)/(4πR²);
-				// ∇ = (Δ/R)·d/dR.
-				dvdr := ekr * (complex(0, 1)*k*complex(r, 0) - 1) / complex(4*math.Pi*r*r, 0)
-				grad[0] += dvdr * complex(rx/r, 0)
-				grad[1] += dvdr * complex(ry/r, 0)
-				grad[2] += dvdr * complex(dz/r, 0)
+			inv := 1 / r
+			a := inv * (1 / (4 * math.Pi))
+			if ki != 0 {
+				a *= math.Exp(-ki * r)
 			}
+			sn, cs := math.Sincos(kr * r)
+			ar, ai := a*cs, a*sn
+			vr += ar
+			vi += ai
+			// (dv/dR)/R = v·(jk − 1/R)/R.
+			c := -(ki + inv)
+			dr := (ar*c - ai*kr) * inv
+			di := (ar*kr + ai*c) * inv
+			gxr += dr * rx
+			gxi += di * rx
+			gyr += dr * ry
+			gyi += di * ry
+			gzr += dr * dz
+			gzi += di * dz
 		}
 	}
-	return sum, grad
+	return complex(vr, vi), [3]complex128{complex(gxr, gxi), complex(gyr, gyi), complex(gzr, gzi)}
 }
 
 // spatialEwald evaluates the real-space part of the Ewald split:
@@ -214,31 +245,54 @@ func (g *Periodic3D) spatialImage(rx, ry, dz float64, wantGrad bool) (complex128
 // spectral evaluates the reciprocal-space part of the Ewald split:
 // Σ_mn e^{j·k_t·Δρ}/(4L²γ)·[e^{+γΔz}·erfc(γ/(2E)+ΔzE) + e^{−γΔz}·erfc(γ/(2E)−ΔzE)],
 // with γ = sqrt(|k_t|² − k²) on the decaying/outgoing branch.
+//
+// The z-factor of mode (m, n) depends only on m² + n², so the sum is
+// folded by the lattice symmetry: over ±m and ±n the phases become the
+// real products c_a(Δx)·c_b(Δy), with c_0 = 1 and c_a(x) = 2cos(k_a·x)
+// for k_a = 2πa/L, whose x-derivative is s_a(x) = −2k_a·sin(k_a·x); and
+// the classes (a, b) and (b, a) share one z-factor. nSpec = 3 needs 10
+// z-factors (two ExpMulErfc each) and 6 Sincos for its 49 modes. The
+// fold is exactly even in Δx and Δy: the gradient's lateral components
+// are odd bit for bit and vanish on the axes.
 func (g *Periodic3D) spectral(dx, dy, dz float64, wantGrad bool) (complex128, [3]complex128) {
 	var sum complex128
 	var grad [3]complex128
-	e := g.E
-	l := g.L
-	for m := -g.nSpec; m <= g.nSpec; m++ {
-		ktx := 2 * math.Pi * float64(m) / l
-		for n := -g.nSpec; n <= g.nSpec; n++ {
-			kty := 2 * math.Pi * float64(n) / l
-			kt2 := ktx*ktx + kty*kty
-			gamma := decayBranchSqrt(complex(kt2, 0) - g.K*g.K)
-			phase := cmplx.Exp(complex(0, ktx*dx+kty*dy))
-			zc := complex(dz, 0)
-			ec := complex(e, 0)
+	n := g.nSpec
+	var k, cx, sx, cy, sy [maxSpec + 1]float64
+	cx[0], cy[0] = 1, 1
+	for a := 1; a <= n; a++ {
+		k[a] = 2 * math.Pi * float64(a) / g.L
+		s, c := math.Sincos(k[a] * dx)
+		cx[a], sx[a] = 2*c, -2*k[a]*s
+		s, c = math.Sincos(k[a] * dy)
+		cy[a], sy[a] = 2*c, -2*k[a]*s
+	}
+	zc := complex(dz, 0)
+	ec := complex(g.E, 0)
+	area := complex(4*g.L*g.L, 0)
+	for a := 0; a <= n; a++ {
+		for b := a; b <= n; b++ {
+			gamma := decayBranchSqrt(complex(k[a]*k[a]+k[b]*k[b], 0) - g.K*g.K)
 			// e^{±γz}·erfc(γ/2E ± zE), fused for stability.
 			up := specfun.ExpMulErfc(gamma*zc, gamma/(2*ec)+zc*ec)
 			dn := specfun.ExpMulErfc(-gamma*zc, gamma/(2*ec)-zc*ec)
-			pref := phase / (complex(4*l*l, 0) * gamma)
-			sum += pref * (up + dn)
+			f := (up + dn) / (area * gamma)
+			p := cx[a] * cy[b]
+			if a != b {
+				p += cx[b] * cy[a]
+			}
+			sum += f * complex(p, 0)
 			if wantGrad {
-				grad[0] += complex(0, ktx) * pref * (up + dn)
-				grad[1] += complex(0, kty) * pref * (up + dn)
+				px, py := sx[a]*cy[b], cx[a]*sy[b]
+				if a != b {
+					px += sx[b] * cy[a]
+					py += cx[b] * sy[a]
+				}
+				grad[0] += f * complex(px, 0)
+				grad[1] += f * complex(py, 0)
 				// d/dz: the erfc-derivative pieces cancel exactly,
-				// leaving γ·(up − dn).
-				grad[2] += pref * gamma * (up - dn)
+				// leaving γ·(up − dn), whose γ cancels the prefactor's.
+				grad[2] += (up - dn) / area * complex(p, 0)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/cmplx"
 
 	"roughsim/internal/cmplxmat"
 	"roughsim/internal/fft"
@@ -199,7 +200,8 @@ func buildFFTOperator(s *surface.Surface, p Params, order int, opt Options, src1
 	op.diag1 = selfTerm(h, src1)
 	op.diag2 = selfTerm(h, src2)
 
-	op.buildNearCorrections(g, src1, src2, opt)
+	span := nearSpan(g)
+	op.buildNearCorrections(g, fitNearCheb(src1, m, opt, span), fitNearCheb(src2, m, opt, span), opt)
 	return op
 }
 
@@ -311,10 +313,21 @@ func (op *FFTOperator) modelEntry(med, i, j int) (sv, dv complex128) {
 
 // nearChebOrder is the per-lateral-point Chebyshev order used to cache
 // the near kernel's Δz dependence during the near-correction build. The
-// nearest used lateral point sits at ρ ≳ 0.6h while |Δz| spans ≲ 0.25h
-// for any admitted surface, so the Bernstein convergence factor is ≳ 5
-// and 17 nodes leave the fit at rounding level (~1e-13 relative).
+// nearest used lateral point sits at ρ ≈ 0.64h. At the default
+// FFTModelTol the gate admits 2·zmax up to 3h·(1e-6)^{1/7} ≈ 0.42h, where
+// that point's Bernstein convergence factor is ≈ 3.3 and 17 nodes fit it
+// to ~1e-9 relative; at |Δz| ≲ 0.25h the factor is ≳ 5 (~1e-12), and on
+// sweep-m20's surfaces (|Δz| ≲ 0.1h) the fits reach rounding level.
 const nearChebOrder = 16
+
+// nearChebTol is the noise plateau of a near-cache fit, relative to a
+// point's largest coefficient: the rounding of the tabulated samples and
+// of the coefficient transform leaves the tail of a fast-converging fit
+// at 1e-16–1e-15, so coefficients at most nearChebTol are dropped (see
+// truncateCheb). On sweep-m20's collocation surfaces (Δz spans of
+// 9–23 nm against h = 250 nm) points keep a mean of 10.5–12.4 of the 17
+// coefficients; at 1e-16 almost none would go.
+const nearChebTol = 1e-15
 
 // nearChebCache holds, per (lateral cell offset, sub-cell) point, a
 // Chebyshev fit in Δz of the near kernel's value and Δ-gradient. The
@@ -340,11 +353,11 @@ func (nc *nearChebCache) nearEval(cx, cy, sx, sy int, dz float64) (complex128, [
 
 // fitNearCheb samples src at Chebyshev Δz-nodes for every near lateral
 // point (one per symmetry orbit, see fitOrbits) and converts the samples
-// to coefficient vectors. span == 0 (flat surface) degenerates to a
-// single node at Δz = 0, making the cached value bitwise identical to a
-// direct evaluation. The (0,0) cell block is skipped: it can sit at
-// ρ = 0 (singular) and the correction loop never queries it because the
-// self pair is excluded.
+// to coefficient vectors cut at their noise plateau (truncateCheb).
+// span == 0 (flat surface) degenerates to a single node at Δz = 0,
+// making the cached value bitwise identical to a direct evaluation. The
+// (0,0) cell block is skipped: it can sit at ρ = 0 (singular) and the
+// correction loop never queries it because the self pair is excluded.
 func fitNearCheb(src nearEvaluator, m int, opt Options, span float64) *nearChebCache {
 	near, sub := opt.NearRadius, opt.NearSubdiv
 	nc := &nearChebCache{near: near, sub: sub, dim: (2*near + 1) * sub, span: span}
@@ -355,27 +368,41 @@ func fitNearCheb(src nearEvaluator, m int, opt Options, span float64) *nearChebC
 	nodes := chebNodes(nn, span)
 	centralCell := func(ax, ay int) bool { return ax/sub == near && ay/sub == near }
 	nc.c = fitOrbits(nc.dim, opt.Workers, nearMirror(near, sub, m), centralCell, func(ax, ay int) [4][]complex128 {
-		return chebFit(nodes, func(z float64) (complex128, [3]complex128) {
+		return truncateCheb(chebFit(nodes, func(z float64) (complex128, [3]complex128) {
 			return src.nearEval(ax/sub-near, ay/sub-near, ax%sub, ay%sub, z)
-		})
+		}))
 	})
 	return nc
 }
 
-// buildNearCorrections precomputes exact−model deltas for close pairs
-// (including the self offset, whose model contribution must be removed
-// because the exact diagonal is applied separately). Each observation
-// row's window is computed independently into a preallocated slot, so
-// the loop parallelizes over the worker budget with a bitwise
-// deterministic result.
-func (op *FFTOperator) buildNearCorrections(g *cellGeom, src1, src2 kernelSource, opt Options) {
-	m := op.m
-	r := opt.NearRadius
-	win := 2*r + 1
-	op.nearEntries = make([]nearEntry, op.N*win*win)
+// truncateCheb cuts one point's four series to their shortest common
+// length that drops only coefficients at most nearChebTol of the point's
+// largest, keeping at least one.
+func truncateCheb(c [4][]complex128) [4][]complex128 {
+	var big float64
+	for _, s := range c {
+		for _, v := range s {
+			big = math.Max(big, cmplx.Abs(v))
+		}
+	}
+	n := 1
+	for _, s := range c {
+		for j := len(s) - 1; j >= n; j-- {
+			if cmplx.Abs(s[j]) > nearChebTol*big {
+				n = j + 1
+				break
+			}
+		}
+	}
+	for q := range c {
+		c[q] = c[q][:n]
+	}
+	return c
+}
 
-	// Exact bound on |Δz| seen by the correction loop: the height
-	// difference range plus the largest quadratic-surface sub-cell shift.
+// nearSpan bounds |Δz| as the near-correction loop sees it: the height
+// difference range plus the largest quadratic-surface sub-cell shift.
+func nearSpan(g *cellGeom) float64 {
 	var fmin, fmax float64
 	for _, v := range g.f {
 		fmin = math.Min(fmin, v)
@@ -388,10 +415,21 @@ func (op *FFTOperator) buildNearCorrections(g *cellGeom, src1, src2 kernelSource
 			0.5*(math.Abs(g.fxx[j])+math.Abs(g.fyy[j]))*ho*ho + math.Abs(g.fxy[j])*ho*ho
 		maxShift = math.Max(maxShift, sh)
 	}
-	span := (fmax - fmin) + maxShift
+	return (fmax - fmin) + maxShift
+}
 
-	nc1 := fitNearCheb(src1, m, opt, span)
-	nc2 := fitNearCheb(src2, m, opt, span)
+// buildNearCorrections precomputes exact−model deltas for close pairs
+// (including the self offset, whose model contribution must be removed
+// because the exact diagonal is applied separately), integrating the
+// near kernels nc1, nc2 (fitNearCheb over nearSpan). Each observation
+// row's window is computed independently into a preallocated slot, so
+// the loop parallelizes over the worker budget with a bitwise
+// deterministic result.
+func (op *FFTOperator) buildNearCorrections(g *cellGeom, nc1, nc2 nearEvaluator, opt Options) {
+	m := op.m
+	r := opt.NearRadius
+	win := 2*r + 1
+	op.nearEntries = make([]nearEntry, op.N*win*win)
 
 	parallelFor(op.N, opt.Workers, func() func(int) {
 		return func(i int) {

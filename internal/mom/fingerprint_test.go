@@ -55,11 +55,12 @@ func fingerprintSurface(m int) (*surface.Surface, float64) {
 // shows up here before it can move a sweep result, a checkpoint or a
 // distributed column.
 func TestKernelFingerprints(t *testing.T) {
-	// Hashes recorded when the tables began subtracting the free-space
-	// 3×3 image shell in real arithmetic and dense assembly began reading
-	// each far pair's kernel once; the pinned entries below did not move
-	// past their bounds (dense within 3.0e-18, MatVec within 2.4e-16 of
-	// max |entry|). The dense system is only fingerprinted at M=8, the
+	// Hashes recorded when the Ewald spectral sum was folded by lattice
+	// symmetry and the conductor's direct image sum began running in real
+	// arithmetic (tables, dense, MatVec), and the FFT operator's near
+	// caches were cut at their noise plateau (MatVec); the pinned entries
+	// below did not move past their bounds (dense within 2.95e-18, MatVec
+	// within 2.88e-16 of max |entry|). The dense system is only fingerprinted at M=8, the
 	// regime where production assembles it; M=20 is the FFT operator's.
 	cases := []struct {
 		m                     int
@@ -67,21 +68,21 @@ func TestKernelFingerprints(t *testing.T) {
 		tables, dense, matvec string
 	}{
 		{8, 3,
-			"68d89b156b197535fcc48ed6c0197c65c939a59b029fbab887cbf05146b972cb",
-			"502ea689bc64e2ecb2113ea36f4b5a58afe600fca4b919b12482d07c1934a26f",
-			"0ea2e8e382c46b5ccfd02bf9e71a710d3561451366fd5c2a7d54c5ad6c0aac42"},
+			"9fe51d464b6e46415392b95f61ec9426b4aa4efaf4e77f58860276f8b0bfdd4a",
+			"88bda46683f0acbe79baa29a687c3172b46e7a124965d91363bfb72fcdd22731",
+			"2939f44fa61e62c92bb53a7a94d5cc9e9a13b758cb71219f9c0c07e2c8aa8621"},
 		{8, 9,
-			"b185e25b5b068c28c81e82f789c4f04458fa9a4634adcf87df2cfbd43087b725",
-			"b0111930ea978b6e037ccd843c49713a8184d0bd1aeffd0b729bcaa92ce5fe28",
-			"6875e814cf416ea367b09dbb3f75c27a06af69ced2ae7e7ab6fc7858d61d7ebc"},
+			"8ae3a77c54ca051af07d0427ee8418e00feb1c800376706100edf77da1e5db30",
+			"3db7c5fea312716220f0943681c9aeb259ca91392fe446cc8a7d175715239a32",
+			"2b42f4df167402ffc2d10e208b4a1e312642288d28bcc80ed71a528ade92740a"},
 		{20, 3,
-			"65c6bd4909a6811d7289157eaaf78a7ade195aaf54b92b6d3b04eec33e193215",
+			"05511ae4c47c25064ea980afb0c3b1aa913d020926fbf8d5501183cc2edcd266",
 			"-",
-			"18372f32d7f693adcf18095f5d8cd395a8c5c31aefdb4aba264339b55d2e8288"},
+			"3f3be67843fa504cb0fdd61ea532b5b53e2a3e64d35888e49e22fde9441bab64"},
 		{20, 9,
-			"d59754f0c22439161df82e6da3bb86a363675f2ce2972d7274647346c0a1fef6",
+			"5159f0ec7992e85d455d5dfa04bac057049f0484586eea7072eb03260bc5d37a",
 			"-",
-			"5ebda65af6d875403f898bd10883235c0c355a4d33be3c283f62dc63e694f28c"},
+			"d0409000655482658e60e272f27b469fffdcfafd117b91781a64efd54bc687ea"},
 	}
 	for _, tc := range cases {
 		surf, zspan := fingerprintSurface(tc.m)

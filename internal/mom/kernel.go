@@ -333,23 +333,31 @@ func chebFit(nodes []float64, eval func(z float64) (complex128, [3]complex128)) 
 }
 
 // chebEval evaluates a chebFit result at t ∈ [−1, 1] by the Clenshaw
-// recurrence. The four series (G, Gx, Gy, Gz) share one loop; each runs
-// the operations it would run alone, in the same order, so sharing the
-// loop changes no bit.
+// recurrence b = c + 2t·b₁ − b₂. t is real, so each of the four complex
+// series (G, Gx, Gy, Gz) runs as two real recurrences: the operations
+// complex arithmetic would run, in the same order, minus the products
+// with t's zero imaginary part, which only ever add ±0. The series
+// share one loop and have the first one's length.
 func chebEval(c *[4][]complex128, t float64) (complex128, [3]complex128) {
 	g := c[0]
 	n := len(g)
 	gx, gy, gz := c[1][:n], c[2][:n], c[3][:n]
-	var g1, g2, x1, x2, y1, y2, z1, z2 complex128
-	tt := complex(2*t, 0)
+	var gr1, gr2, gi1, gi2, xr1, xr2, xi1, xi2, yr1, yr2, yi1, yi2, zr1, zr2, zi1, zi2 float64
+	tt := 2 * t
 	for j := n - 1; j >= 1; j-- {
-		g1, g2 = g[j]+tt*g1-g2, g1
-		x1, x2 = gx[j]+tt*x1-x2, x1
-		y1, y2 = gy[j]+tt*y1-y2, y1
-		z1, z2 = gz[j]+tt*z1-z2, z1
+		gr1, gr2 = real(g[j])+tt*gr1-gr2, gr1
+		gi1, gi2 = imag(g[j])+tt*gi1-gi2, gi1
+		xr1, xr2 = real(gx[j])+tt*xr1-xr2, xr1
+		xi1, xi2 = imag(gx[j])+tt*xi1-xi2, xi1
+		yr1, yr2 = real(gy[j])+tt*yr1-yr2, yr1
+		yi1, yi2 = imag(gy[j])+tt*yi1-yi2, yi1
+		zr1, zr2 = real(gz[j])+tt*zr1-zr2, zr1
+		zi1, zi2 = imag(gz[j])+tt*zi1-zi2, zi1
 	}
-	ct := complex(t, 0)
-	return g[0] + ct*g1 - g2, [3]complex128{gx[0] + ct*x1 - x2, gy[0] + ct*y1 - y2, gz[0] + ct*z1 - z2}
+	return complex(real(g[0])+t*gr1-gr2, imag(g[0])+t*gi1-gi2), [3]complex128{
+		complex(real(gx[0])+t*xr1-xr2, imag(gx[0])+t*xi1-xi2),
+		complex(real(gy[0])+t*yr1-yr2, imag(gy[0])+t*yi1-yi2),
+		complex(real(gz[0])+t*zr1-zr2, imag(gz[0])+t*zi1-zi2)}
 }
 
 // chebCoeffs converts samples at the standard Chebyshev nodes into

@@ -1,8 +1,6 @@
 package mom
 
 import (
-	"math"
-
 	"roughsim/internal/greens"
 	"roughsim/internal/resilience"
 	"roughsim/internal/surface"
@@ -42,9 +40,11 @@ const chebDegree = 32 // interpolation nodes per offset
 // neighbours are sharply peaked in Δz for small lateral offsets (scale
 // ~ρ, far below any reasonable node count; near ±L/2 a neighbour is as
 // close as the central image), so they are subtracted before fitting and
-// added back exactly at evaluation time (see freeImages). The remainder
-// varies on the lattice scale L: its nearest complex-Δz singularity, the
-// next image shell, sits at ±i·1.5L or farther. How well the
+// added back exactly at evaluation time (freeImages: greens.ImageSum with
+// one shell, the real-arithmetic sum the conductor kernel also runs on
+// its wider window). The remainder varies on the lattice scale L: its
+// nearest complex-Δz singularity, the next image shell, sits at ±i·1.5L
+// or farther. How well the
 // chebDegree-node fit resolves it depends on the Δz span against L:
 //   - at a 2 µm span on L = 5 µm, kernel values are within ~1.7e−13
 //     relative in the dielectric and ~3e−10 in the conductor across
@@ -172,43 +172,10 @@ func (t *tabulated) nearIndex(c, s int) int {
 }
 
 // freeImages returns the exactly evaluated sharp part of the kernel: the
-// free-space image sum Σ_{|p|,|q|≤1} e^{jkR}/(4πR) over the central 3×3
-// shell, with its Δ-gradient, at the period-wrapped lateral offset. It
-// runs in real arithmetic: with k = k′ + jk″,
-// e^{jkR}/(4πR) = e^{−k″R}·(cos k′R + j·sin k′R)/(4πR), and its
-// R-derivative is that value times jk − 1/R.
+// free-space image sum over the central 3×3 shell (greens.ImageSum), with
+// its Δ-gradient, at the period-wrapped lateral offset.
 func (t *tabulated) freeImages(dx, dy, dz float64) (complex128, [3]complex128) {
-	dx = greens.WrapPeriod(dx, t.l)
-	dy = greens.WrapPeriod(dy, t.l)
-	kr, ki := real(t.k), imag(t.k)
-	var vr, vi, gxr, gxi, gyr, gyi, gzr, gzi float64
-	for p := -1; p <= 1; p++ {
-		for q := -1; q <= 1; q++ {
-			rx := dx - float64(p)*t.l
-			ry := dy - float64(q)*t.l
-			r := math.Sqrt(rx*rx + ry*ry + dz*dz)
-			inv := 1 / r
-			a := inv * (1 / (4 * math.Pi))
-			if ki != 0 {
-				a *= math.Exp(-ki * r)
-			}
-			sn, cs := math.Sincos(kr * r)
-			ar, ai := a*cs, a*sn
-			vr += ar
-			vi += ai
-			// (dv/dR)/R = v·(jk − 1/R)/R.
-			c := -(ki + inv)
-			dr := (ar*c - ai*kr) * inv
-			di := (ar*kr + ai*c) * inv
-			gxr += dr * rx
-			gxi += di * rx
-			gyr += dr * ry
-			gyi += di * ry
-			gzr += dr * dz
-			gzi += di * dz
-		}
-	}
-	return complex(vr, vi), [3]complex128{complex(gxr, gxi), complex(gyr, gyi), complex(gzr, gzi)}
+	return greens.ImageSum(t.k, t.l, 1, greens.WrapPeriod(dx, t.l), greens.WrapPeriod(dy, t.l), dz)
 }
 
 // gridEval interpolates G and ∇G at wrapped grid offset (ix, iy) and
