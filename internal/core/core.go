@@ -399,24 +399,6 @@ func (s *Solver) LossFactorCtx(ctx context.Context, surf *surface.Surface, f flo
 	return sol.Pabs / flat, nil
 }
 
-// SweepLossFactor computes K(f) for one surface across a frequency list,
-// checking the context between frequencies (and inside every solve), so
-// a cancelled context stops the sweep promptly with ctx.Err().
-func (s *Solver) SweepLossFactor(ctx context.Context, surf *surface.Surface, freqs []float64) ([]float64, error) {
-	out := make([]float64, len(freqs))
-	for i, f := range freqs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		k, err := s.LossFactorCtx(ctx, surf, f)
-		if err != nil {
-			return nil, fmt.Errorf("core: sweep at f=%g: %w", f, err)
-		}
-		out[i] = k
-	}
-	return out, nil
-}
-
 // FlatPabs2D is the profile (2D SWM) flat reference.
 func (s *Solver) FlatPabs2D(f float64) (float64, error) {
 	v, _, err := s.flat2D.Do(context.Background(), f, func() (float64, error) {

@@ -71,21 +71,21 @@ func TestSweepCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	freqs := []float64{1 * units.GHz, 2 * units.GHz, 3 * units.GHz}
-	// A pre-cancelled context stops the sweep before any solve.
+	flat := surface.NewFlat(5*um, 8)
+	// A pre-cancelled context stops the solve before any work.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	if _, err := s.SweepLossFactor(ctx, surface.NewFlat(5*um, 8), freqs); !errors.Is(err, context.Canceled) {
+	if _, err := s.LossFactorCtx(ctx, flat, 1*units.GHz); !errors.Is(err, context.Canceled) {
 		t.Fatalf("expected context.Canceled, got %v", err)
 	}
 	if time.Since(start) > 5*time.Second {
-		t.Fatal("cancelled sweep did not stop promptly")
+		t.Fatal("cancelled solve did not stop promptly")
 	}
 	// An expired deadline is reported as DeadlineExceeded.
 	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer dcancel()
-	if _, err := s.SweepLossFactor(dctx, surface.NewFlat(5*um, 8), freqs); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := s.LossFactorCtx(dctx, flat, 1*units.GHz); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expected context.DeadlineExceeded, got %v", err)
 	}
 }

@@ -617,7 +617,7 @@ func (s *Server) computeSweep(ctx context.Context, cfg roughsim.SweepConfig, pro
 				return nil, fmt.Errorf("server: sweep: %w", derr)
 			}
 		}
-		pts, err := sim.SweepPointsCheckpointed(ctx, mf, func(done, mt int) {
+		pts, err := sim.SweepPoints(ctx, mf, func(done, mt int) {
 			if mt > 0 {
 				progress(cached+done*len(missing)/mt, total)
 			}

@@ -2,11 +2,8 @@ package sweepengine
 
 import (
 	"context"
-	"math"
 
-	"roughsim/internal/core"
 	"roughsim/internal/resilience"
-	"roughsim/internal/sscm"
 	"roughsim/internal/surface"
 )
 
@@ -40,28 +37,22 @@ type ColumnPlan struct {
 
 // PlanColumns validates the sweep and returns its column decomposition
 // without solving anything. The path choice (interpolated vs exact) and
-// the flat-node detection are byte-for-byte the ones Run makes, so a
-// scheduler can dispatch exactly the units Run would otherwise solve.
+// the flat-node detection are the ones Run makes, so a scheduler can
+// dispatch exactly the units Run would otherwise solve.
 func (e *Engine) PlanColumns(freqs []float64) (*ColumnPlan, error) {
-	nodes, err := e.columnNodes(freqs)
+	p, err := e.plan(freqs)
 	if err != nil {
 		return nil, err
 	}
-	plan := &ColumnPlan{NumNodes: len(nodes)}
-	for j, xi := range nodes {
-		s := e.Synth(xi)
-		if maxAbs(s.H) == 0 {
-			continue
-		}
-		if _, err := core.CheckResolution(s); err != nil {
+	plan := &ColumnPlan{Interp: p.interp(), Anchors: p.anchors, NumNodes: len(p.nodes)}
+	for j := range p.nodes {
+		s, err := e.surface(p, j)
+		if err != nil {
 			return nil, err
 		}
-		plan.Nodes = append(plan.Nodes, j)
-	}
-	fmin, fmax := freqBounds(freqs)
-	if anchors := e.anchorCount(fmin, fmax); anchors < len(freqs) && fmax > fmin {
-		plan.Interp = true
-		plan.Anchors = anchors
+		if s != nil {
+			plan.Nodes = append(plan.Nodes, j)
+		}
 	}
 	return plan, nil
 }
@@ -74,109 +65,37 @@ func (e *Engine) PlanColumns(freqs []float64) (*ColumnPlan, error) {
 // path ignores ps. The per-unit operations are exactly Run's, so the
 // returned column is bitwise identical to the one Run would checkpoint.
 func (e *Engine) Column(ctx context.Context, freqs []float64, node int, ps []float64) ([]float64, error) {
-	nodes, err := e.columnNodes(freqs)
+	p, err := e.plan(freqs)
 	if err != nil {
 		return nil, err
 	}
-	fmin, fmax := freqBounds(freqs)
-	anchors := e.anchorCount(fmin, fmax)
-	interp := anchors < len(freqs) && fmax > fmin
-
 	if node == FlatRefNode {
-		if !interp {
+		if !p.interp() {
 			return nil, resilience.Errorf(resilience.KindInvalidInput, "sweepengine.Column",
 				"flat-reference column requested but the sweep takes the exact path")
 		}
-		xs := ChebAnchors(anchors, math.Sqrt(fmin), math.Sqrt(fmax))
-		return e.sweepPabs(ctx, surface.NewFlat(e.Solver.L, e.Solver.M), xs, freqs)
+		return e.flatPabs(ctx, p)
 	}
-	if node < 0 || node >= len(nodes) {
+	if node < 0 || node >= len(p.nodes) {
 		return nil, resilience.Errorf(resilience.KindInvalidInput, "sweepengine.Column",
-			"node %d out of range [0, %d)", node, len(nodes))
+			"node %d out of range [0, %d)", node, len(p.nodes))
 	}
-	surf := e.Synth(nodes[node])
-	col := make([]float64, len(freqs))
-	if maxAbs(surf.H) == 0 {
-		for fi := range col {
-			col[fi] = 1
-		}
-		return col, nil
-	}
-	if _, err := core.CheckResolution(surf); err != nil {
-		return nil, err
-	}
-	e.Metrics.Counter("sweep.column_solves").Inc()
-	if interp {
-		if len(ps) != len(freqs) {
-			return nil, resilience.Errorf(resilience.KindInvalidInput, "sweepengine.Column",
-				"interpolated column needs the flat reference over all %d frequencies (got %d)",
-				len(freqs), len(ps))
-		}
-		xs := ChebAnchors(anchors, math.Sqrt(fmin), math.Sqrt(fmax))
-		pr, err := e.sweepPabs(ctx, surf, xs, freqs)
-		if err != nil {
-			return nil, err
-		}
-		for fi := range freqs {
-			col[fi] = pr[fi] / ps[fi]
-		}
-		return col, nil
-	}
-	// Exact path: the same per-unit prepare-and-solve operations as
-	// exactSweep, scheduled over this process's worker budget (the
-	// operator build is deterministic across worker counts, so the
-	// split does not perturb bits).
-	w := e.workers()
-	inner := 1
-	if len(freqs) < w {
-		inner = w / len(freqs)
-	}
-	err = forEach(ctx, len(freqs), w, func(ctx context.Context, fi int) error {
-		f := freqs[fi]
-		ref, err := e.Solver.FlatPabsCtx(ctx, f)
-		if err != nil {
-			return err
-		}
-		sys, err := e.Solver.PrepareSurfaceCtx(ctx, surf, f, inner)
-		if err != nil {
-			return err
-		}
-		sol, err := e.Solver.SolveSystem(ctx, sys)
-		if err != nil {
-			return err
-		}
-		col[fi] = sol.Pabs / ref
-		return nil
-	})
+	surf, err := e.surface(p, node)
 	if err != nil {
 		return nil, err
 	}
+	if surf == nil {
+		return ones(len(freqs)), nil
+	}
+	e.Metrics.Counter("sweep.column_solves").Inc()
+	if p.interp() && len(ps) != len(freqs) {
+		return nil, resilience.Errorf(resilience.KindInvalidInput, "sweepengine.Column",
+			"interpolated column needs the flat reference over all %d frequencies (got %d)",
+			len(freqs), len(ps))
+	}
+	var col []float64
+	if err := e.columns(ctx, p, []*surface.Surface{surf}, ps, func(_ int, c []float64) { col = c }); err != nil {
+		return nil, err
+	}
 	return col, nil
-}
-
-// columnNodes is the shared Plan/Column prologue: the validation and
-// collocation grid Run itself starts from.
-func (e *Engine) columnNodes(freqs []float64) ([][]float64, error) {
-	if e.Solver == nil || e.Synth == nil {
-		return nil, resilience.Errorf(resilience.KindInvalidInput, "sweepengine.Column",
-			"engine needs a Solver and a Synth function")
-	}
-	if len(freqs) == 0 {
-		return nil, resilience.Errorf(resilience.KindInvalidInput, "sweepengine.Column",
-			"sweep needs at least one frequency")
-	}
-	order := e.Order
-	if order <= 0 {
-		order = defaultOrder
-	}
-	return sscm.Nodes(e.Dim, order)
-}
-
-func freqBounds(freqs []float64) (fmin, fmax float64) {
-	fmin, fmax = freqs[0], freqs[0]
-	for _, f := range freqs[1:] {
-		fmin = math.Min(fmin, f)
-		fmax = math.Max(fmax, f)
-	}
-	return fmin, fmax
 }

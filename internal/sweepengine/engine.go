@@ -40,6 +40,7 @@ import (
 	"math"
 	"math/cmplx"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -66,14 +67,11 @@ type Engine struct {
 	Dim int
 	// Order is the SSCM order (default 1, the paper's 1st-SSCM).
 	Order int
-	// Workers bounds total parallelism (default GOMAXPROCS via the
-	// solver's assembly default).
+	// Workers bounds total parallelism (default runtime.NumCPU()).
 	Workers int
 	// Anchors fixes the anchor count of the interpolated path; 0 picks
-	// it adaptively from the band's phase swing.
+	// it adaptively from the band's phase swing, capped at 12.
 	Anchors int
-	// MaxAnchors caps the adaptive anchor count (default 12).
-	MaxAnchors int
 	// Metrics receives sweep.* engine telemetry; nil disables it.
 	Metrics *telemetry.Registry
 	// Checkpoint, when non-nil, persists each completed collocation-node
@@ -101,19 +99,146 @@ type Result struct {
 }
 
 const (
-	defaultOrder      = 1
-	defaultMaxAnchors = 12
-	minAnchors        = 4
+	defaultOrder = 1
+	minAnchors   = 4
+	maxAnchors   = 12
 )
 
 // Run executes the sweep and returns E[K] at every frequency.
 func (e *Engine) Run(ctx context.Context, freqs []float64) (*Result, error) {
+	p, err := e.plan(freqs)
+	if err != nil {
+		return nil, err
+	}
+	e.Metrics.Counter("sweep.batched_runs").Inc()
+
+	// Synthesize (and resolution-check) every collocation surface once:
+	// the surface process is frequency-independent, so this is per
+	// sweep, not per point.
+	_, synthSpan := trace.StartSpan(ctx, "sweep.synthesize")
+	surfs := make([]*surface.Surface, len(p.nodes))
+	nflat := 0
+	for j := range p.nodes {
+		if surfs[j], err = e.surface(p, j); err != nil {
+			synthSpan.End()
+			return nil, err
+		}
+		if surfs[j] == nil {
+			nflat++
+		}
+	}
+	synthSpan.SetAttr("nodes", len(p.nodes))
+	synthSpan.SetAttr("flat", nflat)
+	synthSpan.End()
+
+	nf := len(freqs)
+	name := "sweep.exact"
+	if p.interp() {
+		name = "sweep.interp"
+	}
+	e.Metrics.Counter(name + "_freqs").Add(int64(nf))
+	sctx, span := trace.StartSpan(ctx, name)
+	span.SetAttr("freqs", nf)
+	if p.interp() {
+		span.SetAttr("anchors", p.anchors)
+	}
+	vals, err := e.nodeValues(sctx, p, surfs)
+	span.End()
+	if err != nil {
+		return nil, err
+	}
+
+	// Fit the PC surrogate per frequency from the collocation values.
+	_, fitSpan := trace.StartSpan(ctx, "surrogate.fit")
+	res := &Result{Mean: make([]float64, nf), Values: vals, AnchorsUsed: p.anchors}
+	for fi := range freqs {
+		r, err := sscm.FromValues(e.Dim, p.order, vals[fi])
+		if err != nil {
+			fitSpan.End()
+			return nil, err
+		}
+		res.Mean[fi] = r.PCE.Mean()
+	}
+	fitSpan.End()
+	e.progress(nf, nf)
+	return res, nil
+}
+
+// nodeValues returns vals[freq][node] for Run. A flat node (nil
+// surface) is K ≡ 1 without any solve, a checkpointed node loads its
+// completed column, and the remaining nodes go through columns, each
+// checkpointed the moment it completes. The interpolated path's flat
+// reference is loaded or computed only when a node is left to solve.
+func (e *Engine) nodeValues(ctx context.Context, p *sweepPlan, surfs []*surface.Surface) ([][]float64, error) {
+	nf := len(p.freqs)
+	cols := make([][]float64, len(surfs))
+	var todo []int
+	var solve []*surface.Surface
+	for j, s := range surfs {
+		var ok bool
+		if s == nil {
+			cols[j] = ones(nf)
+		} else if cols[j], ok = e.loadColumn(j, nf); !ok {
+			todo = append(todo, j)
+			solve = append(solve, s)
+		}
+	}
+	if len(todo) > 0 {
+		var ps []float64
+		if p.interp() {
+			var ok bool
+			if ps, ok = e.loadColumn(FlatRefNode, nf); !ok {
+				e.Metrics.Counter("sweep.anchor_builds").Add(int64(p.anchors))
+				var err error
+				if ps, err = e.flatPabs(ctx, p); err != nil {
+					return nil, err
+				}
+				e.saveColumn(FlatRefNode, ps)
+			}
+		}
+		err := e.columns(ctx, p, solve, ps, func(k int, col []float64) {
+			e.Metrics.Counter("sweep.node_solves").Inc()
+			e.saveColumn(todo[k], col)
+			cols[todo[k]] = col
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	vals := make([][]float64, nf)
+	for fi := range vals {
+		vals[fi] = make([]float64, len(cols))
+		for j, col := range cols {
+			vals[fi][j] = col[fi]
+		}
+	}
+	return vals, nil
+}
+
+// sweepPlan is the frequency-side plan every entry point starts from:
+// the collocation grid and the path choice, made once.
+type sweepPlan struct {
+	freqs []float64
+	nodes [][]float64 // sscm.Nodes(Dim, order)
+	order int
+	// anchors is the interpolated path's anchor count and xs its anchor
+	// abscissae in x = √f; anchors is 0 on the exact path.
+	anchors int
+	xs      []float64
+}
+
+func (p *sweepPlan) interp() bool { return p.anchors > 0 }
+
+// plan validates the sweep and chooses its path: the interpolated one
+// when fewer anchors than frequencies cover a band of nonzero width,
+// the exact per-frequency one otherwise.
+func (e *Engine) plan(freqs []float64) (*sweepPlan, error) {
 	if e.Solver == nil || e.Synth == nil {
-		return nil, resilience.Errorf(resilience.KindInvalidInput, "sweepengine.Run",
+		return nil, resilience.Errorf(resilience.KindInvalidInput, "sweepengine",
 			"engine needs a Solver and a Synth function")
 	}
 	if len(freqs) == 0 {
-		return nil, resilience.Errorf(resilience.KindInvalidInput, "sweepengine.Run",
+		return nil, resilience.Errorf(resilience.KindInvalidInput, "sweepengine",
 			"sweep needs at least one frequency")
 	}
 	order := e.Order
@@ -124,73 +249,28 @@ func (e *Engine) Run(ctx context.Context, freqs []float64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.Metrics.Counter("sweep.batched_runs").Inc()
+	p := &sweepPlan{freqs: freqs, nodes: nodes, order: order}
+	fmin, fmax := slices.Min(freqs), slices.Max(freqs)
+	if anchors := e.anchorCount(fmin, fmax); anchors < len(freqs) && fmax > fmin {
+		p.anchors = anchors
+		p.xs = ChebAnchors(anchors, math.Sqrt(fmin), math.Sqrt(fmax))
+	}
+	return p, nil
+}
 
-	// Synthesize (and resolution-check) every collocation surface once:
-	// the surface process is frequency-independent, so this is per
-	// sweep, not per point. Exactly flat realizations (the grid's
-	// center node) need no solve at all: K = Pabs/Pabs ≡ 1.
-	_, synthSpan := trace.StartSpan(ctx, "sweep.synthesize")
-	surfs := make([]*surface.Surface, len(nodes))
-	flat := make([]bool, len(nodes))
-	nflat := 0
-	for j, xi := range nodes {
-		s := e.Synth(xi)
-		if maxAbs(s.H) == 0 {
-			flat[j] = true
-			nflat++
-			continue
-		}
-		if _, err := core.CheckResolution(s); err != nil {
-			synthSpan.End()
-			return nil, err
-		}
-		surfs[j] = s
+// surface synthesizes collocation node j. It returns nil for an exactly
+// flat realization (the grid's center node), whose K = Pabs/Pabs ≡ 1
+// needs no solve, and the resolution error for a surface the solver
+// cannot resolve.
+func (e *Engine) surface(p *sweepPlan, j int) (*surface.Surface, error) {
+	s := e.Synth(p.nodes[j])
+	if maxAbs(s.H) == 0 {
+		return nil, nil
 	}
-	synthSpan.SetAttr("nodes", len(nodes))
-	synthSpan.SetAttr("flat", nflat)
-	synthSpan.End()
-
-	fmin, fmax := freqs[0], freqs[0]
-	for _, f := range freqs[1:] {
-		fmin = math.Min(fmin, f)
-		fmax = math.Max(fmax, f)
-	}
-	anchors := e.anchorCount(fmin, fmax)
-	var vals [][]float64
-	if anchors < len(freqs) && fmax > fmin {
-		e.Metrics.Counter("sweep.interp_freqs").Add(int64(len(freqs)))
-		sctx, span := trace.StartSpan(ctx, "sweep.interp")
-		span.SetAttr("freqs", len(freqs))
-		span.SetAttr("anchors", anchors)
-		vals, err = e.interpSweep(sctx, freqs, fmin, fmax, anchors, surfs, flat)
-		span.End()
-	} else {
-		anchors = 0
-		e.Metrics.Counter("sweep.exact_freqs").Add(int64(len(freqs)))
-		sctx, span := trace.StartSpan(ctx, "sweep.exact")
-		span.SetAttr("freqs", len(freqs))
-		vals, err = e.exactSweep(sctx, freqs, surfs, flat)
-		span.End()
-	}
-	if err != nil {
+	if _, err := core.CheckResolution(s); err != nil {
 		return nil, err
 	}
-
-	// Fit the PC surrogate per frequency from the collocation values.
-	_, fitSpan := trace.StartSpan(ctx, "surrogate.fit")
-	res := &Result{Mean: make([]float64, len(freqs)), Values: vals, AnchorsUsed: anchors}
-	for fi := range freqs {
-		r, err := sscm.FromValues(e.Dim, order, vals[fi])
-		if err != nil {
-			fitSpan.End()
-			return nil, err
-		}
-		res.Mean[fi] = r.PCE.Mean()
-	}
-	fitSpan.End()
-	e.progress(len(freqs), len(freqs))
-	return res, nil
+	return s, nil
 }
 
 // anchorCount estimates how many Chebyshev anchors in x = √f the band
@@ -209,76 +289,59 @@ func (e *Engine) anchorCount(fmin, fmax float64) int {
 	r := e.Solver.L / math.Sqrt2
 	swing := (cmplx.Abs(p2.K2-p1.K2) + cmplx.Abs(p2.K1-p1.K1)) * r
 	n := 5 + int(math.Ceil(swing))
-	if n < minAnchors {
-		n = minAnchors
-	}
-	maxA := e.MaxAnchors
-	if maxA <= 0 {
-		maxA = defaultMaxAnchors
-	}
-	if n > maxA {
-		n = maxA
-	}
-	return n
+	return min(max(n, minAnchors), maxAnchors)
 }
 
-// exactSweep evaluates every (frequency, node) unit through the
-// operator prepare-and-solve path — the same path core.Solver's
-// LossFactor takes, so results stay bitwise identical to it — scheduling
-// the independent units across the worker budget. Returns vals[freq][node]. Flat nodes cost nothing
-// (K ≡ 1), checkpointed nodes load their completed column instead of
-// solving, and each remaining node's column is checkpointed the moment
-// its last frequency lands (the per-node atomic countdown orders every
-// worker's column writes before the save).
-func (e *Engine) exactSweep(ctx context.Context, freqs []float64, surfs []*surface.Surface, flat []bool) ([][]float64, error) {
-	nn := len(surfs)
-	vals := make([][]float64, len(freqs))
-	for fi := range vals {
-		vals[fi] = make([]float64, nn)
-	}
-	remaining := make([]atomic.Int64, nn)
-	type unit struct{ fi, j int }
-	var todo []unit
-	for j := 0; j < nn; j++ {
-		if flat[j] {
-			for fi := range freqs {
-				vals[fi][j] = 1
+// columns computes the K column of every surface in surfs over the
+// plan's frequencies, handing column k to save the moment it completes
+// and reporting progress in frequency units.
+//
+// The exact path schedules the independent (surface × frequency) units
+// across the worker budget through the operator prepare-and-solve path
+// — the one core.Solver's LossFactor takes, so results stay bitwise
+// identical to it. The operator build is deterministic across worker
+// counts, so the inner split does not perturb bits. The interpolated
+// path runs sweepPabs per surface and divides by the flat reference ps.
+func (e *Engine) columns(ctx context.Context, p *sweepPlan, surfs []*surface.Surface, ps []float64, save func(k int, col []float64)) error {
+	nf := len(p.freqs)
+	if p.interp() {
+		for k, surf := range surfs {
+			pr, err := e.sweepPabs(ctx, surf, p.xs, p.freqs)
+			if err != nil {
+				return err
 			}
-			continue
-		}
-		if col, ok := e.loadColumn(j, len(freqs)); ok {
-			for fi := range freqs {
-				vals[fi][j] = col[fi]
+			for fi := range pr {
+				pr[fi] /= ps[fi]
 			}
-			continue
+			save(k, pr)
+			e.progress((k+1)*nf/len(surfs), nf)
 		}
-		remaining[j].Store(int64(len(freqs)))
-		for fi := range freqs {
-			todo = append(todo, unit{fi, j})
-		}
+		return nil
 	}
-	if len(todo) == 0 {
-		return vals, nil
+	cols := make([][]float64, len(surfs))
+	remaining := make([]atomic.Int64, len(surfs))
+	for k := range cols {
+		cols[k] = make([]float64, nf)
+		remaining[k].Store(int64(nf))
 	}
+	units := len(surfs) * nf
 	w := e.workers()
 	inner := 1
-	if len(todo) < w {
-		inner = w / len(todo)
+	if units < w {
+		inner = w / units
 	}
 	var done atomic.Int64
-	err := forEach(ctx, len(todo), w, func(ctx context.Context, u int) error {
-		fi, j := todo[u].fi, todo[u].j
-		f := freqs[fi]
+	return forEach(ctx, units, w, func(ctx context.Context, u int) error {
+		k, fi := u/nf, u%nf
+		f := p.freqs[fi]
 		ref, err := e.Solver.FlatPabsCtx(ctx, f)
 		if err != nil {
 			return err
 		}
-		// Anchor solves route through the operator path: an admissible
-		// surface wins the fft-gmres stage without ever assembling the
-		// dense matrix; a rejected one materializes it lazily inside the
-		// chain. Checkpoint semantics are unchanged either way — the K
-		// column is computed from the solution, not the matrix.
-		sys, err := e.Solver.PrepareSurfaceCtx(ctx, surfs[j], f, inner)
+		// An admissible surface wins the fft-gmres stage without ever
+		// assembling the dense matrix; a rejected one materializes it
+		// lazily inside the chain.
+		sys, err := e.Solver.PrepareSurfaceCtx(ctx, surfs[k], f, inner)
 		if err != nil {
 			return err
 		}
@@ -286,86 +349,23 @@ func (e *Engine) exactSweep(ctx context.Context, freqs []float64, surfs []*surfa
 		if err != nil {
 			return err
 		}
-		vals[fi][j] = sol.Pabs / ref
-		if remaining[j].Add(-1) == 0 {
-			// This worker observed every other worker's decrement for node
-			// j, so (atomics being sequentially consistent) all of the
-			// column's writes are visible here.
-			e.Metrics.Counter("sweep.node_solves").Inc()
-			col := make([]float64, len(freqs))
-			for k := range freqs {
-				col[k] = vals[k][j]
-			}
-			e.saveColumn(j, col)
+		cols[k][fi] = sol.Pabs / ref
+		// The worker that takes a column's countdown to zero observed
+		// every other worker's decrement for it, so (atomics being
+		// sequentially consistent) all of the column's writes are
+		// visible here.
+		if remaining[k].Add(-1) == 0 {
+			save(k, cols[k])
 		}
-		e.progress(int(done.Add(1))*len(freqs)/len(todo), len(freqs))
+		e.progress(int(done.Add(1))*nf/units, nf)
 		return nil
 	})
-	return vals, err
 }
 
-// interpSweep computes vals[freq][node] through the anchor-interpolated
-// path: per surface, exact systems at the anchor frequencies only, then
-// one interpolated matrix + exact RHS + solve per sweep frequency. The
-// flat reference runs through the same interpolation so the leading
-// kernel interpolation error cancels in the ratio.
-func (e *Engine) interpSweep(ctx context.Context, freqs []float64, fmin, fmax float64, anchors int, surfs []*surface.Surface, flat []bool) ([][]float64, error) {
-	xs := ChebAnchors(anchors, math.Sqrt(fmin), math.Sqrt(fmax))
-
-	ps, ok := e.loadColumn(FlatRefNode, len(freqs))
-	if !ok {
-		e.Metrics.Counter("sweep.anchor_builds").Add(int64(anchors))
-		var err error
-		ps, err = e.sweepPabs(ctx, surface.NewFlat(e.Solver.L, e.Solver.M), xs, freqs)
-		if err != nil {
-			return nil, err
-		}
-		e.saveColumn(FlatRefNode, ps)
-	}
-	vals := make([][]float64, len(freqs))
-	for fi := range vals {
-		vals[fi] = make([]float64, len(surfs))
-	}
-	// Progress in frequency units: one chunk per surface (the flat
-	// reference above counts as the first chunk).
-	chunks := 1
-	for j := range surfs {
-		if !flat[j] {
-			chunks++
-		}
-	}
-	done := 1
-	e.progress(done*len(freqs)/chunks, len(freqs))
-	for j, surf := range surfs {
-		if flat[j] {
-			for fi := range freqs {
-				vals[fi][j] = 1
-			}
-			continue
-		}
-		if col, ok := e.loadColumn(j, len(freqs)); ok {
-			for fi := range freqs {
-				vals[fi][j] = col[fi]
-			}
-			done++
-			e.progress(done*len(freqs)/chunks, len(freqs))
-			continue
-		}
-		pr, err := e.sweepPabs(ctx, surf, xs, freqs)
-		if err != nil {
-			return nil, err
-		}
-		e.Metrics.Counter("sweep.node_solves").Inc()
-		col := make([]float64, len(freqs))
-		for fi := range freqs {
-			vals[fi][j] = pr[fi] / ps[fi]
-			col[fi] = vals[fi][j]
-		}
-		e.saveColumn(j, col)
-		done++
-		e.progress(done*len(freqs)/chunks, len(freqs))
-	}
-	return vals, nil
+// flatPabs is the interpolated path's flat-reference absorbed-power
+// vector Ps over the plan's frequencies.
+func (e *Engine) flatPabs(ctx context.Context, p *sweepPlan) ([]float64, error) {
+	return e.sweepPabs(ctx, surface.NewFlat(e.Solver.L, e.Solver.M), p.xs, p.freqs)
 }
 
 // sweepPabs returns the absorbed power of one surface at every sweep
@@ -474,6 +474,14 @@ func (e *Engine) progress(done, total int) {
 	if e.Progress != nil {
 		e.Progress(done, total)
 	}
+}
+
+func ones(n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = 1
+	}
+	return v
 }
 
 func maxAbs(v []float64) float64 {

@@ -222,24 +222,6 @@ func (s *Simulation) MeanLossFactorCtx(ctx context.Context, f float64) (float64,
 	return res.PCE.Mean(), nil
 }
 
-// SweepMeanLossFactor computes E[Pr/Ps] at every frequency of freqs,
-// checking ctx between frequencies (and inside each collocation run) so
-// a timeout or Ctrl-C stops a long sweep promptly with ctx.Err().
-func (s *Simulation) SweepMeanLossFactor(ctx context.Context, freqs []float64) ([]float64, error) {
-	out := make([]float64, len(freqs))
-	for i, f := range freqs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		k, err := s.MeanLossFactorCtx(ctx, f)
-		if err != nil {
-			return nil, fmt.Errorf("roughsim: sweep at f=%g: %w", f, err)
-		}
-		out[i] = k
-	}
-	return out, nil
-}
-
 // SSCM builds the order-p polynomial chaos surrogate of K at f.
 func (s *Simulation) SSCM(f float64, order int) (*sscm.Result, error) {
 	return s.SSCMCtx(context.Background(), f, order)

@@ -26,6 +26,9 @@ go test -race -short ./internal/montecarlo/... ./internal/sscm/... \
 # small sinusoid, and 2nd-order SSCM against Monte Carlo.
 go test -short -count=1 -run 'TestPaperFidelity|TestFig7SSCMMatchesMC' ./internal/experiments/
 go test -short -count=1 -run TestSWMConvergesToSPM2Kernel ./internal/spm2/
+# Fuzz the sweep request decoder and its content addresses briefly: no
+# body may panic, and a valid config keeps its key across a round trip.
+go test -run '^$' -fuzz FuzzSweepConfigJSON -fuzztime 5s .
 # The journal and retry machinery also get a full (non-short) race pass:
 # WAL replay and backoff-requeue races only show up off the fast paths.
 go test -race -count=1 ./internal/journal/... ./internal/jobs/... ./internal/cluster/...

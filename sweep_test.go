@@ -3,6 +3,7 @@ package roughsim
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -200,5 +201,52 @@ func TestSweepPointJSONNonFinite(t *testing.T) {
 	}
 	if string(b) != string(lb) {
 		t.Fatalf("finite wire form drifted:\n%s\nvs legacy\n%s", b, lb)
+	}
+}
+
+// TestSweepPathChoice pins the engine's adaptive interp-or-exact choice
+// on the benchmark and paper configurations without solving anything:
+// a wide band with more frequencies than anchors interpolates, while
+// the paper's broadband sweep (where the band's phase swing needs more
+// anchors than points) and a narrow four-point sweep run exact.
+func TestSweepPathChoice(t *testing.T) {
+	campaign := make([]float64, 16) // the campaign-g8 benchmark's band
+	for i := range campaign {
+		campaign[i] = 4e9 + 2e9*float64(i)/15
+	}
+	var paper []float64 // 1–9 GHz in 1 GHz steps
+	for f := 1e9; f <= 9e9; f += 1e9 {
+		paper = append(paper, f)
+	}
+	for _, tc := range []struct {
+		name    string
+		spec    SurfaceSpec
+		acc     Accuracy
+		freqs   []float64
+		anchors int // 0 = exact path
+		nodes   []int
+	}{
+		{"campaign-g8 cell", SurfaceSpec{Corr: GaussianCF, Sigma: 0.3e-6, Eta: 1e-6},
+			Accuracy{GridPerSide: 8, StochasticDim: 2}, campaign, 7, []int{0, 1, 3, 4}},
+		{"paper σ M=40", SurfaceSpec{Corr: GaussianCF, Sigma: 1e-6, Eta: 1e-6},
+			Accuracy{GridPerSide: 40, StochasticDim: 16}, paper, 0, nil},
+		{"sweep-m20", SurfaceSpec{Corr: GaussianCF, Sigma: 15e-9, Eta: 1e-6},
+			Accuracy{GridPerSide: 20, StochasticDim: 2}, []float64{4.925e9, 4.975e9, 5.025e9, 5.075e9}, 0, []int{0, 1, 3, 4}},
+	} {
+		sim, err := NewSimulation(CopperSiO2(), tc.spec, tc.acc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := sim.PlanSweepColumns(tc.freqs)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if plan.Interp != (tc.anchors > 0) || plan.Anchors != tc.anchors {
+			t.Errorf("%s: interp=%v with %d anchors, want %d anchors (0 = exact)",
+				tc.name, plan.Interp, plan.Anchors, tc.anchors)
+		}
+		if tc.nodes != nil && (plan.NumNodes != 5 || fmt.Sprint(plan.Nodes) != fmt.Sprint(tc.nodes)) {
+			t.Errorf("%s: nodes %v of %d, want %v of 5", tc.name, plan.Nodes, plan.NumNodes, tc.nodes)
+		}
 	}
 }

@@ -170,3 +170,46 @@ func TestSurrogateKeyCanonicalization(t *testing.T) {
 		t.Fatal("Tol/Holdout entered the surrogate content address")
 	}
 }
+
+// FuzzSweepConfigJSON feeds arbitrary request bodies through the API's
+// decode → defaults → validate → content-address path, which must never
+// panic, and checks that a config that validates keeps its Key() across
+// a JSON round trip.
+func FuzzSweepConfigJSON(f *testing.F) {
+	// The benchmark's sweep-m20 and campaign-g8 requests, the key test
+	// config, and two degenerate bodies.
+	f.Add([]byte(`{"surface":{"cf":"gaussian","sigma":1.5e-8,"eta":1e-6},"accuracy":{"grid":20,"dim":2},"freqs_hz":[4.9e9,4.95e9,5e9,5.05e9]}`))
+	f.Add([]byte(`{"surface":{"cf":"gaussian","sigma":4e-7,"eta":1e-6},"accuracy":{"grid":8,"dim":2},"freqs_hz":[4e9,4.133333333333334e9,6e9]}`))
+	if b, err := json.Marshal(keyTestConfig()); err == nil {
+		f.Add(b)
+	}
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"freqs_hz":[0,-1,1e16]}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var cfg SweepConfig
+		if json.Unmarshal(body, &cfg) != nil {
+			return
+		}
+		cfg = cfg.WithDefaults()
+		valid := cfg.Validate() == nil
+		key := cfg.Key()
+		for _, fr := range cfg.Freqs {
+			cfg.KeyAt(fr)
+		}
+		cfg.CheckpointKey(0)
+		if !valid {
+			return
+		}
+		b, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatalf("valid config does not marshal: %v", err)
+		}
+		var back SweepConfig
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatalf("valid config does not round-trip: %v (%s)", err, b)
+		}
+		if back.Key() != key {
+			t.Fatalf("Key changed across a JSON round trip: %s", b)
+		}
+	})
+}
