@@ -282,17 +282,9 @@ func (s *Solver) PrepareSurfaceCtx(ctx context.Context, surf *surface.Surface, f
 	if s.ZSpan > 0 {
 		ts = s.tableFor(ctx, f)
 	}
-	dense := func() (*cmplxmat.Matrix, error) {
-		s.Metrics.Counter("solve.dense_materialized").Inc()
-		sys, err := s.AssembleSurfaceCtx(ctx, surf, f, workers)
-		if err != nil {
-			return nil, err
-		}
-		return sys.Matrix, nil
-	}
 	_, sp := trace.StartSpan(ctx, "mom.fft.build")
 	sp.SetAttr("f", f)
-	sys := mom.NewOperatorSystem(surf, s.Mat.Params(f), opt, ts, dense)
+	sys := mom.NewOperatorSystem(surf, s.Mat.Params(f), opt, ts, s.denseAssembler(ctx, surf, f, workers))
 	if sys.FFTAdmitted() {
 		s.Metrics.Counter("solve.fft_admitted").Inc()
 	} else {
@@ -303,6 +295,33 @@ func (s *Solver) PrepareSurfaceCtx(ctx context.Context, surf *surface.Surface, f
 	}
 	sp.End()
 	return sys, nil
+}
+
+// denseAssembler is a lazily built system's dense fallback for surf at
+// f, counted in solve.dense_materialized when it runs.
+func (s *Solver) denseAssembler(ctx context.Context, surf *surface.Surface, f float64, workers int) func() (*cmplxmat.Matrix, error) {
+	return func() (*cmplxmat.Matrix, error) {
+		s.Metrics.Counter("solve.dense_materialized").Inc()
+		sys, err := s.AssembleSurfaceCtx(ctx, surf, f, workers)
+		if err != nil {
+			return nil, err
+		}
+		return sys.Matrix, nil
+	}
+}
+
+// MirrorSurfaceCtx turns sys, built by AssembleSurfaceCtx or
+// PrepareSurfaceCtx for a surface at f, into the system of its mirror
+// image ms (ms.H = −H) in place, bitwise equal to building ms directly
+// (see mom.System.Mirror) and without reading a kernel. A lazily built
+// system keeps its FFT admission and assembles ms if a dense stage runs
+// (workers as for PrepareSurfaceCtx). It runs under a "mom.mirror" span
+// of the context's trace.
+func (s *Solver) MirrorSurfaceCtx(ctx context.Context, sys *mom.System, ms *surface.Surface, f float64, workers int) {
+	_, sp := trace.StartSpan(ctx, "mom.mirror")
+	sp.SetAttr("f", f)
+	sys.Mirror(ms, s.Mat.Params(f), s.denseAssembler(ctx, ms, f, workers))
+	sp.End()
 }
 
 // SolveSystem runs the resilient fallback chain on a system assembled

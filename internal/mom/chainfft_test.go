@@ -3,6 +3,7 @@ package mom
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"roughsim/internal/cmplxmat"
@@ -217,15 +218,19 @@ func TestFFTOperatorBuildWorkersBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The spectral families parity forbids are never transformed (nil).
+	families := func(k kernelFamilies) [4][][]complex128 { return [4][][]complex128{k.g, k.gx, k.gy, k.gz} }
 	for med := 0; med < 2; med++ {
-		for q := 0; q <= 3; q++ {
-			for idx := range op1.realK[med].g[q] {
-				if op1.realK[med].g[q][idx] != opN.realK[med].g[q][idx] ||
-					op1.realK[med].gx[q][idx] != opN.realK[med].gx[q][idx] ||
-					op1.realK[med].gy[q][idx] != opN.realK[med].gy[q][idx] ||
-					op1.realK[med].gz[q][idx] != opN.realK[med].gz[q][idx] ||
-					op1.spec[med].g[q][idx] != opN.spec[med].g[q][idx] {
-					t.Fatalf("kernel fit differs between worker counts at med=%d q=%d idx=%d", med, q, idx)
+		for what, pair := range map[string][2]kernelFamilies{
+			"kernel fit":      {op1.realK[med], opN.realK[med]},
+			"spectral kernel": {op1.spec[med], opN.spec[med]},
+		} {
+			a, b := families(pair[0]), families(pair[1])
+			for f := range a {
+				for q := 0; q <= 3; q++ {
+					if !slices.Equal(a[f][q], b[f][q]) || (a[f][q] == nil) != (b[f][q] == nil) {
+						t.Fatalf("%s differs between worker counts at med=%d family=%d q=%d", what, med, f, q)
+					}
 				}
 			}
 		}

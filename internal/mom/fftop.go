@@ -163,21 +163,8 @@ func buildFFTOperator(s *surface.Surface, p Params, order int, opt Options, src1
 	n := m * m
 	h := g.h
 
-	op := &FFTOperator{N: n, Order: order, m: m, h: h, l: s.L, beta: p.Beta, surf: s}
-	op.jnx = make([]float64, n)
-	op.jny = make([]float64, n)
-	for i := range g.fx {
-		op.jnx[i] = -g.fx[i]
-		op.jny[i] = -g.fy[i]
-	}
-	op.curv = CurvatureDiagonal(s)
-	op.fpow = make([][]float64, order+1)
-	for q := 0; q <= order; q++ {
-		op.fpow[q] = make([]float64, n)
-		for i := range op.fpow[q] {
-			op.fpow[q][i] = math.Pow(s.H[i], float64(q))
-		}
-	}
+	op := &FFTOperator{N: n, Order: order, m: m, h: h, l: s.L, beta: p.Beta}
+	op.bindSurface(s, g.fx, g.fy)
 
 	zfit := fitSpan(surfaceZMax(s), h)
 	for med, src := range []kernelSource{src1, src2} {
@@ -188,11 +175,16 @@ func buildFFTOperator(s *surface.Surface, p Params, order int, opt Options, src1
 		sp.gx = make([][]complex128, order+1)
 		sp.gy = make([][]complex128, order+1)
 		sp.gz = make([][]complex128, order+1)
+		// The parity-forbidden families are zero (see fitKernels) and
+		// stay untransformed; MatVec never reads them.
 		for q := 0; q <= order; q++ {
-			sp.g[q] = fft.Forward2D(rk.g[q], m, m)
-			sp.gx[q] = fft.Forward2D(rk.gx[q], m, m)
-			sp.gy[q] = fft.Forward2D(rk.gy[q], m, m)
-			sp.gz[q] = fft.Forward2D(rk.gz[q], m, m)
+			if q%2 == 0 {
+				sp.g[q] = fft.Forward2D(rk.g[q], m, m)
+				sp.gx[q] = fft.Forward2D(rk.gx[q], m, m)
+				sp.gy[q] = fft.Forward2D(rk.gy[q], m, m)
+			} else {
+				sp.gz[q] = fft.Forward2D(rk.gz[q], m, m)
+			}
 		}
 		op.spec[med] = sp
 	}
@@ -205,12 +197,42 @@ func buildFFTOperator(s *surface.Surface, p Params, order int, opt Options, src1
 	return op
 }
 
+// bindSurface sets the operator's surface-dependent factors for surface
+// s with gradients (fx, fy): the height powers f^q, the Jacobian-weighted
+// normal components and the curvature diagonal. A rebind (see mirror)
+// reuses the storage.
+func (op *FFTOperator) bindSurface(s *surface.Surface, fx, fy []float64) {
+	op.surf = s
+	if op.fpow == nil {
+		op.jnx = make([]float64, op.N)
+		op.jny = make([]float64, op.N)
+		op.fpow = make([][]float64, op.Order+1)
+		for q := range op.fpow {
+			op.fpow[q] = make([]float64, op.N)
+		}
+	}
+	for i := range fx {
+		op.jnx[i] = -fx[i]
+		op.jny[i] = -fy[i]
+	}
+	op.curv = CurvatureDiagonal(s)
+	for q := range op.fpow {
+		for i := range op.fpow[q] {
+			op.fpow[q][i] = math.Pow(s.H[i], float64(q))
+		}
+	}
+}
+
 // fitKernels samples G and ∇G at Chebyshev z-nodes for every lateral
 // grid offset and converts the samples into polynomial coefficients in
 // Δz (already scaled by the cell area h²). The (0,0) offset is zeroed;
-// near corrections supply it exactly. One offset per symmetry orbit is
-// fitted, from one node of each ±Δz pair (fitOrbits, sampleMirrored),
-// across the worker budget with bitwise deterministic results.
+// near corrections supply it exactly. The coefficients parity forbids —
+// odd q for G, Gx and Gy, even q for Gz — are exactly 0 (with mirrored
+// samples the Vandermonde inverse would only leave rounding noise
+// there), so the model is exactly even (odd) in Δz. One offset per
+// symmetry orbit is fitted, from one node of each ±Δz pair (fitOrbits,
+// sampleMirrored), across the worker budget with bitwise deterministic
+// results.
 func fitKernels(src kernelSource, m int, h float64, order int, zfit float64, workers int) kernelFamilies {
 	nodes := chebNodes(order+1, zfit)
 	inv := vandermondeInverse(nodes)
@@ -223,7 +245,7 @@ func fitKernels(src kernelSource, m int, h float64, order int, zfit float64, wor
 		var c [4][]complex128
 		for f := range c {
 			c[f] = make([]complex128, order+1)
-			for q := range c[f] {
+			for q := f / 3; q <= order; q += 2 {
 				for s, v := range smp[f] {
 					c[f][q] += complex(inv[q][s], 0) * v
 				}
@@ -325,8 +347,10 @@ const nearChebOrder = 16
 // of the coefficient transform leaves the tail of a fast-converging fit
 // at 1e-16–1e-15, so coefficients at most nearChebTol are dropped (see
 // truncateCheb). On sweep-m20's collocation surfaces (Δz spans of
-// 9–23 nm against h = 250 nm) points keep a mean of 10.5–12.4 of the 17
-// coefficients; at 1e-16 almost none would go.
+// 9–23 nm against h = 250 nm) points keep a full length of 8.4–10.5 of
+// the 17 coefficients on average (10.5–12.4 before chebFit dropped the
+// transform noise the other parity left above the cut), so each
+// Clenshaw loop runs 4–5 steps; at 1e-16 almost none would go.
 const nearChebTol = 1e-15
 
 // nearChebCache holds, per (lateral cell offset, sub-cell) point, a
@@ -375,9 +399,11 @@ func fitNearCheb(src nearEvaluator, m int, opt Options, span float64) *nearChebC
 	return nc
 }
 
-// truncateCheb cuts one point's four series to their shortest common
-// length that drops only coefficients at most nearChebTol of the point's
-// largest, keeping at least one.
+// truncateCheb cuts one point's four parity-reduced series (see
+// chebFit) to their shortest common full length n that drops only
+// coefficients at most nearChebTol of the point's largest, keeping at
+// least one: the even series keep their ⌈n/2⌉ coefficients below
+// index n, Gz its ⌊n/2⌋.
 func truncateCheb(c [4][]complex128) [4][]complex128 {
 	var big float64
 	for _, s := range c {
@@ -386,16 +412,17 @@ func truncateCheb(c [4][]complex128) [4][]complex128 {
 		}
 	}
 	n := 1
-	for _, s := range c {
-		for j := len(s) - 1; j >= n; j-- {
-			if cmplx.Abs(s[j]) > nearChebTol*big {
-				n = j + 1
+	for q, s := range c {
+		par := q / 3
+		for k := len(s) - 1; k >= 0 && 2*k+par >= n; k-- {
+			if cmplx.Abs(s[k]) > nearChebTol*big {
+				n = 2*k + par + 1
 				break
 			}
 		}
 	}
 	for q := range c {
-		c[q] = c[q][:n]
+		c[q] = c[q][:(n+1-q/3)/2]
 	}
 	return c
 }
@@ -499,13 +526,22 @@ func (op *FFTOperator) MatVec(y, x []complex128) {
 		acc := make([]complex128, n)
 		for l := 0; l <= op.Order; l++ {
 			clear(acc)
+			// Order l+q reads the even families (G, Gx, Gy) when it is
+			// even and Gz when it is odd; the others are zero.
 			for q := 0; l+q <= op.Order; q++ {
 				b := complex(specfun.Binomial(l+q, l), 0)
 				bS, bD := b*cS, b*cD
-				g, gx, gy, gz := sp.g[l+q], sp.gx[l+q], sp.gy[l+q], sp.gz[l+q]
-				s, plain, wx, wy := srcS[q], srcD[q][0], srcD[q][1], srcD[q][2]
-				for idx := range acc {
-					acc[idx] += bS*g[idx]*s[idx] - bD*(gx[idx]*wx[idx]+gy[idx]*wy[idx]+gz[idx]*plain[idx])
+				if (l+q)%2 == 0 {
+					g, gx, gy := sp.g[l+q], sp.gx[l+q], sp.gy[l+q]
+					s, wx, wy := srcS[q], srcD[q][1], srcD[q][2]
+					for idx := range acc {
+						acc[idx] += bS*g[idx]*s[idx] - bD*(gx[idx]*wx[idx]+gy[idx]*wy[idx])
+					}
+				} else {
+					gz, plain := sp.gz[l+q], srcD[q][0]
+					for idx := range acc {
+						acc[idx] -= bD * (gz[idx] * plain[idx])
+					}
 				}
 			}
 			conv := fft.Inverse2D(acc, m, m)

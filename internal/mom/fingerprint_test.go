@@ -55,34 +55,37 @@ func fingerprintSurface(m int) (*surface.Surface, float64) {
 // shows up here before it can move a sweep result, a checkpoint or a
 // distributed column.
 func TestKernelFingerprints(t *testing.T) {
-	// Hashes recorded when the Ewald spectral sum was folded by lattice
-	// symmetry and the conductor's direct image sum began running in real
-	// arithmetic (tables, dense, MatVec), and the FFT operator's near
-	// caches were cut at their noise plateau (MatVec); the pinned entries
-	// below did not move past their bounds (dense within 2.95e-18, MatVec
-	// within 2.88e-16 of max |entry|). The dense system is only fingerprinted at M=8, the
-	// regime where production assembles it; M=20 is the FFT operator's.
+	// Hashes recorded when the kernel fits became parity-exact: the
+	// Chebyshev fits keep only the coefficients the kernel's Δz parity
+	// allows and evaluate them by half-length Clenshaw recurrences in
+	// 2t² − 1 (tables, dense, MatVec), and the FFT operator's polynomial
+	// families hold exact zeros where parity forbids a coefficient
+	// (MatVec). The dropped coefficients were rounding noise, so the
+	// pinned entries below did not move past their bounds (dense within
+	// 3.9e-18, MatVec within 4.1e-16 of max |entry|). The dense system is
+	// only fingerprinted at M=8, the regime where production assembles
+	// it; M=20 is the FFT operator's.
 	cases := []struct {
 		m                     int
 		fGHz                  float64
 		tables, dense, matvec string
 	}{
 		{8, 3,
-			"9fe51d464b6e46415392b95f61ec9426b4aa4efaf4e77f58860276f8b0bfdd4a",
-			"88bda46683f0acbe79baa29a687c3172b46e7a124965d91363bfb72fcdd22731",
-			"2939f44fa61e62c92bb53a7a94d5cc9e9a13b758cb71219f9c0c07e2c8aa8621"},
+			"f2ebca0e3de43ec031704eca42f61f408f323dd8f1cf6b6d9da919a90f37ab85",
+			"3e2696ab292018d93058145ff162f93d5721d589b1708cc9550b6d9b283cd5d8",
+			"e45f1b97c5a42ca366b8dcda72d1842aab4bf01f4c86fb54d1af04f8303426b6"},
 		{8, 9,
-			"8ae3a77c54ca051af07d0427ee8418e00feb1c800376706100edf77da1e5db30",
-			"3db7c5fea312716220f0943681c9aeb259ca91392fe446cc8a7d175715239a32",
-			"2b42f4df167402ffc2d10e208b4a1e312642288d28bcc80ed71a528ade92740a"},
+			"6328c819591f13044bf60bf5a142a4c792d3d8ff0e77824937525afdc441172a",
+			"80863f5d198d9fafc7281dcae5dd981456a13d1ae5a71a553d8cd9f816de4514",
+			"016dabead4be0fc581624c3211a374e7d19a3a882f4974af4997b7434d20e29e"},
 		{20, 3,
-			"05511ae4c47c25064ea980afb0c3b1aa913d020926fbf8d5501183cc2edcd266",
+			"7620ce63c6dd3a59bb4630785d8d885c472cf5ae1d0865c1a8454c23471fc4bd",
 			"-",
-			"3f3be67843fa504cb0fdd61ea532b5b53e2a3e64d35888e49e22fde9441bab64"},
+			"8da70e7a1b33d0e3f940e2eeaa78b4a16df1714ca7fd19fd47f80670221aacb2"},
 		{20, 9,
-			"5159f0ec7992e85d455d5dfa04bac057049f0484586eea7072eb03260bc5d37a",
+			"e3fa095d6be6e34d6db984a84d40045019837512b77b9a7958d044c52a4ffe8c",
 			"-",
-			"d0409000655482658e60e272f27b469fffdcfafd117b91781a64efd54bc687ea"},
+			"6fda5c7e44cf7fe7bdcfc33dd05e767fd527d16875b264f23397542456b71371"},
 	}
 	for _, tc := range cases {
 		surf, zspan := fingerprintSurface(tc.m)

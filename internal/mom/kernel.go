@@ -323,57 +323,73 @@ func sampleMirrored(nodes []float64, eval func(z float64) (complex128, [3]comple
 }
 
 // chebFit samples a kernel at Chebyshev nodes (see sampleMirrored) and
-// returns the four expansion coefficient vectors (G, Gx, Gy, Gz).
+// returns the Chebyshev coefficients of (G, Gx, Gy, Gz) that the
+// kernel's Δz parity allows: G, Gx and Gy are even, so only c₀, c₂, …
+// are kept, and Gz is odd, so only c₁, c₃, … (see chebEval). With
+// mirrored samples the other coefficients are pure rounding noise of the
+// cosine transform; leaving them out makes every fit evaluate exactly
+// even (odd) under Δz → −Δz, so the system of a mirrored surface is the
+// mirror of the original bit for bit.
 func chebFit(nodes []float64, eval func(z float64) (complex128, [3]complex128)) [4][]complex128 {
 	smp := sampleMirrored(nodes, eval)
 	for q := range smp {
-		smp[q] = chebCoeffs(smp[q])
+		smp[q] = chebCoeffs(smp[q], q/3)
 	}
 	return smp
 }
 
-// chebEval evaluates a chebFit result at t ∈ [−1, 1] by the Clenshaw
-// recurrence b = c + 2t·b₁ − b₂. t is real, so each of the four complex
-// series (G, Gx, Gy, Gz) runs as two real recurrences: the operations
-// complex arithmetic would run, in the same order, minus the products
-// with t's zero imaginary part, which only ever add ±0. The series
-// share one loop and have the first one's length.
+// chebEval evaluates a chebFit result at t ∈ [−1, 1]. With u = 2t² − 1,
+// T₂ₖ(t) = Tₖ(u) and T₂ₖ₊₁(t) = t·Vₖ(u), where Vₖ are the third-kind
+// Chebyshev polynomials (V₀ = 1, V₁ = 2u − 1, the same three-term
+// recurrence), so each series runs a Clenshaw recurrence
+// b = c + 2u·b₁ − b₂ of half its full length: the even ones sum to
+// c₀ + u·b₁ − b₂ and Gz to t·(b₀ − b₁). u depends on t², so the results
+// are exactly even (odd) in t. t is real, so each complex series runs as
+// two real recurrences. G, Gx and Gy share one loop of the first
+// series' length.
 func chebEval(c *[4][]complex128, t float64) (complex128, [3]complex128) {
 	g := c[0]
 	n := len(g)
-	gx, gy, gz := c[1][:n], c[2][:n], c[3][:n]
+	gx, gy, gz := c[1][:n], c[2][:n], c[3]
+	u := 2*t*t - 1
+	uu := 2 * u
 	var gr1, gr2, gi1, gi2, xr1, xr2, xi1, xi2, yr1, yr2, yi1, yi2, zr1, zr2, zi1, zi2 float64
-	tt := 2 * t
-	for j := n - 1; j >= 1; j-- {
-		gr1, gr2 = real(g[j])+tt*gr1-gr2, gr1
-		gi1, gi2 = imag(g[j])+tt*gi1-gi2, gi1
-		xr1, xr2 = real(gx[j])+tt*xr1-xr2, xr1
-		xi1, xi2 = imag(gx[j])+tt*xi1-xi2, xi1
-		yr1, yr2 = real(gy[j])+tt*yr1-yr2, yr1
-		yi1, yi2 = imag(gy[j])+tt*yi1-yi2, yi1
-		zr1, zr2 = real(gz[j])+tt*zr1-zr2, zr1
-		zi1, zi2 = imag(gz[j])+tt*zi1-zi2, zi1
+	for k := n - 1; k >= 1; k-- {
+		gr1, gr2 = real(g[k])+uu*gr1-gr2, gr1
+		gi1, gi2 = imag(g[k])+uu*gi1-gi2, gi1
+		xr1, xr2 = real(gx[k])+uu*xr1-xr2, xr1
+		xi1, xi2 = imag(gx[k])+uu*xi1-xi2, xi1
+		yr1, yr2 = real(gy[k])+uu*yr1-yr2, yr1
+		yi1, yi2 = imag(gy[k])+uu*yi1-yi2, yi1
 	}
-	return complex(real(g[0])+t*gr1-gr2, imag(g[0])+t*gi1-gi2), [3]complex128{
-		complex(real(gx[0])+t*xr1-xr2, imag(gx[0])+t*xi1-xi2),
-		complex(real(gy[0])+t*yr1-yr2, imag(gy[0])+t*yi1-yi2),
-		complex(real(gz[0])+t*zr1-zr2, imag(gz[0])+t*zi1-zi2)}
+	for k := len(gz) - 1; k >= 0; k-- {
+		zr1, zr2 = real(gz[k])+uu*zr1-zr2, zr1
+		zi1, zi2 = imag(gz[k])+uu*zi1-zi2, zi1
+	}
+	return complex(real(g[0])+u*gr1-gr2, imag(g[0])+u*gi1-gi2), [3]complex128{
+		complex(real(gx[0])+u*xr1-xr2, imag(gx[0])+u*xi1-xi2),
+		complex(real(gy[0])+u*yr1-yr2, imag(gy[0])+u*yi1-yi2),
+		complex(t*(zr1-zr2), t*(zi1-zi2))}
 }
 
-// chebCoeffs converts samples at the standard Chebyshev nodes into
-// expansion coefficients (plain O(n²) transform; n is small).
-func chebCoeffs(samples []complex128) []complex128 {
+// chebCoeffs converts samples at the standard Chebyshev nodes into the
+// expansion coefficients of parity par, c_par, c_par+2, … (plain O(n²)
+// transform; n is small).
+func chebCoeffs(samples []complex128, par int) []complex128 {
 	n := len(samples)
 	cos := chebCosines(n)
-	out := make([]complex128, n)
-	for j := 0; j < n; j++ {
+	out := make([]complex128, (n+1-par)/2)
+	for k := range out {
+		j := 2*k + par
 		var s complex128
-		for k, c := range cos[j*n : (j+1)*n] {
-			s += samples[k] * complex(c, 0)
+		for i, c := range cos[j*n : (j+1)*n] {
+			s += samples[i] * complex(c, 0)
 		}
-		out[j] = s * complex(2/float64(n), 0)
+		out[k] = s * complex(2/float64(n), 0)
 	}
-	out[0] /= 2
+	if par == 0 {
+		out[0] /= 2
+	}
 	return out
 }
 

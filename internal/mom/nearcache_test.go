@@ -74,7 +74,7 @@ func TestNearCacheTruncation(t *testing.T) {
 				if c[0] == nil {
 					continue
 				}
-				kept += len(c[0])
+				kept += len(c[0]) + len(c[3]) // the cut's full length
 				points++
 				if rx, ry, _, _, _ := orbitRep(ax, ay, mirror); rx != ax || ry != ay {
 					continue

@@ -27,7 +27,7 @@ func fullChebFit(nodes []float64, eval func(z float64) (complex128, [3]complex12
 		smp[0][k], smp[1][k], smp[2][k], smp[3][k] = v, gr[0], gr[1], gr[2]
 	}
 	for q := range smp {
-		smp[q] = chebCoeffs(smp[q])
+		smp[q] = chebCoeffs(smp[q], q/3)
 	}
 	return smp
 }

@@ -62,7 +62,8 @@ type tabulated struct {
 	l            float64
 	g            *greens.Periodic3D
 	// far[(dy*m+dx)] and nearTab[subOffsetIndex] hold Chebyshev
-	// coefficients for (G, Gx, Gy, Gz); the slots of one symmetry orbit
+	// coefficients for (G, Gx, Gy, Gz), each series only those its Δz
+	// parity allows (see chebFit); the slots of one symmetry orbit
 	// share vectors (see fitOrbits), so they are read-only.
 	far     [][4][]complex128
 	nearTab [][4][]complex128

@@ -186,13 +186,18 @@ func TestTabulatedRejectsMismatch(t *testing.T) {
 }
 
 func TestChebyshevInterpolationMachinery(t *testing.T) {
-	// Interpolate four known smooth complex functions, one per series,
-	// and check the accuracy of each.
+	// Interpolate four known smooth complex functions with the kernel's
+	// Δz parity, even for series 0–2 and odd for series 3 (Gz), keeping
+	// the coefficients of that parity, and check the accuracy of each.
 	span := 3.0
 	nodes := chebNodes(chebDegree, span)
 	f := func(s int, z float64) complex128 {
-		// Smooth on [−span, span]: nearest pole at z = −5.
-		return cmplx.Exp(complex(0, (0.4+0.3*float64(s))*z)) / complex(5+z, 0)
+		// Smooth on [−span, span]: nearest poles at z = ±5.
+		v := cmplx.Exp(complex(0, (0.4+0.3*float64(s))*z*z/span)) / complex(25-z*z, 0)
+		if s == 3 {
+			v *= complex(z, 0)
+		}
+		return v
 	}
 	var coef [4][]complex128
 	for s := range coef {
@@ -200,7 +205,7 @@ func TestChebyshevInterpolationMachinery(t *testing.T) {
 		for k, z := range nodes {
 			smp[k] = f(s, z)
 		}
-		coef[s] = chebCoeffs(smp)
+		coef[s] = chebCoeffs(smp, s/3)
 	}
 	for _, z := range []float64{-2.9, -1.1, 0, 0.37, 2.5} {
 		v, gr := chebEval(&coef, z/span)

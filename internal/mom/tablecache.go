@@ -40,8 +40,9 @@ type TableCache struct {
 }
 
 // DefaultTableCacheCap bounds a cache built with capacity ≤ 0. An M=20
-// table set with the default near-field options holds about 0.85 MB
-// (the slots of a symmetry orbit share coefficient vectors; 2 MB at
+// table set with the default near-field options holds about 0.43 MB
+// (the slots of a symmetry orbit share coefficient vectors, and each
+// series stores only the coefficients its Δz parity allows; 1 MB at
 // M=40), so the default keeps the worst case well under typical service
 // memory.
 const DefaultTableCacheCap = 32

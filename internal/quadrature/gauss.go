@@ -95,7 +95,7 @@ func GaussHermitePhys(n int) Rule1D {
 	for k := 1; k < n; k++ {
 		b[k] = float64(k) / 2
 	}
-	return golubWelsch(a, b, math.SqrtPi)
+	return symmetrize(golubWelsch(a, b, math.SqrtPi))
 }
 
 // GaussHermiteProb returns the n-point rule for the standard normal
@@ -110,7 +110,28 @@ func GaussHermiteProb(n int) Rule1D {
 	for k := 1; k < n; k++ {
 		b[k] = float64(k)
 	}
-	return golubWelsch(a, b, 1)
+	return symmetrize(golubWelsch(a, b, 1))
+}
+
+// symmetrize makes a rule for an even weight exactly symmetric: the
+// eigensolver leaves each ± node pair a few ulps apart in magnitude and
+// the centre node at ~1e−17, so every pair takes the mean of its
+// magnitudes and of its weights, and the centre node is set to 0. A grid
+// built from such rules is closed under bitwise negation, which the
+// sweep engine's mirror pairs rely on.
+func symmetrize(r Rule1D) Rule1D {
+	n := len(r.X)
+	for i := 0; i < n/2; i++ {
+		j := n - 1 - i
+		x := (r.X[j] - r.X[i]) / 2
+		w := (r.W[i] + r.W[j]) / 2
+		r.X[i], r.X[j] = -x, x
+		r.W[i], r.W[j] = w, w
+	}
+	if n%2 == 1 {
+		r.X[n/2] = 0
+	}
+	return r
 }
 
 // Integrate applies a rule to a function.

@@ -1,6 +1,7 @@
 package quadrature
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -178,5 +179,52 @@ func TestSmolyakCountsGrowth(t *testing.T) {
 	}
 	if g2.Len() <= g1.Len() || g2.Len() > 1500 {
 		t.Errorf("level-2 d=16 count = %d, expected a few hundred", g2.Len())
+	}
+}
+
+func TestHermiteRulesAreSymmetric(t *testing.T) {
+	for _, rule := range []func(int) Rule1D{GaussHermiteProb, GaussHermitePhys} {
+		for n := 1; n <= 12; n++ {
+			r := rule(n)
+			for i := range r.X {
+				j := n - 1 - i
+				if r.X[i] != -r.X[j] || r.W[i] != r.W[j] {
+					t.Fatalf("n=%d: node %d (%v, %v) is not the mirror of node %d (%v, %v)",
+						n, i, r.X[i], r.W[i], j, r.X[j], r.W[j])
+				}
+			}
+			if n%2 == 1 && math.Float64bits(r.X[n/2]) != 0 {
+				t.Fatalf("n=%d: centre node %v, want +0", n, r.X[n/2])
+			}
+		}
+	}
+}
+
+// TestSmolyakHermiteClosedUnderNegation checks that every sparse-grid
+// point's bitwise negation is a point of the grid with the same weight:
+// the sweep engine pairs the collocation surfaces of ξ and −ξ.
+func TestSmolyakHermiteClosedUnderNegation(t *testing.T) {
+	for _, c := range [][2]int{{2, 1}, {2, 2}, {16, 1}, {16, 2}} {
+		g := SmolyakHermite(c[0], c[1])
+		index := map[string]float64{}
+		key := func(x []float64, sign float64) string {
+			b := make([]byte, 0, 8*len(x))
+			for _, v := range x {
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(sign*v+0))
+			}
+			return string(b)
+		}
+		for _, p := range g.Points {
+			index[key(p.X, 1)] = p.W
+		}
+		for _, p := range g.Points {
+			w, ok := index[key(p.X, -1)]
+			if !ok {
+				t.Fatalf("d=%d k=%d: no point at −%v", c[0], c[1], p.X)
+			}
+			if w != p.W {
+				t.Fatalf("d=%d k=%d: weight %v at %v but %v at its negation", c[0], c[1], p.W, p.X, w)
+			}
+		}
 	}
 }

@@ -17,6 +17,14 @@
 //     concurrent points — and concurrent sweeps sharing a cache — build
 //     each frequency's tables exactly once.
 //
+//   - Mirror reuse. The Hermite rules are symmetric, so the non-flat
+//     nodes come in pairs ±ξ whose surfaces are f and exactly −f. The
+//     Green's function is even in Δz and its z-derivative odd, so the
+//     system of −f is the system of f with its double-layer entries
+//     negated: each pair is solved from one kernel build (dense
+//     assembly or FFT operator), mirrored in place after the first
+//     surface's solves, bit for bit what a direct build would give.
+//
 //   - Matrix interpolation across frequency (broadband sweeps). The
 //     conductor wavenumber k₂ = (1+j)/δ ∝ √f dominates the frequency
 //     dependence of the kernel, so the matrix entries are smooth
@@ -296,25 +304,40 @@ func (e *Engine) anchorCount(fmin, fmax float64) int {
 // plan's frequencies, handing column k to save the moment it completes
 // and reporting progress in frequency units.
 //
-// The exact path schedules the independent (surface × frequency) units
+// Surfaces are solved in mirror groups (see mirrorGroups): a pair's
+// second surface reuses the first one's build, mirrored in place
+// (core.Solver.MirrorSurfaceCtx), counted in sweep.mirror_reuses.
+//
+// The exact path schedules the independent (group × frequency) units
 // across the worker budget through the operator prepare-and-solve path
 // — the one core.Solver's LossFactor takes, so results stay bitwise
 // identical to it. The operator build is deterministic across worker
 // counts, so the inner split does not perturb bits. The interpolated
-// path runs sweepPabs per surface and divides by the flat reference ps.
+// path runs sweepPabs per group and divides by the flat reference ps.
 func (e *Engine) columns(ctx context.Context, p *sweepPlan, surfs []*surface.Surface, ps []float64, save func(k int, col []float64)) error {
 	nf := len(p.freqs)
+	groups := mirrorGroups(surfs)
 	if p.interp() {
-		for k, surf := range surfs {
-			pr, err := e.sweepPabs(ctx, surf, p.xs, p.freqs)
+		done := 0
+		for _, grp := range groups {
+			gs := make([]*surface.Surface, len(grp))
+			for n, k := range grp {
+				gs[n] = surfs[k]
+			}
+			err := e.sweepPabs(ctx, gs, p.xs, p.freqs, func(n int, pr []float64) {
+				for fi := range pr {
+					pr[fi] /= ps[fi]
+				}
+				if n > 0 {
+					e.Metrics.Counter("sweep.mirror_reuses").Inc()
+				}
+				save(grp[n], pr)
+				done++
+				e.progress(done*nf/len(surfs), nf)
+			})
 			if err != nil {
 				return err
 			}
-			for fi := range pr {
-				pr[fi] /= ps[fi]
-			}
-			save(k, pr)
-			e.progress((k+1)*nf/len(surfs), nf)
 		}
 		return nil
 	}
@@ -324,7 +347,7 @@ func (e *Engine) columns(ctx context.Context, p *sweepPlan, surfs []*surface.Sur
 		cols[k] = make([]float64, nf)
 		remaining[k].Store(int64(nf))
 	}
-	units := len(surfs) * nf
+	units := len(groups) * nf
 	w := e.workers()
 	inner := 1
 	if units < w {
@@ -332,7 +355,7 @@ func (e *Engine) columns(ctx context.Context, p *sweepPlan, surfs []*surface.Sur
 	}
 	var done atomic.Int64
 	return forEach(ctx, units, w, func(ctx context.Context, u int) error {
-		k, fi := u/nf, u%nf
+		grp, fi := groups[u/nf], u%nf
 		f := p.freqs[fi]
 		ref, err := e.Solver.FlatPabsCtx(ctx, f)
 		if err != nil {
@@ -341,63 +364,128 @@ func (e *Engine) columns(ctx context.Context, p *sweepPlan, surfs []*surface.Sur
 		// An admissible surface wins the fft-gmres stage without ever
 		// assembling the dense matrix; a rejected one materializes it
 		// lazily inside the chain.
-		sys, err := e.Solver.PrepareSurfaceCtx(ctx, surfs[k], f, inner)
+		sys, err := e.Solver.PrepareSurfaceCtx(ctx, surfs[grp[0]], f, inner)
 		if err != nil {
 			return err
 		}
-		sol, err := e.Solver.SolveSystem(ctx, sys)
-		if err != nil {
-			return err
+		for n, k := range grp {
+			if n > 0 {
+				e.Solver.MirrorSurfaceCtx(ctx, sys, surfs[k], f, inner)
+			}
+			sol, err := e.Solver.SolveSystem(ctx, sys)
+			if err != nil {
+				return err
+			}
+			cols[k][fi] = sol.Pabs / ref
+			// The worker that takes a column's countdown to zero observed
+			// every other worker's decrement for it, so (atomics being
+			// sequentially consistent) all of the column's writes are
+			// visible here.
+			if remaining[k].Add(-1) == 0 {
+				if n > 0 {
+					e.Metrics.Counter("sweep.mirror_reuses").Inc()
+				}
+				save(k, cols[k])
+			}
 		}
-		cols[k][fi] = sol.Pabs / ref
-		// The worker that takes a column's countdown to zero observed
-		// every other worker's decrement for it, so (atomics being
-		// sequentially consistent) all of the column's writes are
-		// visible here.
-		if remaining[k].Add(-1) == 0 {
-			save(k, cols[k])
-		}
-		e.progress(int(done.Add(1))*nf/units, nf)
+		e.progress(int(done.Add(int64(len(grp))))/len(surfs), nf)
 		return nil
 	})
+}
+
+// mirrorGroups splits surfs into solve groups of indices: a surface
+// joins the first earlier, still unpaired one whose heights it negates
+// exactly (the surfaces of the Smolyak nodes ξ and −ξ, see
+// quadrature.SmolyakHermite), as that group's mirror partner; every
+// other surface is a group of one. Surfaces with analytic derivatives
+// are never paired: their derivatives need not follow the heights.
+func mirrorGroups(surfs []*surface.Surface) [][]int {
+	var groups [][]int
+	paired := make([]bool, len(surfs))
+	for k, s := range surfs {
+		if paired[k] {
+			continue
+		}
+		grp := []int{k}
+		for j := k + 1; j < len(surfs); j++ {
+			if !paired[j] && isMirror(s, surfs[j]) {
+				paired[j] = true
+				grp = append(grp, j)
+				break
+			}
+		}
+		groups = append(groups, grp)
+	}
+	return groups
+}
+
+// isMirror reports whether b is a's mirror image: the same grid, heights
+// negated exactly and spectral derivatives on both.
+func isMirror(a, b *surface.Surface) bool {
+	if a.L != b.L || a.M != b.M || a.AnFx != nil || b.AnFx != nil || a.AnFxx != nil || b.AnFxx != nil {
+		return false
+	}
+	for i, v := range a.H {
+		if b.H[i] != -v {
+			return false
+		}
+	}
+	return true
 }
 
 // flatPabs is the interpolated path's flat-reference absorbed-power
 // vector Ps over the plan's frequencies.
 func (e *Engine) flatPabs(ctx context.Context, p *sweepPlan) ([]float64, error) {
-	return e.sweepPabs(ctx, surface.NewFlat(e.Solver.L, e.Solver.M), p.xs, p.freqs)
+	var ps []float64
+	err := e.sweepPabs(ctx, []*surface.Surface{surface.NewFlat(e.Solver.L, e.Solver.M)}, p.xs, p.freqs,
+		func(_ int, pr []float64) { ps = pr })
+	return ps, err
 }
 
-// sweepPabs returns the absorbed power of one surface at every sweep
-// frequency: exact assemblies at the anchor abscissae xs (in x = √f),
-// then an interpolated matrix, exact RHS and resilient solve per
-// frequency. A sweep frequency coinciding with an anchor reproduces the
-// exact system bit-for-bit (the barycentric weights collapse to a
-// delta and the RHS formula is the assembly's own).
-func (e *Engine) sweepPabs(ctx context.Context, surf *surface.Surface, xs []float64, freqs []float64) ([]float64, error) {
+// sweepPabs computes the absorbed power of each surface of a mirror
+// group (surfs[1:], if any, mirror surfs[0]; see mirrorGroups) at every
+// sweep frequency and hands surface n's vector to done as it completes:
+// exact assemblies at the anchor abscissae xs (in x = √f) for the first
+// surface, mirrored in place for the next, then an interpolated matrix,
+// exact RHS and resilient solve per frequency. A sweep frequency
+// coinciding with an anchor reproduces the exact system bit-for-bit
+// (the barycentric weights collapse to a delta and the RHS formula is
+// the assembly's own).
+func (e *Engine) sweepPabs(ctx context.Context, surfs []*surface.Surface, xs []float64, freqs []float64, done func(n int, pabs []float64)) error {
 	anch := make([]*mom.System, len(xs))
 	for a, x := range xs {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		sys, err := e.Solver.AssembleSurfaceCtx(ctx, surf, x*x, e.workers())
-		if err != nil {
-			return nil, err
-		}
-		anch[a] = sys
-	}
-	out := make([]float64, len(freqs))
-	err := forEach(ctx, len(freqs), e.workers(), func(ctx context.Context, fi int) error {
-		f := freqs[fi]
-		sys := interpSystem(anch, xs, math.Sqrt(f), surf, e.Solver.Mat.Params(f))
-		sol, err := e.Solver.SolveSystem(ctx, sys)
+		sys, err := e.Solver.AssembleSurfaceCtx(ctx, surfs[0], x*x, e.workers())
 		if err != nil {
 			return err
 		}
-		out[fi] = sol.Pabs
-		return nil
-	})
-	return out, err
+		anch[a] = sys
+	}
+	for n, surf := range surfs {
+		if n > 0 {
+			for a, x := range xs {
+				e.Solver.MirrorSurfaceCtx(ctx, anch[a], surf, x*x, e.workers())
+			}
+		}
+		out := make([]float64, len(freqs))
+		err := forEach(ctx, len(freqs), e.workers(), func(ctx context.Context, fi int) error {
+			f := freqs[fi]
+			sys := interpSystem(anch, xs, math.Sqrt(f), surf, e.Solver.Mat.Params(f))
+			sol, err := e.Solver.SolveSystem(ctx, sys)
+			if err != nil {
+				return err
+			}
+			out[fi] = sol.Pabs
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		done(n, out)
+	}
+	return nil
 }
 
 // interpSystem builds the system at abscissa x from the anchor systems:

@@ -29,6 +29,9 @@ go test -short -count=1 -run TestSWMConvergesToSPM2Kernel ./internal/spm2/
 # Fuzz the sweep request decoder and its content addresses briefly: no
 # body may panic, and a valid config keeps its key across a round trip.
 go test -run '^$' -fuzz FuzzSweepConfigJSON -fuzztime 5s .
+# Fuzz the journal replay decoder briefly: no file may panic ReadAll or
+# the folds, and every accepted record round-trips through its frame.
+go test -run '^$' -fuzz FuzzJournalReadAll -fuzztime 5s ./internal/journal/
 # The journal and retry machinery also get a full (non-short) race pass:
 # WAL replay and backoff-requeue races only show up off the fast paths.
 go test -race -count=1 ./internal/journal/... ./internal/jobs/... ./internal/cluster/...
