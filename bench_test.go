@@ -88,16 +88,22 @@ func BenchmarkAssembleExact(b *testing.B) {
 // BenchmarkAssembleTabulated measures one-worker table-accelerated
 // assembly — the per-surface cost once a frequency's tables exist, the
 // SSCM/MC inner loop — at 5 GHz with the 14σ table span the solver
-// uses: at the campaign-g8 bench workload's cell (M=8, σ = 0.33 µm) and
-// at the paper's roughness (M=24, σ = η = 1 µm).
+// uses: at the campaign-g8 bench workload's cell (M=8, σ = 0.33 µm), on
+// a rough surface and on the flat reference (whose translation-invariant
+// system is built from one row), and at the paper's roughness (M=24,
+// σ = η = 1 µm).
 func BenchmarkAssembleTabulated(b *testing.B) {
 	for _, bc := range []struct {
 		name  string
 		m     int
 		sigma float64
-	}{{"campaign-M8", 8, 0.33e-6}, {"paper-M24", 24, 1e-6}} {
+		flat  bool
+	}{{"campaign-M8", 8, 0.33e-6, false}, {"campaign-M8/flat", 8, 0.33e-6, true}, {"paper-M24", 24, 1e-6, false}} {
 		b.Run(bc.name, func(b *testing.B) {
 			s := benchSurfaceSigma(bc.m, bc.sigma)
+			if bc.flat {
+				s = surface.NewFlat(s.L, s.M)
+			}
 			p := benchParams()
 			opt := mom.Options{Workers: 1}
 			ts := mom.NewTableSet(p, 5e-6, bc.m, 14*bc.sigma, opt)
@@ -136,9 +142,11 @@ func BenchmarkTableBuild(b *testing.B) {
 // sweepSigma is the sweep-m20 bench workload's RMS height (η = 1 µm).
 const sweepSigma = 15e-9
 
-// sweepNodeSurface is the sweep-m20 bench workload's first non-flat
+// sweepNodeSurface is the sweep-m20 bench workload's first rough
 // collocation surface: a first-order d=2 SSCM node of the M=20 KL
-// expansion on a 5 µm patch.
+// expansion on a 5 µm patch whose heights are not all equal. (The
+// nodes on the ξ₁ axis synthesize rigid shifts — the first KL mode is
+// the DC mode — which build from one row like the flat reference.)
 func sweepNodeSurface(b *testing.B) *surface.Surface {
 	nodes, err := sscm.Nodes(2, 1)
 	if err != nil {
@@ -146,31 +154,39 @@ func sweepNodeSurface(b *testing.B) *surface.Surface {
 	}
 	kl := surface.NewKL(surface.NewGaussianCorr(sweepSigma, 1e-6), 5e-6, 20)
 	for _, xi := range nodes {
-		for _, v := range xi {
-			if v != 0 {
-				return kl.Synthesize(xi)
+		s := kl.Synthesize(xi)
+		for _, v := range s.H {
+			if v != s.H[0] {
+				return s
 			}
 		}
 	}
-	b.Fatal("no non-flat collocation node")
+	b.Fatal("no rough collocation node")
 	return nil
 }
 
 // BenchmarkFFTBuildTabulated measures one-worker construction of the
 // tabulated FFT operator at sweep-m20's physics and 5 GHz — kernel fits
 // and the near-correction loop, the tables already built — the cost the
-// sweep pays per node surface and frequency, at the default order 6.
+// sweep pays per surface and frequency, at the default order 6: on the
+// first rough node surface and on the flat reference.
 func BenchmarkFFTBuildTabulated(b *testing.B) {
-	s := sweepNodeSurface(b)
+	node := sweepNodeSurface(b)
 	p := benchParams()
 	opt := mom.Options{Workers: 1}
-	ts := mom.NewTableSet(p, s.L, s.M, 14*sweepSigma, opt)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mom.NewFFTOperatorTabulated(s, p, ts, 6, opt); err != nil {
-			b.Fatal(err)
-		}
+	ts := mom.NewTableSet(p, node.L, node.M, 14*sweepSigma, opt)
+	for _, bc := range []struct {
+		name string
+		s    *surface.Surface
+	}{{"node", node}, {"flat", surface.NewFlat(node.L, node.M)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := mom.NewFFTOperatorTabulated(bc.s, p, ts, 6, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

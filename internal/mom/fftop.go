@@ -449,36 +449,53 @@ func nearSpan(g *cellGeom) float64 {
 // (including the self offset, whose model contribution must be removed
 // because the exact diagonal is applied separately), integrating the
 // near kernels nc1, nc2 (fitNearCheb over nearSpan). Each observation
-// row's window is computed independently into a preallocated slot, so
-// the loop parallelizes over the worker budget with a bitwise
-// deterministic result.
+// row's window is computed independently into its own slots (nearRow),
+// so the loop parallelizes over the worker budget with a bitwise
+// deterministic result. On a translation-invariant surface
+// (cellGeom.uniform) every window is row 0's shifted, so only row 0 is
+// computed and its entries are copied with i and j moved by the shift.
 func (op *FFTOperator) buildNearCorrections(g *cellGeom, nc1, nc2 nearEvaluator, opt Options) {
 	m := op.m
-	r := opt.NearRadius
-	win := 2*r + 1
-	op.nearEntries = make([]nearEntry, op.N*win*win)
+	win := 2*opt.NearRadius + 1
+	w2 := win * win
+	op.nearEntries = make([]nearEntry, op.N*w2)
+	row := func(i int) { op.nearRow(g, nc1, nc2, opt.NearRadius, i, op.nearEntries[i*w2:(i+1)*w2]) }
+	if !g.uniform() {
+		parallelFor(op.N, opt.Workers, func() func(int) { return row })
+		return
+	}
+	row(0)
+	for i := 1; i < op.N; i++ {
+		iy, ix := i/m, i%m
+		for k, e := range op.nearEntries[:w2] {
+			e.i, e.j = i, (e.j/m+iy)%m*m+(e.j%m+ix)%m
+			op.nearEntries[i*w2+k] = e
+		}
+	}
+}
 
-	parallelFor(op.N, opt.Workers, func() func(int) {
-		return func(i int) {
-			iy, ix := i/m, i%m
-			for dyC := -r; dyC <= r; dyC++ {
-				for dxC := -r; dxC <= r; dxC++ {
-					j := ((iy-dyC)%m+m)%m*m + ((ix-dxC)%m+m)%m
-					var s1, s2, d1, d2 complex128
-					if j != i {
-						s1, s2, d1, d2 = g.nearQuadrature(nc1, nc2, j, dxC, dyC, g.f[i]-g.f[j])
-					}
-					t1s, t1d := op.modelEntry(0, i, j)
-					t2s, t2d := op.modelEntry(1, i, j)
-					op.nearEntries[i*win*win+(dyC+r)*win+(dxC+r)] = nearEntry{
-						i: i, j: j,
-						s1: s1 - t1s, s2: s2 - t2s,
-						d1: d1 - t1d, d2: d2 - t2d,
-					}
-				}
+// nearRow writes observation row i's window of near corrections, cell
+// offsets within radius r, into out.
+func (op *FFTOperator) nearRow(g *cellGeom, nc1, nc2 nearEvaluator, r, i int, out []nearEntry) {
+	m := op.m
+	win := 2*r + 1
+	iy, ix := i/m, i%m
+	for dyC := -r; dyC <= r; dyC++ {
+		for dxC := -r; dxC <= r; dxC++ {
+			j := ((iy-dyC)%m+m)%m*m + ((ix-dxC)%m+m)%m
+			var s1, s2, d1, d2 complex128
+			if j != i {
+				s1, s2, d1, d2 = g.nearQuadrature(nc1, nc2, j, dxC, dyC, g.f[i]-g.f[j])
+			}
+			t1s, t1d := op.modelEntry(0, i, j)
+			t2s, t2d := op.modelEntry(1, i, j)
+			out[(dyC+r)*win+(dxC+r)] = nearEntry{
+				i: i, j: j,
+				s1: s1 - t1s, s2: s2 - t2s,
+				d1: d1 - t1d, d2: d2 - t2d,
 			}
 		}
-	})
+	}
 }
 
 // MatVec applies the full 2N×2N system (9) to x = [Ψ; U], writing y.

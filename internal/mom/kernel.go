@@ -105,6 +105,21 @@ func newCellGeom(s *surface.Surface, sub int) *cellGeom {
 	return g
 }
 
+// uniform reports whether every cell has the same local geometry — the
+// height and all first and second derivatives, bit for bit — so that
+// every quadrature rule sees the same surface from every cell: the
+// flat reference, or a rigid shift f ≡ c.
+func (g *cellGeom) uniform() bool {
+	for _, v := range [][]float64{g.f, g.fx, g.fy, g.fxx, g.fyy, g.fxy} {
+		for _, x := range v {
+			if math.Float64bits(x) != math.Float64bits(v[0]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // nearQuadrature integrates source cell j, at cell offset (cx, cy) and
 // center height difference dzc from the observation point, by
 // sub×sub-point quadrature over its local second-order surface:

@@ -207,68 +207,131 @@ func Assemble(s *surface.Surface, p Params, opt Options) *System {
 }
 
 // assemble builds the dense system reading the two media's kernels
-// through src1 and src2: the analytic self cell, subdivided quadrature
-// inside NearRadius and the one-point rule beyond, row by row over
-// Options.Workers. A far pair's kernel is read once for both of its
-// entries (farPair): row i's worker fills its far columns j > i and
-// their transposed slots in row j, and skips the far columns j < i that
-// row j's worker fills, so every slot is still written by exactly one
-// computation and the matrix is bitwise deterministic in Workers.
+// through src1 and src2, row by row (denseRows.row) over
+// Options.Workers. A translation-invariant surface (cellGeom.uniform:
+// the flat reference, or a rigid shift such as the KL piston pair) has
+// a block-circulant system, so only row 0 runs the kernel loop and
+// replicate fills the other rows from it, bit for bit what their own
+// row loops would write (DESIGN §9 "Translation-invariant systems").
 func assemble(s *surface.Surface, p Params, src1, src2 kernelSource, opt Options) *System {
+	d := newDenseRows(s, p, src1, src2, opt)
+	if d.g.uniform() {
+		d.row(0)
+		d.replicate(opt.Workers)
+	} else {
+		parallelFor(d.n, opt.Workers, func() func(int) { return d.row })
+	}
+	return &System{N: d.n, Matrix: d.a, RHS: RHSVector(s, p), Step: d.g.h}
+}
+
+// denseRows is one dense assembly in progress: the matrix and what its
+// row loop reads.
+type denseRows struct {
+	g              *cellGeom
+	src1, src2     kernelSource
+	beta           complex128
+	m, n, near     int
+	s1Self, s2Self complex128
+	curv           []float64
+	a              *cmplxmat.Matrix
+}
+
+func newDenseRows(s *surface.Surface, p Params, src1, src2 kernelSource, opt Options) *denseRows {
 	g := newCellGeom(s, opt.NearSubdiv)
-	m := s.M
-	n := m * m
-	a := cmplxmat.New(2*n, 2*n)
-	s1Self, s2Self := selfTerm(g.h, src1), selfTerm(g.h, src2)
-	curv := CurvatureDiagonal(s)
-	parallelFor(n, opt.Workers, func() func(int) {
-		return func(i int) {
+	n := s.M * s.M
+	return &denseRows{
+		g: g, src1: src1, src2: src2, beta: p.Beta,
+		m: s.M, n: n, near: opt.NearRadius,
+		s1Self: selfTerm(g.h, src1), s2Self: selfTerm(g.h, src2),
+		curv: CurvatureDiagonal(s),
+		a:    cmplxmat.New(2*n, 2*n),
+	}
+}
+
+// set writes the four block entries of observation cell obs and source
+// cell src.
+func (d *denseRows) set(obs, src int, s1, s2, d1, d2 complex128) {
+	n := d.n
+	// Block (1,1): ½I − D₁ ; block (1,2): β·S₁.
+	d.a.Set(obs, src, -d1)
+	d.a.Set(obs, n+src, d.beta*s1)
+	// Block (2,1): ½I + D₂ ; block (2,2): −S₂.
+	d.a.Set(n+obs, src, d2)
+	d.a.Set(n+obs, n+src, -s2)
+}
+
+// row fills observation row i: the analytic self cell, subdivided
+// quadrature inside NearRadius and the one-point rule beyond. A far
+// pair's kernel is read once for both of its entries (farPair): row i
+// fills its far columns j > i and their transposed slots in row j, and
+// skips the far columns j < i that row j fills, so every slot is still
+// written by exactly one computation and the matrix is bitwise
+// deterministic in Workers.
+func (d *denseRows) row(i int) {
+	g, m, n := d.g, d.m, d.n
+	iy, ix := i/m, i%m
+	for j := 0; j < n; j++ {
+		cx := wrapOffset(ix-j%m, m)
+		cy := wrapOffset(iy-j/m, m)
+		dzc := g.f[i] - g.f[j]
+		var s1, s2, d1, d2 complex128
+		switch {
+		case j == i:
+			s1, s2 = d.s1Self, d.s2Self
+			d1 = complex(d.curv[i], 0)
+			d2 = d1
+		case absInt(cx) <= d.near && absInt(cy) <= d.near:
+			s1, s2, d1, d2 = g.nearQuadrature(d.src1, d.src2, j, cx, cy, dzc)
+		case 2*cx == m || 2*cy == m:
+			// Index M/2 wraps to −L/2 from both sides, where the
+			// tables' gradient is not exactly odd (see fitOrbits), so
+			// each order reads its own kernel. The grid kernels are
+			// indexed by the positive wrapped offset.
+			s1, d1, _ = g.farPair(d.src1, i, j, (cx+m)%m, (cy+m)%m, dzc)
+			s2, d2, _ = g.farPair(d.src2, i, j, (cx+m)%m, (cy+m)%m, dzc)
+		case j < i:
+			continue // row j fills this slot
+		default:
+			var d1t, d2t complex128
+			s1, d1, d1t = g.farPair(d.src1, i, j, (cx+m)%m, (cy+m)%m, dzc)
+			s2, d2, d2t = g.farPair(d.src2, i, j, (cx+m)%m, (cy+m)%m, dzc)
+			d.set(j, i, s1, s2, d1t, d2t)
+		}
+		d.set(i, j, s1, s2, d1, d2)
+	}
+	d.a.Add(i, i, 0.5)
+	d.a.Add(n+i, i, 0.5)
+}
+
+// replicate fills rows 1…n−1 of a translation-invariant system once
+// row(0) has run. Entry (i, j) is its pair shifted by −(cell i), row
+// 0's entry (0, j−i) — except for the far pairs that row loops fill
+// from the transposed side (j < i, neither near nor at offset M/2):
+// row j reads their kernel at offset j−i, and the image sums are not
+// bitwise even in the offset, so they come from the slot row 0's read
+// of that same offset filled, column 0's entry (i−j, 0).
+func (d *denseRows) replicate(workers int) {
+	m, n := d.m, d.n
+	parallelFor(n-1, workers, func() func(int) {
+		return func(k int) {
+			i := k + 1
 			iy, ix := i/m, i%m
-			// set writes the four block entries of observation cell
-			// obs and source cell src.
-			set := func(obs, src int, s1, s2, d1, d2 complex128) {
-				// Block (1,1): ½I − D₁ ; block (1,2): β·S₁.
-				a.Set(obs, src, -d1)
-				a.Set(obs, n+src, p.Beta*s1)
-				// Block (2,1): ½I + D₂ ; block (2,2): −S₂.
-				a.Set(n+obs, src, d2)
-				a.Set(n+obs, n+src, -s2)
-			}
 			for j := 0; j < n; j++ {
-				cx := wrapOffset(ix-j%m, m)
-				cy := wrapOffset(iy-j/m, m)
-				dzc := s.H[i] - s.H[j]
-				var s1, s2, d1, d2 complex128
-				switch {
-				case j == i:
-					s1, s2 = s1Self, s2Self
-					d1 = complex(curv[i], 0)
-					d2 = d1
-				case absInt(cx) <= opt.NearRadius && absInt(cy) <= opt.NearRadius:
-					s1, s2, d1, d2 = g.nearQuadrature(src1, src2, j, cx, cy, dzc)
-				case 2*cx == m || 2*cy == m:
-					// Index M/2 wraps to −L/2 from both sides, where the
-					// tables' gradient is not exactly odd (see
-					// fitOrbits), so each order reads its own kernel.
-					// The grid kernels are indexed by the positive
-					// wrapped offset.
-					s1, d1, _ = g.farPair(src1, i, j, (cx+m)%m, (cy+m)%m, dzc)
-					s2, d2, _ = g.farPair(src2, i, j, (cx+m)%m, (cy+m)%m, dzc)
-				case j < i:
-					continue // row j's worker fills this slot
-				default:
-					var d1t, d2t complex128
-					s1, d1, d1t = g.farPair(src1, i, j, (cx+m)%m, (cy+m)%m, dzc)
-					s2, d2, d2t = g.farPair(src2, i, j, (cx+m)%m, (cy+m)%m, dzc)
-					set(j, i, s1, s2, d1t, d2t)
+				jy, jx := j/m, j%m
+				cx, cy := wrapOffset(ix-jx, m), wrapOffset(iy-jy, m)
+				r, c := 0, (jy-iy+m)%m*m+(jx-ix+m)%m
+				if j < i && (absInt(cx) > d.near || absInt(cy) > d.near) && 2*cx != m && 2*cy != m {
+					if j == 0 {
+						continue // row 0's read wrote this slot
+					}
+					r, c = (cy+m)%m*m+(cx+m)%m, 0
 				}
-				set(i, j, s1, s2, d1, d2)
+				for _, b := range [4][2]int{{0, 0}, {0, n}, {n, 0}, {n, n}} {
+					d.a.Set(b[0]+i, b[1]+j, d.a.At(b[0]+r, b[1]+c))
+				}
 			}
-			a.Add(i, i, 0.5)
-			a.Add(n+i, i, 0.5)
 		}
 	})
-	return &System{N: n, Matrix: a, RHS: RHSVector(s, p), Step: g.h}
 }
 
 // Solution carries the solved surface fields.

@@ -70,6 +70,9 @@ func (s *Surface) Gradients() (fx, fy []float64) {
 	}
 	m := s.M
 	n := m * m
+	if s.constant() {
+		return make([]float64, n), make([]float64, n)
+	}
 	c := make([]complex128, n)
 	for i, v := range s.H {
 		c[i] = complex(v, 0)
@@ -116,6 +119,9 @@ func (s *Surface) SecondDerivs() (fxx, fyy, fxy []float64) {
 	}
 	m := s.M
 	n := m * m
+	if s.constant() {
+		return make([]float64, n), make([]float64, n), make([]float64, n)
+	}
 	c := make([]complex128, n)
 	for i, v := range s.H {
 		c[i] = complex(v, 0)
@@ -154,6 +160,22 @@ func (s *Surface) SecondDerivs() (fxx, fyy, fxy []float64) {
 		fxy[i] = real(gxy[i])
 	}
 	return fxx, fyy, fxy
+}
+
+// constant reports whether every height equals the first. The spectral
+// derivatives of such a surface are exactly zero, but the transform
+// leaves rounding noise in the non-DC bins on grids that are not powers
+// of two (curvatures up to ~1e-10/m for a 30 nm shift at M = 20), so
+// Gradients and SecondDerivs return the zeros directly: a flat or
+// rigidly shifted surface then has the same local geometry in every
+// cell, bit for bit.
+func (s *Surface) constant() bool {
+	for _, v := range s.H {
+		if v != s.H[0] {
+			return false
+		}
+	}
+	return true
 }
 
 // waveIndex maps a DFT bin to its signed integer wavenumber.

@@ -238,6 +238,30 @@ func TestKLMatchesDenseCovariance(t *testing.T) {
 	}
 }
 
+// TestConstantSurfaceDerivativesAreZero: a flat or rigidly shifted
+// surface has exactly zero derivatives in every cell, on grids whose
+// transform leaves rounding noise in the non-DC bins (M = 5, 20) as on
+// powers of two.
+func TestConstantSurfaceDerivativesAreZero(t *testing.T) {
+	for _, m := range []int{5, 8, 20} {
+		for _, c := range []float64{0, -0.03 * um, 0.03 * um} {
+			s := NewFlat(5*um, m)
+			for i := range s.H {
+				s.H[i] = c
+			}
+			fx, fy := s.Gradients()
+			fxx, fyy, fxy := s.SecondDerivs()
+			for k, d := range [][]float64{fx, fy, fxx, fyy, fxy} {
+				for i, v := range d {
+					if math.Float64bits(v) != 0 {
+						t.Fatalf("M=%d f≡%g: derivative %d at cell %d is %g, want +0", m, c, k, i, v)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestGradientsSpectralAccuracy(t *testing.T) {
 	// For a single Fourier mode surface the gradient is analytic.
 	L := 5 * um

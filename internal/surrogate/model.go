@@ -90,10 +90,20 @@ func (m *Model) CheckShape() error {
 		return fmt.Errorf("surrogate: no PC terms")
 	case !(m.FMinHz > 0) || !(m.FMaxHz >= m.FMinHz):
 		return fmt.Errorf("surrogate: invalid band [%g, %g]", m.FMinHz, m.FMaxHz)
+	case m.Order >= len(m.Indices):
+		// The total-degree basis holds at least one term per degree.
+		return fmt.Errorf("surrogate: %d PC terms for order %d", len(m.Indices), m.Order)
 	}
 	for _, alpha := range m.Indices {
 		if len(alpha) != m.Dim {
 			return fmt.Errorf("surrogate: index of length %d for dim %d", len(alpha), m.Dim)
+		}
+		deg := 0
+		for _, ai := range alpha {
+			if ai < 0 || ai > m.Order-deg {
+				return fmt.Errorf("surrogate: index %v outside total degree %d", alpha, m.Order)
+			}
+			deg += ai
 		}
 	}
 	for a, row := range m.Coeffs {

@@ -157,6 +157,9 @@ func TestCodecRoundTripAndShapeChecks(t *testing.T) {
 		"anchor count": func(m *Model) { m.XNodes = m.XNodes[:2] },
 		"index dim":    func(m *Model) { m.Indices[1] = []int{1} },
 		"band":         func(m *Model) { m.FMinHz, m.FMaxHz = 2, 1 },
+		"index sign":   func(m *Model) { m.Indices[1] = []int{-1, 0} },
+		"index degree": func(m *Model) { m.Indices[1] = []int{1, 1} },
+		"order":        func(m *Model) { m.Order = len(m.Indices) },
 	} {
 		bad, err := Decode(b)
 		if err != nil {

@@ -11,7 +11,10 @@
 //   - Surface reuse. The Smolyak collocation nodes ξ and their
 //     synthesized surfaces are computed once per sweep and shared by
 //     every frequency; the center (ξ = 0) node is exactly flat, so its
-//     loss factor is K ≡ 1 without any solve.
+//     loss factor is K ≡ 1 without any solve. When the first KL mode is
+//     the DC mode (the Gaussian CF), the ±ξ₁ nodes are the piston
+//     pair: rigid shifts f ≡ ±c, whose systems — like the flat
+//     reference's — mom builds from one row of kernel work.
 //
 //   - Table reuse. Assembly goes through the solver's table cache, so
 //     concurrent points — and concurrent sweeps sharing a cache — build

@@ -32,6 +32,10 @@ go test -run '^$' -fuzz FuzzSweepConfigJSON -fuzztime 5s .
 # Fuzz the journal replay decoder briefly: no file may panic ReadAll or
 # the folds, and every accepted record round-trips through its frame.
 go test -run '^$' -fuzz FuzzJournalReadAll -fuzztime 5s ./internal/journal/
+# Fuzz the surrogate model decoder briefly: no file may panic Decode or
+# the accepted model's evaluations, and accepted models round-trip
+# through Encode.
+go test -run '^$' -fuzz FuzzSurrogateDecode -fuzztime 5s ./internal/surrogate/
 # The journal and retry machinery also get a full (non-short) race pass:
 # WAL replay and backoff-requeue races only show up off the fast paths.
 go test -race -count=1 ./internal/journal/... ./internal/jobs/... ./internal/cluster/...
