@@ -120,8 +120,8 @@ func BenchmarkAssembleTabulated(b *testing.B) {
 
 // BenchmarkTableBuild measures the one-time per-frequency table cost at
 // 5 GHz: one worker at the sweep-m20 bench workload's grid and span
-// (M=20, ZSpan = 14σ = 210 nm), and over all workers at M=12 with a
-// 12 µm span.
+// (M=20, ZSpan = 14σ = 210 nm, 10 Chebyshev nodes per fit), and over
+// all workers at M=12 with a 12 µm span (the 32-node cap).
 func BenchmarkTableBuild(b *testing.B) {
 	p := benchParams()
 	for _, bc := range []struct {

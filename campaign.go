@@ -27,9 +27,14 @@ type Axis struct {
 	Step   float64   `json:"step,omitempty"`
 }
 
-// maxAxisValues bounds one axis expansion; the cell-count cap is
-// enforced separately (and lower) by the service.
-const maxAxisValues = 10000
+// maxAxisValues bounds one axis expansion and the points of a band;
+// maxCells bounds the expanded cell list. Both keep a request from
+// materializing more than the 1 MiB body could spell out; the service
+// enforces lower limits once the expansion exists.
+const (
+	maxAxisValues = 10000
+	maxCells      = 100000
+)
 
 func (a Axis) isSet() bool {
 	return len(a.Values) > 0 || a.Min != 0 || a.Max != 0 || a.Step != 0
@@ -162,8 +167,8 @@ func (c CampaignConfig) Frequencies() ([]float64, error) {
 	if b.Points == 0 {
 		b.Points = 8
 	}
-	if b.Points < 1 {
-		return nil, campErrf("band", "points must be >= 1 (got %d)", b.Points)
+	if b.Points < 1 || b.Points > maxAxisValues {
+		return nil, campErrf("band", "points must be in [1, %d] (got %d)", maxAxisValues, b.Points)
 	}
 	if !(b.FMinHz > 0) || b.FMinHz != b.FMinHz || b.FMinHz > 1e15 {
 		return nil, campErrf("band", "fmin_hz out of domain: %g Hz", b.FMinHz)
@@ -298,6 +303,9 @@ func (c CampaignConfig) ExpandCells() ([]SweepConfig, error) {
 								if err := validateCellSpec(fmt.Sprintf("grid cell %d", len(out)), spec); err != nil {
 									return nil, err
 								}
+								if len(out) == maxCells {
+									return nil, campErrf("grid", "expands to more than %d cells", maxCells)
+								}
 								out = append(out, SweepConfig{Stack: stack, Spec: spec, Acc: c.Acc, Freqs: freqs})
 							}
 						}
@@ -309,6 +317,9 @@ func (c CampaignConfig) ExpandCells() ([]SweepConfig, error) {
 	for i, sp := range c.Cells {
 		if err := validateCellSpec(fmt.Sprintf("cells[%d]", i), sp); err != nil {
 			return nil, err
+		}
+		if len(out) == maxCells {
+			return nil, campErrf("cells", "campaign has more than %d cells", maxCells)
 		}
 		out = append(out, SweepConfig{Stack: c.Stack, Spec: sp, Acc: c.Acc, Freqs: freqs})
 	}

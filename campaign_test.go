@@ -140,6 +140,17 @@ func TestCampaignValidationNamesField(t *testing.T) {
 			Freqs: []float64{1e9},
 			Band:  &BandSpec{FMinHz: 1e9, FMaxHz: 2e9},
 		}, "freqs_hz: give either freqs_hz or band"},
+		{"band larger than any body", CampaignConfig{
+			Cells: []SurfaceSpec{{Corr: GaussianCF, Sigma: 1e-7, Eta: 1e-6}},
+			Band:  &BandSpec{FMinHz: 1e9, FMaxHz: 2e9, Points: 1e11},
+		}, "band: points must be in [1, 10000]"},
+		{"grid larger than any body", CampaignConfig{
+			Grid: CampaignGrid{
+				Sigmas: Axis{Min: 1e-7, Max: 1, Step: 1e-4},
+				Etas:   Axis{Min: 1e-6, Max: 1, Step: 1e-4},
+			},
+			Freqs: []float64{1e9},
+		}, "grid: expands to more than 100000 cells"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -383,6 +383,23 @@ func CheckResolution(surf *surface.Surface) (worstCurv float64, err error) {
 	return worstCurv, nil
 }
 
+// RigidShift reports whether surf is the flat surface shifted rigidly
+// (every height equal, spectral derivatives) while k₁ is real at f. Its
+// system is the flat reference's matrix with the right-hand side scaled
+// by the unimodular e^{−jk₁c}, so its absorbed power is the flat one and
+// its loss factor is K ≡ 1 without any solve.
+func (s *Solver) RigidShift(surf *surface.Surface, f float64) bool {
+	if surf.AnFx != nil || surf.AnFxx != nil || imag(s.Mat.Params(f).K1) != 0 {
+		return false
+	}
+	for _, v := range surf.H {
+		if v != surf.H[0] {
+			return false
+		}
+	}
+	return true
+}
+
 // LossFactor returns K = Pr/Ps for one surface realization at f. The
 // surface must share the solver's L and M.
 func (s *Solver) LossFactor(surf *surface.Surface, f float64) (float64, error) {
@@ -391,7 +408,8 @@ func (s *Solver) LossFactor(surf *surface.Surface, f float64) (float64, error) {
 
 // LossFactorCtx is LossFactor honoring cancellation and deadlines: the
 // context is checked before assembly, between the stages of the
-// fallback chain and between the restarts of its GMRES stages.
+// fallback chain and between the restarts of its GMRES stages. A rigid
+// shift (see RigidShift) is K ≡ 1 without any solve.
 func (s *Solver) LossFactorCtx(ctx context.Context, surf *surface.Surface, f float64) (float64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -399,6 +417,9 @@ func (s *Solver) LossFactorCtx(ctx context.Context, surf *surface.Surface, f flo
 	if surf.L != s.L || surf.M != s.M {
 		return 0, resilience.Errorf(resilience.KindInvalidInput, "core.LossFactor",
 			"surface grid %gx%d does not match solver %gx%d", surf.L, surf.M, s.L, s.M)
+	}
+	if s.RigidShift(surf, f) {
+		return 1, nil
 	}
 	if _, err := CheckResolution(surf); err != nil {
 		return 0, err

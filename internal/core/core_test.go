@@ -100,12 +100,18 @@ func TestSolveStatsAccounting(t *testing.T) {
 	s.Injector = resilience.NewInjector(resilience.FaultSpec{
 		Op: mom.StageGMRES, Fraction: 1, Kind: resilience.KindConvergence,
 	})
-	k, err := s.LossFactor(surface.NewFlat(5*um, 8), 5*units.GHz)
+	// A rough surface: its solve and the flat reference's both run.
+	surf := surface.NewKL(surface.NewGaussianCorr(0.1*um, 1*um), 5*um, 8).Sample(rng.New(1))
+	k, err := s.LossFactor(surf, 5*units.GHz)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(k-1) > 1e-6 {
-		t.Fatalf("flat K = %g, want 1", k)
+	clean, err := NewSolver(PaperMaterial(), 5*um, 8, mom.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err := clean.LossFactor(surf, 5*units.GHz); err != nil || math.Abs(k-want) > 1e-6 {
+		t.Fatalf("K = %g through the fallback, %g (err %v) without faults", k, want, err)
 	}
 	st := s.Stats()
 	if st.Solves < 2 { // flat reference + rough solve
@@ -120,6 +126,51 @@ func TestSolveStatsAccounting(t *testing.T) {
 	if st.StageWins[mom.StageDenseLU] != st.Solves {
 		t.Fatalf("dense LU wins = %d, want %d (wins: %v)",
 			st.StageWins[mom.StageDenseLU], st.Solves, st.StageWins)
+	}
+}
+
+// TestRigidShiftNeedsNoSolve: a surface whose heights are all equal has
+// the flat reference's matrix and a unimodular multiple of its
+// right-hand side while k₁ is real, so LossFactor reports K = 1 exactly
+// without solving anything; any other surface is solved.
+func TestRigidShiftNeedsNoSolve(t *testing.T) {
+	s, err := NewSolver(PaperMaterial(), 5*um, 8, mom.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shifted := surface.NewFlat(5*um, 8)
+	for i := range shifted.H {
+		shifted.H[i] = 0.3 * um
+	}
+	for _, surf := range []*surface.Surface{surface.NewFlat(5*um, 8), shifted} {
+		if !s.RigidShift(surf, 5*units.GHz) {
+			t.Fatalf("heights all %g: not a rigid shift", surf.H[0])
+		}
+		if k, err := s.LossFactor(surf, 5*units.GHz); err != nil || k != 1 {
+			t.Fatalf("heights all %g: K = %v (err %v), want exactly 1", surf.H[0], k, err)
+		}
+	}
+	if n := s.Stats().Solves; n != 0 {
+		t.Fatalf("rigid shifts ran %d solves, want 0", n)
+	}
+	// The solved K of the shift is 1 to solver precision: the rule only
+	// skips a solve whose answer is known.
+	bumped := surface.NewFlat(5*um, 8)
+	copy(bumped.H, shifted.H)
+	bumped.H[5] += 1e-9 * um
+	if s.RigidShift(bumped, 5*units.GHz) {
+		t.Fatal("one bumped height still reads as a rigid shift")
+	}
+	if k, err := s.LossFactor(bumped, 5*units.GHz); err != nil || math.Abs(k-1) > 1e-9 {
+		t.Fatalf("near-shift K = %v (err %v), want 1 within 1e-9", k, err)
+	}
+	if n := s.Stats().Solves; n != 2 {
+		t.Fatalf("near-shift ran %d solves, want 2 (flat reference and surface)", n)
+	}
+	analytic := surface.NewFlat(5*um, 8)
+	analytic.AnFx, analytic.AnFy = make([]float64, 64), make([]float64, 64)
+	if s.RigidShift(analytic, 5*units.GHz) {
+		t.Fatal("a surface with analytic derivatives reads as a rigid shift")
 	}
 }
 

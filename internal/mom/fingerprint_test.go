@@ -55,37 +55,36 @@ func fingerprintSurface(m int) (*surface.Surface, float64) {
 // shows up here before it can move a sweep result, a checkpoint or a
 // distributed column.
 func TestKernelFingerprints(t *testing.T) {
-	// Hashes recorded when the kernel fits became parity-exact: the
-	// Chebyshev fits keep only the coefficients the kernel's Δz parity
-	// allows and evaluate them by half-length Clenshaw recurrences in
-	// 2t² − 1 (tables, dense, MatVec), and the FFT operator's polynomial
-	// families hold exact zeros where parity forbids a coefficient
-	// (MatVec). The dropped coefficients were rounding noise, so the
-	// pinned entries below did not move past their bounds (dense within
-	// 3.9e-18, MatVec within 4.1e-16 of max |entry|). The dense system is
-	// only fingerprinted at M=8, the regime where production assembles
-	// it; M=20 is the FFT operator's.
+	// Hashes recorded when the Green's tables became span-sized: each
+	// fit takes the Chebyshev node count its Δz span needs (tableNodes;
+	// 12 nodes at the fingerprint surface's 280 nm span) instead of a
+	// fixed 32. The 32-node fits' extra coefficients were below the
+	// Ewald/image evaluation noise, so the pinned entries below did not
+	// move past their bounds (dense within 2.2e-17, MatVec within
+	// 3.4e-16 of max |entry|). The dense system is only fingerprinted at
+	// M=8, the regime where production assembles it; M=20 is the FFT
+	// operator's.
 	cases := []struct {
 		m                     int
 		fGHz                  float64
 		tables, dense, matvec string
 	}{
 		{8, 3,
-			"f2ebca0e3de43ec031704eca42f61f408f323dd8f1cf6b6d9da919a90f37ab85",
-			"3e2696ab292018d93058145ff162f93d5721d589b1708cc9550b6d9b283cd5d8",
-			"e45f1b97c5a42ca366b8dcda72d1842aab4bf01f4c86fb54d1af04f8303426b6"},
+			"a89891bf73f166c907a9dbfd335a1d2b4f0619b0d751e9a17584d92688a5a7d1",
+			"0e7a8d614c20311c5754a99daead264ca4e7172cb8ee897c1f71b6b68a6de399",
+			"c46b4cb5dad5d57b1f77a152e7fbf0ab5126fbe948c3f227585329140fbecfb1"},
 		{8, 9,
-			"6328c819591f13044bf60bf5a142a4c792d3d8ff0e77824937525afdc441172a",
-			"80863f5d198d9fafc7281dcae5dd981456a13d1ae5a71a553d8cd9f816de4514",
-			"016dabead4be0fc581624c3211a374e7d19a3a882f4974af4997b7434d20e29e"},
+			"59e55d7138dde4aa93b5c75d3b11dd08f3a44b0f8c2be4648fad551a5be47845",
+			"436fc82170d86d3d8ecb8eb3a4ef85a0b8a015a575eb1c6ab113af36c1bc2eb6",
+			"46c54709bd2205b02b3fa1d13a3a16992e92de04152ca1e76ada336cfac6e8a5"},
 		{20, 3,
-			"7620ce63c6dd3a59bb4630785d8d885c472cf5ae1d0865c1a8454c23471fc4bd",
+			"1a8f465fc6899ec5f25460cc6b73e5da2e595f70a3683c677a5dddeccdf5a71b",
 			"-",
-			"8da70e7a1b33d0e3f940e2eeaa78b4a16df1714ca7fd19fd47f80670221aacb2"},
+			"8fbb9e897e7574caa4551bed0ee5d2647ea7ccfbb3fe74da89c2e8a50d52cc96"},
 		{20, 9,
-			"e3fa095d6be6e34d6db984a84d40045019837512b77b9a7958d044c52a4ffe8c",
+			"8c9889effc784ec6a245822f060837c065dcbf763d6f0a01448dd25f55a0c61b",
 			"-",
-			"6fda5c7e44cf7fe7bdcfc33dd05e767fd527d16875b264f23397542456b71371"},
+			"7386a7a4812c385e563d9da94dfc07b6823fc05507652af9ddde2811b73754c2"},
 	}
 	for _, tc := range cases {
 		surf, zspan := fingerprintSurface(tc.m)

@@ -181,7 +181,7 @@ func TestKernelFitParity(t *testing.T) {
 	}
 	// The coefficients chebFit leaves out are the transform's rounding
 	// noise on mirrored samples (about 2e-15 of the largest kept one).
-	nodes := chebNodes(chebDegree, zspan)
+	nodes := chebNodes(tableNodes(ts.L, zspan), zspan)
 	smp := sampleMirrored(nodes, ts.g1.farRemainder(1, 2))
 	for q := range smp {
 		var big, noise float64

@@ -36,7 +36,7 @@ func fullChebFit(nodes []float64, eval func(z float64) (complex128, [3]complex12
 // every offset.
 func fullTabulated(t *tabulated, workers int) *tabulated {
 	full := *t
-	nodes := chebNodes(chebDegree, t.zspan)
+	nodes := chebNodes(tableNodes(t.l, t.zspan), t.zspan)
 	full.far = make([][4][]complex128, t.m*t.m)
 	parallelFor(len(full.far)-1, workers, func() func(int) {
 		return func(k int) {

@@ -1,6 +1,8 @@
 package mom
 
 import (
+	"math"
+
 	"roughsim/internal/greens"
 	"roughsim/internal/resilience"
 	"roughsim/internal/surface"
@@ -30,7 +32,27 @@ type TableSet struct {
 	exact1, exact2 *greens.Periodic3D
 }
 
-const chebDegree = 32 // interpolation nodes per offset
+// maxTableNodes caps the Chebyshev node count of one table fit (see
+// tableNodes).
+const maxTableNodes = 32
+
+// tableNodes returns the Chebyshev node count a table fit over
+// [−zspan, zspan] on period L needs. The fitted remainder is analytic in
+// the strip |Im Δz| < 1.5L (see tabulated), so on the span scaled to
+// [−1, 1] its coefficients decay like ρ⁻ⁿ with ρ = r + √(1 + r²),
+// r = 1.5L/zspan, the Bernstein ellipse that touches the strip. The
+// error of an n-node fit against a 32-node one measures err(n) ≈ 150·ρ⁻ⁿ
+// from 210 nm to 4.6 µm spans on L = 5 µm, so n is the smallest count
+// with 150·ρ⁻ⁿ ≤ 1e−16, the Ewald/image evaluation noise, rounded up to
+// even — sampling evaluates ⌈n/2⌉ nodes of each ±Δz pair, so an odd n
+// costs as much as n+1 — and capped at maxTableNodes. At L = 5 µm that
+// is 10 nodes at a 210 nm span, 12 at 280 nm, 22 at 2 µm and 32 from
+// about 4 µm up.
+func tableNodes(L, zspan float64) int {
+	r := 1.5 * L / zspan
+	n := int(math.Ceil(math.Log(150/1e-16) / math.Log(r+math.Sqrt(1+r*r))))
+	return min(max(n+n%2, 2), maxTableNodes)
+}
 
 // tabulated interpolates one medium's G and ∇G; it is the production
 // kernelSource.
@@ -44,16 +66,22 @@ const chebDegree = 32 // interpolation nodes per offset
 // one shell, the real-arithmetic sum the conductor kernel also runs on
 // its wider window). The remainder varies on the lattice scale L: its
 // nearest complex-Δz singularity, the next image shell, sits at ±i·1.5L
-// or farther. How well the
-// chebDegree-node fit resolves it depends on the Δz span against L:
-//   - at a 2 µm span on L = 5 µm, kernel values are within ~1.7e−13
-//     relative in the dielectric and ~3e−10 in the conductor across
-//     1–9 GHz (TestTableInterpolationErrorAcrossSkinDepthRange);
+// or farther. Each fit takes the node count that strip needs over its
+// Δz span (tableNodes: err(n) ≈ 150·ρ⁻ⁿ against a 32-node fit, with ρ
+// the Bernstein-ellipse radius of the strip), capped at 32:
+//   - at sweep-m20's 210 nm span on L = 5 µm, 10 nodes reach the
+//     32-node fit's kernel values; AssembleTabulated and the tabulated
+//     FFT MatVec stay within 1e−13 of max |entry| of a 32-node build
+//     (TestSpanSizedTablesMatchFullFits);
+//   - at a 2 µm span on L = 5 µm (22 nodes), kernel values are within
+//     ~1.7e−13 relative in the dielectric and ~3e−10 in the conductor
+//     across 1–9 GHz (TestTableInterpolationErrorAcrossSkinDepthRange);
 //   - AssembleTabulated entries are within ~1e−16 of max |entry| of
 //     Assemble's at σ ≤ 0.33 µm (ZSpan = 14σ ≤ 4.6 µm, L = 5 µm), and
 //     within ~2e−8 at the paper's σ = η = 1 µm on L = 4 µm (ZSpan
 //     14 µm, TestTabulatedMatchesExactAtPaperSigma), where the span is
-//     3.5 periods and the next shell bounds the fit.
+//     3.5 periods, the rule asks for about 88 nodes and the cap of 32
+//     bounds the fit.
 type tabulated struct {
 	m, sub, near int
 	h            float64
@@ -115,21 +143,24 @@ func (ts *TableSet) compatible(s *surface.Surface, opt Options, need float64) er
 func newTabulated(g *greens.Periodic3D, L float64, M int, zspan float64, opt Options) *tabulated {
 	h := L / float64(M)
 	t := &tabulated{m: M, sub: opt.NearSubdiv, near: opt.NearRadius, h: h, zspan: zspan, k: g.K, l: L, g: g}
-	nodes := chebNodes(chebDegree, zspan)
 	t.nearDim = (2*opt.NearRadius + 1) * opt.NearSubdiv
+	t.fit(chebNodes(tableNodes(L, zspan), zspan), opt.Workers)
+	return t
+}
 
+// fit fills the far and near tables from samples at the given Δz nodes.
+func (t *tabulated) fit(nodes []float64, workers int) {
 	// Far table: one entry per wrapped grid offset. The near offsets are
 	// also filled (they are cheap and keep indexing uniform), but
 	// assembly never reads the (0,0) entry (self terms stay exact).
-	t.far = fitOrbits(M, opt.Workers, gridMirror(M), isOrigin, func(ix, iy int) [4][]complex128 {
+	t.far = fitOrbits(t.m, workers, gridMirror(t.m), isOrigin, func(ix, iy int) [4][]complex128 {
 		return chebFit(nodes, t.farRemainder(ix, iy))
 	})
 	// Near sub-offsets: lateral values (i + (s+0.5)/sub − 0.5 − …)·h
 	// relative to the observation point, spanning the near window.
-	t.nearTab = fitOrbits(t.nearDim, opt.Workers, nearMirror(t.near, t.sub, M), never, func(ax, ay int) [4][]complex128 {
+	t.nearTab = fitOrbits(t.nearDim, workers, nearMirror(t.near, t.sub, t.m), never, func(ax, ay int) [4][]complex128 {
 		return chebFit(nodes, t.nearRemainder(ax, ay))
 	})
-	return t
 }
 
 // farRemainder is the smooth part the far table fits at wrapped grid

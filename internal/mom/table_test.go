@@ -190,7 +190,7 @@ func TestChebyshevInterpolationMachinery(t *testing.T) {
 	// Δz parity, even for series 0–2 and odd for series 3 (Gz), keeping
 	// the coefficients of that parity, and check the accuracy of each.
 	span := 3.0
-	nodes := chebNodes(chebDegree, span)
+	nodes := chebNodes(maxTableNodes, span)
 	f := func(s int, z float64) complex128 {
 		// Smooth on [−span, span]: nearest poles at z = ±5.
 		v := cmplx.Exp(complex(0, (0.4+0.3*float64(s))*z*z/span)) / complex(25-z*z, 0)
@@ -201,7 +201,7 @@ func TestChebyshevInterpolationMachinery(t *testing.T) {
 	}
 	var coef [4][]complex128
 	for s := range coef {
-		smp := make([]complex128, chebDegree)
+		smp := make([]complex128, maxTableNodes)
 		for k, z := range nodes {
 			smp[k] = f(s, z)
 		}
@@ -244,5 +244,93 @@ func TestWrapOffset(t *testing.T) {
 		if got := wrapOffset(c.d, c.m); got != c.want {
 			t.Errorf("wrapOffset(%d, %d) = %d, want %d", c.d, c.m, got, c.want)
 		}
+	}
+}
+
+func TestTableNodesFollowSpan(t *testing.T) {
+	L := 5 * um
+	for _, tc := range []struct {
+		zspan float64
+		want  int
+	}{{0.21 * um, 10}, {0.28 * um, 12}, {2 * um, 22}} {
+		if got := tableNodes(L, tc.zspan); got != tc.want {
+			t.Errorf("span %g µm: %d nodes, want %d", tc.zspan/um, got, tc.want)
+		}
+	}
+	prev := 0
+	for zspan := 0.01 * um; zspan <= 40*um; zspan *= 1.1 {
+		n := tableNodes(L, zspan)
+		if n < prev || n > maxTableNodes || n%2 != 0 {
+			t.Fatalf("span %g µm: %d nodes after %d (want even, monotone, ≤ %d)", zspan/um, n, prev, maxTableNodes)
+		}
+		prev = n
+	}
+	// campaign-g8's cells and the paper's roughness keep the full fit.
+	for sigma := 0.30 * um; sigma <= 0.40*um; sigma += 0.01 * um {
+		if n := tableNodes(L, 14*sigma); n != maxTableNodes {
+			t.Errorf("σ = %g µm: %d nodes, want %d", sigma/um, n, maxTableNodes)
+		}
+	}
+}
+
+func TestSpanSizedTablesMatchFullFits(t *testing.T) {
+	// At sweep-m20's physics (M=20, σ = 15 nm, η = 1 µm, 14σ span on
+	// L = 5 µm) the span-sized tables' dense system and FFT MatVec match a
+	// build whose tables take the full 32 nodes, within the fingerprint
+	// bound of 1e-13 of max |entry|.
+	const sigma = 0.015 * um
+	surf := surface.NewKL(surface.NewGaussianCorr(sigma, 1*um), 5*um, 20).SampleTruncated(rng.New(5), 10)
+	opt := Options{}.withDefaults()
+	if n := tableNodes(surf.L, 14*sigma); n != 10 {
+		t.Fatalf("%d table nodes at sweep-m20's span, want 10", n)
+	}
+	relDiff := func(got, want []complex128) float64 {
+		var d, scale float64
+		for k := range want {
+			d = math.Max(d, cmplx.Abs(got[k]-want[k]))
+			scale = math.Max(scale, cmplx.Abs(want[k]))
+		}
+		return d / scale
+	}
+	for _, fGHz := range []float64{3, 9} {
+		p := paramsAt(fGHz * units.GHz)
+		ts := NewTableSet(p, surf.L, surf.M, 14*sigma, opt)
+		full := *ts
+		nodes := chebNodes(maxTableNodes, ts.ZSpan)
+		for _, tb := range []**tabulated{&full.g1, &full.g2} {
+			c := **tb
+			c.fit(nodes, opt.Workers)
+			*tb = &c
+		}
+		sys, err := AssembleTabulated(surf, p, ts, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := AssembleTabulated(surf, p, &full, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := relDiff(sys.Matrix.Data, ref.Matrix.Data)
+		if d > 1e-13 {
+			t.Errorf("f=%g GHz: dense entries differ by %.3g of max |entry|", fGHz, d)
+		}
+		x := make([]complex128, 2*surf.M*surf.M)
+		for i := range x {
+			x[i] = complex(math.Sin(float64(3*i+1)), math.Cos(float64(2*i+1)))
+		}
+		var ys [2][]complex128
+		for k, set := range []*TableSet{ts, &full} {
+			op, err := NewFFTOperatorTabulated(surf, p, set, 6, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ys[k] = make([]complex128, len(x))
+			op.MatVec(ys[k], x)
+		}
+		dm := relDiff(ys[0], ys[1])
+		if dm > 1e-13 {
+			t.Errorf("f=%g GHz: MatVec entries differ by %.3g of max |entry|", fGHz, dm)
+		}
+		t.Logf("f=%g GHz: dense within %.3g, MatVec within %.3g of max |entry| of the 32-node build", fGHz, d, dm)
 	}
 }

@@ -40,11 +40,12 @@ type TableCache struct {
 }
 
 // DefaultTableCacheCap bounds a cache built with capacity ≤ 0. An M=20
-// table set with the default near-field options holds about 0.43 MB
-// (the slots of a symmetry orbit share coefficient vectors, and each
-// series stores only the coefficients its Δz parity allows; 1 MB at
-// M=40), so the default keeps the worst case well under typical service
-// memory.
+// table set with the default near-field options holds at most about
+// 0.43 MB (the slots of a symmetry orbit share coefficient vectors, and
+// each series stores only the coefficients its Δz parity allows; 1 MB
+// at M=40), at the 32-node cap of wide spans; the 10-node fits of a
+// 210 nm span hold about a third of the coefficients. The default
+// keeps the worst case well under typical service memory.
 const DefaultTableCacheCap = 32
 
 // NewTableCache builds a cache holding up to capacity table sets

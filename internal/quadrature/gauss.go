@@ -8,6 +8,8 @@ package quadrature
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"roughsim/internal/eigen"
 )
@@ -58,6 +60,20 @@ func golubWelsch(a, b []float64, mu0 float64) Rule1D {
 
 // GaussLegendre returns the n-point Gauss–Legendre rule on [−1, 1].
 func GaussLegendre(n int) Rule1D {
+	r := legendre(n)
+	return Rule1D{X: slices.Clone(r.X), W: slices.Clone(r.W)}
+}
+
+// legendreRules maps a point count n to its Gauss–Legendre rule on
+// [−1, 1]; the rules are shared and read-only.
+var legendreRules sync.Map
+
+// legendre returns the shared n-point Gauss–Legendre rule on [−1, 1],
+// running the eigensolve once per n.
+func legendre(n int) Rule1D {
+	if r, ok := legendreRules.Load(n); ok {
+		return r.(Rule1D)
+	}
 	if n <= 0 {
 		panic("quadrature: GaussLegendre needs n ≥ 1")
 	}
@@ -67,13 +83,14 @@ func GaussLegendre(n int) Rule1D {
 		fk := float64(k)
 		b[k] = fk * fk / (4*fk*fk - 1)
 	}
-	return golubWelsch(a, b, 2)
+	r, _ := legendreRules.LoadOrStore(n, golubWelsch(a, b, 2))
+	return r.(Rule1D)
 }
 
 // GaussLegendreOn returns the n-point Gauss–Legendre rule mapped to
 // [lo, hi].
 func GaussLegendreOn(n int, lo, hi float64) Rule1D {
-	r := GaussLegendre(n)
+	r := legendre(n)
 	half := (hi - lo) / 2
 	mid := (hi + lo) / 2
 	out := Rule1D{X: make([]float64, n), W: make([]float64, n)}

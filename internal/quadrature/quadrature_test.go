@@ -36,6 +36,39 @@ func TestGaussLegendreExactness(t *testing.T) {
 	}
 }
 
+// TestGaussLegendreCachedRuleIsBitwise: GaussLegendreOn, which reads the
+// shared per-n rule, maps bit for bit like a rule freshly eigensolved on
+// every call, concurrent callers included, and a caller that writes into
+// a GaussLegendre result does not reach the shared rule.
+func TestGaussLegendreCachedRuleIsBitwise(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 8, 31} {
+		a, b := make([]float64, n), make([]float64, n)
+		for k := 1; k < n; k++ {
+			fk := float64(k)
+			b[k] = fk * fk / (4*fk*fk - 1)
+		}
+		fresh := golubWelsch(a, b, 2)
+		lo, hi := 0.3, 2.9
+		half, mid := (hi-lo)/2, (hi+lo)/2
+		spoiled := GaussLegendre(n)
+		for i := range spoiled.X {
+			spoiled.X[i], spoiled.W[i] = math.NaN(), math.NaN()
+		}
+		done := make(chan Rule1D)
+		for g := 0; g < 4; g++ {
+			go func() { done <- GaussLegendreOn(n, lo, hi) }()
+		}
+		for g := 0; g < 4; g++ {
+			r := <-done
+			for i := range fresh.X {
+				if x, w := mid+half*fresh.X[i], half*fresh.W[i]; r.X[i] != x || r.W[i] != w {
+					t.Fatalf("n=%d node %d: (%v, %v), fresh rule maps to (%v, %v)", n, i, r.X[i], r.W[i], x, w)
+				}
+			}
+		}
+	}
+}
+
 func TestGaussLegendreOnInterval(t *testing.T) {
 	// ∫₀^π sin = 2.
 	r := GaussLegendreOn(12, 0, math.Pi)

@@ -22,8 +22,9 @@ import (
 )
 
 // tinyConfig is a sweep small enough to solve in well under a second:
-// an 8×8 grid with a 2-dimensional KL truncation means five collocation
-// solves of a 128×128 system plus one flat reference.
+// an 8×8 grid with a 2-dimensional KL truncation means two collocation
+// solves of a 128×128 system (the ±ξ₂ pair; the other three nodes are
+// rigid shifts) plus one flat reference.
 func tinyConfig(freqs ...float64) roughsim.SweepConfig {
 	return roughsim.SweepConfig{
 		Spec:  roughsim.SurfaceSpec{Corr: roughsim.GaussianCF, Sigma: 0.4e-6, Eta: 1e-6},

@@ -85,7 +85,7 @@ func TestFirstOrderAmplitudesMatchClosedForm(t *testing.T) {
 	p := Params{K1: pm.K1, K2: pm.K2, Beta: pm.Beta}
 	for _, k0 := range []float64{5e5, 1e6, 2e6} {
 		gotA, gotB := firstOrderAmplitudes(p, k0, 1e-10)
-		wantA, wantB := modeAmplitudes(p, k0)
+		wantA, wantB, _, _ := modeAmplitudes(p, k0)
 		if d := cmplx.Abs(gotB-wantB) / cmplx.Abs(wantB); d > 1e-4 {
 			t.Errorf("k0=%g: αB modematch %v vs closed %v (rel %g)", k0, gotB, wantB, d)
 		}

@@ -61,15 +61,16 @@ type Params struct {
 	Beta complex128
 }
 
-// modeAmplitudes returns α_A(k), α_B(k) for lateral wavenumber k.
-func modeAmplitudes(p Params, k float64) (alphaA, alphaB complex128) {
+// modeAmplitudes returns α_A(k), α_B(k) for lateral wavenumber k, and
+// the vertical wavenumbers b₁, b₂ they are built from.
+func modeAmplitudes(p Params, k float64) (alphaA, alphaB, b1, b2 complex128) {
 	t := 2 / (1 + p.Beta*p.K2/p.K1)
-	b1 := decaySqrt(p.K1*p.K1 - complex(k*k, 0))
-	b2 := decaySqrt(p.K2*p.K2 - complex(k*k, 0))
+	b1 = decaySqrt(p.K1*p.K1 - complex(k*k, 0))
+	b2 = decaySqrt(p.K2*p.K2 - complex(k*k, 0))
 	alphaB = t * (p.K1*p.K1 - p.Beta*p.K2*p.K2 + b1*p.K2*(p.Beta-1)) /
 		(complex(0, 1) * (b1 + p.Beta*b2))
 	alphaA = alphaB + complex(0, 1)*p.K2*t*(p.Beta-1)
-	return alphaA, alphaB
+	return alphaA, alphaB, b1, b2
 }
 
 // decaySqrt picks the branch with Im ≥ 0 so e^{+jbz} decays upward and
@@ -88,9 +89,7 @@ func decaySqrt(w complex128) complex128 {
 // which the MoM cross-validation test exploits.
 func Kernel(p Params, k float64) float64 {
 	r0 := (1 - p.Beta*p.K2/p.K1) / (1 + p.Beta*p.K2/p.K1)
-	aA, aB := modeAmplitudes(p, k)
-	b1 := decaySqrt(p.K1*p.K1 - complex(k*k, 0))
-	b2 := decaySqrt(p.K2*p.K2 - complex(k*k, 0))
+	aA, aB, b1, b2 := modeAmplitudes(p, k)
 	r2 := (p.K1*p.K1*aA + p.Beta*p.K2*(b1*aA+b2*aB) - p.Beta*p.K2*p.K2*aB) /
 		(complex(0, 1) * (p.K1 + p.Beta*p.K2))
 	den := 1 - real(r0)*real(r0) - imag(r0)*imag(r0) // 1 − |R₀|²

@@ -8,10 +8,10 @@ import (
 )
 
 // Column-granular execution: a sweep decomposes into independent units —
-// one K column per non-flat collocation node, plus (on the interpolated
-// path) the flat-reference absorbed-power vector — and each unit can be
-// computed in isolation, on any process, from nothing but the sweep
-// config and its node index. PlanColumns enumerates the units; Column
+// one K column per collocation node that is not a rigid shift, plus (on
+// the interpolated path) the flat-reference absorbed-power vector — and
+// each unit can be computed in isolation, on any process, from nothing
+// but the sweep config and its node index. PlanColumns enumerates the units; Column
 // computes one, running exactly the per-unit operations Run performs, so
 // a column computed remotely and fed back through the Checkpoint medium
 // leaves the final Run bitwise identical to a single-process sweep (the
@@ -27,17 +27,18 @@ type ColumnPlan struct {
 	// Anchors is the anchor count of the interpolated path (0 when
 	// Interp is false).
 	Anchors int
-	// Nodes lists the non-flat collocation node indices — the units that
-	// need a solve. Flat nodes (K ≡ 1) are omitted: they cost nothing.
+	// Nodes lists the collocation node indices that need a solve.
+	// Rigid-shift nodes (K ≡ 1, see core.Solver.RigidShift) are omitted:
+	// they cost nothing.
 	Nodes []int
 	// NumNodes is the total collocation node count of the sweep,
-	// including flat ones.
+	// including rigid-shift ones.
 	NumNodes int
 }
 
 // PlanColumns validates the sweep and returns its column decomposition
 // without solving anything. The path choice (interpolated vs exact) and
-// the flat-node detection are the ones Run makes, so a scheduler can
+// the rigid-shift detection are the ones Run makes, so a scheduler can
 // dispatch exactly the units Run would otherwise solve.
 func (e *Engine) PlanColumns(freqs []float64) (*ColumnPlan, error) {
 	p, err := e.plan(freqs)
@@ -58,7 +59,7 @@ func (e *Engine) PlanColumns(freqs []float64) (*ColumnPlan, error) {
 }
 
 // Column computes one column unit for freqs: node ≥ 0 yields the K
-// column of that collocation node (ones for a flat node), FlatRefNode
+// column of that collocation node (ones for a rigid shift), FlatRefNode
 // yields the interpolated path's flat-reference absorbed-power vector.
 // On the interpolated path a node column needs ps — the FlatRefNode
 // vector over the same freqs — because K is the ratio Pr/Ps; the exact

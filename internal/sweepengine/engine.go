@@ -13,8 +13,10 @@
 //     every frequency; the center (ξ = 0) node is exactly flat, so its
 //     loss factor is K ≡ 1 without any solve. When the first KL mode is
 //     the DC mode (the Gaussian CF), the ±ξ₁ nodes are the piston
-//     pair: rigid shifts f ≡ ±c, whose systems — like the flat
-//     reference's — mom builds from one row of kernel work.
+//     pair: rigid shifts f ≡ ±c, whose system is the flat reference's
+//     with a unimodular right-hand-side factor while k₁ is real, so
+//     they are K ≡ 1 without any solve too (core.Solver.RigidShift).
+//     The flat reference itself mom builds from one row of kernel work.
 //
 //   - Table reuse. Assembly goes through the solver's table cache, so
 //     concurrent points — and concurrent sweeps sharing a cache — build
@@ -175,7 +177,7 @@ func (e *Engine) Run(ctx context.Context, freqs []float64) (*Result, error) {
 	return res, nil
 }
 
-// nodeValues returns vals[freq][node] for Run. A flat node (nil
+// nodeValues returns vals[freq][node] for Run. A rigid-shift node (nil
 // surface) is K ≡ 1 without any solve, a checkpointed node loads its
 // completed column, and the remaining nodes go through columns, each
 // checkpointed the moment it completes. The interpolated path's flat
@@ -269,13 +271,14 @@ func (e *Engine) plan(freqs []float64) (*sweepPlan, error) {
 	return p, nil
 }
 
-// surface synthesizes collocation node j. It returns nil for an exactly
-// flat realization (the grid's center node), whose K = Pabs/Pabs ≡ 1
-// needs no solve, and the resolution error for a surface the solver
-// cannot resolve.
+// surface synthesizes collocation node j. It returns nil for a rigid
+// shift at every sweep frequency (the grid's flat center node and, for a
+// DC first KL mode, the piston pair; see core.Solver.RigidShift), whose
+// K ≡ 1 needs no solve, and the resolution error for a surface the
+// solver cannot resolve.
 func (e *Engine) surface(p *sweepPlan, j int) (*surface.Surface, error) {
 	s := e.Synth(p.nodes[j])
-	if maxAbs(s.H) == 0 {
+	if !slices.ContainsFunc(p.freqs, func(f float64) bool { return !e.Solver.RigidShift(s, f) }) {
 		return nil, nil
 	}
 	if _, err := core.CheckResolution(s); err != nil {
@@ -573,16 +576,6 @@ func ones(n int) []float64 {
 		v[i] = 1
 	}
 	return v
-}
-
-func maxAbs(v []float64) float64 {
-	var m float64
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // forEach runs fn(i) for i ∈ [0, n) across min(n, workers) goroutines.

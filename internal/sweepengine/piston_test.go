@@ -2,7 +2,7 @@ package sweepengine
 
 import (
 	"context"
-	"math"
+	"slices"
 	"testing"
 
 	"roughsim/internal/core"
@@ -14,11 +14,12 @@ import (
 )
 
 // TestPistonNodesAreRigidShifts pins why the first-order grid's ±ξ₁
-// nodes cost one row of kernel work: for the Gaussian CF the first KL
-// mode is the DC mode, so those nodes synthesize rigid shifts f ≡ ±c,
-// whose loss factor is 1. Both bench solver workloads' physics are
-// checked — the exact path at M = 20, σ = 15 nm (the FFT stage wins
-// every solve) and the interpolated dense path at M = 8, σ = 0.33 µm.
+// nodes cost no solve: for the Gaussian CF the first KL mode is the DC
+// mode, so those nodes synthesize rigid shifts f ≡ ±c, whose loss factor
+// is exactly 1 (core.Solver.RigidShift). Both bench solver workloads'
+// physics are checked — the exact path at M = 20, σ = 15 nm (the FFT
+// stage wins every solve) and the interpolated dense path at M = 8,
+// σ = 0.33 µm.
 func TestPistonNodesAreRigidShifts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("solver run")
@@ -68,7 +69,16 @@ func TestPistonNodesAreRigidShifts(t *testing.T) {
 		}
 		reg := telemetry.NewRegistry()
 		solver.Metrics = reg
-		eng := &Engine{Solver: solver, Synth: kl.Synthesize, Dim: 2, Anchors: tc.anchors}
+		eng := &Engine{Solver: solver, Synth: kl.Synthesize, Dim: 2, Anchors: tc.anchors, Metrics: reg}
+		cp, err := eng.PlanColumns(tc.freqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range cp.Nodes {
+			if slices.Contains(piston, j) {
+				t.Fatalf("%s: piston node %d planned for a solve", tc.name, j)
+			}
+		}
 		res, err := eng.Run(context.Background(), tc.freqs)
 		if err != nil {
 			t.Fatal(err)
@@ -79,10 +89,19 @@ func TestPistonNodesAreRigidShifts(t *testing.T) {
 		if tc.anchors == 0 && reg.Counter("solve.stage_win.fft-gmres").Value() == 0 {
 			t.Errorf("%s: no solve went through the FFT stage", tc.name)
 		}
+		// Only the flat reference and the planned nodes were solved, once
+		// per frequency.
+		nf := len(tc.freqs)
+		if got := reg.Counter("sweep.node_solves").Value(); got != int64(len(cp.Nodes)) {
+			t.Errorf("%s: %d node solves, want %d", tc.name, got, len(cp.Nodes))
+		}
+		if got, want := solver.Stats().Solves, nf*(1+len(cp.Nodes)); got != want {
+			t.Errorf("%s: %d solves, want %d (flat reference and %d nodes per frequency)", tc.name, got, want, len(cp.Nodes))
+		}
 		for fi, f := range tc.freqs {
 			for _, j := range piston {
-				if k := res.Values[fi][j]; math.Abs(k-1) > 1e-13 {
-					t.Errorf("%s: K(%g Hz, ξ = %v) = 1 %+.3g, want 1 within 1e-13", tc.name, f, nodes[j], k-1)
+				if k := res.Values[fi][j]; k != 1 {
+					t.Errorf("%s: K(%g Hz, ξ = %v) = 1 %+.3g, want exactly 1", tc.name, f, nodes[j], k-1)
 				}
 			}
 		}

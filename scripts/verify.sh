@@ -36,6 +36,10 @@ go test -run '^$' -fuzz FuzzJournalReadAll -fuzztime 5s ./internal/journal/
 # the accepted model's evaluations, and accepted models round-trip
 # through Encode.
 go test -run '^$' -fuzz FuzzSurrogateDecode -fuzztime 5s ./internal/surrogate/
+# Fuzz the API request decoder briefly: no body may panic decodeBody or
+# the four POSTed configs' defaults and validation, and every accepted
+# config round-trips through its JSON encoding.
+go test -run '^$' -fuzz FuzzDecodeBody -fuzztime 5s ./internal/server/
 # The journal and retry machinery also get a full (non-short) race pass:
 # WAL replay and backoff-requeue races only show up off the fast paths.
 go test -race -count=1 ./internal/journal/... ./internal/jobs/... ./internal/cluster/...
