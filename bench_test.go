@@ -8,7 +8,6 @@
 package roughsim
 
 import (
-	"context"
 	"testing"
 
 	"roughsim/internal/cmplxmat"
@@ -284,16 +283,21 @@ func BenchmarkEwaldVsDirect(b *testing.B) {
 // surrogate construction on an analytic model, no MoM), isolating the
 // sparse-grid machinery of Table I.
 func BenchmarkSSCMCollocation(b *testing.B) {
-	eval := func(xi []float64) (float64, error) {
-		s := 1.4
-		for i, v := range xi {
-			s += 0.05*v + 0.01*float64(i%3)*v*v
-		}
-		return s, nil
-	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := sscm.Run(context.Background(), 16, 2, eval, sscm.Options{}); err != nil {
+		nodes, err := sscm.Nodes(16, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		vals := make([]float64, len(nodes))
+		for j, xi := range nodes {
+			s := 1.4
+			for q, v := range xi {
+				s += 0.05*v + 0.01*float64(q%3)*v*v
+			}
+			vals[j] = s
+		}
+		if _, err := sscm.FromValues(16, 2, vals); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"roughsim/internal/core"
 	"roughsim/internal/mom"
 	"roughsim/internal/rng"
-	"roughsim/internal/sscm"
 	"roughsim/internal/surface"
 	"roughsim/internal/units"
 )
@@ -97,12 +96,12 @@ func AblationKLDepth(cfg Config) (*Result, error) {
 		}
 		capt.X = append(capt.X, float64(d))
 		capt.Y = append(capt.Y, kl.CapturedVariance(d))
-		res, err := sscmMean(solver, kl, d, f, cfg.Workers)
+		res, err := sscmAt(solver, kl, d, 1, f, cfg.Workers)
 		if err != nil {
 			return nil, err
 		}
 		mean.X = append(mean.X, float64(d))
-		mean.Y = append(mean.Y, res)
+		mean.Y = append(mean.Y, res.Mean)
 	}
 	return &Result{
 		Name:   "ablation-kl",
@@ -111,17 +110,6 @@ func AblationKLDepth(cfg Config) (*Result, error) {
 		YLabel: "value",
 		Series: []Series{capt, mean},
 	}, nil
-}
-
-func sscmMean(solver *core.Solver, kl *surface.KL, d int, f float64, workers int) (float64, error) {
-	eval := func(xi []float64) (float64, error) {
-		return solver.LossFactor(kl.Synthesize(xi), f)
-	}
-	res, err := sscm.Run(context.Background(), d, 1, eval, sscm.Options{Workers: workers})
-	if err != nil {
-		return 0, err
-	}
-	return res.PCE.Mean(), nil
 }
 
 // AblationSolvers times the assembly/solve paths at one problem size:

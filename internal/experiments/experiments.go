@@ -25,6 +25,7 @@ import (
 	"roughsim/internal/sscm"
 	"roughsim/internal/stats"
 	"roughsim/internal/surface"
+	"roughsim/internal/sweepengine"
 	"roughsim/internal/units"
 )
 
@@ -213,16 +214,25 @@ func meanLossSWM(cfg Config, c surface.Corr, eta float64, freqs []float64) ([]fl
 	}
 	out := make([]float64, len(freqs))
 	for i, f := range freqs {
-		eval := func(xi []float64) (float64, error) {
-			return solver.LossFactor(kl.Synthesize(xi), f)
-		}
-		res, err := sscm.Run(context.Background(), d, 1, eval, sscm.Options{Workers: cfg.Workers})
+		res, err := sscmAt(solver, kl, d, 1, f, cfg.Workers)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: SSCM at f=%g: %w", f, err)
 		}
-		out[i] = res.PCE.Mean()
+		out[i] = res.Mean
 	}
 	return out, nil
+}
+
+// sscmAt builds the order-p SSCM surrogate of K at f over the first d
+// KL modes: a one-frequency sweep, which always takes the engine's
+// exact path, projected with sscm.FromValues.
+func sscmAt(solver *core.Solver, kl *surface.KL, d, order int, f float64, workers int) (*sscm.Result, error) {
+	eng := sweepengine.Engine{Solver: solver, Synth: kl.Synthesize, Dim: d, Order: order, Workers: workers}
+	res, err := eng.Run(context.Background(), []float64{f})
+	if err != nil {
+		return nil, err
+	}
+	return sscm.FromValues(d, order, res.Values[0])
 }
 
 // spm2Curve evaluates the SPM2 baseline over the frequency list.
@@ -444,16 +454,23 @@ func Fig6(cfg Config) (*Result, error) {
 		if d > len(kl1.Modes) {
 			d = len(kl1.Modes)
 		}
+		nodes, err := sscm.Nodes(d, 1)
+		if err != nil {
+			return nil, err
+		}
 		y2 := make([]float64, len(fs))
 		for i, f := range fs {
-			eval := func(xi []float64) (float64, error) {
-				return solver.LossFactor2D(kl1.Synthesize(xi), f)
+			vals := make([]float64, len(nodes))
+			for j, xi := range nodes {
+				if vals[j], err = solver.LossFactor2D(kl1.Synthesize(xi), f); err != nil {
+					return nil, fmt.Errorf("experiments: Fig6 2D SSCM: %w", err)
+				}
 			}
-			r, err := sscm.Run(context.Background(), d, 1, eval, sscm.Options{Workers: cfg.Workers})
+			r, err := sscm.FromValues(d, 1, vals)
 			if err != nil {
-				return nil, fmt.Errorf("experiments: Fig6 2D SSCM: %w", err)
+				return nil, err
 			}
-			y2[i] = r.PCE.Mean()
+			y2[i] = r.Mean
 		}
 		res.Series = append(res.Series,
 			Series{Label: fmt.Sprintf("3D SWM (η=%gμm)", etaUM), X: freqs, Y: y3},
@@ -513,7 +530,7 @@ func Fig7(cfg Config) (*Result, error) {
 
 	var ks []float64
 	for _, order := range []int{1, 2} {
-		r, err := sscm.Run(context.Background(), d, order, eval, sscm.Options{Workers: cfg.Workers})
+		r, err := sscmAt(solver, kl, d, order, f, cfg.Workers)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: Fig7 SSCM order %d: %w", order, err)
 		}

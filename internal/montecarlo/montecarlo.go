@@ -24,7 +24,7 @@ import (
 )
 
 // Evaluator maps KL coordinates to the quantity of interest; it must be
-// safe for concurrent calls (mirrors sscm.Evaluator).
+// safe for concurrent calls.
 type Evaluator func(xi []float64) (float64, error)
 
 // FaultOpSample is the fault-injection op consulted once per sample

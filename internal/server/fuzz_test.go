@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"roughsim"
+	"roughsim/internal/rescache"
+	"roughsim/internal/sparams"
 )
 
 // FuzzDecodeBody feeds arbitrary request bodies through decodeBody into
@@ -30,6 +32,8 @@ func FuzzDecodeBody(f *testing.F) {
 	// and a 10¹²-cell grid.
 	f.Add([]byte(`{"cells":[{"cf":"gaussian","sigma":2e-7,"eta":1e-6}],"band":{"fmin_hz":1e9,"fmax_hz":2e9,"points":100000000000}}`))
 	f.Add([]byte(`{"grid":{"sigmas":{"min":1e-7,"max":1,"step":1e-4},"etas":{"min":1e-6,"max":1,"step":1e-4},"rhos":{"min":1e-8,"max":1,"step":1e-4}},"freqs_hz":[1e9]}`))
+	// A surrogate fit asking for 10⁹ anchors and holdout frequencies.
+	f.Add([]byte(`{"surface":{"cf":"gaussian","sigma":2e-7,"eta":1e-6},"fmin_hz":1e9,"fmax_hz":9e9,"anchors":1000000000,"holdout":1000000000}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		fuzzConfig(t, body, func(c roughsim.SweepConfig) (roughsim.SweepConfig, error) {
 			c = c.WithDefaults()
@@ -100,4 +104,45 @@ func fuzzDecode(t *testing.T, body []byte, v any) bool {
 		t.Fatalf("%T: rejected body answered %d", v, w.Code)
 	}
 	return false
+}
+
+// FuzzStoreCodecs feeds arbitrary disk-tier entries through the three
+// store codecs: result points, checkpoint columns and S-parameter
+// artifacts. No byte string may panic Decode, and an accepted value
+// must encode, decode again, and re-encode to the same bytes (the
+// encoding is a fixed point after one trip: JSON null stays the NaN of
+// a failed SweepPoint field, and a raw config is compacted once).
+func FuzzStoreCodecs(f *testing.F) {
+	f.Add([]byte(`{"freq_hz":5e9,"skin_depth_m":9.2e-7,"k_swm":1.31,"k_spm2":1.4,"k_empirical":1.5}`))
+	f.Add([]byte(`{"freq_hz":5e9,"skin_depth_m":null,"k_swm":null,"k_spm2":1,"k_empirical":1}`))
+	f.Add([]byte(`[1,1.0000000000000002,0.9999999999999999,1e-300]`))
+	f.Add([]byte(`{"key":"ab","z0":50,"fmin_hz":1e9,"fmax_hz":9e9,"points":2,"source":"surrogate","k_max_rel_err":1e-4,"gates":{},"touchstone":"# HZ S RI R 50\n","config":{ "a" : [1, 2] }}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`{"freq_hz":"5e9"}`))
+	f.Add([]byte(`[1e400]`))
+	codecs := map[string]rescache.Codec{
+		"point":      jsonCodec[roughsim.SweepPoint](),
+		"checkpoint": jsonCodec[[]float64](),
+		"artifact":   jsonCodec[*sparams.Artifact](),
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		for name, c := range codecs {
+			v, err := c.Decode(b)
+			if err != nil {
+				continue
+			}
+			enc, err := c.Encode(v)
+			if err != nil {
+				t.Fatalf("%s: accepted entry does not encode: %v (%q)", name, err, b)
+			}
+			back, err := c.Decode(enc)
+			if err != nil {
+				t.Fatalf("%s: encoded entry does not decode: %v (%s)", name, err, enc)
+			}
+			again, err := c.Encode(back)
+			if err != nil || !bytes.Equal(again, enc) {
+				t.Fatalf("%s: round trip changed the entry: %s -> %s (%v)", name, enc, again, err)
+			}
+		}
+	})
 }

@@ -11,27 +11,21 @@
 // resulting surrogate is sampled (cheaply, no integral-equation solves)
 // to produce the mean, variance and CDF of K — Fig. 7 — using an order
 // of magnitude fewer solver evaluations than Monte-Carlo (Table I).
+//
+// The package is the method's math only: Nodes lists the collocation
+// nodes, the caller evaluates K at each (every solver-backed run goes
+// through internal/sweepengine), and FromValues projects the values
+// onto the chaos basis.
 package sscm
 
 import (
-	"context"
 	"fmt"
-	"runtime"
-	"runtime/debug"
-	"sync"
-	"time"
 
 	"roughsim/internal/quadrature"
 	"roughsim/internal/resilience"
 	"roughsim/internal/rng"
 	"roughsim/internal/specfun"
-	"roughsim/internal/telemetry"
-	"roughsim/internal/trace"
 )
-
-// Evaluator maps KL coordinates ξ (length d) to the scalar quantity of
-// interest (the loss factor K). It must be safe for concurrent calls.
-type Evaluator func(xi []float64) (float64, error)
 
 // PCE is a Hermite polynomial-chaos surrogate over d standard normal
 // variables.
@@ -127,7 +121,7 @@ func (p *PCE) Sample(n int, seed uint64) []float64 {
 	return out
 }
 
-// Result of one collocation run.
+// Result is a fitted collocation surrogate.
 type Result struct {
 	PCE *PCE
 	// Points is the number of collocation (solver) evaluations — the
@@ -145,102 +139,40 @@ type Result struct {
 	Variance float64
 }
 
-// newResult wraps a fitted PCE with its coefficient-derived statistics.
-func newResult(pce *PCE, points int) *Result {
-	return &Result{
-		PCE:      pce,
-		Points:   points,
-		Coeffs:   pce.Coeffs,
-		Mean:     pce.Mean(),
-		Variance: pce.Variance(),
-	}
-}
-
-// Options tunes the collocation driver.
-type Options struct {
-	Workers int // parallel solver evaluations; default NumCPU
-	// Metrics, when non-nil, receives sscm.* telemetry (run and node
-	// counters, per-node evaluation latency).
-	Metrics *telemetry.Registry
-}
-
-// Run builds the order-p PCE of the evaluator over d KL coordinates,
-// using the level-p Smolyak Gauss–Hermite grid (order 1 ⇒ the paper's
-// "1st-SSCM", 2 ⇒ "2nd-SSCM").
-//
-// Nodes are evaluated by a fixed pool of opt.Workers goroutines pulling
-// from a shared channel; worker panics are recovered into classified
-// errors, and a cancelled ctx stops the run promptly with ctx.Err().
-// Unlike Monte-Carlo, the quadrature weights leave no room for partial
-// results: the projection needs every node, so any node failure fails
-// the run (with the node's classification).
-func Run(ctx context.Context, d, order int, eval Evaluator, opt Options) (*Result, error) {
+// Nodes returns the collocation nodes ξ of the (d, order) Smolyak
+// Gauss–Hermite grid (order 1 ⇒ the paper's "1st-SSCM", 2 ⇒
+// "2nd-SSCM") in the grid's deterministic order — the ξ each value
+// passed to FromValues must correspond to. The caller evaluates K at
+// every node; the sweep engine does so for every SSCM run in the
+// repository.
+func Nodes(d, order int) ([][]float64, error) {
 	if d <= 0 || order < 0 {
-		return nil, resilience.Errorf(resilience.KindInvalidInput, "sscm.Run",
+		return nil, resilience.Errorf(resilience.KindInvalidInput, "sscm.Nodes",
 			"invalid d=%d order=%d", d, order)
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	_, sp := trace.StartSpan(ctx, "sscm.run")
-	sp.SetAttr("dim", d)
-	sp.SetAttr("order", order)
-	defer sp.End()
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
 	grid := quadrature.SmolyakHermite(d, order)
-	if workers > grid.Len() {
-		workers = grid.Len()
+	out := make([][]float64, grid.Len())
+	for i, gp := range grid.Points {
+		out[i] = gp.X
 	}
-	opt.Metrics.Counter("sscm.runs").Inc()
-	opt.Metrics.Counter("sscm.nodes").Add(int64(grid.Len()))
-	nodeSeconds := opt.Metrics.Histogram("sscm.node_seconds")
-
-	// Evaluate the solver at every collocation node with a bounded pool.
-	vals := make([]float64, grid.Len())
-	errs := make([]error, grid.Len())
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				start := time.Now()
-				vals[i], errs[i] = evalNode(eval, grid.Points[i].X, i)
-				nodeSeconds.Observe(time.Since(start).Seconds())
-			}
-		}()
-	}
-feed:
-	for i := range grid.Points {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idx)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, resilience.New(resilience.Classify(err), "sscm.Run",
-				fmt.Errorf("collocation evaluation: %w", err))
-		}
-	}
-
-	return newResult(project(grid, d, order, vals), grid.Len()), nil
+	return out, nil
 }
 
-// project computes the PCE coefficients c_α = E[K·He_α]/α! from the
-// node values by sparse-grid quadrature. Shared by Run and FromValues
-// so both paths produce bitwise-identical coefficients.
-func project(grid *quadrature.Grid, d, order int, vals []float64) *PCE {
+// FromValues builds the order-p PCE from node values aligned with
+// Nodes(d, order): the coefficients c_α = E[K·He_α]/α! by sparse-grid
+// quadrature. The projection needs every node, so there is no partial
+// result. It is a pure function of the values: equal values give
+// bitwise-identical coefficients, however they were scheduled.
+func FromValues(d, order int, vals []float64) (*Result, error) {
+	if d <= 0 || order < 0 {
+		return nil, resilience.Errorf(resilience.KindInvalidInput, "sscm.FromValues",
+			"invalid d=%d order=%d", d, order)
+	}
+	grid := quadrature.SmolyakHermite(d, order)
+	if len(vals) != grid.Len() {
+		return nil, resilience.Errorf(resilience.KindInvalidInput, "sscm.FromValues",
+			"got %d values for a %d-node grid", len(vals), grid.Len())
+	}
 	pce := &PCE{Dim: d, Order: order, Indices: multiIndices(d, order)}
 	pce.Coeffs = make([]float64, len(pce.Indices))
 	for t, alpha := range pce.Indices {
@@ -260,54 +192,13 @@ func project(grid *quadrature.Grid, d, order int, vals []float64) *PCE {
 		}
 		pce.Coeffs[t] = num / fact
 	}
-	return pce
-}
-
-// Nodes returns the collocation nodes ξ of the (d, order) Smolyak
-// Gauss–Hermite grid in the grid's deterministic order — the ξ each
-// value passed to FromValues must correspond to. Callers that evaluate
-// the solver themselves (the batched sweep engine synthesizes each node
-// surface once and evaluates it at many frequencies) pair Nodes with
-// FromValues instead of Run.
-func Nodes(d, order int) ([][]float64, error) {
-	if d <= 0 || order < 0 {
-		return nil, resilience.Errorf(resilience.KindInvalidInput, "sscm.Nodes",
-			"invalid d=%d order=%d", d, order)
-	}
-	grid := quadrature.SmolyakHermite(d, order)
-	out := make([][]float64, grid.Len())
-	for i, gp := range grid.Points {
-		out[i] = gp.X
-	}
-	return out, nil
-}
-
-// FromValues builds the order-p PCE from precomputed node values
-// aligned with Nodes(d, order). It is the projection half of Run for
-// callers that schedule the evaluations themselves; given the same
-// values it returns bitwise-identical coefficients.
-func FromValues(d, order int, vals []float64) (*Result, error) {
-	if d <= 0 || order < 0 {
-		return nil, resilience.Errorf(resilience.KindInvalidInput, "sscm.FromValues",
-			"invalid d=%d order=%d", d, order)
-	}
-	grid := quadrature.SmolyakHermite(d, order)
-	if len(vals) != grid.Len() {
-		return nil, resilience.Errorf(resilience.KindInvalidInput, "sscm.FromValues",
-			"got %d values for a %d-node grid", len(vals), grid.Len())
-	}
-	return newResult(project(grid, d, order, vals), grid.Len()), nil
-}
-
-// evalNode runs one collocation node with panic recovery.
-func evalNode(eval Evaluator, x []float64, i int) (v float64, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = resilience.Errorf(resilience.KindPanic, "sscm.node",
-				"node %d panicked: %v\n%s", i, p, debug.Stack())
-		}
-	}()
-	return eval(x)
+	return &Result{
+		PCE:      pce,
+		Points:   grid.Len(),
+		Coeffs:   pce.Coeffs,
+		Mean:     pce.Mean(),
+		Variance: pce.Variance(),
+	}, nil
 }
 
 // GridSize returns the number of collocation points a (d, order) run

@@ -1,17 +1,33 @@
 package sscm
 
 import (
-	"context"
-	"errors"
 	"math"
-	"strings"
-	"sync/atomic"
 	"testing"
 
 	"roughsim/internal/resilience"
 	"roughsim/internal/rng"
 	"roughsim/internal/stats"
 )
+
+// fit evaluates the analytic model f at every collocation node of the
+// (d, order) grid and projects the values: the whole SSCM with the
+// solver replaced by a closed form.
+func fit(t *testing.T, d, order int, f func(xi []float64) float64) *Result {
+	t.Helper()
+	nodes, err := Nodes(d, order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]float64, len(nodes))
+	for i, xi := range nodes {
+		vals[i] = f(xi)
+	}
+	res, err := FromValues(d, order, vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 func TestMultiIndicesCount(t *testing.T) {
 	// |{α : |α| ≤ p}| = C(d+p, p).
@@ -42,13 +58,10 @@ func TestPCEExactQuadratic(t *testing.T) {
 	// PCE must reproduce it exactly (sparse grid level 2 integrates
 	// degree ≤ 5 exactly, covering K·He_α up to degree 4).
 	d := 3
-	f := func(xi []float64) (float64, error) {
-		return 3 + 2*xi[0] - xi[1] + 0.5*xi[0]*xi[1] + xi[2]*xi[2], nil
+	f := func(xi []float64) float64 {
+		return 3 + 2*xi[0] - xi[1] + 0.5*xi[0]*xi[1] + xi[2]*xi[2]
 	}
-	res, err := Run(context.Background(), d, 2, f, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fit(t, d, 2, f)
 	// E[K] = 3 + E[ξ₂²] = 4.
 	if math.Abs(res.PCE.Mean()-4) > 1e-9 {
 		t.Fatalf("mean %g, want 4", res.PCE.Mean())
@@ -61,7 +74,7 @@ func TestPCEExactQuadratic(t *testing.T) {
 	src := rng.New(4)
 	for i := 0; i < 50; i++ {
 		xi := src.NormVec(d)
-		want, _ := f(xi)
+		want := f(xi)
 		if got := res.PCE.Eval(xi); math.Abs(got-want) > 1e-8*(1+math.Abs(want)) {
 			t.Fatalf("surrogate mismatch at %v: %g vs %g", xi, got, want)
 		}
@@ -71,17 +84,14 @@ func TestPCEExactQuadratic(t *testing.T) {
 func TestFirstOrderCapturesLinearPart(t *testing.T) {
 	// 1st-order SSCM of a linear function is exact.
 	d := 5
-	f := func(xi []float64) (float64, error) {
+	f := func(xi []float64) float64 {
 		s := 1.0
 		for i, v := range xi {
 			s += float64(i+1) * 0.1 * v
 		}
-		return s, nil
+		return s
 	}
-	res, err := Run(context.Background(), d, 1, f, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fit(t, d, 1, f)
 	if res.Points != 2*d+1 {
 		t.Fatalf("1st-order points = %d, want %d", res.Points, 2*d+1)
 	}
@@ -102,25 +112,21 @@ func TestSurrogateCDFMatchesDirectSampling(t *testing.T) {
 	// be close (KS distance) to the true sampled CDF — the Fig. 7
 	// comparison in miniature.
 	d := 4
-	f := func(xi []float64) (float64, error) {
+	f := func(xi []float64) float64 {
 		s := 1.5
 		for i, v := range xi {
 			s += 0.1*v + 0.02*float64(i+1)*v*v
 		}
 		s += 0.03 * xi[0] * xi[1]
-		return s, nil
+		return s
 	}
-	res, err := Run(context.Background(), d, 2, f, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fit(t, d, 2, f)
 	const n = 20000
 	sur := res.PCE.Sample(n, 99)
 	src := rng.New(99)
 	direct := make([]float64, n)
 	for i := range direct {
-		v, _ := f(src.NormVec(d))
-		direct[i] = v
+		direct[i] = f(src.NormVec(d))
 	}
 	ks := stats.KSDistance(stats.NewECDF(sur), stats.NewECDF(direct))
 	if ks > 0.02 {
@@ -143,64 +149,28 @@ func TestGridSizeMatchesPaperTable1(t *testing.T) {
 	}
 }
 
-func TestRunRejectsBadArgs(t *testing.T) {
-	if _, err := Run(context.Background(), 0, 1, func([]float64) (float64, error) { return 0, nil }, Options{}); err == nil {
-		t.Fatal("expected error for d=0")
+// TestRejectsBadArgs: invalid grids and value vectors of the wrong
+// length are typed input errors, never silently truncated.
+func TestRejectsBadArgs(t *testing.T) {
+	if _, err := Nodes(0, 1); resilience.Classify(err) != resilience.KindInvalidInput {
+		t.Fatalf("Nodes d=0: %v", err)
+	}
+	if _, err := Nodes(2, -1); resilience.Classify(err) != resilience.KindInvalidInput {
+		t.Fatalf("Nodes order=-1: %v", err)
+	}
+	if _, err := FromValues(0, 1, []float64{1}); resilience.Classify(err) != resilience.KindInvalidInput {
+		t.Fatalf("FromValues d=0: %v", err)
+	}
+	vals := make([]float64, GridSize(3, 2))
+	if _, err := FromValues(3, 2, vals[:len(vals)-1]); resilience.Classify(err) != resilience.KindInvalidInput {
+		t.Fatalf("FromValues short vector: %v", err)
 	}
 }
 
 func TestOrderZeroIsMeanOnly(t *testing.T) {
-	f := func(xi []float64) (float64, error) { return 7, nil }
-	res, err := Run(context.Background(), 3, 0, f, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fit(t, 3, 0, func([]float64) float64 { return 7 })
 	if res.Points != 1 || math.Abs(res.PCE.Mean()-7) > 1e-12 || res.PCE.Variance() != 0 {
 		t.Fatalf("order-0 run wrong: %+v", res)
-	}
-}
-
-func TestRunCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var seen int64
-	f := func(xi []float64) (float64, error) {
-		if atomic.AddInt64(&seen, 1) == 2 {
-			cancel()
-		}
-		return 1, nil
-	}
-	_, err := Run(ctx, 16, 2, f, Options{Workers: 2})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("expected context.Canceled, got %v", err)
-	}
-	if n := atomic.LoadInt64(&seen); int(n) >= GridSize(16, 2) {
-		t.Fatalf("cancellation did not stop the run early (evaluated %d nodes)", n)
-	}
-}
-
-func TestRunPanicRecovered(t *testing.T) {
-	f := func(xi []float64) (float64, error) {
-		panic("collocation node blew up")
-	}
-	_, err := Run(context.Background(), 3, 1, f, Options{Workers: 2})
-	if err == nil {
-		t.Fatal("expected error from panicking evaluator")
-	}
-	if resilience.Classify(err) != resilience.KindPanic {
-		t.Fatalf("expected panic classification, got %v: %v", resilience.Classify(err), err)
-	}
-	if !strings.Contains(err.Error(), "collocation node blew up") {
-		t.Fatalf("expected recovered panic message, got: %v", err)
-	}
-}
-
-func TestNodeErrorClassified(t *testing.T) {
-	f := func(xi []float64) (float64, error) {
-		return 0, resilience.Errorf(resilience.KindConvergence, "solver", "no convergence")
-	}
-	_, err := Run(context.Background(), 2, 1, f, Options{})
-	if resilience.Classify(err) != resilience.KindConvergence {
-		t.Fatalf("expected convergence classification, got %v", err)
 	}
 }
 
@@ -214,11 +184,7 @@ func TestResultExportsCoefficientStatistics(t *testing.T) {
 	// Linear K with d=2, order 1: level-1 Gauss–Hermite integrates the
 	// degree ≤ 2 projection integrands exactly, so the coefficients are
 	// analytic up to round-off: c = [2, −0.5, 3], E[K] = 2, Var = 9.25.
-	f := func(xi []float64) (float64, error) { return 2 + 3*xi[0] - 0.5*xi[1], nil }
-	res, err := Run(context.Background(), 2, 1, f, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fit(t, 2, 1, func(xi []float64) float64 { return 2 + 3*xi[0] - 0.5*xi[1] })
 	if len(res.Coeffs) != len(res.PCE.Indices) {
 		t.Fatalf("Coeffs has %d terms for %d indices", len(res.Coeffs), len(res.PCE.Indices))
 	}
@@ -247,63 +213,5 @@ func TestResultExportsCoefficientStatistics(t *testing.T) {
 		if math.Abs(chk.got-chk.want) > 1e-12 {
 			t.Errorf("%s: %.17g, want %.17g", chk.name, chk.got, chk.want)
 		}
-	}
-	// FromValues exports the same fields.
-	xi, err := Nodes(2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals := make([]float64, len(xi))
-	for i, x := range xi {
-		vals[i], _ = f(x)
-	}
-	fv, err := FromValues(2, 1, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fv.Mean != res.Mean || fv.Variance != res.Variance || len(fv.Coeffs) != len(res.Coeffs) {
-		t.Fatalf("FromValues stats (%g, %g) differ from Run's (%g, %g)",
-			fv.Mean, fv.Variance, res.Mean, res.Variance)
-	}
-}
-
-func TestFromValuesMatchesRun(t *testing.T) {
-	// FromValues over the Nodes list must reproduce Run bitwise: the
-	// batched sweep engine relies on this equivalence to evaluate nodes
-	// out-of-band and project afterwards.
-	d, order := 3, 2
-	f := func(xi []float64) (float64, error) {
-		return 1 + 0.3*xi[0] - 0.2*xi[1]*xi[2] + 0.05*xi[2]*xi[2], nil
-	}
-	want, err := Run(context.Background(), d, order, f, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes, err := Nodes(d, order)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals := make([]float64, len(nodes))
-	for i, xi := range nodes {
-		vals[i], _ = f(xi)
-	}
-	got, err := FromValues(d, order, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.PCE.Coeffs) != len(want.PCE.Coeffs) {
-		t.Fatalf("coef count %d vs %d", len(got.PCE.Coeffs), len(want.PCE.Coeffs))
-	}
-	for i := range want.PCE.Coeffs {
-		if got.PCE.Coeffs[i] != want.PCE.Coeffs[i] {
-			t.Fatalf("coef %d differs: %v vs %v", i, got.PCE.Coeffs[i], want.PCE.Coeffs[i])
-		}
-	}
-	if got.PCE.Mean() != want.PCE.Mean() {
-		t.Fatalf("mean differs: %v vs %v", got.PCE.Mean(), want.PCE.Mean())
-	}
-	// Length mismatches are rejected, not silently truncated.
-	if _, err := FromValues(d, order, vals[:len(vals)-1]); err == nil {
-		t.Fatal("expected length mismatch error")
 	}
 }

@@ -37,11 +37,13 @@ type FitSpec struct {
 	FMaxHz float64 `json:"fmax_hz"`
 	// Order is the PC order (default 1, the paper's 1st-SSCM).
 	Order int `json:"order"`
-	// Anchors is the Chebyshev anchor count in x = √f (default 8).
+	// Anchors is the Chebyshev anchor count in x = √f (default 8, at
+	// most MaxAnchors).
 	Anchors int `json:"anchors"`
 	// Holdout is the number of held-out validation frequencies
-	// (default 3). They are placed on a Chebyshev grid of their own, so
-	// they interleave the fit anchors instead of coinciding with them.
+	// (default 3, at most MaxAnchors+1). They are placed on a Chebyshev
+	// grid of their own, so they interleave the fit anchors instead of
+	// coinciding with them.
 	Holdout int `json:"holdout"`
 	// Tol is the admission tolerance on the validation max relative
 	// error (default 1e-3).
@@ -55,6 +57,11 @@ const (
 	DefaultAnchors = 8
 	DefaultHoldout = 3
 	DefaultTol     = 1e-3
+	// MaxAnchors caps Anchors. Each anchor and each holdout frequency
+	// costs one exact collocation sweep point, so a request cannot ask
+	// for unbounded work. Holdout may reach MaxAnchors+1: WithDefaults
+	// bumps a holdout count that collides with Anchors.
+	MaxAnchors = 64
 )
 
 // WithDefaults fills the zero-valued tuning fields.
@@ -87,9 +94,13 @@ func (s FitSpec) Validate() error {
 		return resilience.Errorf(resilience.KindInvalidInput, "surrogate.FitSpec",
 			"band [%g, %g] Hz out of domain (need 0 < fmin < fmax ≤ 1e15)", s.FMinHz, s.FMaxHz)
 	}
-	if s.Anchors < 2 {
+	if s.Anchors < 2 || s.Anchors > MaxAnchors {
 		return resilience.Errorf(resilience.KindInvalidInput, "surrogate.FitSpec",
-			"need at least 2 anchors (got %d)", s.Anchors)
+			"need 2 to %d anchors (got %d)", MaxAnchors, s.Anchors)
+	}
+	if s.Holdout > MaxAnchors+1 {
+		return resilience.Errorf(resilience.KindInvalidInput, "surrogate.FitSpec",
+			"need at most %d holdout frequencies (got %d)", MaxAnchors+1, s.Holdout)
 	}
 	return nil
 }

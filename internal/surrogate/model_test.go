@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"roughsim/internal/rescache"
+	"roughsim/internal/resilience"
 	"roughsim/internal/sscm"
 )
 
@@ -181,10 +182,18 @@ func TestFitSpecValidation(t *testing.T) {
 		"zero band":     {FMinHz: 0, FMaxHz: 1e9},
 		"inverted band": {FMinHz: 2e9, FMaxHz: 1e9},
 		"huge band":     {FMinHz: 1, FMaxHz: 1e16},
+		"anchors > cap": {FMinHz: 1e9, FMaxHz: 2e9, Anchors: MaxAnchors + 1},
+		"holdout > cap": {FMinHz: 1e9, FMaxHz: 2e9, Holdout: MaxAnchors + 2},
+		"huge anchors":  {FMinHz: 1e9, FMaxHz: 2e9, Anchors: 1 << 40, Holdout: 1 << 40},
 	} {
-		if _, err := Fit(context.Background(), src, spec); err == nil {
-			t.Errorf("%s accepted", name)
+		if _, err := Fit(context.Background(), src, spec); resilience.Classify(err) != resilience.KindInvalidInput {
+			t.Errorf("%s: got %v, want an invalid-input error", name, err)
 		}
+	}
+	// The caps themselves are accepted, with room for the holdout bump.
+	atCap := FitSpec{FMinHz: 1e9, FMaxHz: 2e9, Anchors: MaxAnchors, Holdout: MaxAnchors}.WithDefaults()
+	if err := atCap.Validate(); err != nil || atCap.Holdout != MaxAnchors+1 {
+		t.Errorf("spec at the caps: holdout %d, %v", atCap.Holdout, err)
 	}
 	// Defaults apply.
 	m, err := Fit(context.Background(), src, testSpec())

@@ -53,6 +53,7 @@ import (
 	"math"
 	"math/cmplx"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -581,7 +582,8 @@ func ones(n int) []float64 {
 // forEach runs fn(i) for i ∈ [0, n) across min(n, workers) goroutines.
 // The first error wins; later units are skipped (not cancelled — units
 // already running finish). A cancelled ctx stops feeding promptly and
-// returns ctx.Err().
+// returns ctx.Err(). A panicking unit fails the run with a
+// resilience.KindPanic error carrying its stack, not the process.
 func forEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
 	if workers > n {
 		workers = n
@@ -601,7 +603,7 @@ func forEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i
 				if failed.Load() {
 					continue
 				}
-				if err := fn(ctx, i); err != nil {
+				if err := runUnit(ctx, i, fn); err != nil {
 					errs[i] = err
 					failed.Store(true)
 				}
@@ -627,4 +629,16 @@ feed:
 		}
 	}
 	return nil
+}
+
+// runUnit runs fn(ctx, i), recovering a panic into a classified error:
+// forEach's goroutines are its own, so no caller's recover sees them.
+func runUnit(ctx context.Context, i int, fn func(ctx context.Context, i int) error) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = resilience.Errorf(resilience.KindPanic, "sweepengine.unit",
+				"unit %d panicked: %v\n%s", i, p, debug.Stack())
+		}
+	}()
+	return fn(ctx, i)
 }

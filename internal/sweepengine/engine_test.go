@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"roughsim/internal/core"
@@ -33,38 +34,58 @@ func testEngine(t *testing.T) (*Engine, *surface.KL) {
 	return &Engine{Solver: solver, Synth: kl.Synthesize, Dim: 2}, kl
 }
 
+// pointAtATime is the per-node SSCM reference: every collocation node
+// solved on its own through an independent solver's LossFactor, then
+// projected.
+func pointAtATime(t *testing.T, solver *core.Solver, kl *surface.KL, d, order int, f float64) *sscm.Result {
+	t.Helper()
+	nodes, err := sscm.Nodes(d, order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]float64, len(nodes))
+	for j, xi := range nodes {
+		if vals[j], err = solver.LossFactor(kl.Synthesize(xi), f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := sscm.FromValues(d, order, vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestExactModeMatchesPointAtATime: a short sweep (fewer frequencies
 // than anchors) takes the exact per-frequency path, which must be
 // bitwise identical to evaluating the collocation by hand through an
-// independent solver.
+// independent solver, at both SSCM orders the exhibits use.
 func TestExactModeMatchesPointAtATime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("solver run")
 	}
-	eng, kl := testEngine(t)
-	freqs := []float64{4 * units.GHz, 5 * units.GHz}
-	res, err := eng.Run(context.Background(), freqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.AnchorsUsed != 0 {
-		t.Fatalf("short sweep used %d anchors, want exact path", res.AnchorsUsed)
-	}
-
-	base, err := core.NewSolverTabulated(core.PaperMaterial(), eng.Solver.L, eng.Solver.M, eng.Solver.ZSpan, mom.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for fi, f := range freqs {
-		want, err := sscm.Run(context.Background(), eng.Dim, 1, func(xi []float64) (float64, error) {
-			return base.LossFactor(kl.Synthesize(xi), f)
-		}, sscm.Options{})
+	for _, order := range []int{1, 2} {
+		eng, kl := testEngine(t)
+		eng.Order = order
+		freqs := []float64{4 * units.GHz, 5 * units.GHz}
+		res, err := eng.Run(context.Background(), freqs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Mean[fi] != want.PCE.Mean() {
-			t.Fatalf("f=%g: batched mean %v != point-at-a-time %v",
-				f, res.Mean[fi], want.PCE.Mean())
+		if res.AnchorsUsed != 0 {
+			t.Fatalf("order %d: short sweep used %d anchors, want exact path", order, res.AnchorsUsed)
+		}
+
+		base, err := core.NewSolverTabulated(core.PaperMaterial(), eng.Solver.L, eng.Solver.M, eng.Solver.ZSpan, mom.Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for fi, f := range freqs {
+			want := pointAtATime(t, base, kl, eng.Dim, order, f)
+			if res.Mean[fi] != want.Mean {
+				t.Fatalf("order %d, f=%g: batched mean %v != point-at-a-time %v",
+					order, f, res.Mean[fi], want.Mean)
+			}
 		}
 	}
 }
@@ -121,6 +142,40 @@ func TestRunCancelled(t *testing.T) {
 	cancel()
 	if _, err := eng.Run(ctx, []float64{4 * units.GHz, 5 * units.GHz}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("expected context.Canceled, got %v", err)
+	}
+}
+
+// TestUnitPanicRecovered: a unit panicking on one of forEach's own
+// goroutines fails the run with a classified error carrying the panic
+// value and its stack, instead of killing the process.
+func TestUnitPanicRecovered(t *testing.T) {
+	err := forEach(context.Background(), 6, 2, func(_ context.Context, i int) error {
+		if i == 3 {
+			panic("collocation node blew up")
+		}
+		return nil
+	})
+	if resilience.Classify(err) != resilience.KindPanic {
+		t.Fatalf("expected panic classification, got %v: %v", resilience.Classify(err), err)
+	}
+	for _, want := range []string{"collocation node blew up", "goroutine"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("recovered panic lacks %q: %v", want, err)
+		}
+	}
+}
+
+// TestUnitErrorClassified: a failing unit's error reaches the caller
+// with its classification intact.
+func TestUnitErrorClassified(t *testing.T) {
+	err := forEach(context.Background(), 5, 2, func(_ context.Context, i int) error {
+		if i == 2 {
+			return resilience.Errorf(resilience.KindConvergence, "solver", "no convergence")
+		}
+		return nil
+	})
+	if resilience.Classify(err) != resilience.KindConvergence {
+		t.Fatalf("expected convergence classification, got %v", err)
 	}
 }
 

@@ -222,17 +222,24 @@ func (s *Simulation) MeanLossFactorCtx(ctx context.Context, f float64) (float64,
 	return res.PCE.Mean(), nil
 }
 
-// SSCM builds the order-p polynomial chaos surrogate of K at f.
+// SSCM builds the order-p (p ≥ 1) polynomial chaos surrogate of K at f.
 func (s *Simulation) SSCM(f float64, order int) (*sscm.Result, error) {
 	return s.SSCMCtx(context.Background(), f, order)
 }
 
-// SSCMCtx is SSCM honoring cancellation.
+// SSCMCtx is SSCM honoring cancellation. The collocation values come
+// from a one-frequency sweep (CollocationValues), so every SSCM run in
+// the library goes through the sweep engine.
 func (s *Simulation) SSCMCtx(ctx context.Context, f float64, order int) (*sscm.Result, error) {
-	eval := func(xi []float64) (float64, error) {
-		return s.solver.LossFactorCtx(ctx, s.kl.Synthesize(xi), f)
+	if order < 1 {
+		return nil, resilience.Errorf(resilience.KindInvalidInput, "roughsim.SSCM",
+			"order must be ≥ 1, got %d", order)
 	}
-	return sscm.Run(ctx, s.dim, order, eval, sscm.Options{Workers: s.acc.Workers, Metrics: s.metrics})
+	vals, err := s.CollocationValues(ctx, []float64{f}, order)
+	if err != nil {
+		return nil, err
+	}
+	return sscm.FromValues(s.dim, order, vals[0])
 }
 
 // MonteCarlo estimates the distribution of K at f by brute force over n

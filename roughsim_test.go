@@ -4,7 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"roughsim/internal/resilience"
 	"roughsim/internal/rng"
+	"roughsim/internal/sscm"
 )
 
 func TestCopperSiO2(t *testing.T) {
@@ -75,6 +77,62 @@ func TestSimulationEndToEnd(t *testing.T) {
 	}
 	if kr <= 1 {
 		t.Fatalf("single-realization K = %g", kr)
+	}
+}
+
+// TestSSCMMatchesPointAtATime: Simulation.SSCM, which collocates
+// through the sweep engine, equals the per-node reference (every node
+// solved on its own by an independent simulation's LossFactor, then
+// projected) bit for bit at both SSCM orders, and rejects order 0.
+func TestSSCMMatchesPointAtATime(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solver run")
+	}
+	spec := SurfaceSpec{Corr: GaussianCF, Sigma: 0.4e-6, Eta: 1e-6}
+	acc := Accuracy{GridPerSide: 8, StochasticDim: 2, Workers: 2}
+	f := 5e9
+	for _, order := range []int{1, 2} {
+		sim, err := NewSimulation(CopperSiO2(), spec, acc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := NewSimulation(CopperSiO2(), spec, acc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sim.SSCM(f, order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes, err := sscm.Nodes(ref.StochasticDim(), order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals := make([]float64, len(nodes))
+		for j, xi := range nodes {
+			if vals[j], err = ref.LossFactor(ref.Surface(xi), f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := sscm.FromValues(ref.StochasticDim(), order, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Points != want.Points || len(got.Coeffs) != len(want.Coeffs) {
+			t.Fatalf("order %d: %d points, %d coefficients; want %d, %d",
+				order, got.Points, len(got.Coeffs), want.Points, len(want.Coeffs))
+		}
+		for i := range want.Coeffs {
+			if got.Coeffs[i] != want.Coeffs[i] {
+				t.Fatalf("order %d: coefficient %d is %v, per-node reference %v",
+					order, i, got.Coeffs[i], want.Coeffs[i])
+			}
+		}
+		if order == 1 {
+			if _, err := sim.SSCM(f, 0); resilience.Classify(err) != resilience.KindInvalidInput {
+				t.Fatalf("order 0: %v", err)
+			}
+		}
 	}
 }
 

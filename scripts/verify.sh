@@ -40,6 +40,9 @@ go test -run '^$' -fuzz FuzzSurrogateDecode -fuzztime 5s ./internal/surrogate/
 # the four POSTed configs' defaults and validation, and every accepted
 # config round-trips through its JSON encoding.
 go test -run '^$' -fuzz FuzzDecodeBody -fuzztime 5s ./internal/server/
+# Fuzz the server's disk-tier codecs briefly: no stored entry may panic
+# Decode, and every accepted value re-encodes to a fixed point.
+go test -run '^$' -fuzz FuzzStoreCodecs -fuzztime 5s ./internal/server/
 # The journal and retry machinery also get a full (non-short) race pass:
 # WAL replay and backoff-requeue races only show up off the fast paths.
 go test -race -count=1 ./internal/journal/... ./internal/jobs/... ./internal/cluster/...
