@@ -14,6 +14,7 @@ import (
 	"roughsim/internal/sparams"
 	"roughsim/internal/surrogate"
 	"roughsim/internal/telemetry"
+	"roughsim/internal/trace"
 )
 
 // This file is the S-parameter service tier of roughsimd: a geometry +
@@ -169,7 +170,9 @@ func (s *Server) runSParams(cfg roughsim.SParamConfig, key rescache.Key) jobs.Ru
 		// persist" leaves the K points cached but the artifact absent —
 		// exactly the torn state replay must finish from.
 		s.chaos.Crash("sparams.artifact", s.sparSeq.Add(1))
+		_, span := trace.StartSpan(ctx, "sparams.persist")
 		s.sparArts.Put(key, art)
+		span.End()
 		progress(total, total)
 		return art, nil
 	}

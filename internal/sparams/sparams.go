@@ -4,16 +4,18 @@
 // designer-consumable endpoint of the whole pipeline.
 //
 // The generation pipeline has four phases, each under its own trace
-// span and metrics:
+// span and metrics, and an encode step under its own span:
 //
 //	resolve   K(f) on the request grid (surrogate fast path or the
 //	          exact sweep chain — the Resolver abstracts which)
-//	correct   build the causal complex correction K_c(f) = K + jX via
-//	          the Kramers–Kronig transform (txline.CausalRoughness)
+//	correct   the causal complex correction K_c(f) = K + jX at every
+//	          request frequency via the Kramers–Kronig transform
+//	          (txline.CausalRoughness), across GOMAXPROCS workers
 //	cascade   per-frequency RLGC → ABCD → S over the user band
 //	validate  hard gates: passivity (singular values of S ≤ 1 at every
 //	          sample) and causality (positive unwrapped group delay),
 //	          each with a typed violation report
+//	encode    the Touchstone body
 //
 // Only an artifact that passes every gate is returned; gate failures
 // come back as *GateError wrapped in the resilience taxonomy, carrying
@@ -26,6 +28,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"runtime"
 	"time"
 
 	"roughsim/internal/resilience"
@@ -197,8 +200,8 @@ func Generate(ctx context.Context, req Request, res Resolver, m *telemetry.Regis
 	// Phase 2: causal correction K_c = K + jX (Kramers–Kronig). The
 	// constructor rejects NaN/Inf/K<1 samples, so a poisoned resolution
 	// fails here with a typed error instead of contaminating the cascade.
-	_, span = trace.StartSpan(ctx, "sparams.correct")
-	causal, err := txline.NewCausalRoughness(req.Freqs, kres.K)
+	cctx, span := trace.StartSpan(ctx, "sparams.correct")
+	kc, err := correct(cctx, req.Freqs, kres.K)
 	span.End()
 	if err != nil {
 		return nil, fmt.Errorf("sparams: causal correction: %w", err)
@@ -212,7 +215,7 @@ func Generate(ctx context.Context, req Request, res Resolver, m *telemetry.Regis
 			span.End()
 			return nil, err
 		}
-		r, l, c, g, err := req.Line.RLGCCausal(f, causal.Factor(f))
+		r, l, c, g, err := req.Line.RLGCCausal(f, kc[i])
 		if err != nil {
 			span.End()
 			return nil, fmt.Errorf("sparams: cascade at %g Hz: %w", f, err)
@@ -234,8 +237,11 @@ func Generate(ctx context.Context, req Request, res Resolver, m *telemetry.Regis
 		return nil, err
 	}
 
+	_, span = trace.StartSpan(ctx, "sparams.encode")
 	var buf bytes.Buffer
-	if err := txline.WriteTouchstone(&buf, req.Z0, sweep); err != nil {
+	err = txline.WriteTouchstone(&buf, req.Z0, sweep)
+	span.End()
+	if err != nil {
 		return nil, fmt.Errorf("sparams: write touchstone: %w", err)
 	}
 	m.Counter("sparams.generated").Inc()
@@ -251,4 +257,32 @@ func Generate(ctx context.Context, req Request, res Resolver, m *telemetry.Regis
 		Gates:      report,
 		Touchstone: buf.String(),
 	}, nil
+}
+
+// correct evaluates K_c(f) = K(f) + jX(f) at every request frequency,
+// spread over GOMAXPROCS workers. Worker w takes every workers-th
+// frequency from w, so there is one hand-off per worker rather than per
+// frequency (a frequency costs microseconds, about as much as waking a
+// parked worker). Each frequency writes only its own slot, so the
+// result does not depend on the worker count.
+func correct(ctx context.Context, freqs, k []float64) ([]complex128, error) {
+	causal, err := txline.NewCausalRoughness(freqs, k)
+	if err != nil {
+		return nil, err
+	}
+	kc := make([]complex128, len(freqs))
+	workers := min(runtime.GOMAXPROCS(0), len(freqs))
+	err = resilience.ForEach(ctx, workers, workers, func(ctx context.Context, w int) error {
+		for i := w; i < len(freqs); i += workers {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			kc[i] = causal.Factor(freqs[i])
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return kc, nil
 }

@@ -53,9 +53,7 @@ import (
 	"math"
 	"math/cmplx"
 	"runtime"
-	"runtime/debug"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"roughsim/internal/cmplxmat"
@@ -361,7 +359,7 @@ func (e *Engine) columns(ctx context.Context, p *sweepPlan, surfs []*surface.Sur
 		inner = w / units
 	}
 	var done atomic.Int64
-	return forEach(ctx, units, w, func(ctx context.Context, u int) error {
+	return resilience.ForEach(ctx, units, w, func(ctx context.Context, u int) error {
 		grp, fi := groups[u/nf], u%nf
 		f := p.freqs[fi]
 		ref, err := e.Solver.FlatPabsCtx(ctx, f)
@@ -477,7 +475,7 @@ func (e *Engine) sweepPabs(ctx context.Context, surfs []*surface.Surface, xs []f
 			}
 		}
 		out := make([]float64, len(freqs))
-		err := forEach(ctx, len(freqs), e.workers(), func(ctx context.Context, fi int) error {
+		err := resilience.ForEach(ctx, len(freqs), e.workers(), func(ctx context.Context, fi int) error {
 			f := freqs[fi]
 			sys := interpSystem(anch, xs, math.Sqrt(f), surf, e.Solver.Mat.Params(f))
 			sol, err := e.Solver.SolveSystem(ctx, sys)
@@ -577,68 +575,4 @@ func ones(n int) []float64 {
 		v[i] = 1
 	}
 	return v
-}
-
-// forEach runs fn(i) for i ∈ [0, n) across min(n, workers) goroutines.
-// The first error wins; later units are skipped (not cancelled — units
-// already running finish). A cancelled ctx stops feeding promptly and
-// returns ctx.Err(). A panicking unit fails the run with a
-// resilience.KindPanic error carrying its stack, not the process.
-func forEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	errs := make([]error, n)
-	var failed atomic.Bool
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if failed.Load() {
-					continue
-				}
-				if err := runUnit(ctx, i, fn); err != nil {
-					errs[i] = err
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idx)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runUnit runs fn(ctx, i), recovering a panic into a classified error:
-// forEach's goroutines are its own, so no caller's recover sees them.
-func runUnit(ctx context.Context, i int, fn func(ctx context.Context, i int) error) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = resilience.Errorf(resilience.KindPanic, "sweepengine.unit",
-				"unit %d panicked: %v\n%s", i, p, debug.Stack())
-		}
-	}()
-	return fn(ctx, i)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"strings"
 	"testing"
 
 	"roughsim/internal/core"
@@ -142,40 +141,6 @@ func TestRunCancelled(t *testing.T) {
 	cancel()
 	if _, err := eng.Run(ctx, []float64{4 * units.GHz, 5 * units.GHz}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("expected context.Canceled, got %v", err)
-	}
-}
-
-// TestUnitPanicRecovered: a unit panicking on one of forEach's own
-// goroutines fails the run with a classified error carrying the panic
-// value and its stack, instead of killing the process.
-func TestUnitPanicRecovered(t *testing.T) {
-	err := forEach(context.Background(), 6, 2, func(_ context.Context, i int) error {
-		if i == 3 {
-			panic("collocation node blew up")
-		}
-		return nil
-	})
-	if resilience.Classify(err) != resilience.KindPanic {
-		t.Fatalf("expected panic classification, got %v: %v", resilience.Classify(err), err)
-	}
-	for _, want := range []string{"collocation node blew up", "goroutine"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("recovered panic lacks %q: %v", want, err)
-		}
-	}
-}
-
-// TestUnitErrorClassified: a failing unit's error reaches the caller
-// with its classification intact.
-func TestUnitErrorClassified(t *testing.T) {
-	err := forEach(context.Background(), 5, 2, func(_ context.Context, i int) error {
-		if i == 2 {
-			return resilience.Errorf(resilience.KindConvergence, "solver", "no convergence")
-		}
-		return nil
-	})
-	if resilience.Classify(err) != resilience.KindConvergence {
-		t.Fatalf("expected convergence classification, got %v", err)
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 // K_c(f) with Re K_c = K: by the Kramers–Kronig relation for a function
 // analytic in the upper half-plane that tends to a real constant K(∞),
 //
-//	Im K_c(f) = (2f/π)·P∫₀^∞ [K(∞) − K(ν)] / (ν² − f²) dν
+//	Im K_c(f) = (2f/π)·P∫₀^∞ [K(ν) − K(∞)] / (ν² − f²) dν
 //
 // The transform is evaluated numerically from K samples on a frequency
 // grid with singularity extraction; beyond the grid K is extrapolated as
@@ -31,7 +31,13 @@ type CausalRoughness struct {
 	freqs []float64
 	k     []float64
 	kInf  float64
+	// g holds K(ν_i) − K(∞) at hilbert's hilbertNodes midpoint nodes,
+	// computed once so every evaluation of X reads the table.
+	g []float64
 }
+
+// hilbertNodes is the number of midpoint nodes of hilbert's quadrature.
+const hilbertNodes = 4000
 
 // NewCausalRoughness builds the correction from K samples at the given
 // frequencies (Hz). Frequencies must be positive, finite and distinct;
@@ -73,6 +79,18 @@ func NewCausalRoughness(freqs, k []float64) (*CausalRoughness, error) {
 		c.k = append(c.k, p.k)
 	}
 	c.kInf = c.k[len(c.k)-1]
+	// The node table: ν_i rises monotonically, so K(ν)'s sample index j
+	// is walked forward instead of binary-searched at each node.
+	h := c.freqs[len(c.freqs)-1] / hilbertNodes
+	c.g = make([]float64, hilbertNodes)
+	j := 0
+	for i := range c.g {
+		nu := (float64(i) + 0.5) * h
+		for j < len(c.freqs) && c.freqs[j] < nu {
+			j++
+		}
+		c.g[i] = c.kAt(j, nu) - c.kInf
+	}
 	return c, nil
 }
 
@@ -100,41 +118,33 @@ func (c *CausalRoughness) Factor(f float64) complex128 {
 }
 
 // hilbert evaluates the Kramers–Kronig integral by composite midpoint
-// quadrature on a log-spaced grid with the principal-value singularity
-// removed analytically:
+// quadrature on a linear grid of hilbertNodes nodes over (0, νmax],
+// with the principal-value singularity removed analytically:
 //
-//	X(f) = (2f/π)·∫ [g(f) − g(ν)]/(ν²−f²) dν + (g(f)·2f/π)·P∫ dν/(ν²−f²)
-//	     (with g = K − K(∞), combined from the singularity-extracted
-//	      smooth part and the closed-form principal value),
+//	X(f) = (2f/π)·∫₀^{νmax} [g(ν) − g(f)]/(ν²−f²) dν
+//	     + (2f/π)·g(f)·P∫₀^{νmax} dν/(ν²−f²),
 //
-// where g = K − K(∞); the second integral over (0, νmax) is
-// (1/f)·ln|(νmax−f)/(νmax+f)|·… evaluated in closed form, and g vanishes
-// beyond the sampled band so the integration range is finite.
+// where g = K − K(∞) vanishes beyond the sampled band νmax, so the
+// integration range is finite, and the second integral has the closed
+// form (1/2f)·ln|(νmax−f)/(νmax+f)|. A linear grid is adequate: the
+// integrand is smooth after the singularity extraction and the band is
+// at most a few decades. g(ν_i) at the nodes comes from the table c.g,
+// built once by NewCausalRoughness; only f-dependent work runs here.
 func (c *CausalRoughness) hilbert(f float64) float64 {
-	// Integration covers (0, νmax]; above νmax, g ≡ 0.
 	nuMax := c.freqs[len(c.freqs)-1]
 	gf := 0.0
 	if f < nuMax {
 		gf = c.K(f) - c.kInf
 	}
-	const n = 4000
 	var sum float64
-	// Linear grid is adequate: the integrand is smooth after the
-	// singularity extraction and the band is at most a few decades.
-	h := nuMax / n
-	// ν rises monotonically, so K(ν)'s sample index j is walked forward
-	// instead of binary-searched at each of the n nodes.
-	j := 0
-	for i := 0; i < n; i++ {
+	h := nuMax / hilbertNodes
+	for i, g := range c.g {
 		nu := (float64(i) + 0.5) * h
 		den := nu*nu - f*f
 		if math.Abs(den) < 1e-12*f*f+1e-300 {
 			continue
 		}
-		for j < len(c.freqs) && c.freqs[j] < nu {
-			j++
-		}
-		sum += (c.kAt(j, nu) - c.kInf - gf) / den * h
+		sum += (g - gf) / den * h
 	}
 	x := 2 * f / math.Pi * sum
 	// Closed-form principal value of ∫₀^{νmax} dν/(ν²−f²)

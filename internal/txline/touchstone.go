@@ -5,6 +5,8 @@ import (
 	"io"
 	"math"
 	"math/cmplx"
+
+	"roughsim/internal/resilience"
 )
 
 // SParams is one two-port sample. The line models here are reciprocal
@@ -35,29 +37,46 @@ func SweepSParams(ms Microstrip, ell, z0 float64, freqs []float64, kr RoughnessM
 
 // WriteTouchstone emits the sweep in Touchstone 1.x two-port format
 // (# HZ S RI R z0), the interchange format every SI tool reads. Sample
-// ordering follows the spec: S11 S21 S12 S22 per frequency row.
+// ordering follows the spec: S11 S21 S12 S22 per frequency row. The
+// whole sweep is checked before anything is written: a bad z0 or
+// frequency is a typed invalid-input error, a non-finite S entry a
+// typed numerical one, since no reader accepts NaN or Inf rows.
 func WriteTouchstone(w io.Writer, z0 float64, sweep []SParams) error {
+	const op = "txline.WriteTouchstone"
 	if len(sweep) == 0 {
-		return fmt.Errorf("txline: empty S-parameter sweep")
+		return resilience.Errorf(resilience.KindInvalidInput, op, "empty S-parameter sweep")
 	}
-	if _, err := fmt.Fprintf(w, "! roughsim transmission-line model\n# HZ S RI R %g\n", z0); err != nil {
-		return err
+	if !finitePositive(z0) {
+		return resilience.Errorf(resilience.KindInvalidInput, op,
+			"reference impedance must be positive and finite (got %g)", z0)
 	}
 	prev := 0.0
 	for i, s := range sweep {
 		// Touchstone 1.x requires strictly increasing frequencies; most SI
 		// tools misparse duplicates or reordered rows silently, so both are
 		// hard errors here with the row index and both values named.
-		if !(s.F > 0) || math.IsInf(s.F, 0) {
-			return fmt.Errorf("txline: touchstone row %d: frequency must be positive and finite (got %g)", i, s.F)
+		if !finitePositive(s.F) {
+			return resilience.Errorf(resilience.KindInvalidInput, op,
+				"row %d: frequency must be positive and finite (got %g)", i, s.F)
 		}
 		if s.F == prev {
-			return fmt.Errorf("txline: touchstone row %d: duplicate frequency %g Hz", i, s.F)
+			return resilience.Errorf(resilience.KindInvalidInput, op,
+				"row %d: duplicate frequency %g Hz", i, s.F)
 		}
 		if s.F < prev {
-			return fmt.Errorf("txline: touchstone row %d: frequencies must be strictly increasing (%g Hz after %g Hz)", i, s.F, prev)
+			return resilience.Errorf(resilience.KindInvalidInput, op,
+				"row %d: frequencies must be strictly increasing (%g Hz after %g Hz)", i, s.F, prev)
 		}
 		prev = s.F
+		if !finite(s.S11) || !finite(s.S21) {
+			return resilience.Errorf(resilience.KindNumerical, op,
+				"row %d: S-parameters at %g Hz are not finite (S11=%v, S21=%v)", i, s.F, s.S11, s.S21)
+		}
+	}
+	if _, err := fmt.Fprintf(w, "! roughsim transmission-line model\n# HZ S RI R %g\n", z0); err != nil {
+		return err
+	}
+	for _, s := range sweep {
 		s12 := s.S21 // reciprocity
 		s22 := s.S11 // symmetry
 		if _, err := fmt.Fprintf(w, "%.10g %.10g %.10g %.10g %.10g %.10g %.10g %.10g %.10g\n",
@@ -70,6 +89,11 @@ func WriteTouchstone(w io.Writer, z0 float64, sweep []SParams) error {
 		}
 	}
 	return nil
+}
+
+// finite reports whether both parts of z are finite.
+func finite(z complex128) bool {
+	return !cmplx.IsNaN(z) && !cmplx.IsInf(z)
 }
 
 // PassivityCheck returns the largest power gain Σ|S_i1|² over the sweep;

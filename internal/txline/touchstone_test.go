@@ -2,10 +2,13 @@ package txline
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
+	"roughsim/internal/resilience"
 	"roughsim/internal/units"
 )
 
@@ -114,4 +117,82 @@ func TestGroupDelayPositiveAndNearTEM(t *testing.T) {
 
 func sqrtEff(ms Microstrip) float64 {
 	return math.Sqrt(ms.EffectivePermittivity())
+}
+
+func TestTouchstoneRejectionsAreTyped(t *testing.T) {
+	good := []SParams{{F: 1e9, S11: 0.1, S21: 0.9}, {F: 2e9, S11: 0.1, S21: 0.9}}
+	cases := []struct {
+		name  string
+		z0    float64
+		sweep []SParams
+		want  resilience.Kind
+	}{
+		{"empty", 50, nil, resilience.KindInvalidInput},
+		{"zero-z0", 0, good, resilience.KindInvalidInput},
+		{"negative-z0", -50, good, resilience.KindInvalidInput},
+		{"nan-z0", math.NaN(), good, resilience.KindInvalidInput},
+		{"inf-z0", math.Inf(1), good, resilience.KindInvalidInput},
+		{"nan-freq", 50, []SParams{{F: math.NaN()}}, resilience.KindInvalidInput},
+		{"descending", 50, []SParams{{F: 2e9}, {F: 1e9}}, resilience.KindInvalidInput},
+		{"duplicate", 50, []SParams{{F: 1e9}, {F: 1e9}}, resilience.KindInvalidInput},
+		{"nan-s11", 50, []SParams{{F: 1e9, S11: complex(math.NaN(), 0)}}, resilience.KindNumerical},
+		{"inf-s21", 50, []SParams{{F: 1e9, S21: complex(0, math.Inf(-1))}}, resilience.KindNumerical},
+	}
+	for _, tc := range cases {
+		var buf bytes.Buffer
+		err := WriteTouchstone(&buf, tc.z0, tc.sweep)
+		if got := resilience.Classify(err); got != tc.want {
+			t.Errorf("%s: classified %v, want %v (err %v)", tc.name, got, tc.want, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: rejected sweep still wrote %d bytes", tc.name, buf.Len())
+		}
+	}
+}
+
+// FuzzWriteTouchstone: no z0 or sweep may panic WriteTouchstone, and an
+// accepted sweep writes exactly the two header lines plus one row of 9
+// finite fields per sample.
+func FuzzWriteTouchstone(f *testing.F) {
+	row := func(vs ...float64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	f.Add(50.0, row(1e9, 0.1, -0.2, 0.9, 0.3, 2e9, 0.12, -0.1, 0.85, 0.4))
+	f.Add(75.0, row(5e9, 0, 0, 1, 0))
+	f.Add(0.0, row(1e9, 0.1, 0, 0.9, 0))
+	f.Add(50.0, row(2e9, 0, 0, 1, 0, 1e9, 0, 0, 1, 0))
+	f.Add(50.0, row(1e9, math.NaN(), 0, 1, 0))
+	f.Add(math.Inf(1), row(1e9, 0, 0, 1, 0))
+	f.Fuzz(func(t *testing.T, z0 float64, raw []byte) {
+		var sweep []SParams
+		for len(raw) >= 40 {
+			v := func(k int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(raw[8*k:])) }
+			sweep = append(sweep, SParams{F: v(0), S11: complex(v(1), v(2)), S21: complex(v(3), v(4))})
+			raw = raw[40:]
+		}
+		var buf bytes.Buffer
+		if err := WriteTouchstone(&buf, z0, sweep); err != nil {
+			return
+		}
+		lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+		if len(lines) != 2+len(sweep) {
+			t.Fatalf("%d lines for %d rows:\n%s", len(lines), len(sweep), buf.String())
+		}
+		for _, line := range lines[2:] {
+			fields := strings.Fields(line)
+			if len(fields) != 9 {
+				t.Fatalf("row has %d fields, want 9: %q", len(fields), line)
+			}
+			for _, fld := range fields {
+				v, err := strconv.ParseFloat(fld, 64)
+				if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("row field %q is not a finite number: %q", fld, line)
+				}
+			}
+		}
+	})
 }

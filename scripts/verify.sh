@@ -43,6 +43,10 @@ go test -run '^$' -fuzz FuzzDecodeBody -fuzztime 5s ./internal/server/
 # Fuzz the server's disk-tier codecs briefly: no stored entry may panic
 # Decode, and every accepted value re-encodes to a fixed point.
 go test -run '^$' -fuzz FuzzStoreCodecs -fuzztime 5s ./internal/server/
+# Fuzz the Touchstone writer briefly: no z0 or sweep may panic it, and
+# every accepted sweep writes two header lines plus one row of 9 finite
+# fields per sample.
+go test -run '^$' -fuzz FuzzWriteTouchstone -fuzztime 5s ./internal/txline/
 # The journal and retry machinery also get a full (non-short) race pass:
 # WAL replay and backoff-requeue races only show up off the fast paths.
 go test -race -count=1 ./internal/journal/... ./internal/jobs/... ./internal/cluster/...
