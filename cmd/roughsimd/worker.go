@@ -50,7 +50,7 @@ func runWorker(log *slog.Logger, coordinator, id string, poll, grace time.Durati
 		Grace:       grace,
 		Metrics:     metrics,
 		Log:         log,
-		Solve:       cluster.NewColumns(metrics).Solve,
+		Solve:       cluster.NewColumns(metrics, nil).Solve,
 	})
 	if err != nil {
 		log.Error("worker startup failed", "err", err)

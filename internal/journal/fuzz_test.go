@@ -9,10 +9,10 @@ import (
 )
 
 // FuzzJournalReadAll feeds arbitrary bytes to the replay decoder as a
-// journal file: ReadAll, Fold and FoldCampaigns must never panic, every
-// record ReadAll accepts must survive an encodeFrame round trip (the
-// re-encoded frame decodes to a record that encodes to the same bytes),
-// and a file of those frames must read back as the same records.
+// journal file: ReadAll and Fold must never panic, every record ReadAll
+// accepts must survive an encodeFrame round trip (the re-encoded frame
+// decodes to a record that encodes to the same bytes), and a file of
+// those frames must read back as the same records.
 func FuzzJournalReadAll(f *testing.F) {
 	cfg := json.RawMessage(`{"freqs_hz":[1e9,2e9],"grid":8}`)
 	var log []byte
@@ -22,8 +22,14 @@ func FuzzJournalReadAll(f *testing.F) {
 		Record{Schema: SchemaVersion, Seq: 3, Op: OpAnchorDone, JobID: "a"}.WithAnchor(-1),
 		{Schema: SchemaVersion, Seq: 4, Op: OpLeaseExpired, JobID: "a", Worker: "w1"},
 		{Schema: SchemaVersion, Seq: 5, Op: OpCampaignSubmitted, JobID: "c", Config: cfg},
-		Record{Schema: SchemaVersion, Seq: 6, Op: OpCampaignCellDone, JobID: "c"}.WithAnchor(0),
+		Record{Schema: SchemaVersion, Seq: 6, Op: OpAnchorDone, JobID: "c"}.WithAnchor(0),
 		{Schema: SchemaVersion, Seq: 7, Op: OpFailed, JobID: "a", Error: "boom", Kind: "numerical"},
+		// The legacy campaign ops Fold still reads.
+		Record{Schema: SchemaVersion, Seq: 8, Op: legacyCampaignCellDone, JobID: "c"}.WithAnchor(1),
+		{Schema: SchemaVersion, Seq: 9, Op: OpCampaignSubmitted, JobID: "d", Config: cfg},
+		{Schema: SchemaVersion, Seq: 10, Op: legacyCampaignFailed, JobID: "d", Error: "boom"},
+		{Schema: SchemaVersion, Seq: 11, Op: legacyCampaignCompleted, JobID: "c"},
+		{Schema: SchemaVersion, Seq: 12, Op: legacyCampaignCanceled, JobID: "e"},
 	} {
 		frame, err := encodeFrame(r)
 		if err != nil {
@@ -47,7 +53,6 @@ func FuzzJournalReadAll(f *testing.F) {
 			t.Fatal(err)
 		}
 		Fold(recs)
-		FoldCampaigns(recs)
 
 		var rewritten []byte
 		for _, r := range recs {

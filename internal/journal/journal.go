@@ -1,10 +1,11 @@
 // Package journal is the durability substrate of roughsimd: an
 // append-only, fsync'd, CRC-checked write-ahead log of job lifecycle
 // records. The daemon appends a record at every observable transition
-// of a sweep job (submitted, started, anchor checkpoint done,
-// completed, failed, canceled) and replays the log on boot, so a crash
-// — kill -9, OOM, power loss — loses no accepted work: unfinished
-// sweeps are re-enqueued with their attempt history, and their
+// of a durable job or campaign (submitted, started, anchor checkpoint
+// or campaign cell done, completed, failed, canceled) and replays the
+// log on boot, so a crash — kill -9, OOM, power loss — loses no
+// accepted work: unfinished sweeps are re-enqueued with their attempt
+// history, and their
 // completed anchor checkpoints (persisted separately through the
 // content-addressed result cache) are skipped on resume.
 //
@@ -21,10 +22,10 @@
 // everything before it is intact because frames are never rewritten.
 //
 // Open also compacts: after folding the old log into its set of
-// still-pending jobs, it atomically rewrites the file to contain
-// exactly one submitted record per pending job (temp file + fsync +
-// rename + directory fsync), so the journal stays proportional to the
-// live work set instead of growing with history across restarts.
+// still-pending jobs and campaigns, it atomically rewrites the file to
+// contain exactly one submission record per pending entry (temp file +
+// fsync + rename + directory fsync), so the journal stays proportional
+// to the live work set instead of growing with history across restarts.
 package journal
 
 import (
@@ -74,21 +75,14 @@ const (
 	OpLeaseExpired Op = "lease-expired"
 
 	// OpCampaignSubmitted: a campaign was accepted; JobID carries the
-	// campaign's content-addressed ID and Config its CampaignConfig, so
-	// a replay restarts the study under the ID clients already hold.
+	// campaign's content-addressed ID (64 hex characters, so it never
+	// collides with a 32-character job ID) and Config its
+	// CampaignConfig, so a replay restarts the study under the ID
+	// clients already hold. A campaign shares the job lifecycle: each
+	// cell that reaches a durable result is an anchor-done record
+	// (Anchor is the cell index), and its outcome is the ordinary
+	// completed / failed / canceled record.
 	OpCampaignSubmitted Op = "campaign-submitted"
-	// OpCampaignCellDone: one cell of a campaign reached a durable
-	// result (Anchor is the cell index, wire-offset like checkpoint
-	// anchors). Observability only: resume re-derives finished cells
-	// from the result cache, not from these records.
-	OpCampaignCellDone Op = "campaign-cell-done"
-	// OpCampaignCompleted / OpCampaignFailed / OpCampaignCanceled are
-	// the campaign terminal records; replay drops the campaign.
-	// Campaigns interrupted by a shutdown drain are deliberately NOT
-	// journaled as canceled, so they resume on restart.
-	OpCampaignCompleted Op = "campaign-completed"
-	OpCampaignFailed    Op = "campaign-failed"
-	OpCampaignCanceled  Op = "campaign-canceled"
 
 	// OpSparamsSubmitted: an S-parameter artifact job was accepted;
 	// Config carries the SParamConfig JSON. It shares the sweep job
@@ -96,6 +90,18 @@ const (
 	// kept a distinct submission op so replay re-dispatches it to the
 	// S-parameter runner, not the sweep runner.
 	OpSparamsSubmitted Op = "sparams-submitted"
+)
+
+// Campaign cell and terminal ops of journals written before campaigns
+// shared the job records. Nothing writes them any more; Fold still reads
+// them as anchor-done and terminal records, so a campaign that finished
+// or was canceled under the old vocabulary does not restart after an
+// upgrade.
+const (
+	legacyCampaignCellDone  Op = "campaign-cell-done"
+	legacyCampaignCompleted Op = "campaign-completed"
+	legacyCampaignFailed    Op = "campaign-failed"
+	legacyCampaignCanceled  Op = "campaign-canceled"
 )
 
 // SchemaVersion tags every record; bump it when the meaning of a field
@@ -111,9 +117,10 @@ type Record struct {
 	JobID   string `json:"job"`
 	Key     string `json:"key,omitempty"` // sweep content address (hex)
 	Attempt int    `json:"attempt,omitempty"`
-	// Anchor is the checkpoint index of an anchor-done record, offset
-	// by two on the wire so both node 0 and the flat reference (-1)
-	// survive omitempty; use the WithAnchor/AnchorNode accessors.
+	// Anchor is the checkpoint index (a campaign's cell index) of an
+	// anchor-done record, offset by two on the wire so both node 0 and
+	// the flat reference (-1) survive omitempty; use the
+	// WithAnchor/AnchorNode accessors.
 	Anchor int `json:"anchor,omitempty"`
 	// Config is the opaque job payload (the sweep config JSON) replay
 	// hands back to the submitter.
@@ -135,47 +142,26 @@ func (r Record) WithAnchor(node int) Record {
 // record.
 func (r Record) AnchorNode() int { return r.Anchor - 2 }
 
-// Pending is one unfinished job reconstructed by replay.
+// Pending is one unfinished job or campaign reconstructed by replay.
 type Pending struct {
 	JobID string
 	Key   string
-	// Op is the submission op that created the job (OpSubmitted or
-	// OpSparamsSubmitted) — replay dispatches on it, and compact
-	// re-emits it so the distinction survives restarts.
+	// Op is the submission op that created the job (OpSubmitted,
+	// OpSparamsSubmitted or OpCampaignSubmitted) — replay dispatches on
+	// it, and compact re-emits it so the distinction survives restarts.
 	Op Op
 	// Config is the submitted payload, verbatim.
 	Config json.RawMessage
 	// Attempts is how many times a worker started the job before the
 	// crash; the submitter folds it into the job's remaining budget.
 	Attempts int
-	// AnchorsDone counts the anchor checkpoints journaled for the job —
-	// observability for "how much of the sweep survives".
+	// AnchorsDone counts the anchor checkpoints (a campaign's durable
+	// cells) journaled for the job — observability for "how much of the
+	// work survives".
 	AnchorsDone int
 	// LeaseLosses counts the lease expiries journaled for the job —
 	// observability for "how many workers died under this sweep".
 	LeaseLosses int
-}
-
-// PendingCampaign is one unfinished campaign reconstructed by replay.
-type PendingCampaign struct {
-	// ID is the campaign's content-addressed identity (also the
-	// record's JobID on the wire).
-	ID  string
-	Key string
-	// Config is the submitted CampaignConfig, verbatim.
-	Config json.RawMessage
-	// CellsDone counts the cell-done records journaled before the crash
-	// — observability for "how much of the campaign survives" (resume
-	// re-derives finished cells from the result cache).
-	CellsDone int
-}
-
-// Replay is everything a journal replay surfaces: the jobs and the
-// campaigns still unfinished at the last crash or shutdown, each in
-// submission order.
-type Replay struct {
-	Jobs      []Pending
-	Campaigns []PendingCampaign
 }
 
 const (
@@ -192,28 +178,25 @@ type Journal struct {
 	seq  uint64
 
 	appends, tornTails, schemaSkips *telemetry.Counter
-	pendingG, pendingCampG          *telemetry.Gauge
 }
 
 // Open replays (and compacts) the journal at path, creating it when
 // absent, and returns the log opened for append plus the jobs and
 // campaigns still pending at the last crash or shutdown, in submission
 // order.
-func Open(path string, m *telemetry.Registry) (*Journal, Replay, error) {
+func Open(path string, m *telemetry.Registry) (*Journal, []Pending, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, Replay{}, fmt.Errorf("journal: mkdir: %w", err)
+		return nil, nil, fmt.Errorf("journal: mkdir: %w", err)
 	}
 	j := &Journal{
-		path:         path,
-		appends:      m.Counter("journal.appends"),
-		tornTails:    m.Counter("journal.torn_tails"),
-		schemaSkips:  m.Counter("journal.schema_skips"),
-		pendingG:     m.Gauge("journal.pending_jobs"),
-		pendingCampG: m.Gauge("journal.pending_campaigns"),
+		path:        path,
+		appends:     m.Counter("journal.appends"),
+		tornTails:   m.Counter("journal.torn_tails"),
+		schemaSkips: m.Counter("journal.schema_skips"),
 	}
 	recs, torn, err := readAll(path)
 	if err != nil {
-		return nil, Replay{}, err
+		return nil, nil, err
 	}
 	if torn {
 		j.tornTails.Inc()
@@ -226,19 +209,25 @@ func Open(path string, m *telemetry.Registry) (*Journal, Replay, error) {
 		}
 		kept = append(kept, r)
 	}
-	rep := Replay{Jobs: Fold(kept), Campaigns: FoldCampaigns(kept)}
-	if err := j.compact(rep); err != nil {
-		return nil, Replay{}, err
+	pending := Fold(kept)
+	if err := j.compact(pending); err != nil {
+		return nil, nil, err
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, Replay{}, fmt.Errorf("journal: open for append: %w", err)
+		return nil, nil, fmt.Errorf("journal: open for append: %w", err)
 	}
 	j.f = f
-	j.seq = uint64(len(rep.Jobs) + len(rep.Campaigns))
-	j.pendingG.Set(float64(len(rep.Jobs)))
-	j.pendingCampG.Set(float64(len(rep.Campaigns)))
-	return j, rep, nil
+	j.seq = uint64(len(pending))
+	camps := 0
+	for _, p := range pending {
+		if p.Op == OpCampaignSubmitted {
+			camps++
+		}
+	}
+	m.Gauge("journal.pending_jobs").Set(float64(len(pending) - camps))
+	m.Gauge("journal.pending_campaigns").Set(float64(camps))
+	return j, pending, nil
 }
 
 // Path returns the journal's file path.
@@ -284,41 +273,24 @@ func (j *Journal) Close() error {
 	return err
 }
 
-// compact atomically rewrites the journal to one submitted record per
+// compact atomically rewrites the journal to one submission record per
 // pending job and campaign (temp file + fsync + rename + directory
-// fsync), bounding the file to the live work set. Cell-done records
-// are dropped: resume re-derives finished cells from the result cache.
-func (j *Journal) compact(rep Replay) error {
+// fsync), bounding the file to the live work set. Anchor-done records
+// are dropped: resume re-derives finished checkpoints and campaign
+// cells from the caches.
+func (j *Journal) compact(pending []Pending) error {
 	tmp, err := os.CreateTemp(filepath.Dir(j.path), "journal-*")
 	if err != nil {
 		return fmt.Errorf("journal: compact: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	now := time.Now().UnixNano()
-	seq := uint64(0)
 	var frames [][]byte
-	for _, p := range rep.Jobs {
-		seq++
-		op := p.Op
-		if op == "" {
-			op = OpSubmitted
-		}
+	for i, p := range pending {
 		frame, err := encodeFrame(Record{
-			Schema: SchemaVersion, Seq: seq, Unix: now,
-			Op: op, JobID: p.JobID, Key: p.Key,
+			Schema: SchemaVersion, Seq: uint64(i + 1), Unix: now,
+			Op: p.Op, JobID: p.JobID, Key: p.Key,
 			Attempt: p.Attempts, Config: p.Config,
-		})
-		if err != nil {
-			tmp.Close()
-			return err
-		}
-		frames = append(frames, frame)
-	}
-	for _, c := range rep.Campaigns {
-		seq++
-		frame, err := encodeFrame(Record{
-			Schema: SchemaVersion, Seq: seq, Unix: now,
-			Op: OpCampaignSubmitted, JobID: c.ID, Key: c.Key, Config: c.Config,
 		})
 		if err != nil {
 			tmp.Close()
@@ -410,17 +382,19 @@ func ReadAll(path string) ([]Record, error) {
 	return recs, err
 }
 
-// Fold reduces a record sequence to the jobs still pending at its end:
-// a submission op (submitted, sparams-submitted) creates a job, started
-// advances its attempt count, anchor-done counts a persisted
-// checkpoint, and every terminal op (completed, failed, canceled)
-// removes it. Order of first submission is preserved.
+// Fold reduces a record sequence to the jobs and campaigns still
+// pending at its end: a submission op (submitted, sparams-submitted,
+// campaign-submitted) creates one, started advances its attempt count,
+// anchor-done counts a persisted checkpoint or campaign cell, and every
+// terminal op (completed, failed, canceled) removes it; the legacy
+// campaign ops fold as their job-record counterparts. Order of first
+// submission is preserved.
 func Fold(recs []Record) []Pending {
 	byID := map[string]*Pending{}
 	var order []string
 	for _, r := range recs {
 		switch r.Op {
-		case OpSubmitted, OpSparamsSubmitted:
+		case OpSubmitted, OpSparamsSubmitted, OpCampaignSubmitted:
 			if _, ok := byID[r.JobID]; ok {
 				continue
 			}
@@ -430,7 +404,7 @@ func Fold(recs []Record) []Pending {
 			if p, ok := byID[r.JobID]; ok && r.Attempt > p.Attempts {
 				p.Attempts = r.Attempt
 			}
-		case OpAnchorDone:
+		case OpAnchorDone, legacyCampaignCellDone:
 			if p, ok := byID[r.JobID]; ok {
 				p.AnchorsDone++
 			}
@@ -438,7 +412,8 @@ func Fold(recs []Record) []Pending {
 			if p, ok := byID[r.JobID]; ok {
 				p.LeaseLosses++
 			}
-		case OpCompleted, OpFailed, OpCanceled:
+		case OpCompleted, OpFailed, OpCanceled,
+			legacyCampaignCompleted, legacyCampaignFailed, legacyCampaignCanceled:
 			delete(byID, r.JobID)
 		}
 	}
@@ -446,38 +421,7 @@ func Fold(recs []Record) []Pending {
 	for _, id := range order {
 		if p, ok := byID[id]; ok {
 			out = append(out, *p)
-		}
-	}
-	return out
-}
-
-// FoldCampaigns reduces a record sequence to the campaigns still
-// pending at its end: campaign-submitted creates one, campaign-cell-
-// done counts a durable cell, and every campaign terminal op removes
-// it. Order of first submission is preserved.
-func FoldCampaigns(recs []Record) []PendingCampaign {
-	byID := map[string]*PendingCampaign{}
-	var order []string
-	for _, r := range recs {
-		switch r.Op {
-		case OpCampaignSubmitted:
-			if _, ok := byID[r.JobID]; ok {
-				continue
-			}
-			byID[r.JobID] = &PendingCampaign{ID: r.JobID, Key: r.Key, Config: r.Config}
-			order = append(order, r.JobID)
-		case OpCampaignCellDone:
-			if c, ok := byID[r.JobID]; ok {
-				c.CellsDone++
-			}
-		case OpCampaignCompleted, OpCampaignFailed, OpCampaignCanceled:
-			delete(byID, r.JobID)
-		}
-	}
-	out := make([]PendingCampaign, 0, len(byID))
-	for _, id := range order {
-		if c, ok := byID[id]; ok {
-			out = append(out, *c)
+			delete(byID, id) // a resubmitted ID sits twice in order
 		}
 	}
 	return out

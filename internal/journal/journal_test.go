@@ -11,12 +11,12 @@ import (
 
 func openT(t *testing.T, path string) (*Journal, []Pending) {
 	t.Helper()
-	j, rep, err := Open(path, telemetry.NewRegistry())
+	j, pending, err := Open(path, telemetry.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { j.Close() })
-	return j, rep.Jobs
+	return j, pending
 }
 
 func TestAppendReplayRoundTrip(t *testing.T) {
@@ -113,8 +113,8 @@ func TestTornTailTolerated(t *testing.T) {
 				t.Fatalf("torn journal failed to open: %v", err)
 			}
 			defer jr.Close()
-			if len(rep.Jobs) != 2 {
-				t.Fatalf("pending = %d, want the 2 intact records", len(rep.Jobs))
+			if len(rep) != 2 {
+				t.Fatalf("pending = %d, want the 2 intact records", len(rep))
 			}
 			if n := m.Counter("journal.torn_tails").Value(); n != 1 {
 				t.Fatalf("torn_tails = %d, want 1", n)
@@ -127,8 +127,8 @@ func TestTornTailTolerated(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer jr2.Close()
-			if len(rep2.Jobs) != 2 || m2.Counter("journal.torn_tails").Value() != 0 {
-				t.Fatalf("reopen after heal: %d pending, torn=%d", len(rep2.Jobs),
+			if len(rep2) != 2 || m2.Counter("journal.torn_tails").Value() != 0 {
+				t.Fatalf("reopen after heal: %d pending, torn=%d", len(rep2),
 					m2.Counter("journal.torn_tails").Value())
 			}
 		})
@@ -190,8 +190,8 @@ func TestUnknownSchemaSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer jr.Close()
-	if len(rep.Jobs) != 0 {
-		t.Fatalf("future-schema record replayed: %+v", rep.Jobs)
+	if len(rep) != 0 {
+		t.Fatalf("future-schema record replayed: %+v", rep)
 	}
 	if m.Counter("journal.schema_skips").Value() != 1 {
 		t.Fatal("schema skip not counted")
@@ -219,6 +219,114 @@ func TestFoldSemantics(t *testing.T) {
 	}
 	if pending[1].JobID != "dup" || pending[1].Key != "k1" {
 		t.Fatalf("dup folded as %+v", pending[1])
+	}
+}
+
+// Campaigns fold through the same records as jobs: cells are
+// anchor-done records, outcomes the job terminal records.
+func TestFoldCampaignsSemantics(t *testing.T) {
+	cfg := json.RawMessage(`{"band":{"fmin_hz":1e9,"fmax_hz":2e9}}`)
+	recs := []Record{
+		{Op: OpCampaignSubmitted, JobID: "camp-a", Key: "camp-a", Config: cfg},
+		Record{Op: OpAnchorDone, JobID: "camp-a"}.WithAnchor(0),
+		{Op: OpSubmitted, JobID: "job-1", Key: "kj"},
+		Record{Op: OpAnchorDone, JobID: "camp-a"}.WithAnchor(2),
+		{Op: OpCampaignSubmitted, JobID: "camp-a", Key: "other"}, // duplicate submit ignored
+		{Op: OpCampaignSubmitted, JobID: "camp-done", Key: "camp-done"},
+		{Op: OpCompleted, JobID: "camp-done"},
+		{Op: OpCampaignSubmitted, JobID: "camp-x", Key: "camp-x"},
+		{Op: OpCanceled, JobID: "camp-x"},
+		Record{Op: OpAnchorDone, JobID: "ghost"}.WithAnchor(0), // anchor-done without submitted: ignored
+		// A content-addressed campaign submitted again after its terminal
+		// record is pending once, not once per submission.
+		{Op: OpCampaignSubmitted, JobID: "camp-again", Key: "camp-again"},
+		{Op: OpFailed, JobID: "camp-again"},
+		{Op: OpCampaignSubmitted, JobID: "camp-again", Key: "camp-again"},
+	}
+	pending := Fold(recs)
+	if len(pending) != 3 {
+		t.Fatalf("pending = %+v, want camp-a, job-1 and camp-again", pending)
+	}
+	c := pending[0]
+	if c.JobID != "camp-a" || c.Key != "camp-a" || c.Op != OpCampaignSubmitted || c.AnchorsDone != 2 || string(c.Config) != string(cfg) {
+		t.Fatalf("camp-a folded as %+v", c)
+	}
+	if pending[1].JobID != "job-1" || pending[1].Op != OpSubmitted || pending[1].AnchorsDone != 0 {
+		t.Fatalf("job-1 folded as %+v", pending[1])
+	}
+	if pending[2].JobID != "camp-again" || pending[2].Op != OpCampaignSubmitted {
+		t.Fatalf("camp-again folded as %+v", pending[2])
+	}
+}
+
+// A journal written before campaigns shared the job records carries
+// the four campaign-* cell and terminal ops. It must fold to the pending
+// set the old campaign fold gave, so a finished or canceled campaign
+// does not restart after an upgrade.
+func TestLegacyCampaignRecordsFold(t *testing.T) {
+	cfg := json.RawMessage(`{"cells":[{"cf":"gaussian","sigma":4e-7,"eta":1e-6}],"freqs_hz":[1e9]}`)
+	recs := []Record{
+		{Op: OpCampaignSubmitted, JobID: "camp-live", Key: "camp-live", Config: cfg},
+		Record{Op: "campaign-cell-done", JobID: "camp-live"}.WithAnchor(0),
+		{Op: OpSubmitted, JobID: "job-1", Key: "kj", Config: cfg},
+		Record{Op: "campaign-cell-done", JobID: "camp-live"}.WithAnchor(3),
+		{Op: OpCampaignSubmitted, JobID: "camp-done", Key: "camp-done", Config: cfg},
+		Record{Op: "campaign-cell-done", JobID: "camp-done"}.WithAnchor(0),
+		{Op: "campaign-completed", JobID: "camp-done"},
+		{Op: OpCampaignSubmitted, JobID: "camp-failed", Key: "camp-failed", Config: cfg},
+		{Op: "campaign-failed", JobID: "camp-failed", Error: "cell 0: boom"},
+		{Op: OpCampaignSubmitted, JobID: "camp-canceled", Key: "camp-canceled", Config: cfg},
+		{Op: "campaign-canceled", JobID: "camp-canceled"},
+		Record{Op: "campaign-cell-done", JobID: "camp-live"}.WithAnchor(1),
+	}
+	// The old fold gave exactly one pending campaign, camp-live with
+	// CellsDone 3, beside the one pending job.
+	pending := Fold(recs)
+	if len(pending) != 2 {
+		t.Fatalf("pending = %+v, want job-1 and camp-live", pending)
+	}
+	if pending[0].JobID != "camp-live" || pending[0].Op != OpCampaignSubmitted ||
+		pending[0].AnchorsDone != 3 || string(pending[0].Config) != string(cfg) {
+		t.Fatalf("camp-live folded as %+v", pending[0])
+	}
+	if pending[1].JobID != "job-1" || pending[1].Op != OpSubmitted || pending[1].AnchorsDone != 0 {
+		t.Fatalf("job-1 folded as %+v", pending[1])
+	}
+
+	// Through the file: Open replays the legacy journal to the same set,
+	// counts it in both gauges, and compacts it to current records only.
+	path := filepath.Join(t.TempDir(), "wal")
+	var file []byte
+	for i, r := range recs {
+		r.Schema, r.Seq = SchemaVersion, uint64(i+1)
+		frame, err := encodeFrame(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		file = append(file, frame...)
+	}
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m := telemetry.NewRegistry()
+	j, rep, err := Open(path, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if len(rep) != 2 || rep[0].JobID != "camp-live" || rep[1].JobID != "job-1" {
+		t.Fatalf("legacy journal replayed as %+v", rep)
+	}
+	if m.Gauge("journal.pending_jobs").Value() != 1 || m.Gauge("journal.pending_campaigns").Value() != 1 {
+		t.Fatalf("gauges: pending_jobs %g, pending_campaigns %g; want 1 and 1",
+			m.Gauge("journal.pending_jobs").Value(), m.Gauge("journal.pending_campaigns").Value())
+	}
+	compacted, err := ReadAll(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(compacted) != 2 || compacted[0].Op != OpCampaignSubmitted || compacted[1].Op != OpSubmitted {
+		t.Fatalf("compacted legacy journal = %+v", compacted)
 	}
 }
 
@@ -272,42 +380,16 @@ func TestFoldLeaseRecords(t *testing.T) {
 	}
 }
 
-func TestFoldCampaignsSemantics(t *testing.T) {
-	cfg := json.RawMessage(`{"band":{"fmin_hz":1e9,"fmax_hz":2e9}}`)
-	recs := []Record{
-		{Op: OpCampaignSubmitted, JobID: "camp-a", Key: "camp-a", Config: cfg},
-		Record{Op: OpCampaignCellDone, JobID: "camp-a"}.WithAnchor(0),
-		Record{Op: OpCampaignCellDone, JobID: "camp-a"}.WithAnchor(2),
-		{Op: OpCampaignSubmitted, JobID: "camp-a", Key: "other"}, // duplicate submit ignored
-		{Op: OpCampaignSubmitted, JobID: "camp-done", Key: "camp-done"},
-		{Op: OpCampaignCompleted, JobID: "camp-done"},
-		{Op: OpCampaignSubmitted, JobID: "camp-x", Key: "camp-x"},
-		{Op: OpCampaignCanceled, JobID: "camp-x"},
-		{Op: OpCampaignCellDone, JobID: "ghost"}, // cell-done without submitted: ignored
-	}
-	camps := FoldCampaigns(recs)
-	if len(camps) != 1 {
-		t.Fatalf("pending campaigns = %+v, want only camp-a", camps)
-	}
-	c := camps[0]
-	if c.ID != "camp-a" || c.Key != "camp-a" || c.CellsDone != 2 || string(c.Config) != string(cfg) {
-		t.Fatalf("camp-a folded as %+v", c)
-	}
-	// Job folding must not see campaign records as jobs.
-	if jobs := Fold(recs); len(jobs) != 0 {
-		t.Fatalf("campaign records folded into jobs: %+v", jobs)
-	}
-}
-
-// A pending campaign must survive compaction (reopen) verbatim, and its
-// terminal record must drop it.
+// A pending campaign must survive compaction (reopen) verbatim beside
+// a job, each counted in its own gauge, and the ordinary completed
+// record must drop it.
 func TestCampaignCompactionRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
 	j, _ := openT(t, path)
 	cfg := json.RawMessage(`{"cells":[{"cf":"gaussian","sigma":4e-7,"eta":1e-6}],"freqs_hz":[1e9]}`)
 	appends := []Record{
 		{Op: OpCampaignSubmitted, JobID: "camp-1", Key: "camp-1", Config: cfg},
-		Record{Op: OpCampaignCellDone, JobID: "camp-1"}.WithAnchor(0),
+		Record{Op: OpAnchorDone, JobID: "camp-1"}.WithAnchor(0),
 		{Op: OpSubmitted, JobID: "job-1", Key: "kj"},
 	}
 	for _, r := range appends {
@@ -322,22 +404,20 @@ func TestCampaignCompactionRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Jobs) != 1 || rep.Jobs[0].JobID != "job-1" {
-		t.Fatalf("jobs = %+v", rep.Jobs)
+	if len(rep) != 2 || rep[1].JobID != "job-1" {
+		t.Fatalf("pending = %+v", rep)
 	}
-	if len(rep.Campaigns) != 1 {
-		t.Fatalf("campaigns = %+v", rep.Campaigns)
-	}
-	c := rep.Campaigns[0]
-	if c.ID != "camp-1" || string(c.Config) != string(cfg) {
+	c := rep[0]
+	if c.JobID != "camp-1" || c.Op != OpCampaignSubmitted || string(c.Config) != string(cfg) {
 		t.Fatalf("campaign replayed as %+v", c)
 	}
-	// Compaction drops cell-done records (CellsDone is re-derived from
-	// the result cache on resume, not from the journal).
 	if g := m.Gauge("journal.pending_campaigns").Value(); g != 1 {
 		t.Fatalf("pending_campaigns gauge = %g, want 1", g)
 	}
-	if err := j2.Append(Record{Op: OpCampaignCompleted, JobID: "camp-1"}); err != nil {
+	if g := m.Gauge("journal.pending_jobs").Value(); g != 1 {
+		t.Fatalf("pending_jobs gauge = %g, want 1", g)
+	}
+	if err := j2.Append(Record{Op: OpCompleted, JobID: "camp-1"}); err != nil {
 		t.Fatal(err)
 	}
 	j2.Close()
@@ -346,11 +426,8 @@ func TestCampaignCompactionRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep2.Campaigns) != 0 {
-		t.Fatalf("completed campaign still pending: %+v", rep2.Campaigns)
-	}
-	if len(rep2.Jobs) != 1 {
-		t.Fatalf("job lost across campaign compaction: %+v", rep2.Jobs)
+	if len(rep2) != 1 || rep2[0].JobID != "job-1" {
+		t.Fatalf("after the campaign completed, pending = %+v, want only job-1", rep2)
 	}
 }
 

@@ -2,6 +2,7 @@ package mom
 
 import (
 	"context"
+	"errors"
 	"math"
 	"slices"
 	"testing"
@@ -72,11 +73,58 @@ func TestChainFFTStageWinsAndMatchesDense(t *testing.T) {
 	}
 }
 
+// TestChainFFTWinsAtProductionGatesM20: at M=20 with default options —
+// the production gates, no threshold lowered — an admissible rough
+// surface solves through fft-gmres on the tabulated operator without
+// ever materializing the dense matrix, and agrees with the tabulated
+// dense assembly solved by the chain to 1e-6 in Pabs.
+func TestChainFFTWinsAtProductionGatesM20(t *testing.T) {
+	const L, m = 5 * um, 20
+	h := L / m
+	// σ small enough that the order-6 kernel model sits well inside
+	// fftModelTol (a-priori error ≈ (2·zmax/3h)^7 with zmax ≈ 3σ).
+	s := mildSurface(m, L, 0.06*h)
+	p := paramsAt(5 * units.GHz)
+	opt := Options{}
+	ts := NewTableSet(p, L, m, h, opt)
+
+	denseCalls := 0
+	sys := NewOperatorSystem(s, p, opt, ts, func() (*cmplxmat.Matrix, error) {
+		denseCalls++
+		return nil, errors.New("dense matrix requested on the FFT path")
+	})
+	if !sys.FFTAdmitted() {
+		t.Fatalf("surface not admitted: %v", sys.FFTRejection())
+	}
+	sol, err := sys.SolveResilient(context.Background(), SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Report.Winner != StageFFT {
+		t.Fatalf("winner = %q, want %q", sol.Report.Winner, StageFFT)
+	}
+	if denseCalls != 0 || sys.DenseAssembled() {
+		t.Fatalf("fft win materialized the dense matrix (%d calls)", denseCalls)
+	}
+
+	dsys, err := AssembleTabulated(s, p, ts, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	denseSol, err := dsys.SolveResilient(context.Background(), SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := math.Abs(sol.Pabs-denseSol.Pabs) / math.Abs(denseSol.Pabs); d > 1e-6 {
+		t.Fatalf("fft-chain Pabs %g vs tabulated dense chain %g (rel dev %g)", sol.Pabs, denseSol.Pabs, d)
+	}
+}
+
 func TestChainOverBoundSurfaceSkipsFFTWithoutRetry(t *testing.T) {
 	L := 5 * um
 	m := 12
 	// σ = 0.08 μm passes the operator's hard convergence bound but its
-	// a-priori model error (≫ 1e-6) fails the chain's FFTModelTol gate.
+	// a-priori model error (≫ 1e-6) fails the chain's fftModelTol gate.
 	s := mildSurface(m, L, 0.08*um)
 	p := paramsAt(5 * units.GHz)
 	opt := Options{FFTMinCells: 1}

@@ -30,7 +30,7 @@ import (
 //
 // Validity: the polynomial error decays like (Δz-range/ρ)^{P+1} with ρ
 // the lateral pair distance, so the operator requires
-// max|f_i − f_j| ≲ NearRadius·h — the slightly-rough / finely-gridded
+// max|f_i − f_j| ≲ nearRadius·h — the slightly-rough / finely-gridded
 // regime, as in ref. [17]. Construction returns a typed
 // resilience.KindNumerical error outside it; use the dense or tabulated
 // paths there (the resilient solve chain does exactly that).
@@ -68,9 +68,9 @@ type nearEntry struct {
 // expansion error decays like (Δz-range/ρ)^{P+1} and the near
 // corrections fix every pair inside fftReach's rhoMin exactly, so the
 // worst surviving pair dominates. The solve chain admits the operator
-// only when this estimate is below Options.FFTModelTol.
+// only when this estimate is below fftModelTol.
 func fftModelEstimate(s *surface.Surface, opt Options) float64 {
-	zrange, rhoMin := fftReach(s, opt)
+	zrange, rhoMin := fftReach(s)
 	if zrange == 0 {
 		return 0
 	}
@@ -80,8 +80,8 @@ func fftModelEstimate(s *surface.Surface, opt Options) float64 {
 // fftReach returns the surface's height range 2·max|f| and rhoMin, the
 // lateral distance of the closest pair the polynomial model must
 // represent (every closer pair is corrected exactly).
-func fftReach(s *surface.Surface, opt Options) (zrange, rhoMin float64) {
-	return 2 * surfaceZMax(s), float64(opt.NearRadius+1) * s.Step()
+func fftReach(s *surface.Surface) (zrange, rhoMin float64) {
+	return 2 * surfaceZMax(s), float64(nearRadius+1) * s.Step()
 }
 
 // surfaceZMax returns max|f| over the surface heights.
@@ -135,7 +135,7 @@ func checkFFTAdmissible(s *surface.Surface, order int, opt Options) error {
 		return resilience.Errorf(resilience.KindInvalidInput, "mom.fftop",
 			"FFT operator order must be ≥ 1 (got %d)", order)
 	}
-	if zrange, rhoMin := fftReach(s, opt); zrange > 0.8*rhoMin {
+	if zrange, rhoMin := fftReach(s); zrange > 0.8*rhoMin {
 		return resilience.Errorf(resilience.KindNumerical, "mom.fftop",
 			"height range %.3g exceeds FFT-operator convergence bound %.3g (σ too large for this grid; use dense/tabulated assembly)", zrange, 0.8*rhoMin)
 	}
@@ -336,7 +336,7 @@ func (op *FFTOperator) modelEntry(med, i, j int) (sv, dv complex128) {
 // nearChebOrder is the per-lateral-point Chebyshev order used to cache
 // the near kernel's Δz dependence during the near-correction build. The
 // nearest used lateral point sits at ρ ≈ 0.64h. At the default
-// FFTModelTol the gate admits 2·zmax up to 3h·(1e-6)^{1/7} ≈ 0.42h, where
+// fftModelTol the gate admits 2·zmax up to 3h·(1e-6)^{1/7} ≈ 0.42h, where
 // that point's Bernstein convergence factor is ≈ 3.3 and 17 nodes fit it
 // to ~1e-9 relative; at |Δz| ≲ 0.25h the factor is ≳ 5 (~1e-12), and on
 // sweep-m20's surfaces (|Δz| ≲ 0.1h) the fits reach rounding level.
@@ -383,7 +383,7 @@ func (nc *nearChebCache) nearEval(cx, cy, sx, sy int, dz float64) (complex128, [
 // (0,0) cell block is skipped: it can sit at ρ = 0 (singular) and the
 // correction loop never queries it because the self pair is excluded.
 func fitNearCheb(src nearEvaluator, m int, opt Options, span float64) *nearChebCache {
-	near, sub := opt.NearRadius, opt.NearSubdiv
+	near, sub := nearRadius, opt.NearSubdiv
 	nc := &nearChebCache{near: near, sub: sub, dim: (2*near + 1) * sub, span: span}
 	nn := nearChebOrder + 1
 	if span == 0 {
@@ -456,10 +456,10 @@ func nearSpan(g *cellGeom) float64 {
 // computed and its entries are copied with i and j moved by the shift.
 func (op *FFTOperator) buildNearCorrections(g *cellGeom, nc1, nc2 nearEvaluator, opt Options) {
 	m := op.m
-	win := 2*opt.NearRadius + 1
+	win := 2*nearRadius + 1
 	w2 := win * win
 	op.nearEntries = make([]nearEntry, op.N*w2)
-	row := func(i int) { op.nearRow(g, nc1, nc2, opt.NearRadius, i, op.nearEntries[i*w2:(i+1)*w2]) }
+	row := func(i int) { op.nearRow(g, nc1, nc2, nearRadius, i, op.nearEntries[i*w2:(i+1)*w2]) }
 	if !g.uniform() {
 		parallelFor(op.N, opt.Workers, func() func(int) { return row })
 		return

@@ -41,12 +41,18 @@ type Params struct {
 	Beta complex128 // continuity ratio β = ε₁/ε₂ = −jωε₁ρ
 }
 
+// nearRadius is the cell-index radius within which source integrals
+// are evaluated by subdivided quadrature instead of the centroid rule.
+const nearRadius = 2
+
+// fftModelTol bounds the a-priori kernel-model error
+// (2·zmax/ρmin)^{order+1} above which the FFT stage is skipped for a
+// surface (the operator would converge but deviate from the dense
+// discretization by more than this).
+const fftModelTol = 1e-6
+
 // Options tunes the discretization.
 type Options struct {
-	// NearRadius is the cell-index radius within which source integrals
-	// are evaluated by subdivided quadrature instead of the centroid
-	// rule. Default 2.
-	NearRadius int
 	// NearSubdiv is the subdivision factor per axis for near cells.
 	// Default 4.
 	NearSubdiv int
@@ -58,11 +64,6 @@ type Options struct {
 	// dense chain. 0 selects the default (6); a negative value disables
 	// the FFT stage entirely.
 	FFTOrder int
-	// FFTModelTol bounds the a-priori kernel-model error
-	// (2·zmax/ρmin)^{order+1} above which the FFT stage is skipped for a
-	// surface (the operator would converge but deviate from the dense
-	// discretization by more than this). Default 1e-6.
-	FFTModelTol float64
 	// FFTMinCells is the smallest grid (N = M² cells) for which the FFT
 	// operator's build cost pays off; smaller systems go straight to the
 	// dense chain. Default 400.
@@ -70,9 +71,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.NearRadius <= 0 {
-		o.NearRadius = 2
-	}
 	if o.NearSubdiv <= 0 {
 		o.NearSubdiv = 4
 	}
@@ -81,9 +79,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.FFTOrder == 0 {
 		o.FFTOrder = 6
-	}
-	if o.FFTModelTol <= 0 {
-		o.FFTModelTol = 1e-6
 	}
 	if o.FFTMinCells <= 0 {
 		o.FFTMinCells = 400
@@ -116,7 +111,7 @@ type System struct {
 // NewOperatorSystem builds a matrix-free System: the FFT-accelerated
 // operator is constructed up front when the admissibility gates pass —
 // the grid is at least Options.FFTMinCells, the a-priori kernel-model
-// error is within Options.FFTModelTol, and the height range sits inside
+// error is within fftModelTol, and the height range sits inside
 // the operator's hard convergence bound — and the dense matrix is only
 // assembled (through dense, exactly once) if a dense fallback stage of
 // SolveResilient actually runs. When ts is non-nil and its Δz span
@@ -138,9 +133,9 @@ func NewOperatorSystem(s *surface.Surface, p Params, opt Options, ts *TableSet, 
 			"grid of %d cells below FFT-stage threshold %d", n, opt.FFTMinCells)
 		return sys
 	}
-	if est := fftModelEstimate(s, opt); est > opt.FFTModelTol {
+	if est := fftModelEstimate(s, opt); est > fftModelTol {
 		sys.fftRej = resilience.Errorf(resilience.KindNumerical, "mom.fftop",
-			"a-priori kernel-model error %.2e exceeds tolerance %.2e", est, opt.FFTModelTol)
+			"a-priori kernel-model error %.2e exceeds tolerance %.2e", est, fftModelTol)
 		return sys
 	}
 	var op *FFTOperator
@@ -241,7 +236,7 @@ func newDenseRows(s *surface.Surface, p Params, src1, src2 kernelSource, opt Opt
 	n := s.M * s.M
 	return &denseRows{
 		g: g, src1: src1, src2: src2, beta: p.Beta,
-		m: s.M, n: n, near: opt.NearRadius,
+		m: s.M, n: n, near: nearRadius,
 		s1Self: selfTerm(g.h, src1), s2Self: selfTerm(g.h, src2),
 		curv: CurvatureDiagonal(s),
 		a:    cmplxmat.New(2*n, 2*n),
@@ -261,7 +256,7 @@ func (d *denseRows) set(obs, src int, s1, s2, d1, d2 complex128) {
 }
 
 // row fills observation row i: the analytic self cell, subdivided
-// quadrature inside NearRadius and the one-point rule beyond. A far
+// quadrature inside nearRadius and the one-point rule beyond. A far
 // pair's kernel is read once for both of its entries (farPair): row i
 // fills its far columns j > i and their transposed slots in row j, and
 // skips the far columns j < i that row j fills, so every slot is still

@@ -69,7 +69,7 @@ func Assemble2D(p *surface.Profile, par Params, opt Options) *System2D {
 				if di < 0 {
 					di = -di
 				}
-				if di <= opt.NearRadius {
+				if di <= nearRadius {
 					// Second-order source geometry, as in the 3-D path.
 					for sx := 0; sx < sub; sx++ {
 						ox := ((float64(sx)+0.5)/float64(sub) - 0.5) * h

@@ -55,7 +55,7 @@ func fullTabulated(t *tabulated, workers int) *tabulated {
 
 // fullNearCheb is fitNearCheb fitting every near point at every node.
 func fullNearCheb(src nearEvaluator, opt Options, span float64) *nearChebCache {
-	near, sub := opt.NearRadius, opt.NearSubdiv
+	near, sub := nearRadius, opt.NearSubdiv
 	dim := (2*near + 1) * sub
 	nc := &nearChebCache{near: near, sub: sub, dim: dim, span: span, c: make([][4][]complex128, dim*dim)}
 	nodes := chebNodes(nearChebOrder+1, span)
@@ -318,7 +318,7 @@ func perPairAssemble(s *surface.Surface, p Params, src1, src2 kernelSource, opt 
 				s1, s2 = s1Self, s2Self
 				d1 = complex(curv[i], 0)
 				d2 = d1
-			case absInt(cx) <= opt.NearRadius && absInt(cy) <= opt.NearRadius:
+			case absInt(cx) <= nearRadius && absInt(cy) <= nearRadius:
 				s1, s2, d1, d2 = g.nearQuadrature(src1, src2, j, cx, cy, dzc)
 			default:
 				s1, d1, _ = g.farPair(src1, i, j, (cx+m)%m, (cy+m)%m, dzc)

@@ -25,7 +25,6 @@ type TableSet struct {
 	M     int
 	ZSpan float64
 	Sub   int // near-field subdivision factor the tables cover
-	Near  int // near-field radius the tables cover
 
 	g1, g2 *tabulated
 	// Exact evaluators the tables were sampled from.
@@ -104,7 +103,7 @@ type tabulated struct {
 func NewTableSet(p Params, L float64, M int, zspan float64, opt Options) *TableSet {
 	opt = opt.withDefaults()
 	ts := &TableSet{
-		L: L, M: M, ZSpan: zspan, Sub: opt.NearSubdiv, Near: opt.NearRadius,
+		L: L, M: M, ZSpan: zspan, Sub: opt.NearSubdiv,
 		exact1: greens.NewPeriodic3D(p.K1, L),
 		exact2: greens.NewPeriodic3D(p.K2, L),
 	}
@@ -115,17 +114,16 @@ func NewTableSet(p Params, L float64, M int, zspan float64, opt Options) *TableS
 
 // compatible reports, as a typed error, whether the tables can serve a
 // surface: the same grid (resilience.KindInvalidInput), the same
-// near-field options (KindInvalidInput) and a Δz span of at least need
-// (KindNumerical).
+// near-field subdivision (KindInvalidInput) and a Δz span of at least
+// need (KindNumerical).
 func (ts *TableSet) compatible(s *surface.Surface, opt Options, need float64) error {
 	if s.M != ts.M || s.L != ts.L {
 		return resilience.Errorf(resilience.KindInvalidInput, "mom.tables",
 			"surface grid %gx%d does not match table %gx%d", s.L, s.M, ts.L, ts.M)
 	}
-	if opt.NearSubdiv != ts.Sub || opt.NearRadius != ts.Near {
+	if opt.NearSubdiv != ts.Sub {
 		return resilience.Errorf(resilience.KindInvalidInput, "mom.tables",
-			"options (near=%d sub=%d) do not match table (near=%d sub=%d)",
-			opt.NearRadius, opt.NearSubdiv, ts.Near, ts.Sub)
+			"near-field subdivision %d does not match table's %d", opt.NearSubdiv, ts.Sub)
 	}
 	if need > ts.ZSpan {
 		return resilience.Errorf(resilience.KindNumerical, "mom.tables",
@@ -142,8 +140,8 @@ func (ts *TableSet) compatible(s *surface.Surface, opt Options, need float64) er
 // chebFit).
 func newTabulated(g *greens.Periodic3D, L float64, M int, zspan float64, opt Options) *tabulated {
 	h := L / float64(M)
-	t := &tabulated{m: M, sub: opt.NearSubdiv, near: opt.NearRadius, h: h, zspan: zspan, k: g.K, l: L, g: g}
-	t.nearDim = (2*opt.NearRadius + 1) * opt.NearSubdiv
+	t := &tabulated{m: M, sub: opt.NearSubdiv, near: nearRadius, h: h, zspan: zspan, k: g.K, l: L, g: g}
+	t.nearDim = (2*nearRadius + 1) * opt.NearSubdiv
 	t.fit(chebNodes(tableNodes(L, zspan), zspan), opt.Workers)
 	return t
 }

@@ -18,7 +18,6 @@ type TableKey struct {
 	L     float64
 	M     int
 	ZSpan float64
-	Near  int
 	Sub   int
 }
 
@@ -101,7 +100,7 @@ func (c *TableCache) Get(p Params, L float64, M int, zspan float64, opt Options)
 // shared waits add no span — they are lock-bounded).
 func (c *TableCache) GetCtx(ctx context.Context, p Params, L float64, M int, zspan float64, opt Options) *TableSet {
 	opt = opt.withDefaults()
-	key := TableKey{P: p, L: L, M: M, ZSpan: zspan, Near: opt.NearRadius, Sub: opt.NearSubdiv}
+	key := TableKey{P: p, L: L, M: M, ZSpan: zspan, Sub: opt.NearSubdiv}
 	// The wait is not bounded by ctx: waiters wait out the build.
 	ts, _, err := c.sets.Do(context.Background(), key, func() (*TableSet, error) {
 		_, sp := trace.StartSpan(ctx, "tables.build")

@@ -79,10 +79,10 @@ func TestTranslationInvariantSystemsAreExact(t *testing.T) {
 				op := buildFFTOperator(s, p, 6, opt, tc.src1, tc.src2)
 				span := nearSpan(g)
 				nc1, nc2 := fitNearCheb(tc.src1, m, opt, span), fitNearCheb(tc.src2, m, opt, span)
-				w2 := (2*opt.NearRadius + 1) * (2*opt.NearRadius + 1)
+				w2 := (2*nearRadius + 1) * (2*nearRadius + 1)
 				want := make([]nearEntry, op.N*w2)
 				for i := 0; i < op.N; i++ {
-					op.nearRow(g, nc1, nc2, opt.NearRadius, i, want[i*w2:(i+1)*w2])
+					op.nearRow(g, nc1, nc2, nearRadius, i, want[i*w2:(i+1)*w2])
 				}
 				checkNearEntries(t, name+" "+tc.what+" FFT operator", op.nearEntries, want)
 			}

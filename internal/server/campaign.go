@@ -75,45 +75,34 @@ func (h cellHandle) Result() (*roughsim.SweepResult, error) {
 	return res, nil
 }
 
-// campaignCellDone journals one finished cell. The chaos point sits
-// BEFORE the append and after the cell's points are durable in the
-// result cache — "crash at the n-th campaign cell" then leaves a
-// journal that under-counts done cells, the state resume must tolerate
-// (the cache probe, not the journal, decides what re-runs).
+// campaignCellDone journals one finished cell as an anchor-done record
+// of the campaign. The chaos point sits BEFORE the append and after the
+// cell's points are durable in the result cache — "crash at the n-th
+// campaign cell" then leaves a journal that under-counts done cells,
+// the state resume must tolerate (the cache probe, not the journal,
+// decides what re-runs).
 func (s *Server) campaignCellDone(id string, cell int) {
 	n := s.campCellSeq.Add(1)
 	s.chaos.Crash("campaign.cell", n)
 	if s.journal == nil {
 		return
 	}
-	s.journal.Append(journal.Record{
-		Op: journal.OpCampaignCellDone, JobID: id,
-	}.WithAnchor(cell))
+	s.journal.Append(journal.Record{Op: journal.OpAnchorDone, JobID: id}.WithAnchor(cell))
 }
 
-// campaignTerminal closes the campaign out in the journal. Cancellation
-// caused by the shutdown drain is deliberately NOT journaled — exactly
-// like job terminals — so a restart resumes the campaign.
+// campaignTerminal closes the campaign out in the journal with the
+// same terminal records, and the same drain rule, as a job.
 func (s *Server) campaignTerminal(id string, st campaign.Status, cerr error) {
-	if st == campaign.StatusCanceled && s.queue.Draining() {
-		return
-	}
-	if s.journal == nil {
-		return
-	}
-	rec := journal.Record{JobID: id}
+	op := journal.OpCanceled
 	switch st {
 	case campaign.StatusSucceeded:
-		rec.Op = journal.OpCampaignCompleted
+		op = journal.OpCompleted
 	case campaign.StatusFailed:
-		rec.Op = journal.OpCampaignFailed
-	default:
-		rec.Op = journal.OpCampaignCanceled
+		op = journal.OpFailed
 	}
-	if cerr != nil {
-		rec.Error = cerr.Error()
+	if rec, ok := s.terminalRecord(id, op, cerr); ok && s.journal != nil {
+		s.journal.Append(rec)
 	}
-	s.journal.Append(rec)
 }
 
 func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {

@@ -26,7 +26,7 @@ func startWorker(t *testing.T, ts *testServer, id string) {
 		Poll:        10 * time.Millisecond,
 		Grace:       5 * time.Second,
 		Metrics:     wm,
-		Solve:       cluster.NewColumns(wm).Solve,
+		Solve:       cluster.NewColumns(wm, nil).Solve,
 	})
 	if err != nil {
 		t.Fatal(err)

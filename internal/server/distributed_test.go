@@ -76,7 +76,7 @@ func TestDistributedWorkerProcess(t *testing.T) {
 		t.Skip("helper process for TestDistributedKillWorkerMidSweep")
 	}
 	m := telemetry.NewRegistry()
-	solve := cluster.NewColumns(m).Solve
+	solve := cluster.NewColumns(m, nil).Solve
 	if d, err := time.ParseDuration(os.Getenv("ROUGHSIMD_DIST_DELAY")); err == nil && d > 0 {
 		inner := solve
 		solve = func(ctx context.Context, task cluster.Task) ([]float64, error) {

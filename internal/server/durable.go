@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -176,19 +177,18 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	}
 }
 
-// replayer resumes one kind of journaled submission: failOp closes a
-// record that cannot resume, counter counts the ones that do.
+// replayer resumes one kind of journaled submission; counter counts the
+// ones that do.
 type replayer struct {
-	failOp  journal.Op
 	counter string
 	resume  func(s *Server, p journal.Pending) error
 }
 
 // replayers is the replay table, keyed by submission op.
 var replayers = map[journal.Op]replayer{
-	journal.OpSubmitted:         {journal.OpFailed, "journal.jobs_replayed", replaySweep},
-	journal.OpSparamsSubmitted:  {journal.OpFailed, "journal.jobs_replayed", replaySParams},
-	journal.OpCampaignSubmitted: {journal.OpCampaignFailed, "journal.campaigns_replayed", replayCampaign},
+	journal.OpSubmitted:         {"journal.jobs_replayed", replaySweep},
+	journal.OpSparamsSubmitted:  {"journal.jobs_replayed", replaySParams},
+	journal.OpCampaignSubmitted: {"journal.campaigns_replayed", replayCampaign},
 }
 
 // decodeConfig decodes a journaled config. One that no longer decodes
@@ -239,7 +239,7 @@ func replayCampaign(s *Server, p journal.Pending) error {
 		// close out the orphaned record so it cannot replay forever — the
 		// campaign continues under its recomputed ID.
 		s.journal.Append(journal.Record{
-			Op: journal.OpCampaignCanceled, JobID: p.JobID,
+			Op: journal.OpCanceled, JobID: p.JobID,
 			Error: "replay: campaign key schema changed; resumed as " + c.ID,
 		})
 	}
@@ -249,25 +249,24 @@ func replayCampaign(s *Server, p journal.Pending) error {
 // replayPending resumes everything a journal replay surfaced — jobs
 // under their original IDs and spent attempt counts, then campaigns
 // under their original campaign IDs — closing out each record that
-// cannot resume. Called from New before the listener is up, so replayed
+// cannot resume as failed. Jobs go first because a replayed job that
+// finds the queue full is closed as failed, while campaign cells wait
+// and retry. Called from New before the listener is up, so replayed
 // work races nothing.
-func (s *Server) replayPending(rep journal.Replay) {
-	pending := rep.Jobs
-	for _, c := range rep.Campaigns {
-		pending = append(pending, journal.Pending{
-			JobID: c.ID, Key: c.Key, Op: journal.OpCampaignSubmitted,
-			Config: c.Config, AnchorsDone: c.CellsDone,
-		})
+func (s *Server) replayPending(pending []journal.Pending) {
+	campaignLast := func(p journal.Pending) int {
+		if p.Op == journal.OpCampaignSubmitted {
+			return 1
+		}
+		return 0
 	}
+	slices.SortStableFunc(pending, func(a, b journal.Pending) int { return campaignLast(a) - campaignLast(b) })
 	for _, p := range pending {
 		r := replayers[p.Op]
 		if err := r.resume(s, p); err != nil {
 			s.log.Warn("journal replay: not resumed", "op", p.Op, "id", p.JobID, "err", err)
-			s.journal.Append(journal.Record{
-				Op: r.failOp, JobID: p.JobID,
-				Error: "replay: " + err.Error(),
-				Kind:  resilience.Classify(err).String(),
-			})
+			rec, _ := s.terminalRecord(p.JobID, journal.OpFailed, fmt.Errorf("replay: %w", err))
+			s.journal.Append(rec)
 			continue
 		}
 		s.metrics.Counter(r.counter).Inc()
@@ -284,31 +283,44 @@ func (s *Server) journalStarted(ctx context.Context) {
 	}
 }
 
+// terminalRecord maps the outcome op (completed, failed or canceled) of
+// a job or campaign to the record that closes it out in the journal:
+// err's message, and for a failure its resilience kind, ride along. A
+// cancellation produced by the shutdown drain is a shutdown artifact,
+// not an outcome: ok is false and the caller journals nothing, so a
+// restart resumes the work.
+func (s *Server) terminalRecord(id string, op journal.Op, err error) (rec journal.Record, ok bool) {
+	if op == journal.OpCanceled && s.queue.Draining() {
+		return rec, false
+	}
+	rec = journal.Record{Op: op, JobID: id}
+	if err != nil {
+		rec.Error = err.Error()
+		if op == journal.OpFailed {
+			rec.Kind = resilience.Classify(err).String()
+		}
+	}
+	return rec, true
+}
+
 // observeTerminal is the queue's terminal-job observer: it funnels
 // every real outcome into the journal (so replay drops finished jobs),
 // the circuit breaker, the live registry and checkpoint cleanup.
-// Cancellations produced by the drain itself are shutdown artifacts,
-// not outcomes — they are deliberately NOT journaled as terminal, so a
-// restart replays the job.
 func (s *Server) observeTerminal(j *jobs.Job) {
-	info := j.Snapshot()
-	if info.Status == jobs.StatusCanceled && s.queue.Draining() {
+	op, err := journal.OpCompleted, error(nil)
+	switch j.Snapshot().Status {
+	case jobs.StatusFailed:
+		op = journal.OpFailed
+		_, err = j.Result()
+	case jobs.StatusCanceled:
+		op = journal.OpCanceled
+	}
+	rec, ok := s.terminalRecord(j.ID, op, err)
+	if !ok {
 		return
 	}
-	rec := journal.Record{JobID: j.ID}
-	switch info.Status {
-	case jobs.StatusSucceeded:
-		s.brk.Record(true)
-		rec.Op = journal.OpCompleted
-	case jobs.StatusFailed:
-		s.brk.Record(false)
-		rec.Op = journal.OpFailed
-		if _, err := j.Result(); err != nil {
-			rec.Error = err.Error()
-			rec.Kind = resilience.Classify(err).String()
-		}
-	case jobs.StatusCanceled:
-		rec.Op = journal.OpCanceled
+	if op != journal.OpCanceled {
+		s.brk.Record(op == journal.OpCompleted)
 	}
 	s.journalJob(rec)
 	s.untrack(j.ID)

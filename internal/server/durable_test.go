@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"path/filepath"
 	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -260,7 +263,7 @@ func TestReplayUndecodableConfigs(t *testing.T) {
 	}{
 		{journal.OpSubmitted, journal.OpFailed},
 		{journal.OpSparamsSubmitted, journal.OpFailed},
-		{journal.OpCampaignSubmitted, journal.OpCampaignFailed},
+		{journal.OpCampaignSubmitted, journal.OpFailed},
 	}
 	for _, tc := range cases {
 		t.Run(string(tc.op), func(t *testing.T) {
@@ -303,6 +306,75 @@ func TestReplayUndecodableConfigs(t *testing.T) {
 				t.Fatalf("second boot replayed %d records, want 0", n)
 			}
 		})
+	}
+}
+
+// lockedBuffer is an io.Writer safe for the concurrent writes of a
+// server's logger.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestReplayResumesJobsBeforeCampaigns: a journal holding a pending
+// campaign ahead of a pending sweep replays the sweep first. A replayed
+// job that finds the queue full is closed as failed, while campaign
+// cells wait and retry, so jobs must reach the queue first.
+func TestReplayResumesJobsBeforeCampaigns(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableConfig(dir, telemetry.NewRegistry())
+	camp := roughsim.CampaignConfig{
+		Cells: []roughsim.SurfaceSpec{{Corr: roughsim.GaussianCF, Sigma: 0, Eta: 1e-6}},
+		Freqs: []float64{1e9},
+	}.WithDefaults()
+	campID, err := camp.ID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := tinyConfig(5e9)
+	jnl, _, err := journal.Open(cfg.JournalPath, telemetry.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []journal.Record{
+		{Op: journal.OpCampaignSubmitted, JobID: campID, Key: campID, Config: mustJSON(t, camp)},
+		{Op: journal.OpSubmitted, JobID: "replayed-sweep", Key: sweep.Key().String(), Config: mustJSON(t, sweep)},
+	} {
+		if err := jnl.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jnl.Close()
+
+	var logs lockedBuffer
+	cfg.Log = slog.New(slog.NewTextHandler(&logs, nil))
+	m := telemetry.NewRegistry()
+	cfg.Metrics = m
+	ts := startServer(t, cfg)
+	replayed := logs.String() // replay runs inside New
+	if _, ok := ts.srv.queue.Get("replayed-sweep"); !ok {
+		t.Fatal("replayed sweep not in the queue under its journaled ID")
+	}
+	ts.shutdown(t)
+	if j, c := m.Counter("journal.jobs_replayed").Value(), m.Counter("journal.campaigns_replayed").Value(); j != 1 || c != 1 {
+		t.Fatalf("replayed %d jobs and %d campaigns, want 1 and 1", j, c)
+	}
+	sweepAt := strings.Index(replayed, "id=replayed-sweep")
+	campAt := strings.Index(replayed, "id="+campID)
+	if sweepAt < 0 || campAt < 0 || sweepAt > campAt {
+		t.Fatalf("replay log does not resume the sweep before the campaign:\n%s", replayed)
 	}
 }
 

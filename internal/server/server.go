@@ -213,10 +213,9 @@ type Server struct {
 	// at overlapping frequency grids build each table exactly once.
 	tables *roughsim.TableCache
 
-	// sims memoizes constructed simulations (KL modes are expensive)
-	// keyed by the frequency-independent part of the config, in an LRU
-	// of simCacheCap entries — solver configs are few in practice.
-	sims *memo.LRU[rescache.Key, *roughsim.Simulation]
+	// sims memoizes constructed simulations (KL modes are expensive),
+	// each attached to tables.
+	sims *cluster.Columns
 
 	// flights single-flights identical concurrent sweep jobs by the
 	// whole-sweep content address; it keeps no result (capacity 0):
@@ -278,8 +277,6 @@ type Server struct {
 	sparSeq  atomic.Uint64
 }
 
-const simCacheCap = 32
-
 // jsonCodec (de)serializes values of type T for a store's disk tier.
 // encoding/json prints float64s in their shortest round-trip form, so
 // persisted values reload bit-exactly.
@@ -333,6 +330,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	tables := roughsim.NewTableCache(cfg.TableCacheSize, cfg.Metrics)
 	s := &Server{
 		cfg:        cfg,
 		queue:      queue,
@@ -341,9 +339,9 @@ func New(cfg Config) (*Server, error) {
 		tracer:     trace.NewRecorder(cfg.TraceCapacity).WithSink(spanSink(cfg.Metrics)),
 		log:        cfg.Log,
 		mux:        http.NewServeMux(),
-		tables:     roughsim.NewTableCache(cfg.TableCacheSize, cfg.Metrics),
+		tables:     tables,
 		surrogates: surrogate.NewRegistry(cfg.SurrogateCap, cfg.SurrogateDir, cfg.Metrics),
-		sims:       memo.NewLRU[rescache.Key, *roughsim.Simulation](simCacheCap, memo.Hooks{}),
+		sims:       cluster.NewColumns(cfg.Metrics, tables),
 		flights: memo.NewLRU[rescache.Key, *roughsim.SweepResult](0, memo.Hooks{
 			Shared: cfg.Metrics.Counter("cache.singleflight_shared").Inc,
 		}),
@@ -533,23 +531,6 @@ func (s *Server) status(j *jobs.Job) statusPayload {
 	return statusPayload{Info: j.Snapshot(), Trace: j.Trace().Stages()}
 }
 
-// simFor returns (building on first use) the Simulation for the
-// frequency-independent part of cfg. Callers wait out a build in
-// progress for the same config.
-func (s *Server) simFor(cfg roughsim.SweepConfig) (*roughsim.Simulation, error) {
-	// Key the sim cache by the config at a fixed pseudo-frequency: KeyAt
-	// already canonicalizes exactly the frequency-independent fields
-	// plus f, so a constant f keys the solver config alone.
-	sim, _, err := s.sims.Do(context.Background(), cfg.KeyAt(1), func() (*roughsim.Simulation, error) {
-		sim, err := roughsim.NewSimulation(cfg.Stack, cfg.Spec, cfg.Acc)
-		if err != nil {
-			return nil, err
-		}
-		return sim.WithMetrics(s.metrics).WithTableCache(s.tables), nil
-	})
-	return sim, err
-}
-
 // runSweep is the job body: the whole sweep executes as one planned
 // unit. Identical concurrent jobs are single-flighted at sweep
 // granularity, already-cached points are served from the result cache,
@@ -591,7 +572,7 @@ func (s *Server) computeSweep(ctx context.Context, cfg roughsim.SweepConfig, pro
 	cached := total - len(missing)
 	progress(cached, total)
 	if len(missing) > 0 {
-		sim, err := s.simFor(cfg)
+		sim, err := s.sims.Sim(cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -55,7 +55,7 @@ func (s *Server) fallbackCounter(reason string) *telemetry.Counter {
 // surrogate.Source (KL modes are built at most once per solver config,
 // shared with the sweep tier).
 func (s *Server) surrogateSource(cfg roughsim.SurrogateConfig) (surrogate.Source, error) {
-	return s.simFor(roughsim.SweepConfig{Stack: cfg.Stack, Spec: cfg.Spec, Acc: cfg.Acc, Freqs: []float64{cfg.FMinHz}})
+	return s.sims.Sim(roughsim.SweepConfig{Stack: cfg.Stack, Spec: cfg.Spec, Acc: cfg.Acc, Freqs: []float64{cfg.FMinHz}})
 }
 
 // handleSurrogateSubmit queues the fit → validate → admit pipeline for
