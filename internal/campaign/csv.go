@@ -8,13 +8,13 @@ import (
 
 	"roughsim"
 	"roughsim/internal/experiments"
-	"roughsim/internal/surface"
 )
 
 // This file is the one CSV encoder behind both export paths: campaign
 // artifacts (GET /v1/campaigns/{id}/result?format=csv) and single-sweep
 // results (roughsim -csv). One row per (cell, frequency), carrying the
-// SWM K next to the SPM2/HBM/empirical comparison columns evaluated
+// SWM K next to the SPM2/HBM/empirical comparison columns: SPM2 and the
+// empirical K as every SweepPoint stores them, the HBM K evaluated
 // through internal/experiments.
 //
 // The encoding is deterministic: fixed column order, shortest-roundtrip
@@ -103,19 +103,16 @@ func (a *Artifact) WriteCSV(w io.Writer) error {
 			continue
 		}
 		cmp := experiments.CompareCell{
-			EpsR: cr.Stack.EpsR, Rho: cr.Stack.Rho,
-			Sigma: cr.Spec.Sigma, Eta: cr.Spec.Eta, EtaY: cr.Spec.EtaY,
-			Corr: corrFor(cr.Spec),
+			Rho: cr.Stack.Rho, Sigma: cr.Spec.Sigma, Eta: cr.Spec.Eta, EtaY: cr.Spec.EtaY,
 		}
 		for _, p := range cr.Points {
-			base := cmp.Baselines(p.FreqHz)
 			row := []string{
 				strconv.Itoa(cr.Index),
 				cr.Spec.Corr.String(),
 				num(cr.Spec.Sigma), num(cr.Spec.Eta), num(cr.Spec.Eta2), num(cr.Spec.EtaY),
 				num(cr.Stack.Rho), num(cr.Stack.EpsR),
 				num(p.FreqHz), num(p.SkinDepthM),
-				num(p.KSWM), num(base.SPM2), num(base.HBM), num(base.Empirical),
+				num(p.KSWM), num(p.KSPM2), num(cmp.HBM(p.FreqHz)), num(p.KEmpirical),
 			}
 			for i, f := range row {
 				if i > 0 {
@@ -137,20 +134,4 @@ func num(v float64) string {
 		return ""
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// corrFor rebuilds the cell's correlation function for the baseline
-// evaluation (nil for flat cells — the flat limit never consults it).
-func corrFor(sp roughsim.SurfaceSpec) surface.Corr {
-	if !(sp.Sigma > 0) || !(sp.Eta > 0) {
-		return nil
-	}
-	switch sp.Corr {
-	case roughsim.ExponentialCF:
-		return surface.NewExpCorr(sp.Sigma, sp.Eta)
-	case roughsim.MeasuredCF:
-		return surface.NewMeasuredCorr(sp.Sigma, sp.Eta, sp.Eta2)
-	default:
-		return surface.NewGaussianCorr(sp.Sigma, sp.Eta)
-	}
 }

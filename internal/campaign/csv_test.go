@@ -15,9 +15,10 @@ import (
 var update = flag.Bool("update", false, "rewrite the CSV golden file")
 
 // goldenArtifact is a fixed two-cell artifact (one flat, one rough with
-// hand-scripted solver points) whose CSV encoding is pinned by a golden
-// file: any drift in column order, float formatting or the baseline
-// columns shows up as a byte diff.
+// hand-scripted SWM values beside the SPM2 and empirical K the
+// simulation stores for that cell) whose CSV encoding is pinned by a
+// golden file: any drift in column order, float formatting or the
+// baseline columns shows up as a byte diff.
 func goldenArtifact() *Artifact {
 	stack := roughsim.CopperSiO2()
 	freqs := []float64{1e9, 5e9}
@@ -35,8 +36,10 @@ func goldenArtifact() *Artifact {
 		Spec:   roughsim.SurfaceSpec{Corr: roughsim.GaussianCF, Sigma: 0.4e-6, Eta: 1e-6},
 		Status: CellDone,
 		Points: []roughsim.SweepPoint{
-			{FreqHz: 1e9, SkinDepthM: stack.SkinDepth(1e9), KSWM: 1.0625, KSPM2: 1.05, KEmpirical: 1.04},
-			{FreqHz: 5e9, SkinDepthM: stack.SkinDepth(5e9), KSWM: 1.25, KSPM2: 1.2, KEmpirical: 1.18},
+			{FreqHz: 1e9, SkinDepthM: stack.SkinDepth(1e9), KSWM: 1.0625,
+				KSPM2: 1.0487932598415766, KEmpirical: 1.0336795262898926},
+			{FreqHz: 5e9, SkinDepthM: stack.SkinDepth(5e9), KSWM: 1.25,
+				KSPM2: 1.1433293750587405, KEmpirical: 1.1647740959225203},
 		},
 	}
 	return &Artifact{
@@ -137,5 +140,17 @@ func TestCSVNonFiniteEmpty(t *testing.T) {
 	}
 	if num(1.25e-6) != "1.25e-06" {
 		t.Fatalf("num(1.25e-6) = %q", num(1.25e-6))
+	}
+	// A stored non-finite baseline (an out-of-domain empirical K) writes
+	// an empty field in its row.
+	art := goldenArtifact()
+	art.Cells[1].Points[0].KEmpirical = math.NaN()
+	var buf bytes.Buffer
+	if err := art.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	row := strings.Split(strings.Split(buf.String(), "\n")[3], ",")
+	if row[13] != "" || row[11] != "1.0487932598415766" {
+		t.Fatalf("row with a NaN empirical K = %q", row)
 	}
 }

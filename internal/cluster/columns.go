@@ -48,7 +48,7 @@ func (c *Columns) Solve(ctx context.Context, t Task) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sim.SweepColumn(ctx, cfg.Freqs, t.Node, t.Ps)
+	return sim.SweepColumn(ctx, cfg.Freqs, t.Node)
 }
 
 // Sim returns (building on first use) the Simulation for the

@@ -34,12 +34,8 @@ type Task struct {
 	JobID string `json:"job_id"`
 	// Config is the residual sweep (Freqs = the cache-missing subset).
 	Config roughsim.SweepConfig `json:"config"`
-	// Node is the collocation node index, or sweepengine.FlatRefNode for
-	// the interpolated path's flat-reference vector.
+	// Node is the collocation node index.
 	Node int `json:"node"`
-	// Ps is the flat-reference vector an interpolated-path node column
-	// divides by; empty for exact-path and flat-reference tasks.
-	Ps []float64 `json:"ps,omitempty"`
 }
 
 // ClaimRequest asks for one task lease.

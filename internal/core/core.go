@@ -244,13 +244,13 @@ func (s *Solver) tableFor(ctx context.Context, f float64) *mom.TableSet {
 	return s.tables.GetCtx(ctx, s.Mat.Params(f), s.L, s.M, s.ZSpan, s.Opt)
 }
 
-// AssembleSurfaceCtx assembles the MoM system for surf at f through the
+// assembleSurface assembles the MoM system for surf at f through the
 // solver's configured path (tabulated when ZSpan > 0). workers > 0
 // overrides the solver's assembly parallelism — the batched sweep
 // engine splits its worker budget across concurrent points. The
 // assembly runs under a "mom.assemble" span (and any table build it
 // forces under a nested "tables.build" span) of the context's trace.
-func (s *Solver) AssembleSurfaceCtx(ctx context.Context, surf *surface.Surface, f float64, workers int) (*mom.System, error) {
+func (s *Solver) assembleSurface(ctx context.Context, surf *surface.Surface, f float64, workers int) (*mom.System, error) {
 	opt := s.Opt
 	if workers > 0 {
 		opt.Workers = workers
@@ -302,7 +302,7 @@ func (s *Solver) PrepareSurfaceCtx(ctx context.Context, surf *surface.Surface, f
 func (s *Solver) denseAssembler(ctx context.Context, surf *surface.Surface, f float64, workers int) func() (*cmplxmat.Matrix, error) {
 	return func() (*cmplxmat.Matrix, error) {
 		s.Metrics.Counter("solve.dense_materialized").Inc()
-		sys, err := s.AssembleSurfaceCtx(ctx, surf, f, workers)
+		sys, err := s.assembleSurface(ctx, surf, f, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -310,13 +310,13 @@ func (s *Solver) denseAssembler(ctx context.Context, surf *surface.Surface, f fl
 	}
 }
 
-// MirrorSurfaceCtx turns sys, built by AssembleSurfaceCtx or
-// PrepareSurfaceCtx for a surface at f, into the system of its mirror
-// image ms (ms.H = −H) in place, bitwise equal to building ms directly
-// (see mom.System.Mirror) and without reading a kernel. A lazily built
-// system keeps its FFT admission and assembles ms if a dense stage runs
-// (workers as for PrepareSurfaceCtx). It runs under a "mom.mirror" span
-// of the context's trace.
+// MirrorSurfaceCtx turns sys, built by PrepareSurfaceCtx for a surface
+// at f, into the system of its mirror image ms (ms.H = −H) in place,
+// bitwise equal to building ms directly (see mom.System.Mirror) and
+// without reading a kernel. The system keeps its FFT admission and
+// assembles ms if a dense stage runs (workers as for
+// PrepareSurfaceCtx). It runs under a "mom.mirror" span of the
+// context's trace.
 func (s *Solver) MirrorSurfaceCtx(ctx context.Context, sys *mom.System, ms *surface.Surface, f float64, workers int) {
 	_, sp := trace.StartSpan(ctx, "mom.mirror")
 	sp.SetAttr("f", f)

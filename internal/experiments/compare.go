@@ -3,41 +3,22 @@ package experiments
 import (
 	"math"
 
-	"roughsim/internal/core"
 	"roughsim/internal/hbm"
-	"roughsim/internal/spm2"
-	"roughsim/internal/surface"
-	"roughsim/internal/units"
 )
 
-// This file is the cross-model comparison aggregation behind campaign
-// artifacts: every campaign CSV row carries, next to the SWM K(f), the
-// three analytic baselines of the paper's validity study — SPM2, the
-// hemispherical boss model (HBM) and the Morgan/Hammerstad empirical
-// formula — evaluated for the row's surface process. It reuses the
-// exact baseline code paths of the figure harnesses, so a campaign
-// column and the corresponding paper exhibit are the same numbers.
+// This file is the hemispherical boss model (HBM) column of campaign
+// artifacts: every campaign CSV row carries, next to the SWM K(f) and
+// the SPM2 and empirical K its sweep point stores, the HBM baseline of
+// the paper's validity study, evaluated for the row's surface process.
 
-// Comparison holds the analytic baselines at one frequency.
-type Comparison struct {
-	SPM2      float64
-	HBM       float64
-	Empirical float64
-}
-
-// CompareCell describes one campaign cell (a material stack and a
-// surface process) for baseline evaluation.
+// CompareCell describes one campaign cell (a conductor and a surface
+// process) for the HBM baseline.
 type CompareCell struct {
-	EpsR float64 // dielectric relative permittivity
-	Rho  float64 // conductor resistivity (Ω·m)
+	Rho float64 // conductor resistivity (Ω·m)
 
 	Sigma float64 // RMS height (m); 0 selects the flat limit (K ≡ 1)
 	Eta   float64 // correlation length (m); ηx when EtaY > 0
-	EtaY  float64 // transverse correlation length; > 0 = anisotropic Gaussian
-
-	// Corr is the cell's correlation function (isotropic path; ignored
-	// when EtaY > 0, may be nil when Sigma = 0).
-	Corr surface.Corr
+	EtaY  float64 // transverse correlation length; > 0 = anisotropic
 }
 
 // BossRadius maps the random process onto the hemispherical boss
@@ -62,30 +43,11 @@ func (c CompareCell) TileArea() float64 {
 	return 4 * c.Eta * etaY
 }
 
-// Baselines evaluates the three analytic models at frequency f. A flat
-// cell (σ = 0) is exactly lossless-excess: every model returns K = 1.
-// An out-of-domain empirical input yields NaN (the campaign CSV leaves
-// the column empty), matching roughsim.EmpiricalLossFactor.
-func (c CompareCell) Baselines(f float64) Comparison {
+// HBM evaluates the hemispherical boss model at frequency f. A flat
+// cell (σ = 0) is exactly lossless-excess: K = 1.
+func (c CompareCell) HBM(f float64) float64 {
 	if !(c.Sigma > 0) {
-		return Comparison{SPM2: 1, HBM: 1, Empirical: 1}
+		return 1
 	}
-	mat := core.Material{EpsR: c.EpsR, Rho: c.Rho}
-	p := mat.Params(f)
-	sp := spm2.Params{K1: p.K1, K2: p.K2, Beta: p.Beta}
-	var kSPM2 float64
-	if c.EtaY > 0 {
-		// Mirrors Simulation.SPM2LossFactor's anisotropic path.
-		ac := surface.NewAnisoGaussianCorr(c.Sigma, c.Eta, c.EtaY)
-		etaMin := math.Min(c.Eta, c.EtaY)
-		kSPM2 = spm2.LossFactorAniso(sp, ac.PSD2D, 40/etaMin, 0, 0)
-	} else {
-		kSPM2 = spm2.LossFactorCorr(sp, c.Corr, c.Eta)
-	}
-	kHBM := hbm.Model{Radius: c.BossRadius(), Tile: c.TileArea(), Rho: c.Rho}.LossFactor(f)
-	kEmp, err := core.Empirical(c.Sigma, units.SkinDepth(c.Rho, f, units.Mu0))
-	if err != nil {
-		kEmp = math.NaN()
-	}
-	return Comparison{SPM2: kSPM2, HBM: kHBM, Empirical: kEmp}
+	return hbm.Model{Radius: c.BossRadius(), Tile: c.TileArea(), Rho: c.Rho}.LossFactor(f)
 }

@@ -6,14 +6,11 @@ import (
 
 	"roughsim/internal/core"
 	"roughsim/internal/hbm"
-	"roughsim/internal/spm2"
-	"roughsim/internal/surface"
-	"roughsim/internal/units"
 )
 
-// The campaign comparison columns must be the same numbers the baseline
-// packages produce when called directly — no drift between a campaign
-// CSV and the corresponding paper exhibit.
+// The campaign HBM column must be the number the baseline package
+// produces when called directly — no drift between a campaign CSV and
+// the corresponding paper exhibit.
 func TestBaselinesAgreeWithDirectCalls(t *testing.T) {
 	const (
 		sigma = 0.4 * um
@@ -21,42 +18,27 @@ func TestBaselinesAgreeWithDirectCalls(t *testing.T) {
 		f     = 5e9
 	)
 	mat := core.PaperMaterial()
-	corr := surface.NewGaussianCorr(sigma, eta)
-	cell := CompareCell{EpsR: mat.EpsR, Rho: mat.Rho, Sigma: sigma, Eta: eta, Corr: corr}
-	got := cell.Baselines(f)
-
-	p := mat.Params(f)
-	wantSPM2 := spm2.LossFactorCorr(spm2.Params{K1: p.K1, K2: p.K2, Beta: p.Beta}, corr, eta)
-	if got.SPM2 != wantSPM2 {
-		t.Errorf("SPM2 = %v, direct call = %v", got.SPM2, wantSPM2)
-	}
+	cell := CompareCell{Rho: mat.Rho, Sigma: sigma, Eta: eta}
+	got := cell.HBM(f)
 
 	tile := 4 * eta * eta
 	a := math.Pow(2*sigma*sigma*tile/math.Pi, 0.25)
 	wantHBM := hbm.Model{Radius: a, Tile: tile, Rho: mat.Rho}.LossFactor(f)
-	if got.HBM != wantHBM {
-		t.Errorf("HBM = %v, direct call = %v", got.HBM, wantHBM)
+	if got != wantHBM {
+		t.Errorf("HBM = %v, direct call = %v", got, wantHBM)
 	}
-	if !(got.HBM > 0) || math.IsInf(got.HBM, 0) {
-		t.Errorf("HBM = %v, want finite and positive", got.HBM)
+	if !(got > 0) || math.IsInf(got, 0) {
+		t.Errorf("HBM = %v, want finite and positive", got)
 	}
 	// In the strong-skin-effect regime (δ ≪ a) the boss dissipates more
 	// than the flat disc it replaces, so K must exceed 1 there. (At 5 GHz
 	// δ ≈ a and the Hall model legitimately dips below 1.)
-	if k := cell.Baselines(100e9).HBM; k <= 1 {
+	if k := cell.HBM(100e9); k <= 1 {
 		t.Errorf("HBM(100 GHz) = %v, want > 1 in the PEC limit", k)
-	}
-
-	wantEmp, err := core.Empirical(sigma, units.SkinDepth(mat.Rho, f, units.Mu0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Empirical != wantEmp {
-		t.Errorf("Empirical = %v, direct call = %v", got.Empirical, wantEmp)
 	}
 }
 
-// The anisotropic path must match Simulation.SPM2LossFactor's formula.
+// An anisotropic cell's boss sits on a (2ηx)×(2ηy) tile.
 func TestBaselinesAnisoMatchesSPM2Aniso(t *testing.T) {
 	const (
 		sigma = 0.3 * um
@@ -65,29 +47,24 @@ func TestBaselinesAnisoMatchesSPM2Aniso(t *testing.T) {
 		f     = 4e9
 	)
 	mat := core.PaperMaterial()
-	cell := CompareCell{EpsR: mat.EpsR, Rho: mat.Rho, Sigma: sigma, Eta: etaX, EtaY: etaY}
-	got := cell.Baselines(f)
-
-	p := mat.Params(f)
-	ac := surface.NewAnisoGaussianCorr(sigma, etaX, etaY)
-	want := spm2.LossFactorAniso(spm2.Params{K1: p.K1, K2: p.K2, Beta: p.Beta},
-		ac.PSD2D, 40/math.Min(etaX, etaY), 0, 0)
-	if got.SPM2 != want {
-		t.Errorf("aniso SPM2 = %v, direct call = %v", got.SPM2, want)
+	cell := CompareCell{Rho: mat.Rho, Sigma: sigma, Eta: etaX, EtaY: etaY}
+	tile := 4 * etaX * etaY
+	if cell.TileArea() != tile {
+		t.Errorf("tile = %v, want %v", cell.TileArea(), tile)
 	}
-	if cell.TileArea() != 4*etaX*etaY {
-		t.Errorf("tile = %v, want %v", cell.TileArea(), 4*etaX*etaY)
+	a := math.Pow(2*sigma*sigma*tile/math.Pi, 0.25)
+	if got, want := cell.HBM(f), (hbm.Model{Radius: a, Tile: tile, Rho: mat.Rho}).LossFactor(f); got != want {
+		t.Errorf("aniso HBM = %v, direct call = %v", got, want)
 	}
 }
 
-// A flat-surface campaign row reports K ≡ 1 across every model.
+// A flat-surface campaign row reports K ≡ 1 for the HBM.
 func TestBaselinesFlatSurfaceIsUnity(t *testing.T) {
 	mat := core.PaperMaterial()
-	cell := CompareCell{EpsR: mat.EpsR, Rho: mat.Rho, Sigma: 0, Eta: 1 * um}
+	cell := CompareCell{Rho: mat.Rho, Sigma: 0, Eta: 1 * um}
 	for _, f := range []float64{1e9, 5e9, 9e9} {
-		got := cell.Baselines(f)
-		if got.SPM2 != 1 || got.HBM != 1 || got.Empirical != 1 {
-			t.Errorf("flat cell at %g Hz: %+v, want K ≡ 1 across all models", f, got)
+		if got := cell.HBM(f); got != 1 {
+			t.Errorf("flat cell at %g Hz: HBM = %v, want K ≡ 1", f, got)
 		}
 	}
 	if cell.BossRadius() != 0 {

@@ -234,52 +234,36 @@ func (s *Server) dispatchColumns(ctx context.Context, jobID string, cfg roughsim
 		return nil
 	}
 
-	task := func(node int, ps []float64) cluster.Task {
-		return cluster.Task{
-			ID:     cfg.CheckpointKey(node).String(),
-			JobID:  jobID,
-			Config: cfg,
-			Node:   node,
-			Ps:     ps,
-		}
-	}
-
-	var ps []float64
-	if plan.Interp {
-		// The flat-reference vector gates every node column on the
-		// interpolated path, so it dispatches first, alone.
-		if _, ok := store.Load(sweepengine.FlatRefNode); !ok {
-			if err := s.runColumnTasks(ctx, []cluster.Task{task(sweepengine.FlatRefNode, nil)}, store); err != nil {
-				return err
-			}
-		}
-		col, ok := store.Load(sweepengine.FlatRefNode)
-		if !ok {
-			// Flat reference never arrived: nothing remote can proceed
-			// without it — solve the whole sweep locally.
-			s.metrics.Counter("lease.dispatch_abandoned").Inc()
-			return nil
-		}
-		ps = col
-	}
 	var tasks []cluster.Task
 	for _, node := range plan.Nodes {
 		if _, ok := store.Load(node); ok {
 			continue
 		}
-		tasks = append(tasks, task(node, ps))
+		tasks = append(tasks, cluster.Task{
+			ID:     cfg.CheckpointKey(node).String(),
+			JobID:  jobID,
+			Config: cfg,
+			Node:   node,
+		})
 	}
 	if len(tasks) == 0 {
 		return nil
 	}
-	return s.runColumnTasks(ctx, tasks, store)
+	// A column covers the solve frequencies: the anchors on the
+	// broadband path, the sweep frequencies on the exact one.
+	colLen := len(cfg.Freqs)
+	if plan.Anchors > 0 {
+		colLen = plan.Anchors
+	}
+	return s.runColumnTasks(ctx, tasks, colLen, store)
 }
 
 // runColumnTasks offers tasks to the lease table and collects results
 // until all finish, the worker pool empties, or ctx ends. Completed
-// columns persist through store (journal anchor record included);
-// failed-retryable and exhausted tasks are left to the local engine.
-func (s *Server) runColumnTasks(ctx context.Context, tasks []cluster.Task, store sweepengine.Checkpoint) error {
+// columns of colLen values persist through store (journal anchor record
+// included); failed-retryable and exhausted tasks, and columns of any
+// other length, are left to the local engine.
+func (s *Server) runColumnTasks(ctx context.Context, tasks []cluster.Task, colLen int, store sweepengine.Checkpoint) error {
 	pending := make(map[string]cluster.Task, len(tasks))
 	for _, t := range tasks {
 		pending[t.ID] = t
@@ -315,7 +299,7 @@ func (s *Server) runColumnTasks(ctx context.Context, tasks []cluster.Task, store
 				}
 			}
 			col, ok := res.([]float64)
-			if !ok || len(col) != len(t.Config.Freqs) {
+			if !ok || len(col) != colLen {
 				s.metrics.Counter("lease.local_fallback").Inc()
 				continue
 			}

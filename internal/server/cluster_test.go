@@ -54,41 +54,58 @@ func startWorker(t *testing.T, ts *testServer, id string) {
 // TestClusterInProcessWorkerBitwise is the in-process acceptance test
 // of the compute plane: a coordinator with one live worker must receive
 // every column remotely (zero local node solves) and the result must be
-// byte-identical to a plain single-process server's.
+// byte-identical to a plain single-process server's, for a one-point
+// sweep and for a broadband one whose columns cover the anchors.
 func TestClusterInProcessWorkerBitwise(t *testing.T) {
 	if testing.Short() {
 		t.Skip("solver run")
 	}
-	cfg := tinyConfig(5e9)
+	band := make([]float64, 16) // the campaign-g8 benchmark's band
+	for i := range band {
+		band[i] = 4e9 + 2e9*float64(i)/15
+	}
+	for _, tc := range []struct {
+		name      string
+		cfg       roughsim.SweepConfig
+		broadband bool
+	}{
+		{"narrow", tinyConfig(5e9), false},
+		{"broadband", tinyConfig(band...), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Reference: plain single-process server.
+			ref := startServer(t, Config{Workers: 2, QueueDepth: 8, CacheSize: 64})
+			want := ref.submitAndWait(t, tc.cfg)
+			ref.shutdown(t)
 
-	// Reference: plain single-process server.
-	ref := startServer(t, Config{Workers: 2, QueueDepth: 8, CacheSize: 64})
-	want := ref.submitAndWait(t, cfg)
-	ref.shutdown(t)
+			ts := startServer(t, Config{
+				Workers: 2, QueueDepth: 8, CacheSize: 64,
+				Cluster: ClusterConfig{Role: RoleCoordinator, LeaseTTL: 5 * time.Second},
+			})
+			defer ts.shutdown(t)
+			startWorker(t, ts, "w-inproc")
 
-	ts := startServer(t, Config{
-		Workers: 2, QueueDepth: 8, CacheSize: 64,
-		Cluster: ClusterConfig{Role: RoleCoordinator, LeaseTTL: 5 * time.Second},
-	})
-	defer ts.shutdown(t)
-	startWorker(t, ts, "w-inproc")
-
-	got := ts.submitAndWait(t, cfg)
-	if !bytes.Equal(want, got) {
-		t.Fatalf("distributed result differs from single-process:\n%s\nvs\n%s", got, want)
-	}
-	if solves := ts.metrics.Counter("sweep.node_solves").Value(); solves != 0 {
-		t.Fatalf("coordinator solved %d nodes locally; all columns should be remote", solves)
-	}
-	if hits := ts.metrics.Counter("sweep.checkpoint_hits").Value(); hits == 0 {
-		t.Fatal("engine never loaded the remote columns as checkpoint hits")
-	}
-	remote := ts.metrics.Counter("lease.columns_remote").Value()
-	if remote == 0 {
-		t.Fatal("no column was accounted as remotely computed")
-	}
-	if completes := ts.metrics.CounterL("lease.completes", telemetry.L("worker", "w-inproc")).Value(); completes != remote {
-		t.Fatalf("lease.completes{worker=w-inproc} = %d, want %d", completes, remote)
+			got := ts.submitAndWait(t, tc.cfg)
+			if !bytes.Equal(want, got) {
+				t.Fatalf("distributed result differs from single-process:\n%s\nvs\n%s", got, want)
+			}
+			if interp := ts.metrics.Counter("sweep.interp_freqs").Value() > 0; interp != tc.broadband {
+				t.Fatalf("sweep took the broadband path: %v, want %v", interp, tc.broadband)
+			}
+			if solves := ts.metrics.Counter("sweep.node_solves").Value(); solves != 0 {
+				t.Fatalf("coordinator solved %d nodes locally; all columns should be remote", solves)
+			}
+			if hits := ts.metrics.Counter("sweep.checkpoint_hits").Value(); hits == 0 {
+				t.Fatal("engine never loaded the remote columns as checkpoint hits")
+			}
+			remote := ts.metrics.Counter("lease.columns_remote").Value()
+			if remote == 0 {
+				t.Fatal("no column was accounted as remotely computed")
+			}
+			if completes := ts.metrics.CounterL("lease.completes", telemetry.L("worker", "w-inproc")).Value(); completes != remote {
+				t.Fatalf("lease.completes{worker=w-inproc} = %d, want %d", completes, remote)
+			}
+		})
 	}
 }
 

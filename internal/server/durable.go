@@ -393,7 +393,7 @@ func (s *Server) purgeCheckpoints(jobID string) {
 	if err != nil {
 		return
 	}
-	for node := sweepengine.FlatRefNode; node < len(nodes); node++ {
+	for node := range nodes {
 		s.ckpts.Delete(cfg.CheckpointKey(node))
 	}
 }

@@ -8,10 +8,10 @@
 // Hermite polynomial chaos of the SSCM (internal/sscm): K(f, ξ) ≈
 // Σ_α c_α(f)·He_α(ξ). Across frequency, each coefficient c_α is
 // interpolated from its values at a few Chebyshev–Gauss anchors in
-// x = √f — the same parameterization the batched sweep engine uses for
-// matrix interpolation, and for the same reason: the kernel (hence K,
-// hence every projection of K) is smooth, in fact entire, in x, so the
-// Chebyshev coefficients decay spectrally. Evaluating the surrogate is
+// x = √f — the same parameterization the batched sweep engine uses to
+// interpolate each collocation node's K, and for the same reason: the
+// kernel (hence K, hence every projection of K) is smooth, in fact
+// entire, in x, so the Chebyshev coefficients decay spectrally. Evaluating the surrogate is
 // one barycentric weight vector plus a short dot product per Hermite
 // term: no solver, no quadrature, no allocation on the mean path.
 //

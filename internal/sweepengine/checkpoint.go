@@ -1,22 +1,14 @@
 package sweepengine
 
 // Checkpointing splits a sweep into its natural resumable units — one
-// completed K column per collocation node, vals[·][j] over every sweep
-// frequency — and persists each as soon as it finishes. A sweep
-// restarted after a crash loads the completed columns back and
-// re-solves only the nodes that never finished; because the columns are
-// the solver's float64 outputs round-tripped losslessly, the resumed
-// result is bitwise identical to an uninterrupted run.
-//
-// The interpolated broadband path has one extra unit with no
-// collocation node of its own: the flat-reference absorbed-power vector
-// Ps(f) the ratios divide by. It checkpoints under the reserved index
-// FlatRefNode.
-
-// FlatRefNode is the Checkpoint node index of the interpolated path's
-// flat-reference absorbed-power vector (not a collocation node; exact
-// sweeps never use it).
-const FlatRefNode = -1
+// completed K column per collocation node, over the sweep's solve
+// frequencies (the sweep frequencies on the exact path, the anchor
+// frequencies on the broadband path) — and persists each as soon as it
+// finishes. A sweep restarted after a crash loads the completed columns
+// back and re-solves only the nodes that never finished; because the
+// columns are the solver's float64 outputs round-tripped losslessly, and
+// the broadband interpolation runs after loading, the resumed result is
+// bitwise identical to an uninterrupted run.
 
 // Checkpoint persists completed per-node sweep columns. Load returns
 // the previously saved column for a node (or false); Save persists a

@@ -4,9 +4,9 @@
 // Solving each frequency on its own would repeat three kinds of work at
 // every frequency: re-sampling the KL collocation surfaces (which do not
 // depend on frequency at all), rebuilding the Green's-function tables,
-// and re-assembling the dense MoM system for every surface even though
-// the matrix entries vary smoothly with frequency. The engine removes
-// all three:
+// and solving every surface at every frequency even though each node's
+// loss factor varies smoothly with frequency. The engine removes all
+// three:
 //
 //   - Surface reuse. The Smolyak collocation nodes ξ and their
 //     synthesized surfaces are computed once per sweep and shared by
@@ -30,19 +30,18 @@
 //     assembly or FFT operator), mirrored in place after the first
 //     surface's solves, bit for bit what a direct build would give.
 //
-//   - Matrix interpolation across frequency (broadband sweeps). The
+//   - K interpolation across frequency (broadband sweeps). The
 //     conductor wavenumber k₂ = (1+j)/δ ∝ √f dominates the frequency
-//     dependence of the kernel, so the matrix entries are smooth
-//     (entire, in fact: products of complex exponentials and
-//     polynomials) in x = √f. The engine assembles exact systems only
-//     at a few Chebyshev anchor abscissae in x over the sweep band and
-//     reconstructs each sweep frequency's matrix by barycentric
-//     interpolation; the right-hand side (e^{−jk₁·f_i}) is recomputed
-//     exactly, and the flat reference goes through the same
-//     interpolation so the leading kernel error cancels in the ratio
-//     K = Pr/Ps. Narrow or short sweeps, where anchors would not
-//     amortize, fall back to the exact per-frequency path, which is
-//     bitwise identical to one first-order SSCM run per frequency.
+//     dependence of the kernel, so each node's loss factor is a smooth
+//     function of x = √f. A broadband sweep solves every node exactly
+//     only at a few Chebyshev anchor abscissae x_a over the band (the
+//     exact path run at the frequencies x_a², checkpoints included) and
+//     reconstructs each node's K column at the sweep frequencies by
+//     barycentric interpolation in x — the same scheme the broadband
+//     surrogate fits its coefficients with. Narrow or short sweeps,
+//     where anchors would not amortize, solve at the sweep frequencies
+//     themselves, bitwise identical to one first-order SSCM run per
+//     frequency.
 //
 // A point-level scheduler spreads the independent (frequency × node)
 // units over the worker budget with prompt context cancellation.
@@ -56,9 +55,7 @@ import (
 	"slices"
 	"sync/atomic"
 
-	"roughsim/internal/cmplxmat"
 	"roughsim/internal/core"
-	"roughsim/internal/mom"
 	"roughsim/internal/resilience"
 	"roughsim/internal/sscm"
 	"roughsim/internal/surface"
@@ -81,14 +78,13 @@ type Engine struct {
 	Order int
 	// Workers bounds total parallelism (default runtime.NumCPU()).
 	Workers int
-	// Anchors fixes the anchor count of the interpolated path; 0 picks
-	// it adaptively from the band's phase swing, capped at 12.
+	// Anchors fixes the anchor count of the broadband path; 0 picks it
+	// adaptively from the band's phase swing, capped at 12.
 	Anchors int
 	// Metrics receives sweep.* engine telemetry; nil disables it.
 	Metrics *telemetry.Registry
 	// Checkpoint, when non-nil, persists each completed collocation-node
-	// column K(·, ξ_j) — and, on the interpolated path, the
-	// flat-reference power vector under FlatRefNode — as the sweep
+	// column K(·, ξ_j) over the solve frequencies as the sweep
 	// progresses, and is consulted before solving so a resumed sweep
 	// re-solves only the nodes that never completed (see checkpoint.go).
 	Checkpoint Checkpoint
@@ -105,8 +101,8 @@ type Result struct {
 	// Values[freq][node], node-aligned with sscm.Nodes(Dim, Order) —
 	// the projection inputs the broadband surrogate fitter consumes.
 	Values [][]float64
-	// AnchorsUsed is the anchor count of the interpolated path, or 0
-	// when the sweep ran through the exact per-frequency path.
+	// AnchorsUsed is the anchor count of the broadband path, or 0 when
+	// the sweep solved at every sweep frequency.
 	AnchorsUsed int
 }
 
@@ -145,13 +141,13 @@ func (e *Engine) Run(ctx context.Context, freqs []float64) (*Result, error) {
 
 	nf := len(freqs)
 	name := "sweep.exact"
-	if p.interp() {
+	if p.anchors > 0 {
 		name = "sweep.interp"
 	}
 	e.Metrics.Counter(name + "_freqs").Add(int64(nf))
 	sctx, span := trace.StartSpan(ctx, name)
 	span.SetAttr("freqs", nf)
-	if p.interp() {
+	if p.anchors > 0 {
 		span.SetAttr("anchors", p.anchors)
 	}
 	vals, err := e.nodeValues(sctx, p, surfs)
@@ -179,36 +175,27 @@ func (e *Engine) Run(ctx context.Context, freqs []float64) (*Result, error) {
 // nodeValues returns vals[freq][node] for Run. A rigid-shift node (nil
 // surface) is K ≡ 1 without any solve, a checkpointed node loads its
 // completed column, and the remaining nodes go through columns, each
-// checkpointed the moment it completes. The interpolated path's flat
-// reference is loaded or computed only when a node is left to solve.
+// checkpointed the moment it completes. Every column covers the solve
+// frequencies; resample carries it to the sweep frequencies.
 func (e *Engine) nodeValues(ctx context.Context, p *sweepPlan, surfs []*surface.Surface) ([][]float64, error) {
-	nf := len(p.freqs)
 	cols := make([][]float64, len(surfs))
 	var todo []int
 	var solve []*surface.Surface
 	for j, s := range surfs {
-		var ok bool
 		if s == nil {
-			cols[j] = ones(nf)
-		} else if cols[j], ok = e.loadColumn(j, nf); !ok {
+			continue
+		}
+		var ok bool
+		if cols[j], ok = e.loadColumn(j, len(p.solve)); !ok {
 			todo = append(todo, j)
 			solve = append(solve, s)
 		}
 	}
 	if len(todo) > 0 {
-		var ps []float64
-		if p.interp() {
-			var ok bool
-			if ps, ok = e.loadColumn(FlatRefNode, nf); !ok {
-				e.Metrics.Counter("sweep.anchor_builds").Add(int64(p.anchors))
-				var err error
-				if ps, err = e.flatPabs(ctx, p); err != nil {
-					return nil, err
-				}
-				e.saveColumn(FlatRefNode, ps)
-			}
+		if p.anchors > 0 {
+			e.Metrics.Counter("sweep.anchor_builds").Add(int64(p.anchors))
 		}
-		err := e.columns(ctx, p, solve, ps, func(k int, col []float64) {
+		err := e.columns(ctx, p, solve, func(k int, col []float64) {
 			e.Metrics.Counter("sweep.node_solves").Inc()
 			e.saveColumn(todo[k], col)
 			cols[todo[k]] = col
@@ -217,11 +204,15 @@ func (e *Engine) nodeValues(ctx context.Context, p *sweepPlan, surfs []*surface.
 			return nil, err
 		}
 	}
-	vals := make([][]float64, nf)
+	vals := make([][]float64, len(p.freqs))
 	for fi := range vals {
-		vals[fi] = make([]float64, len(cols))
-		for j, col := range cols {
-			vals[fi][j] = col[fi]
+		vals[fi] = ones(len(cols))
+	}
+	for j, col := range cols {
+		if surfs[j] != nil {
+			for fi, k := range p.resample(col) {
+				vals[fi][j] = k
+			}
 		}
 	}
 	return vals, nil
@@ -231,19 +222,36 @@ func (e *Engine) nodeValues(ctx context.Context, p *sweepPlan, surfs []*surface.
 // the collocation grid and the path choice, made once.
 type sweepPlan struct {
 	freqs []float64
+	// solve lists the frequencies every node is solved at: freqs on the
+	// exact path, the anchors x_a² on the broadband path.
+	solve []float64
 	nodes [][]float64 // sscm.Nodes(Dim, order)
 	order int
-	// anchors is the interpolated path's anchor count and xs its anchor
+	// anchors is the broadband path's anchor count and xs its anchor
 	// abscissae in x = √f; anchors is 0 on the exact path.
 	anchors int
 	xs      []float64
 }
 
-func (p *sweepPlan) interp() bool { return p.anchors > 0 }
+// resample carries a node column over the solve frequencies to the
+// sweep frequencies: the column itself on the exact path, its
+// barycentric interpolant in x = √f on the broadband path.
+func (p *sweepPlan) resample(col []float64) []float64 {
+	if p.anchors == 0 {
+		return col
+	}
+	out := make([]float64, len(p.freqs))
+	for fi, f := range p.freqs {
+		for a, w := range BaryWeights(p.xs, math.Sqrt(f)) {
+			out[fi] += w * col[a]
+		}
+	}
+	return out
+}
 
-// plan validates the sweep and chooses its path: the interpolated one
-// when fewer anchors than frequencies cover a band of nonzero width,
-// the exact per-frequency one otherwise.
+// plan validates the sweep and chooses its path: the broadband one,
+// solving at Chebyshev anchors, when fewer anchors than frequencies
+// cover a band of nonzero width, the exact per-frequency one otherwise.
 func (e *Engine) plan(freqs []float64) (*sweepPlan, error) {
 	if e.Solver == nil || e.Synth == nil {
 		return nil, resilience.Errorf(resilience.KindInvalidInput, "sweepengine",
@@ -261,23 +269,27 @@ func (e *Engine) plan(freqs []float64) (*sweepPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &sweepPlan{freqs: freqs, nodes: nodes, order: order}
+	p := &sweepPlan{freqs: freqs, solve: freqs, nodes: nodes, order: order}
 	fmin, fmax := slices.Min(freqs), slices.Max(freqs)
 	if anchors := e.anchorCount(fmin, fmax); anchors < len(freqs) && fmax > fmin {
 		p.anchors = anchors
 		p.xs = ChebAnchors(anchors, math.Sqrt(fmin), math.Sqrt(fmax))
+		p.solve = make([]float64, anchors)
+		for a, x := range p.xs {
+			p.solve[a] = x * x
+		}
 	}
 	return p, nil
 }
 
 // surface synthesizes collocation node j. It returns nil for a rigid
-// shift at every sweep frequency (the grid's flat center node and, for a
+// shift at every solve frequency (the grid's flat center node and, for a
 // DC first KL mode, the piston pair; see core.Solver.RigidShift), whose
 // K ≡ 1 needs no solve, and the resolution error for a surface the
 // solver cannot resolve.
 func (e *Engine) surface(p *sweepPlan, j int) (*surface.Surface, error) {
 	s := e.Synth(p.nodes[j])
-	if !slices.ContainsFunc(p.freqs, func(f float64) bool { return !e.Solver.RigidShift(s, f) }) {
+	if !slices.ContainsFunc(p.solve, func(f float64) bool { return !e.Solver.RigidShift(s, f) }) {
 		return nil, nil
 	}
 	if _, err := core.CheckResolution(s); err != nil {
@@ -306,53 +318,28 @@ func (e *Engine) anchorCount(fmin, fmax float64) int {
 }
 
 // columns computes the K column of every surface in surfs over the
-// plan's frequencies, handing column k to save the moment it completes
-// and reporting progress in frequency units.
+// plan's solve frequencies, handing column k to save the moment it
+// completes and reporting progress in sweep-frequency units.
 //
 // Surfaces are solved in mirror groups (see mirrorGroups): a pair's
 // second surface reuses the first one's build, mirrored in place
 // (core.Solver.MirrorSurfaceCtx), counted in sweep.mirror_reuses.
 //
-// The exact path schedules the independent (group × frequency) units
-// across the worker budget through the operator prepare-and-solve path
-// — the one core.Solver's LossFactor takes, so results stay bitwise
-// identical to it. The operator build is deterministic across worker
-// counts, so the inner split does not perturb bits. The interpolated
-// path runs sweepPabs per group and divides by the flat reference ps.
-func (e *Engine) columns(ctx context.Context, p *sweepPlan, surfs []*surface.Surface, ps []float64, save func(k int, col []float64)) error {
-	nf := len(p.freqs)
+// The independent (group × solve frequency) units are scheduled across
+// the worker budget through the operator prepare-and-solve path — the
+// one core.Solver's LossFactor takes, so results stay bitwise identical
+// to it. The operator build is deterministic across worker counts, so
+// the inner split does not perturb bits.
+func (e *Engine) columns(ctx context.Context, p *sweepPlan, surfs []*surface.Surface, save func(k int, col []float64)) error {
+	nf, ns := len(p.freqs), len(p.solve)
 	groups := mirrorGroups(surfs)
-	if p.interp() {
-		done := 0
-		for _, grp := range groups {
-			gs := make([]*surface.Surface, len(grp))
-			for n, k := range grp {
-				gs[n] = surfs[k]
-			}
-			err := e.sweepPabs(ctx, gs, p.xs, p.freqs, func(n int, pr []float64) {
-				for fi := range pr {
-					pr[fi] /= ps[fi]
-				}
-				if n > 0 {
-					e.Metrics.Counter("sweep.mirror_reuses").Inc()
-				}
-				save(grp[n], pr)
-				done++
-				e.progress(done*nf/len(surfs), nf)
-			})
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	cols := make([][]float64, len(surfs))
 	remaining := make([]atomic.Int64, len(surfs))
 	for k := range cols {
-		cols[k] = make([]float64, nf)
-		remaining[k].Store(int64(nf))
+		cols[k] = make([]float64, ns)
+		remaining[k].Store(int64(ns))
 	}
-	units := len(groups) * nf
+	units := len(groups) * ns
 	w := e.workers()
 	inner := 1
 	if units < w {
@@ -360,8 +347,8 @@ func (e *Engine) columns(ctx context.Context, p *sweepPlan, surfs []*surface.Sur
 	}
 	var done atomic.Int64
 	return resilience.ForEach(ctx, units, w, func(ctx context.Context, u int) error {
-		grp, fi := groups[u/nf], u%nf
-		f := p.freqs[fi]
+		grp, fi := groups[u/ns], u%ns
+		f := p.solve[fi]
 		ref, err := e.Solver.FlatPabsCtx(ctx, f)
 		if err != nil {
 			return err
@@ -393,7 +380,7 @@ func (e *Engine) columns(ctx context.Context, p *sweepPlan, surfs []*surface.Sur
 				save(k, cols[k])
 			}
 		}
-		e.progress(int(done.Add(int64(len(grp))))/len(surfs), nf)
+		e.progress(int(done.Add(int64(len(grp))))*nf/(len(surfs)*ns), nf)
 		return nil
 	})
 }
@@ -438,88 +425,10 @@ func isMirror(a, b *surface.Surface) bool {
 	return true
 }
 
-// flatPabs is the interpolated path's flat-reference absorbed-power
-// vector Ps over the plan's frequencies.
-func (e *Engine) flatPabs(ctx context.Context, p *sweepPlan) ([]float64, error) {
-	var ps []float64
-	err := e.sweepPabs(ctx, []*surface.Surface{surface.NewFlat(e.Solver.L, e.Solver.M)}, p.xs, p.freqs,
-		func(_ int, pr []float64) { ps = pr })
-	return ps, err
-}
-
-// sweepPabs computes the absorbed power of each surface of a mirror
-// group (surfs[1:], if any, mirror surfs[0]; see mirrorGroups) at every
-// sweep frequency and hands surface n's vector to done as it completes:
-// exact assemblies at the anchor abscissae xs (in x = √f) for the first
-// surface, mirrored in place for the next, then an interpolated matrix,
-// exact RHS and resilient solve per frequency. A sweep frequency
-// coinciding with an anchor reproduces the exact system bit-for-bit
-// (the barycentric weights collapse to a delta and the RHS formula is
-// the assembly's own).
-func (e *Engine) sweepPabs(ctx context.Context, surfs []*surface.Surface, xs []float64, freqs []float64, done func(n int, pabs []float64)) error {
-	anch := make([]*mom.System, len(xs))
-	for a, x := range xs {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		sys, err := e.Solver.AssembleSurfaceCtx(ctx, surfs[0], x*x, e.workers())
-		if err != nil {
-			return err
-		}
-		anch[a] = sys
-	}
-	for n, surf := range surfs {
-		if n > 0 {
-			for a, x := range xs {
-				e.Solver.MirrorSurfaceCtx(ctx, anch[a], surf, x*x, e.workers())
-			}
-		}
-		out := make([]float64, len(freqs))
-		err := resilience.ForEach(ctx, len(freqs), e.workers(), func(ctx context.Context, fi int) error {
-			f := freqs[fi]
-			sys := interpSystem(anch, xs, math.Sqrt(f), surf, e.Solver.Mat.Params(f))
-			sol, err := e.Solver.SolveSystem(ctx, sys)
-			if err != nil {
-				return err
-			}
-			out[fi] = sol.Pabs
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		done(n, out)
-	}
-	return nil
-}
-
-// interpSystem builds the system at abscissa x from the anchor systems:
-// entrywise barycentric interpolation of the matrix (the Lagrange basis
-// sums to one, so frequency-independent entries — the ½ jump terms, the
-// static self-singularity — are reproduced exactly up to round-off) and
-// an exactly recomputed right-hand side.
-func interpSystem(anch []*mom.System, xs []float64, x float64, surf *surface.Surface, p mom.Params) *mom.System {
-	w := BaryWeights(xs, x)
-	n := anch[0].N
-	m := cmplxmat.New(2*n, 2*n)
-	for a, wa := range w {
-		if wa == 0 {
-			continue
-		}
-		c := complex(wa, 0)
-		src := anch[a].Matrix.Data
-		dst := m.Data
-		for i := range dst {
-			dst[i] += c * src[i]
-		}
-	}
-	return &mom.System{N: n, Matrix: m, RHS: mom.RHSVector(surf, p), Step: anch[0].Step}
-}
-
 // ChebAnchors places n Chebyshev–Gauss abscissae on [lo, hi]. Exported
 // because the surrogate fitter anchors its broadband coefficient model
-// on the same abscissae family (in x = √f) the engine interpolates
-// matrices on.
+// on the same abscissae family (in x = √f) the engine interpolates K
+// columns on.
 func ChebAnchors(n int, lo, hi float64) []float64 {
 	mid, half := (lo+hi)/2, (hi-lo)/2
 	xs := make([]float64, n)

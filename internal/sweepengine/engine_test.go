@@ -89,9 +89,10 @@ func TestExactModeMatchesPointAtATime(t *testing.T) {
 	}
 }
 
-// TestInterpMatchesExact: the anchor-interpolated broadband path must
-// agree with the exact path to well within the solver tolerance regime
-// across the whole band.
+// TestInterpMatchesExact: the broadband path's K, interpolated between
+// exact anchor solves, must agree with the exact path across the whole
+// band. The bound is twice the worst deviation measured on this sweep
+// (2.9e-9), well inside the solver tolerance regime.
 func TestInterpMatchesExact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("solver run")
@@ -124,7 +125,7 @@ func TestInterpMatchesExact(t *testing.T) {
 		if ke <= 1 {
 			t.Fatalf("f=%g: exact K = %g, want > 1", f, ke)
 		}
-		if d := math.Abs(ki-ke) / ke; d > 5e-4 {
+		if d := math.Abs(ki-ke) / ke; d > 5.8e-9 {
 			t.Fatalf("f=%g: interp K %v vs exact %v (rel %g)", f, ki, ke, d)
 		}
 	}

@@ -18,7 +18,7 @@ import (
 // mode, so those nodes synthesize rigid shifts f ≡ ±c, whose loss factor
 // is exactly 1 (core.Solver.RigidShift). Both bench solver workloads'
 // physics are checked — the exact path at M = 20, σ = 15 nm (the FFT
-// stage wins every solve) and the interpolated dense path at M = 8,
+// stage wins every solve) and the broadband dense path at M = 8,
 // σ = 0.33 µm.
 func TestPistonNodesAreRigidShifts(t *testing.T) {
 	if testing.Short() {
@@ -90,13 +90,16 @@ func TestPistonNodesAreRigidShifts(t *testing.T) {
 			t.Errorf("%s: no solve went through the FFT stage", tc.name)
 		}
 		// Only the flat reference and the planned nodes were solved, once
-		// per frequency.
-		nf := len(tc.freqs)
+		// per solve frequency (the anchors on the broadband path).
+		ns := len(tc.freqs)
+		if tc.anchors > 0 {
+			ns = tc.anchors
+		}
 		if got := reg.Counter("sweep.node_solves").Value(); got != int64(len(cp.Nodes)) {
 			t.Errorf("%s: %d node solves, want %d", tc.name, got, len(cp.Nodes))
 		}
-		if got, want := solver.Stats().Solves, nf*(1+len(cp.Nodes)); got != want {
-			t.Errorf("%s: %d solves, want %d (flat reference and %d nodes per frequency)", tc.name, got, want, len(cp.Nodes))
+		if got, want := solver.Stats().Solves, ns*(1+len(cp.Nodes)); got != want {
+			t.Errorf("%s: %d solves, want %d (flat reference and %d nodes per solve frequency)", tc.name, got, want, len(cp.Nodes))
 		}
 		for fi, f := range tc.freqs {
 			for _, j := range piston {

@@ -145,11 +145,10 @@ const ckptTag = 0x636b7074 // "ckpt"
 
 // CheckpointKey returns the content address of one per-node checkpoint
 // column of this sweep: the whole-sweep encoding (config + full
-// frequency list) plus the collocation node index. Pass
-// sweepengine.FlatRefNode for the interpolated path's flat-reference
-// vector. Any change to the config or the frequency list changes every
-// checkpoint key, so a resumed sweep can only ever load checkpoints
-// from an identical request.
+// frequency list) plus the collocation node index. Any change to the
+// config or the frequency list changes every checkpoint key, so a
+// resumed sweep can only ever load checkpoints from an identical
+// request.
 func (c SweepConfig) CheckpointKey(node int) rescache.Key {
 	c = c.WithDefaults()
 	e := c.encodeBase()
@@ -258,8 +257,8 @@ type SweepResult struct {
 
 // RunSweep executes the configured sweep directly (no cache, no queue
 // — the CLI path) through the batched sweep engine, which reuses
-// surfaces and tables across frequencies and interpolates matrices
-// over broadband sweeps (see internal/sweepengine).
+// surfaces and tables across frequencies and interpolates each node's
+// K over broadband sweeps (see internal/sweepengine).
 func RunSweep(ctx context.Context, cfg SweepConfig) (*SweepResult, error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -317,7 +316,7 @@ func (s *Simulation) engine() *sweepengine.Engine {
 }
 
 // CollocationValues evaluates K at every SSCM collocation node for
-// every frequency through the exact per-frequency path (matrix
+// every frequency through the exact per-frequency path (K
 // interpolation is disabled by pinning one anchor per frequency), so
 // vals[i][j] is the solver's K at freqs[i], node j of
 // sscm.Nodes(StochasticDim(), order). This is the surrogate.Source
@@ -326,7 +325,7 @@ func (s *Simulation) engine() *sweepengine.Engine {
 func (s *Simulation) CollocationValues(ctx context.Context, freqs []float64, order int) ([][]float64, error) {
 	eng := s.engine()
 	eng.Order = order
-	eng.Anchors = len(freqs) // anchors == freqs disables the interpolated path
+	eng.Anchors = len(freqs) // anchors == freqs disables the broadband path
 	res, err := eng.Run(ctx, freqs)
 	if err != nil {
 		return nil, err
@@ -337,8 +336,8 @@ func (s *Simulation) CollocationValues(ctx context.Context, freqs []float64, ord
 // SweepPoints computes the SweepPoint records for freqs through the
 // batched sweep engine: collocation surfaces are synthesized once per
 // sweep, Green's-function tables come from the (shareable) table cache,
-// and broadband sweeps assemble only at a few anchor frequencies,
-// interpolating the matrix in between (see internal/sweepengine).
+// and broadband sweeps solve only at a few anchor frequencies,
+// interpolating each node's K in between (see internal/sweepengine).
 // progress, when non-nil, receives monotone (done, total) updates in
 // frequency units. ckpt, when non-nil, persists each completed
 // collocation-node column as the sweep progresses and is consulted
@@ -378,22 +377,21 @@ func (s *Simulation) PlanSweepColumns(freqs []float64) (*sweepengine.ColumnPlan,
 }
 
 // SweepColumn computes one column unit of the sweep over freqs: the K
-// column of collocation node (or, for sweepengine.FlatRefNode, the
-// interpolated path's flat-reference vector, which node columns then
-// require as ps). The column is bitwise identical to the one a full
-// engine run would checkpoint, so a remotely computed column fed back
-// through the Checkpoint medium preserves single-process results
-// exactly.
-func (s *Simulation) SweepColumn(ctx context.Context, freqs []float64, node int, ps []float64) ([]float64, error) {
-	return s.engine().Column(ctx, freqs, node, ps)
+// column of collocation node over the sweep's solve frequencies (the
+// anchors on a broadband sweep). The column is bitwise identical to the
+// one a full engine run would checkpoint, so a remotely computed column
+// fed back through the Checkpoint medium preserves single-process
+// results exactly.
+func (s *Simulation) SweepColumn(ctx context.Context, freqs []float64, node int) ([]float64, error) {
+	return s.engine().Column(ctx, freqs, node)
 }
 
 // RunSweepBatched computes the SweepResult over freqs through the
 // batched sweep engine. For narrow or short sweeps (where the engine's
 // exact path runs) the K values are bitwise identical to one
-// first-order SSCM run per frequency; for broadband sweeps the
-// matrix-interpolated path agrees to within solver tolerance at a
-// fraction of the wall-clock.
+// first-order SSCM run per frequency; for broadband sweeps the K
+// interpolated between exact anchor solves agrees to within solver
+// tolerance at a fraction of the wall-clock.
 func (s *Simulation) RunSweepBatched(ctx context.Context, freqs []float64) (*SweepResult, error) {
 	pts, err := s.SweepPoints(ctx, freqs, nil, nil)
 	if err != nil {

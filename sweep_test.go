@@ -243,9 +243,8 @@ func TestSweepPathChoice(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if plan.Interp != (tc.anchors > 0) || plan.Anchors != tc.anchors {
-			t.Errorf("%s: interp=%v with %d anchors, want %d anchors (0 = exact)",
-				tc.name, plan.Interp, plan.Anchors, tc.anchors)
+		if plan.Anchors != tc.anchors {
+			t.Errorf("%s: %d anchors, want %d (0 = exact)", tc.name, plan.Anchors, tc.anchors)
 		}
 		if tc.nodes != nil && (plan.NumNodes != 5 || fmt.Sprint(plan.Nodes) != fmt.Sprint(tc.nodes)) {
 			t.Errorf("%s: nodes %v of %d, want %v of 5", tc.name, plan.Nodes, plan.NumNodes, tc.nodes)
