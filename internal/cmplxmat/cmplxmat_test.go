@@ -177,6 +177,41 @@ func TestGMRESRestart(t *testing.T) {
 	}
 }
 
+// TestGMRESNilGuessSkipsInitialMatVec: with x0 == nil the first
+// residual is b itself, so the solve runs one matvec fewer than with an
+// explicit zero guess and returns the same bits.
+func TestGMRESNilGuessSkipsInitialMatVec(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	n := 50
+	a := randomMatrix(rng, n)
+	for i := 0; i < n; i++ {
+		a.Add(i, i, complex(12, 3))
+	}
+	b := randomVec(rng, n)
+	run := func(x0 []complex128) ([]complex128, float64, int) {
+		calls := 0
+		mv := func(y, x []complex128) { calls++; a.MulVecTo(y, x) }
+		x, rr, err := GMRES(n, mv, b, x0, IterOpts{Tol: 1e-10, Restart: 5, MaxIter: 5000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return x, rr, calls
+	}
+	xNil, rrNil, callsNil := run(nil)
+	xZero, rrZero, callsZero := run(make([]complex128, n))
+	if callsNil != callsZero-1 {
+		t.Fatalf("nil guess ran %d matvecs, explicit zero %d: want exactly one fewer", callsNil, callsZero)
+	}
+	if rrNil != rrZero {
+		t.Fatalf("relative residuals differ: %g vs %g", rrNil, rrZero)
+	}
+	for i := range xNil {
+		if xNil[i] != xZero[i] {
+			t.Fatalf("x[%d] = %v with a nil guess, %v with an explicit zero", i, xNil[i], xZero[i])
+		}
+	}
+}
+
 func TestGMRESZeroRHS(t *testing.T) {
 	n := 10
 	mv := func(y, x []complex128) { copy(y, x) }

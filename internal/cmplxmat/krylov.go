@@ -48,7 +48,8 @@ var ErrNoConvergence = errors.New("cmplxmat: iterative solver did not converge")
 
 // GMRES solves A·x = b with restarted GMRES(m) using the matrix-free
 // operator mv. It returns the solution and the achieved relative
-// residual. x0 may be nil for a zero initial guess.
+// residual. x0 may be nil for a zero initial guess, whose residual is b
+// itself: the first cycle then starts without a matvec.
 func GMRES(n int, mv MatVec, b, x0 []complex128, opts IterOpts) ([]complex128, float64, error) {
 	opts = opts.withDefaults(n)
 	if len(b) != n {
@@ -87,10 +88,14 @@ func GMRES(n int, mv MatVec, b, x0 []complex128, opts IterOpts) ([]complex128, f
 			}
 		}
 		// r = b − A·x
-		mv(w, x)
-		matvecs++
-		for i := range w {
-			w[i] = b[i] - w[i]
+		if x0 == nil && matvecs == 0 {
+			copy(w, b)
+		} else {
+			mv(w, x)
+			matvecs++
+			for i := range w {
+				w[i] = b[i] - w[i]
+			}
 		}
 		beta := Norm2(w)
 		relres = beta / bnorm

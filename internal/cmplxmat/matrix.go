@@ -47,11 +47,17 @@ func (m *Matrix) Clone() *Matrix {
 
 // MulVec computes y = M·x, allocating y.
 func (m *Matrix) MulVec(x []complex128) []complex128 {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("cmplxmat: MulVec length %d != cols %d", len(x), m.Cols))
-	}
 	y := make([]complex128, m.Rows)
-	for i := 0; i < m.Rows; i++ {
+	m.MulVecTo(y, x)
+	return y
+}
+
+// MulVecTo computes y = M·x into y (len Rows), which must not alias x.
+func (m *Matrix) MulVecTo(y, x []complex128) {
+	if len(x) != m.Cols || len(y) != m.Rows {
+		panic(fmt.Sprintf("cmplxmat: MulVecTo lengths %d→%d for a %dx%d matrix", len(x), len(y), m.Rows, m.Cols))
+	}
+	for i := range y {
 		row := m.Row(i)
 		var s complex128
 		for j, v := range row {
@@ -59,7 +65,6 @@ func (m *Matrix) MulVec(x []complex128) []complex128 {
 		}
 		y[i] = s
 	}
-	return y
 }
 
 // Mul returns M·B, allocating the result.

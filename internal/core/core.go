@@ -110,15 +110,32 @@ type Solver struct {
 	// jobs at overlapping frequencies build each table exactly once.
 	tables *mom.TableCache
 
-	// flat and flat2D cache the flat-reference Pabs of every frequency
-	// seen, for surfaces and profiles. Concurrent callers at one
-	// frequency share a single solve: the 2d+1 collocation nodes at a new
-	// frequency would otherwise each solve the same flat system.
-	flat, flat2D *memo.LRU[float64, float64]
+	// flat and flat2D cache the flat references of the flatMemoCap most
+	// recent frequencies, for surfaces and profiles. Concurrent callers
+	// at one frequency share a single solve: the 2d+1 collocation nodes
+	// at a new frequency would otherwise each solve the same flat system.
+	flat   *memo.LRU[float64, flatRef]
+	flat2D *memo.LRU[float64, float64]
 
 	mu    sync.Mutex
 	stats SolveStats
 }
+
+// flatRef is a frequency's flat reference: the absorbed power K is
+// relative to, and the flat system's exact inverse, the preconditioner
+// of every system prepared at that frequency.
+type flatRef struct {
+	pabs float64
+	inv  *mom.FlatInverse
+}
+
+// flatMemoCap bounds the flat-reference memo, so a long-running server
+// sweeping ever new frequencies does not grow it without bound. It holds
+// one sweep at the server's default frequency limit (256). An entry is
+// dominated by its inverse's four complex symbols per lateral mode,
+// 64·M² bytes, so the memo holds at most 16 KiB·M²: 6.6 MB at M=20,
+// 26 MB at M=40.
+const flatMemoCap = 256
 
 // NewSolver builds a Solver for an L-periodic patch with an M×M grid.
 func NewSolver(mat Material, L float64, M int, opt mom.Options) (*Solver, error) {
@@ -127,8 +144,8 @@ func NewSolver(mat Material, L float64, M int, opt mom.Options) (*Solver, error)
 			"needs L > 0, M ≥ 2 (got L=%g, M=%d)", L, M)
 	}
 	s := &Solver{Mat: mat, L: L, M: M, Opt: opt, tables: mom.NewTableCache(0, nil),
-		flat2D: memo.NewLRU[float64, float64](math.MaxInt, memo.Hooks{})}
-	s.flat = memo.NewLRU[float64, float64](math.MaxInt, memo.Hooks{
+		flat2D: memo.NewLRU[float64, float64](flatMemoCap, memo.Hooks{})}
+	s.flat = memo.NewLRU[float64, flatRef](flatMemoCap, memo.Hooks{
 		Hit:      func() { s.Metrics.Counter("core.flat_hits").Inc() },
 		Shared:   func() { s.Metrics.Counter("core.flat_shared").Inc() },
 		Computed: func() { s.Metrics.Counter("core.flat_solves").Inc() },
@@ -183,6 +200,7 @@ func (s *Solver) record(rep *mom.SolveReport) {
 	}
 	s.stats.Solves++
 	s.Metrics.Counter("solve.count").Inc()
+	s.Metrics.Counter("solve.matvecs").Add(int64(rep.MatVecs))
 	if rep.Winner != "" {
 		s.stats.StageWins[rep.Winner]++
 		s.Metrics.Counter("solve.stage_win." + rep.Winner).Inc()
@@ -221,6 +239,7 @@ func (s *Solver) solve(ctx context.Context, sys *mom.System) (*mom.Solution, err
 	if sol.Report != nil && sol.Report.Winner != "" {
 		sp.SetAttr("winner", sol.Report.Winner)
 		sp.SetAttr("attempts", len(sol.Report.Attempts))
+		sp.SetAttr("matvecs", sol.Report.MatVecs)
 	}
 	s.record(sol.Report)
 	return sol, nil
@@ -272,8 +291,21 @@ func (s *Solver) assembleSurface(ctx context.Context, surf *surface.Surface, f f
 // the solver's configured dense path, counted in
 // solve.dense_materialized — if a dense fallback stage of the resilient
 // chain actually runs. A solve won by the fft-gmres stage therefore
-// performs zero dense-matrix assemblies.
+// performs zero dense-matrix assemblies. The system is preconditioned
+// by the frequency's flat inverse (mom.System.Precondition), which
+// forces the flat reference if no caller has yet.
 func (s *Solver) PrepareSurfaceCtx(ctx context.Context, surf *surface.Surface, f float64, workers int) (*mom.System, error) {
+	ref, err := s.flatRef(ctx, f)
+	if err != nil {
+		return nil, err
+	}
+	sys := s.prepare(ctx, surf, f, workers)
+	sys.Precondition(ref.inv)
+	return sys, nil
+}
+
+// prepare is PrepareSurfaceCtx without the preconditioner.
+func (s *Solver) prepare(ctx context.Context, surf *surface.Surface, f float64, workers int) *mom.System {
 	opt := s.Opt
 	if workers > 0 {
 		opt.Workers = workers
@@ -294,7 +326,7 @@ func (s *Solver) PrepareSurfaceCtx(ctx context.Context, surf *surface.Surface, f
 		}
 	}
 	sp.End()
-	return sys, nil
+	return sys
 }
 
 // denseAssembler is a lazily built system's dense fallback for surf at
@@ -313,8 +345,8 @@ func (s *Solver) denseAssembler(ctx context.Context, surf *surface.Surface, f fl
 // MirrorSurfaceCtx turns sys, built by PrepareSurfaceCtx for a surface
 // at f, into the system of its mirror image ms (ms.H = −H) in place,
 // bitwise equal to building ms directly (see mom.System.Mirror) and
-// without reading a kernel. The system keeps its FFT admission and
-// assembles ms if a dense stage runs (workers as for
+// without reading a kernel. The system keeps its FFT admission and its
+// flat inverse, and assembles ms if a dense stage runs (workers as for
 // PrepareSurfaceCtx). It runs under a "mom.mirror" span of the
 // context's trace.
 func (s *Solver) MirrorSurfaceCtx(ctx context.Context, sys *mom.System, ms *surface.Surface, f float64, workers int) {
@@ -342,24 +374,43 @@ func (s *Solver) FlatPabs(f float64) (float64, error) {
 // errors are not cached, and a waiter whose own ctx expires stops
 // waiting while the solve continues for the others.
 func (s *Solver) FlatPabsCtx(ctx context.Context, f float64) (float64, error) {
-	v, _, err := s.flat.Do(ctx, f, func() (float64, error) { return s.flatSolve(ctx, f) })
-	return v, err
+	ref, err := s.flatRef(ctx, f)
+	return ref.pabs, err
 }
 
-// flatSolve runs the flat-reference assembly and solve at f.
-func (s *Solver) flatSolve(ctx context.Context, f float64) (float64, error) {
+// flatRef returns (computing and caching on first use) the flat
+// reference at f.
+func (s *Solver) flatRef(ctx context.Context, f float64) (flatRef, error) {
+	ref, _, err := s.flat.Do(ctx, f, func() (flatRef, error) { return s.flatSolve(ctx, f) })
+	return ref, err
+}
+
+// flatSolve builds the flat system at f, derives its exact inverse
+// under a "flat.inverse" span and solves the flat system preconditioned
+// by it, which converges in one GMRES iteration.
+func (s *Solver) flatSolve(ctx context.Context, f float64) (flatRef, error) {
 	ctx, sp := trace.StartSpan(ctx, "flat.reference")
 	sp.SetAttr("f", f)
 	defer sp.End()
-	sys, err := s.PrepareSurfaceCtx(ctx, surface.NewFlat(s.L, s.M), f, 0)
+	sys := s.prepare(ctx, surface.NewFlat(s.L, s.M), f, 0)
+	// A flat system the FFT stage does not admit materializes its dense
+	// matrix here, under its own mom.assemble span.
+	mv, err := sys.MatVec()
 	if err != nil {
-		return 0, fmt.Errorf("core: flat reference at f=%g: %w", f, err)
+		return flatRef{}, fmt.Errorf("core: flat reference at f=%g: %w", f, err)
 	}
+	_, isp := trace.StartSpan(ctx, "flat.inverse")
+	inv, err := mom.NewFlatInverse(s.M, mv)
+	isp.End()
+	if err != nil {
+		return flatRef{}, fmt.Errorf("core: flat inverse at f=%g: %w", f, err)
+	}
+	sys.Precondition(inv)
 	sol, err := s.solve(ctx, sys)
 	if err != nil {
-		return 0, fmt.Errorf("core: flat reference at f=%g: %w", f, err)
+		return flatRef{}, fmt.Errorf("core: flat reference at f=%g: %w", f, err)
 	}
-	return sol.Pabs, nil
+	return flatRef{pabs: sol.Pabs, inv: inv}, nil
 }
 
 // CheckResolution reports whether the grid resolves the surface well

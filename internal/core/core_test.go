@@ -373,3 +373,20 @@ func TestFlatPabsSingleFlightMetrics(t *testing.T) {
 		t.Fatalf("flat_solves after warm call = %d, want 1", got)
 	}
 }
+
+// TestFlatMemoBounded: a solver swept across more frequencies than the
+// flat memo holds keeps only the most recent flatMemoCap references.
+func TestFlatMemoBounded(t *testing.T) {
+	s, err := NewSolver(PaperMaterial(), 5*um, 4, mom.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < flatMemoCap+3; k++ {
+		if _, err := s.FlatPabs(units.GHz + float64(k)*units.MHz); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.flat.Len(); got != flatMemoCap {
+		t.Fatalf("flat memo holds %d entries, want %d", got, flatMemoCap)
+	}
+}

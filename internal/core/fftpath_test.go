@@ -142,3 +142,44 @@ func TestSolverFFTRejectionAccounting(t *testing.T) {
 		t.Fatalf("dense materializations = %d, want 1", got)
 	}
 }
+
+// TestPreparedSystemsCarryFlatInverse: the flat reference wins in one
+// GMRES iteration (three operator products, counted in solve.matvecs),
+// and a system PrepareSurfaceCtx hands out is preconditioned by it: it
+// needs fewer products than the same system without the preconditioner.
+func TestPreparedSystemsCarryFlatInverse(t *testing.T) {
+	L := 5 * um
+	M := 12
+	f := 5 * units.GHz
+	c := surface.NewGaussianCorr(0.01*um, L/4)
+	surf := surface.NewKL(c, L, M).SampleTruncated(rng.New(17), 10)
+	s, err := NewSolverTabulated(PaperMaterial(), L, M, 10*um, mom.Options{FFTMinCells: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	s.Metrics = reg
+	ctx := context.Background()
+	if _, err := s.FlatPabsCtx(ctx, f); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("solve.matvecs").Value(); got != 3 {
+		t.Fatalf("flat reference took %d matvecs, want 3", got)
+	}
+	sys, err := s.PrepareSurfaceCtx(ctx, surf, f, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre, err := s.SolveSystem(ctx, sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := s.prepare(ctx, surf, f, 0).SolveResilient(ctx, mom.SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pre.Report.MatVecs >= plain.Report.MatVecs {
+		t.Fatalf("prepared system took %d matvecs, unpreconditioned %d", pre.Report.MatVecs, plain.Report.MatVecs)
+	}
+	t.Logf("matvecs: %d preconditioned, %d plain", pre.Report.MatVecs, plain.Report.MatVecs)
+}

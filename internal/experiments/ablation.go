@@ -159,7 +159,10 @@ func AblationSolvers(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	tGMRES, err := timeIt(func() error { _, _, e := sys.SolveGMRES(1e-8); return e })
+	tGMRES, err := timeIt(func() error {
+		_, e := sys.SolveResilient(context.Background(), mom.SolveOptions{Tol: 1e-8})
+		return e
+	})
 	if err != nil {
 		return nil, err
 	}

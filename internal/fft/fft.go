@@ -56,11 +56,11 @@ var plans sync.Map // planKey → *plan
 
 // plan is the precomputed form of one transform length and direction.
 // A length whose prime factors are 2, 3 and 5 runs a recursive
-// mixed-radix Cooley–Tukey decimation in time (the KISS FFT layout:
-// radix-2 and radix-4 butterflies specialised, radix 3 and 5 through
-// the generic one) over n twiddles. Any other length runs Bluestein's
-// chirp-z algorithm, whose chirp and transformed filter are computed
-// once and whose padded power-of-two transforms are plans themselves.
+// mixed-radix Cooley–Tukey decimation in time (the KISS FFT layout and
+// its radix-2, 3, 4 and 5 butterflies) over n twiddles. Any other length
+// runs Bluestein's chirp-z algorithm, whose chirp and transformed filter
+// are computed once and whose padded power-of-two transforms are plans
+// themselves.
 type plan struct {
 	n       int
 	inverse bool
@@ -196,10 +196,12 @@ func (p *plan) work(out, in []complex128, fstride, istride, s int) {
 	switch r {
 	case 2:
 		p.bfly2(out, fstride, m)
+	case 3:
+		p.bfly3(out, fstride, m)
 	case 4:
 		p.bfly4(out, fstride, m)
-	default:
-		p.bflyGeneric(out, fstride, m, r)
+	case 5:
+		p.bfly5(out, fstride, m)
 	}
 }
 
@@ -234,26 +236,53 @@ func (p *plan) bfly4(out []complex128, fstride, m int) {
 	}
 }
 
-// bflyGeneric is the radix-r butterfly for a small prime r (3 or 5): a
-// direct r-point DFT of each twiddled column.
-func (p *plan) bflyGeneric(out []complex128, fstride, m, r int) {
-	var col [5]complex128
-	for u := 0; u < m; u++ {
-		for q := 0; q < r; q++ {
-			col[q] = out[u+q*m]
-		}
-		for q1 := 0; q1 < r; q1++ {
-			k := u + q1*m
-			acc := col[0]
-			tw := 0
-			for q := 1; q < r; q++ {
-				if tw += fstride * k; tw >= p.n {
-					tw -= p.n
-				}
-				acc += col[q] * p.tw[tw]
-			}
-			out[k] = acc
-		}
+// bfly3 is the radix-3 butterfly. With w = exp(∓2πi/3) the column
+// (a, b·t₁, c·t₂) maps to a + s, a − s/2 ± i·sin(2π/3)·d with
+// s = b·t₁ + c·t₂ and d = b·t₁ − c·t₂; w's imaginary part carries the
+// direction.
+func (p *plan) bfly3(out []complex128, fstride, m int) {
+	a, b, c := out[:m], out[m:2*m], out[2*m:3*m]
+	epi := imag(p.tw[fstride*m])
+	for k := range a {
+		s1 := b[k] * p.tw[k*fstride]
+		s2 := c[k] * p.tw[2*k*fstride]
+		s3 := s1 + s2
+		s0 := s1 - s2
+		mid := complex(real(a[k])-real(s3)/2, imag(a[k])-imag(s3)/2)
+		s0 = complex(real(s0)*epi, imag(s0)*epi)
+		a[k] += s3
+		c[k] = complex(real(mid)+imag(s0), imag(mid)-real(s0))
+		b[k] = complex(real(mid)-imag(s0), imag(mid)+real(s0))
+	}
+}
+
+// bfly5 is the radix-5 butterfly: the twiddled column's symmetric sums
+// and differences about the middle, combined with ya = w and yb = w²,
+// w = exp(∓2πi/5).
+func (p *plan) bfly5(out []complex128, fstride, m int) {
+	f0, f1, f2, f3, f4 := out[:m], out[m:2*m], out[2*m:3*m], out[3*m:4*m], out[4*m:5*m]
+	ya, yb := p.tw[fstride*m], p.tw[2*fstride*m]
+	for u := range f0 {
+		s0 := f0[u]
+		s1 := f1[u] * p.tw[u*fstride]
+		s2 := f2[u] * p.tw[2*u*fstride]
+		s3 := f3[u] * p.tw[3*u*fstride]
+		s4 := f4[u] * p.tw[4*u*fstride]
+		s7, s10 := s1+s4, s1-s4
+		s8, s9 := s2+s3, s2-s3
+		f0[u] += s7 + s8
+		s5 := complex(real(s0)+real(s7)*real(ya)+real(s8)*real(yb),
+			imag(s0)+imag(s7)*real(ya)+imag(s8)*real(yb))
+		s6 := complex(imag(s10)*imag(ya)+imag(s9)*imag(yb),
+			-real(s10)*imag(ya)-real(s9)*imag(yb))
+		f1[u] = s5 - s6
+		f4[u] = s5 + s6
+		s11 := complex(real(s0)+real(s7)*real(yb)+real(s8)*real(ya),
+			imag(s0)+imag(s7)*real(yb)+imag(s8)*real(ya))
+		s12 := complex(-imag(s10)*imag(yb)+imag(s9)*imag(ya),
+			real(s10)*imag(yb)-real(s9)*imag(ya))
+		f2[u] = s11 + s12
+		f3[u] = s11 - s12
 	}
 }
 

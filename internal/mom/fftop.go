@@ -2,11 +2,9 @@ package mom
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/cmplx"
 
-	"roughsim/internal/cmplxmat"
 	"roughsim/internal/fft"
 	"roughsim/internal/resilience"
 	"roughsim/internal/specfun"
@@ -582,73 +580,16 @@ func (op *FFTOperator) MatVec(y, x []complex128) {
 	}
 }
 
-// Solve runs GMRES with the FFT matvec, left-preconditioned by the
-// block-Jacobi inverse of the per-node 2×2 diagonal
-//
-//	[ ½ − curv_i ,  β·S₁,ii ]
-//	[ ½ + curv_i , −S₂,ii   ]
-//
-// which captures the dominant local coupling between ψ_i and u_i and
-// roughly halves the Krylov iteration count. The context is checked
-// between GMRES restarts, so a cancelled job or a daemon drain stops a
-// long solve promptly instead of waiting for the next chain stage.
+// Solve runs the chain's Krylov solve (krylov) on the FFT matvec alone,
+// without a preconditioner: the operator carries none, a System does
+// (see System.Precondition). The context is checked between GMRES
+// restarts.
 func (op *FFTOperator) Solve(ctx context.Context, rhs []complex128, tol float64) (*Solution, float64, error) {
-	x, rr, err := op.solveVec(ctx, rhs, tol)
+	x, rr, _, err := krylov(ctx, op.MatVec, nil, rhs, tol)
 	if err != nil {
 		return nil, rr, err
 	}
 	return solutionFrom(x, op.h), rr, nil
-}
-
-// solveVec is the raw preconditioned GMRES run behind Solve; the solve
-// chain uses it directly so it can verify the candidate against the
-// operator's own MatVec before accepting it.
-func (op *FFTOperator) solveVec(ctx context.Context, rhs []complex128, tol float64) ([]complex128, float64, error) {
-	n2 := 2 * op.N
-	pre := op.blockJacobi()
-	// Right preconditioning — solve (A·M⁻¹)·y = b, then x = M⁻¹·y — so
-	// the GMRES residual IS the true residual of the original system and
-	// the chain's verification threshold applies to it directly (left
-	// preconditioning would skew the relative residual by the
-	// preconditioner's conditioning, which is large when β is small).
-	mv := func(y, x []complex128) {
-		tmp := make([]complex128, n2)
-		pre(tmp, x)
-		op.MatVec(y, tmp)
-	}
-	y, rr, err := cmplxmat.GMRES(n2, mv, rhs, nil,
-		cmplxmat.IterOpts{Tol: tol, Restart: 80, MaxIter: 6000, Check: ctx.Err})
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, rr, resilience.New(resilience.KindCanceled, "mom.fftop.solve", ctxErr)
-		}
-		return nil, rr, fmt.Errorf("mom: FFT-operator GMRES: %w", err)
-	}
-	x := make([]complex128, n2)
-	pre(x, y)
-	return x, rr, nil
-}
-
-// blockJacobi returns the application of the inverse 2×2 node-diagonal.
-func (op *FFTOperator) blockJacobi() func(y, x []complex128) {
-	n := op.N
-	inv := make([][4]complex128, n)
-	for i := 0; i < n; i++ {
-		cv := complex(op.curv[i], 0)
-		a := 0.5 - cv
-		b := op.beta * op.diag1
-		c := 0.5 + cv
-		d := -op.diag2
-		det := a*d - b*c
-		inv[i] = [4]complex128{d / det, -b / det, -c / det, a / det}
-	}
-	return func(y, x []complex128) {
-		for i := 0; i < n; i++ {
-			p, u := x[i], x[n+i]
-			y[i] = inv[i][0]*p + inv[i][1]*u
-			y[n+i] = inv[i][2]*p + inv[i][3]*u
-		}
-	}
 }
 
 // RHS builds the incident-field right-hand side for the operator's surface.

@@ -106,6 +106,29 @@ type System struct {
 	denseFn   func() (*cmplxmat.Matrix, error)
 	denseOnce sync.Once
 	denseErr  error
+
+	// pre is the flat inverse both GMRES stages are right-preconditioned
+	// by (nil: none); see Precondition.
+	pre *FlatInverse
+}
+
+// Precondition makes inv, the flat inverse of the system's grid and
+// frequency, the right preconditioner of both GMRES stages of
+// SolveResilient. It survives Mirror. A preconditioner only changes how
+// fast the chain converges: every candidate is still verified against
+// the unpreconditioned system.
+func (sys *System) Precondition(inv *FlatInverse) { sys.pre = inv }
+
+// MatVec returns the system's operator: the FFT-accelerated one when
+// admitted, otherwise the dense matrix's product, materializing it.
+func (sys *System) MatVec() (cmplxmat.MatVec, error) {
+	if sys.fft != nil {
+		return sys.fft.MatVec, nil
+	}
+	if err := sys.Materialize(); err != nil {
+		return nil, err
+	}
+	return sys.Matrix.MulVecTo, nil
 }
 
 // NewOperatorSystem builds a matrix-free System: the FFT-accelerated
@@ -338,7 +361,7 @@ type Solution struct {
 	// the Pr/Ps ratio).
 	Pabs float64
 	// Report carries the per-stage accounting when the solution came
-	// from SolveResilient; nil for the direct Solve/SolveGMRES paths.
+	// from SolveResilient; nil for the direct Solve path.
 	Report *SolveReport
 }
 
@@ -349,21 +372,6 @@ func (sys *System) Solve() (*Solution, error) {
 		return nil, fmt.Errorf("mom: dense solve: %w", err)
 	}
 	return solutionFrom(x, sys.Step), nil
-}
-
-// SolveGMRES solves the system iteratively with the dense matvec —
-// the reference iterative path (the FFT-accelerated operator plugs in
-// the same way through cmplxmat.GMRES).
-func (sys *System) SolveGMRES(tol float64) (*Solution, float64, error) {
-	n2 := 2 * sys.N
-	mv := func(y, x []complex128) {
-		copy(y, sys.Matrix.MulVec(x))
-	}
-	x, rr, err := cmplxmat.GMRES(n2, mv, sys.RHS, nil, cmplxmat.IterOpts{Tol: tol, Restart: 80, MaxIter: 4000})
-	if err != nil {
-		return nil, rr, fmt.Errorf("mom: GMRES: %w", err)
-	}
-	return solutionFrom(x, sys.Step), rr, nil
 }
 
 // solutionFrom splits a solved x = [Ψ; U] on a grid of step h and

@@ -1,6 +1,7 @@
 package mom
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -128,9 +129,12 @@ func TestGMRESMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	iter, _, err := sys.SolveGMRES(1e-10)
+	iter, err := sys.SolveResilient(context.Background(), SolveOptions{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if iter.Report.Winner != StageGMRES {
+		t.Fatalf("winner = %q, want %q", iter.Report.Winner, StageGMRES)
 	}
 	if d := math.Abs(dense.Pabs-iter.Pabs) / dense.Pabs; d > 1e-6 {
 		t.Fatalf("GMRES Pabs %g vs dense %g (rel %g)", iter.Pabs, dense.Pabs, d)

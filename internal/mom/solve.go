@@ -2,6 +2,7 @@ package mom
 
 import (
 	"context"
+	"fmt"
 
 	"roughsim/internal/cmplxmat"
 	"roughsim/internal/resilience"
@@ -11,8 +12,8 @@ import (
 // Stage names of the resilient solve chain, in fallback order. They are
 // also the op names the fault injector matches on.
 const (
-	StageFFT     = "fft-gmres" // FFT-accelerated operator, preconditioned GMRES (matrix-free)
-	StageGMRES   = "gmres"     // matrix-free restarted GMRES on the dense matvec
+	StageFFT     = "fft-gmres" // preconditioned GMRES on the FFT-accelerated operator (matrix-free)
+	StageGMRES   = "gmres"     // preconditioned GMRES on the dense matvec
 	StageDenseLU = "lu"        // dense LU with partial pivoting
 )
 
@@ -36,6 +37,9 @@ type SolveReport struct {
 	// RelRes is the independently verified relative residual of the
 	// winning stage's solution.
 	RelRes float64
+	// MatVecs counts the operator products the winning stage ran, its
+	// verification included.
+	MatVecs int
 }
 
 // SolveResilient solves the system through the fallback chain
@@ -48,32 +52,32 @@ type SolveReport struct {
 // cannot. Cancellation is honored between stages and, in both GMRES
 // stages, between restarts.
 //
-// The fft-gmres stage only exists for systems built with
-// NewOperatorSystem whose surface passed the admissibility gates; its
-// candidate is verified through the operator's own MatVec, so a solve
-// it wins never touches (or assembles) the dense matrix. Dense stages
-// of a lazily-built system materialize the matrix on first entry. A
-// gate rejection is prepended to the report as a Skipped fft-gmres
-// attempt: observable, but never run and never counted as an execution
-// failure.
+// Both GMRES stages run one Krylov solve (krylov), right-preconditioned
+// by the system's flat inverse (see Precondition; the identity when it
+// carries none); they differ only in the operator. The fft-gmres stage
+// only exists for systems built with NewOperatorSystem whose surface
+// passed the admissibility gates; its candidate is verified through the
+// operator's own MatVec, so a solve it wins never touches (or
+// assembles) the dense matrix. Dense stages of a lazily-built system
+// materialize the matrix on first entry. A gate rejection is prepended
+// to the report as a Skipped fft-gmres attempt: observable, but never
+// run and never counted as an execution failure.
 func (sys *System) SolveResilient(ctx context.Context, opt SolveOptions) (*Solution, error) {
 	n2 := 2 * sys.N
 	tol := opt.Tol
 	if tol <= 0 {
 		tol = 1e-8
 	}
-	denseMV := func(y, x []complex128) {
-		copy(y, sys.Matrix.MulVec(x))
-	}
+	denseMV := func(y, x []complex128) { sys.Matrix.MulVecTo(y, x) }
 
 	var x []complex128
 	report := &SolveReport{}
 
 	// verify accepts a candidate only if it is finite and its true
-	// residual — against the matvec of the stage family that produced it
-	// — is within 10× the target, the same drift guard GMRES applies
-	// internally.
-	verify := func(cand []complex128, mv cmplxmat.MatVec) error {
+	// residual — against the unpreconditioned matvec of the stage family
+	// that produced it — is within 10× the target, the same drift guard
+	// GMRES applies internally. matvecs is what the stage spent on it.
+	verify := func(cand []complex128, mv cmplxmat.MatVec, matvecs int) error {
 		if cmplxmat.HasNonFinite(cand) {
 			return resilience.Errorf(resilience.KindNumerical, "mom.verify",
 				"non-finite entries in candidate solution")
@@ -94,6 +98,7 @@ func (sys *System) SolveResilient(ctx context.Context, opt SolveOptions) (*Solut
 		}
 		x = cand
 		report.RelRes = rr
+		report.MatVecs = matvecs + 1
 		return nil
 	}
 
@@ -108,15 +113,19 @@ func (sys *System) SolveResilient(ctx context.Context, opt SolveOptions) (*Solut
 		}
 	}
 
+	// iterate is a GMRES stage on the operator mv.
+	iterate := func(c context.Context, mv cmplxmat.MatVec) error {
+		cand, _, matvecs, err := krylov(c, mv, sys.pre, sys.RHS, tol)
+		if err != nil {
+			return err
+		}
+		return verify(cand, mv, matvecs)
+	}
 	var stages []resilience.Stage
 	if sys.fft != nil {
-		op := sys.fft
 		stages = append(stages, resilience.Stage{Name: StageFFT, Run: func(c context.Context) error {
 			_, sp := trace.StartSpan(c, "mom.fft.solve")
-			cand, _, err := op.solveVec(c, sys.RHS, tol)
-			if err == nil {
-				err = verify(cand, op.MatVec)
-			}
+			err := iterate(c, sys.fft.MatVec)
 			if err != nil {
 				sp.SetAttr("error", err.Error())
 			}
@@ -126,19 +135,14 @@ func (sys *System) SolveResilient(ctx context.Context, opt SolveOptions) (*Solut
 	}
 	stages = append(stages,
 		resilience.Stage{Name: StageGMRES, Run: dense(func(c context.Context) error {
-			cand, _, err := cmplxmat.GMRES(n2, denseMV, sys.RHS, nil,
-				cmplxmat.IterOpts{Tol: tol, Restart: 60, Check: c.Err})
-			if err != nil {
-				return err
-			}
-			return verify(cand, denseMV)
+			return iterate(c, denseMV)
 		})},
 		resilience.Stage{Name: StageDenseLU, Run: dense(func(context.Context) error {
 			c, err := cmplxmat.SolveDense(sys.Matrix, sys.RHS)
 			if err != nil {
 				return err
 			}
-			return verify(c, denseMV)
+			return verify(c, denseMV, 0)
 		})},
 	)
 
@@ -160,4 +164,42 @@ func (sys *System) SolveResilient(ctx context.Context, opt SolveOptions) (*Solut
 	sol := solutionFrom(x, sys.Step)
 	sol.Report = report
 	return sol, nil
+}
+
+// krylov solves A·x = rhs for the operator mv by restarted GMRES,
+// right-preconditioned by pre (the identity when nil): it solves
+// (A·C⁻¹)·y = rhs, then x = C⁻¹·y, so the GMRES residual is the true
+// residual of the original system and the chain's verification
+// threshold applies to it directly (left preconditioning would skew the
+// relative residual by the preconditioner's conditioning, which is large
+// when β is small). It returns x, GMRES's relative residual and the
+// number of operator products. The context is checked between
+// restarts, so a cancelled job or a daemon drain stops a long solve
+// promptly.
+func krylov(ctx context.Context, mv cmplxmat.MatVec, pre *FlatInverse, rhs []complex128, tol float64) ([]complex128, float64, int, error) {
+	n2 := len(rhs)
+	matvecs := 0
+	op := func(y, x []complex128) { matvecs++; mv(y, x) }
+	if pre != nil {
+		tmp := make([]complex128, n2)
+		op = func(y, x []complex128) {
+			pre.Apply(tmp, x)
+			matvecs++
+			mv(y, tmp)
+		}
+	}
+	x, rr, err := cmplxmat.GMRES(n2, op, rhs, nil,
+		cmplxmat.IterOpts{Tol: tol, Restart: 80, MaxIter: 6000, Check: ctx.Err})
+	if err != nil {
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return nil, rr, matvecs, resilience.New(resilience.KindCanceled, "mom.krylov", ctxErr)
+		}
+		return nil, rr, matvecs, fmt.Errorf("mom: GMRES: %w", err)
+	}
+	if pre != nil {
+		y := x
+		x = make([]complex128, n2)
+		pre.Apply(x, y)
+	}
+	return x, rr, matvecs, nil
 }
