@@ -19,7 +19,6 @@ import (
 	"roughsim/internal/core"
 	"roughsim/internal/hbm"
 	"roughsim/internal/mom"
-	"roughsim/internal/montecarlo"
 	"roughsim/internal/rng"
 	"roughsim/internal/spm2"
 	"roughsim/internal/sscm"
@@ -498,12 +497,10 @@ func Fig7(cfg Config) (*Result, error) {
 	// (the SPM2 cross-validation's accuracy threshold). SSCM nodes are
 	// tamer, but the comparison must use one common process.
 	d := resolutionMatchedDim(kl, cfg.KLDim)
-	eval := func(xi []float64) (float64, error) {
-		return solver.LossFactor(kl.Synthesize(xi), f)
-	}
 
 	// Monte-Carlo reference over the same band-limited process.
-	mc, err := montecarlo.Run(context.Background(), d, cfg.MCSamples, eval, montecarlo.Options{Workers: cfg.Workers, Seed: cfg.Seed})
+	eng := &sweepengine.Engine{Solver: solver, Synth: kl.Synthesize, Dim: d, Workers: cfg.Workers}
+	mc, err := eng.MonteCarlo(context.Background(), f, cfg.MCSamples, cfg.Seed, 0)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: Fig7 MC: %w", err)
 	}

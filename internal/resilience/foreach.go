@@ -31,7 +31,7 @@ func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i
 				if failed.Load() {
 					continue
 				}
-				if err := runUnit(ctx, i, fn); err != nil {
+				if err := Call(ctx, i, fn); err != nil {
 					errs[i] = err
 					failed.Store(true)
 				}
@@ -59,12 +59,14 @@ feed:
 	return nil
 }
 
-// runUnit runs fn(ctx, i), recovering a panic into a classified error:
-// ForEach's goroutines are its own, so no caller's recover sees them.
-func runUnit(ctx context.Context, i int, fn func(ctx context.Context, i int) error) (err error) {
+// Call runs fn(ctx, i), recovering a panic into a KindPanic error with
+// the panic value and its stack: ForEach's goroutines are its own, so no
+// caller's recover sees them, and a caller that goes on past a failed
+// unit (the sweep engine's failure budget) calls it directly.
+func Call(ctx context.Context, i int, fn func(ctx context.Context, i int) error) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			err = Errorf(KindPanic, "resilience.ForEach",
+			err = Errorf(KindPanic, "resilience.Call",
 				"unit %d panicked: %v\n%s", i, p, debug.Stack())
 		}
 	}()

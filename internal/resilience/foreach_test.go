@@ -2,6 +2,7 @@ package resilience
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -59,5 +60,31 @@ func TestForEachCancelStopsFeeding(t *testing.T) {
 	}
 	if got := ran.Load(); got >= n {
 		t.Fatalf("all %d units ran after the cancel", got)
+	}
+}
+
+// TestWorkerPoolBounded: ForEach runs a fixed pool of workers goroutines,
+// not one goroutine per unit, so the observed unit concurrency can never
+// exceed the pool size.
+func TestWorkerPoolBounded(t *testing.T) {
+	const workers = 3
+	var inFlight, peak atomic.Int64
+	err := ForEach(context.Background(), 500, workers, func(_ context.Context, i int) error {
+		cur := inFlight.Add(1)
+		for {
+			p := peak.Load()
+			if cur <= p || peak.CompareAndSwap(p, cur) {
+				break
+			}
+		}
+		runtime.Gosched() // stay in flight long enough to overlap
+		inFlight.Add(-1)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := peak.Load(); p > workers {
+		t.Fatalf("observed %d concurrent units, pool is %d", p, workers)
 	}
 }

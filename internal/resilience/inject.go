@@ -61,6 +61,13 @@ func (f *InjectedFault) Error() string {
 	return fmt.Sprintf("injected %s fault at %s key %d", f.Kind, f.Op, f.Key)
 }
 
+// Is matches a fault with the same fields, so errors.Is can name the
+// fault a test expects without holding the delivered pointer.
+func (f *InjectedFault) Is(target error) bool {
+	t, ok := target.(*InjectedFault)
+	return ok && *t == *f
+}
+
 // Fault returns the fault to deliver for (op, key), or nil. Safe on a
 // nil receiver.
 func (in *Injector) Fault(op string, key uint64) *InjectedFault {

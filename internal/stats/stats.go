@@ -8,6 +8,8 @@ import (
 	"errors"
 	"math"
 	"sort"
+
+	"roughsim/internal/resilience"
 )
 
 // Mean returns the arithmetic mean of x. It panics on empty input.
@@ -47,6 +49,19 @@ func MeanStdErr(x []float64) (mean, stderr float64) {
 		stderr = StdDev(x) / math.Sqrt(float64(len(x)))
 	}
 	return mean, stderr
+}
+
+// SamplesForTolerance estimates how many Monte Carlo samples are needed
+// to reach a target standard error, from a pilot run's sample standard
+// deviation: n = (sd/tol)². This quantifies the paper's "5000 samples
+// for 1%" remark against the measured variance of K.
+func SamplesForTolerance(sd, tol float64) (int, error) {
+	if tol <= 0 {
+		return 0, resilience.Errorf(resilience.KindInvalidInput, "stats.SamplesForTolerance",
+			"tolerance must be positive (got %g)", tol)
+	}
+	n := sd / tol
+	return int(n*n) + 1, nil
 }
 
 // ECDF is an empirical cumulative distribution function built from a

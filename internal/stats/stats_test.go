@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"roughsim/internal/resilience"
 )
 
 func TestMeanVariance(t *testing.T) {
@@ -175,4 +177,19 @@ func TestBootstrapCIPanics(t *testing.T) {
 		}
 	}()
 	BootstrapCI(nil, 0.95, 100, 1)
+}
+
+func TestSamplesForTolerance(t *testing.T) {
+	// sd = 0.07, tol = 0.001 ⇒ 4900 samples: the paper's "5000 samples
+	// for ~1% convergence" regime.
+	n, err := SamplesForTolerance(0.07, 0.001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n < 4800 || n > 5000 {
+		t.Fatalf("n = %d, want ≈ 4900", n)
+	}
+	if _, err := SamplesForTolerance(0.07, 0); resilience.Classify(err) != resilience.KindInvalidInput {
+		t.Fatalf("expected invalid-input error for tol=0, got %v", err)
+	}
 }

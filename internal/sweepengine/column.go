@@ -77,7 +77,8 @@ func (e *Engine) Column(ctx context.Context, freqs []float64, node int) ([]float
 	}
 	e.Metrics.Counter("sweep.column_solves").Inc()
 	var col []float64
-	if err := e.columns(ctx, p, []*surface.Surface{surf}, func(_ int, c []float64) { col = c }); err != nil {
+	lost := &losses{errs: make([]error, len(p.nodes))}
+	if err := e.columns(ctx, p, []*surface.Surface{surf}, []int{node}, lost, func(_ int, c []float64) { col = c }); err != nil {
 		return nil, err
 	}
 	return col, nil

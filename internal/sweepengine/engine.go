@@ -45,14 +45,18 @@
 //
 // A point-level scheduler spreads the independent (frequency × node)
 // units over the worker budget with prompt context cancellation.
+// The same units run brute-force Monte Carlo (MonteCarlo) over seeded
+// KL draws instead of the collocation nodes, within a failure budget.
 package sweepengine
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/cmplx"
 	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"roughsim/internal/core"
@@ -91,6 +95,9 @@ type Engine struct {
 	// Progress, when non-nil, receives monotone (done, total) updates in
 	// frequency units as the sweep advances.
 	Progress func(done, total int)
+	// Injector fails nodes for testing: each unit consults it under
+	// FaultOpNode, keyed by node index, before solving. Nil injects none.
+	Injector *resilience.Injector
 }
 
 // Result is the outcome of one batched sweep.
@@ -112,51 +119,20 @@ const (
 	maxAnchors   = 12
 )
 
-// Run executes the sweep and returns E[K] at every frequency.
+// Run executes the sweep and returns E[K] at every frequency. SSCM needs
+// every node, so its failure budget is zero.
 func (e *Engine) Run(ctx context.Context, freqs []float64) (*Result, error) {
 	p, err := e.plan(freqs)
 	if err != nil {
 		return nil, err
 	}
-	e.Metrics.Counter("sweep.batched_runs").Inc()
-
-	// Synthesize (and resolution-check) every collocation surface once:
-	// the surface process is frequency-independent, so this is per
-	// sweep, not per point.
-	_, synthSpan := trace.StartSpan(ctx, "sweep.synthesize")
-	surfs := make([]*surface.Surface, len(p.nodes))
-	nflat := 0
-	for j := range p.nodes {
-		if surfs[j], err = e.surface(p, j); err != nil {
-			synthSpan.End()
-			return nil, err
-		}
-		if surfs[j] == nil {
-			nflat++
-		}
-	}
-	synthSpan.SetAttr("nodes", len(p.nodes))
-	synthSpan.SetAttr("flat", nflat)
-	synthSpan.End()
-
-	nf := len(freqs)
-	name := "sweep.exact"
-	if p.anchors > 0 {
-		name = "sweep.interp"
-	}
-	e.Metrics.Counter(name + "_freqs").Add(int64(nf))
-	sctx, span := trace.StartSpan(ctx, name)
-	span.SetAttr("freqs", nf)
-	if p.anchors > 0 {
-		span.SetAttr("anchors", p.anchors)
-	}
-	vals, err := e.nodeValues(sctx, p, surfs)
-	span.End()
+	vals, _, err := e.run(ctx, p, 0)
 	if err != nil {
 		return nil, err
 	}
 
 	// Fit the PC surrogate per frequency from the collocation values.
+	nf := len(freqs)
 	_, fitSpan := trace.StartSpan(ctx, "surrogate.fit")
 	res := &Result{Mean: make([]float64, nf), Values: vals, AnchorsUsed: p.anchors}
 	for fi := range freqs {
@@ -172,12 +148,68 @@ func (e *Engine) Run(ctx context.Context, freqs []float64) (*Result, error) {
 	return res, nil
 }
 
-// nodeValues returns vals[freq][node] for Run. A rigid-shift node (nil
-// surface) is K ≡ 1 without any solve, a checkpointed node loads its
-// completed column, and the remaining nodes go through columns, each
-// checkpointed the moment it completes. Every column covers the solve
-// frequencies; resample carries it to the sweep frequencies.
-func (e *Engine) nodeValues(ctx context.Context, p *sweepPlan, surfs []*surface.Surface) ([][]float64, error) {
+// run returns vals[freq][node], K at every node of the plan and sweep
+// frequency, and lost[node], the error of a node whose synthesis or
+// solve failed or panicked (its vals are then meaningless). More than
+// budget lost nodes fail the run (see losses.add).
+func (e *Engine) run(ctx context.Context, p *sweepPlan, budget int) ([][]float64, []error, error) {
+	e.Metrics.Counter("sweep.batched_runs").Inc()
+	lost := &losses{errs: make([]error, len(p.nodes)), budget: budget}
+
+	// Synthesize (and resolution-check) every node's surface once: the
+	// surface process is frequency-independent, so this is per sweep,
+	// not per point.
+	_, synthSpan := trace.StartSpan(ctx, "sweep.synthesize")
+	surfs := make([]*surface.Surface, len(p.nodes))
+	nflat := 0
+	for j := range p.nodes {
+		if err := ctx.Err(); err != nil {
+			synthSpan.End()
+			return nil, nil, err
+		}
+		err := resilience.Call(ctx, j, func(context.Context, int) (err error) {
+			surfs[j], err = e.surface(p, j)
+			return err
+		})
+		if err != nil {
+			if err := lost.add(err, j); err != nil {
+				synthSpan.End()
+				return nil, nil, err
+			}
+		} else if surfs[j] == nil {
+			nflat++
+		}
+	}
+	synthSpan.SetAttr("nodes", len(p.nodes))
+	synthSpan.SetAttr("flat", nflat)
+	synthSpan.End()
+
+	nf := len(p.freqs)
+	name := "sweep.exact"
+	if p.anchors > 0 {
+		name = "sweep.interp"
+	}
+	e.Metrics.Counter(name + "_freqs").Add(int64(nf))
+	sctx, span := trace.StartSpan(ctx, name)
+	span.SetAttr("freqs", nf)
+	if p.anchors > 0 {
+		span.SetAttr("anchors", p.anchors)
+	}
+	vals, err := e.nodeValues(sctx, p, surfs, lost)
+	span.End()
+	if err != nil {
+		return nil, nil, err
+	}
+	return vals, lost.errs, nil
+}
+
+// nodeValues returns vals[freq][node] for run. A node without a surface
+// (a rigid shift, K ≡ 1 without any solve, or a lost node) is not
+// solved, a checkpointed node loads its completed column, and the
+// remaining nodes go through columns, each checkpointed the moment it
+// completes. Every column covers the solve frequencies; resample
+// carries it to the sweep frequencies.
+func (e *Engine) nodeValues(ctx context.Context, p *sweepPlan, surfs []*surface.Surface, lost *losses) ([][]float64, error) {
 	cols := make([][]float64, len(surfs))
 	var todo []int
 	var solve []*surface.Surface
@@ -195,7 +227,7 @@ func (e *Engine) nodeValues(ctx context.Context, p *sweepPlan, surfs []*surface.
 		if p.anchors > 0 {
 			e.Metrics.Counter("sweep.anchor_builds").Add(int64(p.anchors))
 		}
-		err := e.columns(ctx, p, solve, func(k int, col []float64) {
+		err := e.columns(ctx, p, solve, todo, lost, func(k int, col []float64) {
 			e.Metrics.Counter("sweep.node_solves").Inc()
 			e.saveColumn(todo[k], col)
 			cols[todo[k]] = col
@@ -209,7 +241,7 @@ func (e *Engine) nodeValues(ctx context.Context, p *sweepPlan, surfs []*surface.
 		vals[fi] = ones(len(cols))
 	}
 	for j, col := range cols {
-		if surfs[j] != nil {
+		if col != nil {
 			for fi, k := range p.resample(col) {
 				vals[fi][j] = k
 			}
@@ -225,7 +257,7 @@ type sweepPlan struct {
 	// solve lists the frequencies every node is solved at: freqs on the
 	// exact path, the anchors x_a² on the broadband path.
 	solve []float64
-	nodes [][]float64 // sscm.Nodes(Dim, order)
+	nodes [][]float64 // the KL coordinates ξ_j, by node index
 	order int
 	// anchors is the broadband path's anchor count and xs its anchor
 	// abscissae in x = √f; anchors is 0 on the exact path.
@@ -249,10 +281,11 @@ func (p *sweepPlan) resample(col []float64) []float64 {
 	return out
 }
 
-// plan validates the sweep and chooses its path: the broadband one,
-// solving at Chebyshev anchors, when fewer anchors than frequencies
+// plan validates the sweep over the KL coordinates nodes (none: the
+// SSCM grid sscm.Nodes(Dim, Order)) and chooses its path: the broadband
+// one, solving at Chebyshev anchors, when fewer anchors than frequencies
 // cover a band of nonzero width, the exact per-frequency one otherwise.
-func (e *Engine) plan(freqs []float64) (*sweepPlan, error) {
+func (e *Engine) plan(freqs []float64, nodes ...[]float64) (*sweepPlan, error) {
 	if e.Solver == nil || e.Synth == nil {
 		return nil, resilience.Errorf(resilience.KindInvalidInput, "sweepengine",
 			"engine needs a Solver and a Synth function")
@@ -265,9 +298,11 @@ func (e *Engine) plan(freqs []float64) (*sweepPlan, error) {
 	if order <= 0 {
 		order = defaultOrder
 	}
-	nodes, err := sscm.Nodes(e.Dim, order)
-	if err != nil {
-		return nil, err
+	if nodes == nil {
+		var err error
+		if nodes, err = sscm.Nodes(e.Dim, order); err != nil {
+			return nil, err
+		}
 	}
 	p := &sweepPlan{freqs: freqs, solve: freqs, nodes: nodes, order: order}
 	fmin, fmax := slices.Min(freqs), slices.Max(freqs)
@@ -317,9 +352,10 @@ func (e *Engine) anchorCount(fmin, fmax float64) int {
 	return min(max(n, minAnchors), maxAnchors)
 }
 
-// columns computes the K column of every surface in surfs over the
-// plan's solve frequencies, handing column k to save the moment it
-// completes and reporting progress in sweep-frequency units.
+// columns computes the K column of every surface in surfs (surfs[k] is
+// node ids[k]'s) over the plan's solve frequencies, handing column k to
+// save the moment it completes and reporting progress in sweep-frequency
+// units. A failing or panicking unit charges its nodes to lost.
 //
 // Surfaces are solved in mirror groups (see mirrorGroups): a pair's
 // second surface reuses the first one's build, mirrored in place
@@ -330,7 +366,7 @@ func (e *Engine) anchorCount(fmin, fmax float64) int {
 // one core.Solver's LossFactor takes, so results stay bitwise identical
 // to it. The operator build is deterministic across worker counts, so
 // the inner split does not perturb bits.
-func (e *Engine) columns(ctx context.Context, p *sweepPlan, surfs []*surface.Surface, save func(k int, col []float64)) error {
+func (e *Engine) columns(ctx context.Context, p *sweepPlan, surfs []*surface.Surface, ids []int, lost *losses, save func(k int, col []float64)) error {
 	nf, ns := len(p.freqs), len(p.solve)
 	groups := mirrorGroups(surfs)
 	cols := make([][]float64, len(surfs))
@@ -346,8 +382,16 @@ func (e *Engine) columns(ctx context.Context, p *sweepPlan, surfs []*surface.Sur
 		inner = w / units
 	}
 	var done atomic.Int64
-	return resilience.ForEach(ctx, units, w, func(ctx context.Context, u int) error {
+	unit := func(ctx context.Context, u int) error {
 		grp, fi := groups[u/ns], u%ns
+		for _, k := range grp {
+			if f := e.Injector.Fault(FaultOpNode, uint64(ids[k])); f != nil {
+				if f.Panic {
+					panic(f)
+				}
+				return resilience.New(f.Kind, "sweepengine", f)
+			}
+		}
 		f := p.solve[fi]
 		ref, err := e.Solver.FlatPabsCtx(ctx, f)
 		if err != nil {
@@ -382,7 +426,46 @@ func (e *Engine) columns(ctx context.Context, p *sweepPlan, surfs []*surface.Sur
 		}
 		e.progress(int(done.Add(int64(len(grp))))*nf/(len(surfs)*ns), nf)
 		return nil
+	}
+	return resilience.ForEach(ctx, units, w, func(ctx context.Context, u int) error {
+		err := resilience.Call(ctx, u, unit)
+		if err == nil || ctx.Err() != nil {
+			return err
+		}
+		nodes := make([]int, len(groups[u/ns]))
+		for i, k := range groups[u/ns] {
+			nodes[i] = ids[k]
+		}
+		return lost.add(err, nodes...)
 	})
+}
+
+// losses is a run's failure budget: the classified error of every node
+// the run lost, by node index, and how many nodes it may lose.
+type losses struct {
+	mu     sync.Mutex
+	errs   []error
+	n      int
+	budget int
+}
+
+// add charges err to nodes, each counted once however many of its units
+// fail, and returns the run's error once more than budget nodes are
+// lost: err's kind, wrapped with the count.
+func (l *losses) add(err error, nodes ...int) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, j := range nodes {
+		if l.errs[j] == nil {
+			l.errs[j] = err
+			l.n++
+		}
+	}
+	if l.n <= l.budget {
+		return nil
+	}
+	return resilience.New(resilience.Classify(err), "sweepengine",
+		fmt.Errorf("%d of %d nodes failed (budget %d); node %d: %w", l.n, len(l.errs), l.budget, nodes[0], err))
 }
 
 // mirrorGroups splits surfs into solve groups of indices: a surface

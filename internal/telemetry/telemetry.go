@@ -13,7 +13,7 @@
 //     (library use without a service around it); all methods are
 //     nil-receiver safe no-ops, so call sites never branch.
 //  3. One place. The registry is handed down from roughsimd through the
-//     facade into core/sscm/montecarlo, so cache hit rate, queue depth,
+//     facade into core and the sweep engine, so cache hit rate, queue depth,
 //     solve latency and fallback-stage counts are observable together.
 //
 // Metric names are flat dotted strings ("cache.hits", "solve.seconds");

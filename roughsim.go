@@ -30,11 +30,11 @@ import (
 	"roughsim/internal/core"
 	"roughsim/internal/hbm"
 	"roughsim/internal/mom"
-	"roughsim/internal/montecarlo"
 	"roughsim/internal/resilience"
 	"roughsim/internal/spm2"
 	"roughsim/internal/sscm"
 	"roughsim/internal/surface"
+	"roughsim/internal/sweepengine"
 	"roughsim/internal/telemetry"
 	"roughsim/internal/units"
 )
@@ -244,21 +244,17 @@ func (s *Simulation) SSCMCtx(ctx context.Context, f float64, order int) (*sscm.R
 
 // MonteCarlo estimates the distribution of K at f by brute force over n
 // surface realizations.
-func (s *Simulation) MonteCarlo(f float64, n int, seed uint64) (*montecarlo.Result, error) {
+func (s *Simulation) MonteCarlo(f float64, n int, seed uint64) (*sweepengine.MonteCarloResult, error) {
 	return s.MonteCarloCtx(context.Background(), f, n, seed, 0)
 }
 
 // MonteCarloCtx is MonteCarlo honoring cancellation and tolerating up to
-// maxFailFrac failed samples: within that budget the returned Result is
-// partial, carrying per-cause failure accounting over the samples that
-// did solve instead of discarding the run.
-func (s *Simulation) MonteCarloCtx(ctx context.Context, f float64, n int, seed uint64, maxFailFrac float64) (*montecarlo.Result, error) {
-	eval := func(xi []float64) (float64, error) {
-		return s.solver.LossFactorCtx(ctx, s.kl.Synthesize(xi), f)
-	}
-	return montecarlo.Run(ctx, s.dim, n, eval, montecarlo.Options{
-		Workers: s.acc.Workers, Seed: seed, MaxFailFrac: maxFailFrac, Metrics: s.metrics,
-	})
+// maxFailFrac (in [0, 1]) failed samples: within that budget the
+// returned result is partial, carrying per-cause failure accounting over
+// the samples that did solve instead of discarding the run. The samples
+// run through the sweep engine (sweepengine.Engine.MonteCarlo).
+func (s *Simulation) MonteCarloCtx(ctx context.Context, f float64, n int, seed uint64, maxFailFrac float64) (*sweepengine.MonteCarloResult, error) {
+	return s.engine().MonteCarlo(ctx, f, n, seed, maxFailFrac)
 }
 
 // SolveStats returns the aggregated resilient-solve accounting (solve

@@ -1,12 +1,15 @@
 package roughsim
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
 	"roughsim/internal/resilience"
 	"roughsim/internal/rng"
 	"roughsim/internal/sscm"
+	"roughsim/internal/stats"
 )
 
 func TestCopperSiO2(t *testing.T) {
@@ -133,6 +136,68 @@ func TestSSCMMatchesPointAtATime(t *testing.T) {
 				t.Fatalf("order 0: %v", err)
 			}
 		}
+	}
+}
+
+// TestMonteCarloThroughEngine: Simulation.MonteCarlo solves sample i at
+// ξ_i = NormVec(d) of stream i+1 of the seed exactly as LossFactor
+// would, bit for bit and independently of the worker count; its
+// statistics are stats.MeanStdErr of the samples; a bad failure budget
+// is invalid input; and a cancelled context stops it.
+func TestMonteCarloThroughEngine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solver run")
+	}
+	spec := SurfaceSpec{Corr: GaussianCF, Sigma: 0.4e-6, Eta: 1e-6}
+	f := 5e9
+	const n, seed = 16, 9
+	newSim := func(workers int) *Simulation {
+		sim, err := NewSimulation(CopperSiO2(), spec, Accuracy{GridPerSide: 8, StochasticDim: 2, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sim
+	}
+	sim := newSim(1)
+	a, err := sim.MonteCarlo(f, n, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := newSim(2).MonteCarlo(f, n, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Requested != n || a.Failed() != 0 || len(a.Samples) != n || len(b.Samples) != n {
+		t.Fatalf("samples %d/%d of %d requested, %d failed", len(a.Samples), len(b.Samples), a.Requested, a.Failed())
+	}
+	for i := range a.Samples {
+		if a.Samples[i] != b.Samples[i] {
+			t.Fatalf("sample %d: %v with 1 worker, %v with 2", i, a.Samples[i], b.Samples[i])
+		}
+	}
+
+	ref := newSim(1)
+	for _, i := range []int{0, n - 1} {
+		xi := rng.NewStream(seed, uint64(i)+1).NormVec(ref.StochasticDim())
+		want, err := ref.LossFactor(ref.Surface(xi), f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Samples[i] != want {
+			t.Fatalf("sample %d = %v, LossFactor at its draw = %v", i, a.Samples[i], want)
+		}
+	}
+	if mean, se := stats.MeanStdErr(a.Samples); a.Mean != mean || a.StdErr != se {
+		t.Fatalf("mean %v ± %v, MeanStdErr of the samples %v ± %v", a.Mean, a.StdErr, mean, se)
+	}
+
+	if _, err := sim.MonteCarloCtx(context.Background(), f, n, seed, math.NaN()); resilience.Classify(err) != resilience.KindInvalidInput {
+		t.Fatalf("NaN failure budget: want invalid input, got %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := sim.MonteCarloCtx(ctx, f, n, seed, 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run: want context.Canceled, got %v", err)
 	}
 }
 

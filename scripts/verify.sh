@@ -17,7 +17,7 @@ if command -v staticcheck >/dev/null 2>&1; then
     staticcheck ./...
 fi
 go test ./...
-go test -race -short ./internal/montecarlo/... ./internal/sscm/... \
+go test -race -short ./internal/sscm/... \
     ./internal/resilience/... ./internal/mom/... ./internal/core/... \
     ./internal/server/... ./internal/jobs/... ./internal/rescache/... \
     ./internal/telemetry/... ./internal/sweepengine/... \
