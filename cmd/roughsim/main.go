@@ -320,7 +320,7 @@ func runCampaign(ctx context.Context, path, csvPath string, asJSON bool) {
 		os.Exit(1)
 	}
 	eng := campaign.NewEngine(campaign.Options{
-		Runner:  campaign.LocalRunner{Ctx: ctx},
+		Runner:  campaign.LocalRunner{},
 		Metrics: telemetry.NewRegistry(),
 	})
 	c, _, err := eng.Start(cfg)

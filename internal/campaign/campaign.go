@@ -6,11 +6,12 @@
 // Lifecycle: plan (expand the grid deterministically, fold duplicate
 // cells, shortcut flat reference cells) → fan out (cells run through an
 // injected Runner — the job queue in roughsimd, in-process solves in
-// the CLI — under a per-campaign concurrency cap so a campaign cannot
-// starve interactive sweeps) → aggregate (per-cell status, partial-
-// failure policy over the resilience taxonomy, ETA from the job-
-// duration histogram) → artifact (JSON, or CSV with the cross-model
-// comparison columns of internal/experiments).
+// the CLI — under resilience.ForEach with a per-campaign concurrency
+// cap so a campaign cannot starve interactive sweeps) → aggregate
+// (per-cell status, partial-failure policy over the resilience
+// taxonomy, ETA from the campaign.cell_seconds histogram) → artifact
+// (JSON, or CSV with the cross-model comparison columns of
+// internal/experiments).
 //
 // Durability is layered: each finished cell's points live in the
 // content-addressed result cache, and the campaign itself is journaled
@@ -21,6 +22,7 @@
 package campaign
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -33,29 +35,16 @@ import (
 	"roughsim/internal/trace"
 )
 
-// ErrBusy signals a submission the Runner wants retried later (the job
-// queue is momentarily full). The engine parks and retries instead of
-// failing the cell: campaigns are batch work, backpressure is expected.
-var ErrBusy = errors.New("campaign: runner busy, retry later")
-
 // Runner executes one cell sweep. roughsimd backs it with the job
 // queue + result cache; the CLI runs cells in-process (LocalRunner).
 type Runner interface {
-	// Submit starts cfg and returns a handle the engine waits on. An
-	// error wrapping ErrBusy means "retry later"; any other error fails
-	// the cell.
-	Submit(cfg roughsim.SweepConfig) (Handle, error)
+	// Run solves cfg and blocks until it finishes or ctx ends. It calls
+	// started once the cell is submitted, with the job ID (empty when
+	// there is no job); a cell that fails before then never started.
+	Run(ctx context.Context, cfg roughsim.SweepConfig, started func(jobID string)) (*roughsim.SweepResult, error)
 	// Cached returns the complete sweep result when every frequency of
 	// cfg is already in the result cache — the resume fast path.
 	Cached(cfg roughsim.SweepConfig) (*roughsim.SweepResult, bool)
-}
-
-// Handle is one in-flight cell execution.
-type Handle interface {
-	ID() string
-	Done() <-chan struct{}
-	Result() (*roughsim.SweepResult, error)
-	Cancel()
 }
 
 // Hooks observe durability-relevant transitions; the server journals
@@ -79,12 +68,6 @@ type Options struct {
 	// campaign ID) with campaign.plan and per-cell campaign.cell spans.
 	Tracer *trace.Recorder
 	Hooks  Hooks
-	// CellSeconds is the per-stage duration histogram whose running
-	// mean feeds the aggregate ETA (roughsimd passes queue.job_seconds).
-	CellSeconds *telemetry.Histogram
-	// SubmitRetry is the pause before retrying an ErrBusy submission
-	// (default 100ms).
-	SubmitRetry time.Duration
 }
 
 // Status is the campaign-level state machine.
@@ -143,7 +126,7 @@ type Aggregate struct {
 	DuplicatesFolded int `json:"duplicates_folded"`
 
 	// ETASeconds estimates the remaining wall time from the running
-	// mean of the cell-duration histogram (0 = unknown or terminal).
+	// mean of campaign.cell_seconds (0 = unknown or terminal).
 	ETASeconds float64 `json:"eta_seconds,omitempty"`
 
 	SubmittedUnix int64 `json:"submitted_unix"`
@@ -181,8 +164,8 @@ type Campaign struct {
 	canceled   bool
 	changed    chan struct{}
 
-	cancelCh chan struct{}
-	done     chan struct{}
+	cancel context.CancelFunc
+	done   chan struct{}
 }
 
 // Engine plans, runs and tracks campaigns.
@@ -198,15 +181,14 @@ func NewEngine(opt Options) *Engine {
 	if opt.MaxConcurrent <= 0 {
 		opt.MaxConcurrent = 1
 	}
-	if opt.SubmitRetry <= 0 {
-		opt.SubmitRetry = 100 * time.Millisecond
-	}
 	return &Engine{opt: opt, camps: map[string]*Campaign{}}
 }
 
 // Start plans and launches the campaign, or returns the existing one
 // when the same study (same content address) is already known —
-// POSTing a campaign twice is idempotent. created reports which.
+// POSTing a campaign twice is idempotent. created reports which. The
+// lookup, the plan and the insert share one lock, so racing Starts of
+// one study plan it exactly once (one trace, one set of plan counters).
 func (e *Engine) Start(cfg roughsim.CampaignConfig) (c *Campaign, created bool, err error) {
 	cfg = cfg.WithDefaults()
 	id, err := cfg.ID()
@@ -214,25 +196,20 @@ func (e *Engine) Start(cfg roughsim.CampaignConfig) (c *Campaign, created bool, 
 		return nil, false, err
 	}
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if prev, ok := e.camps[id]; ok {
-		e.mu.Unlock()
 		return prev, false, nil
 	}
-	e.mu.Unlock()
 	c, err = e.plan(id, cfg)
 	if err != nil {
 		return nil, false, err
 	}
-	e.mu.Lock()
-	if prev, ok := e.camps[id]; ok {
-		e.mu.Unlock()
-		return prev, false, nil
-	}
+	ctx, cancel := context.WithCancel(context.Background())
+	c.cancel = cancel
 	e.camps[id] = c
 	e.order = append(e.order, id)
-	e.mu.Unlock()
 	e.opt.Metrics.Counter("campaign.submitted").Inc()
-	go c.run()
+	go c.run(ctx)
 	return c, true, nil
 }
 
@@ -302,8 +279,7 @@ func (e *Engine) plan(id string, cfg roughsim.CampaignConfig) (*Campaign, error)
 	}
 	c := &Campaign{
 		ID: id, Config: cfg, eng: e, freqs: freqs, trace: tr,
-		status: StatusRunning, submitted: submitted,
-		cancelCh: make(chan struct{}), done: make(chan struct{}),
+		status: StatusRunning, submitted: submitted, done: make(chan struct{}),
 	}
 	seen := map[rescache.Key]int{}
 	for _, sc := range expanded {
@@ -329,100 +305,52 @@ func (e *Engine) plan(id string, cfg roughsim.CampaignConfig) (*Campaign, error)
 	return c, nil
 }
 
-// run is the campaign's fan-out loop: cells launch in plan order under
-// the concurrency cap; flat and fully-cached cells complete inline.
-func (c *Campaign) run() {
-	sem := make(chan struct{}, c.eng.opt.MaxConcurrent)
-	var wg sync.WaitGroup
-loop:
-	for i := range c.cells {
-		select {
-		case <-c.cancelCh:
-			break loop
-		default:
-		}
-		pc := c.cells[i]
-		span := c.startCellSpan(i)
-		if pc.flat {
-			c.eng.opt.Metrics.Counter("campaign.cells_flat").Inc()
-			c.cellDone(i, flatResult(pc.cfg), nil, CellDone, span)
-			continue
-		}
-		if res, ok := c.eng.opt.Runner.Cached(pc.cfg); ok {
-			c.eng.opt.Metrics.Counter("campaign.cells_cached").Inc()
-			c.cellDone(i, res, nil, CellCached, span)
-			continue
-		}
-		select {
-		case sem <- struct{}{}:
-		case <-c.cancelCh:
-			c.endSpan(span, CellCanceled)
-			break loop
-		}
-		h, err := c.submitWithRetry(pc.cfg)
-		if err != nil {
-			<-sem
-			c.cellDone(i, nil, err, cellStatusFor(err), span)
-			continue
-		}
-		c.setRunning(i, h.ID())
-		start := time.Now()
-		wg.Add(1)
-		go func(i int, h Handle, span *trace.Span) {
-			defer wg.Done()
-			select {
-			case <-h.Done():
-			case <-c.cancelCh:
-				h.Cancel()
-				<-h.Done()
-			}
-			<-sem
-			c.eng.opt.Metrics.Histogram("campaign.cell_seconds").Observe(time.Since(start).Seconds())
-			res, err := h.Result()
-			if err != nil {
-				c.cellDone(i, nil, err, cellStatusFor(err), span)
-				return
-			}
-			c.cellDone(i, res, nil, CellDone, span)
-		}(i, h, span)
-	}
-	wg.Wait()
+// run is the campaign's fan-out: cells launch in plan order, at most
+// MaxConcurrent at a time. Every unit returns nil, so one failed cell
+// never stops the others; a cell the cancellation reaches before it
+// starts stays pending and terminalize marks it canceled.
+func (c *Campaign) run(ctx context.Context) {
+	resilience.ForEach(ctx, len(c.cells), c.eng.opt.MaxConcurrent, c.runCell)
 	c.terminalize()
 }
 
-// submitWithRetry parks on ErrBusy (bounded queue backpressure) until
-// the submission lands or the campaign is canceled. One timer serves
-// every park: a fresh time.After per iteration cannot be stopped, so a
-// long backpressure episode would pile up unreclaimed timers until each
-// fires on its own schedule.
-func (c *Campaign) submitWithRetry(cfg roughsim.SweepConfig) (Handle, error) {
-	var timer *time.Timer
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
-	for {
-		h, err := c.eng.opt.Runner.Submit(cfg)
-		if err == nil {
-			return h, nil
-		}
-		if !errors.Is(err, ErrBusy) {
-			return nil, err
-		}
-		if timer == nil {
-			timer = time.NewTimer(c.eng.opt.SubmitRetry)
-		} else {
-			// Reset is safe here: the previous park drained the channel
-			// (the <-timer.C branch is the only way back to this point).
-			timer.Reset(c.eng.opt.SubmitRetry)
-		}
-		select {
-		case <-timer.C:
-		case <-c.cancelCh:
-			return nil, resilience.Errorf(resilience.KindCanceled, "campaign", "campaign canceled")
-		}
+// runCell takes one cell to its terminal state: flat and fully cached
+// cells complete inline, the rest go to the Runner. A panicking Runner
+// fails only its own cell (KindPanic).
+func (c *Campaign) runCell(ctx context.Context, i int) error {
+	if ctx.Err() != nil {
+		return nil
 	}
+	pc := c.cells[i]
+	span := c.startCellSpan(i)
+	if pc.flat {
+		c.eng.opt.Metrics.Counter("campaign.cells_flat").Inc()
+		c.cellDone(i, flatResult(pc.cfg), nil, CellDone, span)
+		return nil
+	}
+	if res, ok := c.eng.opt.Runner.Cached(pc.cfg); ok {
+		c.eng.opt.Metrics.Counter("campaign.cells_cached").Inc()
+		c.cellDone(i, res, nil, CellCached, span)
+		return nil
+	}
+	var res *roughsim.SweepResult
+	var start time.Time
+	err := resilience.Call(ctx, i, func(ctx context.Context, i int) (err error) {
+		res, err = c.eng.opt.Runner.Run(ctx, pc.cfg, func(jobID string) {
+			start = time.Now()
+			c.setRunning(i, jobID)
+		})
+		return err
+	})
+	if !start.IsZero() {
+		c.eng.opt.Metrics.Histogram("campaign.cell_seconds").Observe(time.Since(start).Seconds())
+	}
+	if err != nil {
+		c.cellDone(i, nil, err, cellStatusFor(err), span)
+		return nil
+	}
+	c.cellDone(i, res, nil, CellDone, span)
+	return nil
 }
 
 // cellStatusFor maps a cell error onto its terminal status via the
@@ -528,7 +456,7 @@ func (c *Campaign) terminalize() {
 }
 
 // Cancel stops the campaign: pending cells never launch, running cells
-// are canceled through their handles. Idempotent; no-op once terminal.
+// see their context end. Idempotent; no-op once terminal.
 func (c *Campaign) Cancel() {
 	c.mu.Lock()
 	if c.status.Terminal() || c.canceled {
@@ -536,7 +464,7 @@ func (c *Campaign) Cancel() {
 		return
 	}
 	c.canceled = true
-	close(c.cancelCh)
+	c.cancel()
 	c.notifyLocked()
 	c.mu.Unlock()
 }
@@ -602,14 +530,11 @@ func (c *Campaign) Aggregate(withCells bool) Aggregate {
 }
 
 // eta estimates remaining wall time: remaining cells × the running mean
-// of the cell-duration histogram, divided by the fan-out cap.
+// of campaign.cell_seconds, divided by the fan-out cap.
 func (e *Engine) eta(remaining int) float64 {
-	h := e.opt.CellSeconds
-	if h == nil || remaining == 0 {
-		return 0
-	}
+	h := e.opt.Metrics.Histogram("campaign.cell_seconds")
 	n := h.Count()
-	if n == 0 {
+	if remaining == 0 || n == 0 {
 		return 0
 	}
 	return h.Sum() / float64(n) * float64(remaining) / float64(e.opt.MaxConcurrent)

@@ -1,8 +1,8 @@
 package campaign
 
 import (
+	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -11,39 +11,35 @@ import (
 	"roughsim/internal/rescache"
 	"roughsim/internal/resilience"
 	"roughsim/internal/telemetry"
+	"roughsim/internal/trace"
 )
 
 // fakeRunner executes cells instantly in-process, recording every
-// submission; per-key behavior is scripted through fail/cached.
+// submission; per-key behavior is scripted through fail/cached, and
+// during (when set) runs inside every cell after it starts — the hook
+// for blocking, slow and panicking cells.
 type fakeRunner struct {
-	mu       sync.Mutex
-	submits  []rescache.Key
-	fail     map[rescache.Key]error
-	cached   map[rescache.Key]*roughsim.SweepResult
-	busyLeft int // Submit returns ErrBusy this many times first
+	mu      sync.Mutex
+	submits []rescache.Key
+	fail    map[rescache.Key]error
+	cached  map[rescache.Key]*roughsim.SweepResult
+	during  func(ctx context.Context, key rescache.Key) error
 }
 
-func (r *fakeRunner) Submit(cfg roughsim.SweepConfig) (Handle, error) {
+func (r *fakeRunner) Run(ctx context.Context, cfg roughsim.SweepConfig, started func(string)) (*roughsim.SweepResult, error) {
 	r.mu.Lock()
-	if r.busyLeft > 0 {
-		r.busyLeft--
-		r.mu.Unlock()
-		return nil, fmt.Errorf("%w: queue full", ErrBusy)
-	}
 	key := cfg.Key()
 	r.submits = append(r.submits, key)
 	err := r.fail[key]
 	r.mu.Unlock()
-	h := &fakeHandle{done: make(chan struct{})}
-	go func() {
-		defer close(h.done)
-		if err != nil {
-			h.err = err
-			return
-		}
-		h.res = resultFor(cfg)
-	}()
-	return h, nil
+	started("fake")
+	if err == nil && r.during != nil {
+		err = r.during(ctx, key)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return resultFor(cfg), nil
 }
 
 func (r *fakeRunner) Cached(cfg roughsim.SweepConfig) (*roughsim.SweepResult, bool) {
@@ -58,17 +54,6 @@ func (r *fakeRunner) submitted() []rescache.Key {
 	defer r.mu.Unlock()
 	return append([]rescache.Key(nil), r.submits...)
 }
-
-type fakeHandle struct {
-	done chan struct{}
-	res  *roughsim.SweepResult
-	err  error
-}
-
-func (h *fakeHandle) ID() string                             { return "fake" }
-func (h *fakeHandle) Done() <-chan struct{}                  { return h.done }
-func (h *fakeHandle) Cancel()                                {}
-func (h *fakeHandle) Result() (*roughsim.SweepResult, error) { return h.res, h.err }
 
 func resultFor(cfg roughsim.SweepConfig) *roughsim.SweepResult {
 	pts := make([]roughsim.SweepPoint, len(cfg.Freqs))
@@ -97,7 +82,6 @@ func newTestEngine(r Runner, hooks Hooks) (*Engine, *telemetry.Registry) {
 	m := telemetry.NewRegistry()
 	return NewEngine(Options{
 		Runner: r, MaxConcurrent: 2, Metrics: m, Hooks: hooks,
-		SubmitRetry: time.Millisecond,
 	}), m
 }
 
@@ -281,23 +265,13 @@ func TestCampaignFailurePolicy(t *testing.T) {
 	}
 }
 
-// ErrBusy submissions are retried, not failed.
-func TestCampaignRetriesBusyRunner(t *testing.T) {
-	r := &fakeRunner{busyLeft: 5}
-	eng, _ := newTestEngine(r, Hooks{})
-	c, _, err := eng.Start(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg := wait(t, c)
-	if agg.Status != StatusSucceeded {
-		t.Fatalf("status = %s (%s)", agg.Status, agg.Error)
-	}
-}
-
 // Cancel stops pending cells and terminalizes as canceled.
 func TestCampaignCancel(t *testing.T) {
-	r := &fakeRunner{busyLeft: 1 << 30} // runner never accepts: cells park in submit retry
+	// Cells never finish on their own: they block until canceled.
+	r := &fakeRunner{during: func(ctx context.Context, _ rescache.Key) error {
+		<-ctx.Done()
+		return ctx.Err()
+	}}
 	eng, _ := newTestEngine(r, Hooks{})
 	c, _, err := eng.Start(testConfig())
 	if err != nil {
@@ -354,5 +328,139 @@ func TestCampaignChangedBroadcast(t *testing.T) {
 	}
 	if agg := c.Aggregate(false); agg.Status != StatusSucceeded {
 		t.Fatalf("status = %s", agg.Status)
+	}
+}
+
+// Racing Starts of one study plan it exactly once: one set of plan
+// counters, and the recorder's trace under the campaign ID is the one
+// the cells report into (a second plan would replace it with an orphan
+// holding only campaign.plan).
+func TestCampaignConcurrentStartPlansOnce(t *testing.T) {
+	tr := trace.NewRecorder(64)
+	m := telemetry.NewRegistry()
+	eng := NewEngine(Options{Runner: &fakeRunner{}, MaxConcurrent: 2, Metrics: m, Tracer: tr})
+	const n = 16
+	var (
+		mu      sync.Mutex
+		camps   = map[*Campaign]bool{}
+		created int
+		wg      sync.WaitGroup
+	)
+	barrier := make(chan struct{})
+	for range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-barrier
+			c, ok, err := eng.Start(testConfig())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			mu.Lock()
+			camps[c] = true
+			if ok {
+				created++
+			}
+			mu.Unlock()
+		}()
+	}
+	close(barrier)
+	wg.Wait()
+	if len(camps) != 1 || created != 1 {
+		t.Fatalf("%d Starts gave %d campaigns, %d created; want 1 and 1", n, len(camps), created)
+	}
+	var c *Campaign
+	for c = range camps {
+	}
+	if agg := wait(t, c); agg.Status != StatusSucceeded {
+		t.Fatalf("status = %s (%s)", agg.Status, agg.Error)
+	}
+	for name, want := range map[string]int64{
+		"campaign.submitted": 1, "campaign.cells_total": 9, "campaign.cells_deduped": 2,
+	} {
+		if v := m.Counter(name).Value(); v != want {
+			t.Errorf("%s = %d, want %d (one plan)", name, v, want)
+		}
+	}
+	stages := map[string]int64{}
+	for _, st := range tr.Get(c.ID).Stages().Stages {
+		stages[st.Name] = st.Count
+	}
+	if stages["campaign.plan"] != 1 || stages["campaign.cell"] != 9 {
+		t.Fatalf("trace under the campaign ID has stages %v, want 1 campaign.plan and 9 campaign.cell", stages)
+	}
+}
+
+// The ETA reads the engine's own campaign.cell_seconds: with no
+// histogram passed in, a campaign whose slow cell is still solving
+// reports a positive ETA once a solver cell has finished.
+func TestCampaignETAFromCellSeconds(t *testing.T) {
+	cfg := testConfig().WithDefaults()
+	cells, _ := cfg.ExpandCells()
+	slow := cells[len(cells)-1].Key()
+	release := make(chan struct{})
+	r := &fakeRunner{during: func(_ context.Context, key rescache.Key) error {
+		if key == slow {
+			<-release
+		} else {
+			time.Sleep(time.Millisecond)
+		}
+		return nil
+	}}
+	eng, _ := newTestEngine(r, Hooks{})
+	c, _, err := eng.Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for c.Aggregate(false).ETASeconds <= 0 {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatalf("no positive ETA while a cell runs: %+v", c.Aggregate(false))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if agg := wait(t, c); agg.Status != StatusSucceeded || agg.ETASeconds != 0 {
+		t.Fatalf("final aggregate = %+v", agg)
+	}
+}
+
+// A panicking Runner fails only its own cell, classified KindPanic;
+// every other cell still runs.
+func TestCampaignRunnerPanicFailsOnlyItsCell(t *testing.T) {
+	cfg := testConfig().WithDefaults()
+	cfg.MaxFailFrac = 0.2
+	cells, _ := cfg.ExpandCells()
+	var bad rescache.Key
+	for _, sc := range cells {
+		if sc.Spec.Sigma > 0 {
+			bad = sc.Key()
+			break
+		}
+	}
+	r := &fakeRunner{during: func(_ context.Context, key rescache.Key) error {
+		if key == bad {
+			panic("solver blew up")
+		}
+		return nil
+	}}
+	eng, _ := newTestEngine(r, Hooks{})
+	c, _, err := eng.Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := wait(t, c)
+	if agg.Status != StatusSucceeded || agg.CellsFailed != 1 || agg.CellsDone != 8 {
+		t.Fatalf("aggregate = %+v", agg)
+	}
+	if n := len(r.submitted()); n != 6 {
+		t.Fatalf("runner saw %d submissions, want 6", n)
+	}
+	for _, cs := range agg.Cells {
+		if cs.Status == CellFailed && cs.Kind != resilience.KindPanic.String() {
+			t.Fatalf("panicked cell = %+v, want kind %s", cs, resilience.KindPanic)
+		}
 	}
 }

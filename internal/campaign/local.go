@@ -9,40 +9,14 @@ import (
 // LocalRunner executes cells in-process — the CLI path: no queue, no
 // result cache, each cell is one roughsim.RunSweep call (which
 // parallelizes internally per Accuracy.Workers).
-type LocalRunner struct {
-	// Ctx bounds every cell solve (default context.Background()).
-	Ctx context.Context
-}
+type LocalRunner struct{}
 
-func (r LocalRunner) Submit(cfg roughsim.SweepConfig) (Handle, error) {
-	ctx := r.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	h := &localHandle{done: make(chan struct{}), cancel: cancel}
-	go func() {
-		defer close(h.done)
-		h.res, h.err = roughsim.RunSweep(ctx, cfg)
-	}()
-	return h, nil
+func (LocalRunner) Run(ctx context.Context, cfg roughsim.SweepConfig, started func(jobID string)) (*roughsim.SweepResult, error) {
+	started("")
+	return roughsim.RunSweep(ctx, cfg)
 }
 
 // Cached always misses: the CLI has no result cache.
-func (r LocalRunner) Cached(roughsim.SweepConfig) (*roughsim.SweepResult, bool) {
+func (LocalRunner) Cached(roughsim.SweepConfig) (*roughsim.SweepResult, bool) {
 	return nil, false
 }
-
-type localHandle struct {
-	done   chan struct{}
-	cancel context.CancelFunc
-	res    *roughsim.SweepResult
-	err    error
-}
-
-func (h *localHandle) ID() string            { return "" }
-func (h *localHandle) Done() <-chan struct{} { return h.done }
-func (h *localHandle) Cancel()               { h.cancel() }
-
-// Result is valid once Done is closed (the engine's only caller).
-func (h *localHandle) Result() (*roughsim.SweepResult, error) { return h.res, h.err }

@@ -18,7 +18,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -613,19 +612,18 @@ func (q *Queue) notifyObserver(j *Job) {
 	}
 }
 
-// runRecovered invokes the runner with panic recovery, so one bad job
-// cannot take down a worker (and with it the daemon).
+// runRecovered invokes the runner through resilience.Call, so a panic
+// fails the job with KindPanic instead of taking down a worker (and
+// with it the daemon).
 func runRecovered(ctx context.Context, run Runner, progress func(int, int)) (v any, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = resilience.Errorf(resilience.KindPanic, "jobs.run",
-				"job panicked: %v\n%s", p, debug.Stack())
-		}
-	}()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return run(ctx, progress)
+	err = resilience.Call(ctx, 0, func(ctx context.Context, _ int) (err error) {
+		v, err = run(ctx, progress)
+		return err
+	})
+	return v, err
 }
 
 // Drain gracefully shuts the queue down: new submissions are rejected,

@@ -1,17 +1,20 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
+	"time"
 
 	"roughsim"
 	"roughsim/internal/campaign"
 	"roughsim/internal/jobs"
 	"roughsim/internal/journal"
+	"roughsim/internal/resilience"
 )
 
 // This file wires the campaign engine into the HTTP tier: cells fan out
@@ -24,19 +27,72 @@ import (
 // campaign.Runner.
 type cellRunner struct{ s *Server }
 
-// Submit enqueues a cell as a plain queue job, outside the durable
+// cellRetry is the pause before a cell parked on a full queue submits
+// again.
+const cellRetry = 100 * time.Millisecond
+
+// Run enqueues a cell as a plain queue job, outside the durable
 // registry: the campaign record already covers it, and its result is
-// durable in the cache, so it writes no per-job journal records.
-func (r cellRunner) Submit(cfg roughsim.SweepConfig) (campaign.Handle, error) {
-	job, err := r.s.queue.SubmitOpts(r.s.runSweep(cfg), r.s.submitOptions("", 0))
+// durable in the cache, so it writes no per-job journal records. It
+// then waits for the job; when ctx ends first it cancels the job and
+// still waits for it to finish.
+func (r cellRunner) Run(ctx context.Context, cfg roughsim.SweepConfig, started func(jobID string)) (*roughsim.SweepResult, error) {
+	job, err := submitWithRetry(ctx, cellRetry, func() (*jobs.Job, error) {
+		return r.s.queue.SubmitOpts(r.s.runSweep(cfg), r.s.submitOptions("", 0))
+	})
 	if err != nil {
-		if errors.Is(err, jobs.ErrQueueFull) {
-			// Backpressure, not failure: the engine parks and retries.
-			return nil, fmt.Errorf("%w: %v", campaign.ErrBusy, err)
-		}
 		return nil, err
 	}
-	return cellHandle{job: job, q: r.s.queue}, nil
+	started(job.ID)
+	select {
+	case <-job.Done():
+	case <-ctx.Done():
+		r.s.queue.Cancel(job.ID)
+		<-job.Done()
+	}
+	v, err := job.Result()
+	if err != nil {
+		return nil, err
+	}
+	res, ok := v.(*roughsim.SweepResult)
+	if !ok {
+		return nil, fmt.Errorf("server: cell job %s returned %T, not a sweep result", job.ID, v)
+	}
+	return res, nil
+}
+
+// submitWithRetry calls submit until it lands. A full queue is
+// backpressure, not failure — campaigns are batch work — so the cell
+// parks for the every interval and tries again, until ctx ends. A
+// cancel during a park is a KindCanceled error. One timer serves
+// every park: a fresh time.After per iteration cannot be stopped, so a
+// long backpressure episode would pile up unreclaimed timers until each
+// fires on its own schedule.
+func submitWithRetry(ctx context.Context, every time.Duration, submit func() (*jobs.Job, error)) (*jobs.Job, error) {
+	var timer *time.Timer
+	defer func() {
+		if timer != nil {
+			timer.Stop()
+		}
+	}()
+	for {
+		job, err := submit()
+		if !errors.Is(err, jobs.ErrQueueFull) {
+			return job, err
+		}
+		if timer == nil {
+			timer = time.NewTimer(every)
+		} else {
+			// Reset is safe here: the previous park drained the channel
+			// (the <-timer.C branch is the only way back to this point).
+			timer.Reset(every)
+		}
+		select {
+		case <-timer.C:
+		case <-ctx.Done():
+			return nil, resilience.Errorf(resilience.KindCanceled, "campaign", "campaign canceled")
+		}
+	}
 }
 
 // Cached reports a complete sweep already in the result cache — how a
@@ -51,28 +107,6 @@ func (r cellRunner) Cached(cfg roughsim.SweepConfig) (*roughsim.SweepResult, boo
 		pts[i] = v.(roughsim.SweepPoint)
 	}
 	return &roughsim.SweepResult{Config: cfg, Points: pts}, true
-}
-
-// cellHandle exposes one queued cell job to the engine.
-type cellHandle struct {
-	job *jobs.Job
-	q   *jobs.Queue
-}
-
-func (h cellHandle) ID() string            { return h.job.ID }
-func (h cellHandle) Done() <-chan struct{} { return h.job.Done() }
-func (h cellHandle) Cancel()               { h.q.Cancel(h.job.ID) }
-
-func (h cellHandle) Result() (*roughsim.SweepResult, error) {
-	v, err := h.job.Result()
-	if err != nil {
-		return nil, err
-	}
-	res, ok := v.(*roughsim.SweepResult)
-	if !ok {
-		return nil, fmt.Errorf("server: cell job %s returned %T, not a sweep result", h.job.ID, v)
-	}
-	return res, nil
 }
 
 // campaignCellDone journals one finished cell as an anchor-done record

@@ -364,7 +364,6 @@ func New(cfg Config) (*Server, error) {
 		MaxConcurrent: cfg.CampaignCells,
 		Metrics:       cfg.Metrics,
 		Tracer:        s.tracer,
-		CellSeconds:   cfg.Metrics.Histogram("queue.job_seconds"),
 		Hooks: campaign.Hooks{
 			CellDone: s.campaignCellDone,
 			Terminal: s.campaignTerminal,
