@@ -9,10 +9,13 @@
 // Ps = |T|²·L²/(2δ) is available through mom.FlatPabsAnalytic and is
 // verified against the numerical flat solve in the tests.
 //
-// Rough solves run through the resilient fallback chain of
-// mom.SolveResilient (fft-gmres when the surface is admitted → GMRES →
-// dense LU) with per-stage accounting aggregated on the Solver, and
-// every entry point takes a context for cancellation and timeouts.
+// Rough solves run through one sequence (LossFactorsCtx: flat reference,
+// operator build, preconditioned resilient solve, optional in-place
+// mirror and second solve) and the two-stage chain of
+// mom.SolveResilient (GMRES on the system's operator — fft-gmres when
+// the surface is admitted — then dense LU), with per-stage accounting
+// aggregated on the Solver; every entry point takes a context for
+// cancellation and timeouts.
 package core
 
 import (
@@ -89,9 +92,6 @@ type Solver struct {
 	// of any surface solved.
 	ZSpan float64
 
-	// SolveTol is the accepted relative residual of the resilient solve
-	// chain (default 1e-8).
-	SolveTol float64
 	// Injector deterministically fails solver stages for testing; nil
 	// injects nothing.
 	Injector *resilience.Injector
@@ -227,7 +227,6 @@ func (s *Solver) solve(ctx context.Context, sys *mom.System) (*mom.Solution, err
 	ctx, sp := trace.StartSpan(ctx, "mom.solve")
 	defer sp.End()
 	sol, err := sys.SolveResilient(ctx, mom.SolveOptions{
-		Tol:      s.SolveTol,
 		Injector: s.Injector,
 		Key:      atomic.AddUint64(&s.key, 1) - 1,
 	})
@@ -283,28 +282,15 @@ func (s *Solver) assembleSurface(ctx context.Context, surf *surface.Surface, f f
 	return mom.Assemble(surf, s.Mat.Params(f), opt), nil
 }
 
-// PrepareSurfaceCtx builds the system for surf at f through the
-// matrix-free operator path: when the surface passes the FFT
-// admissibility gates the FFT-accelerated operator is constructed up
-// front (under a "mom.fft.build" span, through the frequency's Green's
-// tables when ZSpan > 0), and the dense matrix is only assembled — via
-// the solver's configured dense path, counted in
-// solve.dense_materialized — if a dense fallback stage of the resilient
-// chain actually runs. A solve won by the fft-gmres stage therefore
-// performs zero dense-matrix assemblies. The system is preconditioned
-// by the frequency's flat inverse (mom.System.Precondition), which
-// forces the flat reference if no caller has yet.
-func (s *Solver) PrepareSurfaceCtx(ctx context.Context, surf *surface.Surface, f float64, workers int) (*mom.System, error) {
-	ref, err := s.flatRef(ctx, f)
-	if err != nil {
-		return nil, err
-	}
-	sys := s.prepare(ctx, surf, f, workers)
-	sys.Precondition(ref.inv)
-	return sys, nil
-}
-
-// prepare is PrepareSurfaceCtx without the preconditioner.
+// prepare builds the system for surf at f through the matrix-free
+// operator path: when the surface passes the FFT admissibility gates the
+// FFT-accelerated operator is constructed up front (under a
+// "mom.fft.build" span, through the frequency's Green's tables when
+// ZSpan > 0), and the dense matrix is only assembled — via the solver's
+// configured dense path, counted in solve.dense_materialized — if a
+// stage of the resilient chain needs it. A solve won by the fft-gmres
+// stage therefore performs zero dense-matrix assemblies. workers > 0
+// overrides the solver's assembly parallelism.
 func (s *Solver) prepare(ctx context.Context, surf *surface.Surface, f float64, workers int) *mom.System {
 	opt := s.Opt
 	if workers > 0 {
@@ -329,7 +315,7 @@ func (s *Solver) prepare(ctx context.Context, surf *surface.Surface, f float64, 
 	return sys
 }
 
-// denseAssembler is a lazily built system's dense fallback for surf at
+// denseAssembler is a lazily built system's dense assembler for surf at
 // f, counted in solve.dense_materialized when it runs.
 func (s *Solver) denseAssembler(ctx context.Context, surf *surface.Surface, f float64, workers int) func() (*cmplxmat.Matrix, error) {
 	return func() (*cmplxmat.Matrix, error) {
@@ -340,27 +326,6 @@ func (s *Solver) denseAssembler(ctx context.Context, surf *surface.Surface, f fl
 		}
 		return sys.Matrix, nil
 	}
-}
-
-// MirrorSurfaceCtx turns sys, built by PrepareSurfaceCtx for a surface
-// at f, into the system of its mirror image ms (ms.H = −H) in place,
-// bitwise equal to building ms directly (see mom.System.Mirror) and
-// without reading a kernel. The system keeps its FFT admission and its
-// flat inverse, and assembles ms if a dense stage runs (workers as for
-// PrepareSurfaceCtx). It runs under a "mom.mirror" span of the
-// context's trace.
-func (s *Solver) MirrorSurfaceCtx(ctx context.Context, sys *mom.System, ms *surface.Surface, f float64, workers int) {
-	_, sp := trace.StartSpan(ctx, "mom.mirror")
-	sp.SetAttr("f", f)
-	sys.Mirror(ms, s.Mat.Params(f), s.denseAssembler(ctx, ms, f, workers))
-	sp.End()
-}
-
-// SolveSystem runs the resilient fallback chain on a system assembled
-// against this solver's discretization, folding the per-stage report
-// into the solver's aggregate stats.
-func (s *Solver) SolveSystem(ctx context.Context, sys *mom.System) (*mom.Solution, error) {
-	return s.solve(ctx, sys)
 }
 
 // FlatPabs returns (computing and caching on first use) the numerically
@@ -459,7 +424,7 @@ func (s *Solver) LossFactor(surf *surface.Surface, f float64) (float64, error) {
 
 // LossFactorCtx is LossFactor honoring cancellation and deadlines: the
 // context is checked before assembly, between the stages of the
-// fallback chain and between the restarts of its GMRES stages. A rigid
+// fallback chain and between the restarts of its GMRES stage. A rigid
 // shift (see RigidShift) is K ≡ 1 without any solve.
 func (s *Solver) LossFactorCtx(ctx context.Context, surf *surface.Surface, f float64) (float64, error) {
 	if err := ctx.Err(); err != nil {
@@ -475,19 +440,66 @@ func (s *Solver) LossFactorCtx(ctx context.Context, surf *surface.Surface, f flo
 	if _, err := CheckResolution(surf); err != nil {
 		return 0, err
 	}
-	flat, err := s.FlatPabsCtx(ctx, f)
+	ks, err := s.LossFactorsCtx(ctx, []*surface.Surface{surf}, f, 0)
 	if err != nil {
 		return 0, err
 	}
-	sys, err := s.PrepareSurfaceCtx(ctx, surf, f, 0)
-	if err != nil {
-		return 0, fmt.Errorf("core: rough assembly at f=%g: %w", f, err)
+	return ks[0], nil
+}
+
+// LossFactorsCtx is the one solve sequence every loss factor runs
+// through: it returns K at f for surfs, one surface optionally followed
+// by its exact mirror image (see IsMirror), from one system build. The
+// system is prepared for surfs[0], preconditioned by the frequency's
+// flat inverse and solved; for a pair it is then mirrored in place
+// (mom.System.Mirror, under a "mom.mirror" span), bitwise equal to
+// building the mirror image directly and without reading a kernel, and
+// solved again. Each absorbed power is divided by the flat one. workers
+// > 0 overrides the solver's assembly parallelism. The surfaces must
+// share the solver's grid and pass CheckResolution; LossFactorCtx checks
+// both.
+func (s *Solver) LossFactorsCtx(ctx context.Context, surfs []*surface.Surface, f float64, workers int) ([]float64, error) {
+	if len(surfs) == 0 || len(surfs) > 2 || (len(surfs) == 2 && !IsMirror(surfs[0], surfs[1])) {
+		return nil, resilience.Errorf(resilience.KindInvalidInput, "core.LossFactors",
+			"want one surface, optionally followed by its exact mirror image (got %d surfaces)", len(surfs))
 	}
-	sol, err := s.solve(ctx, sys)
+	ref, err := s.flatRef(ctx, f)
 	if err != nil {
-		return 0, fmt.Errorf("core: rough solve at f=%g: %w", f, err)
+		return nil, err
 	}
-	return sol.Pabs / flat, nil
+	sys := s.prepare(ctx, surfs[0], f, workers)
+	sys.Precondition(ref.inv)
+	ks := make([]float64, len(surfs))
+	for i, surf := range surfs {
+		if i > 0 {
+			_, sp := trace.StartSpan(ctx, "mom.mirror")
+			sp.SetAttr("f", f)
+			sys.Mirror(surf, s.Mat.Params(f), s.denseAssembler(ctx, surf, f, workers))
+			sp.End()
+		}
+		sol, err := s.solve(ctx, sys)
+		if err != nil {
+			return nil, fmt.Errorf("core: rough solve at f=%g: %w", f, err)
+		}
+		ks[i] = sol.Pabs / ref.pabs
+	}
+	return ks, nil
+}
+
+// IsMirror reports whether b is a's mirror image: the same grid, heights
+// negated exactly and spectral derivatives on both. Surfaces with
+// analytic derivatives never qualify: their derivatives need not follow
+// the heights.
+func IsMirror(a, b *surface.Surface) bool {
+	if a.L != b.L || a.M != b.M || a.AnFx != nil || b.AnFx != nil || a.AnFxx != nil || b.AnFxx != nil {
+		return false
+	}
+	for i, v := range a.H {
+		if b.H[i] != -v {
+			return false
+		}
+	}
+	return true
 }
 
 // FlatPabs2D is the profile (2D SWM) flat reference.

@@ -390,3 +390,69 @@ func TestFlatMemoBounded(t *testing.T) {
 		t.Fatalf("flat memo holds %d entries, want %d", got, flatMemoCap)
 	}
 }
+
+// TestLossFactorsMirrorPairMatchesSingles: LossFactorsCtx over a mirror
+// pair [s, −s] — one build, solved, mirrored in place and solved again —
+// equals LossFactor of each surface bit for bit, on a grid the FFT stage
+// does not admit and on one it does; a pair that is not an exact mirror
+// image is rejected with a typed error before any solve.
+func TestLossFactorsMirrorPairMatchesSingles(t *testing.T) {
+	const L = 5 * um
+	f := 5 * units.GHz
+	for _, tc := range []struct {
+		name  string
+		m     int
+		sigma float64
+		stage string
+	}{
+		{"dense", 8, 0.1 * um, mom.StageGMRES},
+		{"fft", 20, 0.015 * um, mom.StageFFT},
+	} {
+		s, err := NewSolverTabulated(PaperMaterial(), L, tc.m, 14*tc.sigma, mom.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := telemetry.NewRegistry()
+		s.Metrics = reg
+		kl := surface.NewKL(surface.NewGaussianCorr(tc.sigma, 1*um), L, tc.m)
+		xi := rng.New(5).NormVec(6)
+		neg := make([]float64, len(xi))
+		for i, v := range xi {
+			neg[i] = -v
+		}
+		pair := []*surface.Surface{kl.Synthesize(xi), kl.Synthesize(neg)}
+		if !IsMirror(pair[0], pair[1]) {
+			t.Fatalf("%s: KL draws at ±ξ are not exact mirror images", tc.name)
+		}
+		ks, err := s.LossFactorsCtx(context.Background(), pair, f, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := reg.Counter("solve.stage_win." + tc.stage).Value(); got != 3 { // flat + pair
+			t.Fatalf("%s: %s wins = %d, want 3 (stats %+v)", tc.name, tc.stage, got, s.Stats())
+		}
+		for i, surf := range pair {
+			k, err := s.LossFactor(surf, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ks[i] != k {
+				t.Errorf("%s: pair K[%d] = %.17g, LossFactor %.17g", tc.name, i, ks[i], k)
+			}
+		}
+
+		before := s.Stats().Solves
+		for _, bad := range [][]*surface.Surface{
+			{pair[0], pair[0]},
+			{pair[0], pair[1], pair[0]},
+			{},
+		} {
+			if _, err := s.LossFactorsCtx(context.Background(), bad, f, 0); resilience.Classify(err) != resilience.KindInvalidInput {
+				t.Errorf("%s: %d-surface non-pair gave %v, want invalid input", tc.name, len(bad), err)
+			}
+		}
+		if got := s.Stats().Solves; got != before {
+			t.Errorf("%s: rejected inputs ran %d solves", tc.name, got-before)
+		}
+	}
+}

@@ -63,11 +63,10 @@ func TestSolverFFTFastPath(t *testing.T) {
 		t.Fatalf("solve.fft_admitted = %d, want 2", got)
 	}
 
-	// The dense chain (FFT stage disabled) must agree to the model
-	// tolerance — the ratio K cancels most of the residual model error.
-	dOpt := opt
-	dOpt.FFTOrder = -1
-	ds, err := NewSolverTabulated(PaperMaterial(), L, M, 10*um, dOpt)
+	// The dense chain (grid below the FFT threshold) must agree to the
+	// model tolerance — the ratio K cancels most of the residual model
+	// error.
+	ds, err := NewSolverTabulated(PaperMaterial(), L, M, 10*um, mom.Options{FFTMinCells: M*M + 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +144,7 @@ func TestSolverFFTRejectionAccounting(t *testing.T) {
 
 // TestPreparedSystemsCarryFlatInverse: the flat reference wins in one
 // GMRES iteration (three operator products, counted in solve.matvecs),
-// and a system PrepareSurfaceCtx hands out is preconditioned by it: it
+// and the system LossFactorsCtx solves is preconditioned by it: it
 // needs fewer products than the same system without the preconditioner.
 func TestPreparedSystemsCarryFlatInverse(t *testing.T) {
 	L := 5 * um
@@ -166,20 +165,16 @@ func TestPreparedSystemsCarryFlatInverse(t *testing.T) {
 	if got := reg.Counter("solve.matvecs").Value(); got != 3 {
 		t.Fatalf("flat reference took %d matvecs, want 3", got)
 	}
-	sys, err := s.PrepareSurfaceCtx(ctx, surf, f, 0)
-	if err != nil {
+	if _, err := s.LossFactorsCtx(ctx, []*surface.Surface{surf}, f, 0); err != nil {
 		t.Fatal(err)
 	}
-	pre, err := s.SolveSystem(ctx, sys)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pre := int(reg.Counter("solve.matvecs").Value()) - 3
 	plain, err := s.prepare(ctx, surf, f, 0).SolveResilient(ctx, mom.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pre.Report.MatVecs >= plain.Report.MatVecs {
-		t.Fatalf("prepared system took %d matvecs, unpreconditioned %d", pre.Report.MatVecs, plain.Report.MatVecs)
+	if pre >= plain.Report.MatVecs {
+		t.Fatalf("prepared system took %d matvecs, unpreconditioned %d", pre, plain.Report.MatVecs)
 	}
-	t.Logf("matvecs: %d preconditioned, %d plain", pre.Report.MatVecs, plain.Report.MatVecs)
+	t.Logf("matvecs: %d preconditioned, %d plain", pre, plain.Report.MatVecs)
 }

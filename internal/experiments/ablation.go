@@ -6,6 +6,7 @@ import (
 	"math"
 	"time"
 
+	"roughsim"
 	"roughsim/internal/core"
 	"roughsim/internal/mom"
 	"roughsim/internal/rng"
@@ -74,15 +75,10 @@ func AblationGrid(cfg Config) (*Result, error) {
 // dimension really needs.
 func AblationKLDepth(cfg Config) (*Result, error) {
 	f := 5 * units.GHz
-	eta := 1 * um
-	c := surface.NewGaussianCorr(1*um, eta)
-	L := cfg.LOverEta * eta
-	mat := core.PaperMaterial()
-	solver, err := core.NewSolverTabulated(mat, L, cfg.M, zspanFor(c.Sigma()), mom.Options{Workers: cfg.Workers})
-	if err != nil {
-		return nil, err
-	}
-	kl := surface.NewKL(c, L, cfg.M)
+	spec := roughsim.SurfaceSpec{Corr: roughsim.GaussianCF, Sigma: 1 * um, Eta: 1 * um}
+	// One table cache: every depth solves the same frequency on the same
+	// grid, so the Green's tables are built once.
+	tables := roughsim.NewTableCache(0, nil)
 
 	depths := []int{4, 8, 12, 16}
 	if cfg.KLDim > 16 {
@@ -91,17 +87,19 @@ func AblationKLDepth(cfg Config) (*Result, error) {
 	capt := Series{Label: "captured variance"}
 	mean := Series{Label: "mean K (1st-SSCM)"}
 	for _, d := range depths {
-		if d > len(kl.Modes) {
-			d = len(kl.Modes)
-		}
-		capt.X = append(capt.X, float64(d))
-		capt.Y = append(capt.Y, kl.CapturedVariance(d))
-		res, err := sscmAt(solver, kl, d, 1, f, cfg.Workers)
+		sim, err := cfg.simulation(spec, d)
 		if err != nil {
 			return nil, err
 		}
-		mean.X = append(mean.X, float64(d))
-		mean.Y = append(mean.Y, res.Mean)
+		k, err := sim.WithTableCache(tables).MeanLossFactor(f)
+		if err != nil {
+			return nil, err
+		}
+		dim := float64(sim.StochasticDim())
+		capt.X = append(capt.X, dim)
+		capt.Y = append(capt.Y, sim.CapturedVariance())
+		mean.X = append(mean.X, dim)
+		mean.Y = append(mean.Y, k)
 	}
 	return &Result{
 		Name:   "ablation-kl",

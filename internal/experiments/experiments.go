@@ -10,21 +10,19 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
 	"text/tabwriter"
 
+	"roughsim"
 	"roughsim/internal/core"
 	"roughsim/internal/hbm"
 	"roughsim/internal/mom"
 	"roughsim/internal/rng"
-	"roughsim/internal/spm2"
 	"roughsim/internal/sscm"
 	"roughsim/internal/stats"
 	"roughsim/internal/surface"
-	"roughsim/internal/sweepengine"
 	"roughsim/internal/units"
 )
 
@@ -178,9 +176,6 @@ func (r *Result) WriteTable(w io.Writer) error {
 	return tw.Flush()
 }
 
-// zspanFor bounds the table span for random surfaces of deviation sigma.
-func zspanFor(sigma float64) float64 { return 14 * sigma }
-
 // stride subsamples a frequency list per the configuration.
 func (cfg Config) stride(freqs []float64) []float64 {
 	st := cfg.FreqStride
@@ -197,52 +192,36 @@ func (cfg Config) stride(freqs []float64) []float64 {
 	return out
 }
 
-// meanLossSWM computes the SSCM (order-1) mean K(f) for a correlation
-// function, reusing one tabulated solver across frequencies.
-func meanLossSWM(cfg Config, c surface.Corr, eta float64, freqs []float64) ([]float64, error) {
-	mat := core.PaperMaterial()
-	L := cfg.LOverEta * eta
-	solver, err := core.NewSolverTabulated(mat, L, cfg.M, zspanFor(c.Sigma()), mom.Options{Workers: cfg.Workers})
-	if err != nil {
-		return nil, err
-	}
-	kl := surface.NewKL(c, L, cfg.M)
-	d := cfg.KLDim
-	if d > len(kl.Modes) {
-		d = len(kl.Modes)
-	}
-	out := make([]float64, len(freqs))
+// simulation builds the facade simulation of a random-surface exhibit:
+// the paper's stack, the surface process spec, cfg's grid and patch, and
+// the KL truncation d.
+func (cfg Config) simulation(spec roughsim.SurfaceSpec, d int) (*roughsim.Simulation, error) {
+	return roughsim.NewSimulation(roughsim.CopperSiO2(), spec, roughsim.Accuracy{
+		GridPerSide: cfg.M, PatchOverEta: cfg.LOverEta, StochasticDim: d, Workers: cfg.Workers,
+	})
+}
+
+// meanLossSWM returns the first-order SSCM mean K and the SPM2 baseline
+// over freqs (Hz) for the surface process of sim.
+func meanLossSWM(sim *roughsim.Simulation, freqs []float64) (swm, spm []float64, err error) {
+	swm = make([]float64, len(freqs))
+	spm = make([]float64, len(freqs))
 	for i, f := range freqs {
-		res, err := sscmAt(solver, kl, d, 1, f, cfg.Workers)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: SSCM at f=%g: %w", f, err)
+		if swm[i], err = sim.MeanLossFactor(f); err != nil {
+			return nil, nil, fmt.Errorf("experiments: SSCM at f=%g: %w", f, err)
 		}
-		out[i] = res.Mean
+		spm[i] = sim.SPM2LossFactor(f)
 	}
-	return out, nil
+	return swm, spm, nil
 }
 
-// sscmAt builds the order-p SSCM surrogate of K at f over the first d
-// KL modes: a one-frequency sweep, which always takes the engine's
-// exact path, projected with sscm.FromValues.
-func sscmAt(solver *core.Solver, kl *surface.KL, d, order int, f float64, workers int) (*sscm.Result, error) {
-	eng := sweepengine.Engine{Solver: solver, Synth: kl.Synthesize, Dim: d, Order: order, Workers: workers}
-	res, err := eng.Run(context.Background(), []float64{f})
-	if err != nil {
-		return nil, err
+// hertz converts a frequency list from GHz to Hz.
+func hertz(gHz []float64) []float64 {
+	fs := make([]float64, len(gHz))
+	for i, fG := range gHz {
+		fs[i] = fG * units.GHz
 	}
-	return sscm.FromValues(d, order, res.Values[0])
-}
-
-// spm2Curve evaluates the SPM2 baseline over the frequency list.
-func spm2Curve(c surface.Corr, eta float64, freqs []float64) []float64 {
-	mat := core.PaperMaterial()
-	out := make([]float64, len(freqs))
-	for i, f := range freqs {
-		p := mat.Params(f)
-		out[i] = spm2.LossFactorCorr(spm2.Params{K1: p.K1, K2: p.K2, Beta: p.Beta}, c, eta)
-	}
-	return out
+	return fs
 }
 
 // Fig2 regenerates the surface-synthesis exhibit: a sampled realization
@@ -310,20 +289,19 @@ func Fig3(cfg Config) (*Result, error) {
 		empir.Y = append(empir.Y, ke)
 	}
 	res.Series = append(res.Series, empir)
+	fs := hertz(freqs)
 	for _, etaUM := range []float64{1, 2, 3} {
-		eta := etaUM * um
-		c := surface.NewGaussianCorr(1*um, eta)
-		fs := make([]float64, len(freqs))
-		for i, fG := range freqs {
-			fs[i] = fG * units.GHz
+		sim, err := cfg.simulation(roughsim.SurfaceSpec{Corr: roughsim.GaussianCF, Sigma: 1 * um, Eta: etaUM * um}, cfg.KLDim)
+		if err != nil {
+			return nil, err
 		}
-		swmY, err := meanLossSWM(cfg, c, eta, fs)
+		swmY, spmY, err := meanLossSWM(sim, fs)
 		if err != nil {
 			return nil, err
 		}
 		res.Series = append(res.Series,
 			Series{Label: fmt.Sprintf("SWM (η=%gμm)", etaUM), X: freqs, Y: swmY},
-			Series{Label: fmt.Sprintf("SPM2 (η=%gμm)", etaUM), X: freqs, Y: spm2Curve(c, eta, fs)},
+			Series{Label: fmt.Sprintf("SPM2 (η=%gμm)", etaUM), X: freqs, Y: spmY},
 		)
 	}
 	return res, nil
@@ -333,13 +311,11 @@ func Fig3(cfg Config) (*Result, error) {
 // CF (12) (σ=1 μm, η₁=1.4 μm, η₂=0.53 μm) over 0.1–10 GHz.
 func Fig4(cfg Config) (*Result, error) {
 	freqs := cfg.stride([]float64{0.1, 0.5, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	c := surface.NewMeasuredCorr(1*um, 1.4*um, 0.53*um)
-	eta := 1.4 * um
-	fs := make([]float64, len(freqs))
-	for i, fG := range freqs {
-		fs[i] = fG * units.GHz
+	sim, err := cfg.simulation(roughsim.SurfaceSpec{Corr: roughsim.MeasuredCF, Sigma: 1 * um, Eta: 1.4 * um, Eta2: 0.53 * um}, cfg.KLDim)
+	if err != nil {
+		return nil, err
 	}
-	swmY, err := meanLossSWM(cfg, c, eta, fs)
+	swmY, spmY, err := meanLossSWM(sim, hertz(freqs))
 	if err != nil {
 		return nil, err
 	}
@@ -350,7 +326,7 @@ func Fig4(cfg Config) (*Result, error) {
 		YLabel: "Pr/Ps",
 		Series: []Series{
 			{Label: "SWM", X: freqs, Y: swmY},
-			{Label: "SPM2", X: freqs, Y: spm2Curve(c, eta, fs)},
+			{Label: "SPM2", X: freqs, Y: spmY},
 		},
 	}, nil
 }
@@ -406,7 +382,7 @@ func Fig5(cfg Config) (*Result, error) {
 		YLabel: "Pr/Ps",
 		Series: []Series{swm, hb},
 		Notes: []string{
-			"spheroid rim regularized (C¹ profile); HBM uses the volume-equivalent sphere radius",
+			"spheroid rim regularized (C¹ profile, volume 0.60 of the half-spheroid's); HBM uses the half-spheroid's volume-equivalent sphere radius, not the solved surface's",
 			fmt.Sprintf("grid Δ=%.2f μm resolves δ/2 only up to ≈%g GHz; refine (e.g. -paper) beyond", hStep*1e6, fValid),
 		},
 	}, nil
@@ -423,14 +399,14 @@ func Fig6(cfg Config) (*Result, error) {
 		YLabel: "Pr/Ps",
 	}
 	mat := core.PaperMaterial()
+	fs := hertz(freqs)
 	for _, etaUM := range []float64{1, 2} {
 		eta := etaUM * um
-		c := surface.NewGaussianCorr(1*um, eta)
-		fs := make([]float64, len(freqs))
-		for i, fG := range freqs {
-			fs[i] = fG * units.GHz
+		sim, err := cfg.simulation(roughsim.SurfaceSpec{Corr: roughsim.GaussianCF, Sigma: 1 * um, Eta: eta}, cfg.KLDim)
+		if err != nil {
+			return nil, err
 		}
-		y3, err := meanLossSWM(cfg, c, eta, fs)
+		y3, _, err := meanLossSWM(sim, fs)
 		if err != nil {
 			return nil, err
 		}
@@ -438,17 +414,12 @@ func Fig6(cfg Config) (*Result, error) {
 		// truncation is variance-matched to the 3D one so the comparison
 		// feeds both solvers the same fraction of surface roughness.
 		L := cfg.LOverEta * eta
-		kl3 := surface.NewKL(c, L, cfg.M)
-		d3 := cfg.KLDim
-		if d3 > len(kl3.Modes) {
-			d3 = len(kl3.Modes)
-		}
-		frac := kl3.CapturedVariance(d3)
+		frac := sim.CapturedVariance()
 		solver, err := core.NewSolver(mat, L, cfg.M2D, mom.Options{Workers: cfg.Workers})
 		if err != nil {
 			return nil, err
 		}
-		kl1 := surface.NewKL1D(c, L, cfg.M2D)
+		kl1 := surface.NewKL1D(surface.NewGaussianCorr(1*um, eta), L, cfg.M2D)
 		d := kl1.TruncationForVariance(frac)
 		if d > len(kl1.Modes) {
 			d = len(kl1.Modes)
@@ -483,24 +454,20 @@ func Fig6(cfg Config) (*Result, error) {
 // Monte-Carlo against the 1st- and 2nd-order SSCM surrogates.
 func Fig7(cfg Config) (*Result, error) {
 	f := 5 * units.GHz
-	c := surface.NewGaussianCorr(1*um, 1*um)
-	L := cfg.LOverEta * 1 * um
-	mat := core.PaperMaterial()
-	solver, err := core.NewSolverTabulated(mat, L, cfg.M, zspanFor(c.Sigma()), mom.Options{Workers: cfg.Workers})
-	if err != nil {
-		return nil, err
-	}
-	kl := surface.NewKL(c, L, cfg.M)
 	// Monte-Carlo draws excite every retained mode at up to ±3–4σ
 	// simultaneously, so the stochastic dimension must be resolution
 	// matched: retain only modes whose wavelength spans ≥ 8 grid cells
 	// (the SPM2 cross-validation's accuracy threshold). SSCM nodes are
 	// tamer, but the comparison must use one common process.
+	kl := surface.NewKL(surface.NewGaussianCorr(1*um, 1*um), cfg.LOverEta*um, cfg.M)
 	d := resolutionMatchedDim(kl, cfg.KLDim)
+	sim, err := cfg.simulation(roughsim.SurfaceSpec{Corr: roughsim.GaussianCF, Sigma: 1 * um, Eta: 1 * um}, d)
+	if err != nil {
+		return nil, err
+	}
 
 	// Monte-Carlo reference over the same band-limited process.
-	eng := &sweepengine.Engine{Solver: solver, Synth: kl.Synthesize, Dim: d, Workers: cfg.Workers}
-	mc, err := eng.MonteCarlo(context.Background(), f, cfg.MCSamples, cfg.Seed, 0)
+	mc, err := sim.MonteCarlo(f, cfg.MCSamples, cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: Fig7 MC: %w", err)
 	}
@@ -527,7 +494,7 @@ func Fig7(cfg Config) (*Result, error) {
 
 	var ks []float64
 	for _, order := range []int{1, 2} {
-		r, err := sscmAt(solver, kl, d, order, f, cfg.Workers)
+		r, err := sim.SSCM(f, order)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: Fig7 SSCM order %d: %w", order, err)
 		}

@@ -62,17 +62,17 @@ type nearEntry struct {
 }
 
 // fftModelEstimate is the a-priori relative model error of the order-P
-// polynomial kernel expansion (P = Options.FFTOrder) for a surface: the
+// polynomial kernel expansion (P = fftOrder) for a surface: the
 // expansion error decays like (Δz-range/ρ)^{P+1} and the near
 // corrections fix every pair inside fftReach's rhoMin exactly, so the
 // worst surviving pair dominates. The solve chain admits the operator
 // only when this estimate is below fftModelTol.
-func fftModelEstimate(s *surface.Surface, opt Options) float64 {
+func fftModelEstimate(s *surface.Surface) float64 {
 	zrange, rhoMin := fftReach(s)
 	if zrange == 0 {
 		return 0
 	}
-	return math.Pow(zrange/rhoMin, float64(opt.FFTOrder+1))
+	return math.Pow(zrange/rhoMin, float64(fftOrder+1))
 }
 
 // fftReach returns the surface's height range 2·max|f| and rhoMin, the

@@ -51,6 +51,10 @@ const nearRadius = 2
 // discretization by more than this).
 const fftModelTol = 1e-6
 
+// fftOrder is the polynomial order of the FFT-accelerated operator that
+// systems built with NewOperatorSystem solve on when admitted.
+const fftOrder = 6
+
 // Options tunes the discretization.
 type Options struct {
 	// NearSubdiv is the subdivision factor per axis for near cells.
@@ -59,14 +63,9 @@ type Options struct {
 	// Workers bounds assembly parallelism; default NumCPU.
 	Workers int
 
-	// FFTOrder is the polynomial order of the FFT-accelerated operator
-	// stage systems built with NewOperatorSystem may enter before the
-	// dense chain. 0 selects the default (6); a negative value disables
-	// the FFT stage entirely.
-	FFTOrder int
 	// FFTMinCells is the smallest grid (N = M² cells) for which the FFT
-	// operator's build cost pays off; smaller systems go straight to the
-	// dense chain. Default 400.
+	// operator's build cost pays off; smaller systems solve on the dense
+	// matrix. Default 400.
 	FFTMinCells int
 }
 
@@ -77,9 +76,6 @@ func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.NumCPU()
 	}
-	if o.FFTOrder == 0 {
-		o.FFTOrder = 6
-	}
 	if o.FFTMinCells <= 0 {
 		o.FFTMinCells = 400
 	}
@@ -89,7 +85,7 @@ func (o Options) withDefaults() Options {
 // System is the assembled dense MoM system — or, when built with
 // NewOperatorSystem, a lazily-assembled one: the FFT-accelerated
 // operator stands in for the matrix and the dense form only
-// materializes if a dense fallback stage actually runs.
+// materializes if a stage of the solve chain needs it.
 type System struct {
 	N      int // surface unknowns per field (grid cells)
 	Matrix *cmplxmat.Matrix
@@ -107,13 +103,13 @@ type System struct {
 	denseOnce sync.Once
 	denseErr  error
 
-	// pre is the flat inverse both GMRES stages are right-preconditioned
-	// by (nil: none); see Precondition.
+	// pre is the flat inverse the GMRES stage is right-preconditioned by
+	// (nil: none); see Precondition.
 	pre *FlatInverse
 }
 
 // Precondition makes inv, the flat inverse of the system's grid and
-// frequency, the right preconditioner of both GMRES stages of
+// frequency, the right preconditioner of the GMRES stage of
 // SolveResilient. It survives Mirror. A preconditioner only changes how
 // fast the chain converges: every candidate is still verified against
 // the unpreconditioned system.
@@ -136,27 +132,24 @@ func (sys *System) MatVec() (cmplxmat.MatVec, error) {
 // the grid is at least Options.FFTMinCells, the a-priori kernel-model
 // error is within fftModelTol, and the height range sits inside
 // the operator's hard convergence bound — and the dense matrix is only
-// assembled (through dense, exactly once) if a dense fallback stage of
-// SolveResilient actually runs. When ts is non-nil and its Δz span
+// assembled (through dense, exactly once) if a stage of SolveResilient
+// needs it. When ts is non-nil and its Δz span
 // covers the operator's fit interval, the build reads the Green's
 // tables instead of running Ewald sums.
 //
 // A rejected surface costs nothing beyond the gate checks: the typed
 // rejection is kept and surfaces in SolveReport.Attempts as a Skipped
-// fft-gmres attempt, and the first dense stage materializes the matrix.
+// fft-gmres attempt, and the gmres stage materializes the matrix.
 func NewOperatorSystem(s *surface.Surface, p Params, opt Options, ts *TableSet, dense func() (*cmplxmat.Matrix, error)) *System {
 	opt = opt.withDefaults()
 	n := s.M * s.M
 	sys := &System{N: n, RHS: RHSVector(s, p), Step: s.Step(), denseFn: dense}
-	if opt.FFTOrder < 0 {
-		return sys
-	}
 	if n < opt.FFTMinCells {
 		sys.fftRej = resilience.Errorf(resilience.KindInvalidInput, "mom.fftop",
 			"grid of %d cells below FFT-stage threshold %d", n, opt.FFTMinCells)
 		return sys
 	}
-	if est := fftModelEstimate(s, opt); est > fftModelTol {
+	if est := fftModelEstimate(s); est > fftModelTol {
 		sys.fftRej = resilience.Errorf(resilience.KindNumerical, "mom.fftop",
 			"a-priori kernel-model error %.2e exceeds tolerance %.2e", est, fftModelTol)
 		return sys
@@ -164,13 +157,13 @@ func NewOperatorSystem(s *surface.Surface, p Params, opt Options, ts *TableSet, 
 	var op *FFTOperator
 	var err error
 	if ts != nil {
-		op, err = NewFFTOperatorTabulated(s, p, ts, opt.FFTOrder, opt)
+		op, err = NewFFTOperatorTabulated(s, p, ts, fftOrder, opt)
 	}
 	if op == nil {
 		// No tables, or the tables don't cover the fit span: fall back to
 		// exact kernel evaluation (still O(N·order) Ewald sums, far below
 		// the O(N²) dense assembly).
-		op, err = NewFFTOperator(s, p, opt.FFTOrder, opt)
+		op, err = NewFFTOperator(s, p, fftOrder, opt)
 	}
 	if err != nil {
 		sys.fftRej = err
@@ -189,14 +182,13 @@ func (sys *System) FFTAdmitted() bool { return sys.fft != nil }
 func (sys *System) FFTRejection() error { return sys.fftRej }
 
 // DenseAssembled reports whether the dense matrix exists — for a
-// lazily-built system, whether any dense fallback stage forced
-// materialization.
+// lazily-built system, whether any stage forced materialization.
 func (sys *System) DenseAssembled() bool { return sys.Matrix != nil }
 
 // Materialize assembles the dense matrix of a lazily-built system
 // (no-op when it already exists). SolveResilient calls it before any
-// dense stage runs, so solves won by the FFT stage never pay the O(N²)
-// assembly.
+// stage on the dense matrix runs, so solves won by the FFT stage never
+// pay the O(N²) assembly.
 func (sys *System) Materialize() error {
 	if sys.Matrix != nil {
 		return nil

@@ -10,7 +10,9 @@ import (
 )
 
 // Stage names of the resilient solve chain, in fallback order. They are
-// also the op names the fault injector matches on.
+// also the op names the fault injector matches on. The first stage is
+// named after its operator: fft-gmres on an admitted FFT operator, gmres
+// on the dense matrix.
 const (
 	StageFFT     = "fft-gmres" // preconditioned GMRES on the FFT-accelerated operator (matrix-free)
 	StageGMRES   = "gmres"     // preconditioned GMRES on the dense matvec
@@ -42,39 +44,38 @@ type SolveReport struct {
 	MatVecs int
 }
 
-// SolveResilient solves the system through the fallback chain
-// fft-gmres → GMRES → dense LU, running each stage at most once,
-// verifying the true residual (and finiteness) of every stage's
-// candidate before accepting it, and recording per-stage accounting on
-// the returned Solution. LU with partial pivoting is backward stable, so
-// once GMRES has failed on a non-singular system LU's verified residual
-// is the answer: no further iterative stage could rescue a solve LU
-// cannot. Cancellation is honored between stages and, in both GMRES
-// stages, between restarts.
+// SolveResilient solves the system through the two-stage chain GMRES →
+// dense LU, running each stage at most once, verifying the true
+// residual (and finiteness) of every stage's candidate before accepting
+// it, and recording per-stage accounting on the returned Solution. LU
+// with partial pivoting is backward stable, so once GMRES has failed on
+// a non-singular system LU's verified residual is the answer: no further
+// iterative stage could rescue a solve LU cannot. Cancellation is
+// honored between stages and, in the GMRES stage, between restarts.
 //
-// Both GMRES stages run one Krylov solve (krylov), right-preconditioned
-// by the system's flat inverse (see Precondition; the identity when it
-// carries none); they differ only in the operator. The fft-gmres stage
-// only exists for systems built with NewOperatorSystem whose surface
-// passed the admissibility gates; its candidate is verified through the
-// operator's own MatVec, so a solve it wins never touches (or
-// assembles) the dense matrix. Dense stages of a lazily-built system
-// materialize the matrix on first entry. A gate rejection is prepended
-// to the report as a Skipped fft-gmres attempt: observable, but never
-// run and never counted as an execution failure.
+// The GMRES stage is one Krylov solve (krylov) on the system's own
+// operator (MatVec), right-preconditioned by its flat inverse (see
+// Precondition; the identity when it carries none). For a system built
+// with NewOperatorSystem whose surface passed the admissibility gates
+// that operator is the FFT-accelerated one and the stage is fft-gmres:
+// its candidate is verified through the operator's own MatVec, so a
+// solve it wins never touches (or assembles) the dense matrix. Otherwise
+// the stage is gmres on the dense matrix, which a lazily-built system
+// materializes on entry, as the LU stage does. A gate rejection is
+// prepended to the report as a Skipped fft-gmres attempt: observable,
+// but never run and never counted as an execution failure.
 func (sys *System) SolveResilient(ctx context.Context, opt SolveOptions) (*Solution, error) {
 	n2 := 2 * sys.N
 	tol := opt.Tol
 	if tol <= 0 {
 		tol = 1e-8
 	}
-	denseMV := func(y, x []complex128) { sys.Matrix.MulVecTo(y, x) }
 
 	var x []complex128
 	report := &SolveReport{}
 
 	// verify accepts a candidate only if it is finite and its true
-	// residual — against the unpreconditioned matvec of the stage family
+	// residual — against the unpreconditioned operator mv of the stage
 	// that produced it — is within 10× the target, the same drift guard
 	// GMRES applies internally. matvecs is what the stage spent on it.
 	verify := func(cand []complex128, mv cmplxmat.MatVec, matvecs int) error {
@@ -102,49 +103,39 @@ func (sys *System) SolveResilient(ctx context.Context, opt SolveOptions) (*Solut
 		return nil
 	}
 
-	// dense wraps a dense-chain stage so a lazily-built system assembles
-	// its matrix on first entry (no-op for the eager paths).
-	dense := func(run func(context.Context) error) func(context.Context) error {
-		return func(c context.Context) error {
-			if err := sys.Materialize(); err != nil {
-				return err
-			}
-			return run(c)
+	iterate := func(c context.Context) error {
+		mv, err := sys.MatVec()
+		if err != nil {
+			return err
 		}
-	}
-
-	// iterate is a GMRES stage on the operator mv.
-	iterate := func(c context.Context, mv cmplxmat.MatVec) error {
 		cand, _, matvecs, err := krylov(c, mv, sys.pre, sys.RHS, tol)
 		if err != nil {
 			return err
 		}
 		return verify(cand, mv, matvecs)
 	}
-	var stages []resilience.Stage
+	first := resilience.Stage{Name: StageGMRES, Run: iterate}
 	if sys.fft != nil {
-		stages = append(stages, resilience.Stage{Name: StageFFT, Run: func(c context.Context) error {
+		first = resilience.Stage{Name: StageFFT, Run: func(c context.Context) error {
 			_, sp := trace.StartSpan(c, "mom.fft.solve")
-			err := iterate(c, sys.fft.MatVec)
+			err := iterate(c)
 			if err != nil {
 				sp.SetAttr("error", err.Error())
 			}
 			sp.End()
 			return err
-		}})
+		}}
 	}
-	stages = append(stages,
-		resilience.Stage{Name: StageGMRES, Run: dense(func(c context.Context) error {
-			return iterate(c, denseMV)
-		})},
-		resilience.Stage{Name: StageDenseLU, Run: dense(func(context.Context) error {
-			c, err := cmplxmat.SolveDense(sys.Matrix, sys.RHS)
-			if err != nil {
-				return err
-			}
-			return verify(c, denseMV, 0)
-		})},
-	)
+	stages := []resilience.Stage{first, {Name: StageDenseLU, Run: func(context.Context) error {
+		if err := sys.Materialize(); err != nil {
+			return err
+		}
+		c, err := cmplxmat.SolveDense(sys.Matrix, sys.RHS)
+		if err != nil {
+			return err
+		}
+		return verify(c, sys.Matrix.MulVecTo, 0)
+	}}}
 
 	rep, err := resilience.Execute(ctx, "mom.solve", opt.Injector, opt.Key, stages)
 	if sys.fft == nil && sys.fftRej != nil {

@@ -236,8 +236,11 @@ func HalfSpheroid(L float64, M int, h, a float64) *Surface {
 // experiment: f(r) = h·(1 − r²/a²)^{3/2} for r < a, else 0. Unlike the
 // exact half-spheroid its slope vanishes at the rim, so the surface is
 // C¹ and its analytic derivatives (attached to the returned Surface) are
-// bounded everywhere; the bulk shape and the volume-equivalent radius
-// mapping to HBM are essentially unchanged.
+// bounded everywhere. The bulk shape is close, but the volume is not: the
+// smoothed boss holds (2/5)πa²h, 0.60 of the half-spheroid's (2/3)πa²h,
+// so the half-spheroid's volume-equivalent HBM radius
+// (hbm.EquivalentSphereRadius) is 0.60^{−1/3} ≈ 1.19 times that of the
+// surface actually solved.
 func SmoothSpheroid(L float64, M int, h, a float64) *Surface {
 	if a >= L/2 {
 		panic(fmt.Sprintf("surface: spheroid base radius %g must fit in half the patch %g", a, L/2))

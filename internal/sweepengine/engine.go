@@ -44,7 +44,9 @@
 //     frequency.
 //
 // A point-level scheduler spreads the independent (frequency × node)
-// units over the worker budget with prompt context cancellation.
+// units over the worker budget with prompt context cancellation. Each
+// unit is one core.Solver.LossFactorsCtx call, the solve sequence
+// LossFactor runs, so a node's K is the one LossFactor gives bit for bit.
 // The same units run brute-force Monte Carlo (MonteCarlo) over seeded
 // KL draws instead of the collocation nodes, within a failure budget.
 package sweepengine
@@ -358,14 +360,14 @@ func (e *Engine) anchorCount(fmin, fmax float64) int {
 // units. A failing or panicking unit charges its nodes to lost.
 //
 // Surfaces are solved in mirror groups (see mirrorGroups): a pair's
-// second surface reuses the first one's build, mirrored in place
-// (core.Solver.MirrorSurfaceCtx), counted in sweep.mirror_reuses.
+// second surface reuses the first one's build, mirrored in place,
+// counted in sweep.mirror_reuses.
 //
 // The independent (group × solve frequency) units are scheduled across
-// the worker budget through the operator prepare-and-solve path — the
-// one core.Solver's LossFactor takes, so results stay bitwise identical
-// to it. The operator build is deterministic across worker counts, so
-// the inner split does not perturb bits.
+// the worker budget, each one core.Solver.LossFactorsCtx call — the
+// solve sequence LossFactor runs, so results are bitwise identical to
+// it. The operator build is deterministic across worker counts, so the
+// inner split does not perturb bits.
 func (e *Engine) columns(ctx context.Context, p *sweepPlan, surfs []*surface.Surface, ids []int, lost *losses, save func(k int, col []float64)) error {
 	nf, ns := len(p.freqs), len(p.solve)
 	groups := mirrorGroups(surfs)
@@ -392,27 +394,16 @@ func (e *Engine) columns(ctx context.Context, p *sweepPlan, surfs []*surface.Sur
 				return resilience.New(f.Kind, "sweepengine", f)
 			}
 		}
-		f := p.solve[fi]
-		ref, err := e.Solver.FlatPabsCtx(ctx, f)
-		if err != nil {
-			return err
+		gs := make([]*surface.Surface, len(grp))
+		for n, k := range grp {
+			gs[n] = surfs[k]
 		}
-		// An admissible surface wins the fft-gmres stage without ever
-		// assembling the dense matrix; a rejected one materializes it
-		// lazily inside the chain.
-		sys, err := e.Solver.PrepareSurfaceCtx(ctx, surfs[grp[0]], f, inner)
+		ks, err := e.Solver.LossFactorsCtx(ctx, gs, p.solve[fi], inner)
 		if err != nil {
 			return err
 		}
 		for n, k := range grp {
-			if n > 0 {
-				e.Solver.MirrorSurfaceCtx(ctx, sys, surfs[k], f, inner)
-			}
-			sol, err := e.Solver.SolveSystem(ctx, sys)
-			if err != nil {
-				return err
-			}
-			cols[k][fi] = sol.Pabs / ref
+			cols[k][fi] = ks[n]
 			// The worker that takes a column's countdown to zero observed
 			// every other worker's decrement for it, so (atomics being
 			// sequentially consistent) all of the column's writes are
@@ -469,11 +460,10 @@ func (l *losses) add(err error, nodes ...int) error {
 }
 
 // mirrorGroups splits surfs into solve groups of indices: a surface
-// joins the first earlier, still unpaired one whose heights it negates
-// exactly (the surfaces of the Smolyak nodes ξ and −ξ, see
-// quadrature.SmolyakHermite), as that group's mirror partner; every
-// other surface is a group of one. Surfaces with analytic derivatives
-// are never paired: their derivatives need not follow the heights.
+// joins the first earlier, still unpaired one it is the exact mirror
+// image of (core.IsMirror: the surfaces of the Smolyak nodes ξ and −ξ,
+// see quadrature.SmolyakHermite), as that group's mirror partner; every
+// other surface is a group of one.
 func mirrorGroups(surfs []*surface.Surface) [][]int {
 	var groups [][]int
 	paired := make([]bool, len(surfs))
@@ -483,7 +473,7 @@ func mirrorGroups(surfs []*surface.Surface) [][]int {
 		}
 		grp := []int{k}
 		for j := k + 1; j < len(surfs); j++ {
-			if !paired[j] && isMirror(s, surfs[j]) {
+			if !paired[j] && core.IsMirror(s, surfs[j]) {
 				paired[j] = true
 				grp = append(grp, j)
 				break
@@ -492,20 +482,6 @@ func mirrorGroups(surfs []*surface.Surface) [][]int {
 		groups = append(groups, grp)
 	}
 	return groups
-}
-
-// isMirror reports whether b is a's mirror image: the same grid, heights
-// negated exactly and spectral derivatives on both.
-func isMirror(a, b *surface.Surface) bool {
-	if a.L != b.L || a.M != b.M || a.AnFx != nil || b.AnFx != nil || a.AnFxx != nil || b.AnFxx != nil {
-		return false
-	}
-	for i, v := range a.H {
-		if b.H[i] != -v {
-			return false
-		}
-	}
-	return true
 }
 
 // ChebAnchors places n Chebyshev–Gauss abscissae on [lo, hi]. Exported

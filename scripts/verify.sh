@@ -5,6 +5,13 @@
 # stays a few minutes.
 set -eux
 
+# The same formatting gate as CI: gofmt must list no file.
+out="$(gofmt -l .)"
+if [ -n "$out" ]; then
+    echo "gofmt needed on:" >&2
+    echo "$out" >&2
+    exit 1
+fi
 go build ./...
 go vet ./...
 # The bench module is its own module, so the two lines above never build
