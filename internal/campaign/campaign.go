@@ -47,8 +47,8 @@ type Runner interface {
 	Cached(cfg roughsim.SweepConfig) (*roughsim.SweepResult, bool)
 }
 
-// Hooks observe durability-relevant transitions; the server journals
-// them. Nil funcs are skipped.
+// Hooks observe durability-relevant transitions: the server journals
+// Terminal and crash-tests at CellDone. Nil funcs are skipped.
 type Hooks struct {
 	// CellDone fires after a cell's result is durably in the result
 	// cache (or synthesized for flat cells).

@@ -30,8 +30,6 @@ type Task struct {
 	// ID is the column's content address (the checkpoint key), so an
 	// offer is idempotent and a completed column verifiable bitwise.
 	ID string `json:"id"`
-	// JobID is the sweep job the column belongs to (journal labeling).
-	JobID string `json:"job_id"`
 	// Config is the residual sweep (Freqs = the cache-missing subset).
 	Config roughsim.SweepConfig `json:"config"`
 	// Node is the collocation node index.

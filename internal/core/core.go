@@ -328,23 +328,11 @@ func (s *Solver) denseAssembler(ctx context.Context, surf *surface.Surface, f fl
 	}
 }
 
-// FlatPabs returns (computing and caching on first use) the numerically
-// solved flat-surface absorbed power at frequency f.
-func (s *Solver) FlatPabs(f float64) (float64, error) {
-	return s.FlatPabsCtx(context.Background(), f)
-}
-
-// FlatPabsCtx is FlatPabs honoring cancellation. Concurrent callers at
-// the same frequency share a single solve with the memo semantics:
-// errors are not cached, and a waiter whose own ctx expires stops
-// waiting while the solve continues for the others.
-func (s *Solver) FlatPabsCtx(ctx context.Context, f float64) (float64, error) {
-	ref, err := s.flatRef(ctx, f)
-	return ref.pabs, err
-}
-
 // flatRef returns (computing and caching on first use) the flat
-// reference at f.
+// reference at f. Concurrent callers at the same frequency share a
+// single solve with the memo semantics: errors are not cached, and a
+// waiter whose own ctx expires stops waiting while the solve continues
+// for the others.
 func (s *Solver) flatRef(ctx context.Context, f float64) (flatRef, error) {
 	ref, _, err := s.flat.Do(ctx, f, func() (flatRef, error) { return s.flatSolve(ctx, f) })
 	return ref, err

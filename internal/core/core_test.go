@@ -305,18 +305,18 @@ func TestFlatPabsCachedAndConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err := s.FlatPabs(f)
+			ref, err := s.flatRef(context.Background(), f)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			vals[i] = v
+			vals[i] = ref.pabs
 		}(i)
 	}
 	wg.Wait()
 	for _, v := range vals[1:] {
 		if v != vals[0] {
-			t.Fatal("concurrent FlatPabs returned different values")
+			t.Fatal("concurrent flatRef returned different values")
 		}
 	}
 	// Matches the analytic value within discretization error.
@@ -354,7 +354,7 @@ func TestFlatPabsSingleFlightMetrics(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := s.FlatPabsCtx(context.Background(), f); err != nil {
+			if _, err := s.flatRef(context.Background(), f); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -366,7 +366,7 @@ func TestFlatPabsSingleFlightMetrics(t *testing.T) {
 	if got := m.Counter("core.flat_hits").Value() + m.Counter("core.flat_shared").Value(); got != callers-1 {
 		t.Fatalf("hits+shared = %d, want %d", got, callers-1)
 	}
-	if _, err := s.FlatPabsCtx(context.Background(), f); err != nil {
+	if _, err := s.flatRef(context.Background(), f); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Counter("core.flat_solves").Value(); got != 1 {
@@ -382,7 +382,7 @@ func TestFlatMemoBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 0; k < flatMemoCap+3; k++ {
-		if _, err := s.FlatPabs(units.GHz + float64(k)*units.MHz); err != nil {
+		if _, err := s.flatRef(context.Background(), units.GHz+float64(k)*units.MHz); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -159,7 +159,7 @@ func TestPreparedSystemsCarryFlatInverse(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s.Metrics = reg
 	ctx := context.Background()
-	if _, err := s.FlatPabsCtx(ctx, f); err != nil {
+	if _, err := s.flatRef(ctx, f); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("solve.matvecs").Value(); got != 3 {

@@ -505,29 +505,26 @@ func (q *Queue) runJob(j *Job) {
 		return
 	}
 
+	status := StatusFailed
+	switch {
+	case err == nil:
+		status = StatusSucceeded
+		q.completed.Inc()
+	case canceled:
+		status = StatusCanceled
+		q.canceled.Inc()
+	default:
+		q.failed.Inc()
+	}
+	j.finishTrace(status)
 	j.mu.Lock()
 	j.finished = time.Now()
 	j.result, j.err = v, err
-	switch {
-	case err == nil:
-		j.status = StatusSucceeded
-		q.completed.Inc()
-	case canceled:
-		j.status = StatusCanceled
-		q.canceled.Inc()
-	default:
-		j.status = StatusFailed
-		q.failed.Inc()
-	}
+	j.status = status
 	elapsed := j.finished.Sub(j.started)
-	status := j.status
 	close(j.done)
 	j.notifyLocked()
 	j.mu.Unlock()
-	if j.trace != nil {
-		j.trace.Root().SetAttr("status", string(status))
-		j.trace.Finish()
-	}
 	q.jobSeconds.Observe(elapsed.Seconds())
 	q.notifyObserver(j)
 }
@@ -573,8 +570,11 @@ func (q *Queue) requeue(j *Job) {
 
 // finalize moves a non-running job to a terminal status from outside a
 // worker (retry-requeue overflow, cancel-while-parked). err == nil
-// keeps the job's last recorded error.
+// keeps the job's last recorded error. The caller owns the job's one
+// terminal transition (Cancel after stopping its retry timer, requeue
+// after the timer fired), so the trace ends before the lock is taken.
 func (q *Queue) finalize(j *Job, status Status, err error) {
+	j.finishTrace(status)
 	j.mu.Lock()
 	if j.status.Terminal() {
 		j.mu.Unlock()
@@ -596,11 +596,18 @@ func (q *Queue) finalize(j *Job, status Status, err error) {
 	close(j.done)
 	j.notifyLocked()
 	j.mu.Unlock()
+	q.notifyObserver(j)
+}
+
+// finishTrace ends the job's root span with its terminal status. Both
+// terminal transitions call it before the job turns terminal, so no
+// observer sees a terminal job whose trace is still open, and the
+// trace's sink never runs under j.mu.
+func (j *Job) finishTrace(status Status) {
 	if j.trace != nil {
 		j.trace.Root().SetAttr("status", string(status))
 		j.trace.Finish()
 	}
-	q.notifyObserver(j)
 }
 
 func (q *Queue) notifyObserver(j *Job) {

@@ -42,10 +42,6 @@ type LeaseOptions struct {
 	MaxLosses int
 	// Metrics receives lease.* telemetry; nil disables it.
 	Metrics *telemetry.Registry
-	// OnGrant/OnExpire observe lease grants and expiries (the server
-	// journals them). Called outside the table lock; nil funcs skipped.
-	OnGrant  func(taskID, worker string, payload any)
-	OnExpire func(taskID, worker string, payload any)
 }
 
 // Lease is one granted claim.
@@ -150,18 +146,14 @@ func (lt *LeaseTable) scan() {
 // expire re-queues (or, past MaxLosses, fails) every task whose lease
 // lapsed, and forgets workers not seen within the liveness window.
 func (lt *LeaseTable) expire(now time.Time) {
-	type lost struct {
-		id      string
-		worker  string
-		payload any
-	}
-	var expired []lost
 	lt.mu.Lock()
-	for id, t := range lt.tasks {
+	defer lt.mu.Unlock()
+	expired := false
+	for _, t := range lt.tasks {
 		if t.state != taskLeased || now.Before(t.expires) {
 			continue
 		}
-		expired = append(expired, lost{id, t.worker, t.payload})
+		expired = true
 		lt.m.CounterL("lease.expired", telemetry.L("worker", t.worker)).Inc()
 		lt.loseLocked(t, fmt.Errorf("jobs: lease lost %d times (worker %s expired)", t.losses+1, t.worker))
 	}
@@ -172,14 +164,8 @@ func (lt *LeaseTable) expire(now time.Time) {
 		}
 	}
 	lt.workG.Set(float64(len(lt.workers)))
-	if len(expired) > 0 {
+	if expired {
 		lt.notifyLocked()
-	}
-	lt.mu.Unlock()
-	if lt.opt.OnExpire != nil {
-		for _, e := range expired {
-			lt.opt.OnExpire(e.id, e.worker, e.payload)
-		}
 	}
 }
 
@@ -223,6 +209,7 @@ func (lt *LeaseTable) Offer(id string, payload any) <-chan struct{} {
 // worker as live either way); ok is false when nothing is pending.
 func (lt *LeaseTable) Claim(worker string) (Lease, bool) {
 	lt.mu.Lock()
+	defer lt.mu.Unlock()
 	lt.touchLocked(worker)
 	var t *leaseTask
 	for len(lt.order) > 0 {
@@ -234,20 +221,14 @@ func (lt *LeaseTable) Claim(worker string) (Lease, bool) {
 		}
 	}
 	if t == nil {
-		lt.mu.Unlock()
 		return Lease{}, false
 	}
 	t.state = taskLeased
 	t.worker = worker
 	t.token = newID()
 	t.expires = time.Now().Add(lt.opt.TTL)
-	lease := Lease{TaskID: t.id, Token: t.token, Payload: t.payload, TTL: lt.opt.TTL}
 	lt.m.CounterL("lease.claims", telemetry.L("worker", worker)).Inc()
-	lt.mu.Unlock()
-	if lt.opt.OnGrant != nil {
-		lt.opt.OnGrant(lease.TaskID, worker, lease.Payload)
-	}
-	return lease, true
+	return Lease{TaskID: t.id, Token: t.token, Payload: t.payload, TTL: lt.opt.TTL}, true
 }
 
 // Renew extends a current lease by one TTL; ErrStaleLease otherwise.

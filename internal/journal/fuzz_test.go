@@ -19,13 +19,14 @@ func FuzzJournalReadAll(f *testing.F) {
 	for _, r := range []Record{
 		{Schema: SchemaVersion, Seq: 1, Op: OpSubmitted, JobID: "a", Key: "k-a", Config: cfg},
 		{Schema: SchemaVersion, Seq: 2, Op: OpStarted, JobID: "a", Attempt: 1},
-		Record{Schema: SchemaVersion, Seq: 3, Op: OpAnchorDone, JobID: "a"}.WithAnchor(-1),
-		{Schema: SchemaVersion, Seq: 4, Op: OpLeaseExpired, JobID: "a", Worker: "w1"},
+		// Ops older daemons wrote that Fold now skips.
+		{Schema: SchemaVersion, Seq: 3, Op: "anchor-done", JobID: "a"},
+		{Schema: SchemaVersion, Seq: 4, Op: "lease-expired", JobID: "a"},
 		{Schema: SchemaVersion, Seq: 5, Op: OpCampaignSubmitted, JobID: "c", Config: cfg},
-		Record{Schema: SchemaVersion, Seq: 6, Op: OpAnchorDone, JobID: "c"}.WithAnchor(0),
+		{Schema: SchemaVersion, Seq: 6, Op: "lease-granted", JobID: "a"},
 		{Schema: SchemaVersion, Seq: 7, Op: OpFailed, JobID: "a", Error: "boom", Kind: "numerical"},
-		// The legacy campaign ops Fold still reads.
-		Record{Schema: SchemaVersion, Seq: 8, Op: legacyCampaignCellDone, JobID: "c"}.WithAnchor(1),
+		{Schema: SchemaVersion, Seq: 8, Op: "campaign-cell-done", JobID: "c"},
+		// The legacy campaign terminal ops Fold still reads.
 		{Schema: SchemaVersion, Seq: 9, Op: OpCampaignSubmitted, JobID: "d", Config: cfg},
 		{Schema: SchemaVersion, Seq: 10, Op: legacyCampaignFailed, JobID: "d", Error: "boom"},
 		{Schema: SchemaVersion, Seq: 11, Op: legacyCampaignCompleted, JobID: "c"},
@@ -38,6 +39,11 @@ func FuzzJournalReadAll(f *testing.F) {
 		log = append(log, frame...)
 		f.Add(append([]byte(nil), log...))
 	}
+	var older []byte // fields Record no longer has: anchor, worker
+	for _, p := range olderJournal {
+		older = append(older, rawFrame(p)...)
+	}
+	f.Add(older)
 	f.Add(log[:len(log)-3])                         // torn tail
 	f.Add([]byte{0, 0, 0, 2, 0, 0, 0, 0, '{', '}'}) // CRC mismatch
 	f.Add([]byte{})

@@ -1,13 +1,14 @@
 // Package journal is the durability substrate of roughsimd: an
 // append-only, fsync'd, CRC-checked write-ahead log of job lifecycle
-// records. The daemon appends a record at every observable transition
-// of a durable job or campaign (submitted, started, anchor checkpoint
-// or campaign cell done, completed, failed, canceled) and replays the
-// log on boot, so a crash — kill -9, OOM, power loss — loses no
-// accepted work: unfinished sweeps are re-enqueued with their attempt
-// history, and their
-// completed anchor checkpoints (persisted separately through the
-// content-addressed result cache) are skipped on resume.
+// records. The daemon journals only what replay reads: one submission
+// record per durable job or campaign (submitted, sparams-submitted,
+// campaign-submitted), a started record per attempt (it seeds the
+// retry budget) and one terminal record (completed, failed, canceled).
+// It replays the log on boot, so a crash — kill -9, OOM, power loss —
+// loses no accepted work: unfinished jobs and campaigns are re-enqueued
+// with their attempt history. Which anchor checkpoints and campaign
+// cells finished before the crash is not journaled: resume probes the
+// checkpoint and result caches for them.
 //
 // On-disk format: a flat sequence of frames, each
 //
@@ -50,10 +51,6 @@ const (
 	OpSubmitted Op = "submitted"
 	// OpStarted: a worker picked the job up for its Attempt-th attempt.
 	OpStarted Op = "started"
-	// OpAnchorDone: one anchor checkpoint of the job's sweep was
-	// persisted (Anchor is the collocation-node index; -1 is the flat
-	// reference).
-	OpAnchorDone Op = "anchor-done"
 	// OpCompleted: the job succeeded; replay drops it.
 	OpCompleted Op = "completed"
 	// OpFailed: the job failed terminally (retries exhausted or the
@@ -64,24 +61,12 @@ const (
 	// as canceled, so they stay pending and resume on restart.
 	OpCanceled Op = "canceled"
 
-	// OpLeaseGranted: a cluster worker claimed one column task of the job
-	// (Anchor is the column's node index, Worker the claimant, Key the
-	// task's content address). Observability only: the authoritative
-	// column durability is the checkpoint cache's anchor-done record.
-	OpLeaseGranted Op = "lease-granted"
-	// OpLeaseExpired: a granted lease lapsed without completing and its
-	// task re-queued — the journaled trace of a worker loss. Fold counts
-	// these per job as Pending.LeaseLosses.
-	OpLeaseExpired Op = "lease-expired"
-
 	// OpCampaignSubmitted: a campaign was accepted; JobID carries the
 	// campaign's content-addressed ID (64 hex characters, so it never
 	// collides with a 32-character job ID) and Config its
 	// CampaignConfig, so a replay restarts the study under the ID
-	// clients already hold. A campaign shares the job lifecycle: each
-	// cell that reaches a durable result is an anchor-done record
-	// (Anchor is the cell index), and its outcome is the ordinary
-	// completed / failed / canceled record.
+	// clients already hold. A campaign shares the job lifecycle: its
+	// outcome is the ordinary completed / failed / canceled record.
 	OpCampaignSubmitted Op = "campaign-submitted"
 
 	// OpSparamsSubmitted: an S-parameter artifact job was accepted;
@@ -92,13 +77,13 @@ const (
 	OpSparamsSubmitted Op = "sparams-submitted"
 )
 
-// Campaign cell and terminal ops of journals written before campaigns
-// shared the job records. Nothing writes them any more; Fold still reads
-// them as anchor-done and terminal records, so a campaign that finished
-// or was canceled under the old vocabulary does not restart after an
-// upgrade.
+// Campaign terminal ops of journals written before campaigns shared the
+// job records. Nothing writes them any more; Fold still reads them as
+// terminal records, so a campaign that finished or was canceled under
+// the old vocabulary does not restart after an upgrade. The other ops
+// older daemons wrote (anchor-done, lease-granted, lease-expired,
+// campaign-cell-done) are ops Fold does not know, so it skips them.
 const (
-	legacyCampaignCellDone  Op = "campaign-cell-done"
 	legacyCampaignCompleted Op = "campaign-completed"
 	legacyCampaignFailed    Op = "campaign-failed"
 	legacyCampaignCanceled  Op = "campaign-canceled"
@@ -117,30 +102,12 @@ type Record struct {
 	JobID   string `json:"job"`
 	Key     string `json:"key,omitempty"` // sweep content address (hex)
 	Attempt int    `json:"attempt,omitempty"`
-	// Anchor is the checkpoint index (a campaign's cell index) of an
-	// anchor-done record, offset by two on the wire so both node 0 and
-	// the flat reference (-1) survive omitempty; use the
-	// WithAnchor/AnchorNode accessors.
-	Anchor int `json:"anchor,omitempty"`
 	// Config is the opaque job payload (the sweep config JSON) replay
 	// hands back to the submitter.
 	Config json.RawMessage `json:"config,omitempty"`
 	Error  string          `json:"error,omitempty"`
 	Kind   string          `json:"kind,omitempty"` // resilience.Kind label
-	// Worker labels cluster lease records with the worker involved.
-	Worker string `json:"worker,omitempty"`
 }
-
-// WithAnchor returns a copy of r carrying node as its anchor index
-// (wire-offset so node -1, the flat reference, round-trips omitempty).
-func (r Record) WithAnchor(node int) Record {
-	r.Anchor = node + 2
-	return r
-}
-
-// AnchorNode returns the checkpoint node index of an anchor-done
-// record.
-func (r Record) AnchorNode() int { return r.Anchor - 2 }
 
 // Pending is one unfinished job or campaign reconstructed by replay.
 type Pending struct {
@@ -155,13 +122,6 @@ type Pending struct {
 	// Attempts is how many times a worker started the job before the
 	// crash; the submitter folds it into the job's remaining budget.
 	Attempts int
-	// AnchorsDone counts the anchor checkpoints (a campaign's durable
-	// cells) journaled for the job — observability for "how much of the
-	// work survives".
-	AnchorsDone int
-	// LeaseLosses counts the lease expiries journaled for the job —
-	// observability for "how many workers died under this sweep".
-	LeaseLosses int
 }
 
 const (
@@ -275,9 +235,7 @@ func (j *Journal) Close() error {
 
 // compact atomically rewrites the journal to one submission record per
 // pending job and campaign (temp file + fsync + rename + directory
-// fsync), bounding the file to the live work set. Anchor-done records
-// are dropped: resume re-derives finished checkpoints and campaign
-// cells from the caches.
+// fsync), bounding the file to the live work set.
 func (j *Journal) compact(pending []Pending) error {
 	tmp, err := os.CreateTemp(filepath.Dir(j.path), "journal-*")
 	if err != nil {
@@ -385,10 +343,9 @@ func ReadAll(path string) ([]Record, error) {
 // Fold reduces a record sequence to the jobs and campaigns still
 // pending at its end: a submission op (submitted, sparams-submitted,
 // campaign-submitted) creates one, started advances its attempt count,
-// anchor-done counts a persisted checkpoint or campaign cell, and every
-// terminal op (completed, failed, canceled) removes it; the legacy
-// campaign ops fold as their job-record counterparts. Order of first
-// submission is preserved.
+// and every terminal op (completed, failed, canceled) removes it; the
+// legacy campaign terminal ops fold as their job-record counterparts
+// and any other op is skipped. Order of first submission is preserved.
 func Fold(recs []Record) []Pending {
 	byID := map[string]*Pending{}
 	var order []string
@@ -403,14 +360,6 @@ func Fold(recs []Record) []Pending {
 		case OpStarted:
 			if p, ok := byID[r.JobID]; ok && r.Attempt > p.Attempts {
 				p.Attempts = r.Attempt
-			}
-		case OpAnchorDone, legacyCampaignCellDone:
-			if p, ok := byID[r.JobID]; ok {
-				p.AnchorsDone++
-			}
-		case OpLeaseExpired:
-			if p, ok := byID[r.JobID]; ok {
-				p.LeaseLosses++
 			}
 		case OpCompleted, OpFailed, OpCanceled,
 			legacyCampaignCompleted, legacyCampaignFailed, legacyCampaignCanceled:

@@ -1,7 +1,9 @@
 package journal
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -35,8 +37,6 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	must(j.Append(Record{Op: OpSubmitted, JobID: "a", Key: "k-a", Config: cfg}))
 	must(j.Append(Record{Op: OpStarted, JobID: "a", Attempt: 1}))
 	must(j.Append(Record{Op: OpSubmitted, JobID: "b", Key: "k-b", Config: cfg}))
-	must(j.Append(Record{Op: OpAnchorDone, JobID: "a"}.WithAnchor(-1)))
-	must(j.Append(Record{Op: OpAnchorDone, JobID: "a"}.WithAnchor(3)))
 	must(j.Append(Record{Op: OpSubmitted, JobID: "c", Key: "k-c", Config: cfg}))
 	must(j.Append(Record{Op: OpCompleted, JobID: "c"}))
 	j.Close()
@@ -49,31 +49,14 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if a.JobID != "a" || b.JobID != "b" {
 		t.Fatalf("pending order = %q, %q; want a, b", a.JobID, b.JobID)
 	}
-	if a.Attempts != 1 || a.AnchorsDone != 2 || a.Key != "k-a" {
+	if a.Attempts != 1 || a.Key != "k-a" {
 		t.Fatalf("job a replayed as %+v", a)
 	}
 	if string(a.Config) != string(cfg) {
 		t.Fatalf("config round-trip: %s", a.Config)
 	}
-	if b.Attempts != 0 || b.AnchorsDone != 0 {
+	if b.Attempts != 0 {
 		t.Fatalf("job b replayed as %+v", b)
-	}
-}
-
-func TestAnchorWireOffsetRoundTrips(t *testing.T) {
-	for _, node := range []int{-1, 0, 1, 7} {
-		r := Record{Op: OpAnchorDone}.WithAnchor(node)
-		b, err := json.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var back Record
-		if err := json.Unmarshal(b, &back); err != nil {
-			t.Fatal(err)
-		}
-		if back.AnchorNode() != node {
-			t.Fatalf("anchor %d round-tripped to %d", node, back.AnchorNode())
-		}
 	}
 }
 
@@ -198,15 +181,23 @@ func TestUnknownSchemaSkipped(t *testing.T) {
 	}
 }
 
+// The anchor-done and lease-* records older daemons wrote are ops Fold
+// does not know: they neither create, resurrect nor alter a pending job.
 func TestFoldSemantics(t *testing.T) {
 	recs := []Record{
 		{Op: OpSubmitted, JobID: "a", Key: "ka", Attempt: 2}, // compacted record carries prior attempts
 		{Op: OpStarted, JobID: "a", Attempt: 3},
+		{Op: "lease-granted", JobID: "a", Key: "col-0"},
+		{Op: "lease-expired", JobID: "a", Key: "col-0"},
+		{Op: "anchor-done", JobID: "a"},
 		{Op: OpSubmitted, JobID: "dup", Key: "k1"},
 		{Op: OpSubmitted, JobID: "dup", Key: "k2"},  // duplicate submit ignored
 		{Op: OpStarted, JobID: "ghost", Attempt: 1}, // started without submitted: ignored
+		{Op: "anchor-done", JobID: "ghost"},
+		{Op: "lease-expired", JobID: "ghost"},
 		{Op: OpSubmitted, JobID: "f", Key: "kf"},
 		{Op: OpFailed, JobID: "f", Kind: "invalid-input"},
+		{Op: "lease-expired", JobID: "f"}, // after the terminal record: f stays done
 		{Op: OpSubmitted, JobID: "c", Key: "kc"},
 		{Op: OpCanceled, JobID: "c"},
 	}
@@ -222,21 +213,22 @@ func TestFoldSemantics(t *testing.T) {
 	}
 }
 
-// Campaigns fold through the same records as jobs: cells are
-// anchor-done records, outcomes the job terminal records.
+// Campaigns fold through the same records as jobs: outcomes are the
+// job terminal records, and the anchor-done cell records older daemons
+// wrote are skipped.
 func TestFoldCampaignsSemantics(t *testing.T) {
 	cfg := json.RawMessage(`{"band":{"fmin_hz":1e9,"fmax_hz":2e9}}`)
 	recs := []Record{
 		{Op: OpCampaignSubmitted, JobID: "camp-a", Key: "camp-a", Config: cfg},
-		Record{Op: OpAnchorDone, JobID: "camp-a"}.WithAnchor(0),
+		{Op: "anchor-done", JobID: "camp-a"},
 		{Op: OpSubmitted, JobID: "job-1", Key: "kj"},
-		Record{Op: OpAnchorDone, JobID: "camp-a"}.WithAnchor(2),
+		{Op: "anchor-done", JobID: "camp-a"},
 		{Op: OpCampaignSubmitted, JobID: "camp-a", Key: "other"}, // duplicate submit ignored
 		{Op: OpCampaignSubmitted, JobID: "camp-done", Key: "camp-done"},
 		{Op: OpCompleted, JobID: "camp-done"},
 		{Op: OpCampaignSubmitted, JobID: "camp-x", Key: "camp-x"},
 		{Op: OpCanceled, JobID: "camp-x"},
-		Record{Op: OpAnchorDone, JobID: "ghost"}.WithAnchor(0), // anchor-done without submitted: ignored
+		{Op: "anchor-done", JobID: "ghost"}, // anchor-done without submitted: ignored
 		// A content-addressed campaign submitted again after its terminal
 		// record is pending once, not once per submission.
 		{Op: OpCampaignSubmitted, JobID: "camp-again", Key: "camp-again"},
@@ -248,10 +240,10 @@ func TestFoldCampaignsSemantics(t *testing.T) {
 		t.Fatalf("pending = %+v, want camp-a, job-1 and camp-again", pending)
 	}
 	c := pending[0]
-	if c.JobID != "camp-a" || c.Key != "camp-a" || c.Op != OpCampaignSubmitted || c.AnchorsDone != 2 || string(c.Config) != string(cfg) {
+	if c.JobID != "camp-a" || c.Key != "camp-a" || c.Op != OpCampaignSubmitted || string(c.Config) != string(cfg) {
 		t.Fatalf("camp-a folded as %+v", c)
 	}
-	if pending[1].JobID != "job-1" || pending[1].Op != OpSubmitted || pending[1].AnchorsDone != 0 {
+	if pending[1].JobID != "job-1" || pending[1].Op != OpSubmitted {
 		t.Fatalf("job-1 folded as %+v", pending[1])
 	}
 	if pending[2].JobID != "camp-again" || pending[2].Op != OpCampaignSubmitted {
@@ -267,29 +259,29 @@ func TestLegacyCampaignRecordsFold(t *testing.T) {
 	cfg := json.RawMessage(`{"cells":[{"cf":"gaussian","sigma":4e-7,"eta":1e-6}],"freqs_hz":[1e9]}`)
 	recs := []Record{
 		{Op: OpCampaignSubmitted, JobID: "camp-live", Key: "camp-live", Config: cfg},
-		Record{Op: "campaign-cell-done", JobID: "camp-live"}.WithAnchor(0),
+		{Op: "campaign-cell-done", JobID: "camp-live"},
 		{Op: OpSubmitted, JobID: "job-1", Key: "kj", Config: cfg},
-		Record{Op: "campaign-cell-done", JobID: "camp-live"}.WithAnchor(3),
+		{Op: "campaign-cell-done", JobID: "camp-live"},
 		{Op: OpCampaignSubmitted, JobID: "camp-done", Key: "camp-done", Config: cfg},
-		Record{Op: "campaign-cell-done", JobID: "camp-done"}.WithAnchor(0),
+		{Op: "campaign-cell-done", JobID: "camp-done"},
 		{Op: "campaign-completed", JobID: "camp-done"},
 		{Op: OpCampaignSubmitted, JobID: "camp-failed", Key: "camp-failed", Config: cfg},
 		{Op: "campaign-failed", JobID: "camp-failed", Error: "cell 0: boom"},
 		{Op: OpCampaignSubmitted, JobID: "camp-canceled", Key: "camp-canceled", Config: cfg},
 		{Op: "campaign-canceled", JobID: "camp-canceled"},
-		Record{Op: "campaign-cell-done", JobID: "camp-live"}.WithAnchor(1),
+		{Op: "campaign-cell-done", JobID: "camp-live"},
 	}
-	// The old fold gave exactly one pending campaign, camp-live with
-	// CellsDone 3, beside the one pending job.
+	// The old fold gave exactly one pending campaign, camp-live, beside
+	// the one pending job.
 	pending := Fold(recs)
 	if len(pending) != 2 {
 		t.Fatalf("pending = %+v, want job-1 and camp-live", pending)
 	}
 	if pending[0].JobID != "camp-live" || pending[0].Op != OpCampaignSubmitted ||
-		pending[0].AnchorsDone != 3 || string(pending[0].Config) != string(cfg) {
+		string(pending[0].Config) != string(cfg) {
 		t.Fatalf("camp-live folded as %+v", pending[0])
 	}
-	if pending[1].JobID != "job-1" || pending[1].Op != OpSubmitted || pending[1].AnchorsDone != 0 {
+	if pending[1].JobID != "job-1" || pending[1].Op != OpSubmitted {
 		t.Fatalf("job-1 folded as %+v", pending[1])
 	}
 
@@ -330,53 +322,76 @@ func TestLegacyCampaignRecordsFold(t *testing.T) {
 	}
 }
 
-// Lease lifecycle records fold into loss observability without changing
-// which jobs replay, and the Worker label survives the wire round-trip.
-func TestFoldLeaseRecords(t *testing.T) {
-	recs := []Record{
-		{Op: OpSubmitted, JobID: "a", Key: "ka"},
-		Record{Op: OpLeaseGranted, JobID: "a", Key: "col-0", Worker: "w1"}.WithAnchor(0),
-		Record{Op: OpLeaseExpired, JobID: "a", Key: "col-0", Worker: "w1"}.WithAnchor(0),
-		Record{Op: OpLeaseGranted, JobID: "a", Key: "col-0", Worker: "w2"}.WithAnchor(0),
-		Record{Op: OpLeaseExpired, JobID: "ghost", Worker: "wx"}.WithAnchor(1), // no submit: ignored
-		{Op: OpSubmitted, JobID: "b", Key: "kb"},
-		Record{Op: OpLeaseExpired, JobID: "b", Worker: "w1"}.WithAnchor(-1),
-		{Op: OpCompleted, JobID: "b"},
-	}
-	pending := Fold(recs)
-	if len(pending) != 1 || pending[0].JobID != "a" {
-		t.Fatalf("pending = %+v, want only a (lease records must not resurrect b)", pending)
-	}
-	if pending[0].LeaseLosses != 1 {
-		t.Fatalf("job a folded %d lease losses, want 1", pending[0].LeaseLosses)
-	}
+// rawFrame frames an already-encoded payload the way encodeFrame does,
+// so a test can write records with fields Record no longer has.
+func rawFrame(payload string) []byte {
+	frame := make([]byte, frameHeader+len(payload))
+	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE([]byte(payload)))
+	copy(frame[frameHeader:], payload)
+	return frame
+}
 
-	// The Worker field and flat-reference anchor survive an append/replay
-	// round-trip through the file format.
-	dir := t.TempDir()
-	path := filepath.Join(dir, "wal")
-	j, _, err := Open(path, telemetry.NewRegistry())
-	if err != nil {
+// olderJournal is a journal as daemons that journaled checkpoint,
+// campaign cell and lease events wrote it: anchor-done records carry a
+// wire-offset anchor index and lease records a worker label.
+var olderJournal = []string{
+	`{"v":1,"seq":1,"t":1,"op":"submitted","job":"job-a","key":"ka","config":{"freqs_hz":[1e9]}}`,
+	`{"v":1,"seq":2,"t":2,"op":"started","job":"job-a","attempt":1}`,
+	`{"v":1,"seq":3,"t":3,"op":"lease-granted","job":"job-a","key":"col-0","anchor":2,"worker":"w1"}`,
+	`{"v":1,"seq":4,"t":4,"op":"lease-expired","job":"job-a","key":"col-0","anchor":2,"worker":"w1"}`,
+	`{"v":1,"seq":5,"t":5,"op":"anchor-done","job":"job-a","anchor":1}`,
+	`{"v":1,"seq":6,"t":6,"op":"campaign-submitted","job":"camp","key":"camp","config":{"freqs_hz":[2e9]}}`,
+	`{"v":1,"seq":7,"t":7,"op":"anchor-done","job":"camp","anchor":2}`,
+	`{"v":1,"seq":8,"t":8,"op":"campaign-cell-done","job":"camp","anchor":3}`,
+	`{"v":1,"seq":9,"t":9,"op":"submitted","job":"job-b","key":"kb"}`,
+	`{"v":1,"seq":10,"t":10,"op":"anchor-done","job":"job-b","anchor":2}`,
+	`{"v":1,"seq":11,"t":11,"op":"completed","job":"job-b"}`,
+	`{"v":1,"seq":12,"t":12,"op":"lease-expired","job":"job-b","anchor":3,"worker":"w2"}`,
+	`{"v":1,"seq":13,"t":13,"op":"lease-expired","job":"ghost","anchor":2,"worker":"w2"}`,
+}
+
+// A journal written with anchor-done, lease-* and campaign-cell-done
+// records replays to the same pending jobs and campaigns, under their
+// original IDs and attempt counts, and compacts to submission records
+// only.
+func TestOlderJournalReplays(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal")
+	var file []byte
+	for _, p := range olderJournal {
+		file = append(file, rawFrame(p)...)
+	}
+	if err := os.WriteFile(path, file, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(Record{Op: OpSubmitted, JobID: "a", Key: "ka"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append(Record{Op: OpLeaseExpired, JobID: "a", Key: "col", Worker: "w9"}.WithAnchor(-1)); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	recs2, torn, err := readAll(path)
-	if err != nil || torn {
-		t.Fatalf("readAll: torn=%v err=%v", torn, err)
-	}
-	last := recs2[len(recs2)-1]
-	if last.Op != OpLeaseExpired || last.Worker != "w9" || last.AnchorNode() != -1 {
-		t.Fatalf("lease record round-tripped as %+v", last)
-	}
-	rep := Fold(recs2)
-	if len(rep) != 1 || rep[0].LeaseLosses != 1 {
-		t.Fatalf("replayed fold = %+v", rep)
+	for cycle := 1; cycle <= 2; cycle++ {
+		m := telemetry.NewRegistry()
+		j, pending, err := Open(path, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		if m.Counter("journal.torn_tails").Value() != 0 {
+			t.Fatalf("cycle %d: older journal read as torn", cycle)
+		}
+		if len(pending) != 2 {
+			t.Fatalf("cycle %d: pending = %+v, want job-a and camp", cycle, pending)
+		}
+		a, c := pending[0], pending[1]
+		if a.JobID != "job-a" || a.Op != OpSubmitted || a.Key != "ka" || a.Attempts != 1 ||
+			string(a.Config) != `{"freqs_hz":[1e9]}` {
+			t.Fatalf("cycle %d: job-a replayed as %+v", cycle, a)
+		}
+		if c.JobID != "camp" || c.Op != OpCampaignSubmitted || string(c.Config) != `{"freqs_hz":[2e9]}` {
+			t.Fatalf("cycle %d: camp replayed as %+v", cycle, c)
+		}
+		compacted, err := ReadAll(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(compacted) != 2 || compacted[0].Op != OpSubmitted || compacted[1].Op != OpCampaignSubmitted {
+			t.Fatalf("cycle %d: compacted journal = %+v", cycle, compacted)
+		}
 	}
 }
 
@@ -389,7 +404,6 @@ func TestCampaignCompactionRoundTrip(t *testing.T) {
 	cfg := json.RawMessage(`{"cells":[{"cf":"gaussian","sigma":4e-7,"eta":1e-6}],"freqs_hz":[1e9]}`)
 	appends := []Record{
 		{Op: OpCampaignSubmitted, JobID: "camp-1", Key: "camp-1", Config: cfg},
-		Record{Op: OpAnchorDone, JobID: "camp-1"}.WithAnchor(0),
 		{Op: OpSubmitted, JobID: "job-1", Key: "kj"},
 	}
 	for _, r := range appends {

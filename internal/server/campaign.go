@@ -109,19 +109,11 @@ func (r cellRunner) Cached(cfg roughsim.SweepConfig) (*roughsim.SweepResult, boo
 	return &roughsim.SweepResult{Config: cfg, Points: pts}, true
 }
 
-// campaignCellDone journals one finished cell as an anchor-done record
-// of the campaign. The chaos point sits BEFORE the append and after the
-// cell's points are durable in the result cache — "crash at the n-th
-// campaign cell" then leaves a journal that under-counts done cells,
-// the state resume must tolerate (the cache probe, not the journal,
-// decides what re-runs).
-func (s *Server) campaignCellDone(id string, cell int) {
-	n := s.campCellSeq.Add(1)
-	s.chaos.Crash("campaign.cell", n)
-	if s.journal == nil {
-		return
-	}
-	s.journal.Append(journal.Record{Op: journal.OpAnchorDone, JobID: id}.WithAnchor(cell))
+// campaignCellDone is the campaign.cell chaos point: it fires after a
+// cell's points are durable in the result cache, so "crash at the n-th
+// campaign cell" leaves n cells for resume's cache probe to skip.
+func (s *Server) campaignCellDone(string, int) {
+	s.chaos.Crash("campaign.cell", s.campCellSeq.Add(1))
 }
 
 // campaignTerminal closes the campaign out in the journal with the

@@ -12,7 +12,6 @@ import (
 	"roughsim"
 	"roughsim/internal/cluster"
 	"roughsim/internal/jobs"
-	"roughsim/internal/journal"
 	"roughsim/internal/resilience"
 	"roughsim/internal/sweepengine"
 	"roughsim/internal/telemetry"
@@ -86,8 +85,6 @@ func (s *Server) initCluster() {
 			TTL:       cc.LeaseTTL,
 			MaxLosses: cc.MaxTaskLosses,
 			Metrics:   s.metrics,
-			OnGrant:   s.leaseJournaler(journal.OpLeaseGranted),
-			OnExpire:  s.leaseJournaler(journal.OpLeaseExpired),
 		})
 		s.mux.HandleFunc("POST "+cluster.ClaimPath, s.handleClusterClaim)
 		s.mux.HandleFunc("POST "+cluster.RenewPath, s.handleClusterRenew)
@@ -96,24 +93,6 @@ func (s *Server) initCluster() {
 	}
 	if cc.SelfURL != "" && len(cc.Peers) > 1 {
 		s.ring = cluster.NewRing(cc.Peers)
-	}
-}
-
-// leaseJournaler adapts a lease lifecycle hook to one journal record —
-// the durable trace of which worker held which column when.
-func (s *Server) leaseJournaler(op journal.Op) func(taskID, worker string, payload any) {
-	return func(taskID, worker string, payload any) {
-		t, ok := payload.(cluster.Task)
-		if !ok {
-			return
-		}
-		if op == journal.OpLeaseExpired {
-			s.log.Warn("cluster: lease expired; column re-queued",
-				"job", t.JobID, "node", t.Node, "worker", worker)
-		}
-		s.journalJob(journal.Record{
-			Op: op, JobID: t.JobID, Key: taskID, Worker: worker,
-		}.WithAnchor(t.Node))
 	}
 }
 
@@ -241,7 +220,6 @@ func (s *Server) dispatchColumns(ctx context.Context, jobID string, cfg roughsim
 		}
 		tasks = append(tasks, cluster.Task{
 			ID:     cfg.CheckpointKey(node).String(),
-			JobID:  jobID,
 			Config: cfg,
 			Node:   node,
 		})
@@ -260,9 +238,9 @@ func (s *Server) dispatchColumns(ctx context.Context, jobID string, cfg roughsim
 
 // runColumnTasks offers tasks to the lease table and collects results
 // until all finish, the worker pool empties, or ctx ends. Completed
-// columns of colLen values persist through store (journal anchor record
-// included); failed-retryable and exhausted tasks, and columns of any
-// other length, are left to the local engine.
+// columns of colLen values persist through store; failed-retryable and
+// exhausted tasks, and columns of any other length, are left to the
+// local engine.
 func (s *Server) runColumnTasks(ctx context.Context, tasks []cluster.Task, colLen int, store sweepengine.Checkpoint) error {
 	pending := make(map[string]cluster.Task, len(tasks))
 	for _, t := range tasks {

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"roughsim"
 	"roughsim/internal/cluster"
+	"roughsim/internal/journal"
 	"roughsim/internal/telemetry"
 )
 
@@ -55,7 +57,9 @@ func startWorker(t *testing.T, ts *testServer, id string) {
 // of the compute plane: a coordinator with one live worker must receive
 // every column remotely (zero local node solves) and the result must be
 // byte-identical to a plain single-process server's, for a one-point
-// sweep and for a broadband one whose columns cover the anchors.
+// sweep and for a broadband one whose columns cover the anchors. The
+// coordinator's journal holds only the records replay reads: no lease
+// grant or column checkpoint is journaled.
 func TestClusterInProcessWorkerBitwise(t *testing.T) {
 	if testing.Short() {
 		t.Skip("solver run")
@@ -78,8 +82,9 @@ func TestClusterInProcessWorkerBitwise(t *testing.T) {
 			want := ref.submitAndWait(t, tc.cfg)
 			ref.shutdown(t)
 
+			journalPath := filepath.Join(t.TempDir(), "journal.wal")
 			ts := startServer(t, Config{
-				Workers: 2, QueueDepth: 8, CacheSize: 64,
+				Workers: 2, QueueDepth: 8, CacheSize: 64, JournalPath: journalPath,
 				Cluster: ClusterConfig{Role: RoleCoordinator, LeaseTTL: 5 * time.Second},
 			})
 			defer ts.shutdown(t)
@@ -104,6 +109,9 @@ func TestClusterInProcessWorkerBitwise(t *testing.T) {
 			}
 			if completes := ts.metrics.CounterL("lease.completes", telemetry.L("worker", "w-inproc")).Value(); completes != remote {
 				t.Fatalf("lease.completes{worker=w-inproc} = %d, want %d", completes, remote)
+			}
+			if recs := replayOpsOnly(t, journalPath); len(recs) == 0 || recs[0].Op != journal.OpSubmitted {
+				t.Fatalf("coordinator journal = %+v, want the sweep's submitted record first", recs)
 			}
 		})
 	}

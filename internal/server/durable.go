@@ -271,7 +271,7 @@ func (s *Server) replayPending(pending []journal.Pending) {
 		}
 		s.metrics.Counter(r.counter).Inc()
 		s.log.Info("journal replay: resumed", "op", p.Op, "id", p.JobID,
-			"attempts_spent", p.Attempts, "done_before_crash", p.AnchorsDone)
+			"attempts_spent", p.Attempts)
 	}
 }
 
@@ -332,9 +332,8 @@ func (s *Server) observeTerminal(j *jobs.Job) {
 // engine executes (the cache-missing subset), so checkpoint keys — and
 // column lengths — can only match an identical residual sweep.
 type ckptStore struct {
-	s     *Server
-	cfg   roughsim.SweepConfig
-	jobID string
+	s   *Server
+	cfg roughsim.SweepConfig
 }
 
 // checkpointStore builds the Checkpoint for one engine run and records
@@ -349,7 +348,7 @@ func (s *Server) checkpointStore(jobID string, cfg roughsim.SweepConfig) sweepen
 		s.ckptCfgs[jobID] = cfg
 		s.ckptMu.Unlock()
 	}
-	return &ckptStore{s: s, cfg: cfg, jobID: jobID}
+	return &ckptStore{s: s, cfg: cfg}
 }
 
 func (c *ckptStore) Load(node int) ([]float64, bool) {
@@ -371,7 +370,6 @@ func (c *ckptStore) Save(node int, col []float64) {
 	n := c.s.ckptSeq.Add(1)
 	c.s.chaos.Crash("sweep.checkpoint", n)
 	c.s.ckpts.Put(c.cfg.CheckpointKey(node), col)
-	c.s.journalJob(journal.Record{Op: journal.OpAnchorDone, JobID: c.jobID}.WithAnchor(node))
 }
 
 // purgeCheckpoints deletes every checkpoint column a finished job may

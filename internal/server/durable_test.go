@@ -331,7 +331,9 @@ func (b *lockedBuffer) String() string {
 // TestReplayResumesJobsBeforeCampaigns: a journal holding a pending
 // campaign ahead of a pending sweep replays the sweep first. A replayed
 // job that finds the queue full is closed as failed, while campaign
-// cells wait and retry, so jobs must reach the queue first.
+// cells wait and retry, so jobs must reach the queue first. The journal
+// also carries the anchor-done, lease-* and campaign-cell-done records
+// older daemons wrote; both still resume under their journaled IDs.
 func TestReplayResumesJobsBeforeCampaigns(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableConfig(dir, telemetry.NewRegistry())
@@ -350,7 +352,12 @@ func TestReplayResumesJobsBeforeCampaigns(t *testing.T) {
 	}
 	for _, r := range []journal.Record{
 		{Op: journal.OpCampaignSubmitted, JobID: campID, Key: campID, Config: mustJSON(t, camp)},
+		{Op: "campaign-cell-done", JobID: campID},
 		{Op: journal.OpSubmitted, JobID: "replayed-sweep", Key: sweep.Key().String(), Config: mustJSON(t, sweep)},
+		{Op: "lease-granted", JobID: "replayed-sweep", Key: "col-0"},
+		{Op: "lease-expired", JobID: "replayed-sweep", Key: "col-0"},
+		{Op: "anchor-done", JobID: "replayed-sweep"},
+		{Op: "anchor-done", JobID: campID},
 	} {
 		if err := jnl.Append(r); err != nil {
 			t.Fatal(err)
@@ -378,17 +385,45 @@ func TestReplayResumesJobsBeforeCampaigns(t *testing.T) {
 	}
 }
 
+// replayOpsOnly reads the journal at path and fails t for every record
+// replay does not read: the journal may hold only submission, started
+// and terminal records.
+func replayOpsOnly(t *testing.T, path string) []journal.Record {
+	t.Helper()
+	recs, err := journal.ReadAll(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		switch r.Op {
+		case journal.OpSubmitted, journal.OpSparamsSubmitted, journal.OpCampaignSubmitted,
+			journal.OpStarted, journal.OpCompleted, journal.OpFailed, journal.OpCanceled:
+		default:
+			t.Errorf("journal holds op %q for %s, which replay never reads", r.Op, r.JobID)
+		}
+	}
+	return recs
+}
+
 // TestJournalRecordsOnlyDurableJobs: campaign cells and surrogate builds
 // are queue jobs the journal never sees submitted, so no record may
 // name them — every record belongs to a campaign or to a job submitted
-// under submitted or sparams-submitted.
+// under submitted or sparams-submitted. And a durable sweep that saves
+// checkpoints and a campaign whose cell finishes journal only the
+// records replay reads.
 func TestJournalRecordsOnlyDurableJobs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("solver run")
 	}
 	dir := t.TempDir()
-	cfg := durableConfig(dir, telemetry.NewRegistry())
+	m := telemetry.NewRegistry()
+	cfg := durableConfig(dir, m)
 	ts := startServer(t, cfg)
+
+	ts.submitAndWait(t, tinyConfig(6e9))
+	if saves := m.Counter("sweep.checkpoint_saves").Value(); saves == 0 {
+		t.Fatal("durable sweep saved no checkpoints")
+	}
 
 	sweep := tinyConfig()
 	camp := roughsim.CampaignConfig{Acc: sweep.Acc, Cells: []roughsim.SurfaceSpec{sweep.Spec}, Freqs: []float64{5e9}}
@@ -417,10 +452,7 @@ func TestJournalRecordsOnlyDurableJobs(t *testing.T) {
 	ts.waitResult(t, build.Job.ID)
 	ts.shutdown(t)
 
-	recs, err := journal.ReadAll(cfg.JournalPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := replayOpsOnly(t, cfg.JournalPath)
 	owners := map[string]bool{agg.ID: true}
 	for _, r := range recs {
 		if r.Op == journal.OpSubmitted || r.Op == journal.OpSparamsSubmitted {
