@@ -139,13 +139,8 @@ func (c *Client) postJSON(ctx context.Context, path string, v any) (int, []byte,
 		}
 		lastErr = err
 		if attempt < c.attempts {
-			d := c.backoff.Delay(attempt, c.key)
-			t := time.NewTimer(d)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return 0, nil, ctx.Err()
-			case <-t.C:
+			if err := resilience.Sleep(ctx, c.backoff.Delay(attempt, c.key)); err != nil {
+				return 0, nil, err
 			}
 		}
 	}

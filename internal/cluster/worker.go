@@ -103,11 +103,11 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 			w.cfg.Metrics.Counter("worker.claim_errors").Inc()
 			w.cfg.Log.Warn("cluster.worker: claim failed", "worker", w.cfg.ID, "error", err)
-			w.sleep(ctx, w.cfg.Poll)
+			_ = resilience.Sleep(ctx, w.cfg.Poll) // the loop condition sees ctx end
 			continue
 		}
 		if task == nil {
-			w.sleep(ctx, w.cfg.Poll)
+			_ = resilience.Sleep(ctx, w.cfg.Poll)
 			continue
 		}
 		w.cfg.Metrics.Counter("worker.claims").Inc()
@@ -213,14 +213,5 @@ func (w *Worker) process(ctx context.Context, task Task, token string, ttl time.
 		w.cfg.Metrics.Counter("worker.complete_errors").Inc()
 		w.cfg.Log.Warn("cluster.worker: complete failed",
 			"worker", w.cfg.ID, "task", task.ID, "error", err)
-	}
-}
-
-func (w *Worker) sleep(ctx context.Context, d time.Duration) {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-	case <-t.C:
 	}
 }

@@ -64,18 +64,16 @@ type Job struct {
 	trace    *trace.Trace // per-job trace (nil when the queue has no tracer)
 	waitSpan *trace.Span  // queue.wait span, Submit → worker pickup
 
-	mu           sync.Mutex
-	status       Status
-	result       any
-	err          error
-	submitted    time.Time
-	started      time.Time
-	finished     time.Time
-	queueWait    time.Duration
-	attempt      int           // attempts started so far (lease accounting)
-	waitingRetry bool          // parked on a backoff timer, not in the channel
-	retryTimer   *time.Timer   // the parked timer (drain stops it)
-	changed      chan struct{} // closed and replaced on every observable change
+	mu        sync.Mutex
+	status    Status
+	result    any
+	err       error
+	submitted time.Time
+	started   time.Time
+	finished  time.Time
+	queueWait time.Duration
+	attempt   int           // attempts started so far (lease accounting)
+	changed   chan struct{} // closed and replaced on every observable change
 
 	progDone, progTotal atomic.Int64
 }
@@ -175,9 +173,13 @@ type Queue struct {
 	cancel  context.CancelFunc
 	wg      sync.WaitGroup
 
+	// draining ends when Drain begins: from then on Submit refuses work
+	// and a job waiting out a retry backoff is abandoned.
+	draining   context.Context
+	beginDrain context.CancelFunc
+
 	mu       sync.Mutex
 	jobs     map[string]*Job
-	closed   bool
 	observer func(*Job)
 
 	depth                                  *telemetry.Gauge
@@ -197,11 +199,14 @@ func NewQueue(workers, capacity int, jobTimeout time.Duration, m *telemetry.Regi
 		return nil, fmt.Errorf("jobs: need workers > 0 and capacity > 0 (got %d, %d)", workers, capacity)
 	}
 	base, cancel := context.WithCancel(context.Background())
+	draining, beginDrain := context.WithCancel(context.Background())
 	q := &Queue{
 		ch:         make(chan *Job, capacity),
 		timeout:    jobTimeout,
 		base:       base,
 		cancel:     cancel,
+		draining:   draining,
+		beginDrain: beginDrain,
 		jobs:       map[string]*Job{},
 		depth:      m.Gauge("queue.depth"),
 		running:    m.Gauge("queue.running"),
@@ -255,11 +260,7 @@ func (q *Queue) Cap() int { return cap(q.ch) }
 // Draining reports whether Drain has begun — terminal states reached
 // after this point may be shutdown artifacts rather than real
 // outcomes, which the journal must not record as terminal.
-func (q *Queue) Draining() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.closed
-}
+func (q *Queue) Draining() bool { return q.draining.Err() != nil }
 
 // NewID returns a fresh random job ID in the queue's format. The
 // service tier pre-allocates IDs so a job can be journaled durably
@@ -297,9 +298,10 @@ type SubmitOptions struct {
 	Attempt int
 	// MaxAttempts bounds total attempts (default 1: no retry). A job
 	// failing with a retryable kind (resilience.Retryable) below the
-	// bound is re-enqueued after the Backoff delay; permanent failures
-	// (invalid input, singular systems, cancellation) terminalize
-	// immediately regardless of remaining budget.
+	// bound runs again, in the same worker, after the Backoff delay;
+	// permanent failures (invalid input, singular systems,
+	// cancellation) terminalize immediately regardless of remaining
+	// budget.
 	MaxAttempts int
 	// Backoff schedules the delay between attempts (zero: immediate).
 	Backoff resilience.Backoff
@@ -334,7 +336,7 @@ func (q *Queue) SubmitOpts(run Runner, opt SubmitOptions) (*Job, error) {
 	j.ctx, j.cancel = context.WithCancel(q.base)
 
 	q.mu.Lock()
-	if q.closed {
+	if q.Draining() {
 		q.mu.Unlock()
 		j.cancel()
 		q.rejected.Inc()
@@ -377,28 +379,16 @@ func (q *Queue) Get(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Cancel cancels a queued or running job: the job's context expires,
-// which a running Runner observes directly and the worker translates
-// into StatusCanceled when it reaches (or finishes) the job.
+// Cancel cancels a queued, running or retry-waiting job: the job's
+// context expires, which a running Runner observes directly and the
+// worker translates into StatusCanceled when it reaches (or finishes)
+// the job or its backoff wait.
 func (q *Queue) Cancel(id string) bool {
 	j, ok := q.Get(id)
-	if !ok {
-		return false
+	if ok {
+		j.cancel()
 	}
-	j.cancel()
-	// A job parked on a backoff timer has no worker watching its context;
-	// stop the timer and terminalize it here instead of letting the
-	// cancellation wait out the backoff.
-	j.mu.Lock()
-	if j.waitingRetry && j.retryTimer != nil && j.retryTimer.Stop() {
-		j.waitingRetry = false
-		j.retryTimer = nil
-		j.mu.Unlock()
-		q.finalize(j, StatusCanceled, nil)
-		return true
-	}
-	j.mu.Unlock()
-	return true
+	return ok
 }
 
 func (q *Queue) worker() {
@@ -426,12 +416,71 @@ func MetaFrom(ctx context.Context) (Meta, bool) {
 	return m, ok
 }
 
+// runJob runs j's attempts. A transient failure with attempt budget
+// left waits out its backoff here, in the worker, and runs again, so
+// every terminal transition happens below.
 func (q *Queue) runJob(j *Job) {
+	var (
+		v         any
+		err       error
+		status    Status
+		attempt   int
+		retryable bool
+	)
+	for {
+		attempt, v, err = q.runAttempt(j)
+		status, retryable = outcome(err)
+		if !retryable || attempt >= j.maxAttempts {
+			break
+		}
+		j.mu.Lock()
+		j.err = err
+		j.status = StatusQueued
+		j.notifyLocked()
+		j.mu.Unlock()
+		q.retried.Inc()
+		if q.waitRetry(j, attempt) != nil {
+			if j.ctx.Err() != nil {
+				status = StatusCanceled
+				break
+			}
+			// Drain began: abandon the job without a terminal
+			// transition. No terminal journal record is written, so a
+			// restart replays it; jobs.dropped_at_shutdown counts it.
+			q.dropped.Inc()
+			return
+		}
+	}
+
+	switch status {
+	case StatusSucceeded:
+		q.completed.Inc()
+	case StatusCanceled:
+		q.canceled.Inc()
+	default:
+		q.failed.Inc()
+	}
+	j.finishTrace(status)
+	j.mu.Lock()
+	j.finished = time.Now()
+	j.result, j.err = v, err
+	j.status = status
+	elapsed := j.finished.Sub(j.started)
+	close(j.done)
+	j.notifyLocked()
+	j.mu.Unlock()
+	q.jobSeconds.Observe(elapsed.Seconds())
+	q.notifyObserver(j)
+}
+
+// runAttempt runs one attempt of j under the per-attempt timeout and
+// returns its 1-based attempt number with the runner's outcome.
+func (q *Queue) runAttempt(j *Job) (attempt int, v any, err error) {
 	j.mu.Lock()
 	j.status = StatusRunning
 	j.started = time.Now()
 	j.attempt++
-	attempt := j.attempt
+	attempt = j.attempt
 	firstPickup := j.queueWait == 0
 	if firstPickup {
 		j.queueWait = j.started.Sub(j.submitted)
@@ -465,142 +514,37 @@ func (q *Queue) runJob(j *Job) {
 		j.notifyLocked()
 		j.mu.Unlock()
 	}
-	v, err := runRecovered(runCtx, j.run, progress)
+	v, err = runRecovered(runCtx, j.run, progress)
 	runSpan.End()
+	return attempt, v, err
+}
 
+// outcome maps an attempt's error to the status it would end the job
+// with, and reports whether another attempt could change it.
+func outcome(err error) (status Status, retryable bool) {
+	if err == nil {
+		return StatusSucceeded, false
+	}
 	kind := resilience.Classify(err)
-	canceled := err != nil && (errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded) || kind == resilience.KindCanceled)
-
-	if err != nil && !canceled && resilience.Retryable(kind) && attempt < j.maxAttempts {
-		// Transient failure with attempt budget left: park the job on a
-		// backoff timer instead of terminalizing. q.mu (taken first, never
-		// inside j.mu) makes the park atomic with respect to Drain, so a
-		// parked timer is either stopped by Drain's sweep or fires into a
-		// requeue that sees the closed queue.
-		q.mu.Lock()
-		if !q.closed {
-			j.mu.Lock()
-			j.err = err
-			j.status = StatusQueued
-			j.waitingRetry = true
-			j.retryTimer = time.AfterFunc(j.backoff.Delay(attempt, j.idHash),
-				func() { q.requeue(j) })
-			j.notifyLocked()
-			j.mu.Unlock()
-			q.mu.Unlock()
-			q.retried.Inc()
-			return
-		}
-		q.mu.Unlock()
-		// Draining: abandon the retry without a terminal transition. No
-		// terminal journal record is written, so a restart replays the
-		// job; jobs.dropped_at_shutdown accounts for the abandoned work.
-		j.mu.Lock()
-		j.err = err
-		j.status = StatusQueued
-		j.notifyLocked()
-		j.mu.Unlock()
-		q.dropped.Inc()
-		return
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
+		kind == resilience.KindCanceled {
+		return StatusCanceled, false
 	}
-
-	status := StatusFailed
-	switch {
-	case err == nil:
-		status = StatusSucceeded
-		q.completed.Inc()
-	case canceled:
-		status = StatusCanceled
-		q.canceled.Inc()
-	default:
-		q.failed.Inc()
-	}
-	j.finishTrace(status)
-	j.mu.Lock()
-	j.finished = time.Now()
-	j.result, j.err = v, err
-	j.status = status
-	elapsed := j.finished.Sub(j.started)
-	close(j.done)
-	j.notifyLocked()
-	j.mu.Unlock()
-	q.jobSeconds.Observe(elapsed.Seconds())
-	q.notifyObserver(j)
+	return StatusFailed, resilience.Retryable(kind)
 }
 
-// requeue returns a backoff-parked job to the FIFO when its retry timer
-// fires.
-func (q *Queue) requeue(j *Job) {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		// Queue drained while the job was parked: abandon it non-terminal
-		// (see the drain comment in runJob).
-		j.mu.Lock()
-		stillParked := j.waitingRetry
-		j.waitingRetry = false
-		j.notifyLocked()
-		j.mu.Unlock()
-		if stillParked {
-			q.dropped.Inc()
-		}
-		return
-	}
-	select {
-	case q.ch <- j:
-		q.mu.Unlock()
-		j.mu.Lock()
-		j.waitingRetry = false
-		j.retryTimer = nil
-		j.notifyLocked()
-		j.mu.Unlock()
-		q.depth.Set(float64(len(q.ch)))
-	default:
-		// No capacity left for the retry: fail the job with the error the
-		// park preserved rather than wait unboundedly for a slot.
-		q.mu.Unlock()
-		j.mu.Lock()
-		j.waitingRetry = false
-		j.retryTimer = nil
-		j.mu.Unlock()
-		q.finalize(j, StatusFailed, nil)
-	}
+// waitRetry waits out j's backoff after its attempt-th failure. It
+// returns nil when the backoff elapses, and an error when the job's
+// context ends (Cancel, the drain deadline) or Drain begins first.
+func (q *Queue) waitRetry(j *Job, attempt int) error {
+	ctx, cancel := context.WithCancel(j.ctx)
+	defer cancel()
+	defer context.AfterFunc(q.draining, cancel)()
+	return resilience.Sleep(ctx, j.backoff.Delay(attempt, j.idHash))
 }
 
-// finalize moves a non-running job to a terminal status from outside a
-// worker (retry-requeue overflow, cancel-while-parked). err == nil
-// keeps the job's last recorded error. The caller owns the job's one
-// terminal transition (Cancel after stopping its retry timer, requeue
-// after the timer fired), so the trace ends before the lock is taken.
-func (q *Queue) finalize(j *Job, status Status, err error) {
-	j.finishTrace(status)
-	j.mu.Lock()
-	if j.status.Terminal() {
-		j.mu.Unlock()
-		return
-	}
-	j.finished = time.Now()
-	if err != nil {
-		j.err = err
-	}
-	j.status = status
-	switch status {
-	case StatusSucceeded:
-		q.completed.Inc()
-	case StatusCanceled:
-		q.canceled.Inc()
-	default:
-		q.failed.Inc()
-	}
-	close(j.done)
-	j.notifyLocked()
-	j.mu.Unlock()
-	q.notifyObserver(j)
-}
-
-// finishTrace ends the job's root span with its terminal status. Both
-// terminal transitions call it before the job turns terminal, so no
+// finishTrace ends the job's root span with its terminal status. The
+// terminal transition calls it before the job turns terminal, so no
 // observer sees a terminal job whose trace is still open, and the
 // trace's sink never runs under j.mu.
 func (j *Job) finishTrace(status Status) {
@@ -635,25 +579,21 @@ func runRecovered(ctx context.Context, run Runner, progress func(int, int)) (v a
 
 // Drain gracefully shuts the queue down: new submissions are rejected,
 // queued and running jobs are given until ctx expires to finish, then
-// every remaining job is cancelled and the workers are joined. Jobs
-// parked on retry-backoff timers are abandoned without a terminal
-// transition — no terminal journal record is written for them, so a
-// restart against the same journal replays them; the abandoned count is
+// every remaining job is cancelled and the workers are joined. A job
+// waiting out a retry backoff is abandoned without a terminal
+// transition — no terminal journal record is written for it, so a
+// restart against the same journal replays it; the abandoned count is
 // exposed as jobs.dropped_at_shutdown. Drain returns nil when all
 // accepted work finished (or was so abandoned) before the deadline.
 func (q *Queue) Drain(ctx context.Context) error {
 	q.mu.Lock()
-	if q.closed {
+	if q.Draining() {
 		q.mu.Unlock()
 		return nil
 	}
-	q.closed = true
+	q.beginDrain()
 	close(q.ch)
 	q.mu.Unlock()
-	// First sweep now, so hour-long backoff timers cannot hold the drain
-	// hostage; second sweep after the workers join, catching jobs parked
-	// while the drain was in progress.
-	q.dropRetryWaiters()
 
 	done := make(chan struct{})
 	go func() {
@@ -662,36 +602,12 @@ func (q *Queue) Drain(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-		q.dropRetryWaiters()
 		return nil
 	case <-ctx.Done():
 		// Deadline: cancel everything still in flight and wait for the
 		// workers to notice.
 		q.cancel()
 		<-done
-		q.dropRetryWaiters()
 		return ctx.Err()
-	}
-}
-
-// dropRetryWaiters stops every pending retry timer and counts the
-// parked jobs as dropped. A timer that already fired is counted by
-// requeue's closed-queue path instead, never by both (waitingRetry is
-// cleared under the job lock by whichever side wins).
-func (q *Queue) dropRetryWaiters() {
-	q.mu.Lock()
-	parked := make([]*Job, 0, len(q.jobs))
-	for _, j := range q.jobs {
-		parked = append(parked, j)
-	}
-	q.mu.Unlock()
-	for _, j := range parked {
-		j.mu.Lock()
-		if j.waitingRetry && j.retryTimer != nil && j.retryTimer.Stop() {
-			j.waitingRetry = false
-			j.retryTimer = nil
-			q.dropped.Inc()
-		}
-		j.mu.Unlock()
 	}
 }

@@ -591,6 +591,60 @@ func TestRetryHonorsBackoff(t *testing.T) {
 	}
 }
 
+// A retry needs no free queue slot: the job waits out its backoff in
+// its worker, so a FIFO filled up meanwhile cannot fail it.
+func TestRetryNeedsNoFreeQueueSlot(t *testing.T) {
+	q, err := NewQueue(1, 2, 0, telemetry.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Drain(context.Background())
+	release := make(chan struct{})
+	defer close(release) // LIFO: runs before Drain, unblocking the fillers
+
+	const backoff = 40 * time.Millisecond
+	var calls atomic.Int64
+	j, err := q.SubmitOpts(func(context.Context, func(int, int)) (any, error) {
+		if calls.Add(1) == 1 {
+			return nil, transientErr()
+		}
+		return "ok", nil
+	}, SubmitOptions{MaxAttempts: 2, Backoff: resilience.Backoff{Base: backoff}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		if info := j.Snapshot(); info.Status == StatusQueued && info.Attempt == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("job never waited for retry")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Keep the FIFO full through the first half of the backoff; the
+	// fillers the full queue rejects are expected.
+	filler := func(ctx context.Context, _ func(int, int)) (any, error) {
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
+		return nil, nil
+	}
+	for end := time.Now().Add(backoff / 2); time.Now().Before(end); time.Sleep(time.Millisecond) {
+		if _, err := q.Submit(filler); err != nil && !errors.Is(err, ErrQueueFull) {
+			t.Fatal(err)
+		}
+	}
+	await(t, j)
+	if v, err := j.Result(); err != nil || v != "ok" {
+		t.Fatalf("result = %v, %v; the retry must not need a queue slot", v, err)
+	}
+	if info := j.Snapshot(); info.Status != StatusSucceeded || info.Attempt != 2 {
+		t.Fatalf("status %s after %d attempts, want succeeded after 2", info.Status, info.Attempt)
+	}
+}
+
 // Draining while a job waits out its backoff abandons the job without a
 // terminal transition and counts it in jobs.dropped_at_shutdown.
 func TestDrainDropsRetryWaiters(t *testing.T) {

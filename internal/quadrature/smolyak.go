@@ -45,9 +45,6 @@ type Growth func(level int) int
 // every level.
 func LinearGrowth(l int) int { return 2*l - 1 }
 
-// SlowGrowth is n_l = l (1, 2, 3, …), the most frugal choice.
-func SlowGrowth(l int) int { return l }
-
 // TensorGrid builds the full tensor product of the n-point 1-D rule in
 // d dimensions: n^d points. Only sensible for very small d; it is the
 // brute-force reference the sparse grid is tested against.

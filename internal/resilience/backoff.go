@@ -1,12 +1,13 @@
 package resilience
 
 import (
+	"context"
 	"math"
 	"time"
 )
 
 // Backoff is a deterministic exponential-backoff-with-jitter schedule
-// for retrying transient failures (queue re-enqueues, cluster client
+// for retrying transient failures (queue job attempts, cluster client
 // requests). The zero value disables waiting entirely, so existing call
 // sites keep their immediate-retry behavior.
 type Backoff struct {
@@ -47,6 +48,21 @@ func (b Backoff) Delay(attempt int, key uint64) time.Duration {
 		}
 	}
 	return time.Duration(d)
+}
+
+// Sleep waits d, or until ctx ends if that comes first, in which case
+// it returns ctx.Err(). It serves every backoff and poll wait: its one
+// timer is stopped on return, so a wait cut short leaves nothing
+// behind.
+func Sleep(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // Retryable reports whether a failure of kind k can plausibly succeed

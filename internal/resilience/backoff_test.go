@@ -1,6 +1,9 @@
 package resilience
 
 import (
+	"context"
+	"errors"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -51,6 +54,53 @@ func pow2(n int) float64 {
 		f *= 2
 	}
 	return f
+}
+
+// Sleep waits out d when ctx outlives it, and returns ctx's error as
+// soon as ctx ends first.
+func TestSleepElapsesOrEndsWithContext(t *testing.T) {
+	start := time.Now()
+	if err := Sleep(context.Background(), 20*time.Millisecond); err != nil {
+		t.Fatalf("uninterrupted sleep: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
+		t.Fatalf("sleep returned after %v, want ≥ 20ms", elapsed)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(10*time.Millisecond, cancel)
+	start = time.Now()
+	if err := Sleep(ctx, time.Hour); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled sleep returned %v, want context.Canceled", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("cancel took %v to end the sleep", elapsed)
+	}
+}
+
+// A wait cut short must stop its timer. An hour-long timer left running
+// per canceled wait stays live, memory and all, until it fires, so a
+// long retry or backpressure episode would pile them up. (That holds
+// under the timer semantics of go.mod's go 1.22 line; from go 1.23 the
+// collector reclaims unreferenced timers and this test cannot fail.)
+func TestSleepLeavesNoTimerBehind(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	const waits = 10000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range waits {
+		if Sleep(ctx, time.Hour) == nil {
+			t.Fatal("sleep outlived its canceled context")
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	// A live timer holds a few hundred bytes, so 10000 of them hold
+	// megabytes; stopped ones hold nothing.
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > waits*64 {
+		t.Fatalf("heap grew %d bytes across %d canceled sleeps; timers are not stopped", grown, waits)
+	}
 }
 
 func TestPermanentComplementOfRetryable(t *testing.T) {

@@ -64,32 +64,14 @@ func (r cellRunner) Run(ctx context.Context, cfg roughsim.SweepConfig, started f
 // submitWithRetry calls submit until it lands. A full queue is
 // backpressure, not failure — campaigns are batch work — so the cell
 // parks for the every interval and tries again, until ctx ends. A
-// cancel during a park is a KindCanceled error. One timer serves
-// every park: a fresh time.After per iteration cannot be stopped, so a
-// long backpressure episode would pile up unreclaimed timers until each
-// fires on its own schedule.
+// cancel during a park is a KindCanceled error.
 func submitWithRetry(ctx context.Context, every time.Duration, submit func() (*jobs.Job, error)) (*jobs.Job, error) {
-	var timer *time.Timer
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
 	for {
 		job, err := submit()
 		if !errors.Is(err, jobs.ErrQueueFull) {
 			return job, err
 		}
-		if timer == nil {
-			timer = time.NewTimer(every)
-		} else {
-			// Reset is safe here: the previous park drained the channel
-			// (the <-timer.C branch is the only way back to this point).
-			timer.Reset(every)
-		}
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
+		if resilience.Sleep(ctx, every) != nil {
 			return nil, resilience.Errorf(resilience.KindCanceled, "campaign", "campaign canceled")
 		}
 	}

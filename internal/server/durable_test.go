@@ -252,6 +252,58 @@ func TestJournalReplayAcrossRestart(t *testing.T) {
 	ts3.shutdown(t)
 }
 
+// TestDrainedRetryWaiterReplays: a job waiting out its retry backoff
+// when the server drains is abandoned without a terminal record, so the
+// next boot replays it under its original ID.
+func TestDrainedRetryWaiterReplays(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solver run")
+	}
+	dir := t.TempDir()
+
+	m1 := telemetry.NewRegistry()
+	cfg1 := durableConfig(dir, m1)
+	cfg1.MaxAttempts = 2
+	cfg1.RetryBase = time.Hour
+	ts1 := startServer(t, cfg1)
+	sweep := tinyConfig(5e9).WithDefaults()
+	job, err := ts1.srv.submitDurable(journal.OpSubmitted, sweep.Key(), sweep,
+		func(context.Context, func(int, int)) (any, error) {
+			return nil, resilience.Errorf(resilience.KindConvergence, "test.solve", "transient")
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		if info := job.Snapshot(); info.Status == jobs.StatusQueued && info.Attempt == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("job never waited for retry")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ts1.shutdown(t) // the hour-long backoff must not hold the drain
+	if got := m1.Counter("jobs.dropped_at_shutdown").Value(); got != 1 {
+		t.Fatalf("dropped_at_shutdown = %d, want 1", got)
+	}
+
+	m2 := telemetry.NewRegistry()
+	ts2 := startServer(t, durableConfig(dir, m2))
+	if got := m2.Counter("journal.jobs_replayed").Value(); got != 1 {
+		t.Fatalf("jobs_replayed = %d, want 1", got)
+	}
+	res := ts2.waitResult(t, job.ID)
+	var sr roughsim.SweepResult
+	if err := json.Unmarshal(res, &sr); err != nil {
+		t.Fatal(err)
+	}
+	if len(sr.Points) != 1 || !(sr.Points[0].KSWM > 0) {
+		t.Fatalf("replayed result malformed: %s", res)
+	}
+	ts2.shutdown(t)
+}
+
 // TestReplayUndecodableConfigs: a journaled submission whose config no
 // longer decodes must not wedge boot. Replay closes it with its
 // terminal record, classified invalid input, so the next boot replays

@@ -183,7 +183,7 @@ func (s *Server) runSParams(cfg roughsim.SParamConfig, key rescache.Key) jobs.Ru
 // microseconds; otherwise the exact sweep chain runs with all its
 // machinery (result cache, checkpoints, cluster dispatch) behind it.
 func (s *Server) kResolver(cfg roughsim.SParamConfig, onProgress func(done int)) sparams.Resolver {
-	return sparams.ResolverFunc(func(ctx context.Context, freqs []float64) (sparams.Resolution, error) {
+	return func(ctx context.Context, freqs []float64) (sparams.Resolution, error) {
 		if res, ok := s.surrogateResolve(cfg, freqs); ok {
 			s.metrics.CounterL("sparams.k_path", telemetry.L("path", "surrogate")).Inc()
 			onProgress(len(freqs))
@@ -200,7 +200,7 @@ func (s *Server) kResolver(cfg roughsim.SParamConfig, onProgress func(done int))
 			ks[i] = p.KSWM
 		}
 		return sparams.Resolution{K: ks, Source: "exact"}, nil
-	})
+	}
 }
 
 // surrogateResolve scans the registry for an admitted model fitted for

@@ -97,7 +97,7 @@ func TestGenerateCanceledDuringCorrect(t *testing.T) {
 	req.Freqs = linearGrid(100000, 1e9, 9e9)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	res := ResolverFunc(func(_ context.Context, freqs []float64) (Resolution, error) {
+	res := Resolver(func(_ context.Context, freqs []float64) (Resolution, error) {
 		time.AfterFunc(50*time.Millisecond, cancel)
 		return Resolution{K: risingK(freqs), Source: "exact"}, nil
 	})

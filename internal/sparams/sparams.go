@@ -133,17 +133,7 @@ type Resolution struct {
 // Resolver produces K(f) on a frequency grid. The server implementation
 // tries the surrogate registry first and falls back to the exact sweep
 // chain; the library implementation runs the exact chain directly.
-type Resolver interface {
-	ResolveK(ctx context.Context, freqs []float64) (Resolution, error)
-}
-
-// ResolverFunc adapts a function to Resolver.
-type ResolverFunc func(ctx context.Context, freqs []float64) (Resolution, error)
-
-// ResolveK calls f.
-func (f ResolverFunc) ResolveK(ctx context.Context, freqs []float64) (Resolution, error) {
-	return f(ctx, freqs)
-}
+type Resolver func(ctx context.Context, freqs []float64) (Resolution, error)
 
 // Artifact is the validated outcome: the Touchstone text plus the
 // provenance and gate report a consumer needs to trust it. It is what
@@ -186,7 +176,7 @@ func Generate(ctx context.Context, req Request, res Resolver, m *telemetry.Regis
 
 	// Phase 1: resolve K(f) on the request grid.
 	rctx, span := trace.StartSpan(ctx, "sparams.resolve")
-	kres, err := res.ResolveK(rctx, req.Freqs)
+	kres, err := res(rctx, req.Freqs)
 	span.End()
 	if err != nil {
 		return nil, fmt.Errorf("sparams: resolve K: %w", err)

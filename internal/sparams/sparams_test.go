@@ -42,9 +42,9 @@ func risingK(freqs []float64) []float64 {
 }
 
 func fakeResolver(source string, maxRelErr float64) Resolver {
-	return ResolverFunc(func(_ context.Context, freqs []float64) (Resolution, error) {
+	return func(_ context.Context, freqs []float64) (Resolution, error) {
 		return Resolution{K: risingK(freqs), Source: source, MaxRelErr: maxRelErr}, nil
-	})
+	}
 }
 
 func testRequest() Request {
@@ -118,7 +118,7 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestGenerateResolverErrors(t *testing.T) {
 	req := testRequest()
 	// Length mismatch is a numerical-contract violation.
-	short := ResolverFunc(func(_ context.Context, freqs []float64) (Resolution, error) {
+	short := Resolver(func(_ context.Context, freqs []float64) (Resolution, error) {
 		return Resolution{K: []float64{1.1, 1.2}, Source: "exact"}, nil
 	})
 	_, err := Generate(context.Background(), req, short, nil)
@@ -126,7 +126,7 @@ func TestGenerateResolverErrors(t *testing.T) {
 		t.Fatalf("length mismatch: got %v", err)
 	}
 	// A NaN in the resolved profile must fail in the correction phase.
-	poisoned := ResolverFunc(func(_ context.Context, freqs []float64) (Resolution, error) {
+	poisoned := Resolver(func(_ context.Context, freqs []float64) (Resolution, error) {
 		ks := risingK(freqs)
 		ks[3] = math.NaN()
 		return Resolution{K: ks, Source: "exact"}, nil

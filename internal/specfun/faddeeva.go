@@ -100,9 +100,6 @@ func Erfc(z complex128) complex128 {
 	return cmplx.Exp(-z*z) * Faddeeva(iz)
 }
 
-// Erf returns erf(z) = 1 − erfc(z) for complex z.
-func Erf(z complex128) complex128 { return 1 - Erfc(z) }
-
 // ExpMulErfc returns exp(c)·erfc(z) evaluated as exp(c−z²)·w(iz), which
 // stays finite whenever the combined exponent is moderate even if exp(c)
 // or erfc(z) alone would overflow/underflow. This is exactly the

@@ -1,7 +1,5 @@
 package specfun
 
-import "math"
-
 // HermiteProb returns the probabilists' Hermite polynomial Heₙ(x),
 // orthogonal under the standard normal weight exp(−x²/2)/√(2π) with
 // ⟨Heₙ, Heₘ⟩ = n!·δₙₘ. These are the basis of the Homogeneous (Wiener)
@@ -62,10 +60,4 @@ func Binomial(n, k int) float64 {
 		c = c * float64(n-i) / float64(i+1)
 	}
 	return c
-}
-
-// LogFactorial returns ln(n!) via math.Lgamma, valid for all n ≥ 0.
-func LogFactorial(n int) float64 {
-	v, _ := math.Lgamma(float64(n) + 1)
-	return v
 }

@@ -59,8 +59,10 @@ go test -run '^$' -fuzz FuzzStoreCodecs -fuzztime 5s ./internal/server/
 # fields per sample.
 go test -run '^$' -fuzz FuzzWriteTouchstone -fuzztime 5s ./internal/txline/
 # The journal and retry machinery also get a full (non-short) race pass:
-# WAL replay and backoff-requeue races only show up off the fast paths.
+# WAL replay and retry-wait races only show up off the fast paths.
 go test -race -count=1 ./internal/journal/... ./internal/jobs/... ./internal/cluster/...
-# A job's root span must end before its done channel closes; the race
-# detector's scheduling makes an early close show within a few dozen runs.
-go test -race -count=50 -run TestJobTraceSpans ./internal/jobs/
+# A job's transitions (attempt, retry wait, cancel, drain abandonment,
+# terminal observer) and its root span, which must end before its done
+# channel closes: the race detector's scheduling makes a bad ordering
+# show within a few dozen runs.
+go test -race -count=50 -run 'Retry|Drain|Cancel|Observer|TraceSpans' ./internal/jobs/

@@ -170,11 +170,11 @@ func (c SParamConfig) Key() rescache.Key {
 }
 
 // Resolver returns the surrogate as a K(f) resolver for S-parameter
-// generation: closed-form evaluation, no solver in the loop. ResolveK
+// generation: closed-form evaluation, no solver in the loop. It
 // fails with a typed error if any requested frequency falls outside the
 // fitted band.
 func (s *Surrogate) Resolver() sparams.Resolver {
-	return sparams.ResolverFunc(func(_ context.Context, freqs []float64) (sparams.Resolution, error) {
+	return func(_ context.Context, freqs []float64) (sparams.Resolution, error) {
 		ks := make([]float64, len(freqs))
 		for i, f := range freqs {
 			k, err := s.MeanAt(f)
@@ -184,13 +184,13 @@ func (s *Surrogate) Resolver() sparams.Resolver {
 			ks[i] = k
 		}
 		return sparams.Resolution{K: ks, Source: "surrogate", MaxRelErr: s.MaxRelErr()}, nil
-	})
+	}
 }
 
 // exactResolver resolves K(f) through the full sweep chain (the
 // library path; roughsimd substitutes its cached, checkpointed chain).
 func exactResolver(cfg SParamConfig) sparams.Resolver {
-	return sparams.ResolverFunc(func(ctx context.Context, freqs []float64) (sparams.Resolution, error) {
+	return func(ctx context.Context, freqs []float64) (sparams.Resolution, error) {
 		res, err := RunSweep(ctx, SweepConfig{Stack: cfg.Stack, Spec: cfg.Spec, Acc: cfg.Acc, Freqs: freqs})
 		if err != nil {
 			return sparams.Resolution{}, err
@@ -200,7 +200,7 @@ func exactResolver(cfg SParamConfig) sparams.Resolver {
 			ks[i] = p.KSWM
 		}
 		return sparams.Resolution{K: ks, Source: "exact"}, nil
-	})
+	}
 }
 
 // GenerateSParams produces the validated Touchstone artifact for cfg,
