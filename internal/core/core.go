@@ -10,12 +10,16 @@
 // verified against the numerical flat solve in the tests.
 //
 // Rough solves run through one sequence (LossFactorsCtx: flat reference,
-// operator build, preconditioned resilient solve, optional in-place
+// system build, preconditioned resilient solve, optional in-place
 // mirror and second solve) and the two-stage chain of
 // mom.SolveResilient (GMRES on the system's operator — fft-gmres when
 // the surface is admitted — then dense LU), with per-stage accounting
 // aggregated on the Solver; every entry point takes a context for
-// cancellation and timeouts.
+// cancellation and timeouts. A surface that a nontrivial subgroup of
+// lattice shifts leaves invariant — the flat reference, and every
+// first-order SSCM node, which is one KL mode — is built on the
+// quotient lattice (mom.Quotient): one kernel row per orbit, folded into
+// a system of two unknowns per orbit.
 package core
 
 import (
@@ -240,6 +244,9 @@ func (s *Solver) solve(ctx context.Context, sys *mom.System) (*mom.Solution, err
 		sp.SetAttr("attempts", len(sol.Report.Attempts))
 		sp.SetAttr("matvecs", sol.Report.MatVecs)
 	}
+	if sys.Orbits() > 0 {
+		s.Metrics.Counter("solve.quotient").Inc()
+	}
 	s.record(sol.Report)
 	return sol, nil
 }
@@ -302,7 +309,7 @@ func (s *Solver) prepare(ctx context.Context, surf *surface.Surface, f float64, 
 	}
 	_, sp := trace.StartSpan(ctx, "mom.fft.build")
 	sp.SetAttr("f", f)
-	sys := mom.NewOperatorSystem(surf, s.Mat.Params(f), opt, ts, s.denseAssembler(ctx, surf, f, workers))
+	sys := mom.NewOperatorSystem(surf, s.Mat.Params(f), opt, ts, s.denseAssembler(surf, f, workers))
 	if sys.FFTAdmitted() {
 		s.Metrics.Counter("solve.fft_admitted").Inc()
 	} else {
@@ -316,9 +323,11 @@ func (s *Solver) prepare(ctx context.Context, surf *surface.Surface, f float64, 
 }
 
 // denseAssembler is a lazily built system's dense assembler for surf at
-// f, counted in solve.dense_materialized when it runs.
-func (s *Solver) denseAssembler(ctx context.Context, surf *surface.Surface, f float64, workers int) func() (*cmplxmat.Matrix, error) {
-	return func() (*cmplxmat.Matrix, error) {
+// f, counted in solve.dense_materialized when it runs. It assembles
+// under the context of the solve stage that needs the matrix, so its
+// mom.assemble span nests under that solve's mom.solve span.
+func (s *Solver) denseAssembler(surf *surface.Surface, f float64, workers int) func(context.Context) (*cmplxmat.Matrix, error) {
+	return func(ctx context.Context) (*cmplxmat.Matrix, error) {
 		s.Metrics.Counter("solve.dense_materialized").Inc()
 		sys, err := s.assembleSurface(ctx, surf, f, workers)
 		if err != nil {
@@ -326,6 +335,34 @@ func (s *Solver) denseAssembler(ctx context.Context, surf *surface.Surface, f fl
 		}
 		return sys.Matrix, nil
 	}
+}
+
+// quotient builds surf's system at f on the quotient lattice
+// (mom.Quotient, DESIGN §9 "Quotient-lattice systems"): when a
+// nontrivial subgroup of lattice shifts leaves the surface geometry
+// invariant, one kernel row per orbit under a "mom.assemble" span whose
+// "orbits" attribute is the folded system's unknowns per field. It
+// returns nil when the subgroup is trivial: the surface takes the
+// FFT/dense path (prepare). workers > 0 overrides the solver's assembly
+// parallelism.
+func (s *Solver) quotient(ctx context.Context, surf *surface.Surface, f float64, workers int) (*mom.System, error) {
+	opt := s.Opt
+	if workers > 0 {
+		opt.Workers = workers
+	}
+	q := mom.NewQuotient(surf, opt)
+	if q == nil {
+		return nil, nil
+	}
+	ctx, sp := trace.StartSpan(ctx, "mom.assemble")
+	sp.SetAttr("f", f)
+	sp.SetAttr("orbits", q.Orbits())
+	defer sp.End()
+	var ts *mom.TableSet
+	if s.ZSpan > 0 {
+		ts = s.tableFor(ctx, f)
+	}
+	return q.System(s.Mat.Params(f), ts)
 }
 
 // flatRef returns (computing and caching on first use) the flat
@@ -338,22 +375,22 @@ func (s *Solver) flatRef(ctx context.Context, f float64) (flatRef, error) {
 	return ref, err
 }
 
-// flatSolve builds the flat system at f, derives its exact inverse
-// under a "flat.inverse" span and solves the flat system preconditioned
-// by it, which converges in one GMRES iteration.
+// flatSolve builds the flat system at f — the quotient path's whole-grid
+// case, two unknowns from one kernel row — derives the full flat
+// system's exact inverse from that row's two far orders under a
+// "flat.inverse" span, and solves the flat system preconditioned by it,
+// which converges in one GMRES iteration.
 func (s *Solver) flatSolve(ctx context.Context, f float64) (flatRef, error) {
 	ctx, sp := trace.StartSpan(ctx, "flat.reference")
 	sp.SetAttr("f", f)
 	defer sp.End()
-	sys := s.prepare(ctx, surface.NewFlat(s.L, s.M), f, 0)
-	// A flat system the FFT stage does not admit materializes its dense
-	// matrix here, under its own mom.assemble span.
-	mv, err := sys.MatVec()
+	// A flat surface is one orbit, so the quotient is never nil.
+	sys, err := s.quotient(ctx, surface.NewFlat(s.L, s.M), f, 0)
 	if err != nil {
 		return flatRef{}, fmt.Errorf("core: flat reference at f=%g: %w", f, err)
 	}
 	_, isp := trace.StartSpan(ctx, "flat.inverse")
-	inv, err := mom.NewFlatInverse(s.M, mv)
+	inv, err := sys.FlatInverse()
 	isp.End()
 	if err != nil {
 		return flatRef{}, fmt.Errorf("core: flat inverse at f=%g: %w", f, err)
@@ -438,14 +475,16 @@ func (s *Solver) LossFactorCtx(ctx context.Context, surf *surface.Surface, f flo
 // LossFactorsCtx is the one solve sequence every loss factor runs
 // through: it returns K at f for surfs, one surface optionally followed
 // by its exact mirror image (see IsMirror), from one system build. The
-// system is prepared for surfs[0], preconditioned by the frequency's
-// flat inverse and solved; for a pair it is then mirrored in place
-// (mom.System.Mirror, under a "mom.mirror" span), bitwise equal to
-// building the mirror image directly and without reading a kernel, and
-// solved again. Each absorbed power is divided by the flat one. workers
-// > 0 overrides the solver's assembly parallelism. The surfaces must
-// share the solver's grid and pass CheckResolution; LossFactorCtx checks
-// both.
+// system is built for surfs[0] — on the quotient lattice when the
+// surface has a nontrivial lattice-shift invariance (quotient), else
+// through the FFT/dense path (prepare) — preconditioned by the
+// frequency's flat inverse and solved; for a pair it is then mirrored
+// in place (mom.System.Mirror, under a "mom.mirror" span), bitwise
+// equal to building the mirror image directly and without reading a
+// kernel, and solved again. Each absorbed power is divided by the flat
+// one. workers > 0 overrides the solver's assembly parallelism. The
+// surfaces must share the solver's grid and pass CheckResolution;
+// LossFactorCtx checks both.
 func (s *Solver) LossFactorsCtx(ctx context.Context, surfs []*surface.Surface, f float64, workers int) ([]float64, error) {
 	if len(surfs) == 0 || len(surfs) > 2 || (len(surfs) == 2 && !IsMirror(surfs[0], surfs[1])) {
 		return nil, resilience.Errorf(resilience.KindInvalidInput, "core.LossFactors",
@@ -455,14 +494,20 @@ func (s *Solver) LossFactorsCtx(ctx context.Context, surfs []*surface.Surface, f
 	if err != nil {
 		return nil, err
 	}
-	sys := s.prepare(ctx, surfs[0], f, workers)
+	sys, err := s.quotient(ctx, surfs[0], f, workers)
+	if err != nil {
+		return nil, fmt.Errorf("core: rough solve at f=%g: %w", f, err)
+	}
+	if sys == nil {
+		sys = s.prepare(ctx, surfs[0], f, workers)
+	}
 	sys.Precondition(ref.inv)
 	ks := make([]float64, len(surfs))
 	for i, surf := range surfs {
 		if i > 0 {
 			_, sp := trace.StartSpan(ctx, "mom.mirror")
 			sp.SetAttr("f", f)
-			sys.Mirror(surf, s.Mat.Params(f), s.denseAssembler(ctx, surf, f, workers))
+			sys.Mirror(surf, s.Mat.Params(f), s.denseAssembler(surf, f, workers))
 			sp.End()
 		}
 		sol, err := s.solve(ctx, sys)

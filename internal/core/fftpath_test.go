@@ -15,10 +15,11 @@ import (
 
 // TestSolverFFTFastPath runs a production-style loss-factor solve on an
 // admissible surface and asserts the acceptance invariant of the FFT
-// fast path: both the flat reference and the rough solve win the
-// fft-gmres stage, solve.stage_win.fft-gmres accounting records them,
-// and zero dense matrices are materialized on the way — while the K
-// value matches the dense chain.
+// fast path: the rough solve wins the fft-gmres stage,
+// solve.stage_win.fft-gmres accounting records it, and zero dense
+// matrices are materialized on the way — while the K value matches the
+// dense chain. The flat reference solves on the quotient lattice: its
+// two-unknown system wins plain gmres, counted in solve.quotient.
 func TestSolverFFTFastPath(t *testing.T) {
 	L := 5 * um
 	M := 12
@@ -40,27 +41,33 @@ func TestSolverFFTFastPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The fft-gmres stage runs inside the resilient chain, so its span
-	// nests under the mom.solve span of each of the two solves.
+	// nests under the rough solve's mom.solve span.
 	parents := spanParents(tr.Summary().Spans, "mom.fft.solve")
-	if len(parents) != 2 || parents[0] != "mom.solve" || parents[1] != "mom.solve" {
-		t.Fatalf("mom.fft.solve parents = %v, want [mom.solve mom.solve]", parents)
+	if len(parents) != 1 || parents[0] != "mom.solve" {
+		t.Fatalf("mom.fft.solve parents = %v, want [mom.solve]", parents)
 	}
 
 	st := s.Stats()
-	if got := st.StageWins[mom.StageFFT]; got != 2 { // flat reference + rough solve
-		t.Fatalf("fft-gmres wins = %d (stats %+v), want 2", got, st)
+	if got := st.StageWins[mom.StageFFT]; got != 1 { // the rough solve
+		t.Fatalf("fft-gmres wins = %d (stats %+v), want 1", got, st)
+	}
+	if got := st.StageWins[mom.StageGMRES]; got != 1 { // the flat reference
+		t.Fatalf("gmres wins = %d (stats %+v), want 1", got, st)
 	}
 	if st.Fallbacks != 0 {
 		t.Fatalf("fallbacks = %d, want 0", st.Fallbacks)
 	}
-	if got := reg.Counter("solve.stage_win." + mom.StageFFT).Value(); got != 2 {
-		t.Fatalf("solve.stage_win.fft-gmres = %d, want 2", got)
+	if got := reg.Counter("solve.stage_win." + mom.StageFFT).Value(); got != 1 {
+		t.Fatalf("solve.stage_win.fft-gmres = %d, want 1", got)
+	}
+	if got := reg.Counter("solve.quotient").Value(); got != 1 {
+		t.Fatalf("solve.quotient = %d, want 1", got)
 	}
 	if got := reg.Counter("solve.dense_materialized").Value(); got != 0 {
 		t.Fatalf("dense materializations = %d, want 0", got)
 	}
-	if got := reg.Counter("solve.fft_admitted").Value(); got != 2 {
-		t.Fatalf("solve.fft_admitted = %d, want 2", got)
+	if got := reg.Counter("solve.fft_admitted").Value(); got != 1 {
+		t.Fatalf("solve.fft_admitted = %d, want 1", got)
 	}
 
 	// The dense chain (grid below the FFT threshold) must agree to the
@@ -97,7 +104,8 @@ func spanParents(root *trace.SpanSummary, name string) []string {
 
 // TestSolverFFTRejectionAccounting checks that an over-bound surface is
 // recorded as a skipped fft-gmres stage (not a failure or a fallback)
-// and solved through the dense chain.
+// and solved through the dense chain, whose lazily materialized
+// mom.assemble span nests under the mom.solve span that forced it.
 func TestSolverFFTRejectionAccounting(t *testing.T) {
 	L := 5 * um
 	M := 12
@@ -113,12 +121,21 @@ func TestSolverFFTRejectionAccounting(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s.Metrics = reg
 
-	if _, err := s.LossFactorCtx(context.Background(), surf, f); err != nil {
+	tr := trace.New("fft-rejection")
+	if _, err := s.LossFactorCtx(trace.ContextWithSpan(context.Background(), tr.Root()), surf, f); err != nil {
 		t.Fatal(err)
 	}
+	// The flat reference's quotient build and the rough surface's lazy
+	// dense assembly are the two mom.assemble spans; the lazy one runs
+	// inside the solve stage that needs the matrix.
+	parents := spanParents(tr.Summary().Spans, "mom.assemble")
+	if len(parents) != 2 || parents[0] != "flat.reference" || parents[1] != "mom.solve" {
+		t.Fatalf("mom.assemble parents = %v, want [flat.reference mom.solve]", parents)
+	}
 	st := s.Stats()
-	// The flat reference is admissible (zero height range) and wins the
-	// FFT stage; the rough solve is rejected and falls to dense GMRES.
+	// The flat reference solves on the quotient lattice (plain gmres on
+	// two unknowns); the rough solve is rejected by the FFT gates and
+	// falls to dense GMRES.
 	if got := st.StageSkips[mom.StageFFT]; got != 1 {
 		t.Fatalf("fft-gmres skips = %d (stats %+v), want 1", got, st)
 	}
@@ -128,8 +145,8 @@ func TestSolverFFTRejectionAccounting(t *testing.T) {
 	if st.Fallbacks != 0 {
 		t.Fatalf("gated-off FFT stage counted as %d fallbacks", st.Fallbacks)
 	}
-	if got := st.StageWins[mom.StageGMRES]; got != 1 {
-		t.Fatalf("dense gmres wins = %d, want 1", got)
+	if got := st.StageWins[mom.StageGMRES]; got != 2 {
+		t.Fatalf("gmres wins = %d, want 2", got)
 	}
 	if got := reg.Counter("solve.stage_skip." + mom.StageFFT).Value(); got != 1 {
 		t.Fatalf("solve.stage_skip.fft-gmres = %d, want 1", got)

@@ -19,7 +19,7 @@ import (
 // never materializes the matrix.
 func operatorSystem(s *surface.Surface, p Params, opt Options) (*System, *int) {
 	calls := new(int)
-	sys := NewOperatorSystem(s, p, opt, nil, func() (*cmplxmat.Matrix, error) {
+	sys := NewOperatorSystem(s, p, opt, nil, func(context.Context) (*cmplxmat.Matrix, error) {
 		*calls++
 		return Assemble(s, p, opt).Matrix, nil
 	})
@@ -89,7 +89,7 @@ func TestChainFFTWinsAtProductionGatesM20(t *testing.T) {
 	ts := NewTableSet(p, L, m, h, opt)
 
 	denseCalls := 0
-	sys := NewOperatorSystem(s, p, opt, ts, func() (*cmplxmat.Matrix, error) {
+	sys := NewOperatorSystem(s, p, opt, ts, func(context.Context) (*cmplxmat.Matrix, error) {
 		denseCalls++
 		return nil, errors.New("dense matrix requested on the FFT path")
 	})

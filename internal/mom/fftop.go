@@ -449,27 +449,14 @@ func nearSpan(g *cellGeom) float64 {
 // near kernels nc1, nc2 (fitNearCheb over nearSpan). Each observation
 // row's window is computed independently into its own slots (nearRow),
 // so the loop parallelizes over the worker budget with a bitwise
-// deterministic result. On a translation-invariant surface
-// (cellGeom.uniform) every window is row 0's shifted, so only row 0 is
-// computed and its entries are copied with i and j moved by the shift.
+// deterministic result.
 func (op *FFTOperator) buildNearCorrections(g *cellGeom, nc1, nc2 nearEvaluator, opt Options) {
-	m := op.m
 	win := 2*nearRadius + 1
 	w2 := win * win
 	op.nearEntries = make([]nearEntry, op.N*w2)
-	row := func(i int) { op.nearRow(g, nc1, nc2, nearRadius, i, op.nearEntries[i*w2:(i+1)*w2]) }
-	if !g.uniform() {
-		parallelFor(op.N, opt.Workers, func() func(int) { return row })
-		return
-	}
-	row(0)
-	for i := 1; i < op.N; i++ {
-		iy, ix := i/m, i%m
-		for k, e := range op.nearEntries[:w2] {
-			e.i, e.j = i, (e.j/m+iy)%m*m+(e.j%m+ix)%m
-			op.nearEntries[i*w2+k] = e
-		}
-	}
+	parallelFor(op.N, opt.Workers, func() func(int) {
+		return func(i int) { op.nearRow(g, nc1, nc2, nearRadius, i, op.nearEntries[i*w2:(i+1)*w2]) }
+	})
 }
 
 // nearRow writes observation row i's window of near corrections, cell

@@ -36,6 +36,13 @@ func NewFlatInverse(m int, mv cmplxmat.MatVec) (*FlatInverse, error) {
 	mv(cPsi, e)
 	e[0], e[n] = 0, 1
 	mv(cU, e)
+	return flatInverse(m, cPsi, cU)
+}
+
+// flatInverse derives the inverse from the first columns of the ψ and u
+// blocks of the flat system, cPsi = mv(e₀) and cU = mv(e_N).
+func flatInverse(m int, cPsi, cU []complex128) (*FlatInverse, error) {
+	n := m * m
 	a := fft.Forward2D(cPsi[:n], m, m)
 	c := fft.Forward2D(cPsi[n:], m, m)
 	b := fft.Forward2D(cU[:n], m, m)

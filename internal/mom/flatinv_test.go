@@ -64,7 +64,7 @@ func TestFlatInverseSingularSymbol(t *testing.T) {
 // verification.
 func TestFlatReferenceWinsInOneIteration(t *testing.T) {
 	sys := NewOperatorSystem(surface.NewFlat(5*um, 20), paramsAt(5*units.GHz), Options{}, nil, nil)
-	mv, err := sys.MatVec()
+	mv, err := sys.MatVec(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

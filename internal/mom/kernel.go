@@ -81,7 +81,12 @@ func selfTerm(h float64, src kernelSource) complex128 {
 // is required for SWM → SPM2 convergence (see the spm2 cross-test).
 func CurvatureDiagonal(s *surface.Surface) []float64 {
 	fxx, fyy, _ := s.SecondDerivs()
-	h := s.Step()
+	return curvature(fxx, fyy, s.Step())
+}
+
+// curvature is CurvatureDiagonal from the second derivatives on a grid
+// of step h.
+func curvature(fxx, fyy []float64, h float64) []float64 {
 	curv := make([]float64, len(fxx))
 	for i := range curv {
 		curv[i] = (fxx[i] + fyy[i]) * h * math.Log(1+math.Sqrt2) / (4 * math.Pi)
@@ -92,32 +97,17 @@ func CurvatureDiagonal(s *surface.Surface) []float64 {
 // cellGeom is the per-surface geometry the MoM quadrature rules read:
 // heights and the local first- and second-order surface derivatives.
 type cellGeom struct {
-	sub                   int
+	m, sub                int
 	h                     float64
 	f                     []float64
 	fx, fy, fxx, fyy, fxy []float64
 }
 
 func newCellGeom(s *surface.Surface, sub int) *cellGeom {
-	g := &cellGeom{sub: sub, h: s.Step(), f: s.H}
+	g := &cellGeom{m: s.M, sub: sub, h: s.Step(), f: s.H}
 	g.fx, g.fy = s.Gradients()
 	g.fxx, g.fyy, g.fxy = s.SecondDerivs()
 	return g
-}
-
-// uniform reports whether every cell has the same local geometry — the
-// height and all first and second derivatives, bit for bit — so that
-// every quadrature rule sees the same surface from every cell: the
-// flat reference, or a rigid shift f ≡ c.
-func (g *cellGeom) uniform() bool {
-	for _, v := range [][]float64{g.f, g.fx, g.fy, g.fxx, g.fyy, g.fxy} {
-		for _, x := range v {
-			if math.Float64bits(x) != math.Float64bits(v[0]) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // nearQuadrature integrates source cell j, at cell offset (cx, cy) and

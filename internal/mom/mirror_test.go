@@ -1,6 +1,7 @@
 package mom
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -90,8 +91,8 @@ func TestMirrorIsExact(t *testing.T) {
 	// tables spanning 14σ, order-6 operator.
 	s, ms := mirrorPair(t, 0.015*um, 1*um, 5*um, 20)
 	ts := NewTableSet(p, 5*um, 20, 14*0.015*um, opt)
-	assembler := func(surf *surface.Surface) func() (*cmplxmat.Matrix, error) {
-		return func() (*cmplxmat.Matrix, error) {
+	assembler := func(surf *surface.Surface) func(context.Context) (*cmplxmat.Matrix, error) {
+		return func(context.Context) (*cmplxmat.Matrix, error) {
 			sys, err := AssembleTabulated(surf, p, ts, opt)
 			if err != nil {
 				return nil, err
@@ -107,7 +108,7 @@ func TestMirrorIsExact(t *testing.T) {
 			t.Fatalf("%s: FFT stage not admitted: %v", name, sys.FFTRejection())
 		}
 		if materialized {
-			if err := sys.Materialize(); err != nil {
+			if err := sys.Materialize(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -123,10 +124,10 @@ func TestMirrorIsExact(t *testing.T) {
 		want.fft.MatVec(yWant, x)
 		checkSameBits(t, name+" MatVec", y, yWant)
 		checkSameBits(t, name+" RHS", sys.RHS, want.RHS)
-		if err := sys.Materialize(); err != nil {
+		if err := sys.Materialize(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		if err := want.Materialize(); err != nil {
+		if err := want.Materialize(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		checkSameBits(t, name+" dense matrix", sys.Matrix.Data, want.Matrix.Data)

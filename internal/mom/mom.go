@@ -24,6 +24,7 @@
 package mom
 
 import (
+	"context"
 	"fmt"
 	"math/cmplx"
 	"runtime"
@@ -85,9 +86,11 @@ func (o Options) withDefaults() Options {
 // System is the assembled dense MoM system — or, when built with
 // NewOperatorSystem, a lazily-assembled one: the FFT-accelerated
 // operator stands in for the matrix and the dense form only
-// materializes if a stage of the solve chain needs it.
+// materializes if a stage of the solve chain needs it — or, when built
+// by a Quotient, the system folded onto the orbits of the lattice shifts
+// that leave the surface invariant.
 type System struct {
-	N      int // surface unknowns per field (grid cells)
+	N      int // unknowns per field: grid cells, or orbits of a quotient system
 	Matrix *cmplxmat.Matrix
 	RHS    []complex128
 	Step   float64 // grid spacing h
@@ -99,9 +102,13 @@ type System struct {
 	// first demand.
 	fft       *FFTOperator
 	fftRej    error
-	denseFn   func() (*cmplxmat.Matrix, error)
+	denseFn   func(context.Context) (*cmplxmat.Matrix, error)
 	denseOnce sync.Once
 	denseErr  error
+
+	// fold is the orbit structure of a quotient system (nil: the full
+	// grid); see Quotient.System.
+	fold *fold
 
 	// pre is the flat inverse the GMRES stage is right-preconditioned by
 	// (nil: none); see Precondition.
@@ -110,18 +117,20 @@ type System struct {
 
 // Precondition makes inv, the flat inverse of the system's grid and
 // frequency, the right preconditioner of the GMRES stage of
-// SolveResilient. It survives Mirror. A preconditioner only changes how
-// fast the chain converges: every candidate is still verified against
-// the unpreconditioned system.
+// SolveResilient; a quotient system applies it on its orbits. It
+// survives Mirror. A preconditioner only changes how fast the chain
+// converges: every candidate is still verified against the
+// unpreconditioned system.
 func (sys *System) Precondition(inv *FlatInverse) { sys.pre = inv }
 
 // MatVec returns the system's operator: the FFT-accelerated one when
-// admitted, otherwise the dense matrix's product, materializing it.
-func (sys *System) MatVec() (cmplxmat.MatVec, error) {
+// admitted, otherwise the dense matrix's product, materializing it
+// under ctx.
+func (sys *System) MatVec(ctx context.Context) (cmplxmat.MatVec, error) {
 	if sys.fft != nil {
 		return sys.fft.MatVec, nil
 	}
-	if err := sys.Materialize(); err != nil {
+	if err := sys.Materialize(ctx); err != nil {
 		return nil, err
 	}
 	return sys.Matrix.MulVecTo, nil
@@ -132,15 +141,16 @@ func (sys *System) MatVec() (cmplxmat.MatVec, error) {
 // the grid is at least Options.FFTMinCells, the a-priori kernel-model
 // error is within fftModelTol, and the height range sits inside
 // the operator's hard convergence bound — and the dense matrix is only
-// assembled (through dense, exactly once) if a stage of SolveResilient
-// needs it. When ts is non-nil and its Δz span
+// assembled (through dense, exactly once, under the context of the
+// stage that needs it) if a stage of SolveResilient needs it. When ts
+// is non-nil and its Δz span
 // covers the operator's fit interval, the build reads the Green's
 // tables instead of running Ewald sums.
 //
 // A rejected surface costs nothing beyond the gate checks: the typed
 // rejection is kept and surfaces in SolveReport.Attempts as a Skipped
 // fft-gmres attempt, and the gmres stage materializes the matrix.
-func NewOperatorSystem(s *surface.Surface, p Params, opt Options, ts *TableSet, dense func() (*cmplxmat.Matrix, error)) *System {
+func NewOperatorSystem(s *surface.Surface, p Params, opt Options, ts *TableSet, dense func(context.Context) (*cmplxmat.Matrix, error)) *System {
 	opt = opt.withDefaults()
 	n := s.M * s.M
 	sys := &System{N: n, RHS: RHSVector(s, p), Step: s.Step(), denseFn: dense}
@@ -186,10 +196,11 @@ func (sys *System) FFTRejection() error { return sys.fftRej }
 func (sys *System) DenseAssembled() bool { return sys.Matrix != nil }
 
 // Materialize assembles the dense matrix of a lazily-built system
-// (no-op when it already exists). SolveResilient calls it before any
-// stage on the dense matrix runs, so solves won by the FFT stage never
-// pay the O(N²) assembly.
-func (sys *System) Materialize() error {
+// (no-op when it already exists), passing ctx — the context of the
+// solve stage that needs the matrix — to the assembler. SolveResilient
+// calls it before any stage on the dense matrix runs, so solves won by
+// the FFT stage never pay the O(N²) assembly.
+func (sys *System) Materialize(ctx context.Context) error {
 	if sys.Matrix != nil {
 		return nil
 	}
@@ -198,7 +209,7 @@ func (sys *System) Materialize() error {
 			"system has neither a dense matrix nor a dense assembler")
 	}
 	sys.denseOnce.Do(func() {
-		m, err := sys.denseFn()
+		m, err := sys.denseFn(ctx)
 		if err != nil {
 			sys.denseErr = err
 			return
@@ -218,130 +229,117 @@ func Assemble(s *surface.Surface, p Params, opt Options) *System {
 
 // assemble builds the dense system reading the two media's kernels
 // through src1 and src2, row by row (denseRows.row) over
-// Options.Workers. A translation-invariant surface (cellGeom.uniform:
-// the flat reference, or a rigid shift such as the KL piston pair) has
-// a block-circulant system, so only row 0 runs the kernel loop and
-// replicate fills the other rows from it, bit for bit what their own
-// row loops would write (DESIGN §9 "Translation-invariant systems").
+// Options.Workers.
 func assemble(s *surface.Surface, p Params, src1, src2 kernelSource, opt Options) *System {
-	d := newDenseRows(s, p, src1, src2, opt)
-	if d.g.uniform() {
-		d.row(0)
-		d.replicate(opt.Workers)
-	} else {
-		parallelFor(d.n, opt.Workers, func() func(int) { return d.row })
-	}
+	d := &denseRows{rowKernel: newRowKernel(newCellGeom(s, opt.NearSubdiv), p, src1, src2)}
+	d.a = cmplxmat.New(2*d.n, 2*d.n)
+	parallelFor(d.n, opt.Workers, func() func(int) { return d.row })
 	return &System{N: d.n, Matrix: d.a, RHS: RHSVector(s, p), Step: d.g.h}
+}
+
+// rowKernel is what the entries of an observation row read: the cell
+// geometry, both media's kernels and the self terms.
+type rowKernel struct {
+	g              *cellGeom
+	src1, src2     kernelSource
+	beta           complex128
+	m, n           int
+	s1Self, s2Self complex128
+	curv           []float64
+}
+
+func newRowKernel(g *cellGeom, p Params, src1, src2 kernelSource) *rowKernel {
+	return &rowKernel{
+		g: g, src1: src1, src2: src2, beta: p.Beta,
+		m: g.m, n: g.m * g.m,
+		s1Self: selfTerm(g.h, src1), s2Self: selfTerm(g.h, src2),
+		curv: curvature(g.fxx, g.fyy, g.h),
+	}
+}
+
+// blocks are the entries of one (observation, source) cell pair in the
+// four N×N blocks of system (9), without the ½ jump: (1,1) −D₁,
+// (1,2) β·S₁, (2,1) D₂ and (2,2) −S₂.
+type blocks [4]complex128
+
+// pair returns the entries of the pair (i, j): the analytic self cell,
+// subdivided quadrature inside nearRadius and the one-point rule beyond,
+// each pair reading its own kernel. A far pair's kernel read also gives
+// the transposed pair (j, i)'s entries (farPair), returned as tr with
+// ok set — except at an offset of exactly M/2, which wraps to −L/2 from
+// both sides, where the tables' gradient is not exactly odd (see
+// fitOrbits), so each order there reads its own kernel.
+func (k *rowKernel) pair(i, j int) (e, tr blocks, ok bool) {
+	g, m := k.g, k.m
+	cx, cy, both := k.offset(i, j)
+	dzc := g.f[i] - g.f[j]
+	var s1, s2, d1, d2 complex128
+	switch {
+	case j == i:
+		s1, s2 = k.s1Self, k.s2Self
+		d1 = complex(k.curv[i], 0)
+		d2 = d1
+	case absInt(cx) <= nearRadius && absInt(cy) <= nearRadius:
+		s1, s2, d1, d2 = g.nearQuadrature(k.src1, k.src2, j, cx, cy, dzc)
+	default:
+		// The grid kernels are indexed by the positive wrapped offset.
+		var d1t, d2t complex128
+		s1, d1, d1t = g.farPair(k.src1, i, j, (cx+m)%m, (cy+m)%m, dzc)
+		s2, d2, d2t = g.farPair(k.src2, i, j, (cx+m)%m, (cy+m)%m, dzc)
+		tr, ok = k.blocks(s1, s2, d1t, d2t), both
+	}
+	return k.blocks(s1, s2, d1, d2), tr, ok
+}
+
+// offset returns pair (i, j)'s wrapped cell offset, each index in
+// (−m/2, m/2], and whether it is a far pair off the M/2 offset, whose
+// kernel read serves both orders.
+func (k *rowKernel) offset(i, j int) (cx, cy int, both bool) {
+	m := k.m
+	cx = wrapOffset(i%m-j%m, m)
+	cy = wrapOffset(i/m-j/m, m)
+	both = (absInt(cx) > nearRadius || absInt(cy) > nearRadius) && 2*cx != m && 2*cy != m
+	return cx, cy, both
+}
+
+func (k *rowKernel) blocks(s1, s2, d1, d2 complex128) blocks {
+	return blocks{-d1, k.beta * s1, d2, -s2}
 }
 
 // denseRows is one dense assembly in progress: the matrix and what its
 // row loop reads.
 type denseRows struct {
-	g              *cellGeom
-	src1, src2     kernelSource
-	beta           complex128
-	m, n, near     int
-	s1Self, s2Self complex128
-	curv           []float64
-	a              *cmplxmat.Matrix
+	*rowKernel
+	a *cmplxmat.Matrix
 }
 
-func newDenseRows(s *surface.Surface, p Params, src1, src2 kernelSource, opt Options) *denseRows {
-	g := newCellGeom(s, opt.NearSubdiv)
-	n := s.M * s.M
-	return &denseRows{
-		g: g, src1: src1, src2: src2, beta: p.Beta,
-		m: s.M, n: n, near: nearRadius,
-		s1Self: selfTerm(g.h, src1), s2Self: selfTerm(g.h, src2),
-		curv: CurvatureDiagonal(s),
-		a:    cmplxmat.New(2*n, 2*n),
-	}
-}
-
-// set writes the four block entries of observation cell obs and source
-// cell src.
-func (d *denseRows) set(obs, src int, s1, s2, d1, d2 complex128) {
+// set writes the entries of observation cell obs and source cell src.
+func (d *denseRows) set(obs, src int, e blocks) {
 	n := d.n
-	// Block (1,1): ½I − D₁ ; block (1,2): β·S₁.
-	d.a.Set(obs, src, -d1)
-	d.a.Set(obs, n+src, d.beta*s1)
-	// Block (2,1): ½I + D₂ ; block (2,2): −S₂.
-	d.a.Set(n+obs, src, d2)
-	d.a.Set(n+obs, n+src, -s2)
+	d.a.Set(obs, src, e[0])
+	d.a.Set(obs, n+src, e[1])
+	d.a.Set(n+obs, src, e[2])
+	d.a.Set(n+obs, n+src, e[3])
 }
 
-// row fills observation row i: the analytic self cell, subdivided
-// quadrature inside nearRadius and the one-point rule beyond. A far
-// pair's kernel is read once for both of its entries (farPair): row i
-// fills its far columns j > i and their transposed slots in row j, and
-// skips the far columns j < i that row j fills, so every slot is still
-// written by exactly one computation and the matrix is bitwise
-// deterministic in Workers.
+// row fills observation row i. A far pair's kernel is read once for
+// both of its entries (pair): row i fills its far columns j > i and
+// their transposed slots in row j, and skips the far columns j < i that
+// row j fills, so every slot is still written by exactly one
+// computation and the matrix is bitwise deterministic in Workers.
 func (d *denseRows) row(i int) {
-	g, m, n := d.g, d.m, d.n
-	iy, ix := i/m, i%m
-	for j := 0; j < n; j++ {
-		cx := wrapOffset(ix-j%m, m)
-		cy := wrapOffset(iy-j/m, m)
-		dzc := g.f[i] - g.f[j]
-		var s1, s2, d1, d2 complex128
-		switch {
-		case j == i:
-			s1, s2 = d.s1Self, d.s2Self
-			d1 = complex(d.curv[i], 0)
-			d2 = d1
-		case absInt(cx) <= d.near && absInt(cy) <= d.near:
-			s1, s2, d1, d2 = g.nearQuadrature(d.src1, d.src2, j, cx, cy, dzc)
-		case 2*cx == m || 2*cy == m:
-			// Index M/2 wraps to −L/2 from both sides, where the
-			// tables' gradient is not exactly odd (see fitOrbits), so
-			// each order reads its own kernel. The grid kernels are
-			// indexed by the positive wrapped offset.
-			s1, d1, _ = g.farPair(d.src1, i, j, (cx+m)%m, (cy+m)%m, dzc)
-			s2, d2, _ = g.farPair(d.src2, i, j, (cx+m)%m, (cy+m)%m, dzc)
-		case j < i:
+	for j := 0; j < d.n; j++ {
+		if _, _, both := d.offset(i, j); both && j < i {
 			continue // row j fills this slot
-		default:
-			var d1t, d2t complex128
-			s1, d1, d1t = g.farPair(d.src1, i, j, (cx+m)%m, (cy+m)%m, dzc)
-			s2, d2, d2t = g.farPair(d.src2, i, j, (cx+m)%m, (cy+m)%m, dzc)
-			d.set(j, i, s1, s2, d1t, d2t)
 		}
-		d.set(i, j, s1, s2, d1, d2)
+		e, tr, ok := d.pair(i, j)
+		if ok {
+			d.set(j, i, tr)
+		}
+		d.set(i, j, e)
 	}
 	d.a.Add(i, i, 0.5)
-	d.a.Add(n+i, i, 0.5)
-}
-
-// replicate fills rows 1…n−1 of a translation-invariant system once
-// row(0) has run. Entry (i, j) is its pair shifted by −(cell i), row
-// 0's entry (0, j−i) — except for the far pairs that row loops fill
-// from the transposed side (j < i, neither near nor at offset M/2):
-// row j reads their kernel at offset j−i, and the image sums are not
-// bitwise even in the offset, so they come from the slot row 0's read
-// of that same offset filled, column 0's entry (i−j, 0).
-func (d *denseRows) replicate(workers int) {
-	m, n := d.m, d.n
-	parallelFor(n-1, workers, func() func(int) {
-		return func(k int) {
-			i := k + 1
-			iy, ix := i/m, i%m
-			for j := 0; j < n; j++ {
-				jy, jx := j/m, j%m
-				cx, cy := wrapOffset(ix-jx, m), wrapOffset(iy-jy, m)
-				r, c := 0, (jy-iy+m)%m*m+(jx-ix+m)%m
-				if j < i && (absInt(cx) > d.near || absInt(cy) > d.near) && 2*cx != m && 2*cy != m {
-					if j == 0 {
-						continue // row 0's read wrote this slot
-					}
-					r, c = (cy+m)%m*m+(cx+m)%m, 0
-				}
-				for _, b := range [4][2]int{{0, 0}, {0, n}, {n, 0}, {n, n}} {
-					d.a.Set(b[0]+i, b[1]+j, d.a.At(b[0]+r, b[1]+c))
-				}
-			}
-		}
-	})
+	d.a.Add(d.n+i, i, 0.5)
 }
 
 // Solution carries the solved surface fields.
@@ -363,7 +361,20 @@ func (sys *System) Solve() (*Solution, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mom: dense solve: %w", err)
 	}
-	return solutionFrom(x, sys.Step), nil
+	return sys.solution(x), nil
+}
+
+// solution turns the system's solved unknowns x into surface fields: a
+// quotient system's orbit values are expanded to every cell, and its
+// absorbed power is the orbits' weighted by the orbit size.
+func (sys *System) solution(x []complex128) *Solution {
+	sol := solutionFrom(x, sys.Step)
+	if sys.fold != nil {
+		sol.Pabs *= float64(sys.fold.orbits.Size())
+		full := sys.fold.expand(x)
+		sol.Psi, sol.U = full[:len(full)/2], full[len(full)/2:]
+	}
+	return sol
 }
 
 // solutionFrom splits a solved x = [Ψ; U] on a grid of step h and

@@ -104,11 +104,11 @@ func (sys *System) SolveResilient(ctx context.Context, opt SolveOptions) (*Solut
 	}
 
 	iterate := func(c context.Context) error {
-		mv, err := sys.MatVec()
+		mv, err := sys.MatVec(c)
 		if err != nil {
 			return err
 		}
-		cand, _, matvecs, err := krylov(c, mv, sys.pre, sys.RHS, tol)
+		cand, _, matvecs, err := krylov(c, mv, sys.precondition(), sys.RHS, tol)
 		if err != nil {
 			return err
 		}
@@ -126,15 +126,15 @@ func (sys *System) SolveResilient(ctx context.Context, opt SolveOptions) (*Solut
 			return err
 		}}
 	}
-	stages := []resilience.Stage{first, {Name: StageDenseLU, Run: func(context.Context) error {
-		if err := sys.Materialize(); err != nil {
+	stages := []resilience.Stage{first, {Name: StageDenseLU, Run: func(c context.Context) error {
+		if err := sys.Materialize(c); err != nil {
 			return err
 		}
-		c, err := cmplxmat.SolveDense(sys.Matrix, sys.RHS)
+		cand, err := cmplxmat.SolveDense(sys.Matrix, sys.RHS)
 		if err != nil {
 			return err
 		}
-		return verify(c, sys.Matrix.MulVecTo, 0)
+		return verify(cand, sys.Matrix.MulVecTo, 0)
 	}}}
 
 	rep, err := resilience.Execute(ctx, "mom.solve", opt.Injector, opt.Key, stages)
@@ -152,9 +152,29 @@ func (sys *System) SolveResilient(ctx context.Context, opt SolveOptions) (*Solut
 	if err != nil {
 		return nil, err
 	}
-	sol := solutionFrom(x, sys.Step)
+	sol := sys.solution(x)
 	sol.Report = report
 	return sol, nil
+}
+
+// precondition returns the right preconditioner of the GMRES stage (nil:
+// none): the flat inverse, applied on a quotient system's orbits by
+// expanding the orbit values to every cell and reading the result at the
+// orbit representatives. The flat inverse commutes with every lattice
+// shift, so it maps shift-invariant fields to shift-invariant fields and
+// the folded iteration is the full grid's.
+func (sys *System) precondition() func(y, x []complex128) {
+	switch {
+	case sys.pre == nil:
+		return nil
+	case sys.fold == nil:
+		return sys.pre.Apply
+	}
+	full := make([]complex128, 2*len(sys.fold.orbits.Of))
+	return func(y, x []complex128) {
+		sys.pre.Apply(full, sys.fold.expand(x))
+		copy(y, sys.fold.pick(full))
+	}
 }
 
 // krylov solves A·x = rhs for the operator mv by restarted GMRES,
@@ -167,14 +187,14 @@ func (sys *System) SolveResilient(ctx context.Context, opt SolveOptions) (*Solut
 // number of operator products. The context is checked between
 // restarts, so a cancelled job or a daemon drain stops a long solve
 // promptly.
-func krylov(ctx context.Context, mv cmplxmat.MatVec, pre *FlatInverse, rhs []complex128, tol float64) ([]complex128, float64, int, error) {
+func krylov(ctx context.Context, mv cmplxmat.MatVec, pre func(y, x []complex128), rhs []complex128, tol float64) ([]complex128, float64, int, error) {
 	n2 := len(rhs)
 	matvecs := 0
 	op := func(y, x []complex128) { matvecs++; mv(y, x) }
 	if pre != nil {
 		tmp := make([]complex128, n2)
 		op = func(y, x []complex128) {
-			pre.Apply(tmp, x)
+			pre(tmp, x)
 			matvecs++
 			mv(y, tmp)
 		}
@@ -190,7 +210,7 @@ func krylov(ctx context.Context, mv cmplxmat.MatVec, pre *FlatInverse, rhs []com
 	if pre != nil {
 		y := x
 		x = make([]complex128, n2)
-		pre.Apply(x, y)
+		pre(x, y)
 	}
 	return x, rr, matvecs, nil
 }

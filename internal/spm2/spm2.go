@@ -165,3 +165,29 @@ func LossFactorAniso(p Params, psd func(kx, ky float64) float64, kMax float64, n
 	}
 	return 1 + excess
 }
+
+// LatticeLossFactor returns the exact second-order mean loss factor of
+// the d-mode truncation of a periodic KL process (DESIGN §9):
+//
+//	K_lat(d) = 1 + Σ_{j<d, k_j≠0} (λ_j/N)·κ(|k_j|),  k_j = 2π(Mx, My)/L.
+//
+// On the periodic patch the KL modes are Fourier modes, and at second
+// order in σ the absorbed power of a sum of modes is the sum of each
+// mode's: a mode of point variance v = λ_j/N adds v·κ, as a sinusoid of
+// amplitude a adds (a²/2)·κ. A first-order Smolyak grid integrates that
+// quadratic exactly, so as σ → 0 the SWM SSCM mean must reach K_lat(d)
+// up to the discretization error alone, with no truncation, aliasing or
+// PSD quadrature between them. The DC mode is a rigid shift and adds
+// nothing. d beyond the mode count sums every mode.
+func LatticeLossFactor(p Params, kl *surface.KL, d int) float64 {
+	n := float64(kl.M * kl.M)
+	var excess float64
+	for _, md := range kl.Modes[:min(d, len(kl.Modes))] {
+		if md.Mx == 0 && md.My == 0 {
+			continue
+		}
+		k := 2 * math.Pi * math.Hypot(float64(md.Mx), float64(md.My)) / kl.L
+		excess += md.Lambda / n * Kernel(p, k)
+	}
+	return 1 + excess
+}

@@ -182,7 +182,10 @@ func (k *KL) TruncationForVariance(frac float64) int {
 }
 
 // Synthesize builds the surface realization for KL coordinates xi,
-// using the first len(xi) modes: f = Σ sqrt(λ_j)·ξ_j·v_j.
+// using the first len(xi) modes: f = Σ sqrt(λ_j)·ξ_j·v_j. Each mode's
+// phase index Mx·ix + My·iy is reduced mod M before the phase is taken,
+// so the cells a lattice shift t with Mx·tx + My·ty ≡ 0 (mod M) maps
+// onto each other get bitwise equal heights (see InvariantOrbits).
 func (k *KL) Synthesize(xi []float64) *Surface {
 	d := len(xi)
 	if d > len(k.Modes) {
@@ -198,7 +201,7 @@ func (k *KL) Synthesize(xi []float64) *Surface {
 		}
 		for iy := 0; iy < m; iy++ {
 			for ix := 0; ix < m; ix++ {
-				ph := 2 * math.Pi * (float64(mode.Mx*ix) + float64(mode.My*iy)) / float64(m)
+				ph := 2 * math.Pi * float64(((mode.Mx*ix+mode.My*iy)%m+m)%m) / float64(m)
 				var b float64
 				if mode.Sin {
 					b = math.Sin(ph)

@@ -5,6 +5,8 @@ import (
 	"math"
 	"sort"
 	"testing"
+
+	"roughsim/internal/rng"
 )
 
 // TestKLDegenerateModeOrder checks that a KL's mode order is decided by
@@ -100,4 +102,45 @@ func abs(i int) int {
 		return -i
 	}
 	return i
+}
+
+// TestModeOrbitsAreBitwise: a single KL mode (Mx, My) is invariant
+// under the lattice shifts t with Mx·tx + My·ty ≡ 0 (mod M), which
+// split the grid into M/gcd(Mx, My, M) orbits. Its heights and its
+// spectral first and second derivatives are invariant under them bit
+// for bit, so the geometry's orbits are the heights' orbits.
+func TestModeOrbitsAreBitwise(t *testing.T) {
+	gcd := func(a, b int) int {
+		for b != 0 {
+			a, b = b, a%b
+		}
+		return max(a, -a)
+	}
+	for _, m := range []int{8, 12, 20} {
+		kl := NewKL(NewGaussianCorr(0.3e-6, 1e-6), 5e-6, m)
+		for j, md := range kl.Modes[:min(len(kl.Modes), 40)] {
+			if md.Mx == 0 && md.My == 0 {
+				continue
+			}
+			xi := make([]float64, j+1)
+			xi[j] = math.Sqrt(3)
+			s := kl.Synthesize(xi)
+			fx, fy := s.Gradients()
+			fxx, fyy, fxy := s.SecondDerivs()
+			want := m / gcd(gcd(md.Mx, md.My), m)
+			if got := len(InvariantOrbits(m, s.H).Reps); got != want {
+				t.Errorf("M=%d mode (%d, %d): heights have %d orbits, want %d", m, md.Mx, md.My, got, want)
+			}
+			if got := len(InvariantOrbits(m, s.H, fx, fy, fxx, fyy, fxy).Reps); got != want {
+				t.Errorf("M=%d mode (%d, %d): geometry has %d orbits, want %d", m, md.Mx, md.My, got, want)
+			}
+		}
+		// The flat surface is one orbit; a full-rank draw has no symmetry.
+		if got := len(InvariantOrbits(m, NewFlat(5e-6, m).H).Reps); got != 1 {
+			t.Errorf("M=%d: flat surface has %d orbits, want 1", m, got)
+		}
+		if o := InvariantOrbits(m, kl.Sample(rng.New(3)).H); !o.Trivial() {
+			t.Errorf("M=%d: a full-rank draw has %d orbits, want %d", m, len(o.Reps), m*m)
+		}
+	}
 }

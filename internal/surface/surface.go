@@ -64,13 +64,25 @@ func (s *Surface) RMS() float64 {
 // Gradients returns the surface derivatives f_x and f_y on the grid:
 // the analytic ones when provided, otherwise spectral derivatives
 // consistent with the doubly-periodic continuation of the surface.
+//
+// Spectral derivatives of heights that some lattice shifts leave
+// invariant (InvariantOrbits) are invariant too, but the transform
+// rounds each cell along its own path, so every cell takes its orbit
+// representative's value: cells of one orbit then have the same local
+// geometry bit for bit, which the MoM quotient-lattice build reads
+// (DESIGN §9 "Quotient-lattice systems"). When one orbit holds every
+// cell (a flat or rigidly shifted surface) the derivatives are exactly
+// zero and are returned directly: the transform leaves rounding noise
+// in the non-DC bins on grids that are not powers of two (curvatures up
+// to ~1e-10/m for a 30 nm shift at M = 20).
 func (s *Surface) Gradients() (fx, fy []float64) {
 	if s.AnFx != nil && s.AnFy != nil {
 		return s.AnFx, s.AnFy
 	}
 	m := s.M
 	n := m * m
-	if s.constant() {
+	o := InvariantOrbits(m, s.H)
+	if len(o.Reps) == 1 {
 		return make([]float64, n), make([]float64, n)
 	}
 	c := make([]complex128, n)
@@ -106,20 +118,24 @@ func (s *Surface) Gradients() (fx, fy []float64) {
 		fx[i] = real(gx[i])
 		fy[i] = real(gy[i])
 	}
+	o.Symmetrize(fx)
+	o.Symmetrize(fy)
 	return fx, fy
 }
 
 // SecondDerivs returns the spectral second derivatives f_xx, f_yy and
 // the mixed f_xy on the grid — the MoM assembly needs the full local
 // Hessian for the curvature correction of the double-layer self term and
-// for second-order near-field source-cell geometry.
+// for second-order near-field source-cell geometry. Like Gradients', they
+// carry the heights' lattice-shift invariance bit for bit.
 func (s *Surface) SecondDerivs() (fxx, fyy, fxy []float64) {
 	if s.AnFxx != nil && s.AnFyy != nil && s.AnFxy != nil {
 		return s.AnFxx, s.AnFyy, s.AnFxy
 	}
 	m := s.M
 	n := m * m
-	if s.constant() {
+	o := InvariantOrbits(m, s.H)
+	if len(o.Reps) == 1 {
 		return make([]float64, n), make([]float64, n), make([]float64, n)
 	}
 	c := make([]complex128, n)
@@ -159,23 +175,10 @@ func (s *Surface) SecondDerivs() (fxx, fyy, fxy []float64) {
 		fyy[i] = real(gy[i])
 		fxy[i] = real(gxy[i])
 	}
-	return fxx, fyy, fxy
-}
-
-// constant reports whether every height equals the first. The spectral
-// derivatives of such a surface are exactly zero, but the transform
-// leaves rounding noise in the non-DC bins on grids that are not powers
-// of two (curvatures up to ~1e-10/m for a 30 nm shift at M = 20), so
-// Gradients and SecondDerivs return the zeros directly: a flat or
-// rigidly shifted surface then has the same local geometry in every
-// cell, bit for bit.
-func (s *Surface) constant() bool {
-	for _, v := range s.H {
-		if v != s.H[0] {
-			return false
-		}
+	for _, v := range [][]float64{fxx, fyy, fxy} {
+		o.Symmetrize(v)
 	}
-	return true
+	return fxx, fyy, fxy
 }
 
 // waveIndex maps a DFT bin to its signed integer wavenumber.

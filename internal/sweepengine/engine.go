@@ -16,7 +16,11 @@
 //     pair: rigid shifts f ≡ ±c, whose system is the flat reference's
 //     with a unimodular right-hand-side factor while k₁ is real, so
 //     they are K ≡ 1 without any solve too (core.Solver.RigidShift).
-//     The flat reference itself mom builds from one row of kernel work.
+//     Every other first-order node is one KL Fourier mode, which the
+//     lattice shifts along its wavefronts leave invariant, so mom builds
+//     it on the quotient lattice: one row of kernel work per orbit,
+//     folded into two unknowns per orbit. The flat reference is that
+//     path's whole-grid case: one row.
 //
 //   - Table reuse. Assembly goes through the solver's table cache, so
 //     concurrent points — and concurrent sweeps sharing a cache — build
@@ -26,9 +30,10 @@
 //     nodes come in pairs ±ξ whose surfaces are f and exactly −f. The
 //     Green's function is even in Δz and its z-derivative odd, so the
 //     system of −f is the system of f with its double-layer entries
-//     negated: each pair is solved from one kernel build (dense
-//     assembly or FFT operator), mirrored in place after the first
-//     surface's solves, bit for bit what a direct build would give.
+//     negated: each pair is solved from one kernel build (quotient
+//     system, dense assembly or FFT operator), mirrored in place after
+//     the first surface's solves, bit for bit what a direct build would
+//     give.
 //
 //   - K interpolation across frequency (broadband sweeps). The
 //     conductor wavenumber k₂ = (1+j)/δ ∝ √f dominates the frequency

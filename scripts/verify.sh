@@ -34,9 +34,13 @@ go test -race -short ./internal/sscm/... \
 # Fast paper-fidelity gate: reduced-resolution K values of Figs. 3–7 and
 # the Table I counts, pinned (the full exhibit tests skip under -short),
 # beside the reduced cross-method agreement checks: SWM against SPM2 on a
-# small sinusoid, and 2nd-order SSCM against Monte Carlo.
+# small sinusoid and on single KL modes and the first-order SSCM mean
+# (the lattice SPM2 arbiter), and 2nd-order SSCM against Monte Carlo;
+# and the quotient-lattice solve against the full dense LU on every
+# first-order node.
 go test -short -count=1 -run 'TestPaperFidelity|TestFig7SSCMMatchesMC' ./internal/experiments/
-go test -short -count=1 -run TestSWMConvergesToSPM2Kernel ./internal/spm2/
+go test -short -count=1 -run 'TestSWMConvergesToSPM2Kernel|TestLattice' ./internal/spm2/
+go test -short -count=1 -run TestQuotientMatchesDenseLU ./internal/mom/
 # Fuzz the sweep request decoder and its content addresses briefly: no
 # body may panic, and a valid config keeps its key across a round trip.
 go test -run '^$' -fuzz FuzzSweepConfigJSON -fuzztime 5s .
