@@ -53,6 +53,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"text/tabwriter"
 	"time"
 
@@ -128,6 +129,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "roughsim:", err)
 		os.Exit(1)
 	}
+	metrics := telemetry.NewRegistry()
+	sim.WithMetrics(metrics)
 
 	ctx := ctxRoot
 	if *timeout > 0 {
@@ -225,9 +228,15 @@ func main() {
 		emit(res, *asJSON, *sigma, *eta, kind, *grid, *dim)
 	}
 	writeSweepCSV(res, *csvOut)
-	if st := sim.SolveStats(); st.Fallbacks > 0 {
+	if fallbacks := metrics.Counter("solve.fallbacks").Value(); fallbacks > 0 {
+		wins := map[string]int64{}
+		for name, n := range metrics.Snapshot().Counters {
+			if stage, ok := strings.CutPrefix(name, "solve.stage_win."); ok {
+				wins[stage] = n
+			}
+		}
 		fmt.Fprintf(os.Stderr, "roughsim: %d of %d solves needed the fallback chain (wins: %v)\n",
-			st.Fallbacks, st.Solves, st.StageWins)
+			fallbacks, metrics.Counter("solve.count").Value(), wins)
 	}
 }
 

@@ -13,20 +13,20 @@
 // system build, preconditioned resilient solve, optional in-place
 // mirror and second solve) and the two-stage chain of
 // mom.SolveResilient (GMRES on the system's operator — fft-gmres when
-// the surface is admitted — then dense LU), with per-stage accounting
-// aggregated on the Solver; every entry point takes a context for
-// cancellation and timeouts. A surface that a nontrivial subgroup of
-// lattice shifts leaves invariant — the flat reference, and every
-// first-order SSCM node, which is one KL mode — is built on the
-// quotient lattice (mom.Quotient): one kernel row per orbit, folded into
-// a system of two unknowns per orbit.
+// the surface is admitted — then dense LU), each solve's outcome
+// recorded in the solver's solve.* counters; every entry point takes a
+// context for cancellation and timeouts. A surface that a nontrivial
+// subgroup of lattice shifts leaves invariant — the flat reference, and
+// every first-order SSCM node, which is one KL mode — is built on the
+// quotient lattice (mom.Quotient): one kernel row per orbit, folded
+// into a system of two unknowns per orbit.
 package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"roughsim/internal/cmplxmat"
@@ -64,22 +64,6 @@ func (m Material) Params(f float64) mom.Params {
 	}
 }
 
-// SolveStats aggregates the per-stage accounting of every resilient
-// solve a Solver has run.
-type SolveStats struct {
-	Solves int // completed resilient solves
-	// Fallbacks counts solves not won by a first-line stage (the FFT
-	// operator stage or plain GMRES): a fallback means an iterative
-	// stage actually failed, not that the FFT stage was gated off.
-	Fallbacks     int
-	StageWins     map[string]int // winning stage → count
-	StageFailures map[string]int // failed stage attempts → count
-	// StageSkips counts stages gated off by a deterministic
-	// admissibility check (e.g. fft-gmres on an over-bound surface) —
-	// recorded rejections, not execution failures.
-	StageSkips map[string]int
-}
-
 // Solver computes loss enhancement factors for surfaces over a fixed
 // patch discretization; flat-reference solutions are cached per
 // frequency. Solver is safe for concurrent use.
@@ -100,10 +84,12 @@ type Solver struct {
 	// injects nothing.
 	Injector *resilience.Injector
 
-	// Metrics, when non-nil, receives solve.* telemetry (fallback-stage
-	// counters, flat-reference cache hits). Stage timings are the trace
-	// spans below; a traced caller's sink turns them into histograms.
-	// Set it before the first solve; it is read without locking.
+	// Metrics receives the solve.* counters, the one record of every
+	// solve's outcome (winning and failed stages, fallbacks, errors), and
+	// the flat-reference cache counters. NewSolver starts a private
+	// registry; replace it before the first solve to share one. Stage
+	// timings are the trace spans below; a traced caller's sink turns
+	// them into histograms.
 	Metrics *telemetry.Registry
 
 	key uint64 // running solve counter, the injector key
@@ -120,9 +106,6 @@ type Solver struct {
 	// at a new frequency would otherwise each solve the same flat system.
 	flat   *memo.LRU[float64, flatRef]
 	flat2D *memo.LRU[float64, float64]
-
-	mu    sync.Mutex
-	stats SolveStats
 }
 
 // flatRef is a frequency's flat reference: the absorbed power K is
@@ -147,8 +130,8 @@ func NewSolver(mat Material, L float64, M int, opt mom.Options) (*Solver, error)
 		return nil, resilience.Errorf(resilience.KindInvalidInput, "core.NewSolver",
 			"needs L > 0, M ≥ 2 (got L=%g, M=%d)", L, M)
 	}
-	s := &Solver{Mat: mat, L: L, M: M, Opt: opt, tables: mom.NewTableCache(0, nil),
-		flat2D: memo.NewLRU[float64, float64](flatMemoCap, memo.Hooks{})}
+	s := &Solver{Mat: mat, L: L, M: M, Opt: opt, Metrics: telemetry.NewRegistry(),
+		tables: mom.NewTableCache(0, nil), flat2D: memo.NewLRU[float64, float64](flatMemoCap, memo.Hooks{})}
 	s.flat = memo.NewLRU[float64, flatRef](flatMemoCap, memo.Hooks{
 		Hit:      func() { s.Metrics.Counter("core.flat_hits").Inc() },
 		Shared:   func() { s.Metrics.Counter("core.flat_shared").Inc() },
@@ -173,60 +156,10 @@ func NewSolverTabulated(mat Material, L float64, M int, zspan float64, opt mom.O
 	return s, nil
 }
 
-// Stats returns a snapshot of the aggregated solve accounting.
-func (s *Solver) Stats() SolveStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := s.stats
-	out.StageWins = make(map[string]int, len(s.stats.StageWins))
-	for k, v := range s.stats.StageWins {
-		out.StageWins[k] = v
-	}
-	out.StageFailures = make(map[string]int, len(s.stats.StageFailures))
-	for k, v := range s.stats.StageFailures {
-		out.StageFailures[k] = v
-	}
-	out.StageSkips = make(map[string]int, len(s.stats.StageSkips))
-	for k, v := range s.stats.StageSkips {
-		out.StageSkips[k] = v
-	}
-	return out
-}
-
-// record folds one solve report into the aggregate accounting.
-func (s *Solver) record(rep *mom.SolveReport) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stats.StageWins == nil {
-		s.stats.StageWins = map[string]int{}
-		s.stats.StageFailures = map[string]int{}
-		s.stats.StageSkips = map[string]int{}
-	}
-	s.stats.Solves++
-	s.Metrics.Counter("solve.count").Inc()
-	s.Metrics.Counter("solve.matvecs").Add(int64(rep.MatVecs))
-	if rep.Winner != "" {
-		s.stats.StageWins[rep.Winner]++
-		s.Metrics.Counter("solve.stage_win." + rep.Winner).Inc()
-		if rep.Winner != mom.StageFFT && rep.Winner != mom.StageGMRES {
-			s.stats.Fallbacks++
-			s.Metrics.Counter("solve.fallbacks").Inc()
-		}
-	}
-	for _, a := range rep.Attempts {
-		switch {
-		case a.Skipped:
-			s.stats.StageSkips[a.Stage]++
-			s.Metrics.Counter("solve.stage_skip." + a.Stage).Inc()
-		case a.Err != nil:
-			s.stats.StageFailures[a.Stage]++
-			s.Metrics.Counter("solve.stage_failure." + a.Stage).Inc()
-		}
-	}
-}
-
-// solve runs the resilient chain on one assembled system and folds its
-// accounting into the solver stats.
+// solve runs the resilient chain on one assembled system and records
+// its outcome in the solve.* counters and on a "mom.solve" span. A solve
+// whose stages both failed still counts its failed stages, beside
+// solve.errors; a cancelled one counts in solve.errors only.
 func (s *Solver) solve(ctx context.Context, sys *mom.System) (*mom.Solution, error) {
 	ctx, sp := trace.StartSpan(ctx, "mom.solve")
 	defer sp.End()
@@ -234,20 +167,34 @@ func (s *Solver) solve(ctx context.Context, sys *mom.System) (*mom.Solution, err
 		Injector: s.Injector,
 		Key:      atomic.AddUint64(&s.key, 1) - 1,
 	})
+	var rep *mom.SolveReport
+	if err == nil {
+		rep = sol.Report
+	} else {
+		errors.As(err, &rep)
+	}
+	if rep != nil {
+		for _, f := range rep.Failed {
+			s.Metrics.Counter("solve.stage_failure." + f.Stage).Inc()
+		}
+	}
 	if err != nil {
 		sp.SetAttr("error", err.Error())
 		s.Metrics.Counter("solve.errors").Inc()
 		return nil, err
 	}
-	if sol.Report != nil && sol.Report.Winner != "" {
-		sp.SetAttr("winner", sol.Report.Winner)
-		sp.SetAttr("attempts", len(sol.Report.Attempts))
-		sp.SetAttr("matvecs", sol.Report.MatVecs)
+	sp.SetAttr("winner", rep.Winner)
+	sp.SetAttr("attempts", len(rep.Failed)+1)
+	sp.SetAttr("matvecs", rep.MatVecs)
+	s.Metrics.Counter("solve.count").Inc()
+	s.Metrics.Counter("solve.matvecs").Add(int64(rep.MatVecs))
+	s.Metrics.Counter("solve.stage_win." + rep.Winner).Inc()
+	if rep.Winner == mom.StageDenseLU {
+		s.Metrics.Counter("solve.fallbacks").Inc()
 	}
 	if sys.Orbits() > 0 {
 		s.Metrics.Counter("solve.quotient").Inc()
 	}
-	s.record(sol.Report)
 	return sol, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -113,21 +114,51 @@ func TestSolveStatsAccounting(t *testing.T) {
 	if want, err := clean.LossFactor(surf, 5*units.GHz); err != nil || math.Abs(k-want) > 1e-6 {
 		t.Fatalf("K = %g through the fallback, %g (err %v) without faults", k, want, err)
 	}
-	st := s.Stats()
-	if st.Solves < 2 { // flat reference + rough solve
-		t.Fatalf("stats solves = %d, want ≥ 2", st.Solves)
+	solves := counter(s, "solve.count")
+	if solves < 2 { // flat reference + rough solve
+		t.Fatalf("solve.count = %d, want ≥ 2", solves)
 	}
-	if st.Fallbacks != st.Solves {
-		t.Fatalf("every solve should have fallen back: %+v", st)
+	if got := counter(s, "solve.fallbacks"); got != solves {
+		t.Fatalf("solve.fallbacks = %d, want every one of %d solves", got, solves)
 	}
-	if st.StageFailures[mom.StageGMRES] != st.Solves {
-		t.Fatalf("GMRES failures = %d, want %d", st.StageFailures[mom.StageGMRES], st.Solves)
+	if got := counter(s, "solve.stage_failure."+mom.StageGMRES); got != solves {
+		t.Fatalf("GMRES failures = %d, want %d", got, solves)
 	}
-	if st.StageWins[mom.StageDenseLU] != st.Solves {
-		t.Fatalf("dense LU wins = %d, want %d (wins: %v)",
-			st.StageWins[mom.StageDenseLU], st.Solves, st.StageWins)
+	if got := counter(s, "solve.stage_win."+mom.StageDenseLU); got != solves {
+		t.Fatalf("dense LU wins = %d, want %d", got, solves)
 	}
 }
+
+// TestFailedSolveAccounting: a solve whose two stages both fail still
+// records each failed stage, beside solve.errors, and no win. The flat
+// reference is the failing solve here, so the rough solve never runs.
+func TestFailedSolveAccounting(t *testing.T) {
+	s, err := NewSolver(PaperMaterial(), 5*um, 8, mom.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Injector = resilience.NewInjector(
+		resilience.FaultSpec{Op: mom.StageGMRES, Fraction: 1, Kind: resilience.KindConvergence},
+		resilience.FaultSpec{Op: mom.StageDenseLU, Fraction: 1, Kind: resilience.KindSingular},
+	)
+	surf := surface.NewKL(surface.NewGaussianCorr(0.1*um, 1*um), 5*um, 8).Sample(rng.New(1))
+	if _, err := s.LossFactor(surf, 5*units.GHz); resilience.Classify(err) != resilience.KindSingular {
+		t.Fatalf("LossFactor error %v, want the last stage's singular failure", err)
+	}
+	for _, name := range []string{"solve.stage_failure." + mom.StageGMRES, "solve.stage_failure." + mom.StageDenseLU, "solve.errors"} {
+		if got := counter(s, name); got != 1 {
+			t.Errorf("%s = %d, want 1", name, got)
+		}
+	}
+	for name, n := range s.Metrics.Snapshot().Counters {
+		if strings.HasPrefix(name, "solve.stage_win.") || name == "solve.count" || name == "solve.fallbacks" {
+			t.Errorf("%s = %d after a failed solve, want absent", name, n)
+		}
+	}
+}
+
+// counter reads one of the solver's counters.
+func counter(s *Solver, name string) int64 { return s.Metrics.Counter(name).Value() }
 
 // TestRigidShiftNeedsNoSolve: a surface whose heights are all equal has
 // the flat reference's matrix and a unimodular multiple of its
@@ -150,7 +181,7 @@ func TestRigidShiftNeedsNoSolve(t *testing.T) {
 			t.Fatalf("heights all %g: K = %v (err %v), want exactly 1", surf.H[0], k, err)
 		}
 	}
-	if n := s.Stats().Solves; n != 0 {
+	if n := counter(s, "solve.count"); n != 0 {
 		t.Fatalf("rigid shifts ran %d solves, want 0", n)
 	}
 	// The solved K of the shift is 1 to solver precision: the rule only
@@ -164,7 +195,7 @@ func TestRigidShiftNeedsNoSolve(t *testing.T) {
 	if k, err := s.LossFactor(bumped, 5*units.GHz); err != nil || math.Abs(k-1) > 1e-9 {
 		t.Fatalf("near-shift K = %v (err %v), want 1 within 1e-9", k, err)
 	}
-	if n := s.Stats().Solves; n != 2 {
+	if n := counter(s, "solve.count"); n != 2 {
 		t.Fatalf("near-shift ran %d solves, want 2 (flat reference and surface)", n)
 	}
 	analytic := surface.NewFlat(5*um, 8)
@@ -205,21 +236,18 @@ func TestProductionSolvesNeverFallBack(t *testing.T) {
 			if _, err := s.LossFactorCtx(context.Background(), surf, f); err != nil {
 				t.Fatal(err)
 			}
-			st := s.Stats()
-			if st.Fallbacks != 0 {
-				t.Fatalf("%d of %d solves fell back (wins %v, failures %v)",
-					st.Fallbacks, st.Solves, st.StageWins, st.StageFailures)
+			solves := counter(s, "solve.count")
+			if fb := counter(s, "solve.fallbacks"); fb != 0 {
+				t.Fatalf("%d of %d solves fell back (counters %v)", fb, solves, s.Metrics.Snapshot().Counters)
 			}
-			for stage := range st.StageWins {
-				if stage != mom.StageFFT && stage != mom.StageGMRES {
-					t.Fatalf("stage %q won a production solve (wins %v)", stage, st.StageWins)
-				}
+			first := counter(s, "solve.stage_win."+mom.StageFFT) + counter(s, "solve.stage_win."+mom.StageGMRES)
+			if first != solves {
+				t.Fatalf("first-line stages won %d of %d production solves (counters %v)", first, solves, s.Metrics.Snapshot().Counters)
 			}
 			// The flat reference solves on the quotient lattice, on its
 			// two-unknown dense matrix.
-			if tc.fftFirst && st.StageWins[mom.StageFFT] != st.Solves-1 {
-				t.Fatalf("fft-gmres won %d of %d rough solves on an admitted surface (wins %v, skips %v)",
-					st.StageWins[mom.StageFFT], st.Solves-1, st.StageWins, st.StageSkips)
+			if fft := counter(s, "solve.stage_win."+mom.StageFFT); tc.fftFirst && fft != solves-1 {
+				t.Fatalf("fft-gmres won %d of %d rough solves on an admitted surface", fft, solves-1)
 			}
 		})
 	}
@@ -437,7 +465,7 @@ func TestLossFactorsMirrorPairMatchesSingles(t *testing.T) {
 			want = 3
 		}
 		if got := reg.Counter("solve.stage_win." + tc.stage).Value(); got != int64(want) {
-			t.Fatalf("%s: %s wins = %d, want %d (stats %+v)", tc.name, tc.stage, got, want, s.Stats())
+			t.Fatalf("%s: %s wins = %d, want %d (counters %v)", tc.name, tc.stage, got, want, reg.Snapshot().Counters)
 		}
 		for i, surf := range pair {
 			k, err := s.LossFactor(surf, f)
@@ -449,7 +477,7 @@ func TestLossFactorsMirrorPairMatchesSingles(t *testing.T) {
 			}
 		}
 
-		before := s.Stats().Solves
+		before := reg.Counter("solve.count").Value()
 		for _, bad := range [][]*surface.Surface{
 			{pair[0], pair[0]},
 			{pair[0], pair[1], pair[0]},
@@ -459,7 +487,7 @@ func TestLossFactorsMirrorPairMatchesSingles(t *testing.T) {
 				t.Errorf("%s: %d-surface non-pair gave %v, want invalid input", tc.name, len(bad), err)
 			}
 		}
-		if got := s.Stats().Solves; got != before {
+		if got := reg.Counter("solve.count").Value(); got != before {
 			t.Errorf("%s: rejected inputs ran %d solves", tc.name, got-before)
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"roughsim/internal/mom"
@@ -47,18 +48,14 @@ func TestSolverFFTFastPath(t *testing.T) {
 		t.Fatalf("mom.fft.solve parents = %v, want [mom.solve]", parents)
 	}
 
-	st := s.Stats()
-	if got := st.StageWins[mom.StageFFT]; got != 1 { // the rough solve
-		t.Fatalf("fft-gmres wins = %d (stats %+v), want 1", got, st)
-	}
-	if got := st.StageWins[mom.StageGMRES]; got != 1 { // the flat reference
-		t.Fatalf("gmres wins = %d (stats %+v), want 1", got, st)
-	}
-	if st.Fallbacks != 0 {
-		t.Fatalf("fallbacks = %d, want 0", st.Fallbacks)
-	}
-	if got := reg.Counter("solve.stage_win." + mom.StageFFT).Value(); got != 1 {
+	if got := reg.Counter("solve.stage_win." + mom.StageFFT).Value(); got != 1 { // the rough solve
 		t.Fatalf("solve.stage_win.fft-gmres = %d, want 1", got)
+	}
+	if got := reg.Counter("solve.stage_win." + mom.StageGMRES).Value(); got != 1 { // the flat reference
+		t.Fatalf("solve.stage_win.gmres = %d, want 1", got)
+	}
+	if got := reg.Counter("solve.fallbacks").Value(); got != 0 {
+		t.Fatalf("solve.fallbacks = %d, want 0", got)
 	}
 	if got := reg.Counter("solve.quotient").Value(); got != 1 {
 		t.Fatalf("solve.quotient = %d, want 1", got)
@@ -84,7 +81,7 @@ func TestSolverFFTFastPath(t *testing.T) {
 	if dev := math.Abs(k-kd) / kd; dev > 1e-6 {
 		t.Fatalf("fft-path K %g vs dense-path K %g (rel dev %g)", k, kd, dev)
 	}
-	if got := ds.Stats().StageWins[mom.StageFFT]; got != 0 {
+	if got := ds.Metrics.Counter("solve.stage_win." + mom.StageFFT).Value(); got != 0 {
 		t.Fatalf("disabled FFT stage still won %d solves", got)
 	}
 }
@@ -103,9 +100,10 @@ func spanParents(root *trace.SpanSummary, name string) []string {
 }
 
 // TestSolverFFTRejectionAccounting checks that an over-bound surface is
-// recorded as a skipped fft-gmres stage (not a failure or a fallback)
-// and solved through the dense chain, whose lazily materialized
-// mom.assemble span nests under the mom.solve span that forced it.
+// recorded once, in solve.fft_rejected (not as a stage failure or a
+// fallback), and solved through the dense chain, whose lazily
+// materialized mom.assemble span nests under the mom.solve span that
+// forced it.
 func TestSolverFFTRejectionAccounting(t *testing.T) {
 	L := 5 * um
 	M := 12
@@ -132,27 +130,19 @@ func TestSolverFFTRejectionAccounting(t *testing.T) {
 	if len(parents) != 2 || parents[0] != "flat.reference" || parents[1] != "mom.solve" {
 		t.Fatalf("mom.assemble parents = %v, want [flat.reference mom.solve]", parents)
 	}
-	st := s.Stats()
 	// The flat reference solves on the quotient lattice (plain gmres on
 	// two unknowns); the rough solve is rejected by the FFT gates and
 	// falls to dense GMRES.
-	if got := st.StageSkips[mom.StageFFT]; got != 1 {
-		t.Fatalf("fft-gmres skips = %d (stats %+v), want 1", got, st)
-	}
-	if got := st.StageFailures[mom.StageFFT]; got != 0 {
-		t.Fatalf("skipped stage recorded %d failures", got)
-	}
-	if st.Fallbacks != 0 {
-		t.Fatalf("gated-off FFT stage counted as %d fallbacks", st.Fallbacks)
-	}
-	if got := st.StageWins[mom.StageGMRES]; got != 2 {
-		t.Fatalf("gmres wins = %d, want 2", got)
-	}
-	if got := reg.Counter("solve.stage_skip." + mom.StageFFT).Value(); got != 1 {
-		t.Fatalf("solve.stage_skip.fft-gmres = %d, want 1", got)
-	}
 	if got := reg.Counter("solve.fft_rejected").Value(); got != 1 {
 		t.Fatalf("solve.fft_rejected = %d, want 1", got)
+	}
+	for name, n := range reg.Snapshot().Counters {
+		if strings.HasPrefix(name, "solve.stage_failure.") || name == "solve.fallbacks" {
+			t.Fatalf("gated-off FFT stage recorded %s = %d", name, n)
+		}
+	}
+	if got := reg.Counter("solve.stage_win." + mom.StageGMRES).Value(); got != 2 {
+		t.Fatalf("gmres wins = %d, want 2", got)
 	}
 	if got := reg.Counter("solve.dense_materialized").Value(); got != 1 {
 		t.Fatalf("dense materializations = %d, want 1", got)

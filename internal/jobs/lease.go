@@ -70,7 +70,6 @@ type leaseTask struct {
 	losses  int
 	result  any
 	err     error
-	done    chan struct{}
 }
 
 // LeaseTable is the coordinator-side claim/renew/complete ledger. All
@@ -179,7 +178,6 @@ func (lt *LeaseTable) loseLocked(t *leaseTask, failErr error) {
 		lt.m.Counter("lease.exhausted").Inc()
 		t.state = taskDone
 		t.err = failErr
-		close(t.done)
 		return
 	}
 	lt.m.Counter("lease.requeued").Inc()
@@ -187,22 +185,19 @@ func (lt *LeaseTable) loseLocked(t *leaseTask, failErr error) {
 	lt.order = append(lt.order, t.id)
 }
 
-// Offer adds a task (idempotently by ID: a duplicate offer returns the
-// existing task's done channel without resetting any state) and returns
-// the channel that closes when the task finishes.
-func (lt *LeaseTable) Offer(id string, payload any) <-chan struct{} {
+// Offer adds a task, idempotently by ID: a duplicate offer leaves the
+// existing task's state alone. Its outcome is read with Result.
+func (lt *LeaseTable) Offer(id string, payload any) {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	if t, ok := lt.tasks[id]; ok {
-		return t.done
+	if _, ok := lt.tasks[id]; ok {
+		return
 	}
-	t := &leaseTask{id: id, payload: payload, state: taskPending, done: make(chan struct{})}
-	lt.tasks[id] = t
+	lt.tasks[id] = &leaseTask{id: id, payload: payload, state: taskPending}
 	lt.order = append(lt.order, id)
 	lt.tasksG.Set(float64(len(lt.tasks)))
 	lt.m.Counter("lease.offered").Inc()
 	lt.notifyLocked()
-	return t.done
 }
 
 // Claim leases the oldest pending task to worker (registering the
@@ -272,7 +267,6 @@ func (lt *LeaseTable) Complete(id, token string, result any, taskErr error) erro
 			t.state = taskDone
 			t.worker, t.token = "", ""
 			t.err = taskErr
-			close(t.done)
 		default:
 			lt.loseLocked(t, taskErr)
 		}
@@ -282,7 +276,6 @@ func (lt *LeaseTable) Complete(id, token string, result any, taskErr error) erro
 	t.state = taskDone
 	t.worker, t.token = "", ""
 	t.result = result
-	close(t.done)
 	lt.m.CounterL("lease.completes", telemetry.L("worker", worker)).Inc()
 	lt.notifyLocked()
 	return nil
@@ -304,20 +297,14 @@ func (lt *LeaseTable) Result(id string) (result any, err error, done bool) {
 	return t.result, t.err, true
 }
 
-// Cancel abandons a task: it is removed from the table (closing its
-// done channel with a canceled error if still unfinished) and any
-// in-flight completion for it becomes a stale no-op.
+// Cancel abandons a task: it is removed from the table, so Result reads
+// it as done with ErrStaleLease and any in-flight completion for it
+// becomes a stale no-op.
 func (lt *LeaseTable) Cancel(id string) {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	t, ok := lt.tasks[id]
-	if !ok {
+	if _, ok := lt.tasks[id]; !ok {
 		return
-	}
-	if t.state != taskDone {
-		t.err = resilience.Errorf(resilience.KindCanceled, "jobs.lease", "task canceled")
-		t.state = taskDone
-		close(t.done)
 	}
 	delete(lt.tasks, id)
 	lt.tasksG.Set(float64(len(lt.tasks)))

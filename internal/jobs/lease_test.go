@@ -23,7 +23,7 @@ func counter(m *telemetry.Registry, name string) int64 {
 func TestLeaseClaimCompleteRoundTrip(t *testing.T) {
 	m := telemetry.NewRegistry()
 	lt := testLeaseTable(t, LeaseOptions{TTL: time.Second, Metrics: m})
-	done := lt.Offer("t1", "payload")
+	lt.Offer("t1", "payload")
 	lease, ok := lt.Claim("w1")
 	if !ok {
 		t.Fatal("claim found nothing")
@@ -34,13 +34,11 @@ func TestLeaseClaimCompleteRoundTrip(t *testing.T) {
 	if _, ok := lt.Claim("w2"); ok {
 		t.Fatal("second claim should find nothing: the only task is leased")
 	}
+	if _, _, finished := lt.Result("t1"); finished {
+		t.Fatal("leased task reads as finished")
+	}
 	if err := lt.Complete("t1", lease.Token, []float64{1, 2}, nil); err != nil {
 		t.Fatalf("complete: %v", err)
-	}
-	select {
-	case <-done:
-	default:
-		t.Fatal("done channel not closed after completion")
 	}
 	res, err, finished := lt.Result("t1")
 	if !finished || err != nil {
@@ -55,11 +53,12 @@ func TestLeaseClaimCompleteRoundTrip(t *testing.T) {
 }
 
 func TestLeaseOfferIdempotent(t *testing.T) {
-	lt := testLeaseTable(t, LeaseOptions{TTL: time.Second})
-	d1 := lt.Offer("t1", 1)
-	d2 := lt.Offer("t1", 2)
-	if d1 != d2 {
-		t.Fatal("duplicate offer returned a different done channel")
+	m := telemetry.NewRegistry()
+	lt := testLeaseTable(t, LeaseOptions{TTL: time.Second, Metrics: m})
+	lt.Offer("t1", 1)
+	lt.Offer("t1", 2)
+	if got := counter(m, "lease.offered"); got != 1 {
+		t.Fatalf("lease.offered = %d after a duplicate offer, want 1", got)
 	}
 	lease, ok := lt.Claim("w")
 	if !ok || lease.Payload != 1 {
@@ -117,18 +116,16 @@ func TestLeaseExpiryRequeuesOnceAndDiscardsStaleResult(t *testing.T) {
 func TestLeaseExhaustionAfterMaxLosses(t *testing.T) {
 	m := telemetry.NewRegistry()
 	lt := testLeaseTable(t, LeaseOptions{TTL: 20 * time.Millisecond, MaxLosses: 2, Metrics: m})
-	done := lt.Offer("t1", nil)
+	lt.Offer("t1", nil)
 	losses := 0
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if _, ok := lt.Claim("w"); ok {
 			losses++
 		}
-		select {
-		case <-done:
-			_, err, finished := lt.Result("t1")
-			if !finished || err == nil {
-				t.Fatalf("exhausted task should fail: done=%v err=%v", finished, err)
+		if _, err, finished := lt.Result("t1"); finished {
+			if err == nil {
+				t.Fatal("exhausted task should fail")
 			}
 			if losses != 3 {
 				// MaxLosses=2 budgets two re-queues: three claims total.
@@ -138,7 +135,6 @@ func TestLeaseExhaustionAfterMaxLosses(t *testing.T) {
 				t.Fatalf("lease.exhausted = %v, want 1", got)
 			}
 			return
-		default:
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("task never exhausted (claims so far: %d)", losses)
@@ -218,14 +214,9 @@ func TestLeaseLeaveRebalances(t *testing.T) {
 
 func TestLeaseCancelAndForget(t *testing.T) {
 	lt := testLeaseTable(t, LeaseOptions{TTL: time.Second})
-	done := lt.Offer("t1", nil)
+	lt.Offer("t1", nil)
 	lease, _ := lt.Claim("w")
 	lt.Cancel("t1")
-	select {
-	case <-done:
-	default:
-		t.Fatal("cancel left the done channel open")
-	}
 	// Canceled and forgotten tasks read as done (stale) so no waiter can
 	// deadlock, and an in-flight completion is a no-op.
 	if _, err, finished := lt.Result("t1"); !finished || !errors.Is(err, ErrStaleLease) {

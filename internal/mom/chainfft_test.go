@@ -11,6 +11,7 @@ import (
 	"roughsim/internal/resilience"
 	"roughsim/internal/rng"
 	"roughsim/internal/surface"
+	"roughsim/internal/trace"
 	"roughsim/internal/units"
 )
 
@@ -24,19 +25,6 @@ func operatorSystem(s *surface.Surface, p Params, opt Options) (*System, *int) {
 		return Assemble(s, p, opt).Matrix, nil
 	})
 	return sys, calls
-}
-
-// fftAttempts counts report attempts on the fft-gmres stage.
-func fftAttempts(rep *SolveReport) (total, skipped int) {
-	for _, a := range rep.Attempts {
-		if a.Stage == StageFFT {
-			total++
-			if a.Skipped {
-				skipped++
-			}
-		}
-	}
-	return
 }
 
 func TestChainFFTStageWinsAndMatchesDense(t *testing.T) {
@@ -55,8 +43,8 @@ func TestChainFFTStageWinsAndMatchesDense(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sol.Report.Winner != StageFFT {
-		for _, a := range sol.Report.Attempts {
-			t.Logf("attempt %q skipped=%v err=%v", a.Stage, a.Skipped, a.Err)
+		for _, f := range sol.Report.Failed {
+			t.Logf("stage %q failed: %v", f.Stage, f.Err)
 		}
 		t.Fatalf("winner = %q, want %q", sol.Report.Winner, StageFFT)
 	}
@@ -136,7 +124,8 @@ func TestChainOverBoundSurfaceSkipsFFTWithoutRetry(t *testing.T) {
 	if kind := resilience.Classify(sys.FFTRejection()); kind != resilience.KindNumerical {
 		t.Fatalf("rejection kind = %v, want numerical", kind)
 	}
-	// The deterministic rejection is recorded once and never run.
+	// The deterministic rejection never enters the chain: gmres is its
+	// first stage, and no stage fails.
 	sol, err := sys.SolveResilient(context.Background(), SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -144,16 +133,8 @@ func TestChainOverBoundSurfaceSkipsFFTWithoutRetry(t *testing.T) {
 	if sol.Report.Winner != StageGMRES {
 		t.Fatalf("winner = %q, want %q", sol.Report.Winner, StageGMRES)
 	}
-	total, skipped := fftAttempts(sol.Report)
-	if total != 1 || skipped != 1 {
-		t.Fatalf("fft attempts = %d (skipped %d), want exactly 1 skipped", total, skipped)
-	}
-	a := sol.Report.Attempts[0]
-	if a.Stage != StageFFT || !a.Skipped || a.Kind != resilience.KindNumerical {
-		t.Fatalf("first attempt = %+v, want skipped numerical fft-gmres", a)
-	}
-	if sol.Report.Failed() != 0 {
-		t.Fatalf("skipped rejection counted as %d failures", sol.Report.Failed())
+	if len(sol.Report.Failed) != 0 {
+		t.Fatalf("rejected surface recorded failed stages %+v", sol.Report.Failed)
 	}
 	if *denseCalls != 1 || !sys.DenseAssembled() {
 		t.Fatalf("dense matrix materialized %d times, want exactly once", *denseCalls)
@@ -174,18 +155,27 @@ func TestChainInjectedFFTFailureFallsBack(t *testing.T) {
 	inj := resilience.NewInjector(resilience.FaultSpec{
 		Op: StageFFT, Fraction: 1, Kind: resilience.KindConvergence,
 	})
-	sol, err := sys.SolveResilient(context.Background(), SolveOptions{Injector: inj})
+	tr := trace.New("injected-fft")
+	sol, err := sys.SolveResilient(trace.ContextWithSpan(context.Background(), tr.Root()), SolveOptions{Injector: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The chain has two stages: a failed fft-gmres goes straight to LU.
-	att := sol.Report.Attempts
-	if len(att) != 2 || att[0].Stage != StageFFT || att[0].Err == nil || !att[0].Injected ||
-		att[1].Stage != StageDenseLU || att[1].Err != nil {
-		t.Fatalf("attempts = %+v, want [fft-gmres failed, lu won]", att)
+	// The injected failure is the stage's whole outcome: it never runs,
+	// so it opens no mom.fft.solve span.
+	failed := sol.Report.Failed
+	var fault *resilience.InjectedFault
+	if len(failed) != 1 || failed[0].Stage != StageFFT || !errors.As(failed[0].Err, &fault) ||
+		resilience.Classify(failed[0].Err) != resilience.KindConvergence {
+		t.Fatalf("failed stages = %+v, want one injected convergence failure of fft-gmres", failed)
 	}
 	if sol.Report.Winner != StageDenseLU {
 		t.Fatalf("winner = %q, want %q", sol.Report.Winner, StageDenseLU)
+	}
+	for _, st := range tr.Summary().Stages {
+		if st.Name == "mom.fft.solve" {
+			t.Fatal("the injected fft-gmres stage ran")
+		}
 	}
 	if *denseCalls != 1 {
 		t.Fatalf("dense materializations = %d, want 1", *denseCalls)

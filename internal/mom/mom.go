@@ -148,8 +148,8 @@ func (sys *System) MatVec(ctx context.Context) (cmplxmat.MatVec, error) {
 // tables instead of running Ewald sums.
 //
 // A rejected surface costs nothing beyond the gate checks: the typed
-// rejection is kept and surfaces in SolveReport.Attempts as a Skipped
-// fft-gmres attempt, and the gmres stage materializes the matrix.
+// rejection is kept (FFTRejection), and the gmres stage materializes the
+// matrix.
 func NewOperatorSystem(s *surface.Surface, p Params, opt Options, ts *TableSet, dense func(context.Context) (*cmplxmat.Matrix, error)) *System {
 	opt = opt.withDefaults()
 	n := s.M * s.M
@@ -350,8 +350,8 @@ type Solution struct {
 	// (h²/2)·Σ Re{ψ*·u} (up to the constant ρ factor, which cancels in
 	// the Pr/Ps ratio).
 	Pabs float64
-	// Report carries the per-stage accounting when the solution came
-	// from SolveResilient; nil for the direct Solve path.
+	// Report carries the chain's accounting when the solution came from
+	// SolveResilient; nil for the direct Solve path.
 	Report *SolveReport
 }
 

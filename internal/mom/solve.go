@@ -33,9 +33,15 @@ type SolveOptions struct {
 	Key uint64
 }
 
-// SolveReport is the per-stage accounting of one resilient solve.
+// SolveReport is the accounting of one resilient solve. When neither
+// stage wins it is also the cause SolveResilient's error wraps, so a
+// caller can still read which stages failed (errors.As).
 type SolveReport struct {
-	resilience.Report
+	// Winner names the stage whose candidate was accepted; "" when both
+	// failed.
+	Winner string
+	// Failed lists the stages that failed, in chain order.
+	Failed []StageFailure
 	// RelRes is the independently verified relative residual of the
 	// winning stage's solution.
 	RelRes float64
@@ -44,14 +50,39 @@ type SolveReport struct {
 	MatVecs int
 }
 
+// StageFailure is one failed stage of a resilient solve; Err is
+// classified (resilience.Classify).
+type StageFailure struct {
+	Stage string
+	Err   error
+}
+
+// Error reports the chain's total failure: the number of failed stages
+// and the last one's error, which it unwraps to.
+func (r *SolveReport) Error() string {
+	return fmt.Sprintf("all %d fallback stages failed: %v", len(r.Failed), r.Unwrap())
+}
+
+// Unwrap returns the last failed stage's error (nil when none failed).
+func (r *SolveReport) Unwrap() error {
+	if len(r.Failed) == 0 {
+		return nil
+	}
+	return r.Failed[len(r.Failed)-1].Err
+}
+
 // SolveResilient solves the system through the two-stage chain GMRES →
 // dense LU, running each stage at most once, verifying the true
 // residual (and finiteness) of every stage's candidate before accepting
-// it, and recording per-stage accounting on the returned Solution. LU
+// it, and recording the outcome on the returned Solution's Report. LU
 // with partial pivoting is backward stable, so once GMRES has failed on
 // a non-singular system LU's verified residual is the answer: no further
 // iterative stage could rescue a solve LU cannot. Cancellation is
-// honored between stages and, in the GMRES stage, between restarts.
+// honored between stages and, in the GMRES stage, between restarts. The
+// fault injector, when set, is consulted before each stage: a matched
+// stage fails with a mom.solve.<stage> error without running. When both
+// stages fail the error is a mom.solve *resilience.Error, classified as
+// the last failure and wrapping the *SolveReport.
 //
 // The GMRES stage is one Krylov solve (krylov) on the system's own
 // operator (MatVec), right-preconditioned by its flat inverse (see
@@ -61,9 +92,7 @@ type SolveReport struct {
 // its candidate is verified through the operator's own MatVec, so a
 // solve it wins never touches (or assembles) the dense matrix. Otherwise
 // the stage is gmres on the dense matrix, which a lazily-built system
-// materializes on entry, as the LU stage does. A gate rejection is
-// prepended to the report as a Skipped fft-gmres attempt: observable,
-// but never run and never counted as an execution failure.
+// materializes on entry, as the LU stage does.
 func (sys *System) SolveResilient(ctx context.Context, opt SolveOptions) (*Solution, error) {
 	n2 := 2 * sys.N
 	tol := opt.Tol
@@ -114,19 +143,10 @@ func (sys *System) SolveResilient(ctx context.Context, opt SolveOptions) (*Solut
 		}
 		return verify(cand, mv, matvecs)
 	}
-	first := resilience.Stage{Name: StageGMRES, Run: iterate}
-	if sys.fft != nil {
-		first = resilience.Stage{Name: StageFFT, Run: func(c context.Context) error {
-			_, sp := trace.StartSpan(c, "mom.fft.solve")
-			err := iterate(c)
-			if err != nil {
-				sp.SetAttr("error", err.Error())
-			}
-			sp.End()
-			return err
-		}}
-	}
-	stages := []resilience.Stage{first, {Name: StageDenseLU, Run: func(c context.Context) error {
+	stages := [2]struct {
+		name string
+		run  func(context.Context) error
+	}{{StageGMRES, iterate}, {StageDenseLU, func(c context.Context) error {
 		if err := sys.Materialize(c); err != nil {
 			return err
 		}
@@ -136,25 +156,37 @@ func (sys *System) SolveResilient(ctx context.Context, opt SolveOptions) (*Solut
 		}
 		return verify(cand, sys.Matrix.MulVecTo, 0)
 	}}}
-
-	rep, err := resilience.Execute(ctx, "mom.solve", opt.Injector, opt.Key, stages)
-	if sys.fft == nil && sys.fftRej != nil {
-		// The FFT stage was gated off for this surface: record the typed
-		// rejection for observability without ever having run the stage.
-		rep.Attempts = append([]resilience.Attempt{{
-			Stage:   StageFFT,
-			Kind:    resilience.Classify(sys.fftRej),
-			Err:     sys.fftRej,
-			Skipped: true,
-		}}, rep.Attempts...)
+	if sys.fft != nil {
+		stages[0].name = StageFFT
+		stages[0].run = func(c context.Context) error {
+			_, sp := trace.StartSpan(c, "mom.fft.solve")
+			err := iterate(c)
+			if err != nil {
+				sp.SetAttr("error", err.Error())
+			}
+			sp.End()
+			return err
+		}
 	}
-	report.Report = rep
-	if err != nil {
-		return nil, err
+	for _, st := range stages {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		var err error
+		if f := opt.Injector.Fault(st.name, opt.Key); f != nil {
+			err = resilience.New(f.Kind, "mom.solve."+st.name, f)
+		} else {
+			err = st.run(ctx)
+		}
+		if err == nil {
+			report.Winner = st.name
+			sol := sys.solution(x)
+			sol.Report = report
+			return sol, nil
+		}
+		report.Failed = append(report.Failed, StageFailure{Stage: st.name, Err: err})
 	}
-	sol := sys.solution(x)
-	sol.Report = report
-	return sol, nil
+	return nil, resilience.New(resilience.Classify(report.Unwrap()), "mom.solve", report)
 }
 
 // precondition returns the right preconditioner of the GMRES stage (nil:

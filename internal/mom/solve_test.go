@@ -53,11 +53,12 @@ func TestSolveResilientFallsBackAndMatchesDense(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := sol.Report
-	if rep.Winner != StageDenseLU || len(rep.Attempts) != 2 {
-		t.Fatalf("expected dense LU to win on the second attempt, report: %+v", rep)
+	if rep.Winner != StageDenseLU || len(rep.Failed) != 1 || rep.Failed[0].Stage != StageGMRES {
+		t.Fatalf("expected dense LU to win after GMRES failed, report: %+v", rep)
 	}
-	if !rep.Attempts[0].Injected || rep.Attempts[0].Kind != resilience.KindConvergence {
-		t.Fatalf("first attempt should be the injected GMRES failure: %+v", rep.Attempts)
+	var fault *resilience.InjectedFault
+	if !errors.As(rep.Failed[0].Err, &fault) || resilience.Classify(rep.Failed[0].Err) != resilience.KindConvergence {
+		t.Fatalf("GMRES should have failed with the injected convergence fault: %+v", rep.Failed)
 	}
 	if rep.RelRes > 1e-6 {
 		t.Fatalf("fallback result not verified: relres %g", rep.RelRes)
@@ -91,6 +92,17 @@ func TestSolveResilientAllStagesFail(t *testing.T) {
 	}
 	if resilience.Classify(err) != resilience.KindSingular {
 		t.Fatalf("expected the last failure's kind, got %v", resilience.Classify(err))
+	}
+	// The error wraps the last stage's failure and the report, which
+	// names both failed stages in chain order.
+	var fault *resilience.InjectedFault
+	if !errors.As(err, &fault) || fault.Kind != resilience.KindSingular {
+		t.Fatalf("error does not wrap the lu stage's injected fault: %v", err)
+	}
+	var rep *SolveReport
+	if !errors.As(err, &rep) || rep.Winner != "" || len(rep.Failed) != 2 ||
+		rep.Failed[0].Stage != StageGMRES || rep.Failed[1].Stage != StageDenseLU {
+		t.Fatalf("error carries report %+v, want gmres then lu failed", rep)
 	}
 }
 

@@ -2,11 +2,10 @@
 // solver and the stochastic drivers: a typed classification of the
 // failure modes a long stochastic sweep meets in practice (iterative-
 // solver non-convergence, singular assemblies, invalid input, NaN/Inf
-// contamination, worker panics, cancellation), a runner that executes a
-// fallback chain of solver stages once each, in order, the retry
-// vocabulary (Retryable, Backoff) the job queue uses, and a
-// deterministic fault-injection hook so every recovery path can be
-// exercised in tests without depending on numerically fragile inputs.
+// contamination, worker panics, cancellation), the retry vocabulary
+// (Retryable, Backoff) the job queue uses, and a deterministic
+// fault-injection hook so every recovery path can be exercised in tests
+// without depending on numerically fragile inputs.
 //
 // Production surface-integral codes treat iterative breakdown as an
 // expected event to recover from, not a fatal error; this package gives
@@ -148,77 +147,4 @@ func Classify(err error) Kind {
 		return KindSingular
 	}
 	return KindUnknown
-}
-
-// Stage is one step of a fallback chain.
-type Stage struct {
-	Name string
-	Run  func(ctx context.Context) error
-}
-
-// Attempt records one stage execution (or injected failure).
-type Attempt struct {
-	Stage    string
-	Kind     Kind  // classification when Err != nil
-	Err      error // nil on success
-	Injected bool  // the failure came from the fault injector
-	// Skipped marks a stage that was never executed because a
-	// deterministic admissibility check rejected it up front (e.g. the
-	// FFT-operator stage on an over-bound surface). Skipped attempts are
-	// recorded for observability but are not execution failures.
-	Skipped bool
-}
-
-// Report is the per-stage accounting of one chain execution.
-type Report struct {
-	Attempts []Attempt
-	Winner   string // name of the stage that succeeded; "" if none
-}
-
-// Failed returns the number of failed execution attempts. Skipped
-// attempts (stages gated off by a deterministic admissibility check)
-// carry their rejection error for observability but never ran, so they
-// are not counted.
-func (r *Report) Failed() int {
-	n := 0
-	for _, a := range r.Attempts {
-		if a.Err != nil && !a.Skipped {
-			n++
-		}
-	}
-	return n
-}
-
-// Execute runs the stages in order until one succeeds, each at most
-// once: every stage is deterministic and so is the injector, so running
-// a failed stage again could only repeat its failure. The injector
-// (which may be nil) is consulted before each stage. The returned Report
-// records every attempt; on total failure the returned error carries the
-// classification of the last attempt and wraps its cause. Cancellation
-// is checked between stages and returned as ctx.Err().
-func Execute(ctx context.Context, op string, inj *Injector, key uint64, stages []Stage) (Report, error) {
-	var rep Report
-	var lastErr error
-	for _, st := range stages {
-		if err := ctx.Err(); err != nil {
-			return rep, err
-		}
-		var err error
-		injected := false
-		if f := inj.Fault(st.Name, key); f != nil {
-			err = New(f.Kind, op+"."+st.Name, f)
-			injected = true
-		} else {
-			err = st.Run(ctx)
-		}
-		if err == nil {
-			rep.Attempts = append(rep.Attempts, Attempt{Stage: st.Name})
-			rep.Winner = st.Name
-			return rep, nil
-		}
-		rep.Attempts = append(rep.Attempts, Attempt{Stage: st.Name, Kind: Classify(err), Err: err, Injected: injected})
-		lastErr = err
-	}
-	return rep, New(Classify(lastErr), op,
-		fmt.Errorf("all %d fallback stages failed: %w", len(stages), lastErr))
 }

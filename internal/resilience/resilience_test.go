@@ -120,77 +120,3 @@ func TestInjectedFaultIsError(t *testing.T) {
 		t.Fatalf("injected fault classified as %v", Classify(err))
 	}
 }
-
-func TestPolicyExecuteFallbackOrder(t *testing.T) {
-	var ran []string
-	stages := []Stage{
-		{Name: "a", Run: func(ctx context.Context) error { ran = append(ran, "a"); return cmplxmat.ErrNoConvergence }},
-		{Name: "b", Run: func(ctx context.Context) error { ran = append(ran, "b"); return cmplxmat.ErrNoConvergence }},
-		{Name: "c", Run: func(ctx context.Context) error { ran = append(ran, "c"); return nil }},
-		{Name: "d", Run: func(ctx context.Context) error { t.Fatal("stage after winner must not run"); return nil }},
-	}
-	rep, err := Execute(context.Background(), "test", nil, 0, stages)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Winner != "c" || rep.Failed() != 2 {
-		t.Fatalf("report: %+v", rep)
-	}
-	if len(ran) != 3 || ran[0] != "a" || ran[1] != "b" || ran[2] != "c" {
-		t.Fatalf("stage order: %v", ran)
-	}
-	if len(rep.Attempts) != 3 || rep.Attempts[0].Kind != KindConvergence || rep.Attempts[2].Err != nil {
-		t.Fatalf("attempts: %+v", rep.Attempts)
-	}
-}
-
-func TestPolicyExecuteAllFail(t *testing.T) {
-	stages := []Stage{
-		{Name: "a", Run: func(ctx context.Context) error { return cmplxmat.ErrNoConvergence }},
-		{Name: "b", Run: func(ctx context.Context) error { return cmplxmat.ErrSingular }},
-	}
-	rep, err := Execute(context.Background(), "test", nil, 0, stages)
-	if err == nil || rep.Winner != "" {
-		t.Fatal("expected failure when every stage fails")
-	}
-	if Classify(err) != KindSingular {
-		t.Fatalf("final error should classify as the last failure: %v", err)
-	}
-	if !errors.Is(err, cmplxmat.ErrSingular) {
-		t.Fatal("final error must wrap the last stage error")
-	}
-	if len(rep.Attempts) != 2 {
-		t.Fatalf("attempts: %+v", rep.Attempts)
-	}
-}
-
-func TestPolicyExecuteInjection(t *testing.T) {
-	inj := NewInjector(FaultSpec{Op: "a", Fraction: 1, Kind: KindConvergence})
-	calls := 0
-	stages := []Stage{
-		{Name: "a", Run: func(ctx context.Context) error { calls++; return nil }},
-		{Name: "b", Run: func(ctx context.Context) error { return nil }},
-	}
-	rep, err := Execute(context.Background(), "test", inj, 42, stages)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 0 {
-		t.Fatal("injected stage must fail without running")
-	}
-	if rep.Winner != "b" || !rep.Attempts[0].Injected {
-		t.Fatalf("report: %+v", rep)
-	}
-}
-
-func TestPolicyExecuteCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	stages := []Stage{
-		{Name: "a", Run: func(ctx context.Context) error { t.Fatal("must not run"); return nil }},
-	}
-	_, err := Execute(ctx, "test", nil, 0, stages)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("expected context.Canceled, got %v", err)
-	}
-}

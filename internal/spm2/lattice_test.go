@@ -92,7 +92,7 @@ func TestLatticeModesAtM32(t *testing.T) {
 			t.Errorf("mode (%d, %d): error of excess %+.3f %% exceeds ±%.2f %%", tc.mx, tc.my, 100*e, 100*tc.bound)
 		}
 	}
-	if got := solver.Stats().Solves; got != 4 {
+	if got := solver.Metrics.Counter("solve.count").Value(); got != 4 {
 		t.Errorf("%d solves, want 4 (flat reference and three modes)", got)
 	}
 }

@@ -257,11 +257,6 @@ func (s *Simulation) MonteCarloCtx(ctx context.Context, f float64, n int, seed u
 	return s.engine().MonteCarlo(ctx, f, n, seed, maxFailFrac)
 }
 
-// SolveStats returns the aggregated resilient-solve accounting (solve
-// count, fallback count, per-stage wins and failures) of the underlying
-// solver — how often the fallback chain had to go past plain GMRES.
-func (s *Simulation) SolveStats() core.SolveStats { return s.solver.Stats() }
-
 // SPM2LossFactor evaluates the second-order small-perturbation baseline
 // for the simulation's surface process at f.
 func (s *Simulation) SPM2LossFactor(f float64) float64 {

@@ -41,6 +41,12 @@ go test -race -short ./internal/sscm/... \
 go test -short -count=1 -run 'TestPaperFidelity|TestFig7SSCMMatchesMC' ./internal/experiments/
 go test -short -count=1 -run 'TestSWMConvergesToSPM2Kernel|TestLattice' ./internal/spm2/
 go test -short -count=1 -run TestQuotientMatchesDenseLU ./internal/mom/
+# End-to-end CLI run: a one-point sweep must exit 0 and print JSON that
+# decodes as a roughsim.SweepResult with a finite K.
+cli="$(mktemp)"
+go run ./cmd/roughsim -grid 8 -dim 2 -fmin 5 -fmax 5 -steps 1 -json >"$cli"
+go run ./scripts/checksweep <"$cli"
+rm -f "$cli"
 # Fuzz the sweep request decoder and its content addresses briefly: no
 # body may panic, and a valid config keeps its key across a round trip.
 go test -run '^$' -fuzz FuzzSweepConfigJSON -fuzztime 5s .
