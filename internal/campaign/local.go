@@ -8,7 +8,7 @@ import (
 
 // LocalRunner executes cells in-process — the CLI path: no queue, no
 // result cache, each cell is one roughsim.RunSweep call (which
-// parallelizes internally per Accuracy.Workers).
+// parallelizes internally over every CPU).
 type LocalRunner struct{}
 
 func (LocalRunner) Run(ctx context.Context, cfg roughsim.SweepConfig, started func(jobID string)) (*roughsim.SweepResult, error) {

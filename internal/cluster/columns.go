@@ -29,7 +29,7 @@ func NewColumns(m *telemetry.Registry, tables *roughsim.TableCache) *Columns {
 		m = telemetry.NewRegistry()
 	}
 	if tables == nil {
-		tables = roughsim.NewTableCache(0, m)
+		tables = roughsim.NewTableCache(m)
 	}
 	return &Columns{
 		metrics: m,

@@ -12,6 +12,9 @@ import (
 	"roughsim/internal/telemetry"
 )
 
+// requestTimeout bounds every coordinator HTTP call of a worker.
+const requestTimeout = 30 * time.Second
+
 // WorkerConfig sizes one worker process. Zero values select the
 // defaults noted on each field.
 type WorkerConfig struct {
@@ -22,8 +25,6 @@ type WorkerConfig struct {
 	ID string
 	// Poll is the idle claim interval (default 500ms).
 	Poll time.Duration
-	// RequestTimeout bounds every coordinator HTTP call (default 30s).
-	RequestTimeout time.Duration
 	// Grace bounds how long an in-flight solve may run on after Run's
 	// context is canceled — the drain window (default 2m).
 	Grace time.Duration
@@ -45,9 +46,6 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 	}
 	if c.Poll <= 0 {
 		c.Poll = 500 * time.Millisecond
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 30 * time.Second
 	}
 	if c.Grace <= 0 {
 		c.Grace = 2 * time.Minute
@@ -82,7 +80,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	}
 	return &Worker{
 		cfg:    cfg,
-		client: NewClient(cfg.Coordinator, cfg.RequestTimeout, cfg.ID),
+		client: NewClient(cfg.Coordinator, requestTimeout, cfg.ID),
 	}, nil
 }
 
@@ -118,7 +116,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	// Graceful departure: hand any still-pending lease back immediately
 	// instead of letting the coordinator wait out the TTL.
-	leaveCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), w.cfg.RequestTimeout)
+	leaveCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), requestTimeout)
 	defer cancel()
 	if err := w.client.Leave(leaveCtx, w.cfg.ID); err != nil {
 		w.cfg.Log.Warn("cluster.worker: leave failed", "worker", w.cfg.ID, "error", err)
@@ -203,7 +201,7 @@ func (w *Worker) process(ctx context.Context, task Task, token string, ttl time.
 	}
 	// Completion must outlive Run-context cancellation too: the column is
 	// computed, losing it to a drain race would waste the whole solve.
-	compCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), w.cfg.RequestTimeout)
+	compCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), requestTimeout)
 	defer cancel()
 	if err := w.client.Complete(compCtx, req); err != nil {
 		if errors.Is(err, ErrStale) {

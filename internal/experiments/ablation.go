@@ -34,7 +34,7 @@ func AblationGrid(cfg Config) (*Result, error) {
 	s := Series{Label: "K"}
 	cells := Series{Label: "cells per η"}
 	for _, m := range grids {
-		solver, err := core.NewSolver(mat, L, m, mom.Options{Workers: cfg.Workers})
+		solver, err := core.NewSolver(mat, L, m, mom.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -78,7 +78,7 @@ func AblationKLDepth(cfg Config) (*Result, error) {
 	spec := roughsim.SurfaceSpec{Corr: roughsim.GaussianCF, Sigma: 1 * um, Eta: 1 * um}
 	// One table cache: every depth solves the same frequency on the same
 	// grid, so the Green's tables are built once.
-	tables := roughsim.NewTableCache(0, nil)
+	tables := roughsim.NewTableCache(nil)
 
 	depths := []int{4, 8, 12, 16}
 	if cfg.KLDim > 16 {
@@ -137,7 +137,7 @@ func AblationSolvers(cfg Config) (*Result, error) {
 		}
 		return float64(time.Since(start).Microseconds()) / 1000, nil
 	}
-	opt := mom.Options{Workers: cfg.Workers}
+	opt := mom.Options{}
 
 	var sys *mom.System
 	tAssemble, err := timeIt(func() error { sys = mom.Assemble(surf, p, opt); return nil })
@@ -158,7 +158,7 @@ func AblationSolvers(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	tGMRES, err := timeIt(func() error {
-		_, e := sys.SolveResilient(context.Background(), mom.SolveOptions{Tol: 1e-8})
+		_, e := sys.SolveResilient(context.Background(), mom.SolveOptions{})
 		return e
 	})
 	if err != nil {

@@ -46,8 +46,6 @@ type Config struct {
 	MFig5 int
 	// FreqStride subsamples each figure's frequency list (1 = full).
 	FreqStride int
-	// Workers bounds parallel solver evaluations.
-	Workers int
 	// Seed drives every random draw.
 	Seed uint64
 }
@@ -57,7 +55,7 @@ type Config struct {
 func Default() Config {
 	return Config{
 		M: 16, LOverEta: 5, KLDim: 16, MCSamples: 2000,
-		M2D: 64, MFig5: 28, FreqStride: 1, Workers: 0, Seed: 20090424,
+		M2D: 64, MFig5: 28, FreqStride: 1, Seed: 20090424,
 	}
 }
 
@@ -75,7 +73,7 @@ func Paper() Config {
 func Bench() Config {
 	return Config{
 		M: 10, LOverEta: 4, KLDim: 8, MCSamples: 24,
-		M2D: 32, MFig5: 16, FreqStride: 2, Workers: 0, Seed: 7,
+		M2D: 32, MFig5: 16, FreqStride: 2, Seed: 7,
 	}
 }
 
@@ -197,7 +195,7 @@ func (cfg Config) stride(freqs []float64) []float64 {
 // the KL truncation d.
 func (cfg Config) simulation(spec roughsim.SurfaceSpec, d int) (*roughsim.Simulation, error) {
 	return roughsim.NewSimulation(roughsim.CopperSiO2(), spec, roughsim.Accuracy{
-		GridPerSide: cfg.M, PatchOverEta: cfg.LOverEta, StochasticDim: d, Workers: cfg.Workers,
+		GridPerSide: cfg.M, PatchOverEta: cfg.LOverEta, StochasticDim: d,
 	})
 }
 
@@ -341,7 +339,7 @@ func Fig5(cfg Config) (*Result, error) {
 	L := 10 * um // tile sized so neighbouring bosses nearly touch ([5])
 	m := cfg.MFig5
 	mat := core.PaperMaterial()
-	solver, err := core.NewSolverTabulated(mat, L, m, 2.4*hgt, mom.Options{Workers: cfg.Workers})
+	solver, err := core.NewSolverTabulated(mat, L, m, 2.4*hgt, mom.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -415,7 +413,7 @@ func Fig6(cfg Config) (*Result, error) {
 		// feeds both solvers the same fraction of surface roughness.
 		L := cfg.LOverEta * eta
 		frac := sim.CapturedVariance()
-		solver, err := core.NewSolver(mat, L, cfg.M2D, mom.Options{Workers: cfg.Workers})
+		solver, err := core.NewSolver(mat, L, cfg.M2D, mom.Options{})
 		if err != nil {
 			return nil, err
 		}

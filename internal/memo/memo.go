@@ -8,6 +8,10 @@
 //   - errors are never cached: the next caller recomputes;
 //   - a waiter whose ctx ends returns ctx.Err() while the computation
 //     goes on for the others (it runs under whatever ctx fn captured);
+//   - a computation that ends in context.Canceled or DeadlineExceeded
+//     was stopped by its own caller's ctx, which is no answer for a
+//     waiter whose ctx is still live: that waiter tries again, joining
+//     another caller's computation or running its own fn;
 //   - a computation that panics releases its key: waiters get a
 //     *PanicError, the panic re-raises in the computing goroutine, and
 //     the next caller recomputes.
@@ -16,6 +20,7 @@ package memo
 import (
 	"container/list"
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 )
@@ -100,21 +105,31 @@ func (c *LRU[K, V]) DoPending(ctx context.Context, key K, pending V, fn func() (
 
 func (c *LRU[K, V]) do(ctx context.Context, key K, pending *V, fn func() (V, error)) (V, Outcome, error) {
 	c.mu.Lock()
-	if v, ok := c.cachedLocked(key); ok {
-		c.mu.Unlock()
-		run(c.hooks.Hit)
-		return v, Hit, nil
-	}
-	if cl, ok := c.calls[key]; ok {
+	for {
+		if v, ok := c.cachedLocked(key); ok {
+			c.mu.Unlock()
+			run(c.hooks.Hit)
+			return v, Hit, nil
+		}
+		cl, ok := c.calls[key]
+		if !ok {
+			break
+		}
 		c.mu.Unlock()
 		run(c.hooks.Shared)
 		select {
 		case <-cl.done:
-			return cl.val, Shared, cl.err
 		case <-ctx.Done():
 			var zero V
 			return zero, Shared, ctx.Err()
 		}
+		stopped := errors.Is(cl.err, context.Canceled) || errors.Is(cl.err, context.DeadlineExceeded)
+		if !stopped || ctx.Err() != nil {
+			return cl.val, Shared, cl.err
+		}
+		// The computing caller's ctx stopped the run while this waiter's
+		// is live: try again.
+		c.mu.Lock()
 	}
 	cl := &call[V]{done: make(chan struct{}), pending: pending}
 	c.calls[key] = cl

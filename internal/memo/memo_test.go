@@ -3,6 +3,7 @@ package memo
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -146,6 +147,53 @@ func TestNotCached(t *testing.T) {
 		}
 		if c.Len() != 0 {
 			t.Fatalf("%s: %d values cached", tc.name, c.Len())
+		}
+	}
+}
+
+// TestStoppedRunRetriedByLiveWaiters: a computation its own caller's
+// ctx stopped (context.Canceled or DeadlineExceeded, wrapped) is no
+// answer for waiters whose ctx is still live. The leader keeps its
+// error; the waiters try again, one of them computing and the other
+// sharing that run.
+func TestStoppedRunRetriedByLiveWaiters(t *testing.T) {
+	for _, stop := range []error{context.Canceled, context.DeadlineExceeded} {
+		var shared, computed atomic.Int64
+		c := NewLRU[string, int](4, Hooks{
+			Shared:   func() { shared.Add(1) },
+			Computed: func() { computed.Add(1) },
+		})
+		release := make(chan struct{})
+		leader := startBlocked(c, "k", release, func() (int, error) { return 0, fmt.Errorf("run: %w", stop) })
+		retry := make(chan struct{})
+		waiters := make(chan result, 2)
+		for i := 0; i < 2; i++ {
+			go func() {
+				v, o, err := c.Do(context.Background(), "k", func() (int, error) {
+					<-retry
+					return 9, nil
+				})
+				waiters <- result{v, o, err}
+			}()
+		}
+		waitFor(t, func() bool { return shared.Load() == 2 })
+		close(release)
+		if r := <-leader; r.o != Computed || !errors.Is(r.err, stop) {
+			t.Fatalf("%v: leader %+v, want its own stopped run", stop, r)
+		}
+		// One waiter runs its fn; the other joins that run.
+		waitFor(t, func() bool { return computed.Load() == 2 && shared.Load() == 3 })
+		close(retry)
+		outcomes := map[Outcome]int{}
+		for i := 0; i < 2; i++ {
+			r := <-waiters
+			if r.v != 9 || r.err != nil {
+				t.Fatalf("%v: waiter got %+v, want value 9", stop, r)
+			}
+			outcomes[r.o]++
+		}
+		if outcomes[Computed] != 1 || outcomes[Shared] != 1 {
+			t.Fatalf("%v: waiter outcomes %v, want one computed and one shared", stop, outcomes)
 		}
 	}
 }

@@ -129,7 +129,7 @@ func TestGMRESMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	iter, err := sys.SolveResilient(context.Background(), SolveOptions{Tol: 1e-10})
+	iter, err := sys.SolveResilient(context.Background(), SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,12 +19,13 @@ const (
 	StageDenseLU = "lu"        // dense LU with partial pivoting
 )
 
+// solveTol is the accepted relative residual of a verified solution.
+// Every stage's candidate is verified against the original
+// (unpreconditioned) system before being accepted.
+const solveTol = 1e-8
+
 // SolveOptions configures System.SolveResilient.
 type SolveOptions struct {
-	// Tol is the accepted relative residual of the verified solution
-	// (default 1e-8). Every stage's candidate is verified against the
-	// original (unpreconditioned) system before being accepted.
-	Tol float64
 	// Injector, when set, deterministically fails stages (by stage name
 	// and Key) for testing the fallback path.
 	Injector *resilience.Injector
@@ -95,10 +96,6 @@ func (r *SolveReport) Unwrap() error {
 // materializes on entry, as the LU stage does.
 func (sys *System) SolveResilient(ctx context.Context, opt SolveOptions) (*Solution, error) {
 	n2 := 2 * sys.N
-	tol := opt.Tol
-	if tol <= 0 {
-		tol = 1e-8
-	}
 
 	var x []complex128
 	report := &SolveReport{}
@@ -122,9 +119,9 @@ func (sys *System) SolveResilient(ctx context.Context, opt SolveOptions) (*Solut
 		if bnorm > 0 {
 			rr = cmplxmat.Norm2(r) / bnorm
 		}
-		if rr > 10*tol {
+		if rr > 10*solveTol {
 			return resilience.Errorf(resilience.KindConvergence, "mom.verify",
-				"verified residual %.3e exceeds %.3e", rr, 10*tol)
+				"verified residual %.3e exceeds %.3e", rr, 10*solveTol)
 		}
 		x = cand
 		report.RelRes = rr
@@ -137,7 +134,7 @@ func (sys *System) SolveResilient(ctx context.Context, opt SolveOptions) (*Solut
 		if err != nil {
 			return err
 		}
-		cand, _, matvecs, err := krylov(c, mv, sys.precondition(), sys.RHS, tol)
+		cand, _, matvecs, err := krylov(c, mv, sys.precondition(), sys.RHS, solveTol)
 		if err != nil {
 			return err
 		}

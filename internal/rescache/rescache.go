@@ -9,15 +9,13 @@
 //   - an optional on-disk tier (one JSON-codec file per key, written
 //     atomically via rename), surviving process restarts.
 //
-// Concurrent requests for the same key are single-flighted (see
-// internal/memo): one caller computes, the rest wait and share the
-// result, so a burst of identical sweep jobs costs one solver execution.
-// Hit/miss/eviction and single-flight sharing counts are published
-// through telemetry.
+// The cache never computes: callers probe it with Get and store what
+// they computed with Put. Sharing one computation among concurrent
+// identical requests is the caller's single-flight (see internal/memo).
+// Hit/miss/eviction counts are published through telemetry.
 package rescache
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -43,8 +41,7 @@ type Options struct {
 	Metrics *telemetry.Registry
 }
 
-// Cache is a two-tier single-flight result cache, safe for concurrent
-// use.
+// Cache is a two-tier result cache, safe for concurrent use.
 type Cache struct {
 	opt Options
 	mem *memo.LRU[Key, any]
@@ -70,9 +67,7 @@ func New(capacity int, opt Options) (*Cache, error) {
 	}
 	evictions, entries := m.Counter("cache.evictions"), m.Gauge("cache.entries")
 	c.mem = memo.NewLRU[Key, any](capacity, memo.Hooks{
-		Hit:      m.Counter("cache.hits").Inc,
-		Shared:   m.Counter("cache.singleflight_shared").Inc,
-		Computed: c.misses.Inc,
+		Hit: m.Counter("cache.hits").Inc,
 		Resized: func(evicted, size int) {
 			evictions.Add(int64(evicted))
 			entries.Set(float64(size))
@@ -101,37 +96,14 @@ func (c *Cache) Get(key Key) (any, bool) {
 }
 
 // Put inserts a computed value into the memory tier (and the disk tier
-// when enabled), as if GetOrCompute had computed it.
+// when enabled).
 func (c *Cache) Put(key Key, v any) {
 	c.writeDisk(key, v)
 	c.mem.Add(key, v)
 }
 
-// GetOrCompute returns the value for key, computing it at most once
-// across all concurrent callers: the disk tier is tried first, then
-// compute runs under the first caller's ctx. cached reports whether the
-// value came from a tier or a shared in-flight computation rather than
-// this caller's own compute. Errors are never cached, and a waiter
-// whose own ctx expires stops waiting with its ctx error (see memo).
-func (c *Cache) GetOrCompute(ctx context.Context, key Key, compute func(context.Context) (any, error)) (v any, cached bool, err error) {
-	fromDisk := false
-	v, o, err := c.mem.Do(ctx, key, func() (any, error) {
-		if v, ok := c.readDisk(key); ok {
-			fromDisk = true
-			return v, nil
-		}
-		v, err := compute(ctx)
-		if err != nil {
-			return nil, err
-		}
-		c.writeDisk(key, v)
-		return v, nil
-	})
-	return v, o != memo.Computed || fromDisk, err
-}
-
 // readDisk probes the disk tier. A corrupt entry is quarantined and
-// reads as a miss, so the next compute rewrites it.
+// reads as a miss, so the next Put rewrites it.
 func (c *Cache) readDisk(key Key) (any, bool) {
 	if c.opt.Dir == "" {
 		return nil, false
@@ -171,7 +143,7 @@ func (c *Cache) path(key Key) string {
 // quarantined generation) instead of deleting it: the entry stops being
 // served and stops failing every probe, but the bytes stay available
 // for a post-mortem. Rename-aside also self-heals the cache — the next
-// compute rewrites the slot through the atomic write path.
+// Put rewrites the slot through the atomic write path.
 func (c *Cache) quarantine(key Key) {
 	c.diskErrors.Inc() // corruption is a disk error whether or not the rename lands
 	src := c.path(key)

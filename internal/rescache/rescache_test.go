@@ -1,18 +1,12 @@
 package rescache
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"math"
 	"os"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
-	"roughsim/internal/resilience"
 	"roughsim/internal/telemetry"
 )
 
@@ -66,29 +60,18 @@ func TestMemoryTierHitAndLRUEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compute := func(v float64) func(context.Context) (any, error) {
-		return func(context.Context) (any, error) { return v, nil }
+	if _, ok := c.Get(keyOf(1)); ok {
+		t.Fatal("empty cache must miss")
 	}
-	ctx := context.Background()
-	for i, k := range []Key{keyOf(1), keyOf(2), keyOf(1)} {
-		v, cached, err := c.GetOrCompute(ctx, k, compute(float64(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 2 {
-			if !cached || v.(float64) != 0 {
-				t.Fatalf("expected memory hit of first value, got cached=%v v=%v", cached, v)
-			}
-		} else if cached {
-			t.Fatalf("entry %d should be a miss", i)
-		}
+	c.Put(keyOf(1), 0.0)
+	c.Put(keyOf(2), 1.0)
+	if v, ok := c.Get(keyOf(1)); !ok || v.(float64) != 0 {
+		t.Fatalf("expected memory hit of first value, got ok=%v v=%v", ok, v)
 	}
 	// Insert a third key: capacity 2 evicts the LRU entry (keyOf(2)).
-	if _, _, err := c.GetOrCompute(ctx, keyOf(3), compute(3)); err != nil {
-		t.Fatal(err)
-	}
-	if _, cached, _ := c.GetOrCompute(ctx, keyOf(2), compute(9)); cached {
-		t.Fatal("evicted key must recompute")
+	c.Put(keyOf(3), 3.0)
+	if _, ok := c.Get(keyOf(2)); ok {
+		t.Fatal("evicted key must miss")
 	}
 	if got := m.Counter("cache.evictions").Value(); got < 1 {
 		t.Fatalf("evictions = %d, want ≥ 1", got)
@@ -96,77 +79,8 @@ func TestMemoryTierHitAndLRUEviction(t *testing.T) {
 	if got := m.Counter("cache.hits").Value(); got != 1 {
 		t.Fatalf("hits = %d, want 1", got)
 	}
-}
-
-func TestSingleFlightSharesOneComputation(t *testing.T) {
-	m := telemetry.NewRegistry()
-	c, err := New(8, Options{Metrics: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var computes atomic.Int64
-	release := make(chan struct{})
-	compute := func(context.Context) (any, error) {
-		computes.Add(1)
-		<-release
-		return 42.0, nil
-	}
-	const callers = 8
-	var wg sync.WaitGroup
-	vals := make([]float64, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			v, _, err := c.GetOrCompute(context.Background(), keyOf(7), compute)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			vals[i] = v.(float64)
-		}(i)
-	}
-	// Let every goroutine reach the cache before releasing the compute.
-	for m.Counter("cache.singleflight_shared").Value() < callers-1 {
-		if computes.Load() > 1 {
-			break
-		}
-	}
-	close(release)
-	wg.Wait()
-	if n := computes.Load(); n != 1 {
-		t.Fatalf("computations = %d, want 1", n)
-	}
-	for i, v := range vals {
-		if v != 42 {
-			t.Fatalf("caller %d got %g", i, v)
-		}
-	}
-}
-
-func TestErrorsAreNotCached(t *testing.T) {
-	c, err := New(4, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("boom")
-	calls := 0
-	_, _, err = c.GetOrCompute(context.Background(), keyOf(1), func(context.Context) (any, error) {
-		calls++
-		return nil, boom
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	v, cached, err := c.GetOrCompute(context.Background(), keyOf(1), func(context.Context) (any, error) {
-		calls++
-		return 5.0, nil
-	})
-	if err != nil || cached || v.(float64) != 5 {
-		t.Fatalf("retry: v=%v cached=%v err=%v", v, cached, err)
-	}
-	if calls != 2 {
-		t.Fatalf("calls = %d, want 2", calls)
+	if got := m.Counter("cache.misses").Value(); got != 2 {
+		t.Fatalf("misses = %d, want 2", got)
 	}
 }
 
@@ -181,32 +95,32 @@ func TestDiskTierRoundTripAndCorruption(t *testing.T) {
 		return c
 	}
 	key := keyOf(1.25, 9e9)
-	ctx := context.Background()
-	if _, _, err := mk().GetOrCompute(ctx, key, func(context.Context) (any, error) { return 2.5, nil }); err != nil {
-		t.Fatal(err)
-	}
-	// A fresh cache (fresh memory tier) must hit the disk tier, not
-	// recompute.
-	v, cached, err := mk().GetOrCompute(ctx, key, func(context.Context) (any, error) {
-		t.Fatal("must not recompute")
-		return nil, nil
-	})
-	if err != nil || !cached || v.(float64) != 2.5 {
-		t.Fatalf("disk hit: v=%v cached=%v err=%v", v, cached, err)
+	mk().Put(key, 2.5)
+	// A fresh cache (fresh memory tier) must hit the disk tier.
+	c := mk()
+	if v, ok := c.Get(key); !ok || v.(float64) != 2.5 {
+		t.Fatalf("disk hit: v=%v ok=%v", v, ok)
 	}
 	if m.Counter("cache.disk_hits").Value() != 1 {
 		t.Fatalf("disk_hits = %d", m.Counter("cache.disk_hits").Value())
 	}
-	// Corrupt the file: the cache recomputes and rewrites.
+	// The disk hit was promoted: the next Get is a memory hit.
+	if v, ok := c.Get(key); !ok || v.(float64) != 2.5 || m.Counter("cache.disk_hits").Value() != 1 {
+		t.Fatalf("promoted hit: v=%v ok=%v disk_hits=%d", v, ok, m.Counter("cache.disk_hits").Value())
+	}
+	// Corrupt the file: the entry reads as a miss, and a Put rewrites it.
 	if err := os.WriteFile(filepath.Join(dir, key.String()+".json"), []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	v, _, err = mk().GetOrCompute(ctx, key, func(context.Context) (any, error) { return 7.5, nil })
-	if err != nil || v.(float64) != 7.5 {
-		t.Fatalf("corrupt recompute: v=%v err=%v", v, err)
+	if v, ok := mk().Get(key); ok {
+		t.Fatalf("corrupt entry served: %v", v)
 	}
 	if m.Counter("cache.disk_errors").Value() == 0 {
 		t.Fatal("corruption must be counted")
+	}
+	mk().Put(key, 7.5)
+	if v, ok := mk().Get(key); !ok || v.(float64) != 7.5 {
+		t.Fatalf("rewritten entry: v=%v ok=%v", v, ok)
 	}
 }
 
@@ -287,28 +201,6 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 }
 
-func TestWaiterContextCancellation(t *testing.T) {
-	c, err := New(4, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	started := make(chan struct{})
-	release := make(chan struct{})
-	defer close(release)
-	go c.GetOrCompute(context.Background(), keyOf(1), func(context.Context) (any, error) {
-		close(started)
-		<-release
-		return 1.0, nil
-	})
-	<-started
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, _, err = c.GetOrCompute(ctx, keyOf(1), func(context.Context) (any, error) { return 2.0, nil })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("waiter err = %v, want context.Canceled", err)
-	}
-}
-
 func TestNewValidation(t *testing.T) {
 	if _, err := New(0, Options{}); err == nil {
 		t.Fatal("capacity 0 must be rejected")
@@ -367,53 +259,5 @@ func TestCorruptDiskEntryIsQuarantined(t *testing.T) {
 	}
 	if _, ok := c.Get(key); ok {
 		t.Fatal("Delete left the memory entry")
-	}
-}
-
-// TestPanickingComputeReleasesKey: a compute that panics must not wedge
-// its key. The panic re-raises in the computing goroutine (where the job
-// queue turns it into a failed job), a waiter gets a panic-kind error,
-// and the next request for the key computes afresh.
-func TestPanickingComputeReleasesKey(t *testing.T) {
-	m := telemetry.NewRegistry()
-	c, err := New(4, Options{Metrics: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	started := make(chan struct{})
-	release := make(chan struct{})
-	panicked := make(chan any, 1)
-	go func() {
-		defer func() { panicked <- recover() }()
-		c.GetOrCompute(context.Background(), keyOf(1), func(context.Context) (any, error) {
-			close(started)
-			<-release
-			panic("boom")
-		})
-	}()
-	<-started
-	waited := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		_, _, err := c.GetOrCompute(ctx, keyOf(1), func(context.Context) (any, error) { return 2.0, nil })
-		waited <- err
-	}()
-	for m.Counter("cache.singleflight_shared").Value() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	if p := <-panicked; p != "boom" {
-		t.Fatalf("computing goroutine recovered %v, want the original panic", p)
-	}
-	if err := <-waited; resilience.Classify(err) != resilience.KindPanic {
-		t.Fatalf("waiter err = %v, want a panic-kind error", err)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	v, cached, err := c.GetOrCompute(ctx, keyOf(1), func(context.Context) (any, error) { return 3.0, nil })
-	if err != nil || cached || v.(float64) != 3 {
-		t.Fatalf("after panic: v=%v cached=%v err=%v, want a fresh compute", v, cached, err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"roughsim/internal/cmplxmat"
+	"roughsim/internal/memo"
 )
 
 func TestClassify(t *testing.T) {
@@ -24,6 +25,7 @@ func TestClassify(t *testing.T) {
 		{context.DeadlineExceeded, KindCanceled},
 		{New(KindNumerical, "op", errors.New("NaN")), KindNumerical},
 		{fmt.Errorf("wrap: %w", Errorf(KindInvalidInput, "op", "bad L")), KindInvalidInput},
+		{fmt.Errorf("wrap: %w", &memo.PanicError{Value: "boom"}), KindPanic},
 	}
 	for _, c := range cases {
 		if got := Classify(c.err); got != c.want {

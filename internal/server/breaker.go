@@ -18,39 +18,18 @@ import (
 // open breaker degrades the service to read-mostly instead of letting it
 // thrash.
 
-// BreakerConfig tunes the exact-solve circuit breaker. Zero values
-// select the noted defaults.
-type BreakerConfig struct {
-	// Window is the sliding window of terminal outcomes the failure
-	// ratio is computed over (default 32).
-	Window int
-	// MinSamples gates tripping until the window holds at least this
-	// many outcomes (default 8), so one early failure cannot open a
-	// fresh breaker.
-	MinSamples int
-	// FailureRatio opens the breaker when failures/window reaches it
-	// (default 0.5).
-	FailureRatio float64
-	// Cooldown is how long the breaker stays open before letting a
-	// probe through (half-open; default 15s).
-	Cooldown time.Duration
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.Window <= 0 {
-		c.Window = 32
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 8
-	}
-	if c.FailureRatio <= 0 {
-		c.FailureRatio = 0.5
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 15 * time.Second
-	}
-	return c
-}
+const (
+	// breakerWindow is the sliding window of terminal outcomes the
+	// failure ratio is computed over.
+	breakerWindow = 32
+	// breakerMinSamples gates tripping until the window holds at least
+	// this many outcomes, so one early failure cannot open a fresh
+	// breaker.
+	breakerMinSamples = 8
+	// breakerFailureRatio opens the breaker when failures/window
+	// reaches it.
+	breakerFailureRatio = 0.5
+)
 
 // Breaker states, published through the breaker.state gauge so a
 // scraper can alert on != 0.
@@ -61,7 +40,9 @@ const (
 )
 
 type breaker struct {
-	cfg BreakerConfig
+	// cooldown is how long the breaker stays open before letting a
+	// probe through (half-open).
+	cooldown time.Duration
 
 	mu       sync.Mutex
 	outcomes []bool // ring of terminal outcomes, true = success
@@ -75,11 +56,10 @@ type breaker struct {
 	sheds  *telemetry.Counter
 }
 
-func newBreaker(cfg BreakerConfig, m *telemetry.Registry) *breaker {
-	cfg = cfg.withDefaults()
+func newBreaker(m *telemetry.Registry) *breaker {
 	b := &breaker{
-		cfg:      cfg,
-		outcomes: make([]bool, cfg.Window),
+		cooldown: 15 * time.Second,
+		outcomes: make([]bool, breakerWindow),
 		stateG:   m.Gauge("breaker.state"),
 		trips:    m.Counter("breaker.trips"),
 		sheds:    m.Counter("breaker.sheds"),
@@ -97,7 +77,7 @@ func (b *breaker) Allow() (retry time.Duration, ok bool) {
 	defer b.mu.Unlock()
 	switch b.state {
 	case breakerOpen:
-		wait := b.cfg.Cooldown - time.Since(b.openedAt)
+		wait := b.cooldown - time.Since(b.openedAt)
 		if wait > 0 {
 			b.sheds.Inc()
 			return wait, false
@@ -129,14 +109,14 @@ func (b *breaker) Record(success bool) {
 	if b.filled < len(b.outcomes) {
 		b.filled++
 	}
-	if b.state == breakerClosed && b.filled >= b.cfg.MinSamples {
+	if b.state == breakerClosed && b.filled >= breakerMinSamples {
 		failures := 0
 		for i := 0; i < b.filled; i++ {
 			if !b.outcomes[i] {
 				failures++
 			}
 		}
-		if float64(failures) >= b.cfg.FailureRatio*float64(b.filled) {
+		if float64(failures) >= breakerFailureRatio*float64(b.filled) {
 			b.openLocked()
 		}
 	}

@@ -130,7 +130,7 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for i, c := range cells {
-		if err := s.validate(c); err != nil {
+		if err := validate(c); err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("cell %d: %w", i, err))
 			return
 		}

@@ -158,7 +158,7 @@ func (s *Server) handleClusterRenew(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleClusterComplete(w http.ResponseWriter, r *http.Request) {
 	var req cluster.CompleteRequest
 	// Columns are float64 vectors over the sweep's frequency grid; 8 MiB
-	// of JSON bounds them far above any accepted MaxFreqs.
+	// of JSON bounds them far above maxFreqs.
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(&req); err != nil {
 		writeDecodeError(w, err)
 		return

@@ -44,22 +44,12 @@ type liveKey struct {
 	key rescache.Key
 }
 
-// retryBackoff is the between-attempt schedule of transiently failed
-// jobs (see Config.MaxAttempts).
-func (s *Server) retryBackoff() resilience.Backoff {
-	base := s.cfg.RetryBase
-	if base <= 0 {
-		base = 250 * time.Millisecond
-	}
-	return resilience.Backoff{Base: base, Max: 30 * time.Second, Jitter: 0.2}
-}
-
 func (s *Server) submitOptions(id string, attempt int) jobs.SubmitOptions {
 	return jobs.SubmitOptions{
 		ID:          id,
 		Attempt:     attempt,
 		MaxAttempts: s.cfg.MaxAttempts,
-		Backoff:     s.retryBackoff(),
+		Backoff:     s.backoff,
 	}
 }
 

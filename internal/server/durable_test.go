@@ -113,15 +113,21 @@ func TestQueueFullIs429WithRetryAfter(t *testing.T) {
 // healthy probe — with the state gauge tracking every transition.
 func TestBreakerTripsShedsAndRecovers(t *testing.T) {
 	m := telemetry.NewRegistry()
-	b := newBreaker(BreakerConfig{Window: 4, MinSamples: 2, FailureRatio: 0.5, Cooldown: 30 * time.Millisecond}, m)
+	b := newBreaker(m)
+	b.cooldown = 30 * time.Millisecond
 
 	if _, ok := b.Allow(); !ok {
 		t.Fatal("fresh breaker refused work")
 	}
-	b.Record(false)
+	for i := 0; i < breakerMinSamples-1; i++ {
+		b.Record(false)
+	}
+	if b.State() != breakerClosed {
+		t.Fatalf("state after %d failures = %v, want closed below the sample floor", breakerMinSamples-1, b.State())
+	}
 	b.Record(false)
 	if b.State() != breakerOpen {
-		t.Fatalf("state after 2/2 failures = %v, want open", b.State())
+		t.Fatalf("state after %d/%d failures = %v, want open", breakerMinSamples, breakerMinSamples, b.State())
 	}
 	if m.Counter("breaker.trips").Value() != 1 {
 		t.Fatalf("trips = %d, want 1", m.Counter("breaker.trips").Value())
@@ -150,8 +156,9 @@ func TestBreakerTripsShedsAndRecovers(t *testing.T) {
 	}
 
 	// A failed probe reopens immediately.
-	b.Record(false)
-	b.Record(false)
+	for i := 0; i < breakerMinSamples; i++ {
+		b.Record(false)
+	}
 	time.Sleep(40 * time.Millisecond)
 	b.Allow()
 	b.Record(false)
@@ -264,8 +271,8 @@ func TestDrainedRetryWaiterReplays(t *testing.T) {
 	m1 := telemetry.NewRegistry()
 	cfg1 := durableConfig(dir, m1)
 	cfg1.MaxAttempts = 2
-	cfg1.RetryBase = time.Hour
 	ts1 := startServer(t, cfg1)
+	ts1.srv.backoff.Base = time.Hour
 	sweep := tinyConfig(5e9).WithDefaults()
 	job, err := ts1.srv.submitDurable(journal.OpSubmitted, sweep.Key(), sweep,
 		func(context.Context, func(int, int)) (any, error) {

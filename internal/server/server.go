@@ -82,20 +82,12 @@ type Config struct {
 	JobTimeout time.Duration // per-job deadline (default none)
 	CacheSize  int           // memory-tier entries (default 4096)
 	CacheDir   string        // disk tier directory ("" disables)
-	// TableCacheSize bounds the shared Green's-function table cache
-	// (table sets across all jobs and configs; default a service-sized
-	// cap — see roughsim.NewTableCache).
-	TableCacheSize int
 	// SurrogateCap bounds the memory tier of the surrogate registry
 	// (admission records; default 64).
 	SurrogateCap int
 	// SurrogateDir enables the surrogate registry's persistent tier
 	// ("" disables): admitted models survive restarts.
 	SurrogateDir string
-	// Limits guard the service against pathological requests.
-	MaxGrid  int // largest accepted GridPerSide (default 64)
-	MaxDim   int // largest accepted StochasticDim (default 32)
-	MaxFreqs int // longest accepted frequency list (default 256)
 	// Metrics receives every tier's telemetry; default a fresh registry.
 	Metrics *telemetry.Registry
 	// TraceCapacity bounds the ring of retained job traces (default
@@ -116,25 +108,12 @@ type Config struct {
 	// MaxCampaignCells bounds the expanded cell count of an accepted
 	// campaign (default 512).
 	MaxCampaignCells int
-	// RetryBase is the base of the exponential between-attempt backoff
-	// (default 250ms).
-	RetryBase time.Duration
-	// Breaker tunes the exact-solve circuit breaker (see BreakerConfig).
-	Breaker BreakerConfig
 	// Chaos, when non-nil, injects deterministic faults (crash points)
 	// for resilience testing. Never set it in production.
 	Chaos *resilience.Injector
 	// Cluster wires the distributed compute plane (see ClusterConfig);
 	// the zero value keeps the server single-process.
 	Cluster ClusterConfig
-	// ReadHeaderTimeout/IdleTimeout harden the HTTP server against slow
-	// or abandoned connections (defaults 10s / 2m).
-	ReadHeaderTimeout time.Duration
-	IdleTimeout       time.Duration
-	// StreamWriteTimeout bounds each SSE event write on /stream
-	// (default 30s; long-lived streams stay open — only a single
-	// stalled write tears a stream down).
-	StreamWriteTimeout time.Duration
 	// EnablePprof mounts net/http/pprof under /debug/pprof/. Off by
 	// default: the profiler exposes stacks and heap contents.
 	EnablePprof bool
@@ -153,15 +132,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheSize <= 0 {
 		c.CacheSize = 4096
 	}
-	if c.MaxGrid <= 0 {
-		c.MaxGrid = 64
-	}
-	if c.MaxDim <= 0 {
-		c.MaxDim = 32
-	}
-	if c.MaxFreqs <= 0 {
-		c.MaxFreqs = 256
-	}
 	if c.Metrics == nil {
 		c.Metrics = telemetry.NewRegistry()
 	}
@@ -176,15 +146,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxCampaignCells <= 0 {
 		c.MaxCampaignCells = 512
-	}
-	if c.ReadHeaderTimeout <= 0 {
-		c.ReadHeaderTimeout = 10 * time.Second
-	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 2 * time.Minute
-	}
-	if c.StreamWriteTimeout <= 0 {
-		c.StreamWriteTimeout = 30 * time.Second
 	}
 	if c.Log == nil {
 		c.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -246,6 +207,9 @@ type Server struct {
 	// brk is the exact-solve circuit breaker; chaos the fault injector.
 	brk   *breaker
 	chaos *resilience.Injector
+	// backoff is the between-attempt schedule of transiently failed
+	// jobs (see Config.MaxAttempts).
+	backoff resilience.Backoff
 
 	// camps is the campaign engine (batch parameter studies fanning out
 	// through the same queue under their own concurrency cap).
@@ -330,7 +294,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	tables := roughsim.NewTableCache(cfg.TableCacheSize, cfg.Metrics)
+	tables := roughsim.NewTableCache(cfg.Metrics)
 	s := &Server{
 		cfg:        cfg,
 		queue:      queue,
@@ -347,8 +311,9 @@ func New(cfg Config) (*Server, error) {
 		}),
 		ckpts:     ckpts,
 		ckptCfgs:  map[string]roughsim.SweepConfig{},
-		brk:       newBreaker(cfg.Breaker, cfg.Metrics),
+		brk:       newBreaker(cfg.Metrics),
 		chaos:     cfg.Chaos,
+		backoff:   resilience.Backoff{Base: 250 * time.Millisecond, Max: 30 * time.Second, Jitter: 0.2},
 		live:      map[string]liveKey{},
 		liveByKey: map[liveKey]string{},
 		sparArts:  sparArts,
@@ -417,8 +382,8 @@ func New(cfg Config) (*Server, error) {
 		// Slow-loris / abandoned-connection hardening. No global
 		// WriteTimeout: /stream is legitimately long-lived — its writes
 		// are bounded per event instead (see handleStream).
-		ReadHeaderTimeout: cfg.ReadHeaderTimeout,
-		IdleTimeout:       cfg.IdleTimeout,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
 	}
 	return s, nil
 }
@@ -615,19 +580,26 @@ func (s *Server) computeSweep(ctx context.Context, cfg roughsim.SweepConfig, pro
 	return &roughsim.SweepResult{Config: cfg, Points: points}, nil
 }
 
+// The service limits guard against pathological requests.
+const (
+	maxGrid  = 64  // largest accepted GridPerSide
+	maxDim   = 32  // largest accepted StochasticDim
+	maxFreqs = 256 // longest accepted frequency list
+)
+
 // validate applies the service limits on top of SweepConfig.Validate.
-func (s *Server) validate(cfg roughsim.SweepConfig) error {
+func validate(cfg roughsim.SweepConfig) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	if cfg.Acc.GridPerSide > s.cfg.MaxGrid {
-		return fmt.Errorf("grid %d exceeds the service limit %d", cfg.Acc.GridPerSide, s.cfg.MaxGrid)
+	if cfg.Acc.GridPerSide > maxGrid {
+		return fmt.Errorf("grid %d exceeds the service limit %d", cfg.Acc.GridPerSide, maxGrid)
 	}
-	if cfg.Acc.StochasticDim > s.cfg.MaxDim {
-		return fmt.Errorf("dim %d exceeds the service limit %d", cfg.Acc.StochasticDim, s.cfg.MaxDim)
+	if cfg.Acc.StochasticDim > maxDim {
+		return fmt.Errorf("dim %d exceeds the service limit %d", cfg.Acc.StochasticDim, maxDim)
 	}
-	if len(cfg.Freqs) > s.cfg.MaxFreqs {
-		return fmt.Errorf("%d frequencies exceed the service limit %d", len(cfg.Freqs), s.cfg.MaxFreqs)
+	if len(cfg.Freqs) > maxFreqs {
+		return fmt.Errorf("%d frequencies exceed the service limit %d", len(cfg.Freqs), maxFreqs)
 	}
 	return nil
 }
@@ -638,7 +610,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cfg = cfg.WithDefaults()
-	if err := s.validate(cfg); err != nil {
+	if err := validate(cfg); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -762,8 +734,8 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, id string,
 	w.WriteHeader(http.StatusOK)
 
 	// The stream is long-lived by design, so the server has no global
-	// write timeout; instead each event write gets its own deadline — a
-	// client that stops reading stalls one write, times out, and the
+	// write timeout; instead each event write gets its own 30 s deadline
+	// — a client that stops reading stalls one write, times out, and the
 	// stream tears down instead of pinning the handler forever. Deadline
 	// errors are ignored: test recorders don't implement the controller.
 	rc := http.NewResponseController(w)
@@ -774,7 +746,7 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, id string,
 	// of the select below to win.
 	emit := func(event string, v any) error {
 		b, _ := json.Marshal(v)
-		rc.SetWriteDeadline(time.Now().Add(s.cfg.StreamWriteTimeout))
+		rc.SetWriteDeadline(time.Now().Add(30 * time.Second))
 		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b); err != nil {
 			return err
 		}

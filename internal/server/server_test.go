@@ -228,6 +228,49 @@ func TestEndToEndSingleFlightCacheAndDrain(t *testing.T) {
 	}
 }
 
+// TestCanceledSweepSparesJoinedTwin: cancelling a sweep does not cancel
+// an identical sweep that joined its single-flight run. The twin runs
+// the sweep itself and succeeds.
+func TestCanceledSweepSparesJoinedTwin(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solver run")
+	}
+	ts := startServer(t, Config{Workers: 2})
+	defer ts.shutdown(t)
+	cfg := tinyConfig(1e9, 2e9, 3e9, 4e9, 5e9, 6e9, 7e9, 8e9)
+	cfg.Acc = roughsim.Accuracy{GridPerSide: 24, StochasticDim: 16}
+	submit := func() string {
+		code, body := ts.do(t, "POST", "/v1/sweeps", cfg)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit: %d %s", code, body)
+		}
+		var info jobs.Info
+		if err := json.Unmarshal(body, &info); err != nil {
+			t.Fatal(err)
+		}
+		return info.ID
+	}
+	first := submit()
+	second := submit()
+	shared := ts.metrics.Counter("cache.singleflight_shared")
+	waitFor(t, 10*time.Second, func() bool { return shared.Value() == 1 })
+	if code, body := ts.do(t, "DELETE", "/v1/sweeps/"+first, nil); code != http.StatusOK {
+		t.Fatalf("cancel: %d %s", code, body)
+	}
+	j, _ := ts.srv.queue.Get(first)
+	waitFor(t, 10*time.Second, func() bool { return j.Snapshot().Status.Terminal() })
+	if info := j.Snapshot(); info.Status != jobs.StatusCanceled {
+		t.Fatalf("cancelled job ended %s (%s), want canceled", info.Status, info.Error)
+	}
+	var res roughsim.SweepResult
+	if err := json.Unmarshal(ts.waitResult(t, second), &res); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Points) != len(cfg.Freqs) {
+		t.Fatalf("twin returned %d points, want %d", len(res.Points), len(cfg.Freqs))
+	}
+}
+
 func TestSubmitValidation(t *testing.T) {
 	ts := startServer(t, Config{})
 	defer ts.shutdown(t)
@@ -252,6 +295,39 @@ func TestSubmitValidation(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400", c.name, resp.StatusCode)
+		}
+	}
+}
+
+// TestServiceLimitBoundaries pins the service limits at their edges:
+// grid 64, dim 32 and 256 frequencies pass, one more of each is
+// rejected with the limit named.
+func TestServiceLimitBoundaries(t *testing.T) {
+	freqs := func(n int) []float64 {
+		fs := make([]float64, n)
+		for i := range fs {
+			fs[i] = float64(i+1) * 1e8
+		}
+		return fs
+	}
+	for _, tc := range []struct {
+		name  string
+		edit  func(*roughsim.SweepConfig, int)
+		limit int
+	}{
+		{"grid", func(c *roughsim.SweepConfig, n int) { c.Acc.GridPerSide = n }, 64},
+		{"dim", func(c *roughsim.SweepConfig, n int) { c.Acc.StochasticDim = n }, 32},
+		{"freqs", func(c *roughsim.SweepConfig, n int) { c.Freqs = freqs(n) }, 256},
+	} {
+		at, over := tinyConfig(5e9), tinyConfig(5e9)
+		tc.edit(&at, tc.limit)
+		tc.edit(&over, tc.limit+1)
+		if err := validate(at); err != nil {
+			t.Errorf("%s %d: %v, want accepted", tc.name, tc.limit, err)
+		}
+		want := fmt.Sprintf("service limit %d", tc.limit)
+		if err := validate(over); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s %d: err %v, want one naming %q", tc.name, tc.limit+1, err, want)
 		}
 	}
 }

@@ -54,7 +54,7 @@ func (s *Server) handleSParamsSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// The K-resolution sweep behind the artifact obeys the same service
 	// limits as a directly submitted sweep.
-	if err := s.validate(cfg.KSweep()); err != nil {
+	if err := validate(cfg.KSweep()); err != nil {
 		s.sparamsRequestCounter("invalid").Inc()
 		writeError(w, http.StatusBadRequest, err)
 		return

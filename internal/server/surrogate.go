@@ -73,7 +73,7 @@ func (s *Server) handleSurrogateSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := s.validate(roughsim.SweepConfig{Stack: cfg.Stack, Spec: cfg.Spec, Acc: cfg.Acc, Freqs: []float64{cfg.FMinHz, cfg.FMaxHz}}); err != nil {
+	if err := validate(roughsim.SweepConfig{Stack: cfg.Stack, Spec: cfg.Spec, Acc: cfg.Acc, Freqs: []float64{cfg.FMinHz, cfg.FMaxHz}}); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}

@@ -112,9 +112,6 @@ type Accuracy struct {
 	PatchOverEta float64 `json:"patch_over_eta,omitempty"`
 	// StochasticDim is the KL truncation d (default 16, per Table I).
 	StochasticDim int `json:"dim,omitempty"`
-	// Workers bounds parallelism (default: all CPUs). Workers is an
-	// execution detail: it never enters cache keys or result content.
-	Workers int `json:"-"`
 }
 
 func (a Accuracy) withDefaults() Accuracy {
@@ -169,7 +166,7 @@ func NewSimulation(stack Stack, spec SurfaceSpec, acc Accuracy) (*Simulation, er
 	}
 	L := acc.PatchOverEta * etaMax
 	solver, err := core.NewSolverTabulated(stack.material(), L, acc.GridPerSide,
-		14*spec.Sigma, mom.Options{Workers: acc.Workers})
+		14*spec.Sigma, mom.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -92,7 +92,7 @@ func TestSSCMMatchesPointAtATime(t *testing.T) {
 		t.Skip("solver run")
 	}
 	spec := SurfaceSpec{Corr: GaussianCF, Sigma: 0.4e-6, Eta: 1e-6}
-	acc := Accuracy{GridPerSide: 8, StochasticDim: 2, Workers: 2}
+	acc := Accuracy{GridPerSide: 8, StochasticDim: 2}
 	f := 5e9
 	for _, order := range []int{1, 2} {
 		sim, err := NewSimulation(CopperSiO2(), spec, acc)
@@ -151,19 +151,21 @@ func TestMonteCarloThroughEngine(t *testing.T) {
 	spec := SurfaceSpec{Corr: GaussianCF, Sigma: 0.4e-6, Eta: 1e-6}
 	f := 5e9
 	const n, seed = 16, 9
-	newSim := func(workers int) *Simulation {
-		sim, err := NewSimulation(CopperSiO2(), spec, Accuracy{GridPerSide: 8, StochasticDim: 2, Workers: workers})
+	newSim := func() *Simulation {
+		sim, err := NewSimulation(CopperSiO2(), spec, Accuracy{GridPerSide: 8, StochasticDim: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return sim
 	}
-	sim := newSim(1)
+	sim := newSim()
 	a, err := sim.MonteCarlo(f, n, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := newSim(2).MonteCarlo(f, n, seed)
+	one := newSim().engine()
+	one.Workers = 1
+	b, err := one.MonteCarlo(context.Background(), f, n, seed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,11 +174,11 @@ func TestMonteCarloThroughEngine(t *testing.T) {
 	}
 	for i := range a.Samples {
 		if a.Samples[i] != b.Samples[i] {
-			t.Fatalf("sample %d: %v with 1 worker, %v with 2", i, a.Samples[i], b.Samples[i])
+			t.Fatalf("sample %d: %v with every CPU, %v with 1 worker", i, a.Samples[i], b.Samples[i])
 		}
 	}
 
-	ref := newSim(1)
+	ref := newSim()
 	for _, i := range []int{0, n - 1} {
 		xi := rng.NewStream(seed, uint64(i)+1).NormVec(ref.StochasticDim())
 		want, err := ref.LossFactor(ref.Surface(xi), f)

@@ -76,3 +76,7 @@ go test -race -count=1 ./internal/journal/... ./internal/jobs/... ./internal/clu
 # channel closes: the race detector's scheduling makes a bad ordering
 # show within a few dozen runs.
 go test -race -count=50 -run 'Retry|Drain|Cancel|Observer|TraceSpans' ./internal/jobs/
+# A single-flight run its own caller's ctx stopped must not end the
+# waiters that joined it: they retry under their live ctx. The race
+# detector's scheduling varies who joins and who recomputes.
+go test -race -count=20 -run TestStoppedRunRetriedByLiveWaiters ./internal/memo/

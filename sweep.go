@@ -119,9 +119,8 @@ const keySchemaVersion = 1
 // KeyAt returns the content address of the K(f) record this config
 // produces at frequency f: the SHA-256 of the canonical binary encoding
 // of every result-determining parameter (floats as IEEE-754 bits — see
-// rescache.Enc) plus the frequency. Workers is deliberately excluded
-// (an execution detail), and defaults are applied first so an explicit
-// grid of 16 and an elided one share a key.
+// rescache.Enc) plus the frequency. Defaults are applied first so an
+// explicit grid of 16 and an elided one share a key.
 func (c SweepConfig) KeyAt(f float64) rescache.Key {
 	e := c.WithDefaults().encodeBase()
 	e.Float64(f)
@@ -279,11 +278,10 @@ type TableCache struct {
 	c *mom.TableCache
 }
 
-// NewTableCache builds a cache holding up to capacity table sets
-// (a service-sized default when capacity ≤ 0), publishing tables.*
-// telemetry to m when non-nil.
-func NewTableCache(capacity int, m *telemetry.Registry) *TableCache {
-	return &TableCache{c: mom.NewTableCache(capacity, m)}
+// NewTableCache builds a cache holding a service-sized number of table
+// sets, publishing tables.* telemetry to m when non-nil.
+func NewTableCache(m *telemetry.Registry) *TableCache {
+	return &TableCache{c: mom.NewTableCache(0, m)}
 }
 
 // Len returns the number of cached table sets.
@@ -310,7 +308,6 @@ func (s *Simulation) engine() *sweepengine.Engine {
 		Synth:   s.kl.Synthesize,
 		Dim:     s.dim,
 		Order:   1,
-		Workers: s.acc.Workers,
 		Metrics: s.metrics,
 	}
 }

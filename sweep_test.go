@@ -47,12 +47,6 @@ func TestSweepConfigKeyProperties(t *testing.T) {
 	if base.KeyAt(5e9) != explicit.KeyAt(5e9) {
 		t.Fatal("defaulted and explicit-default configs must share a key")
 	}
-	// Workers is an execution detail: it must not change the key.
-	w := explicit
-	w.Acc.Workers = 3
-	if w.KeyAt(5e9) != explicit.KeyAt(5e9) {
-		t.Fatal("Workers must not affect the key")
-	}
 	// Every result-affecting parameter must change the key.
 	variants := []SweepConfig{}
 	v := base

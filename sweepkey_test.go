@@ -11,7 +11,7 @@ func keyTestConfig() SweepConfig {
 	return SweepConfig{
 		Stack: Stack{EpsR: 3.9, Rho: 1.7e-8},
 		Spec:  SurfaceSpec{Corr: MeasuredCF, Sigma: 0.4e-6, Eta: 1e-6, Eta2: 0.53e-6, EtaY: 2e-6},
-		Acc:   Accuracy{GridPerSide: 12, PatchOverEta: 4, StochasticDim: 6, Workers: 3},
+		Acc:   Accuracy{GridPerSide: 12, PatchOverEta: 4, StochasticDim: 6},
 		Freqs: []float64{4e9, 5e9, 6e9},
 	}
 }
@@ -53,13 +53,6 @@ func TestSweepKeyCanonicalization(t *testing.T) {
 	explicitAcc.Acc.GridPerSide = 16
 	if elidedAcc.Key() != explicitAcc.Key() {
 		t.Fatal("elided and explicit default grids key differently")
-	}
-
-	// Workers is an execution detail: it must never enter the key.
-	w := cfg
-	w.Acc.Workers = 17
-	if w.Key() != key || w.KeyAt(5e9) != keyAt {
-		t.Fatal("Workers entered the content address")
 	}
 
 	// Key is deterministic across calls.
