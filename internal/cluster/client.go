@@ -50,7 +50,7 @@ func NewClient(base string, timeout time.Duration, name string) *Client {
 		hc:       NewHTTPClient(timeout),
 		backoff:  resilience.Backoff{Base: 100 * time.Millisecond, Max: 2 * time.Second, Jitter: 0.2},
 		attempts: 4,
-		key:      fnv1a(name),
+		key:      resilience.StringHash(name),
 	}
 }
 

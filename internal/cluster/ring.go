@@ -2,6 +2,9 @@ package cluster
 
 import (
 	"sort"
+	"strconv"
+
+	"roughsim/internal/resilience"
 )
 
 // Ring is a consistent-hash ring over shard base URLs. Each member owns
@@ -10,8 +13,7 @@ import (
 // the one whose caches are warm for it — and membership changes move
 // only ~1/n of the key space.
 type Ring struct {
-	points  []ringPoint
-	members []string
+	points []ringPoint
 }
 
 type ringPoint struct {
@@ -32,16 +34,14 @@ func NewRing(members []string) *Ring {
 			continue
 		}
 		seen[m] = true
-		r.members = append(r.members, m)
 		for v := 0; v < virtualNodes; v++ {
-			r.points = append(r.points, ringPoint{mix(fnv1a(m + "#" + itoa(v))), m})
+			r.points = append(r.points, ringPoint{mix(resilience.StringHash(m + "#" + strconv.Itoa(v))), m})
 		}
 	}
-	if len(r.members) == 0 {
+	if len(r.points) == 0 {
 		return nil
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
-	sort.Strings(r.members)
 	return r
 }
 
@@ -51,7 +51,7 @@ func (r *Ring) Owner(key string) string {
 	if r == nil || len(r.points) == 0 {
 		return ""
 	}
-	h := mix(fnv1a(key))
+	h := mix(resilience.StringHash(key))
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0
@@ -59,30 +59,11 @@ func (r *Ring) Owner(key string) string {
 	return r.points[i].member
 }
 
-// Members returns the ring's distinct members, sorted.
-func (r *Ring) Members() []string {
-	if r == nil {
-		return nil
-	}
-	return append([]string(nil), r.members...)
-}
-
-// fnv1a is the 64-bit FNV-1a hash — the same seed-free family the
-// resilience jitter and job-ID hashing use, so placement is
-// deterministic across processes and restarts.
-func fnv1a(s string) uint64 {
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // mix is a 64-bit avalanche finalizer (the murmur3/splitmix constants).
-// FNV-1a alone clusters hashes of near-identical strings — virtual
-// nodes of one member can then bunch into a thin arc and own almost no
-// keyspace — so every ring position passes through a full avalanche.
+// The string hash alone clusters hashes of near-identical strings —
+// virtual nodes of one member can then bunch into a thin arc and own
+// almost no keyspace — so every ring position passes through a full
+// avalanche.
 func mix(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
@@ -90,19 +71,4 @@ func mix(h uint64) uint64 {
 	h *= 0xc4ceb9fe1a85ec53
 	h ^= h >> 33
 	return h
-}
-
-// itoa avoids pulling strconv into the hot hash loop's call graph.
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
 }

@@ -59,7 +59,4 @@ func TestRingEmptyAndNil(t *testing.T) {
 	if o := r.Owner("k"); o != "" {
 		t.Fatalf("nil ring owner = %q, want empty", o)
 	}
-	if ms := r.Members(); ms != nil {
-		t.Fatalf("nil ring members = %v", ms)
-	}
 }

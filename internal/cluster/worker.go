@@ -84,9 +84,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	}, nil
 }
 
-// ID returns the worker's lease identity.
-func (w *Worker) ID() string { return w.cfg.ID }
-
 // Run claims and solves tasks until ctx is canceled, then drains: the
 // in-flight solve gets up to Grace to finish and report before the
 // worker leaves. Run only returns ctx's error.

@@ -77,23 +77,6 @@ func TestLUSingular(t *testing.T) {
 	}
 }
 
-func TestLUDeterminant(t *testing.T) {
-	// 2x2 with known determinant.
-	a := New(2, 2)
-	a.Set(0, 0, complex(1, 1))
-	a.Set(0, 1, complex(2, 0))
-	a.Set(1, 0, complex(0, 1))
-	a.Set(1, 1, complex(3, -1))
-	want := complex(1, 1)*complex(3, -1) - complex(2, 0)*complex(0, 1)
-	f, err := Factor(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := cmplx.Abs(f.Det()-want) / cmplx.Abs(want); d > 1e-12 {
-		t.Fatalf("det = %v, want %v", f.Det(), want)
-	}
-}
-
 func TestLUIdentity(t *testing.T) {
 	n := 7
 	a := New(n, n)
@@ -247,19 +230,6 @@ func TestDotAxpyProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMulAssociativity(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a := randomMatrix(rng, 12)
-	b := randomMatrix(rng, 12)
-	x := randomVec(rng, 12)
-	// (A·B)·x == A·(B·x)
-	lhs := a.Mul(b).MulVec(x)
-	rhs := a.MulVec(b.MulVec(x))
-	if Norm2(Sub(lhs, rhs))/Norm2(rhs) > 1e-12 {
-		t.Fatal("matrix multiply is inconsistent with matvec composition")
 	}
 }
 

@@ -12,9 +12,8 @@ var ErrSingular = errors.New("cmplxmat: matrix is singular")
 // LU holds a compact LU factorization with partial pivoting: P·A = L·U,
 // with L unit-lower-triangular and U upper-triangular stored together.
 type LU struct {
-	lu   *Matrix
-	piv  []int
-	sign int
+	lu  *Matrix
+	piv []int
 }
 
 // Factor computes the LU factorization of a square matrix A. A is not
@@ -29,7 +28,6 @@ func Factor(a *Matrix) (*LU, error) {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1
 	for k := 0; k < n; k++ {
 		// Partial pivot: largest magnitude in column k at/below the diagonal.
 		p := k
@@ -48,7 +46,6 @@ func Factor(a *Matrix) (*LU, error) {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
 			piv[k], piv[p] = piv[p], piv[k]
-			sign = -sign
 		}
 		pivVal := lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -63,7 +60,7 @@ func Factor(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
+	return &LU{lu: lu, piv: piv}, nil
 }
 
 // Solve solves A·x = b for one right-hand side, allocating x.
@@ -96,15 +93,6 @@ func (f *LU) Solve(b []complex128) []complex128 {
 		x[i] = s / row[i]
 	}
 	return x
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() complex128 {
-	d := complex(float64(f.sign), 0)
-	for i := 0; i < f.lu.Rows; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
 }
 
 // SolveDense factors A and solves A·x = b in one call (convenience for

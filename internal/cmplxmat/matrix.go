@@ -67,28 +67,6 @@ func (m *Matrix) MulVecTo(y, x []complex128) {
 	}
 }
 
-// Mul returns M·B, allocating the result.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic("cmplxmat: Mul shape mismatch")
-	}
-	out := New(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		arow := m.Row(i)
-		orow := out.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out
-}
-
 // MaxAbs returns the largest element magnitude (entrywise ∞-like norm).
 func (m *Matrix) MaxAbs() float64 {
 	var mx float64
@@ -140,13 +118,6 @@ func Axpy(a complex128, x, y []complex128) {
 	}
 	for i, v := range x {
 		y[i] += a * v
-	}
-}
-
-// Scale multiplies x by a in place.
-func Scale(a complex128, x []complex128) {
-	for i := range x {
-		x[i] *= a
 	}
 }
 

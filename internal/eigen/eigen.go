@@ -56,7 +56,7 @@ func SymmetricJacobi(a []float64, n int) (vals []float64, vecs [][]float64, err 
 		norm += x * x
 	}
 	norm = math.Sqrt(norm)
-	tol := 1e-14 * (norm + 1)
+	tol := 1e-14 * norm
 
 	const maxSweeps = 100
 	for sweep := 0; sweep < maxSweeps; sweep++ {

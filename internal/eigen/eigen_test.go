@@ -114,6 +114,33 @@ func TestJacobiReconstruction(t *testing.T) {
 	}
 }
 
+// TestJacobiIsScaleInvariant checks that the stopping rule is relative
+// to the matrix norm: a covariance in m² (entries ~1e−12) must converge
+// as far as the same matrix in units of σ².
+func TestJacobiIsScaleInvariant(t *testing.T) {
+	const s = 1e-12
+	n := 12
+	a := makeRandomSymmetric(rand.New(rand.NewSource(13)), n)
+	scaled := make([]float64, len(a))
+	for i, v := range a {
+		scaled[i] = s * v
+	}
+	want, _, err := SymmetricJacobi(a, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := SymmetricJacobi(scaled, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := math.Max(math.Abs(want[0]), math.Abs(want[n-1]))
+	for k := range got {
+		if math.Abs(got[k]/s-want[k]) > 1e-12*big {
+			t.Errorf("λ%d of the scaled matrix = %g·s, want %g·s", k, got[k]/s, want[k])
+		}
+	}
+}
+
 func TestJacobiRejectsAsymmetric(t *testing.T) {
 	a := []float64{1, 2, 3, 4}
 	if _, _, err := SymmetricJacobi(a, 2); err == nil {

@@ -276,16 +276,6 @@ func newID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// idHash folds a job ID into the 64-bit jitter key (FNV-1a).
-func idHash(id string) uint64 {
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // SubmitOptions extends Submit with lease/attempt accounting and
 // journal-replay identity. The zero value reproduces plain Submit.
 type SubmitOptions struct {
@@ -331,7 +321,7 @@ func (q *Queue) SubmitOpts(run Runner, opt SubmitOptions) (*Job, error) {
 	}
 	j := &Job{ID: id, run: run, status: StatusQueued, submitted: time.Now(),
 		attempt: opt.Attempt, maxAttempts: maxAttempts, backoff: opt.Backoff,
-		idHash: idHash(id),
+		idHash: resilience.StringHash(id),
 		done:   make(chan struct{}), changed: make(chan struct{})}
 	j.ctx, j.cancel = context.WithCancel(q.base)
 

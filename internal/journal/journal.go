@@ -190,9 +190,6 @@ func Open(path string, m *telemetry.Registry) (*Journal, []Pending, error) {
 	return j, pending, nil
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
 // Append durably writes one record: the frame is written and fsynced
 // before Append returns, so an acknowledged record survives any crash.
 // Seq, Unix and Schema are filled in by the journal.

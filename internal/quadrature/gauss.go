@@ -1,7 +1,7 @@
 // Package quadrature builds the numerical integration rules used across
 // roughsim: Gauss–Legendre (PSD integrals of the SPM2 baseline),
-// Gauss–Hermite in both physicists' and probabilists' normalizations
-// (stochastic collocation), full tensor grids, and Smolyak sparse grids —
+// Gauss–Hermite for the standard normal weight (stochastic collocation),
+// full tensor grids, and Smolyak sparse grids —
 // the sampling-point engine of the SSCM solver (Table I of the paper).
 package quadrature
 
@@ -101,20 +101,6 @@ func GaussLegendreOn(n int, lo, hi float64) Rule1D {
 	return out
 }
 
-// GaussHermitePhys returns the n-point Gauss–Hermite rule for the weight
-// exp(−x²) on ℝ.
-func GaussHermitePhys(n int) Rule1D {
-	if n <= 0 {
-		panic("quadrature: GaussHermitePhys needs n ≥ 1")
-	}
-	a := make([]float64, n)
-	b := make([]float64, n)
-	for k := 1; k < n; k++ {
-		b[k] = float64(k) / 2
-	}
-	return symmetrize(golubWelsch(a, b, math.SqrtPi))
-}
-
 // GaussHermiteProb returns the n-point rule for the standard normal
 // weight exp(−x²/2)/√(2π): the natural rule for expectations over iid
 // standard normal KL coordinates.
@@ -158,18 +144,4 @@ func (r Rule1D) Integrate(f func(float64) float64) float64 {
 		s += r.W[i] * f(x)
 	}
 	return s
-}
-
-// Trapezoid returns the composite trapezoid approximation of
-// ∫_lo^hi f(x) dx with n panels.
-func Trapezoid(f func(float64) float64, lo, hi float64, n int) float64 {
-	if n <= 0 || hi <= lo {
-		panic("quadrature: invalid Trapezoid spec")
-	}
-	h := (hi - lo) / float64(n)
-	s := (f(lo) + f(hi)) / 2
-	for i := 1; i < n; i++ {
-		s += f(lo + float64(i)*h)
-	}
-	return s * h
 }

@@ -92,8 +92,5 @@ func (e *Enc) String(s string) *Enc {
 	return e
 }
 
-// Bytes returns the encoding built so far (aliased, not copied).
-func (e *Enc) Bytes() []byte { return e.buf }
-
 // Sum returns the SHA-256 content address of the encoding.
 func (e *Enc) Sum() Key { return sha256.Sum256(e.buf) }

@@ -128,15 +128,27 @@ func ParseCrashSpec(s string) (FaultSpec, error) {
 	return FaultSpec{Op: op, Keys: []uint64{n}, Exit: true, Kind: KindPanic}, nil
 }
 
-// faultHash maps (op, key) to a uniform [0, 1) value: FNV-1a over the op
-// mixed with the key through a splitmix64 finalizer. Deterministic
-// across platforms and independent of goroutine scheduling.
-func faultHash(op string, key uint64) float64 {
+// StringHash is the one seed-free string hash behind shard placement
+// (cluster.Ring), per-job retry jitter and injected-fault patterns. It
+// is FNV-1a's loop and prime, but its offset basis is
+// 1469598103934665603, not FNV's 14695981039346656037. The constant
+// stays as it is: changing it would move shard ownership, retry jitter
+// and chaos-fault keys between versions.
+func StringHash(s string) uint64 {
 	h := uint64(1469598103934665603)
-	for i := 0; i < len(op); i++ {
-		h ^= uint64(op[i])
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
 		h *= 1099511628211
 	}
+	return h
+}
+
+// faultHash maps (op, key) to a uniform [0, 1) value: StringHash of
+// the op mixed with the key through a splitmix64 finalizer.
+// Deterministic across platforms and independent of goroutine
+// scheduling.
+func faultHash(op string, key uint64) float64 {
+	h := StringHash(op)
 	h ^= key * 0x9e3779b97f4a7c15
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9

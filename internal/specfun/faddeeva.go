@@ -114,13 +114,3 @@ func ExpMulErfc(c, z complex128) complex128 {
 	// the large exponentials combine before they overflow.
 	return 2*cmplx.Exp(c) - cmplx.Exp(c-z*z)*faddeevaUpper(-iz)
 }
-
-// Erfcx returns the real scaled complementary error function
-// erfcx(x) = exp(x²)·erfc(x) = w(ix) for real x.
-func Erfcx(x float64) float64 {
-	if x >= 0 {
-		return real(faddeevaUpper(complex(0, x)))
-	}
-	// erfcx(−x) = 2·exp(x²) − erfcx(x); overflows for x ≲ −27, as it must.
-	return 2*math.Exp(x*x) - real(faddeevaUpper(complex(0, -x)))
-}

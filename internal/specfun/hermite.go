@@ -18,23 +18,6 @@ func HermiteProb(n int, x float64) float64 {
 	return h
 }
 
-// HermitePhys returns the physicists' Hermite polynomial Hₙ(x),
-// orthogonal under exp(−x²) — the weight of the Gauss–Hermite rule.
-// Hₙ(x) = 2^(n/2)·Heₙ(√2·x).
-func HermitePhys(n int, x float64) float64 {
-	if n < 0 {
-		panic("specfun: HermitePhys order < 0")
-	}
-	if n == 0 {
-		return 1
-	}
-	hm, h := 1.0, 2*x
-	for k := 1; k < n; k++ {
-		hm, h = h, 2*x*h-2*float64(k)*hm
-	}
-	return h
-}
-
 // Factorial returns n! as a float64; exact up to n = 170, +Inf beyond.
 func Factorial(n int) float64 {
 	if n < 0 {

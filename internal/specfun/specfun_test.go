@@ -76,8 +76,9 @@ func TestErfcRealAxisMatchesStdlib(t *testing.T) {
 }
 
 func TestErfcxMatchesDefinition(t *testing.T) {
+	// erfcx(x) = exp(x²)·erfc(x) = w(ix) for real x.
 	for x := -5.0; x <= 10.0; x += 0.5 {
-		got := Erfcx(x)
+		got := real(Faddeeva(complex(0, x)))
 		want := math.Exp(x*x) * math.Erfc(x)
 		if x > 5 {
 			// Direct product underflows in accuracy; use asymptotic sanity:
@@ -184,20 +185,6 @@ func TestHermiteProbValues(t *testing.T) {
 				t.Errorf("He%d(%g) = %g, want %g", c.n, x, got, c.want)
 			}
 		}
-	}
-}
-
-func TestHermitePhysRelation(t *testing.T) {
-	// Hₙ(x) = 2^(n/2)·Heₙ(√2·x).
-	f := func(xr float64, nr uint8) bool {
-		x := math.Mod(xr, 4)
-		n := int(nr % 10)
-		lhs := HermitePhys(n, x)
-		rhs := math.Pow(2, float64(n)/2) * HermiteProb(n, math.Sqrt2*x)
-		return math.Abs(lhs-rhs) <= 1e-9*(1+math.Abs(rhs))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,11 +1,10 @@
 // Package stats provides the descriptive statistics used by the
-// Monte-Carlo and SSCM drivers: moments, empirical CDFs, quantiles,
-// histograms and the Kolmogorov–Smirnov distance used to compare the
-// SSCM surrogate distribution against brute-force Monte-Carlo (Fig. 7).
+// Monte-Carlo and SSCM drivers: moments, empirical CDFs, quantiles and
+// the Kolmogorov–Smirnov distance used to compare the SSCM surrogate
+// distribution against brute-force Monte-Carlo (Fig. 7).
 package stats
 
 import (
-	"errors"
 	"math"
 	"sort"
 
@@ -137,94 +136,7 @@ func KSDistance(a, b *ECDF) float64 {
 	return d
 }
 
-// Histogram bins sample values into nbins equal-width bins over
-// [lo, hi], returning the bin counts. Values outside the range are
-// clamped into the edge bins.
-func Histogram(sample []float64, lo, hi float64, nbins int) ([]int, error) {
-	if nbins <= 0 || hi <= lo {
-		return nil, errors.New("stats: invalid histogram spec")
-	}
-	counts := make([]int, nbins)
-	w := (hi - lo) / float64(nbins)
-	for _, v := range sample {
-		i := int((v - lo) / w)
-		if i < 0 {
-			i = 0
-		}
-		if i >= nbins {
-			i = nbins - 1
-		}
-		counts[i]++
-	}
-	return counts, nil
-}
-
-// Running accumulates streaming mean/variance (Welford) so Monte-Carlo
-// drivers can track convergence without storing every sample.
-type Running struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Push adds a sample.
-func (r *Running) Push(x float64) {
-	r.n++
-	d := x - r.mean
-	r.mean += d / float64(r.n)
-	r.m2 += d * (x - r.mean)
-}
-
-// N returns the number of samples pushed.
-func (r *Running) N() int { return r.n }
-
-// Mean returns the running mean.
-func (r *Running) Mean() float64 { return r.mean }
-
-// Variance returns the running unbiased variance.
-func (r *Running) Variance() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n-1)
-}
-
-// StdErr returns the standard error of the running mean.
-func (r *Running) StdErr() float64 {
-	if r.n < 2 {
-		return math.Inf(1)
-	}
-	return math.Sqrt(r.Variance() / float64(r.n))
-}
-
 // NormalCDF returns Φ(x), the standard normal CDF.
 func NormalCDF(x float64) float64 {
 	return 0.5 * math.Erfc(-x/math.Sqrt2)
-}
-
-// BootstrapCI returns a percentile bootstrap confidence interval for the
-// mean of a sample at the given level (e.g. 0.95), using nBoot
-// resamples driven by the deterministic seed.
-func BootstrapCI(sample []float64, level float64, nBoot int, seed uint64) (lo, hi float64) {
-	if len(sample) == 0 || level <= 0 || level >= 1 || nBoot <= 0 {
-		panic("stats: invalid BootstrapCI arguments")
-	}
-	// Small linear-congruential stream keeps this package dependency
-	// free; quality is ample for resampling indices.
-	state := seed*6364136223846793005 + 1442695040888963407
-	next := func(n int) int {
-		state = state*6364136223846793005 + 1442695040888963407
-		return int((state >> 33) % uint64(n))
-	}
-	means := make([]float64, nBoot)
-	for b := 0; b < nBoot; b++ {
-		var s float64
-		for range sample {
-			s += sample[next(len(sample))]
-		}
-		means[b] = s / float64(len(sample))
-	}
-	e := NewECDF(means)
-	alpha := (1 - level) / 2
-	return e.Quantile(alpha), e.Quantile(1 - alpha)
 }

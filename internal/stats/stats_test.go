@@ -103,39 +103,6 @@ func TestKSDistanceGaussianShift(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := Histogram([]float64{0.1, 0.2, 0.9, -5, 5}, 0, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// −5 clamps to bin 0, 5 clamps to bin 1.
-	if h[0] != 3 || h[1] != 2 {
-		t.Fatalf("histogram %v, want [3 2]", h)
-	}
-	if _, err := Histogram(nil, 1, 0, 2); err == nil {
-		t.Fatal("expected error for inverted range")
-	}
-}
-
-func TestRunningMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	x := make([]float64, 5000)
-	var r Running
-	for i := range x {
-		x[i] = rng.NormFloat64()*3 + 1
-		r.Push(x[i])
-	}
-	if math.Abs(r.Mean()-Mean(x)) > 1e-10 {
-		t.Errorf("running mean %g vs batch %g", r.Mean(), Mean(x))
-	}
-	if math.Abs(r.Variance()-Variance(x)) > 1e-8 {
-		t.Errorf("running variance %g vs batch %g", r.Variance(), Variance(x))
-	}
-	if r.N() != len(x) {
-		t.Errorf("running N %d", r.N())
-	}
-}
-
 func TestNormalCDF(t *testing.T) {
 	cases := []struct{ x, want float64 }{
 		{0, 0.5},
@@ -147,36 +114,6 @@ func TestNormalCDF(t *testing.T) {
 			t.Errorf("Φ(%g) = %g, want %g", c.x, got, c.want)
 		}
 	}
-}
-
-func TestBootstrapCI(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	sample := make([]float64, 400)
-	for i := range sample {
-		sample[i] = rng.NormFloat64()*2 + 5
-	}
-	lo, hi := BootstrapCI(sample, 0.95, 2000, 9)
-	m := Mean(sample)
-	if !(lo < m && m < hi) {
-		t.Fatalf("CI [%g, %g] does not bracket the sample mean %g", lo, hi, m)
-	}
-	// Width ≈ 2·1.96·sd/√n = 2·1.96·2/20 ≈ 0.39.
-	if w := hi - lo; w < 0.2 || w > 0.7 {
-		t.Fatalf("CI width %g implausible", w)
-	}
-	// True mean inside (it is, with overwhelming probability).
-	if !(lo < 5.2 && hi > 4.8) {
-		t.Fatalf("CI [%g, %g] far from the true mean", lo, hi)
-	}
-}
-
-func TestBootstrapCIPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for empty sample")
-		}
-	}()
-	BootstrapCI(nil, 0.95, 100, 1)
 }
 
 func TestSamplesForTolerance(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"roughsim/internal/eigen"
 	"roughsim/internal/rng"
 )
 
@@ -141,6 +142,55 @@ func TestModeOrbitsAreBitwise(t *testing.T) {
 		}
 		if o := InvariantOrbits(m, kl.Sample(rng.New(3)).H); !o.Trivial() {
 			t.Errorf("M=%d: a full-rank draw has %d orbits, want %d", m, len(o.Reps), m*m)
+		}
+	}
+}
+
+// TestKLMatchesDenseEigensolve checks the FFT-built periodic KL against
+// a dense Jacobi eigensolve of the same N×N covariance matrix (minimum
+// image distances on the periodic patch): the sorted mode variances
+// must equal the sorted eigenvalues to round-off of the largest one.
+func TestKLMatchesDenseEigensolve(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		c    Corr
+		L    float64
+		M    int
+	}{
+		{"gaussian M=6", NewGaussianCorr(1*um, 1*um), 5 * um, 6},
+		{"gaussian M=7", NewGaussianCorr(1*um, 1*um), 5 * um, 7},
+		{"exponential M=6", NewExpCorr(1*um, 1*um), 5 * um, 6},
+		{"exponential M=7", NewExpCorr(1*um, 1*um), 5 * um, 7},
+	} {
+		M, n := tc.M, tc.M*tc.M
+		h := tc.L / float64(M)
+		cov := make([]float64, n*n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				dx := minImage(((j%M-i%M)%M+M)%M, M) * h
+				dy := minImage(((j/M-i/M)%M+M)%M, M) * h
+				cov[i*n+j] = tc.c.At(math.Hypot(dx, dy))
+			}
+		}
+		want, _, err := eigen.SymmetricJacobi(cov, n)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		kl := NewKL(tc.c, tc.L, M)
+		if len(kl.Modes) != n {
+			t.Fatalf("%s: %d modes for %d cells", tc.name, len(kl.Modes), n)
+		}
+		got := make([]float64, n)
+		for k, m := range kl.Modes {
+			got[k] = m.Lambda
+		}
+		sort.Sort(sort.Reverse(sort.Float64Slice(got)))
+		sort.Sort(sort.Reverse(sort.Float64Slice(want)))
+		tol := 1e-13 * want[0]
+		for k := range got {
+			if math.Abs(got[k]-want[k]) > tol {
+				t.Errorf("%s: mode %d variance %.17g, dense eigenvalue %.17g", tc.name, k, got[k], want[k])
+			}
 		}
 	}
 }

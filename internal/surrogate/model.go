@@ -25,10 +25,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sync"
 
 	"roughsim/internal/resilience"
-	"roughsim/internal/specfun"
+	"roughsim/internal/sscm"
 	"roughsim/internal/sweepengine"
 )
 
@@ -70,10 +69,6 @@ type Model struct {
 	// Meta is an opaque echo of the originating configuration (the
 	// service stores the request JSON) for listing and fallback.
 	Meta json.RawMessage `json:"meta,omitempty"`
-
-	// facts caches α! per term for the variance sum (not persisted).
-	factsOnce sync.Once
-	facts     []float64
 }
 
 // CheckShape validates the structural invariants a decoded model must
@@ -124,30 +119,32 @@ func (m *Model) bandErr(f float64) error {
 
 // CoeffsAt interpolates the PC coefficient vector c_α to frequency f
 // by barycentric interpolation in x = √f over the anchor abscissae.
-// dst, when non-nil and correctly sized, receives the result without
-// allocating.
-func (m *Model) CoeffsAt(f float64, dst []float64) ([]float64, error) {
+func (m *Model) CoeffsAt(f float64) ([]float64, error) {
 	if !m.InBand(f) {
 		return nil, m.bandErr(f)
 	}
 	w := sweepengine.BaryWeights(m.XNodes, math.Sqrt(f))
-	if len(dst) != len(m.Indices) {
-		dst = make([]float64, len(m.Indices))
-	} else {
-		for t := range dst {
-			dst[t] = 0
-		}
-	}
+	c := make([]float64, len(m.Indices))
 	for a, wa := range w {
 		if wa == 0 {
 			continue
 		}
 		row := m.Coeffs[a]
-		for t := range dst {
-			dst[t] += wa * row[t]
+		for t := range c {
+			c[t] += wa * row[t]
 		}
 	}
-	return dst, nil
+	return c, nil
+}
+
+// pce returns the chaos expansion at f: the model's multi-indices with
+// the coefficients interpolated to f.
+func (m *Model) pce(f float64) (*sscm.PCE, error) {
+	c, err := m.CoeffsAt(f)
+	if err != nil {
+		return nil, err
+	}
+	return &sscm.PCE{Dim: m.Dim, Order: m.Order, Indices: m.Indices, Coeffs: c}, nil
 }
 
 // Mean returns E[K](f) = c₀(f) — the quantity the sweep endpoints
@@ -166,16 +163,11 @@ func (m *Model) Mean(f float64) (float64, error) {
 
 // Variance returns Var[K](f) = Σ_{α≠0} c_α(f)²·α!.
 func (m *Model) Variance(f float64) (float64, error) {
-	c, err := m.CoeffsAt(f, nil)
+	p, err := m.pce(f)
 	if err != nil {
 		return 0, err
 	}
-	facts := m.factorials()
-	var v float64
-	for t := 1; t < len(c); t++ {
-		v += c[t] * c[t] * facts[t]
-	}
-	return v, nil
+	return p.Variance(), nil
 }
 
 // Eval evaluates the surrogate at (f, ξ): the per-ξ PC evaluation the
@@ -186,40 +178,11 @@ func (m *Model) Eval(f float64, xi []float64) (float64, error) {
 		return 0, resilience.Errorf(resilience.KindInvalidInput, "surrogate.Model",
 			"model dim %d, got %d coordinates", m.Dim, len(xi))
 	}
-	c, err := m.CoeffsAt(f, nil)
+	p, err := m.pce(f)
 	if err != nil {
 		return 0, err
 	}
-	var s float64
-	for t, alpha := range m.Indices {
-		if c[t] == 0 {
-			continue
-		}
-		term := c[t]
-		for i, ai := range alpha {
-			if ai > 0 {
-				term *= specfun.HermiteProb(ai, xi[i])
-			}
-		}
-		s += term
-	}
-	return s, nil
-}
-
-// factorials returns (building once, concurrency-safe) α! per term.
-func (m *Model) factorials() []float64 {
-	m.factsOnce.Do(func() {
-		facts := make([]float64, len(m.Indices))
-		for t, alpha := range m.Indices {
-			fact := 1.0
-			for _, ai := range alpha {
-				fact *= specfun.Factorial(ai)
-			}
-			facts[t] = fact
-		}
-		m.facts = facts
-	})
-	return m.facts
+	return p.Eval(xi), nil
 }
 
 // Encode serializes the model for the registry's disk tier.

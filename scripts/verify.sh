@@ -80,3 +80,9 @@ go test -race -count=50 -run 'Retry|Drain|Cancel|Observer|TraceSpans' ./internal
 # waiters that joined it: they retry under their live ctx. The race
 # detector's scheduling varies who joins and who recomputes.
 go test -race -count=20 -run TestStoppedRunRetriedByLiveWaiters ./internal/memo/
+# The two sizes ROADMAP tracks, printed last so every change quotes the
+# same measurement: non-test Go lines outside bench/ and non-test
+# panic( sites under internal/.
+set +x
+echo "non-test Go lines outside bench/: $(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"
+echo "non-test panic( sites under internal/: $(grep -ro --include='*.go' --exclude='*_test.go' 'panic(' internal | wc -l)"
