@@ -80,8 +80,9 @@ func BenchmarkAssembleTabulated(b *testing.B) {
 
 // BenchmarkTableBuild measures the one-time per-frequency table cost at
 // 5 GHz: one worker at the sweep-m20 bench workload's grid and span
-// (M=20, ZSpan = 14σ = 210 nm, 10 Chebyshev nodes per fit), and over
-// all workers at M=12 with a 12 µm span (the 32-node cap).
+// (M=20, ZSpan = 14σ = 210 nm, 10 Chebyshev nodes per fit), one worker
+// at a campaign-g8 cell's (M=8, ZSpan = 14 × 0.33 µm, 32 nodes), and
+// over all workers at M=12 with a 12 µm span (the 32-node cap).
 func BenchmarkTableBuild(b *testing.B) {
 	p := benchParams()
 	for _, bc := range []struct {
@@ -89,7 +90,7 @@ func BenchmarkTableBuild(b *testing.B) {
 		m       int
 		zspan   float64
 		workers int
-	}{{"sweep-m20", 20, 14 * sweepSigma, 1}, {"M12", 12, 12e-6, 0}} {
+	}{{"sweep-m20", 20, 14 * sweepSigma, 1}, {"campaign-g8", 8, 14 * 0.33e-6, 1}, {"M12", 12, 12e-6, 0}} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -12,7 +12,9 @@
 //     convergent, used for the dielectric medium where |k|·L ≪ 1. The
 //     spectral part is folded by the lattice symmetry: at normal
 //     incidence a mode's z-factor depends only on m² + n², so the 49
-//     modes reduce to 10 z-factors with real cosine phases.
+//     modes reduce to 10 z-factors with real cosine phases. For a real
+//     k (the lossless dielectric) both parts run in real arithmetic
+//     except the (0,0) mode: see spatialImageReal and zFactor.
 //   - Direct image sum (ImageSum, in real arithmetic): for the conductor
 //     medium k = (1+j)/δ the kernel decays like exp(−R/δ) within a
 //     couple of image shells, while the Ewald split suffers catastrophic
@@ -42,6 +44,10 @@ type Periodic3D struct {
 	useEwald bool
 	nSpec    int // spectral modes per dimension: m,n ∈ [−nSpec, nSpec], at most maxSpec
 	nSpat    int // spatial image shells: p,q ∈ [−nSpat, nSpat]
+
+	// realK selects the real-arithmetic Ewald sum (spatialImageReal,
+	// zFactor); NewPeriodic3D sets it for a real k.
+	realK bool
 }
 
 // maxSpec bounds nSpec: the folded spectral sum keeps its per-axis
@@ -62,11 +68,17 @@ func NewPeriodic3D(k complex128, L float64) *Periodic3D {
 	g.useEwald = imag(k)*L < ewaldLossThreshold
 	if g.useEwald {
 		// Spectral truncation: terms decay like exp(−|k_t|²/(4E²));
-		// |k_t| = 2π·n/L and E = √π/L give exp(−π·n²), so n = 3 is
-		// already ~1e−12. Spatial terms decay like erfc(R·E) ~
-		// exp(−π·R²/L²); two shells suffice.
+		// |k_t| = 2π·n/L and E = √π/L give exp(−π·n²), so the first
+		// excluded mode, n = 4, is below 1e−21. Spatial terms decay like
+		// erfc(R·E): with two shells the first excluded image is at
+		// R ≥ 2.5L, where erfc(2.5√π) ≈ 3.7e−10. That ring sets the
+		// truncation: G is within 1.5e−10 of 1/(4πR) of a pure
+		// spectral sum at |Δz| ≥ 0.3L, 1–20 GHz, L = 5 µm
+		// (TestEwaldMatchesSpectralSum). A third shell would move every
+		// dielectric value by about that much.
 		g.nSpec = 3
 		g.nSpat = 2
+		g.realK = imag(k) == 0
 	} else {
 		// Direct sum: include shells until exp(−Im(k)·R) is negligible.
 		shells := int(math.Ceil(34/(imag(k)*L))) + 1
@@ -182,14 +194,29 @@ func ImageSum(k complex128, l float64, shells int, dx, dy, dz float64) (complex1
 // spatialEwald evaluates the real-space part of the Ewald split:
 // Σ_pq (1/(8πR))·[e^{+jkR}·erfc(RE + jk/(2E)) + e^{−jkR}·erfc(RE − jk/(2E))],
 // computed with ExpMulErfc so the exponentials never overflow.
+//
+// For a real k the images off the lattice point take spatialImageReal,
+// with b = k/(2E) and (4E/√π)·e^{b²} computed once per call.
 func (g *Periodic3D) spatialEwald(dx, dy, dz float64, wantGrad, regularized bool) (complex128, [3]complex128) {
 	var sum complex128
 	var grad [3]complex128
+	var b, gauss float64
+	if g.realK {
+		b = real(g.K) / (2 * g.E)
+		gauss = 4 * g.E / math.SqrtPi * math.Exp(b*b)
+	}
 	for p := -g.nSpat; p <= g.nSpat; p++ {
 		for q := -g.nSpat; q <= g.nSpat; q++ {
 			rx := dx - float64(p)*g.L
 			ry := dy - float64(q)*g.L
-			v, gr, singular := g.spatialImage(rx, ry, dz, wantGrad)
+			var v complex128
+			var gr [3]complex128
+			var singular bool
+			if r := math.Sqrt(rx*rx + ry*ry + dz*dz); g.realK && r != 0 {
+				v, gr = g.spatialImageReal(rx, ry, dz, r, b, gauss, wantGrad)
+			} else {
+				v, gr, singular = g.spatialImage(rx, ry, dz, wantGrad)
+			}
 			if singular {
 				if !regularized {
 					panic("greens: Eval at a lattice point; use EvalRegularized")
@@ -242,6 +269,72 @@ func (g *Periodic3D) spatialImage(rx, ry, dz float64, wantGrad bool) (complex128
 	return v, grad, false
 }
 
+// spatialImageReal is spatialImage at distance r > 0 for a real k, given
+// b = k/(2E) and gauss = (4E/√π)·e^{b²}. e^{−jkR}·erfc(RE − jb) is the
+// conjugate of P = e^{jkR}·erfc(RE + jb), so the term is Re(P)/(4πR)
+// and F′(R) = −2k·Im(P) − gauss·e^{−R²E²}: one erfc per image, from
+// erfcNearReal (which shares e^{−R²E²}) or, where that series is too
+// long, ExpMulErfc.
+func (g *Periodic3D) spatialImageReal(rx, ry, dz, r, b, gauss float64, wantGrad bool) (complex128, [3]complex128) {
+	var grad [3]complex128
+	k := real(g.K)
+	x := r * g.E
+	gx := math.Exp(-x * x)
+	var pr, pi float64
+	if er, ei, ok := erfcNearReal(x, b, gx); ok {
+		s, c := math.Sincos(k * r)
+		pr, pi = c*er-s*ei, s*er+c*ei
+	} else {
+		p := specfun.ExpMulErfc(complex(0, k*r), complex(x, b))
+		pr, pi = real(p), imag(p)
+	}
+	v := pr / (4 * math.Pi * r)
+	if wantGrad {
+		dFdR := -2*k*pi - gauss*gx
+		dvdr := (dFdR*r - 2*pr) / (8 * math.Pi * r * r)
+		grad[0] = complex(dvdr*(rx/r), 0)
+		grad[1] = complex(dvdr*(ry/r), 0)
+		grad[2] = complex(dvdr*(dz/r), 0)
+	}
+	return complex(v, 0), grad
+}
+
+// erfcSeriesTerms caps erfcNearReal's series. For x ≫ 1 the terms fall
+// like (2bx)ⁿ/n!, with 2bx = kR at x = RE, so the cap also keeps the
+// partial sums from cancelling: the series converges up to kR ≈ 1.2–1.7
+// (b from 0.05 to 0.28), far above the dielectric's kR ≤ 0.03 at 20 GHz.
+const erfcSeriesTerms = 20
+
+// erfcNearReal returns erfc(x + jb) for real x and b, given gx = e^{−x²},
+// from the Taylor series about the real axis:
+// erfc(x + jb) = erfc(x) + (2/√π)·e^{−x²}·Σ_{n≥1} (−jb)ⁿ·H_{n−1}(x)/n!,
+// with the physicists' Hermite recurrence H_{n+1} = 2x·Hₙ − 2n·H_{n−1}.
+// (−j)ⁿ is −j, −1, j, 1, …, so the terms come in pairs, the odd one
+// imaginary and the even one real, with a sign that alternates by pair.
+// ok is false if a pair has not fallen below 2⁻⁵³ of the sum within
+// erfcSeriesTerms terms.
+func erfcNearReal(x, b, gx float64) (re, im float64, ok bool) {
+	var sr, si float64
+	t := 1.0           // b^{n−1}/(n−1)!
+	h0, h1 := 1.0, 2*x // H_{n−1}, Hₙ
+	sign := -1.0
+	for n := 1.0; n < erfcSeriesTerms; n += 2 {
+		ti := t * b / n
+		t = ti * b / (n + 1)
+		ai, ar := ti*h0, t*h1
+		si += sign * ai
+		sr += sign * ar
+		if math.Abs(ai)+math.Abs(ar) <= 0x1p-53*(math.Abs(sr)+math.Abs(si)) {
+			c := 2 / math.SqrtPi * gx
+			return math.Erfc(x) + c*sr, c * si, true
+		}
+		sign = -sign
+		h0 = 2*x*h1 - 2*n*h0
+		h1 = 2*x*h0 - 2*(n+1)*h1
+	}
+	return 0, 0, false
+}
+
 // spectral evaluates the reciprocal-space part of the Ewald split:
 // Σ_mn e^{j·k_t·Δρ}/(4L²γ)·[e^{+γΔz}·erfc(γ/(2E)+ΔzE) + e^{−γΔz}·erfc(γ/(2E)−ΔzE)],
 // with γ = sqrt(|k_t|² − k²) on the decaying/outgoing branch.
@@ -251,9 +344,12 @@ func (g *Periodic3D) spatialImage(rx, ry, dz float64, wantGrad bool) (complex128
 // real products c_a(Δx)·c_b(Δy), with c_0 = 1 and c_a(x) = 2cos(k_a·x)
 // for k_a = 2πa/L, whose x-derivative is s_a(x) = −2k_a·sin(k_a·x); and
 // the classes (a, b) and (b, a) share one z-factor. nSpec = 3 needs 10
-// z-factors (two ExpMulErfc each) and 6 Sincos for its 49 modes. The
-// fold is exactly even in Δx and Δy: the gradient's lateral components
-// are odd bit for bit and vanish on the axes.
+// z-factors and 6 Sincos for its 49 modes. For a real k every z-factor
+// but (0,0)'s has a real γ and runs in real arithmetic (zFactor); the
+// rest take two ExpMulErfc each. Both forms evaluate e^{−γz}·erfc(γ/2E − zE)
+// as the e^{+γz} factor at −z, so G is exactly even and Gz exactly odd
+// in Δz. The fold is exactly even in Δx and Δy: the gradient's lateral
+// components are odd bit for bit and vanish on the axes.
 func (g *Periodic3D) spectral(dx, dy, dz float64, wantGrad bool) (complex128, [3]complex128) {
 	var sum complex128
 	var grad [3]complex128
@@ -270,13 +366,26 @@ func (g *Periodic3D) spectral(dx, dy, dz float64, wantGrad bool) (complex128, [3
 	zc := complex(dz, 0)
 	ec := complex(g.E, 0)
 	area := complex(4*g.L*g.L, 0)
+	kr := real(g.K)
 	for a := 0; a <= n; a++ {
 		for b := a; b <= n; b++ {
-			gamma := decayBranchSqrt(complex(k[a]*k[a]+k[b]*k[b], 0) - g.K*g.K)
-			// e^{±γz}·erfc(γ/2E ± zE), fused for stability.
-			up := specfun.ExpMulErfc(gamma*zc, gamma/(2*ec)+zc*ec)
-			dn := specfun.ExpMulErfc(-gamma*zc, gamma/(2*ec)-zc*ec)
-			f := (up + dn) / (area * gamma)
+			// f is the mode's (up + dn)/(4L²γ) and fz its (up − dn)/(4L²):
+			// d/dz's erfc-derivative pieces cancel exactly, leaving
+			// γ·(up − dn), whose γ cancels the prefactor's.
+			var f, fz complex128
+			if w := k[a]*k[a] + k[b]*k[b] - kr*kr; g.realK && w > 0 {
+				gamma := math.Sqrt(w)
+				up, dn := zFactor(gamma, dz, g.E), zFactor(gamma, -dz, g.E)
+				f = complex((up+dn)/(real(area)*gamma), 0)
+				fz = complex((up-dn)/real(area), 0)
+			} else {
+				gamma := decayBranchSqrt(complex(k[a]*k[a]+k[b]*k[b], 0) - g.K*g.K)
+				// e^{±γz}·erfc(γ/2E ± zE), fused for stability.
+				up := specfun.ExpMulErfc(gamma*zc, gamma/(2*ec)+zc*ec)
+				dn := specfun.ExpMulErfc(-gamma*zc, gamma/(2*ec)-zc*ec)
+				f = (up + dn) / (area * gamma)
+				fz = (up - dn) / area
+			}
 			p := cx[a] * cy[b]
 			if a != b {
 				p += cx[b] * cy[a]
@@ -290,13 +399,24 @@ func (g *Periodic3D) spectral(dx, dy, dz float64, wantGrad bool) (complex128, [3
 				}
 				grad[0] += f * complex(px, 0)
 				grad[1] += f * complex(py, 0)
-				// d/dz: the erfc-derivative pieces cancel exactly,
-				// leaving γ·(up − dn), whose γ cancels the prefactor's.
-				grad[2] += (up - dn) / area * complex(p, 0)
+				grad[2] += fz * complex(p, 0)
 			}
 		}
 	}
 	return sum, grad
+}
+
+// zFactor returns e^{γs}·erfc(γ/(2E) + sE) for a real γ > 0. Below
+// y = γ/(2E) + sE = 26 it is the plain product: there e^{γs} < e^{338}
+// and erfc(y) > 5e−296 are both normal numbers. Past it the product
+// turns into Inf·0 for large s, so ExpMulErfc combines the exponents
+// into e^{−(γ/2E)² − (sE)²}·erfcx(y), which stays finite.
+func zFactor(gamma, s, e float64) float64 {
+	y := gamma/(2*e) + s*e
+	if y < 26 {
+		return math.Exp(gamma*s) * math.Erfc(y)
+	}
+	return real(specfun.ExpMulErfc(complex(gamma*s, 0), complex(y, 0)))
 }
 
 // WrapPeriod maps x into [−L/2, L/2).

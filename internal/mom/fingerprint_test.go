@@ -58,8 +58,8 @@ func TestKernelFingerprints(t *testing.T) {
 	// Hashes recorded when the Green's tables became span-sized: each
 	// fit takes the Chebyshev node count its Δz span needs (tableNodes;
 	// 12 nodes at the fingerprint surface's 280 nm span) instead of a
-	// fixed 32. The 32-node fits' extra coefficients were below the
-	// Ewald/image evaluation noise, so the pinned entries below did not
+	// fixed 32. The 32-node fits' extra coefficients were below double
+	// rounding of the kernel values, so the pinned entries below did not
 	// move past their bounds (dense within 2.2e-17, MatVec within
 	// 3.4e-16 of max |entry|). The dense system is only fingerprinted at
 	// M=8, the regime where production assembles it; M=20 is the FFT
@@ -72,28 +72,36 @@ func TestKernelFingerprints(t *testing.T) {
 	// fingerprint surface's heights moved at rounding level while the
 	// kernels did not (the table hashes, and every hash under the old
 	// synthesis, are unchanged); the pinned entries stayed within
-	// 2.2e-17 (dense) and 4.1e-16 (MatVec) of max |entry|.
+	// 2.2e-17 (dense) and 4.1e-16 (MatVec) of max |entry|. Every hash
+	// was re-recorded when the dielectric's Ewald sum (real k) began
+	// running in real arithmetic: one erfc per spatial image, real
+	// spectral z-factors and a Taylor series for the near-real erfc in
+	// place of the complex Faddeeva evaluations. The dielectric kernel
+	// moved at the complex erfc's rounding (within 2.5e-15 of the
+	// largest image term, greens.TestRealKMatchesComplexPath); the pinned
+	// entries stayed within 2.2e-17 (dense) and 4.1e-16 (MatVec) of max
+	// |entry|.
 	cases := []struct {
 		m                     int
 		fGHz                  float64
 		tables, dense, matvec string
 	}{
 		{8, 3,
-			"a89891bf73f166c907a9dbfd335a1d2b4f0619b0d751e9a17584d92688a5a7d1",
-			"6338c11edcadf8af6cd710d526af9f3b3841811c7468f40deac93166139c83f4",
-			"ab5eff71b9841261b3742024c7f212e23e4a9b7f1da9d79b693b105eb871c152"},
+			"5337e54d615993d16eb76a4782689388afa2aa5c703796810b3cf3e996d60f7e",
+			"746691b9e5a42fa277afddf280bb4f88c28d2a13636f968fc4bd7313d94b1c91",
+			"e661dad225c5077df1a3b9d4cf8d304b5466275c8f9b5c840d77f191b556b638"},
 		{8, 9,
-			"59e55d7138dde4aa93b5c75d3b11dd08f3a44b0f8c2be4648fad551a5be47845",
-			"483d9f84c5018370d44abfd09d776165c81d3517cd5e067a16407b1b6c249167",
-			"0b8d7c0cbf8b4fc9ecc3b8b55a732ec8ae699e861975177dfdc859cd9fa23d3b"},
+			"c6021bab438dee1722ba5e6fda741b75405ae9a3f42458eae5a521d2d4a328db",
+			"54e56a5660e5de1af09b1035c02199296707eccc58adb5186b5f33785adcb00d",
+			"90d758101b370a654e92a915c85697f536fc82e544258bdb9a09366d46081ea5"},
 		{20, 3,
-			"1a8f465fc6899ec5f25460cc6b73e5da2e595f70a3683c677a5dddeccdf5a71b",
+			"da23db764fd05522a8f32017c1409262207d97106cf38d9fd20ad51fb0970d97",
 			"-",
-			"7d745b7f53e91f4af223e76cbbab61d19e5c9a01d0bfb7438fc72de7206514b6"},
+			"2e703891a2e06b3396917413db295c7c922e208eb009ca806ab628840d93590b"},
 		{20, 9,
-			"8c9889effc784ec6a245822f060837c065dcbf763d6f0a01448dd25f55a0c61b",
+			"83d8c756f8afda80392dfdbb012c3a905ae97a71d8185d3c2de009a88185dbbb",
 			"-",
-			"da9cb56fe2531d14caba0efe42cfe7d4c19a670cea9c8aa0c51f73ffa147a595"},
+			"c2d1ae9ca5a9acc97bbfea7a675e324a4683063c2681906a4350aa0931dd14fd"},
 	}
 	for _, tc := range cases {
 		surf, zspan := fingerprintSurface(tc.m)

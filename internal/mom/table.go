@@ -42,11 +42,14 @@ const maxTableNodes = 32
 // r = 1.5L/zspan, the Bernstein ellipse that touches the strip. The
 // error of an n-node fit against a 32-node one measures err(n) ≈ 150·ρ⁻ⁿ
 // from 210 nm to 4.6 µm spans on L = 5 µm, so n is the smallest count
-// with 150·ρ⁻ⁿ ≤ 1e−16, the Ewald/image evaluation noise, rounded up to
-// even — sampling evaluates ⌈n/2⌉ nodes of each ±Δz pair, so an odd n
+// with 150·ρ⁻ⁿ ≤ 1e−16, double rounding of the kernel values, rounded up
+// to even — sampling evaluates ⌈n/2⌉ nodes of each ±Δz pair, so an odd n
 // costs as much as n+1 — and capped at maxTableNodes. At L = 5 µm that
 // is 10 nodes at a 210 nm span, 12 at 280 nm, 22 at 2 µm and 32 from
-// about 4 µm up.
+// about 4 µm up. The target is not the evaluator's own error: the Ewald
+// sum is truncated at 1.5e−10 of 1/(4πR) (greens.NewPeriodic3D), but
+// that truncation is one smooth function of Δz, sampled by the fit and
+// evaluated by Assemble alike, so it does not enter their difference.
 func tableNodes(L, zspan float64) int {
 	r := 1.5 * L / zspan
 	n := int(math.Ceil(math.Log(150/1e-16) / math.Log(r+math.Sqrt(1+r*r))))

@@ -68,6 +68,10 @@ go test -run '^$' -fuzz FuzzStoreCodecs -fuzztime 5s ./internal/server/
 # every accepted sweep writes two header lines plus one row of 9 finite
 # fields per sample.
 go test -run '^$' -fuzz FuzzWriteTouchstone -fuzztime 5s ./internal/txline/
+# Fuzz the dielectric's real-arithmetic Ewald sum briefly: no offset,
+# real k or period may panic it, and every result is finite and agrees
+# with the complex Ewald path within 1e-12 of the largest image term.
+go test -run '^$' -fuzz FuzzRealKEwald -fuzztime 5s ./internal/greens/
 # The journal and retry machinery also get a full (non-short) race pass:
 # WAL replay and retry-wait races only show up off the fast paths.
 go test -race -count=1 ./internal/journal/... ./internal/jobs/... ./internal/cluster/...
