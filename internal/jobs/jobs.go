@@ -165,6 +165,12 @@ var (
 	ErrClosed = errors.New("jobs: queue closed")
 )
 
+// retainTerminal is how many terminal jobs the queue keeps for Get: when
+// one more job turns terminal, the one that turned terminal longest ago
+// is forgotten. Queued, running and retry-waiting jobs are never
+// forgotten.
+const retainTerminal = 4096
+
 // Queue is a bounded FIFO drained by a fixed worker pool.
 type Queue struct {
 	ch      chan *Job
@@ -180,6 +186,7 @@ type Queue struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
+	terminal []string // IDs of the terminal jobs in jobs, oldest first
 	observer func(*Job)
 
 	depth                                  *telemetry.Gauge
@@ -361,7 +368,8 @@ func (q *Queue) SubmitOpts(run Runner, opt SubmitOptions) (*Job, error) {
 	return j, nil
 }
 
-// Get returns the job with the given ID.
+// Get returns the job with the given ID: a queued, running or
+// retry-waiting job, or one of the last retainTerminal jobs to finish.
 func (q *Queue) Get(id string) (*Job, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -451,6 +459,9 @@ func (q *Queue) runJob(j *Job) {
 		q.failed.Inc()
 	}
 	j.finishTrace(status)
+	// Retire j before it turns terminal, so whoever waits on Done sees
+	// the retention already applied; j itself is the newest entry.
+	q.retire(j)
 	j.mu.Lock()
 	j.finished = time.Now()
 	j.result, j.err = v, err
@@ -461,6 +472,18 @@ func (q *Queue) runJob(j *Job) {
 	j.mu.Unlock()
 	q.jobSeconds.Observe(elapsed.Seconds())
 	q.notifyObserver(j)
+}
+
+// retire records j as terminal and forgets the oldest terminal job past
+// retainTerminal.
+func (q *Queue) retire(j *Job) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.terminal = append(q.terminal, j.ID)
+	if len(q.terminal) > retainTerminal {
+		delete(q.jobs, q.terminal[0])
+		q.terminal = q.terminal[1:]
+	}
 }
 
 // runAttempt runs one attempt of j under the per-attempt timeout and

@@ -807,3 +807,41 @@ func TestExplicitIDAndDuplicateRejection(t *testing.T) {
 		t.Fatalf("attempt = %d, want 3 (seeded 2 + 1 run)", info.Attempt)
 	}
 }
+
+// TestTerminalJobsForgottenPastRetainBound: Get finds the last
+// retainTerminal jobs to finish and forgets older ones, while a job
+// still running is kept however many jobs finish after it.
+func TestTerminalJobsForgottenPastRetainBound(t *testing.T) {
+	q, err := NewQueue(2, 8, 0, telemetry.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Drain(context.Background())
+	release := make(chan struct{})
+	defer close(release)
+	running, err := q.Submit(func(context.Context, func(int, int)) (any, error) {
+		<-release
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 3
+	ids := make([]string, 0, retainTerminal+k)
+	for range retainTerminal + k {
+		j, err := q.Submit(func(context.Context, func(int, int)) (any, error) { return nil, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		await(t, j)
+		ids = append(ids, j.ID)
+	}
+	for i, id := range ids {
+		if _, ok := q.Get(id); ok != (i >= k) {
+			t.Fatalf("job %d of %d: Get found=%t, want %t", i, len(ids), ok, i >= k)
+		}
+	}
+	if j, ok := q.Get(running.ID); !ok || j.Snapshot().Status != StatusRunning {
+		t.Fatalf("running job forgotten (found=%t)", ok)
+	}
+}

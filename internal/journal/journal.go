@@ -39,6 +39,7 @@ import (
 	"sync"
 	"time"
 
+	"roughsim/internal/rescache"
 	"roughsim/internal/telemetry"
 )
 
@@ -145,9 +146,6 @@ type Journal struct {
 // campaigns still pending at the last crash or shutdown, in submission
 // order.
 func Open(path string, m *telemetry.Registry) (*Journal, []Pending, error) {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, nil, fmt.Errorf("journal: mkdir: %w", err)
-	}
 	j := &Journal{
 		path:        path,
 		appends:     m.Counter("journal.appends"),
@@ -231,16 +229,11 @@ func (j *Journal) Close() error {
 }
 
 // compact atomically rewrites the journal to one submission record per
-// pending job and campaign (temp file + fsync + rename + directory
-// fsync), bounding the file to the live work set.
+// pending job and campaign (rescache.WriteFileAtomic: temp file + fsync
+// + rename + directory fsync), bounding the file to the live work set.
 func (j *Journal) compact(pending []Pending) error {
-	tmp, err := os.CreateTemp(filepath.Dir(j.path), "journal-*")
-	if err != nil {
-		return fmt.Errorf("journal: compact: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	now := time.Now().UnixNano()
-	var frames [][]byte
+	var buf []byte
 	for i, p := range pending {
 		frame, err := encodeFrame(Record{
 			Schema: SchemaVersion, Seq: uint64(i + 1), Unix: now,
@@ -248,38 +241,14 @@ func (j *Journal) compact(pending []Pending) error {
 			Attempt: p.Attempts, Config: p.Config,
 		})
 		if err != nil {
-			tmp.Close()
 			return err
 		}
-		frames = append(frames, frame)
+		buf = append(buf, frame...)
 	}
-	for _, frame := range frames {
-		if _, err := tmp.Write(frame); err != nil {
-			tmp.Close()
-			return fmt.Errorf("journal: compact: %w", err)
-		}
+	if err := rescache.WriteFileAtomic(filepath.Dir(j.path), filepath.Base(j.path), buf); err != nil {
+		return fmt.Errorf("journal: compact: %w", err)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("journal: compact fsync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("journal: compact close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), j.path); err != nil {
-		return fmt.Errorf("journal: compact rename: %w", err)
-	}
-	syncDir(filepath.Dir(j.path))
 	return nil
-}
-
-// syncDir fsyncs a directory so a just-renamed file's directory entry
-// is durable; best-effort (some filesystems reject directory fsync).
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
 }
 
 // encodeFrame marshals r and wraps it in a length+CRC frame.

@@ -8,7 +8,8 @@
 // API (all JSON):
 //
 //	POST /v1/sweeps            submit a roughsim.SweepConfig; 202 + job info
-//	GET  /v1/sweeps/{id}       job status + progress
+//	GET  /v1/sweeps/{id}       job status + progress (404 once 4096 jobs
+//	                           have finished after it)
 //	GET  /v1/sweeps/{id}/result  the roughsim.SweepResult (when succeeded)
 //	GET  /v1/sweeps/{id}/stream  SSE progress events until terminal
 //	DELETE /v1/sweeps/{id}     cancel a queued or running job
@@ -647,11 +648,11 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	if _, ok := s.job(w, r); !ok {
+	j, ok := s.job(w, r)
+	if !ok {
 		return
 	}
-	s.queue.Cancel(r.PathValue("id"))
-	j, _ := s.queue.Get(r.PathValue("id"))
+	s.queue.Cancel(j.ID)
 	writeJSON(w, http.StatusOK, s.status(j))
 }
 

@@ -42,7 +42,7 @@ func sequentialTouchstone(t *testing.T, req Request) string {
 	}
 	sweep := make([]txline.SParams, len(req.Freqs))
 	for i, f := range req.Freqs {
-		r, l, c, g, err := req.Line.RLGCCausal(f, causal.Factor(f))
+		r, l, c, g, err := req.Line.RLGC(f, causal.Factor(f))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -205,7 +205,7 @@ func Generate(ctx context.Context, req Request, res Resolver, m *telemetry.Regis
 			span.End()
 			return nil, err
 		}
-		r, l, c, g, err := req.Line.RLGCCausal(f, kc[i])
+		r, l, c, g, err := req.Line.RLGC(f, kc[i])
 		if err != nil {
 			span.End()
 			return nil, fmt.Errorf("sparams: cascade at %g Hz: %w", f, err)

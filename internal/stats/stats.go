@@ -86,31 +86,10 @@ func (e *ECDF) At(x float64) float64 {
 	return float64(idx) / float64(len(e.sorted))
 }
 
-// Quantile returns the q-th empirical quantile, q ∈ [0, 1], with linear
-// interpolation between order statistics.
-func (e *ECDF) Quantile(q float64) float64 {
-	if q <= 0 {
-		return e.sorted[0]
-	}
-	if q >= 1 {
-		return e.sorted[len(e.sorted)-1]
-	}
-	pos := q * float64(len(e.sorted)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= len(e.sorted) {
-		return e.sorted[len(e.sorted)-1]
-	}
-	return e.sorted[lo]*(1-frac) + e.sorted[lo+1]*frac
-}
-
 // Support returns the min and max of the sample.
 func (e *ECDF) Support() (lo, hi float64) {
 	return e.sorted[0], e.sorted[len(e.sorted)-1]
 }
-
-// Len returns the sample size behind the ECDF.
-func (e *ECDF) Len() int { return len(e.sorted) }
 
 // KSDistance returns the Kolmogorov–Smirnov statistic
 // sup_x |F₁(x) − F₂(x)| between two ECDFs, evaluated at every jump point

@@ -56,21 +56,6 @@ func TestECDFMonotone(t *testing.T) {
 	}
 }
 
-func TestQuantileInverse(t *testing.T) {
-	// For a large uniform sample, Quantile(q) ≈ q.
-	rng := rand.New(rand.NewSource(31))
-	s := make([]float64, 50000)
-	for i := range s {
-		s[i] = rng.Float64()
-	}
-	e := NewECDF(s)
-	for _, q := range []float64{0.1, 0.25, 0.5, 0.75, 0.9} {
-		if got := e.Quantile(q); math.Abs(got-q) > 0.01 {
-			t.Errorf("Quantile(%g) = %g", q, got)
-		}
-	}
-}
-
 func TestKSDistanceIdentical(t *testing.T) {
 	s := []float64{1, 2, 3, 4, 5}
 	if d := KSDistance(NewECDF(s), NewECDF(s)); d != 0 {

@@ -3,6 +3,7 @@ package surrogate
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 
 	"roughsim/internal/rescache"
@@ -154,6 +155,23 @@ func Fit(ctx context.Context, src Source, spec FitSpec) (*Model, error) {
 		model.Coeffs[a] = res.Coeffs
 	}
 	return model, nil
+}
+
+// Admit runs the admission pipeline for spec: Fit, then Validate, whose
+// max relative error it records in the model's MaxRelErr. reason is
+// empty when that error is within spec.Tol, and otherwise says why the
+// model is rejected.
+func Admit(ctx context.Context, src Source, spec FitSpec) (model *Model, reason string, err error) {
+	if model, err = Fit(ctx, src, spec); err != nil {
+		return nil, "", err
+	}
+	if model.MaxRelErr, err = Validate(ctx, src, model, spec); err != nil {
+		return nil, "", err
+	}
+	if model.MaxRelErr > spec.Tol {
+		reason = fmt.Sprintf("validation max relative error %.3g exceeds tolerance %.3g", model.MaxRelErr, spec.Tol)
+	}
+	return model, reason, nil
 }
 
 // Validate measures the model against exact solves the fit never saw:

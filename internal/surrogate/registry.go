@@ -2,7 +2,6 @@ package surrogate
 
 import (
 	"context"
-	"fmt"
 	"os"
 	"path/filepath"
 	"time"
@@ -143,27 +142,22 @@ func (r *Registry) GetOrBuild(ctx context.Context, src Source, spec FitSpec) (*R
 }
 
 // build runs the admission pipeline once: a disk probe (an admitted
-// model may predate this process), then fit, validate, and the
+// model may predate this process), then Admit's fit, validation and
 // tolerance verdict.
 func (r *Registry) build(ctx context.Context, src Source, spec FitSpec) (*Record, error) {
 	if rec := r.loadDisk(spec.Key); rec != nil {
 		return rec, nil
 	}
 	start := time.Now()
-	model, err := Fit(ctx, src, spec)
-	if err != nil {
-		return nil, err
-	}
-	maxErr, err := Validate(ctx, src, model, spec)
+	model, reason, err := Admit(ctx, src, spec)
 	if err != nil {
 		return nil, err
 	}
 	r.buildSeconds.Observe(time.Since(start).Seconds())
-	model.MaxRelErr = maxErr
-	rec := &Record{Key: spec.Key.String(), MaxRelErr: maxErr, Tol: spec.Tol, Spec: spec}
-	if maxErr > spec.Tol {
+	rec := &Record{Key: spec.Key.String(), MaxRelErr: model.MaxRelErr, Tol: spec.Tol, Spec: spec}
+	if reason != "" {
 		rec.Status = StatusRejected
-		rec.Reason = fmt.Sprintf("validation max relative error %.3g exceeds tolerance %.3g", maxErr, spec.Tol)
+		rec.Reason = reason
 		r.rejected.Inc()
 		return rec, nil
 	}

@@ -2,11 +2,9 @@ package txline
 
 import (
 	"math"
-	"math/cmplx"
 	"sort"
 
 	"roughsim/internal/resilience"
-	"roughsim/internal/units"
 )
 
 // CausalRoughness converts a real loss-enhancement profile K(f) into the
@@ -155,53 +153,3 @@ func (c *CausalRoughness) hilbert(f float64) float64 {
 	}
 	return x
 }
-
-// RLGCCausal returns per-unit-length parameters with the complex causal
-// roughness correction applied to the internal impedance: the series
-// branch becomes jωL_ext + (1+j)·(2Rs/w)·K_c(f), so r absorbs
-// Re{(1+j)·K_c} and l gains the internal contribution Im{(1+j)·K_c}/ω.
-func (ms Microstrip) RLGCCausal(f float64, kc complex128) (r, l, cc, g float64, err error) {
-	const op = "txline.RLGCCausal"
-	if err := ms.Validate(); err != nil {
-		return 0, 0, 0, 0, err
-	}
-	if !finitePositive(f) {
-		return 0, 0, 0, 0, resilience.Errorf(resilience.KindInvalidInput, op,
-			"frequency must be positive and finite (got %g Hz)", f)
-	}
-	if math.IsNaN(real(kc)) || math.IsNaN(imag(kc)) || cmplx.IsInf(kc) {
-		return 0, 0, 0, 0, resilience.Errorf(resilience.KindNumerical, op,
-			"correction factor is not finite (%v)", kc)
-	}
-	if real(kc) < 1 {
-		return 0, 0, 0, 0, resilience.Errorf(resilience.KindInvalidInput, op,
-			"Re K_c = %g < 1 is unphysical", real(kc))
-	}
-	z0 := ms.Z0()
-	ee := ms.EffectivePermittivity()
-	v := units.C0 / math.Sqrt(ee)
-	lext := z0 / v
-	cc = 1 / (z0 * v)
-	rs := units.SurfaceResistance(f, ms.Rho)
-	zint := complex(1, 1) * complex(2*rs/ms.Width, 0) * kc
-	r = real(zint)
-	w := units.AngularFreq(f)
-	l = lext + imag(zint)/w
-	g = w * cc * ms.TanDelta
-	return r, l, cc, g, nil
-}
-
-// InsertionLossDBCausal is InsertionLossDB with the causal correction.
-func InsertionLossDBCausal(ms Microstrip, ell, f, z0 float64, c *CausalRoughness) (float64, error) {
-	r, l, cc, g, err := ms.RLGCCausal(f, c.Factor(f))
-	if err != nil {
-		return 0, err
-	}
-	m, err := LineABCD(f, ell, r, l, cc, g)
-	if err != nil {
-		return 0, err
-	}
-	return -20 * math.Log10(cmplxAbs(m.S21(z0))), nil
-}
-
-func cmplxAbs(z complex128) float64 { return math.Hypot(real(z), imag(z)) }

@@ -250,30 +250,36 @@ func TestCausalFactorSignsAndMagnitude(t *testing.T) {
 	}
 }
 
-func TestRLGCCausalReducesToSmooth(t *testing.T) {
-	// K_c = 1 must reproduce the smooth-line series resistance and add
-	// exactly the smooth internal inductance.
+func TestRLGCReducesToSmooth(t *testing.T) {
+	// K_c = 1 must give the smooth line's closed forms: the skin-effect
+	// series resistance r = 2Rs/w of trace plus return plane, and the
+	// external inductance plus exactly the smooth internal one,
+	// l = Z0/v + r/ω.
 	ms := fr4Line()
 	f := 5 * units.GHz
-	rSm, lSm, cSm, gSm := mustRLGC(t, ms, f, 1)
-	r, l, c, g, err := ms.RLGCCausal(f, 1)
+	r, l, c, g, err := ms.RLGC(f, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(r-rSm)/rSm > 1e-12 || c != cSm || g != gSm {
-		t.Fatalf("causal with Kc=1 deviates: r=%g vs %g", r, rSm)
-	}
-	// Internal inductance: Rs/(ω)·2/w.
+	z0 := ms.Z0()
+	v := units.C0 / math.Sqrt(ms.EffectivePermittivity())
 	w := units.AngularFreq(f)
-	wantL := lSm + rSm/w
+	wantR := 2 * units.SurfaceResistance(f, ms.Rho) / ms.Width
+	wantC := 1 / (z0 * v)
+	if math.Abs(r-wantR)/wantR > 1e-12 || c != wantC || g != w*wantC*ms.TanDelta {
+		t.Fatalf("Kc=1 deviates from the smooth line: r=%g vs %g, c=%g vs %g, g=%g vs %g",
+			r, wantR, c, wantC, g, w*wantC*ms.TanDelta)
+	}
+	wantL := z0/v + wantR/w
 	if math.Abs(l-wantL)/wantL > 1e-12 {
 		t.Fatalf("internal inductance wrong: %g vs %g", l, wantL)
 	}
 }
 
 func TestCausalInsertionLossClose(t *testing.T) {
-	// The causal correction changes the phase structure but the loss
-	// magnitude stays near the non-causal model.
+	// The causal reactance X changes the phase structure, but the loss
+	// magnitude stays near that of the real factor K_c = K on the same
+	// line model.
 	ms := fr4Line()
 	mat := core.PaperMaterial()
 	var freqs, ks []float64
@@ -291,16 +297,13 @@ func TestCausalInsertionLossClose(t *testing.T) {
 	}
 	for _, fG := range []float64{2, 5, 10} {
 		f := fG * 1e9
-		causal, err := InsertionLossDBCausal(ms, 0.2, f, 50, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		naive := mustIL(t, ms, 0.2, f, 50, func(ff float64) float64 { return c.K(ff) })
+		causal := mustIL(t, ms, 0.2, f, 50, c.Factor(f))
+		realK := mustIL(t, ms, 0.2, f, 50, complex(c.K(f), 0))
 		if causal <= 0 {
 			t.Fatalf("f=%g GHz: non-positive causal IL %g", fG, causal)
 		}
-		if math.Abs(causal-naive)/naive > 0.15 {
-			t.Errorf("f=%g GHz: causal IL %g vs naive %g", fG, causal, naive)
+		if math.Abs(causal-realK)/realK > 0.15 {
+			t.Errorf("f=%g GHz: causal IL %g vs real-K IL %g", fG, causal, realK)
 		}
 	}
 }

@@ -16,25 +16,6 @@ type SParams struct {
 	S11, S21 complex128
 }
 
-// SweepSParams evaluates the two-port S-parameters of a length-ell
-// microstrip over a frequency list under a roughness model, referenced
-// to z0.
-func SweepSParams(ms Microstrip, ell, z0 float64, freqs []float64, kr RoughnessModel) ([]SParams, error) {
-	out := make([]SParams, 0, len(freqs))
-	for _, f := range freqs {
-		r, l, c, g, err := ms.RLGC(f, kr(f))
-		if err != nil {
-			return nil, err
-		}
-		m, err := LineABCD(f, ell, r, l, c, g)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, SParams{F: f, S11: m.S11(z0), S21: m.S21(z0)})
-	}
-	return out, nil
-}
-
 // WriteTouchstone emits the sweep in Touchstone 1.x two-port format
 // (# HZ S RI R z0), the interchange format every SI tool reads. Sample
 // ordering follows the spec: S11 S21 S12 S22 per frequency row. The
@@ -94,19 +75,6 @@ func WriteTouchstone(w io.Writer, z0 float64, sweep []SParams) error {
 // finite reports whether both parts of z are finite.
 func finite(z complex128) bool {
 	return !cmplx.IsNaN(z) && !cmplx.IsInf(z)
-}
-
-// PassivityCheck returns the largest power gain Σ|S_i1|² over the sweep;
-// a passive network keeps it ≤ 1 (plus numerical slack).
-func PassivityCheck(sweep []SParams) float64 {
-	var worst float64
-	for _, s := range sweep {
-		p := cmplx.Abs(s.S11)*cmplx.Abs(s.S11) + cmplx.Abs(s.S21)*cmplx.Abs(s.S21)
-		if p > worst {
-			worst = p
-		}
-	}
-	return worst
 }
 
 // GroupDelay estimates the S21 group delay −dφ/dω between consecutive

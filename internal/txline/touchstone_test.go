@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/cmplx"
 	"strconv"
 	"strings"
 	"testing"
@@ -20,18 +21,27 @@ func sweepFreqs() []float64 {
 	return fs
 }
 
-func mustSweepS(t *testing.T, ms Microstrip, ell, z0 float64, freqs []float64, kr RoughnessModel) []SParams {
+// sweepS evaluates the two-port S-parameters of a length-ell microstrip
+// over freqs, referenced to z0, with the causal roughness factor kc(f):
+// RLGC → LineABCD → S at each frequency, the cascade the S-parameter
+// service runs.
+func sweepS(t *testing.T, ms Microstrip, ell, z0 float64, freqs []float64, kc func(f float64) complex128) []SParams {
 	t.Helper()
-	sweep, err := SweepSParams(ms, ell, z0, freqs, kr)
-	if err != nil {
-		t.Fatal(err)
+	sweep := make([]SParams, len(freqs))
+	for i, f := range freqs {
+		r, l, c, g := mustRLGC(t, ms, f, kc(f))
+		m := mustABCD(t, f, ell, r, l, c, g)
+		sweep[i] = SParams{F: f, S11: m.S11(z0), S21: m.S21(z0)}
 	}
 	return sweep
 }
 
+// smooth is the K_c ≡ 1 factor of a smooth conductor.
+func smooth(float64) complex128 { return 1 }
+
 func TestSweepAndTouchstone(t *testing.T) {
 	ms := fr4Line()
-	sweep := mustSweepS(t, ms, 0.1, 50, sweepFreqs(), Smooth)
+	sweep := sweepS(t, ms, 0.1, 50, sweepFreqs(), smooth)
 	if len(sweep) != 10 {
 		t.Fatalf("sweep length %d", len(sweep))
 	}
@@ -88,11 +98,23 @@ func TestTouchstoneRejectsDuplicateFrequency(t *testing.T) {
 }
 
 func TestSweepPassivity(t *testing.T) {
+	// A passive line keeps σ_max(S) = max|S11 ± S21| ≤ 1 (the exact
+	// singular values of a reciprocal, symmetric two-port), within the
+	// 1e-9 the service's passivity gate allows.
 	ms := fr4Line()
-	matK := func(f float64) float64 { return 1 + 0.5*f/(f+5e9) } // rising K
-	sweep := mustSweepS(t, ms, 0.3, 50, sweepFreqs(), matK)
-	if p := PassivityCheck(sweep); p > 1.0+1e-9 {
-		t.Fatalf("line is active: max power gain %g", p)
+	freqs := sweepFreqs()
+	ks := make([]float64, len(freqs))
+	for i, f := range freqs {
+		ks[i] = 1 + 0.5*f/(f+5e9) // rising K
+	}
+	rough, err := NewCausalRoughness(freqs, ks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range sweepS(t, ms, 0.3, 50, freqs, rough.Factor) {
+		if p := math.Max(cmplx.Abs(s.S11+s.S21), cmplx.Abs(s.S11-s.S21)); p > 1+1e-9 {
+			t.Fatalf("line is active at %g Hz: σ_max(S) = %g", s.F, p)
+		}
 	}
 }
 
@@ -101,7 +123,7 @@ func TestGroupDelayPositiveAndNearTEM(t *testing.T) {
 	// Keep the per-sample phase step below π (delay·Δf < ½) so the
 	// unwrap in GroupDelay is unambiguous: 5 cm at 1 GHz spacing.
 	ell := 0.05
-	sweep := mustSweepS(t, ms, ell, 50, sweepFreqs(), Smooth)
+	sweep := sweepS(t, ms, ell, 50, sweepFreqs(), smooth)
 	gd := GroupDelay(sweep)
 	// Expected delay ≈ ell/v = ell·sqrt(ε_eff)/c.
 	want := ell / (units.C0 / sqrtEff(ms))

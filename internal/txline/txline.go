@@ -4,9 +4,11 @@
 // integrity prediction).
 //
 // The line is a microstrip described by the Hammerstad–Jensen closed
-// forms; its series resistance is the skin-effect value scaled by K(f)
-// from any roughness model (SWM, SPM2, HBM, or the empirical formula),
-// and the resulting RLGC cascade yields S-parameters and insertion loss.
+// forms. Its conductor internal impedance (1+j)·Rs(f) is multiplied by
+// the causal factor K_c(f) = K(f) + jX(f) that CausalRoughness builds
+// from any roughness model's K(f) (SWM, SPM2, HBM, or the empirical
+// formula), so roughness adds internal inductance along with loss, and
+// the resulting RLGC cascade yields S-parameters and insertion loss.
 package txline
 
 import (
@@ -73,10 +75,15 @@ func (ms Microstrip) Z0() float64 {
 }
 
 // RLGC returns the per-unit-length parameters at frequency f with the
-// roughness factor kr applied to the series resistance (kr = 1 for a
-// smooth conductor). Out-of-domain input yields a typed invalid-input
-// error (never a panic): an API tier maps it to a 400 naming the field.
-func (ms Microstrip) RLGC(f, kr float64) (r, l, c, g float64, err error) {
+// complex causal roughness factor kc applied to the conductor internal
+// impedance (kc = 1 for a smooth conductor): the series branch becomes
+// jωL_ext + (1+j)·(2Rs/w)·K_c(f), so r absorbs Re{(1+j)·K_c} and l gains
+// the internal contribution Im{(1+j)·K_c}/ω. The 2Rs/w is the skin-effect
+// resistance of trace plus return plane, both roughened in the paper's
+// scenario. Out-of-domain input yields a typed invalid-input error, a
+// non-finite kc a typed numerical one (never a panic): an API tier maps
+// them to a 400 naming the field.
+func (ms Microstrip) RLGC(f float64, kc complex128) (r, l, c, g float64, err error) {
 	const op = "txline.RLGC"
 	if err := ms.Validate(); err != nil {
 		return 0, 0, 0, 0, err
@@ -85,36 +92,29 @@ func (ms Microstrip) RLGC(f, kr float64) (r, l, c, g float64, err error) {
 		return 0, 0, 0, 0, resilience.Errorf(resilience.KindInvalidInput, op,
 			"frequency must be positive and finite (got %g Hz)", f)
 	}
-	if !(kr >= 1) || math.IsInf(kr, 0) {
+	if cmplx.IsNaN(kc) || cmplx.IsInf(kc) {
+		return 0, 0, 0, 0, resilience.Errorf(resilience.KindNumerical, op,
+			"correction factor is not finite (%v)", kc)
+	}
+	if real(kc) < 1 {
 		return 0, 0, 0, 0, resilience.Errorf(resilience.KindInvalidInput, op,
-			"roughness factor must be ≥ 1 and finite (got kr=%g)", kr)
+			"Re K_c = %g < 1 is unphysical", real(kc))
 	}
 	z0 := ms.Z0()
 	ee := ms.EffectivePermittivity()
 	v := units.C0 / math.Sqrt(ee)
-	l = z0 / v
 	c = 1 / (z0 * v)
-	// Skin-effect resistance of trace + return path (the return plane
-	// contributes roughly an equal share at w ≈ few·h); both surfaces
-	// are roughened in the paper's scenario.
 	rs := units.SurfaceResistance(f, ms.Rho)
-	r = 2 * rs / ms.Width * kr
-	g = units.AngularFreq(f) * c * ms.TanDelta
+	zint := complex(1, 1) * complex(2*rs/ms.Width, 0) * kc
+	r = real(zint)
+	w := units.AngularFreq(f)
+	l = z0/v + imag(zint)/w
+	g = w * c * ms.TanDelta
 	return r, l, c, g, nil
 }
 
 // ABCD is a 2×2 complex transmission (chain) matrix.
 type ABCD struct{ A, B, C, D complex128 }
-
-// Mul returns m·n (cascade).
-func (m ABCD) Mul(n ABCD) ABCD {
-	return ABCD{
-		A: m.A*n.A + m.B*n.C,
-		B: m.A*n.B + m.B*n.D,
-		C: m.C*n.A + m.D*n.C,
-		D: m.C*n.B + m.D*n.D,
-	}
-}
 
 // LineABCD returns the chain matrix of a uniform line of length ell with
 // per-unit-length RLGC values at frequency f. Out-of-domain input yields
@@ -170,16 +170,10 @@ func (m ABCD) S11(z0 float64) complex128 {
 	return (m.A + m.B/z - m.C*z - m.D) / den
 }
 
-// RoughnessModel maps frequency to the loss enhancement factor K(f) ≥ 1.
-type RoughnessModel func(f float64) float64
-
-// Smooth is the K ≡ 1 reference model.
-func Smooth(float64) float64 { return 1 }
-
 // InsertionLossDB returns −20·log10|S21| of a length-ell microstrip at
-// frequency f under the given roughness model, referenced to z0.
-func InsertionLossDB(ms Microstrip, ell, f, z0 float64, kr RoughnessModel) (float64, error) {
-	r, l, c, g, err := ms.RLGC(f, kr(f))
+// frequency f with the causal roughness factor kc, referenced to z0.
+func InsertionLossDB(ms Microstrip, ell, f, z0 float64, kc complex128) (float64, error) {
+	r, l, c, g, err := ms.RLGC(f, kc)
 	if err != nil {
 		return 0, err
 	}
@@ -188,17 +182,4 @@ func InsertionLossDB(ms Microstrip, ell, f, z0 float64, kr RoughnessModel) (floa
 		return 0, err
 	}
 	return -20 * math.Log10(cmplx.Abs(m.S21(z0))), nil
-}
-
-// AttenuationNpPerM returns the real part of the propagation constant
-// (Np/m) at f — the per-meter loss the paper's Rf ∝ √f discussion is
-// about.
-func AttenuationNpPerM(ms Microstrip, f float64, kr RoughnessModel) (float64, error) {
-	r, l, c, g, err := ms.RLGC(f, kr(f))
-	if err != nil {
-		return 0, err
-	}
-	w := units.AngularFreq(f)
-	gamma := cmplx.Sqrt(complex(r, w*l) * complex(g, w*c))
-	return real(gamma), nil
 }

@@ -21,11 +21,11 @@ func fr4Line() Microstrip {
 	}
 }
 
-// mustRLGC / mustABCD / mustIL / mustAtten unwrap the error returns for
-// tests exercising in-domain inputs.
-func mustRLGC(t *testing.T, ms Microstrip, f, kr float64) (r, l, c, g float64) {
+// mustRLGC / mustABCD / mustIL unwrap the error returns for tests
+// exercising in-domain inputs.
+func mustRLGC(t *testing.T, ms Microstrip, f float64, kc complex128) (r, l, c, g float64) {
 	t.Helper()
-	r, l, c, g, err := ms.RLGC(f, kr)
+	r, l, c, g, err := ms.RLGC(f, kc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,22 +41,45 @@ func mustABCD(t *testing.T, f, ell, r, l, c, g float64) ABCD {
 	return m
 }
 
-func mustIL(t *testing.T, ms Microstrip, ell, f, z0 float64, kr RoughnessModel) float64 {
+func mustIL(t *testing.T, ms Microstrip, ell, f, z0 float64, kc complex128) float64 {
 	t.Helper()
-	il, err := InsertionLossDB(ms, ell, f, z0, kr)
+	il, err := InsertionLossDB(ms, ell, f, z0, kc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return il
 }
 
-func mustAtten(t *testing.T, ms Microstrip, f float64, kr RoughnessModel) float64 {
+// empiricalRoughness is the causal factor of the empirical K(f) for
+// rms height sigma, sampled on a 64-point linear grid over [fmin, fmax]
+// as Generate builds it from a request's grid.
+func empiricalRoughness(t *testing.T, sigma, fmin, fmax float64) *CausalRoughness {
 	t.Helper()
-	a, err := AttenuationNpPerM(ms, f, kr)
+	mat := core.PaperMaterial()
+	const n = 64
+	freqs := make([]float64, n)
+	ks := make([]float64, n)
+	for i := range freqs {
+		freqs[i] = fmin + (fmax-fmin)*float64(i)/(n-1)
+		k, err := mat.EmpiricalAt(sigma, freqs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ks[i] = k
+	}
+	c, err := NewCausalRoughness(freqs, ks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return a
+	return c
+}
+
+// alpha is the attenuation Re γ (Np/m) of the line's RLGC at f.
+func alpha(t *testing.T, ms Microstrip, f float64, kc complex128) float64 {
+	t.Helper()
+	r, l, c, g := mustRLGC(t, ms, f, kc)
+	w := units.AngularFreq(f)
+	return real(cmplx.Sqrt(complex(r, w*l) * complex(g, w*c)))
 }
 
 func TestEffectivePermittivityBounds(t *testing.T) {
@@ -81,24 +104,31 @@ func TestZ0Reasonable(t *testing.T) {
 }
 
 func TestLosslessLineIsUnitary(t *testing.T) {
-	// R = G = 0: |S11|² + |S21|² = 1 at any frequency/length.
+	// R = G = 0: |S11|² + |S21|² = 1 at any frequency/length, with the
+	// smooth or the rough line's inductance.
 	ms := fr4Line()
-	_, l, c, _ := mustRLGC(t, ms, 1*units.GHz, 1)
-	m := mustABCD(t, 1*units.GHz, 0.1, 0, l, c, 0)
-	s11 := m.S11(50)
-	s21 := m.S21(50)
-	sum := cmplx.Abs(s11)*cmplx.Abs(s11) + cmplx.Abs(s21)*cmplx.Abs(s21)
-	if math.Abs(sum-1) > 1e-10 {
-		t.Fatalf("lossless line not unitary: |S11|²+|S21|² = %g", sum)
+	f := 1 * units.GHz
+	for _, kc := range []complex128{1, empiricalRoughness(t, 1e-6, 1*units.GHz, 10*units.GHz).Factor(f)} {
+		_, l, c, _ := mustRLGC(t, ms, f, kc)
+		m := mustABCD(t, f, 0.1, 0, l, c, 0)
+		s11 := m.S11(50)
+		s21 := m.S21(50)
+		sum := cmplx.Abs(s11)*cmplx.Abs(s11) + cmplx.Abs(s21)*cmplx.Abs(s21)
+		if math.Abs(sum-1) > 1e-10 {
+			t.Fatalf("kc=%v: lossless line not unitary: |S11|²+|S21|² = %g", kc, sum)
+		}
 	}
 }
 
 func TestPassivity(t *testing.T) {
 	ms := fr4Line()
+	rough := empiricalRoughness(t, 1e-6, 0.1*units.GHz, 20*units.GHz)
 	for _, fGHz := range []float64{0.1, 1, 5, 10, 20} {
-		il := mustIL(t, ms, 0.2, fGHz*units.GHz, 50, Smooth)
-		if il < 0 {
-			t.Fatalf("negative insertion loss (gain) at %g GHz: %g dB", fGHz, il)
+		f := fGHz * units.GHz
+		for _, kc := range []complex128{1, rough.Factor(f)} {
+			if il := mustIL(t, ms, 0.2, f, 50, kc); il < 0 {
+				t.Fatalf("kc=%v: negative insertion loss (gain) at %g GHz: %g dB", kc, fGHz, il)
+			}
 		}
 	}
 }
@@ -107,26 +137,33 @@ func TestMatchedLineS21Magnitude(t *testing.T) {
 	// When referenced to its own impedance, |S21| = e^{−αℓ} exactly.
 	ms := fr4Line()
 	f := 5 * units.GHz
-	r, l, c, g := mustRLGC(t, ms, f, 1)
-	w := units.AngularFreq(f)
-	zc := cmplx.Sqrt(complex(r, w*l) / complex(g, w*c))
-	alpha := real(cmplx.Sqrt(complex(r, w*l) * complex(g, w*c)))
-	ell := 0.15
-	s21 := mustABCD(t, f, ell, r, l, c, g).S21(real(zc))
-	// Small mismatch from the imaginary part of Zc.
-	if d := math.Abs(cmplx.Abs(s21)-math.Exp(-alpha*ell)) / math.Exp(-alpha*ell); d > 0.02 {
-		t.Fatalf("matched |S21| = %g vs e^{−αℓ} = %g", cmplx.Abs(s21), math.Exp(-alpha*ell))
+	for _, kc := range []complex128{1, empiricalRoughness(t, 1e-6, 1*units.GHz, 10*units.GHz).Factor(f)} {
+		r, l, c, g := mustRLGC(t, ms, f, kc)
+		w := units.AngularFreq(f)
+		zc := cmplx.Sqrt(complex(r, w*l) / complex(g, w*c))
+		alpha := real(cmplx.Sqrt(complex(r, w*l) * complex(g, w*c)))
+		ell := 0.15
+		s21 := mustABCD(t, f, ell, r, l, c, g).S21(real(zc))
+		// Small mismatch from the imaginary part of Zc.
+		if d := math.Abs(cmplx.Abs(s21)-math.Exp(-alpha*ell)) / math.Exp(-alpha*ell); d > 0.02 {
+			t.Fatalf("kc=%v: matched |S21| = %g vs e^{−αℓ} = %g", kc, cmplx.Abs(s21), math.Exp(-alpha*ell))
+		}
 	}
 }
 
 func TestRoughnessIncreasesLoss(t *testing.T) {
+	// The K samples span the evaluated band. The rough line's resistance
+	// factor is Re{(1+j)K_c} = K − X, so this holds only while the
+	// reactance X stays below K − 1: a band reaching well below 1 GHz,
+	// where this K rises steeply, lifts X(1 GHz) to about 0.25 against
+	// K − 1 ≈ 0.20, and the rough line then loses less than the smooth
+	// one (an open item in ROADMAP).
 	ms := fr4Line()
-	mat := core.PaperMaterial()
-	rough := func(f float64) float64 { k, _ := mat.EmpiricalAt(1e-6, f); return k }
+	rough := empiricalRoughness(t, 1e-6, 1*units.GHz, 10*units.GHz)
 	for _, fGHz := range []float64{1, 5, 10} {
 		f := fGHz * units.GHz
-		smooth := mustIL(t, ms, 0.3, f, 50, Smooth)
-		withR := mustIL(t, ms, 0.3, f, 50, rough)
+		smooth := mustIL(t, ms, 0.3, f, 50, 1)
+		withR := mustIL(t, ms, 0.3, f, 50, rough.Factor(f))
 		if withR <= smooth {
 			t.Fatalf("f=%g GHz: rough IL %g ≤ smooth IL %g", fGHz, withR, smooth)
 		}
@@ -138,17 +175,17 @@ func TestConductorAttenuationScalesRootF(t *testing.T) {
 	// regime (the classical law the paper says roughness breaks).
 	ms := fr4Line()
 	ms.TanDelta = 0
-	a1 := mustAtten(t, ms, 1*units.GHz, Smooth)
-	a4 := mustAtten(t, ms, 4*units.GHz, Smooth)
+	f1, f4 := 1*units.GHz, 4*units.GHz
+	a1 := alpha(t, ms, f1, 1)
+	a4 := alpha(t, ms, f4, 1)
 	if math.Abs(a4/a1-2) > 0.05 {
 		t.Fatalf("α(4GHz)/α(1GHz) = %g, want ≈ 2", a4/a1)
 	}
 	// And roughness breaks the law: with the empirical K the ratio
 	// exceeds 2.
-	mat := core.PaperMaterial()
-	rough := func(f float64) float64 { k, _ := mat.EmpiricalAt(2e-6, f); return k }
-	r1 := mustAtten(t, ms, 1*units.GHz, rough)
-	r4 := mustAtten(t, ms, 4*units.GHz, rough)
+	rough := empiricalRoughness(t, 2e-6, f1, f4)
+	r1 := alpha(t, ms, f1, rough.Factor(f1))
+	r4 := alpha(t, ms, f4, rough.Factor(f4))
 	if r4/r1 <= a4/a1 {
 		t.Fatalf("roughness should steepen the α(f) slope: %g vs %g", r4/r1, a4/a1)
 	}
@@ -158,10 +195,15 @@ func TestCascadeAssociativity(t *testing.T) {
 	// Two half-length segments must equal one full segment.
 	ms := fr4Line()
 	f := 3 * units.GHz
-	r, l, c, g := mustRLGC(t, ms, f, 1.3)
+	r, l, c, g := mustRLGC(t, ms, f, complex(1.3, 0.1))
 	full := mustABCD(t, f, 0.2, r, l, c, g)
-	half := mustABCD(t, f, 0.1, r, l, c, g)
-	two := half.Mul(half)
+	h := mustABCD(t, f, 0.1, r, l, c, g)
+	two := ABCD{
+		A: h.A*h.A + h.B*h.C,
+		B: h.A*h.B + h.B*h.D,
+		C: h.C*h.A + h.D*h.C,
+		D: h.C*h.B + h.D*h.D,
+	}
 	for _, pair := range [][2]complex128{{full.A, two.A}, {full.B, two.B}, {full.C, two.C}, {full.D, two.D}} {
 		if cmplx.Abs(pair[0]-pair[1]) > 1e-9*(1+cmplx.Abs(pair[0])) {
 			t.Fatalf("cascade mismatch: %v vs %v", pair[0], pair[1])
@@ -170,33 +212,40 @@ func TestCascadeAssociativity(t *testing.T) {
 }
 
 func TestRLGCTypedErrors(t *testing.T) {
-	// Out-of-domain input must come back as a classified invalid-input
-	// error (the API tier maps it to a 400), never as a panic.
+	// Out-of-domain input must come back as a classified error (the API
+	// tier maps invalid input to a 400), never as a panic: bad geometry,
+	// frequency or Re K_c < 1 is invalid input, a non-finite K_c
+	// numerical.
+	rlgc := func(ms Microstrip, f float64, kc complex128) func() error {
+		return func() error { _, _, _, _, err := ms.RLGC(f, kc); return err }
+	}
+	badWidth := fr4Line()
+	badWidth.Width = -1
+	inv, num := resilience.KindInvalidInput, resilience.KindNumerical
 	cases := []struct {
 		name string
 		call func() error
+		want resilience.Kind
 	}{
-		{"kr<1", func() error { _, _, _, _, err := fr4Line().RLGC(1*units.GHz, 0.5); return err }},
-		{"f<=0", func() error { _, _, _, _, err := fr4Line().RLGC(0, 1); return err }},
-		{"f=NaN", func() error { _, _, _, _, err := fr4Line().RLGC(math.NaN(), 1); return err }},
-		{"kr=NaN", func() error { _, _, _, _, err := fr4Line().RLGC(1*units.GHz, math.NaN()); return err }},
-		{"bad-width", func() error {
-			ms := fr4Line()
-			ms.Width = -1
-			_, _, _, _, err := ms.RLGC(1*units.GHz, 1)
-			return err
-		}},
-		{"abcd-f<=0", func() error { _, err := LineABCD(0, 0.1, 0, 1e-7, 1e-10, 0); return err }},
-		{"abcd-l<=0", func() error { _, err := LineABCD(1*units.GHz, 0.1, 0, 0, 1e-10, 0); return err }},
-		{"abcd-r=NaN", func() error { _, err := LineABCD(1*units.GHz, 0.1, math.NaN(), 1e-7, 1e-10, 0); return err }},
+		{"ReKc<1", rlgc(fr4Line(), 1*units.GHz, complex(0.5, 0.2)), inv},
+		{"f<=0", rlgc(fr4Line(), 0, 1), inv},
+		{"f=NaN", rlgc(fr4Line(), math.NaN(), 1), inv},
+		{"bad-width", rlgc(badWidth, 1*units.GHz, 1), inv},
+		{"kc=NaN", rlgc(fr4Line(), 1*units.GHz, complex(math.NaN(), 0)), num},
+		{"ImKc=NaN", rlgc(fr4Line(), 1*units.GHz, complex(1.2, math.NaN())), num},
+		{"kc=Inf", rlgc(fr4Line(), 1*units.GHz, complex(math.Inf(1), 0)), num},
+		{"ImKc=-Inf", rlgc(fr4Line(), 1*units.GHz, complex(1.2, math.Inf(-1))), num},
+		{"abcd-f<=0", func() error { _, err := LineABCD(0, 0.1, 0, 1e-7, 1e-10, 0); return err }, inv},
+		{"abcd-l<=0", func() error { _, err := LineABCD(1*units.GHz, 0.1, 0, 0, 1e-10, 0); return err }, inv},
+		{"abcd-r=NaN", func() error { _, err := LineABCD(1*units.GHz, 0.1, math.NaN(), 1e-7, 1e-10, 0); return err }, inv},
 	}
 	for _, tc := range cases {
 		err := tc.call()
 		if err == nil {
 			t.Fatalf("%s: no error", tc.name)
 		}
-		if kind := resilience.Classify(err); kind != resilience.KindInvalidInput {
-			t.Fatalf("%s: classified %v, want invalid-input (%v)", tc.name, kind, err)
+		if kind := resilience.Classify(err); kind != tc.want {
+			t.Fatalf("%s: classified %v, want %v (%v)", tc.name, kind, tc.want, err)
 		}
 	}
 }

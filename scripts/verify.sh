@@ -47,6 +47,12 @@ cli="$(mktemp)"
 go run ./cmd/roughsim -grid 8 -dim 2 -fmin 5 -fmax 5 -steps 1 -json >"$cli"
 go run ./scripts/checksweep <"$cli"
 rm -f "$cli"
+# The interconnect example runs the line model the S-parameter service
+# ships: every data row (five fields, the first numeric) must show the
+# empirical and SWM insertion loss above the smooth one.
+go run ./examples/interconnect | awk '
+    NF == 5 && $1 ~ /^[0-9.]+$/ { rows++; if (!($3 > $2 && $4 > $2)) { print "rough IL not above smooth: " $0; bad = 1 } }
+    END { if (rows == 0 || bad) exit 1 }'
 # Fuzz the sweep request decoder and its content addresses briefly: no
 # body may panic, and a valid config keeps its key across a round trip.
 go test -run '^$' -fuzz FuzzSweepConfigJSON -fuzztime 5s .

@@ -132,18 +132,12 @@ func FitSurrogate(ctx context.Context, cfg SurrogateConfig) (*Surrogate, error) 
 	if err != nil {
 		return nil, err
 	}
-	model, err := surrogate.Fit(ctx, sim, spec)
+	model, reason, err := surrogate.Admit(ctx, sim, spec)
 	if err != nil {
 		return nil, err
 	}
-	maxErr, err := surrogate.Validate(ctx, sim, model, spec)
-	if err != nil {
-		return nil, err
-	}
-	model.MaxRelErr = maxErr
-	if maxErr > spec.Tol {
-		return nil, resilience.Errorf(resilience.KindNumerical, "roughsim.FitSurrogate",
-			"validation max relative error %.3g exceeds tolerance %.3g", maxErr, spec.Tol)
+	if reason != "" {
+		return nil, resilience.Errorf(resilience.KindNumerical, "roughsim.FitSurrogate", "%s", reason)
 	}
 	return &Surrogate{model: model}, nil
 }
