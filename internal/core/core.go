@@ -15,11 +15,14 @@
 // mom.SolveResilient (GMRES on the system's operator — fft-gmres when
 // the surface is admitted — then dense LU), each solve's outcome
 // recorded in the solver's solve.* counters; every entry point takes a
-// context for cancellation and timeouts. A surface that a nontrivial
+// context for cancellation and timeouts. Every system comes from
+// mom.Build, which chooses how to build it: a surface that a nontrivial
 // subgroup of lattice shifts leaves invariant — the flat reference, and
-// every first-order SSCM node, which is one KL mode — is built on the
-// quotient lattice (mom.Quotient): one kernel row per orbit, folded
-// into a system of two unknowns per orbit.
+// every first-order SSCM node, which is one KL mode — on the quotient
+// lattice, one kernel row per orbit folded into a system of two
+// unknowns per orbit; any other matrix-free, on the FFT operator when
+// admitted, with its dense matrix assembled only if a solve stage
+// needs it.
 package core
 
 import (
@@ -29,7 +32,6 @@ import (
 	"math"
 	"sync/atomic"
 
-	"roughsim/internal/cmplxmat"
 	"roughsim/internal/memo"
 	"roughsim/internal/mom"
 	"roughsim/internal/resilience"
@@ -58,6 +60,7 @@ func (m Material) SkinDepth(f float64) float64 {
 // Params returns the SWM parameters (k₁, k₂, β) at frequency f.
 func (m Material) Params(f float64) mom.Params {
 	return mom.Params{
+		F:    f,
 		K1:   complex(units.WavenumberDielectric(f, m.EpsR), 0),
 		K2:   units.WavenumberConductor(f, m.Rho),
 		Beta: units.Beta(f, m.EpsR, m.Rho),
@@ -110,7 +113,7 @@ type Solver struct {
 
 // flatRef is a frequency's flat reference: the absorbed power K is
 // relative to, and the flat system's exact inverse, the preconditioner
-// of every system prepared at that frequency.
+// of every system built at that frequency.
 type flatRef struct {
 	pabs float64
 	inv  *mom.FlatInverse
@@ -156,17 +159,22 @@ func NewSolverTabulated(mat Material, L float64, M int, zspan float64, opt mom.O
 	return s, nil
 }
 
-// solve runs the resilient chain on one assembled system and records
-// its outcome in the solve.* counters and on a "mom.solve" span. A solve
-// whose stages both failed still counts its failed stages, beside
-// solve.errors; a cancelled one counts in solve.errors only.
+// solve runs the resilient chain on one built system and records its
+// outcome in the solve.* counters and on a "mom.solve" span; a dense
+// matrix the chain had to assemble counts in solve.dense_materialized.
+// A solve whose stages both failed still counts its failed stages,
+// beside solve.errors; a cancelled one counts in solve.errors only.
 func (s *Solver) solve(ctx context.Context, sys *mom.System) (*mom.Solution, error) {
 	ctx, sp := trace.StartSpan(ctx, "mom.solve")
 	defer sp.End()
+	dense := sys.DenseAssembled()
 	sol, err := sys.SolveResilient(ctx, mom.SolveOptions{
 		Injector: s.Injector,
 		Key:      atomic.AddUint64(&s.key, 1) - 1,
 	})
+	if !dense && sys.DenseAssembled() {
+		s.Metrics.Counter("solve.dense_materialized").Inc()
+	}
 	var rep *mom.SolveReport
 	if err == nil {
 		rep = sol.Report
@@ -216,36 +224,15 @@ func (s *Solver) tableFor(ctx context.Context, f float64) *mom.TableSet {
 	return s.tables.GetCtx(ctx, s.Mat.Params(f), s.L, s.M, s.ZSpan, s.Opt)
 }
 
-// assembleSurface assembles the MoM system for surf at f through the
-// solver's configured path (tabulated when ZSpan > 0). workers > 0
-// overrides the solver's assembly parallelism — the batched sweep
-// engine splits its worker budget across concurrent points. The
-// assembly runs under a "mom.assemble" span (and any table build it
-// forces under a nested "tables.build" span) of the context's trace.
-func (s *Solver) assembleSurface(ctx context.Context, surf *surface.Surface, f float64, workers int) (*mom.System, error) {
-	opt := s.Opt
-	if workers > 0 {
-		opt.Workers = workers
-	}
-	ctx, sp := trace.StartSpan(ctx, "mom.assemble")
-	sp.SetAttr("f", f)
-	defer sp.End()
-	if s.ZSpan > 0 {
-		return mom.AssembleTabulated(surf, s.Mat.Params(f), s.tableFor(ctx, f), opt)
-	}
-	return mom.Assemble(surf, s.Mat.Params(f), opt), nil
-}
-
-// prepare builds the system for surf at f through the matrix-free
-// operator path: when the surface passes the FFT admissibility gates the
-// FFT-accelerated operator is constructed up front (under a
-// "mom.fft.build" span, through the frequency's Green's tables when
-// ZSpan > 0), and the dense matrix is only assembled — via the solver's
-// configured dense path, counted in solve.dense_materialized — if a
-// stage of the resilient chain needs it. A solve won by the fft-gmres
-// stage therefore performs zero dense-matrix assemblies. workers > 0
-// overrides the solver's assembly parallelism.
-func (s *Solver) prepare(ctx context.Context, surf *surface.Surface, f float64, workers int) *mom.System {
+// build builds surf's system at f through mom.Build — on the quotient
+// lattice when a nontrivial lattice-shift subgroup leaves the surface
+// invariant, else matrix-free (FFT operator when admitted, counted in
+// solve.fft_admitted or solve.fft_rejected, dense matrix on demand) —
+// reading the frequency's Green's tables when ZSpan > 0. A table build
+// it forces runs under a "tables.build" span of ctx. workers > 0
+// overrides the solver's assembly parallelism: the batched sweep
+// engine splits its worker budget across concurrent points.
+func (s *Solver) build(ctx context.Context, surf *surface.Surface, f float64, workers int) (*mom.System, error) {
 	opt := s.Opt
 	if workers > 0 {
 		opt.Workers = workers
@@ -254,62 +241,17 @@ func (s *Solver) prepare(ctx context.Context, surf *surface.Surface, f float64, 
 	if s.ZSpan > 0 {
 		ts = s.tableFor(ctx, f)
 	}
-	_, sp := trace.StartSpan(ctx, "mom.fft.build")
-	sp.SetAttr("f", f)
-	sys := mom.NewOperatorSystem(surf, s.Mat.Params(f), opt, ts, s.denseAssembler(surf, f, workers))
-	if sys.FFTAdmitted() {
+	sys, err := mom.Build(ctx, surf, s.Mat.Params(f), ts, opt)
+	switch {
+	case err != nil:
+		return nil, err
+	case sys.Orbits() > 0: // solve counts it in solve.quotient
+	case sys.FFTAdmitted():
 		s.Metrics.Counter("solve.fft_admitted").Inc()
-	} else {
+	default:
 		s.Metrics.Counter("solve.fft_rejected").Inc()
-		if rej := sys.FFTRejection(); rej != nil {
-			sp.SetAttr("rejected", rej.Error())
-		}
 	}
-	sp.End()
-	return sys
-}
-
-// denseAssembler is a lazily built system's dense assembler for surf at
-// f, counted in solve.dense_materialized when it runs. It assembles
-// under the context of the solve stage that needs the matrix, so its
-// mom.assemble span nests under that solve's mom.solve span.
-func (s *Solver) denseAssembler(surf *surface.Surface, f float64, workers int) func(context.Context) (*cmplxmat.Matrix, error) {
-	return func(ctx context.Context) (*cmplxmat.Matrix, error) {
-		s.Metrics.Counter("solve.dense_materialized").Inc()
-		sys, err := s.assembleSurface(ctx, surf, f, workers)
-		if err != nil {
-			return nil, err
-		}
-		return sys.Matrix, nil
-	}
-}
-
-// quotient builds surf's system at f on the quotient lattice
-// (mom.Quotient, DESIGN §9 "Quotient-lattice systems"): when a
-// nontrivial subgroup of lattice shifts leaves the surface geometry
-// invariant, one kernel row per orbit under a "mom.assemble" span whose
-// "orbits" attribute is the folded system's unknowns per field. It
-// returns nil when the subgroup is trivial: the surface takes the
-// FFT/dense path (prepare). workers > 0 overrides the solver's assembly
-// parallelism.
-func (s *Solver) quotient(ctx context.Context, surf *surface.Surface, f float64, workers int) (*mom.System, error) {
-	opt := s.Opt
-	if workers > 0 {
-		opt.Workers = workers
-	}
-	q := mom.NewQuotient(surf, opt)
-	if q == nil {
-		return nil, nil
-	}
-	ctx, sp := trace.StartSpan(ctx, "mom.assemble")
-	sp.SetAttr("f", f)
-	sp.SetAttr("orbits", q.Orbits())
-	defer sp.End()
-	var ts *mom.TableSet
-	if s.ZSpan > 0 {
-		ts = s.tableFor(ctx, f)
-	}
-	return q.System(s.Mat.Params(f), ts)
+	return sys, nil
 }
 
 // flatRef returns (computing and caching on first use) the flat
@@ -331,8 +273,8 @@ func (s *Solver) flatSolve(ctx context.Context, f float64) (flatRef, error) {
 	ctx, sp := trace.StartSpan(ctx, "flat.reference")
 	sp.SetAttr("f", f)
 	defer sp.End()
-	// A flat surface is one orbit, so the quotient is never nil.
-	sys, err := s.quotient(ctx, surface.NewFlat(s.L, s.M), f, 0)
+	// A flat surface is one orbit: it builds on the quotient lattice.
+	sys, err := s.build(ctx, surface.NewFlat(s.L, s.M), f, 0)
 	if err != nil {
 		return flatRef{}, fmt.Errorf("core: flat reference at f=%g: %w", f, err)
 	}
@@ -422,16 +364,14 @@ func (s *Solver) LossFactorCtx(ctx context.Context, surf *surface.Surface, f flo
 // LossFactorsCtx is the one solve sequence every loss factor runs
 // through: it returns K at f for surfs, one surface optionally followed
 // by its exact mirror image (see IsMirror), from one system build. The
-// system is built for surfs[0] — on the quotient lattice when the
-// surface has a nontrivial lattice-shift invariance (quotient), else
-// through the FFT/dense path (prepare) — preconditioned by the
-// frequency's flat inverse and solved; for a pair it is then mirrored
-// in place (mom.System.Mirror, under a "mom.mirror" span), bitwise
-// equal to building the mirror image directly and without reading a
-// kernel, and solved again. Each absorbed power is divided by the flat
-// one. workers > 0 overrides the solver's assembly parallelism. The
-// surfaces must share the solver's grid and pass CheckResolution;
-// LossFactorCtx checks both.
+// system is built for surfs[0] by mom.Build (see build), preconditioned
+// by the frequency's flat inverse and solved; for a pair it is then
+// mirrored in place (mom.System.Mirror, under a "mom.mirror" span),
+// bitwise equal to building the mirror image directly and without
+// reading a kernel, and solved again. Each absorbed power is divided by
+// the flat one. workers > 0 overrides the solver's assembly
+// parallelism. The surfaces must share the solver's grid and pass
+// CheckResolution; LossFactorCtx checks both.
 func (s *Solver) LossFactorsCtx(ctx context.Context, surfs []*surface.Surface, f float64, workers int) ([]float64, error) {
 	if len(surfs) == 0 || len(surfs) > 2 || (len(surfs) == 2 && !IsMirror(surfs[0], surfs[1])) {
 		return nil, resilience.Errorf(resilience.KindInvalidInput, "core.LossFactors",
@@ -441,12 +381,9 @@ func (s *Solver) LossFactorsCtx(ctx context.Context, surfs []*surface.Surface, f
 	if err != nil {
 		return nil, err
 	}
-	sys, err := s.quotient(ctx, surfs[0], f, workers)
+	sys, err := s.build(ctx, surfs[0], f, workers)
 	if err != nil {
 		return nil, fmt.Errorf("core: rough solve at f=%g: %w", f, err)
-	}
-	if sys == nil {
-		sys = s.prepare(ctx, surfs[0], f, workers)
 	}
 	sys.Precondition(ref.inv)
 	ks := make([]float64, len(surfs))
@@ -454,7 +391,7 @@ func (s *Solver) LossFactorsCtx(ctx context.Context, surfs []*surface.Surface, f
 		if i > 0 {
 			_, sp := trace.StartSpan(ctx, "mom.mirror")
 			sp.SetAttr("f", f)
-			sys.Mirror(surf, s.Mat.Params(f), s.denseAssembler(surf, f, workers))
+			sys.Mirror(surf, s.Mat.Params(f))
 			sp.End()
 		}
 		sol, err := s.solve(ctx, sys)

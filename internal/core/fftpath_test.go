@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -23,13 +25,12 @@ import (
 // two-unknown system wins plain gmres, counted in solve.quotient.
 func TestSolverFFTFastPath(t *testing.T) {
 	L := 5 * um
-	M := 12
+	M := 20
 	f := 5 * units.GHz
 	c := surface.NewGaussianCorr(0.01*um, L/4)
 	surf := surface.NewKL(c, L, M).SampleTruncated(rng.New(17), 10)
 
-	opt := mom.Options{FFTMinCells: 1} // production gates, test-size grid
-	s, err := NewSolverTabulated(PaperMaterial(), L, M, 10*um, opt)
+	s, err := NewSolverTabulated(PaperMaterial(), L, M, 14*0.01*um, mom.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,22 +68,27 @@ func TestSolverFFTFastPath(t *testing.T) {
 		t.Fatalf("solve.fft_admitted = %d, want 1", got)
 	}
 
-	// The dense chain (grid below the FFT threshold) must agree to the
-	// model tolerance — the ratio K cancels most of the residual model
-	// error.
-	ds, err := NewSolverTabulated(PaperMaterial(), L, M, 10*um, mom.Options{FFTMinCells: M*M + 1})
+	// The dense chain on the same tables must agree to the model
+	// tolerance — the ratio K cancels most of the residual model error.
+	ctx := context.Background()
+	dsys, err := mom.AssembleTabulated(surf, s.Mat.Params(f), s.tableFor(ctx, f), mom.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	kd, err := ds.LossFactorCtx(context.Background(), surf, f)
+	dsol, err := dsys.SolveResilient(ctx, mom.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref, err := s.flatRef(ctx, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kd := dsol.Pabs / ref.pabs
 	if dev := math.Abs(k-kd) / kd; dev > 1e-6 {
 		t.Fatalf("fft-path K %g vs dense-path K %g (rel dev %g)", k, kd, dev)
 	}
-	if got := ds.Metrics.Counter("solve.stage_win." + mom.StageFFT).Value(); got != 0 {
-		t.Fatalf("disabled FFT stage still won %d solves", got)
+	if dsol.Report.Winner != mom.StageGMRES {
+		t.Fatalf("dense chain won %q, want %q", dsol.Report.Winner, mom.StageGMRES)
 	}
 }
 
@@ -106,13 +112,12 @@ func spanParents(root *trace.SpanSummary, name string) []string {
 // forced it.
 func TestSolverFFTRejectionAccounting(t *testing.T) {
 	L := 5 * um
-	M := 12
+	M := 20
 	f := 5 * units.GHz
 	c := surface.NewGaussianCorr(0.08*um, L/4)
 	surf := surface.NewKL(c, L, M).SampleTruncated(rng.New(17), 10)
 
-	opt := mom.Options{FFTMinCells: 1}
-	s, err := NewSolverTabulated(PaperMaterial(), L, M, 10*um, opt)
+	s, err := NewSolverTabulated(PaperMaterial(), L, M, 14*0.08*um, mom.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,11 +160,11 @@ func TestSolverFFTRejectionAccounting(t *testing.T) {
 // needs fewer products than the same system without the preconditioner.
 func TestPreparedSystemsCarryFlatInverse(t *testing.T) {
 	L := 5 * um
-	M := 12
+	M := 20
 	f := 5 * units.GHz
 	c := surface.NewGaussianCorr(0.01*um, L/4)
 	surf := surface.NewKL(c, L, M).SampleTruncated(rng.New(17), 10)
-	s, err := NewSolverTabulated(PaperMaterial(), L, M, 10*um, mom.Options{FFTMinCells: 1})
+	s, err := NewSolverTabulated(PaperMaterial(), L, M, 14*0.01*um, mom.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +181,11 @@ func TestPreparedSystemsCarryFlatInverse(t *testing.T) {
 		t.Fatal(err)
 	}
 	pre := int(reg.Counter("solve.matvecs").Value()) - 3
-	plain, err := s.prepare(ctx, surf, f, 0).SolveResilient(ctx, mom.SolveOptions{})
+	sys, err := s.build(ctx, surf, f, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := sys.SolveResilient(ctx, mom.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,4 +193,109 @@ func TestPreparedSystemsCarryFlatInverse(t *testing.T) {
 		t.Fatalf("prepared system took %d matvecs, unpreconditioned %d", pre, plain.Report.MatVecs)
 	}
 	t.Logf("matvecs: %d preconditioned, %d plain", pre, plain.Report.MatVecs)
+}
+
+// TestBuildPathAccounting pins what each system-build path reports
+// through LossFactorsCtx on a mirror pair — the counters the benchmark
+// divides and the spans it reads by name: a first-order KL node builds
+// on the quotient lattice (a mom.assemble span with its orbits), an
+// admitted surface builds its FFT operator (mom.fft.build) and never
+// assembles a dense matrix, and an over-bound one is rejected
+// (mom.fft.build with rejected) and assembles its dense matrix once,
+// lazily under the mom.solve that needs it; the mirror flips that
+// matrix in place instead of assembling it again. The frequency's
+// tables build once, under the flat reference, beside its mom.assemble.
+func TestBuildPathAccounting(t *testing.T) {
+	const L = 5 * um
+	f := 5 * units.GHz
+	node := make([]float64, 4)
+	node[1] = 1.7
+	for _, tc := range []struct {
+		name                                string
+		m                                   int
+		sigma                               float64
+		xi                                  []float64
+		quotient, admitted, rejected, dense int64
+		spans                               []string
+	}{
+		{"quotient", 8, 0.1 * um, node, 3, 0, 0, 0, []string{
+			"flat.reference > flat.inverse{}",
+			"flat.reference > mom.assemble{f,orbits}",
+			"flat.reference > mom.solve{attempts,matvecs,winner}",
+			"flat.reference > tables.build{grid}",
+			"job > flat.reference{f}",
+			"job > mom.assemble{f,orbits}",
+			"job > mom.mirror{f}",
+			"job > mom.solve{attempts,matvecs,winner}",
+			"job > mom.solve{attempts,matvecs,winner}",
+		}},
+		{"fft admitted", 20, 0.015 * um, rng.New(5).NormVec(6), 1, 1, 0, 0, []string{
+			"flat.reference > flat.inverse{}",
+			"flat.reference > mom.assemble{f,orbits}",
+			"flat.reference > mom.solve{attempts,matvecs,winner}",
+			"flat.reference > tables.build{grid}",
+			"job > flat.reference{f}",
+			"job > mom.fft.build{f}",
+			"job > mom.mirror{f}",
+			"job > mom.solve{attempts,matvecs,winner}",
+			"job > mom.solve{attempts,matvecs,winner}",
+			"mom.solve > mom.fft.solve{}",
+			"mom.solve > mom.fft.solve{}",
+		}},
+		{"fft rejected", 20, 0.08 * um, rng.New(5).NormVec(6), 1, 0, 1, 1, []string{
+			"flat.reference > flat.inverse{}",
+			"flat.reference > mom.assemble{f,orbits}",
+			"flat.reference > mom.solve{attempts,matvecs,winner}",
+			"flat.reference > tables.build{grid}",
+			"job > flat.reference{f}",
+			"job > mom.fft.build{f,rejected}",
+			"job > mom.mirror{f}",
+			"job > mom.solve{attempts,matvecs,winner}",
+			"job > mom.solve{attempts,matvecs,winner}",
+			"mom.solve > mom.assemble{f}",
+		}},
+	} {
+		s, err := NewSolverTabulated(PaperMaterial(), L, tc.m, 14*tc.sigma, mom.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		kl := surface.NewKL(surface.NewGaussianCorr(tc.sigma, 1*um), L, tc.m)
+		neg := make([]float64, len(tc.xi))
+		for i, v := range tc.xi {
+			neg[i] = -v
+		}
+		pair := []*surface.Surface{kl.Synthesize(tc.xi), kl.Synthesize(neg)}
+		tr := trace.New("accounting")
+		if _, err := s.LossFactorsCtx(trace.ContextWithSpan(context.Background(), tr.Root()), pair, f, 0); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for name, want := range map[string]int64{
+			"solve.quotient":           tc.quotient,
+			"solve.fft_admitted":       tc.admitted,
+			"solve.fft_rejected":       tc.rejected,
+			"solve.dense_materialized": tc.dense,
+		} {
+			if got := counter(s, name); got != want {
+				t.Errorf("%s: %s = %d, want %d", tc.name, name, got, want)
+			}
+		}
+		var got []string
+		var walk func(*trace.SpanSummary)
+		walk = func(sp *trace.SpanSummary) {
+			for _, c := range sp.Children {
+				var keys []string
+				for k := range c.Attrs {
+					keys = append(keys, k)
+				}
+				slices.Sort(keys)
+				got = append(got, fmt.Sprintf("%s > %s{%s}", sp.Name, c.Name, strings.Join(keys, ",")))
+				walk(c)
+			}
+		}
+		walk(tr.Summary().Spans)
+		slices.Sort(got)
+		if !slices.Equal(got, tc.spans) {
+			t.Errorf("%s: spans\n  %s\nwant\n  %s", tc.name, strings.Join(got, "\n  "), strings.Join(tc.spans, "\n  "))
+		}
+	}
 }

@@ -15,30 +15,66 @@ import (
 	"roughsim/internal/units"
 )
 
-// operatorSystem builds a lazy operator system whose dense assembler
-// counts its invocations, so tests can assert the fft-gmres fast path
-// never materializes the matrix.
-func operatorSystem(s *surface.Surface, p Params, opt Options) (*System, *int) {
-	calls := new(int)
-	sys := NewOperatorSystem(s, p, opt, nil, func(context.Context) (*cmplxmat.Matrix, error) {
-		*calls++
-		return Assemble(s, p, opt).Matrix, nil
-	})
-	return sys, calls
+// lazySystem builds s's matrix-free system through Build (s must have
+// no lattice-shift invariance) under a trace, on whose context the test
+// solves it, so tests can count its dense assemblies — the trace's
+// mom.assemble spans — and assert the fft-gmres fast path never
+// materializes the matrix.
+func lazySystem(t *testing.T, s *surface.Surface, p Params, ts *TableSet) (context.Context, *System, *trace.Trace) {
+	t.Helper()
+	tr := trace.New("lazy")
+	ctx := trace.ContextWithSpan(context.Background(), tr.Root())
+	sys, err := Build(ctx, s, p, ts, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.Orbits() > 0 {
+		t.Fatal("surface built on the quotient lattice")
+	}
+	return ctx, sys, tr
+}
+
+// spanCount is how many spans called name tr ran.
+func spanCount(tr *trace.Trace, name string) int64 {
+	for _, st := range tr.Summary().Stages {
+		if st.Name == name {
+			return st.Count
+		}
+	}
+	return 0
+}
+
+// m20Tables returns the M = 20 test surface of roughness sigma on an
+// L = 5 µm patch, its physics at 5 GHz and Green's tables spanning 14σ.
+func m20Tables(sigma float64) (*surface.Surface, Params, *TableSet) {
+	const L, m = 5 * um, 20
+	p := paramsAt(5 * units.GHz)
+	return mildSurface(m, L, sigma), p, NewTableSet(p, L, m, 14*sigma, Options{})
+}
+
+// tabulatedDenseSolve solves s's dense system assembled from ts by the
+// chain: the reference of the matrix-free solves.
+func tabulatedDenseSolve(t *testing.T, s *surface.Surface, p Params, ts *TableSet) *Solution {
+	t.Helper()
+	dsys, err := AssembleTabulated(s, p, ts, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := dsys.SolveResilient(context.Background(), SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sol
 }
 
 func TestChainFFTStageWinsAndMatchesDense(t *testing.T) {
-	L := 5 * um
-	m := 12
-	s := mildSurface(m, L, 0.01*um)
-	p := paramsAt(5 * units.GHz)
-	opt := Options{FFTMinCells: 1} // small test grid, real gates otherwise
+	s, p, ts := m20Tables(0.01 * um)
 
-	sys, denseCalls := operatorSystem(s, p, opt)
+	ctx, sys, tr := lazySystem(t, s, p, ts)
 	if !sys.FFTAdmitted() {
-		t.Fatalf("surface not admitted: %v", sys.FFTRejection())
+		t.Fatalf("surface not admitted: %v", sys.fftRej)
 	}
-	sol, err := sys.SolveResilient(context.Background(), SolveOptions{})
+	sol, err := sys.SolveResilient(ctx, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,14 +84,11 @@ func TestChainFFTStageWinsAndMatchesDense(t *testing.T) {
 		}
 		t.Fatalf("winner = %q, want %q", sol.Report.Winner, StageFFT)
 	}
-	if *denseCalls != 0 || sys.DenseAssembled() {
-		t.Fatalf("fft win materialized the dense matrix (%d calls)", *denseCalls)
+	if n := spanCount(tr, "mom.assemble"); n != 0 || sys.DenseAssembled() {
+		t.Fatalf("fft win materialized the dense matrix (%d calls)", n)
 	}
 
-	denseSol, err := Assemble(s, p, opt).SolveResilient(context.Background(), SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	denseSol := tabulatedDenseSolve(t, s, p, ts)
 	if d := math.Abs(sol.Pabs-denseSol.Pabs) / denseSol.Pabs; d > 1e-6 {
 		t.Fatalf("fft-chain Pabs %g vs dense-chain %g (rel dev %g)", sol.Pabs, denseSol.Pabs, d)
 	}
@@ -73,60 +106,44 @@ func TestChainFFTWinsAtProductionGatesM20(t *testing.T) {
 	// fftModelTol (a-priori error ≈ (2·zmax/3h)^7 with zmax ≈ 3σ).
 	s := mildSurface(m, L, 0.06*h)
 	p := paramsAt(5 * units.GHz)
-	opt := Options{}
-	ts := NewTableSet(p, L, m, h, opt)
+	ts := NewTableSet(p, L, m, h, Options{})
 
-	denseCalls := 0
-	sys := NewOperatorSystem(s, p, opt, ts, func(context.Context) (*cmplxmat.Matrix, error) {
-		denseCalls++
-		return nil, errors.New("dense matrix requested on the FFT path")
-	})
+	ctx, sys, tr := lazySystem(t, s, p, ts)
 	if !sys.FFTAdmitted() {
-		t.Fatalf("surface not admitted: %v", sys.FFTRejection())
+		t.Fatalf("surface not admitted: %v", sys.fftRej)
 	}
-	sol, err := sys.SolveResilient(context.Background(), SolveOptions{})
+	sol, err := sys.SolveResilient(ctx, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sol.Report.Winner != StageFFT {
 		t.Fatalf("winner = %q, want %q", sol.Report.Winner, StageFFT)
 	}
-	if denseCalls != 0 || sys.DenseAssembled() {
-		t.Fatalf("fft win materialized the dense matrix (%d calls)", denseCalls)
+	if n := spanCount(tr, "mom.assemble"); n != 0 || sys.DenseAssembled() {
+		t.Fatalf("fft win materialized the dense matrix (%d calls)", n)
 	}
 
-	dsys, err := AssembleTabulated(s, p, ts, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	denseSol, err := dsys.SolveResilient(context.Background(), SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	denseSol := tabulatedDenseSolve(t, s, p, ts)
 	if d := math.Abs(sol.Pabs-denseSol.Pabs) / math.Abs(denseSol.Pabs); d > 1e-6 {
 		t.Fatalf("fft-chain Pabs %g vs tabulated dense chain %g (rel dev %g)", sol.Pabs, denseSol.Pabs, d)
 	}
 }
 
 func TestChainOverBoundSurfaceSkipsFFTWithoutRetry(t *testing.T) {
-	L := 5 * um
-	m := 12
-	// σ = 0.08 μm passes the operator's hard convergence bound but its
-	// a-priori model error (≫ 1e-6) fails the chain's fftModelTol gate.
-	s := mildSurface(m, L, 0.08*um)
-	p := paramsAt(5 * units.GHz)
-	opt := Options{FFTMinCells: 1}
+	// σ = 0.08 μm on the M = 20 grid: its a-priori model error (≫ 1e-6)
+	// fails the chain's fftModelTol gate.
+	s, p, ts := m20Tables(0.08 * um)
 
-	sys, denseCalls := operatorSystem(s, p, opt)
+	ctx, sys, tr := lazySystem(t, s, p, ts)
 	if sys.FFTAdmitted() {
 		t.Fatal("over-bound surface unexpectedly admitted")
 	}
-	if kind := resilience.Classify(sys.FFTRejection()); kind != resilience.KindNumerical {
+	if kind := resilience.Classify(sys.fftRej); kind != resilience.KindNumerical {
 		t.Fatalf("rejection kind = %v, want numerical", kind)
 	}
 	// The deterministic rejection never enters the chain: gmres is its
 	// first stage, and no stage fails.
-	sol, err := sys.SolveResilient(context.Background(), SolveOptions{})
+	sol, err := sys.SolveResilient(ctx, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,27 +153,22 @@ func TestChainOverBoundSurfaceSkipsFFTWithoutRetry(t *testing.T) {
 	if len(sol.Report.Failed) != 0 {
 		t.Fatalf("rejected surface recorded failed stages %+v", sol.Report.Failed)
 	}
-	if *denseCalls != 1 || !sys.DenseAssembled() {
-		t.Fatalf("dense matrix materialized %d times, want exactly once", *denseCalls)
+	if n := spanCount(tr, "mom.assemble"); n != 1 || !sys.DenseAssembled() {
+		t.Fatalf("dense matrix materialized %d times, want exactly once", n)
 	}
 }
 
 func TestChainInjectedFFTFailureFallsBack(t *testing.T) {
-	L := 5 * um
-	m := 12
-	s := mildSurface(m, L, 0.01*um)
-	p := paramsAt(5 * units.GHz)
-	opt := Options{FFTMinCells: 1}
+	s, p, ts := m20Tables(0.01 * um)
 
-	sys, denseCalls := operatorSystem(s, p, opt)
+	ctx, sys, tr := lazySystem(t, s, p, ts)
 	if !sys.FFTAdmitted() {
-		t.Fatalf("surface not admitted: %v", sys.FFTRejection())
+		t.Fatalf("surface not admitted: %v", sys.fftRej)
 	}
 	inj := resilience.NewInjector(resilience.FaultSpec{
 		Op: StageFFT, Fraction: 1, Kind: resilience.KindConvergence,
 	})
-	tr := trace.New("injected-fft")
-	sol, err := sys.SolveResilient(trace.ContextWithSpan(context.Background(), tr.Root()), SolveOptions{Injector: inj})
+	sol, err := sys.SolveResilient(ctx, SolveOptions{Injector: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,19 +184,14 @@ func TestChainInjectedFFTFailureFallsBack(t *testing.T) {
 	if sol.Report.Winner != StageDenseLU {
 		t.Fatalf("winner = %q, want %q", sol.Report.Winner, StageDenseLU)
 	}
-	for _, st := range tr.Summary().Stages {
-		if st.Name == "mom.fft.solve" {
-			t.Fatal("the injected fft-gmres stage ran")
-		}
+	if spanCount(tr, "mom.fft.solve") != 0 {
+		t.Fatal("the injected fft-gmres stage ran")
 	}
-	if *denseCalls != 1 {
-		t.Fatalf("dense materializations = %d, want 1", *denseCalls)
+	if n := spanCount(tr, "mom.assemble"); n != 1 {
+		t.Fatalf("dense materializations = %d, want 1", n)
 	}
 
-	denseSol, err := Assemble(s, p, opt).SolveResilient(context.Background(), SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	denseSol := tabulatedDenseSolve(t, s, p, ts)
 	if d := math.Abs(sol.Pabs-denseSol.Pabs) / denseSol.Pabs; d > 1e-6 {
 		t.Fatalf("fallback Pabs %g vs dense-chain %g (rel dev %g)", sol.Pabs, denseSol.Pabs, d)
 	}
@@ -192,23 +199,23 @@ func TestChainInjectedFFTFailureFallsBack(t *testing.T) {
 
 func TestChainSmallGridSkipsFFTStage(t *testing.T) {
 	L := 5 * um
-	m := 8 // 64 cells < default FFTMinCells
+	m := 8 // 64 cells < fftMinCells
 	s := mildSurface(m, L, 0.01*um)
 	p := paramsAt(5 * units.GHz)
 
-	sys, denseCalls := operatorSystem(s, p, Options{})
+	ctx, sys, tr := lazySystem(t, s, p, nil)
 	if sys.FFTAdmitted() {
 		t.Fatal("small grid unexpectedly admitted to the FFT stage")
 	}
-	sol, err := sys.SolveResilient(context.Background(), SolveOptions{})
+	sol, err := sys.SolveResilient(ctx, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sol.Report.Winner != StageGMRES {
 		t.Fatalf("winner = %q, want %q", sol.Report.Winner, StageGMRES)
 	}
-	if *denseCalls != 1 {
-		t.Fatalf("dense materializations = %d, want 1", *denseCalls)
+	if n := spanCount(tr, "mom.assemble"); n != 1 {
+		t.Fatalf("dense materializations = %d, want 1", n)
 	}
 }
 

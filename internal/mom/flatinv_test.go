@@ -18,9 +18,9 @@ func TestFlatInverseIsExact(t *testing.T) {
 	const L = 5 * um
 	p := paramsAt(5 * units.GHz)
 	dense := Assemble(surface.NewFlat(L, 8), p, Options{})
-	fftSys := NewOperatorSystem(surface.NewFlat(L, 20), p, Options{}, nil, nil)
+	fftSys := operatorSystem(surface.NewFlat(L, 20), p, nil, Options{})
 	if !fftSys.FFTAdmitted() {
-		t.Fatalf("flat M=20 surface not admitted: %v", fftSys.FFTRejection())
+		t.Fatalf("flat M=20 surface not admitted: %v", fftSys.fftRej)
 	}
 	for _, tc := range []struct {
 		name string
@@ -63,7 +63,7 @@ func TestFlatInverseSingularSymbol(t *testing.T) {
 // Arnoldi product, GMRES's true-residual check and the chain's
 // verification.
 func TestFlatReferenceWinsInOneIteration(t *testing.T) {
-	sys := NewOperatorSystem(surface.NewFlat(5*um, 20), paramsAt(5*units.GHz), Options{}, nil, nil)
+	sys := operatorSystem(surface.NewFlat(5*um, 20), paramsAt(5*units.GHz), nil, Options{})
 	mv, err := sys.MatVec(context.Background())
 	if err != nil {
 		t.Fatal(err)

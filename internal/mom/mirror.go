@@ -1,8 +1,6 @@
 package mom
 
 import (
-	"context"
-
 	"roughsim/internal/cmplxmat"
 	"roughsim/internal/surface"
 )
@@ -21,9 +19,9 @@ import (
 // near corrections, a quotient system flips its folded double-layer
 // blocks (the orbits of ms are those of s), and the right-hand side is
 // recomputed. A lazily built system whose dense matrix was never
-// materialized takes dense as its new assembler; it must assemble ms.
-// The result is bitwise identical to building ms directly.
-func (sys *System) Mirror(ms *surface.Surface, p Params, dense func(context.Context) (*cmplxmat.Matrix, error)) {
+// materialized will assemble it for ms. The result is bitwise identical
+// to building ms directly.
+func (sys *System) Mirror(ms *surface.Surface, p Params) {
 	switch {
 	case sys.fold != nil:
 		// Folded entries are sums that start from +0, so an exactly
@@ -41,8 +39,8 @@ func (sys *System) Mirror(ms *surface.Surface, p Params, dense func(context.Cont
 			diag[i], diag[sys.N+i] = -d, d
 		}
 		mirrorDense(sys.Matrix, sys.N, diag, func(v complex128) complex128 { return -v })
-	case sys.denseFn != nil:
-		sys.denseFn = dense
+	case sys.surf != nil:
+		sys.surf = ms
 	}
 	if sys.fft != nil {
 		sys.fft.mirror(ms)

@@ -7,7 +7,6 @@ import (
 	"math/cmplx"
 	"testing"
 
-	"roughsim/internal/cmplxmat"
 	"roughsim/internal/rng"
 	"roughsim/internal/surface"
 	"roughsim/internal/units"
@@ -82,7 +81,7 @@ func TestMirrorIsExact(t *testing.T) {
 			return sys
 		}
 		sys, want := build(s), build(ms)
-		sys.Mirror(ms, p, nil)
+		sys.Mirror(ms, p)
 		checkSameBits(t, tc.name+" matrix", sys.Matrix.Data, want.Matrix.Data)
 		checkSameBits(t, tc.name+" RHS", sys.RHS, want.RHS)
 	}
@@ -91,28 +90,25 @@ func TestMirrorIsExact(t *testing.T) {
 	// tables spanning 14σ, order-6 operator.
 	s, ms := mirrorPair(t, 0.015*um, 1*um, 5*um, 20)
 	ts := NewTableSet(p, 5*um, 20, 14*0.015*um, opt)
-	assembler := func(surf *surface.Surface) func(context.Context) (*cmplxmat.Matrix, error) {
-		return func(context.Context) (*cmplxmat.Matrix, error) {
-			sys, err := AssembleTabulated(surf, p, ts, opt)
-			if err != nil {
-				return nil, err
-			}
-			return sys.Matrix, nil
-		}
-	}
 	for _, materialized := range []bool{false, true} {
 		name := fmt.Sprintf("FFT operator M=20 (dense materialized before the mirror: %v)", materialized)
-		sys := NewOperatorSystem(s, p, opt, ts, assembler(s))
-		want := NewOperatorSystem(ms, p, opt, ts, assembler(ms))
+		sys, err := Build(context.Background(), s, p, ts, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Build(context.Background(), ms, p, ts, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !sys.FFTAdmitted() || !want.FFTAdmitted() {
-			t.Fatalf("%s: FFT stage not admitted: %v", name, sys.FFTRejection())
+			t.Fatalf("%s: FFT stage not admitted: %v", name, sys.fftRej)
 		}
 		if materialized {
-			if err := sys.Materialize(context.Background()); err != nil {
+			if err := sys.materialize(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 		}
-		sys.Mirror(ms, p, assembler(ms))
+		sys.Mirror(ms, p)
 		x := make([]complex128, 2*sys.N)
 		re, im := rng.New(3).NormVec(len(x)), rng.New(4).NormVec(len(x))
 		for i := range x {
@@ -124,10 +120,10 @@ func TestMirrorIsExact(t *testing.T) {
 		want.fft.MatVec(yWant, x)
 		checkSameBits(t, name+" MatVec", y, yWant)
 		checkSameBits(t, name+" RHS", sys.RHS, want.RHS)
-		if err := sys.Materialize(context.Background()); err != nil {
+		if err := sys.materialize(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		if err := want.Materialize(context.Background()); err != nil {
+		if err := want.materialize(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		checkSameBits(t, name+" dense matrix", sys.Matrix.Data, want.Matrix.Data)

@@ -28,15 +28,16 @@ import (
 	"fmt"
 	"math/cmplx"
 	"runtime"
-	"sync"
 
 	"roughsim/internal/cmplxmat"
 	"roughsim/internal/resilience"
 	"roughsim/internal/surface"
+	"roughsim/internal/trace"
 )
 
 // Params bundles the physical inputs of a solve.
 type Params struct {
+	F    float64    // frequency (Hz), reported by Build's spans; the kernels read K1, K2, Beta
 	K1   complex128 // dielectric wavenumber ω√(με₁)
 	K2   complex128 // conductor wavenumber (1+j)/δ
 	Beta complex128 // continuity ratio β = ε₁/ε₂ = −jωε₁ρ
@@ -53,8 +54,13 @@ const nearRadius = 2
 const fftModelTol = 1e-6
 
 // fftOrder is the polynomial order of the FFT-accelerated operator that
-// systems built with NewOperatorSystem solve on when admitted.
+// systems built by Build solve on when admitted.
 const fftOrder = 6
+
+// fftMinCells is the smallest grid (N = M² cells) for which the FFT
+// operator's build cost pays off; smaller systems solve on the dense
+// matrix.
+const fftMinCells = 400
 
 // Options tunes the discretization.
 type Options struct {
@@ -63,11 +69,6 @@ type Options struct {
 	NearSubdiv int
 	// Workers bounds assembly parallelism; default NumCPU.
 	Workers int
-
-	// FFTMinCells is the smallest grid (N = M² cells) for which the FFT
-	// operator's build cost pays off; smaller systems solve on the dense
-	// matrix. Default 400.
-	FFTMinCells int
 }
 
 func (o Options) withDefaults() Options {
@@ -77,17 +78,14 @@ func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.NumCPU()
 	}
-	if o.FFTMinCells <= 0 {
-		o.FFTMinCells = 400
-	}
 	return o
 }
 
-// System is the assembled dense MoM system — or, when built with
-// NewOperatorSystem, a lazily-assembled one: the FFT-accelerated
-// operator stands in for the matrix and the dense form only
-// materializes if a stage of the solve chain needs it — or, when built
-// by a Quotient, the system folded onto the orbits of the lattice shifts
+// System is the assembled dense MoM system — or, when Build leaves it
+// matrix-free, a lazily-assembled one: the FFT-accelerated operator
+// stands in for the matrix and the dense form only materializes if a
+// stage of the solve chain needs it — or, when Build finds a lattice-
+// shift invariance, the system folded onto the orbits of the shifts
 // that leave the surface invariant.
 type System struct {
 	N      int // unknowns per field: grid cells, or orbits of a quotient system
@@ -95,19 +93,22 @@ type System struct {
 	RHS    []complex128
 	Step   float64 // grid spacing h
 
-	// Lazy-assembly state (set by NewOperatorSystem; zero for the eager
-	// Assemble/AssembleTabulated paths): fft is the admitted
+	// Lazy-assembly state (set by Build on the full grid; zero for the
+	// eager Assemble/AssembleTabulated paths): fft is the admitted
 	// FFT-accelerated operator, fftRej the typed rejection when the
-	// surface was not admitted, denseFn assembles the dense matrix on
-	// first demand.
-	fft       *FFTOperator
-	fftRej    error
-	denseFn   func(context.Context) (*cmplxmat.Matrix, error)
-	denseOnce sync.Once
-	denseErr  error
+	// surface was not admitted, and the dense matrix assembles on first
+	// demand from surf (the mirror image once mirrored), p, ts (nil:
+	// exact kernels) and opt, denseErr keeping that assembly's failure.
+	fft      *FFTOperator
+	fftRej   error
+	surf     *surface.Surface
+	p        Params
+	ts       *TableSet
+	opt      Options
+	denseErr error
 
 	// fold is the orbit structure of a quotient system (nil: the full
-	// grid); see Quotient.System.
+	// grid); see foldSystem.
 	fold *fold
 
 	// pre is the flat inverse the GMRES stage is right-preconditioned by
@@ -130,33 +131,57 @@ func (sys *System) MatVec(ctx context.Context) (cmplxmat.MatVec, error) {
 	if sys.fft != nil {
 		return sys.fft.MatVec, nil
 	}
-	if err := sys.Materialize(ctx); err != nil {
+	if err := sys.materialize(ctx); err != nil {
 		return nil, err
 	}
 	return sys.Matrix.MulVecTo, nil
 }
 
-// NewOperatorSystem builds a matrix-free System: the FFT-accelerated
-// operator is constructed up front when the admissibility gates pass —
-// the grid is at least Options.FFTMinCells, the a-priori kernel-model
-// error is within fftModelTol, and the height range sits inside
-// the operator's hard convergence bound — and the dense matrix is only
-// assembled (through dense, exactly once, under the context of the
-// stage that needs it) if a stage of SolveResilient needs it. When ts
-// is non-nil and its Δz span
-// covers the operator's fit interval, the build reads the Green's
-// tables instead of running Ewald sums.
+// Build builds s's system at p, reading the kernels from the Green's
+// tables ts (nil: exact kernels). It is the one constructor of the
+// systems production solves and the one place that chooses how; its
+// spans carry p.F as "f".
 //
-// A rejected surface costs nothing beyond the gate checks: the typed
-// rejection is kept (FFTRejection), and the gmres stage materializes the
-// matrix.
-func NewOperatorSystem(s *surface.Surface, p Params, opt Options, ts *TableSet, dense func(context.Context) (*cmplxmat.Matrix, error)) *System {
+// A surface that a nontrivial subgroup of lattice shifts leaves
+// invariant — every first-order SSCM node, a flat surface, a rigid
+// shift — builds on the quotient lattice (DESIGN §9) under a
+// "mom.assemble" span whose "orbits" is the folded unknowns per field;
+// tables that cannot serve it are a typed error, as for
+// AssembleTabulated. Any other surface builds matrix-free under a
+// "mom.fft.build" span: the FFT operator (through ts when they cover
+// its fit interval) when the admissibility gates pass — at least
+// fftMinCells cells, a-priori kernel-model error within fftModelTol,
+// heights inside the operator's convergence bound — else the typed
+// rejection, as the span's "rejected". Its dense matrix is assembled
+// only if a stage of SolveResilient needs it, once, from the inputs
+// the system keeps (AssembleTabulated, or Assemble when ts is nil),
+// under a "mom.assemble" span of that stage's context.
+func Build(ctx context.Context, s *surface.Surface, p Params, ts *TableSet, opt Options) (*System, error) {
 	opt = opt.withDefaults()
+	if g, o := invariance(s, opt); o != nil {
+		_, sp := trace.StartSpan(ctx, "mom.assemble")
+		sp.SetAttr("f", p.F)
+		sp.SetAttr("orbits", len(o.Reps))
+		defer sp.End()
+		return foldSystem(s, g, o, p, ts, opt)
+	}
+	_, sp := trace.StartSpan(ctx, "mom.fft.build")
+	sp.SetAttr("f", p.F)
+	defer sp.End()
+	sys := operatorSystem(s, p, ts, opt)
+	if sys.fftRej != nil {
+		sp.SetAttr("rejected", sys.fftRej.Error())
+	}
+	return sys, nil
+}
+
+// operatorSystem is Build's matrix-free system on the full grid.
+func operatorSystem(s *surface.Surface, p Params, ts *TableSet, opt Options) *System {
 	n := s.M * s.M
-	sys := &System{N: n, RHS: RHSVector(s, p), Step: s.Step(), denseFn: dense}
-	if n < opt.FFTMinCells {
+	sys := &System{N: n, RHS: RHSVector(s, p), Step: s.Step(), surf: s, p: p, ts: ts, opt: opt}
+	if n < fftMinCells {
 		sys.fftRej = resilience.Errorf(resilience.KindInvalidInput, "mom.fftop",
-			"grid of %d cells below FFT-stage threshold %d", n, opt.FFTMinCells)
+			"grid of %d cells below FFT-stage threshold %d", n, fftMinCells)
 		return sys
 	}
 	if est := fftModelEstimate(s); est > fftModelTol {
@@ -187,36 +212,31 @@ func NewOperatorSystem(s *surface.Surface, p Params, opt Options, ts *TableSet, 
 // operator stage.
 func (sys *System) FFTAdmitted() bool { return sys.fft != nil }
 
-// FFTRejection returns the typed reason the FFT stage was not admitted
-// (nil when admitted, or when the system was never built for it).
-func (sys *System) FFTRejection() error { return sys.fftRej }
-
 // DenseAssembled reports whether the dense matrix exists — for a
 // lazily-built system, whether any stage forced materialization.
 func (sys *System) DenseAssembled() bool { return sys.Matrix != nil }
 
-// Materialize assembles the dense matrix of a lazily-built system
-// (no-op when it already exists), passing ctx — the context of the
-// solve stage that needs the matrix — to the assembler. SolveResilient
-// calls it before any stage on the dense matrix runs, so solves won by
-// the FFT stage never pay the O(N²) assembly.
-func (sys *System) Materialize(ctx context.Context) error {
-	if sys.Matrix != nil {
-		return nil
+// materialize assembles a lazily-built system's dense matrix (no-op
+// when it exists; a failed assembly is not retried) under a
+// "mom.assemble" span of ctx, the context of the solve stage that needs
+// the matrix. SolveResilient calls it before any stage on the dense
+// matrix runs, so solves won by the FFT stage never pay the O(N²)
+// assembly.
+func (sys *System) materialize(ctx context.Context) error {
+	if sys.Matrix != nil || sys.denseErr != nil {
+		return sys.denseErr
 	}
-	if sys.denseFn == nil {
-		return resilience.Errorf(resilience.KindInvalidInput, "mom.materialize",
-			"system has neither a dense matrix nor a dense assembler")
+	_, sp := trace.StartSpan(ctx, "mom.assemble")
+	sp.SetAttr("f", sys.p.F)
+	defer sp.End()
+	var d *System
+	if sys.ts == nil {
+		d = Assemble(sys.surf, sys.p, sys.opt)
+	} else if d, sys.denseErr = AssembleTabulated(sys.surf, sys.p, sys.ts, sys.opt); sys.denseErr != nil {
+		return sys.denseErr
 	}
-	sys.denseOnce.Do(func() {
-		m, err := sys.denseFn(ctx)
-		if err != nil {
-			sys.denseErr = err
-			return
-		}
-		sys.Matrix = m
-	})
-	return sys.denseErr
+	sys.Matrix = d.Matrix
+	return nil
 }
 
 // Assemble builds the dense 2N×2N system for a surface realization,

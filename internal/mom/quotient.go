@@ -14,38 +14,26 @@ import (
 // orbit of the subgroup of such shifts, and the system folds onto one
 // unknown per orbit and field.
 
-// Quotient is a surface whose cell geometry — heights and first and
-// second derivatives — a nontrivial subgroup of lattice shifts leaves
-// invariant bit for bit: a single KL Fourier mode (every first-order
-// SSCM node), a flat surface or a rigid shift.
-type Quotient struct {
-	s      *surface.Surface
-	g      *cellGeom
-	orbits *surface.Orbits
-	opt    Options
-}
-
-// NewQuotient returns s's quotient, or nil when only the identity shift
-// leaves its cell geometry invariant. The heights are checked first,
-// which costs O(M²) on a surface without symmetry.
-func NewQuotient(s *surface.Surface, opt Options) *Quotient {
-	opt = opt.withDefaults()
+// invariance returns s's cell geometry and the orbits of the subgroup
+// of lattice shifts that leaves it — heights and first and second
+// derivatives — invariant bit for bit, or nil orbits when that subgroup
+// is trivial. It is nontrivial for a single KL Fourier mode (every
+// first-order SSCM node), a flat surface or a rigid shift. The heights
+// are checked first, which costs O(M²) on a surface without symmetry.
+func invariance(s *surface.Surface, opt Options) (*cellGeom, *surface.Orbits) {
 	if surface.InvariantOrbits(s.M, s.H).Trivial() {
-		return nil
+		return nil, nil
 	}
 	g := newCellGeom(s, opt.NearSubdiv)
 	o := surface.InvariantOrbits(s.M, g.f, g.fx, g.fy, g.fxx, g.fyy, g.fxy)
 	if o.Trivial() {
-		return nil
+		return nil, nil
 	}
-	return &Quotient{s: s, g: g, orbits: o, opt: opt}
+	return g, o
 }
 
-// Orbits is the number of orbits: the unknowns per field of the folded
-// system.
-func (q *Quotient) Orbits() int { return len(q.orbits.Reps) }
-
-// System builds the folded system at p, reading the kernels from the
+// foldSystem builds s's system folded onto the orbits o of its cell
+// geometry g (see invariance) at p, reading the kernels from the
 // Green's tables ts (nil: exact kernels; a table set that cannot serve
 // the surface is a typed error, as for AssembleTabulated). Each orbit
 // representative r runs one full row of kernel work, every pair reading
@@ -55,28 +43,28 @@ func (q *Quotient) Orbits() int { return len(q.orbits.Reps) }
 // folded matrix, so the result is bitwise deterministic in Workers.
 // When one orbit holds the whole grid, the same kernel reads also give
 // the full system's first column (see System.FlatInverse).
-func (q *Quotient) System(p Params, ts *TableSet) (*System, error) {
+func foldSystem(s *surface.Surface, g *cellGeom, o *surface.Orbits, p Params, ts *TableSet, opt Options) (*System, error) {
 	var src1, src2 kernelSource
 	if ts != nil {
 		// Tilted sub-cells can push |Δz| slightly past 2·max|f|.
-		if err := ts.compatible(q.s, q.opt, 2.2*surfaceZMax(q.s)); err != nil {
+		if err := ts.compatible(s, opt, 2.2*surfaceZMax(s)); err != nil {
 			return nil, err
 		}
 		src1, src2 = ts.g1, ts.g2
 	} else {
-		src1, src2 = exactSources(q.s, p, q.opt)
+		src1, src2 = exactSources(s, p, opt)
 	}
-	k := newRowKernel(q.g, p, src1, src2)
-	nk := q.Orbits()
-	f := &fold{orbits: q.orbits, diag: make([]complex128, 2*nk)}
+	k := newRowKernel(g, p, src1, src2)
+	nk := len(o.Reps)
+	f := &fold{orbits: o, diag: make([]complex128, 2*nk)}
 	if nk == 1 {
 		f.col = [2][]complex128{make([]complex128, 2*k.n), make([]complex128, 2*k.n)}
 	}
 	a := cmplxmat.New(2*nk, 2*nk)
-	parallelFor(nk, q.opt.Workers, func() func(int) {
+	parallelFor(nk, opt.Workers, func() func(int) {
 		return func(r int) { f.row(k, a, r) }
 	})
-	return &System{N: nk, Matrix: a, RHS: f.pick(RHSVector(q.s, p)), Step: k.g.h, fold: f}, nil
+	return &System{N: nk, Matrix: a, RHS: f.pick(RHSVector(s, p)), Step: k.g.h, fold: f}, nil
 }
 
 // fold is a quotient system's orbit structure.

@@ -1,6 +1,7 @@
 package mom
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -24,13 +25,12 @@ func symbols(inv *FlatInverse) []complex128 {
 // subgroup is nontrivial.
 func quotientSystem(t *testing.T, s *surface.Surface, p Params, ts *TableSet, opt Options) *System {
 	t.Helper()
-	q := NewQuotient(s, opt)
-	if q == nil {
-		t.Fatal("surface has no nontrivial lattice-shift invariance")
-	}
-	sys, err := q.System(p, ts)
+	sys, err := Build(context.Background(), s, p, ts, opt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if sys.Orbits() == 0 {
+		t.Fatal("surface has no nontrivial lattice-shift invariance")
 	}
 	return sys
 }
@@ -213,7 +213,7 @@ func TestQuotientMirrorIsExact(t *testing.T) {
 				name := fmt.Sprintf("M=%d node %d %s", m, k, tc.what)
 				sys := quotientSystem(t, s, p, tc.ts, opt)
 				want := quotientSystem(t, ms, p, tc.ts, opt)
-				sys.Mirror(ms, p, nil)
+				sys.Mirror(ms, p)
 				checkSameBits(t, name+" folded matrix", sys.Matrix.Data, want.Matrix.Data)
 				checkSameBits(t, name+" RHS", sys.RHS, want.RHS)
 			}

@@ -87,9 +87,9 @@ func (r *SolveReport) Unwrap() error {
 //
 // The GMRES stage is one Krylov solve (krylov) on the system's own
 // operator (MatVec), right-preconditioned by its flat inverse (see
-// Precondition; the identity when it carries none). For a system built
-// with NewOperatorSystem whose surface passed the admissibility gates
-// that operator is the FFT-accelerated one and the stage is fft-gmres:
+// Precondition; the identity when it carries none). For a system Build
+// left matrix-free whose surface passed the admissibility gates that
+// operator is the FFT-accelerated one and the stage is fft-gmres:
 // its candidate is verified through the operator's own MatVec, so a
 // solve it wins never touches (or assembles) the dense matrix. Otherwise
 // the stage is gmres on the dense matrix, which a lazily-built system
@@ -144,7 +144,7 @@ func (sys *System) SolveResilient(ctx context.Context, opt SolveOptions) (*Solut
 		name string
 		run  func(context.Context) error
 	}{{StageGMRES, iterate}, {StageDenseLU, func(c context.Context) error {
-		if err := sys.Materialize(c); err != nil {
+		if err := sys.materialize(c); err != nil {
 			return err
 		}
 		cand, err := cmplxmat.SolveDense(sys.Matrix, sys.RHS)

@@ -295,7 +295,10 @@ func (s *Server) terminalRecord(id string, op journal.Op, err error) (rec journa
 
 // observeTerminal is the queue's terminal-job observer: it funnels
 // every real outcome into the journal (so replay drops finished jobs),
-// the circuit breaker, the live registry and checkpoint cleanup.
+// the live registry and checkpoint cleanup, and every outcome that says
+// something about the exact-solve tier's health into the circuit
+// breaker: not a cancellation, and not a failure classified invalid
+// input, which describes the request.
 func (s *Server) observeTerminal(j *jobs.Job) {
 	op, err := journal.OpCompleted, error(nil)
 	switch j.Snapshot().Status {
@@ -309,7 +312,7 @@ func (s *Server) observeTerminal(j *jobs.Job) {
 	if !ok {
 		return
 	}
-	if op != journal.OpCanceled {
+	if op != journal.OpCanceled && resilience.Classify(err) != resilience.KindInvalidInput {
 		s.brk.Record(op == journal.OpCompleted)
 	}
 	s.journalJob(rec)

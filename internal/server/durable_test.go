@@ -167,6 +167,50 @@ func TestBreakerTripsShedsAndRecovers(t *testing.T) {
 	}
 }
 
+// TestInvalidInputFailuresLeaveBreakerClosed: jobs that fail with an
+// invalid-input error describe their request, not the exact-solve
+// tier's health, so a run of them — here sweeps of a surface the grid
+// cannot resolve (core.CheckResolution) — past the breaker's sample
+// floor leaves it closed, and a valid sweep is still admitted.
+func TestInvalidInputFailuresLeaveBreakerClosed(t *testing.T) {
+	ts := startServer(t, Config{Workers: 1, QueueDepth: 4})
+	defer ts.shutdown(t)
+
+	for i := 0; i < breakerMinSamples+1; i++ {
+		cfg := tinyConfig(float64(5+i) * 1e9)
+		cfg.Spec.Sigma = 10e-6 // σ/η = 10: curvature rivals the ½ jump term
+		code, body := ts.do(t, "POST", "/v1/sweeps", cfg)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %d: %d %s", i, code, body)
+		}
+		var info jobs.Info
+		if err := json.Unmarshal(body, &info); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(30 * time.Second); !info.Status.Terminal(); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s did not finish: %+v", info.ID, info)
+			}
+			_, body = ts.do(t, "GET", "/v1/sweeps/"+info.ID, nil)
+			if err := json.Unmarshal(body, &info); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if info.Status != jobs.StatusFailed || !strings.Contains(info.Error, "under-resolved") {
+			t.Fatalf("job %d ended %s (%s), want an under-resolved failure", i, info.Status, info.Error)
+		}
+	}
+	if st := ts.srv.brk.State(); st != breakerClosed {
+		t.Fatalf("breaker state %v after invalid-input failures, want closed", st)
+	}
+	if n := ts.metrics.Counter("breaker.trips").Value(); n != 0 {
+		t.Fatalf("breaker.trips = %d, want 0", n)
+	}
+	if code, body := ts.do(t, "POST", "/v1/sweeps", tinyConfig(5e9)); code != http.StatusAccepted {
+		t.Fatalf("valid sweep after invalid-input failures: %d %s", code, body)
+	}
+}
+
 // TestBreakerOpenSheds429: an open breaker turns POST /v1/sweeps into
 // 429 + Retry-After while /healthz and the rest of the read plane keep
 // serving.

@@ -159,8 +159,13 @@ func (s *Server) handleK(w http.ResponseWriter, r *http.Request) {
 	if s.routeAway(w, r, key.String()) {
 		return
 	}
+	// The exact sweep's frequency domain (finite, > 0, ≤ 1e15 Hz) bounds
+	// every query, so a bad f is a 400 whatever the key's record says.
 	f, err := strconv.ParseFloat(r.URL.Query().Get("f"), 64)
-	if err != nil || !(f > 0) {
+	if err == nil {
+		err = roughsim.SweepConfig{Freqs: []float64{f}}.Validate()
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid frequency %q", r.URL.Query().Get("f")))
 		return
 	}

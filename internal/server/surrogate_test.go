@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -11,7 +12,10 @@ import (
 	"time"
 
 	"roughsim"
+	"roughsim/internal/journal"
+	"roughsim/internal/sscm"
 	"roughsim/internal/surrogate"
+	"roughsim/internal/telemetry"
 )
 
 func tinySurrogateConfig() roughsim.SurrogateConfig {
@@ -260,5 +264,67 @@ func TestSurrogateFastPathPlumbing(t *testing.T) {
 	}
 	if c := snap.Counters[`surrogate.requests{outcome="miss"}`]; c < 1 {
 		t.Fatalf("miss counter = %d", c)
+	}
+}
+
+// unitSource is a surrogate.Source whose K is 1 at every node and
+// frequency: it admits a model without running the solver.
+type unitSource struct{ dim int }
+
+func (u unitSource) StochasticDim() int { return u.dim }
+
+func (u unitSource) CollocationValues(_ context.Context, freqs []float64, order int) ([][]float64, error) {
+	nodes, err := sscm.Nodes(u.dim, order)
+	if err != nil {
+		return nil, err
+	}
+	vals := make([][]float64, len(freqs))
+	for i := range vals {
+		vals[i] = make([]float64, len(nodes))
+		for j := range vals[i] {
+			vals[i][j] = 1
+		}
+	}
+	return vals, nil
+}
+
+// TestKRejectsOutOfDomainFrequency: GET /k checks f against the exact
+// sweep's frequency domain (finite, > 0, ≤ 1e15 Hz) whatever the key's
+// record says. On an admitted surrogate's key an out-of-domain f would
+// otherwise fall back out of band to an exact sweep that cannot run;
+// it is a 400 that journals and queues nothing.
+func TestKRejectsOutOfDomainFrequency(t *testing.T) {
+	m := telemetry.NewRegistry()
+	cfg := durableConfig(t.TempDir(), m)
+	ts := startServer(t, cfg)
+	defer ts.shutdown(t)
+
+	sc := tinySurrogateConfig()
+	spec, err := sc.FitSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := ts.srv.surrogates.GetOrBuild(context.Background(), unitSource{dim: sc.Acc.StochasticDim}, spec)
+	if err != nil || rec.Status != surrogate.StatusAdmitted {
+		t.Fatalf("unit surrogate: %v (err %v)", rec, err)
+	}
+	key := spec.Key.String()
+	if code, body := ts.do(t, "GET", kPath(key, 5e9), nil); code != http.StatusOK {
+		t.Fatalf("in-band /k: %d %s", code, body)
+	}
+	for _, f := range []string{"1e300", "2e15", "Inf"} {
+		if code, body := ts.do(t, "GET", "/k?key="+key+"&f="+f, nil); code != http.StatusBadRequest {
+			t.Errorf("f=%s: %d %s, want 400", f, code, body)
+		}
+	}
+	if n := m.Counter("queue.jobs_submitted").Value(); n != 0 {
+		t.Fatalf("out-of-domain queries queued %d jobs", n)
+	}
+	recs, err := journal.ReadAll(cfg.JournalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 0 {
+		t.Fatalf("out-of-domain queries journaled %+v", recs)
 	}
 }

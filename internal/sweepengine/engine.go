@@ -30,10 +30,11 @@
 //     nodes come in pairs ±ξ whose surfaces are f and exactly −f. The
 //     Green's function is even in Δz and its z-derivative odd, so the
 //     system of −f is the system of f with its double-layer entries
-//     negated: each pair is solved from one kernel build (quotient
-//     system, dense assembly or FFT operator), mirrored in place after
-//     the first surface's solves, bit for bit what a direct build would
-//     give.
+//     negated: each pair is solved from one mom.Build (a quotient
+//     system, or an FFT operator or lazily assembled dense matrix),
+//     mirrored in place after the first surface's solve — a dense
+//     matrix that solve assembled is flipped, not assembled again — bit
+//     for bit what a direct build would give.
 //
 //   - K interpolation across frequency (broadband sweeps). The
 //     conductor wavenumber k₂ = (1+j)/δ ∝ √f dominates the frequency

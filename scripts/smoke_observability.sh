@@ -49,6 +49,24 @@ done
 curl -sf "$BASE/debug/trace/$ID" | grep -q '"name": *"job"' ||
     { echo "FAIL: /debug/trace/$ID has no root span"; exit 1; }
 
+# The spans bench/metrics.go turns into per-layer metrics must keep
+# their names: a rename would blank a benchmark column. This sweep's
+# flat reference builds the frequency's tables, and its nodes build on
+# the quotient lattice (mom.assemble).
+TRACE="$(curl -sf "$BASE/debug/trace/$ID")"
+for span in flat.reference mom.assemble tables.build mom.solve; do
+    printf '%s' "$TRACE" | grep -q "\"name\": *\"$span\"" ||
+        { echo "FAIL: /debug/trace/$ID has no $span span"; exit 1; }
+done
+
+# GET /k checks the frequency against the exact sweep's domain (finite,
+# > 0, <= 1e15 Hz) before it looks the key up.
+ZERO=0000000000000000000000000000000000000000000000000000000000000000
+for f in Inf 2e15; do
+    CODE=$(curl -s -o /dev/null -w '%{http_code}' "$BASE/k?key=$ZERO&f=$f")
+    [ "$CODE" = 400 ] || { echo "FAIL: GET /k f=$f answered $CODE, want 400"; exit 1; }
+done
+
 # pprof is mounted (we started with -pprof).
 curl -sf "$BASE/debug/pprof/" >/dev/null ||
     { echo "FAIL: pprof index unreachable"; exit 1; }
